@@ -3,15 +3,14 @@
 //! repo's performance trajectory is tracked in-tree, run over run.
 //!
 //! Scenarios (all the identical campaign plan, so the cases/sec numbers
-//! compare like for like):
+//! compare like for like; every timed run must execute exactly the
+//! plan's case cap, or the bench panics):
 //!
 //! * `serial` — the classic one-query-at-a-time stepper loop;
 //! * `serial_traced` — the same loop with the o4a-obs substrate armed
 //!   (trace spans + metrics recorded in-memory, ring drained per run);
 //!   the `serial` / `serial_traced` pair is the committed price of
 //!   turning observability on;
-//! * `overlapped_k1` / `overlapped_k8` — the async in-process backend
-//!   with K queries in flight per shard worker;
 //! * `pipe_spawn_k8` / `pipe_session_k8` — external mock-solver
 //!   processes over stdin/stdout pipes (zero injected latency, so the
 //!   number measures transport overhead, not sleeps);
@@ -31,7 +30,7 @@ use o4a_core::{
     adapt_fill_arena, parse_fill_into, skeletonize_arena, synthesize_arena, CampaignConfig,
     CampaignResult, Once4AllFuzzer, SkeletonConfig,
 };
-use o4a_exec::{run_shard_overlapped, run_shard_piped, PipeBackend};
+use o4a_exec::{run_shard_piped, PipeBackend};
 use o4a_llm::RawTerm;
 use o4a_obs::json::{obj, Json};
 use o4a_smtlib::eval::{no_defs, DomainConfig, Evaluator};
@@ -48,10 +47,12 @@ const MOCK: &str = env!("CARGO_BIN_EXE_mock_solver");
 /// Timed runs per scenario; the median lands in the JSON.
 const RUNS: usize = 3;
 
+/// The timed campaign: uncompressed virtual time (`time_scale: 1`) gives
+/// the budget ample headroom, so the case cap is what ends every run.
 fn plan() -> CampaignConfig {
     CampaignConfig {
         virtual_hours: 2,
-        time_scale: 50_000,
+        time_scale: 1,
         max_cases: 500,
         ..CampaignConfig::default()
     }
@@ -69,11 +70,6 @@ fn serial_traced(config: &CampaignConfig) -> CampaignResult {
     let result = serial(config);
     let _ = o4a_obs::trace::drain_events();
     result
-}
-
-fn overlapped(config: &CampaignConfig, k: usize) -> CampaignResult {
-    let mut fuzzer = Once4AllFuzzer::with_defaults();
-    run_shard_overlapped(&mut fuzzer, config, 0, None, k)
 }
 
 fn piped(config: &CampaignConfig, k: usize, mode: SolverMode) -> CampaignResult {
@@ -246,6 +242,12 @@ fn micro_term_eval() -> f64 {
 }
 
 /// Median cases/sec over [`RUNS`] timed executions of `run`.
+///
+/// # Panics
+///
+/// Panics when a run executes anything other than `config.max_cases`
+/// cases: a rate over a run the virtual clock cut short would compare
+/// unequal workloads.
 fn cases_per_sec(
     config: &CampaignConfig,
     mut run: impl FnMut(&CampaignConfig) -> CampaignResult,
@@ -255,6 +257,11 @@ fn cases_per_sec(
         let start = Instant::now();
         let result = run(config);
         let secs = start.elapsed().as_secs_f64().max(1e-9);
+        assert_eq!(
+            result.stats.cases, config.max_cases as u64,
+            "a timed run executed {} of its {} planned cases",
+            result.stats.cases, config.max_cases
+        );
         rates.push(result.stats.cases as f64 / secs);
     }
     rates.sort_by(|a, b| a.total_cmp(b));
@@ -277,14 +284,6 @@ fn bench(c: &mut Criterion) {
             o4a_obs::uninstall();
             rate
         }),
-        (
-            "overlapped_k1",
-            cases_per_sec(&config, |cfg| overlapped(cfg, 1)),
-        ),
-        (
-            "overlapped_k8",
-            cases_per_sec(&config, |cfg| overlapped(cfg, 8)),
-        ),
         (
             "pipe_spawn_k8",
             cases_per_sec(&config, |cfg| piped(cfg, 8, SolverMode::Spawn)),
@@ -332,7 +331,7 @@ fn bench(c: &mut Criterion) {
     }
     print!("{line}");
 
-    // The criterion group re-measures the cheapest scenario pair so the
+    // The criterion group re-measures the cheapest scenario so the
     // standard statistical machinery (outliers, regressions) also sees
     // the engine; the JSON above is the committed artifact.
     let mut g = c.benchmark_group("campaign_throughput");
@@ -343,9 +342,6 @@ fn bench(c: &mut Criterion) {
     };
     g.bench_function("serial_120_cases", |b| {
         b.iter(|| serial(&small).stats.cases)
-    });
-    g.bench_function("overlapped_k8_120_cases", |b| {
-        b.iter(|| overlapped(&small, 8).stats.cases)
     });
     g.finish();
 }

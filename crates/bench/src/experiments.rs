@@ -52,12 +52,12 @@ impl Scale {
 
 /// The parallelism knob every experiment driver routes through: shard
 /// count from `O4A_SHARDS` (default 1 — bit-identical to the paper's
-/// serial protocol), worker count from `O4A_WORKERS` (default: one per
-/// CPU), and overlapped in-flight queries per worker from `O4A_INFLIGHT`
-/// (default 1; any `K` is bit-identical to serial — the knob trades
-/// nothing but executor scheduling). Campaigns *within* a comparison
-/// additionally fan out across fuzzers, so even `O4A_SHARDS=1` benefits
-/// from the pool.
+/// serial protocol) and worker count from `O4A_WORKERS` (default: one per
+/// CPU). With `O4A_SOLVER_CMD` set, `O4A_INFLIGHT` keeps that many
+/// queries in flight per worker over the pipes ([`o4a_exec::run_shard_piped`];
+/// any `K` is bit-identical to `1`); the in-process engines ignore it.
+/// Campaigns *within* a comparison additionally fan out across fuzzers,
+/// so even `O4A_SHARDS=1` benefits from the pool.
 pub fn exec_knob() -> ExecConfig {
     ExecConfig::from_env()
 }

@@ -105,7 +105,12 @@ fn dist_run(tag: &str, workers: u32, crash: bool) -> DistReport {
     if crash {
         // Die mid-way through shard 2 (which runs ~7 cases and records
         // findings at this scale), once per campaign — the token's
-        // atomic creation is the latch.
+        // atomic creation is the latch. The per-case delay makes a lease
+        // outlast the jitter in the workers' start-up, so the death lands
+        // while every other worker is still busy and the coordinator has
+        // to spawn a replacement (with an idle worker around, it rightly
+        // hands the re-issued lease to that one instead). Results are
+        // invariant to the delay.
         command.extend([
             "--crash-shard".into(),
             "2".into(),
@@ -113,6 +118,8 @@ fn dist_run(tag: &str, workers: u32, crash: bool) -> DistReport {
             "4".into(),
             "--crash-token".into(),
             dir.join("crash-token").display().to_string(),
+            "--slow-ms".into(),
+            "100".into(),
         ]);
     }
     let dist = DistConfig::new(command, dir.join("journals"))

@@ -1,7 +1,7 @@
-//! The pipe-transport gauntlet: the overlapped campaign engine driving
-//! **external solver processes** (the deterministic mock built from
-//! `src/bin/mock_solver.rs`) over stdin/stdout pipes — offline, no real
-//! Z3 required.
+//! The pipe-transport gauntlet: the overlapped campaign engine — the
+//! only K-in-flight path — driving **external solver processes** (the
+//! deterministic mock built from `src/bin/mock_solver.rs`) over
+//! stdin/stdout pipes — offline, no real Z3 required.
 //!
 //! The acceptance criteria this file pins down:
 //!
@@ -10,6 +10,10 @@
 //!   in **both** transport modes: spawn (process per in-flight query)
 //!   and session (K `(push 1)`/`(pop 1)` scopes multiplexed on one
 //!   persistent process per lane);
+//! * the law holds at its edges: a coarse time scale where one case
+//!   jumps a whole virtual hour, a window wider than the whole campaign
+//!   (speculative cases solved, then discarded), a journaled campaign
+//!   killed and resumed at a different K, and tracing armed at K = 8;
 //! * a crashing solver process becomes a `…::pipe::process-died` crash
 //!   finding (and a respawn), never a hang — and in session mode a
 //!   crash mid-scope costs exactly that one finding: pending sibling
@@ -23,8 +27,11 @@
 //!   least K, and a spawn lane reused via `(reset)` answers bit-for-bit
 //!   like a fresh process per query.
 
-use o4a_core::{CampaignConfig, CampaignResult, Fuzzer, Once4AllFuzzer};
-use o4a_exec::{run_campaign_sharded, run_shard_piped, ExecConfig, Parallelism, PipeBackend};
+use o4a_core::{dedup, CampaignConfig, CampaignResult, Fuzzer, Once4AllFuzzer};
+use o4a_exec::{
+    run_campaign_resumable, run_campaign_sharded, run_shard_piped, ExecConfig, FindingsStore,
+    Parallelism, PipeBackend,
+};
 use o4a_smtlib::Symbol;
 use o4a_solvers::{
     Outcome, PipeCommand, PipeSolver, SmtSolver, SolverId, SolverMode, TRUNK_COMMIT,
@@ -157,6 +164,51 @@ fn crash_injection_yields_findings_and_preserves_equivalence() {
     }
 }
 
+/// The snapshot boundary: at a coarse time scale a single case can jump
+/// a whole virtual hour, so the hourly series (and the stopping point)
+/// hinge on exactly which cases were applied before each boundary. K
+/// queries in flight must not move a single one.
+#[test]
+fn coarse_time_scale_snapshot_boundary_is_identical_for_k_1_4_8() {
+    let config = CampaignConfig {
+        time_scale: 500_000,
+        ..quick_config()
+    };
+    let backend = PipeBackend::new(mock_cmd("--latency-ms 3"));
+    let reference = fingerprint(&piped_shard(&config, 1, &backend));
+    assert!(reference.0.cases > 0, "reference ran no cases");
+    for k in [4usize, 8] {
+        assert_eq!(
+            fingerprint(&piped_shard(&config, k, &backend)),
+            reference,
+            "K={k} diverged at the snapshot boundary"
+        );
+    }
+}
+
+/// The speculative-overrun boundary: with K greater than the case cap,
+/// every case beyond the cap is generated and solved speculatively, and
+/// must be discarded at apply time, not counted.
+#[test]
+fn inflight_window_larger_than_campaign_is_still_identical() {
+    let config = CampaignConfig {
+        max_cases: 5,
+        time_scale: 100_000, // cheap cases: the case cap binds, not hours
+        ..quick_config()
+    };
+    let backend = session_backend("");
+    let reference = piped_shard(&config, 1, &backend);
+    assert_eq!(reference.stats.cases, 5);
+    let overlapped = piped_shard(&config, 32, &backend);
+    assert_eq!(overlapped.stats.cases, 5);
+    assert!(
+        overlapped.stats.scopes_pushed >= 32 * 2,
+        "the 32-wide window never filled: {} scopes pushed",
+        overlapped.stats.scopes_pushed
+    );
+    assert_eq!(fingerprint(&overlapped), fingerprint(&reference));
+}
+
 /// The engine-level wiring: `ExecConfig::solver_cmd` (the
 /// `O4A_SOLVER_CMD` knob) routes a whole sharded campaign over pipes,
 /// deterministically, with differential findings from the
@@ -183,6 +235,118 @@ fn sharded_engine_over_pipes_is_deterministic() {
         a.stats.bug_triggering > 0,
         "independently-seeded lanes never disagreed in {} cases",
         a.stats.cases
+    );
+}
+
+/// Re-sequencing under kill/resume: a journaled 4-shard campaign over
+/// pipes with K = 4 in flight, killed mid-flight and resumed at a
+/// *different* K, converges to the same deduplicated issue set as the
+/// K = 1 campaign. Findings reach the journal in case order regardless
+/// of completion order — the re-sequencing contract this test pins down.
+#[test]
+fn killed_overlapped_campaign_resumes_to_serial_issue_set() {
+    let config = quick_config();
+    let factory = |_shard: u32| Box::new(Once4AllFuzzer::with_defaults()) as Box<dyn Fuzzer>;
+    let exec_k1 = ExecConfig {
+        shards: 4,
+        parallelism: Parallelism::Serial,
+        inflight: 1,
+        solver_cmd: Some(mock_cmd("--latency-ms 1")),
+        ..ExecConfig::default()
+    };
+    let serial = run_campaign_sharded(factory, &config, &exec_k1);
+
+    // Journaled run at K = 4, serial workers for a stable journal line
+    // order.
+    let dir = std::env::temp_dir();
+    let path = dir.join(format!("o4a-pipe-resume-{}.jsonl", std::process::id()));
+    let killed = dir.join(format!(
+        "o4a-pipe-resume-killed-{}.jsonl",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    let exec_k4 = ExecConfig {
+        inflight: 4,
+        ..exec_k1
+    };
+    let full = run_campaign_resumable(factory, &config, &exec_k4, &FindingsStore::new(&path))
+        .expect("journal I/O");
+    assert_eq!(fingerprint(&full), fingerprint(&serial));
+
+    // Simulate a SIGKILL that caught shards 2 and 3 mid-flight: drop
+    // their completion records (and shard 3's findings entirely).
+    let journal = std::fs::read_to_string(&path).unwrap();
+    assert!(
+        journal
+            .lines()
+            .any(|l| l.contains("\"finding\"") && l.contains("\"shard\":3")),
+        "shard 3 found nothing — the kill would drop no findings"
+    );
+    let truncated: String = journal
+        .lines()
+        .filter(|line| {
+            if line.contains("\"shard_done\"") {
+                line.contains("\"shard\":0") || line.contains("\"shard\":1")
+            } else if line.contains("\"finding\"") {
+                !line.contains("\"shard\":3")
+            } else {
+                true // header
+            }
+        })
+        .flat_map(|line| [line, "\n"])
+        .collect();
+    std::fs::write(&killed, truncated).unwrap();
+
+    // Resume at K = 8: shards 0-1 load, shards 2-3 re-run — and the
+    // merged result still matches K = 1.
+    let exec_k8 = ExecConfig {
+        inflight: 8,
+        ..exec_k4
+    };
+    let resumed = run_campaign_resumable(factory, &config, &exec_k8, &FindingsStore::new(&killed))
+        .expect("journal I/O");
+    assert_eq!(fingerprint(&resumed), fingerprint(&serial));
+    assert_eq!(
+        dedup(&resumed.findings).len(),
+        dedup(&serial.findings).len(),
+        "deduplicated issue sets diverged across kill/resume at a different K"
+    );
+
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(&killed);
+}
+
+/// Observability non-interference at K = 8: the overlapped loop with
+/// tracing and metrics recording armed is bit-identical to the unarmed
+/// run, and each in-flight case leaves its `case.execute` span. Nothing
+/// drains to disk (`dir: None`): the obs gates are process-global, and
+/// files would pick up the campaigns of concurrently running tests.
+#[test]
+fn traced_k8_campaign_is_bit_identical_to_untraced() {
+    let config = quick_config();
+    let backend = PipeBackend::new(mock_cmd("--latency-ms 2"));
+    let untraced = piped_shard(&config, 8, &backend);
+    assert!(!untraced.findings.is_empty(), "equivalence leg is vacuous");
+
+    o4a_obs::install(o4a_obs::ObsConfig {
+        trace: true,
+        metrics: true,
+        ..o4a_obs::ObsConfig::default()
+    });
+    let traced = piped_shard(&config, 8, &backend);
+    let (events, _dropped) = o4a_obs::trace::drain_events();
+    o4a_obs::uninstall();
+
+    assert_eq!(
+        fingerprint(&traced),
+        fingerprint(&untraced),
+        "tracing perturbed the K = 8 campaign"
+    );
+    let spans = events.iter().filter(|e| e.name == "case.execute").count();
+    assert!(
+        spans as u64 >= traced.stats.cases,
+        "{spans} case.execute spans for {} applied cases",
+        traced.stats.cases
     );
 }
 

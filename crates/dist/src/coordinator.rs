@@ -537,15 +537,18 @@ fn accepted_worker(link: Link) -> Worker {
     }
 }
 
-/// Pops complete lines off the front of `buf`.
+/// Pops complete lines off the front of `buf`, leaving a partial
+/// trailing line in place. One pass over the complete lines and a single
+/// `drain`, so a burst of frames costs linear time.
 fn take_lines(buf: &mut Vec<u8>) -> Vec<String> {
-    let mut lines = Vec::new();
-    while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-        let rest = buf.split_off(pos + 1);
-        let mut line = std::mem::replace(buf, rest);
-        line.pop(); // the newline
-        lines.push(String::from_utf8_lossy(&line).into_owned());
-    }
+    let Some(last) = buf.iter().rposition(|&b| b == b'\n') else {
+        return Vec::new();
+    };
+    let lines = buf[..last]
+        .split(|&b| b == b'\n')
+        .map(|line| String::from_utf8_lossy(line).into_owned())
+        .collect();
+    buf.drain(..=last);
     lines
 }
 
@@ -1560,6 +1563,38 @@ fn exit_if_armed(dist: &DistConfig, state: &FleetState) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A burst of complete frames followed by a torn one: every complete
+    /// line comes out in order (empty lines included), and the torn tail
+    /// stays buffered until its newline arrives.
+    #[test]
+    fn take_lines_splits_a_burst_and_keeps_the_torn_tail() {
+        let frames: Vec<String> = (0..10_000)
+            .map(|i| match i % 3 {
+                0 => String::new(),
+                _ => format!("{{\"type\":\"heartbeat\",\"worker\":{i}}}"),
+            })
+            .collect();
+        let mut buf = Vec::new();
+        for frame in &frames {
+            buf.extend_from_slice(frame.as_bytes());
+            buf.push(b'\n');
+        }
+        buf.extend_from_slice(b"{\"type\":\"do");
+        assert_eq!(take_lines(&mut buf), frames);
+        assert_eq!(buf, b"{\"type\":\"do");
+        assert!(
+            take_lines(&mut buf).is_empty(),
+            "a torn line is not a frame"
+        );
+
+        buf.extend_from_slice(b"ne\"}\n");
+        assert_eq!(
+            take_lines(&mut buf),
+            vec!["{\"type\":\"done\"}".to_string()]
+        );
+        assert!(buf.is_empty());
+    }
 
     fn base() -> DistConfig {
         DistConfig::new(vec!["worker".into()], "/tmp/o4a-env-test")

@@ -25,20 +25,19 @@
 //!   of an N-way plan as a standalone unit (a pure function of
 //!   `(config, shards, shard)`), which is what the `o4a-dist`
 //!   coordinator hands its worker processes as dynamic leases.
-//! * **Overlapped in-flight queries** — with [`ExecConfig::inflight`]
-//!   `= K > 1` each shard worker pipelines `K` cases through the async
-//!   solver backend ([`o4a_solvers::AsyncSmtSolver`]) on a tokio-free
-//!   poll-loop executor (`o4a-executor`), re-sequencing out-of-order
-//!   completions by case index so results stay bit-identical to the
-//!   serial engine ([`run_shard_overlapped`]).
-//!
 //! * **External solver processes** — with [`ExecConfig::solver_cmd`]
 //!   (the `O4A_SOLVER_CMD` knob) each shard worker spawns the named
 //!   solver binary per lane and drives it **over stdin/stdout pipes**
 //!   ([`run_shard_piped`], [`o4a_solvers::PipeSolver`]): scripts stream
 //!   to the child's stdin, replies parse incrementally from its stdout
 //!   via the fd reactor's `poll(2)`, and crashed or wedged processes
-//!   become crash findings (killed + respawned), never hangs.
+//!   become crash findings (killed + respawned), never hangs. With
+//!   [`ExecConfig::inflight`] `= K > 1` each shard worker pipelines `K`
+//!   cases on a tokio-free poll-loop executor (`o4a-executor`),
+//!   re-sequencing out-of-order completions by case index so results
+//!   stay bit-identical to `K = 1`. The in-process engines ignore the
+//!   knob: their checks are CPU-bound on the worker thread, so there is
+//!   nothing to overlap — their parallelism is shards on threads.
 //!   [`ExecConfig::solver_mode`] (the `O4A_SOLVER_MODE` knob) picks the
 //!   transport: `spawn` fans `K` in-flight queries out across up to `K`
 //!   children per lane, `session` multiplexes them as `(push 1)` /
@@ -58,7 +57,7 @@
 //!     shards: 4,
 //!     parallelism: Parallelism::Auto,
 //!     inflight: 8,
-//!     solver_cmd: None, // Some("z3 -in".into()) drives real Z3 over pipes
+//!     solver_cmd: Some("z3 -in".into()), // real Z3 over pipes
 //!     ..ExecConfig::default()
 //! };
 //! let result = run_campaign_sharded(
@@ -78,7 +77,7 @@ pub mod overlap;
 pub mod shard;
 pub mod store;
 
-pub use overlap::{run_shard_overlapped, run_shard_piped, PipeBackend};
+pub use overlap::{run_shard_piped, PipeBackend};
 pub use shard::{
     merge_shard_results, parallel_map, run_campaign_sharded, run_campaign_sharded_with, run_shard,
     run_shard_lease, shard_config, shard_configs, shard_seed, ExecConfig, FindingSink, Parallelism,

@@ -1,43 +1,40 @@
-//! The overlapped shard runner: `K` solver queries in flight per worker.
+//! The overlapped shard runner: `K` solver queries in flight per worker,
+//! against **external solver processes** over pipes.
 //!
 //! A shard worker running [`crate::run_shard`] serializes on every solver
-//! query; against real external solvers (the pipe-driven backends the
-//! async trait is designed for) that leaves the worker idle for the whole
-//! round-trip. This module drives the same campaign as a **pipeline**:
+//! query; against external solvers (Z3, cvc5, or the deterministic mock)
+//! that leaves the worker idle for the whole round-trip.
+//! [`run_shard_piped`] drives the same campaign as a **pipeline**:
 //!
 //! 1. **Generate** — test cases are drawn from the fuzzer in case-index
 //!    order (the RNG stream is untouched by overlap);
 //! 2. **Execute** — up to `K` cases are in flight at once on an
-//!    [`InFlightPool`] of [`AsyncSmtSolver`] futures, completing in
-//!    latency order, not submission order;
+//!    [`InFlightPool`] of [`PipeSolver::check_async`] futures, completing
+//!    in reply order, not submission order, while the worker blocks in
+//!    the fd reactor's `poll(2)`;
 //! 3. **Re-sequence** — completions pass through a [`Sequencer`] and are
 //!    applied to the [`CampaignStepper`] strictly in case-index order.
 //!
 //! Because execution is campaign-state-free
 //! ([`CampaignStepper::execute_case`]'s contract) and application is
-//! in-order, the result is **bit-identical to the serial engine** for any
-//! `K` — including the campaign-end boundary: cases generated
-//! speculatively while the last real cases were still in flight are
-//! discarded by [`CampaignStepper::apply_case`] once the budget is spent,
-//! exactly reproducing the serial stopping point. `crates/executor/README.md`
+//! in-order, the result is **bit-identical for any `K`** — including the
+//! campaign-end boundary: cases generated speculatively while the last
+//! real cases were still in flight are discarded by
+//! [`CampaignStepper::apply_case`] once the budget is spent, exactly
+//! reproducing the `K = 1` stopping point. `crates/executor/README.md`
 //! spells out the full determinism argument.
 //!
-//! Two solver banks plug into the same loop:
+//! [`PipeBackend::mode`] picks the transport: spawn mode fans `K`
+//! in-flight queries out across up to `K` processes per lane; session
+//! mode multiplexes them as `(push 1)`/`(pop 1)` scopes on **one
+//! persistent process per lane**. Same sequencing, same equivalence law
+//! (`crates/bench/tests/pipe_backend.rs` proves it against the
+//! deterministic mock solver for K ∈ {1, 4, 8} in both modes, including
+//! under crash injection mid-scope).
 //!
-//! * [`run_shard_overlapped`] — the in-process engines behind the
-//!   latency-simulating adapter ([`LatencySolver`]), completing on the
-//!   executor's virtual tick clock;
-//! * [`run_shard_piped`] — **external solver processes**
-//!   ([`o4a_solvers::PipeSolver`]) answering over stdin/stdout pipes,
-//!   with the worker blocking in the fd reactor's `poll(2)` while all
-//!   in-flight queries wait on their children. [`PipeBackend::mode`]
-//!   picks the transport: spawn mode fans `K` in-flight queries out
-//!   across up to `K` processes per lane; session mode multiplexes them
-//!   as `(push 1)`/`(pop 1)` scopes on **one persistent process per
-//!   lane**. Same sequencing, same equivalence law
-//!   (`crates/bench/tests/pipe_backend.rs` proves it against the
-//!   deterministic mock solver for K ∈ {1, 4, 8} in both modes,
-//!   including under crash injection mid-scope).
+//! The in-process engines have no asynchronous path: their checks are
+//! CPU-bound on the worker thread, so keeping them in flight would
+//! overlap nothing. Their parallelism is shards on threads.
 
 use crate::shard::FindingSink;
 use o4a_cache::CacheStore;
@@ -46,29 +43,11 @@ use o4a_core::{
     TestCase,
 };
 use o4a_executor::{FdReactor, InFlightPool, Sequencer};
-use o4a_solvers::{
-    solver_with_config, AsyncSmtSolver, LatencyModel, LatencySolver, PipeCommand, PipeSolver,
-    SolverMode, VerdictCache,
-};
+use o4a_solvers::{CoverageMap, PipeCommand, PipeSolver, SmtSolver, SolverMode, VerdictCache};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::rc::Rc;
 use std::time::Duration;
-
-/// Latency ceiling (in executor ticks) of the simulated solver lanes.
-/// High enough that neighbouring in-flight cases routinely complete out
-/// of order, low enough to stay negligible next to solver compute.
-const MAX_LATENCY_TICKS: u64 = 16;
-
-/// The latency stream of one solver lane in one shard: decorrelated from
-/// the campaign RNG (which must stay bit-identical to the serial engine)
-/// and from the other lanes.
-fn lane_latency(shard_seed: u64, lane: usize) -> LatencyModel {
-    let seed = shard_seed
-        .rotate_left(17)
-        .wrapping_add((lane as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-    LatencyModel::uniform(seed, 0, MAX_LATENCY_TICKS)
-}
 
 /// The external-process solver backend configuration: the command line
 /// every lane spawns (with `{lane}` substituted per solver lane), the
@@ -141,9 +120,7 @@ impl PipeBackend {
     }
 
     /// Builds the per-lane [`PipeSolver`] bank for one shard worker, all
-    /// lanes sharing `reactor`. Concrete lane handles come back (rather
-    /// than boxed trait objects) so the shard runner can harvest the
-    /// per-lane transport counters after the campaign.
+    /// lanes sharing `reactor`.
     fn bank(
         &self,
         shard_config: &CampaignConfig,
@@ -190,9 +167,9 @@ impl PipeBackend {
 }
 
 /// One case's in-flight work: every solver lane queried in campaign
-/// order, with each lane's latency (simulated ticks or a real pipe
-/// round-trip) awaited before its result is available.
-async fn case_future(solvers: &[&dyn AsyncSmtSolver], case: TestCase) -> CaseExecution {
+/// order, with each lane's pipe round-trip awaited before its result is
+/// available.
+async fn case_future(solvers: &[PipeSolver], case: TestCase) -> CaseExecution {
     // The span covers the whole in-flight life of the case, queue waits
     // included — the overlapped counterpart of the serial stepper's
     // `case.execute` span. Held across awaits: the executor is
@@ -200,65 +177,22 @@ async fn case_future(solvers: &[&dyn AsyncSmtSolver], case: TestCase) -> CaseExe
     let _span = o4a_obs::trace::span("core", "case.execute").arg("bytes", case.text.len() as u64);
     let mut runs = Vec::with_capacity(solvers.len());
     for solver in solvers {
-        let check = solver.check_async(case.text.clone()).await;
         runs.push(SolverRun {
             solver: solver.id(),
-            response: check.response,
-            coverage: check.coverage,
+            response: solver.check_async(&case.text).await,
+            // External processes report no coverage.
+            coverage: CoverageMap::new(),
         });
     }
     CaseExecution { case, runs }
-}
-
-/// Runs one shard with up to `inflight` overlapped cases against the
-/// latency-simulating in-process solver bank, reporting findings to
-/// `sink` in case order (the same order [`crate::run_shard`] reports
-/// them). `inflight = 1` degenerates to strict serial submission through
-/// the same async plumbing.
-///
-/// # Panics
-///
-/// Panics when `inflight` is zero.
-pub fn run_shard_overlapped(
-    fuzzer: &mut dyn Fuzzer,
-    shard_config: &CampaignConfig,
-    shard: u32,
-    sink: Option<&dyn FindingSink>,
-    inflight: usize,
-) -> CampaignResult {
-    let solvers: Vec<Box<dyn AsyncSmtSolver>> = shard_config
-        .solvers
-        .iter()
-        .enumerate()
-        .map(|(lane, &(id, commit))| {
-            Box::new(LatencySolver::new(
-                solver_with_config(id, commit, shard_config.engine.clone()),
-                lane_latency(shard_config.seed, lane),
-            )) as Box<dyn AsyncSmtSolver>
-        })
-        .collect();
-    let lanes: Vec<&dyn AsyncSmtSolver> = solvers.iter().map(Box::as_ref).collect();
-    let result = run_shard_on(
-        fuzzer,
-        shard_config,
-        shard,
-        sink,
-        inflight,
-        &lanes,
-        &mut || {},
-        None,
-    );
-    if let Some(sink) = sink {
-        sink.on_shard_complete(shard, &result);
-    }
-    result
 }
 
 /// Runs one shard with up to `inflight` overlapped cases against
 /// **external solver processes** spawned from `backend`. While every
 /// in-flight query waits on a child pipe, the worker blocks in the fd
 /// reactor's `poll(2)` — no busy-wait — and a crashed or wedged child
-/// becomes a crash finding, never a hang.
+/// becomes a crash finding, never a hang. `inflight = 1` is strict serial
+/// submission through the same plumbing.
 ///
 /// Lane ownership follows [`PipeBackend::mode`]: in spawn mode each lane
 /// fans `inflight` queries out across up to `inflight` children; in
@@ -282,27 +216,14 @@ pub fn run_shard_piped(
 ) -> CampaignResult {
     let reactor = Rc::new(FdReactor::new());
     let solvers = backend.bank(shard_config, shard, &reactor);
-    let lanes: Vec<&dyn AsyncSmtSolver> = solvers
-        .iter()
-        .map(|lane| lane as &dyn AsyncSmtSolver)
-        .collect();
-    // On deadlock the pool panics with the reactor's registration dump —
-    // which fds were armed, their deadlines, and the last-poll age —
-    // instead of a bare count.
-    let diagnostics = || reactor.debug_dump();
     let mut result = run_shard_on(
         fuzzer,
         shard_config,
         shard,
         sink,
         inflight,
-        &lanes,
-        &mut || {
-            reactor
-                .poll_io(None)
-                .expect("fd reactor poll(2) failed while queries were in flight");
-        },
-        Some(&diagnostics),
+        &solvers,
+        &reactor,
     );
     for lane in &solvers {
         result.stats.processes_spawned += lane.processes_spawned();
@@ -318,25 +239,22 @@ pub fn run_shard_piped(
     result
 }
 
-/// The transport-agnostic overlapped shard loop: generate in case order,
-/// keep up to `inflight` [`case_future`]s resident, re-sequence
-/// completions, apply in order. `idle` runs when a poll round finds no
-/// runnable future and must wake at least one (a no-op for tick-driven
-/// banks, the reactor's blocking `poll(2)` for pipe-driven ones).
+/// The overlapped shard loop: generate in case order, keep up to
+/// `inflight` [`case_future`]s resident, re-sequence completions, apply
+/// in order. When a poll round finds no runnable future the worker
+/// blocks in `reactor`'s `poll(2)` until a lane's pipe wakes one.
 ///
 /// Findings stream to `sink` during the run; the **caller** reports
-/// shard completion (after folding in any transport-level stats), so
+/// shard completion (after folding in the lanes' transport stats), so
 /// `sink.on_shard_complete` always sees the final result.
-#[allow(clippy::too_many_arguments)]
 fn run_shard_on(
     fuzzer: &mut dyn Fuzzer,
     shard_config: &CampaignConfig,
     shard: u32,
     sink: Option<&dyn FindingSink>,
     inflight: usize,
-    solvers: &[&dyn AsyncSmtSolver],
-    idle: &mut dyn FnMut(),
-    diagnostics: Option<&dyn Fn() -> String>,
+    solvers: &[PipeSolver],
+    reactor: &FdReactor,
 ) -> CampaignResult {
     assert!(inflight >= 1, "need at least one in-flight slot");
     let mut rng = StdRng::seed_from_u64(shard_config.seed);
@@ -344,11 +262,17 @@ fn run_shard_on(
     stepper.charge_setup(fuzzer.setup(&mut rng));
 
     let mut pool: InFlightPool<CaseExecution> = InFlightPool::new(inflight);
-    if let Some(diagnostics) = diagnostics {
-        pool.set_diagnostics(diagnostics);
-    }
+    // On deadlock the pool panics with the reactor's registration dump —
+    // which fds were armed, their deadlines, and the last-poll age —
+    // instead of a bare count.
+    pool.set_diagnostics(|| reactor.debug_dump());
     let mut sequencer: Sequencer<CaseExecution> = Sequencer::new();
     let mut next_case: u64 = 0;
+    let mut idle = || {
+        reactor
+            .poll_io(None)
+            .expect("fd reactor poll(2) failed while queries were in flight");
+    };
 
     loop {
         // Fill the window. Exhaustion is judged on the *applied* prefix,
@@ -357,10 +281,10 @@ fn run_shard_on(
         // counts completions still parked in the sequencer, not just pool
         // occupancy: futures that resolve synchronously (verdict-cache
         // hits) free their slot immediately, and refilling past the
-        // window would both speculate unboundedly and starve the idle
-        // hook — a perpetually runnable pool never reaches the reactor,
-        // so the one pipe-bound case blocking the sequencer never gets
-        // its I/O wake.
+        // window would both speculate unboundedly and starve the reactor
+        // — a perpetually runnable pool never reaches `poll(2)`, so the
+        // one pipe-bound case blocking the sequencer never gets its I/O
+        // wake.
         while pool.len() + sequencer.held() < inflight && !stepper.is_exhausted() {
             let case = fuzzer.next_case(&mut rng);
             pool.submit(next_case, case_future(solvers, case));
@@ -369,7 +293,7 @@ fn run_shard_on(
         if pool.is_empty() {
             break; // budget spent and nothing left in flight
         }
-        for (index, execution) in pool.wait_any_with(&mut *idle) {
+        for (index, execution) in pool.wait_any_with(&mut idle) {
             sequencer.push(index, execution);
         }
         while let Some((_, execution)) = sequencer.pop() {

@@ -68,10 +68,10 @@ pub struct ExecConfig {
     pub shards: u32,
     /// Worker pool sizing.
     pub parallelism: Parallelism,
-    /// Overlapped solver queries per shard worker (≥ 1). At `1` each
-    /// worker drives the classic serial loop; above `1` it pipelines `K`
-    /// cases through the async solver backend
-    /// ([`crate::run_shard_overlapped`]) with bit-identical results.
+    /// Overlapped solver queries per shard worker (the `O4A_INFLIGHT`
+    /// knob, ≥ 1): the pipe backend keeps up to `inflight` cases in
+    /// flight ([`crate::run_shard_piped`]) with results bit-identical to
+    /// `1`. Ignored without [`ExecConfig::solver_cmd`].
     pub inflight: usize,
     /// External solver command (the `O4A_SOLVER_CMD` knob). When set,
     /// every shard worker drives **solver processes over pipes**
@@ -134,7 +134,7 @@ impl ExecConfig {
     /// count, default 1 — the paper's serial protocol), `O4A_WORKERS`
     /// (worker threads; `1` forces [`Parallelism::Serial`], unset means
     /// [`Parallelism::Auto`]), `O4A_INFLIGHT` (overlapped queries per
-    /// worker, default 1), `O4A_SOLVER_CMD` (external solver command;
+    /// worker over the pipe backend, default 1), `O4A_SOLVER_CMD` (external solver command;
     /// unset or blank keeps the in-process engines), and
     /// `O4A_SOLVER_MODE` (`spawn` or `session` — process-per-query vs.
     /// one persistent incremental session per lane), `O4A_CACHE`
@@ -312,8 +312,9 @@ fn pipe_backend_of(exec: &ExecConfig) -> Option<crate::overlap::PipeBackend> {
 /// once per shard on its thread pool; a distributed worker process
 /// (`o4a-dist`) calls it once per *lease*, journaling through `sink`.
 /// Either way the shard executes identically, down to the transport the
-/// engine knobs select (serial loop, overlapped in-flight queries, or
-/// external solver processes over pipes), so a shard result is a pure
+/// engine knobs select (the in-process serial loop, or external solver
+/// processes over pipes with `inflight` queries in flight), so a shard
+/// result is a pure
 /// function of `(config, exec.shards, shard)` — the property that makes
 /// dynamic lease assignment and crash re-issue invisible in merged
 /// results.
@@ -336,8 +337,6 @@ pub fn run_shard_lease(
         // The pipe transport always goes through the overlapped loop;
         // `inflight = 1` is serial submission over the same plumbing.
         crate::overlap::run_shard_piped(fuzzer, &cfg, shard, sink, exec.inflight.max(1), &backend)
-    } else if exec.inflight > 1 {
-        crate::overlap::run_shard_overlapped(fuzzer, &cfg, shard, sink, exec.inflight)
     } else {
         run_shard(fuzzer, &cfg, shard, sink)
     }
@@ -507,5 +506,41 @@ pub fn merge_shard_results(
         covered_functions,
         coverage,
         hourly_coverage,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `ExecConfig::from_env` is how `O4A_INFLIGHT` reaches the pipe
+    /// backend; unset, the default stays one query in flight.
+    #[test]
+    fn exec_config_env_default_is_serial() {
+        match std::env::var("O4A_INFLIGHT") {
+            Err(_) => assert_eq!(ExecConfig::from_env().inflight, 1),
+            // Set by the caller: the knob must round-trip.
+            Ok(raw) => assert_eq!(
+                ExecConfig::from_env().inflight,
+                raw.parse::<usize>().map_or(1, |k| k.max(1))
+            ),
+        }
+    }
+
+    /// The `O4A_SOLVER_MODE` knob: unset (or unparseable) means spawn —
+    /// process-per-query stays the default transport — and the CI session
+    /// legs reach the engine through the same string the env carries.
+    #[test]
+    fn exec_config_solver_mode_knob_parses() {
+        match std::env::var("O4A_SOLVER_MODE") {
+            Err(_) => assert_eq!(ExecConfig::from_env().solver_mode, SolverMode::Spawn),
+            Ok(raw) => assert_eq!(
+                ExecConfig::from_env().solver_mode,
+                SolverMode::parse(&raw).unwrap_or_default()
+            ),
+        }
+        assert_eq!(SolverMode::parse("session"), Some(SolverMode::Session));
+        assert_eq!(SolverMode::parse(" SPAWN "), Some(SolverMode::Spawn));
+        assert_eq!(SolverMode::parse("both"), None);
     }
 }

@@ -154,84 +154,6 @@ fn one_shard_engine_matches_serial_campaign() {
     }
 }
 
-/// Re-sequencing under kill/resume: a journaled campaign driven with
-/// `K > 1` overlapped queries, killed mid-flight and resumed at a
-/// *different* K, must converge to the same deduplicated issue set as the
-/// serial engine. Findings reach the journal in case order regardless of
-/// completion order — that is the [`o4a_exec::run_shard_overlapped`]
-/// re-sequencing contract this test pins down.
-#[test]
-fn killed_overlapped_campaign_resumes_to_serial_issue_set() {
-    let config = quick_config();
-    let serial = run_campaign_sharded(
-        factory,
-        &config,
-        &ExecConfig {
-            shards: 4,
-            parallelism: Parallelism::Serial,
-            inflight: 1,
-            ..ExecConfig::default()
-        },
-    );
-
-    // Journaled overlapped run (K = 4), serial workers for a stable
-    // journal line order.
-    let mut path = std::env::temp_dir();
-    path.push(format!("o4a-sharding-overlap-{}.jsonl", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    let exec_k4 = ExecConfig {
-        shards: 4,
-        parallelism: Parallelism::Serial,
-        inflight: 4,
-        ..ExecConfig::default()
-    };
-    let full = run_campaign_resumable(factory, &config, &exec_k4, &FindingsStore::new(&path))
-        .expect("journal I/O");
-    assert_eq!(fingerprint(&full), fingerprint(&serial));
-
-    // Simulate a SIGKILL that caught shards 2 and 3 mid-flight: drop
-    // their completion records (and shard 3's findings entirely).
-    let journal = std::fs::read_to_string(&path).unwrap();
-    let truncated: String = journal
-        .lines()
-        .filter(|line| {
-            if line.contains("\"shard_done\"") {
-                line.contains("\"shard\":0") || line.contains("\"shard\":1")
-            } else if line.contains("\"finding\"") {
-                !line.contains("\"shard\":3")
-            } else {
-                true // header
-            }
-        })
-        .flat_map(|line| [line, "\n"])
-        .collect();
-    let mut killed = std::env::temp_dir();
-    killed.push(format!(
-        "o4a-sharding-overlap-killed-{}.jsonl",
-        std::process::id()
-    ));
-    std::fs::write(&killed, truncated).unwrap();
-
-    // Resume at a different overlap width: shards 0-1 load, shards 2-3
-    // re-run with K = 8 — and the merged result still matches serial.
-    let exec_k8 = ExecConfig {
-        inflight: 8,
-        ..exec_k4
-    };
-    let resumed = run_campaign_resumable(factory, &config, &exec_k8, &FindingsStore::new(&killed))
-        .expect("journal I/O");
-    assert_eq!(fingerprint(&resumed), fingerprint(&serial));
-    assert_eq!(
-        dedup(&resumed.findings).len(),
-        dedup(&serial.findings).len(),
-        "deduplicated issue sets diverged across kill/resume with overlap"
-    );
-    assert_eq!(resumed.final_coverage, serial.final_coverage);
-
-    let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_file(&killed);
-}
-
 /// The hourly series, bit-comparable: per hour, the per-solver coverage
 /// percentages' exact float bits.
 fn cov_series(result: &o4a_core::CampaignResult) -> Vec<Vec<(SolverId, u64, u64)>> {

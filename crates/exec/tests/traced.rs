@@ -39,11 +39,10 @@ fn quick_config() -> CampaignConfig {
     }
 }
 
-fn run(inflight: usize) -> CampaignResult {
+fn run() -> CampaignResult {
     let exec = ExecConfig {
         shards: 4,
         parallelism: Parallelism::Serial,
-        inflight,
         ..ExecConfig::default()
     };
     let factory = |_shard: u32| Box::new(Once4AllFuzzer::with_defaults()) as Box<dyn Fuzzer>;
@@ -88,61 +87,60 @@ fn fingerprint(result: &CampaignResult) -> Fingerprint {
     )
 }
 
-/// The law itself, over the serial stepper and the overlapped (K = 8)
-/// engine: trace-on ≡ trace-off, and the traced run leaves parseable
-/// trace/metrics files whose case counter equals the campaign's.
+/// The law itself, over the serial stepper: trace-on ≡ trace-off, and
+/// the traced run leaves parseable trace/metrics files whose case counter
+/// equals the campaign's. (The K-in-flight leg runs over pipes, in
+/// `crates/bench/tests/pipe_backend.rs`.)
 #[test]
 fn traced_campaign_is_bit_identical_to_untraced() {
     let _guard = obs_lock();
-    for inflight in [1, 8] {
-        o4a_obs::uninstall();
-        let untraced = run(inflight);
-        assert!(untraced.stats.cases > 0, "untraced run ran no cases");
-        assert!(!untraced.findings.is_empty(), "equivalence leg is vacuous");
+    o4a_obs::uninstall();
+    let untraced = run();
+    assert!(untraced.stats.cases > 0, "untraced run ran no cases");
+    assert!(!untraced.findings.is_empty(), "equivalence leg is vacuous");
 
-        let dir = scratch_dir(&format!("k{inflight}"));
-        o4a_obs::install(ObsConfig::enabled_in(&dir));
-        let traced = run(inflight);
-        o4a_obs::uninstall();
+    let dir = scratch_dir("serial");
+    o4a_obs::install(ObsConfig::enabled_in(&dir));
+    let traced = run();
+    o4a_obs::uninstall();
 
-        assert_eq!(
-            fingerprint(&traced),
-            fingerprint(&untraced),
-            "tracing perturbed the K = {inflight} campaign"
-        );
+    assert_eq!(
+        fingerprint(&traced),
+        fingerprint(&untraced),
+        "tracing perturbed the campaign"
+    );
 
-        // The sharded engine drains at the campaign barrier: the traced
-        // run must have left files behind, and they must parse.
-        let (traces, metrics) = o4a_obs::observability_files(&dir).expect("scan obs dir");
-        assert!(!traces.is_empty(), "no trace file drained (K = {inflight})");
-        assert!(!metrics.is_empty(), "no metrics file drained");
-        let mut events = Vec::new();
-        for path in &traces {
-            let (_meta, mut file_events) =
-                o4a_obs::trace::read_trace_file(path).expect("parse trace file");
-            events.append(&mut file_events);
-        }
-        assert!(
-            events.iter().any(|e| e.name == "case.execute"),
-            "no case.execute spans in the trace"
-        );
-        let mut merged = o4a_obs::metrics::MetricsSnapshot::default();
-        for path in &metrics {
-            let (_seq, snapshot) =
-                o4a_obs::metrics::read_metrics_file(path).expect("parse metrics file");
-            merged.merge(&snapshot);
-        }
-        assert_eq!(
-            merged.counters.get("campaign.cases").copied(),
-            Some(untraced.stats.cases),
-            "metrics case counter diverged from the campaign's own count"
-        );
-
-        let chrome = o4a_obs::trace::export_chrome_trace(&traces).expect("chrome export");
-        assert!(chrome.contains("\"traceEvents\""));
-        assert!(chrome.contains("case.execute"));
-        let _ = std::fs::remove_dir_all(&dir);
+    // The sharded engine drains at the campaign barrier: the traced run
+    // must have left files behind, and they must parse.
+    let (traces, metrics) = o4a_obs::observability_files(&dir).expect("scan obs dir");
+    assert!(!traces.is_empty(), "no trace file drained");
+    assert!(!metrics.is_empty(), "no metrics file drained");
+    let mut events = Vec::new();
+    for path in &traces {
+        let (_meta, mut file_events) =
+            o4a_obs::trace::read_trace_file(path).expect("parse trace file");
+        events.append(&mut file_events);
     }
+    assert!(
+        events.iter().any(|e| e.name == "case.execute"),
+        "no case.execute spans in the trace"
+    );
+    let mut merged = o4a_obs::metrics::MetricsSnapshot::default();
+    for path in &metrics {
+        let (_seq, snapshot) =
+            o4a_obs::metrics::read_metrics_file(path).expect("parse metrics file");
+        merged.merge(&snapshot);
+    }
+    assert_eq!(
+        merged.counters.get("campaign.cases").copied(),
+        Some(untraced.stats.cases),
+        "metrics case counter diverged from the campaign's own count"
+    );
+
+    let chrome = o4a_obs::trace::export_chrome_trace(&traces).expect("chrome export");
+    assert!(chrome.contains("\"traceEvents\""));
+    assert!(chrome.contains("case.execute"));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Tracing alone (no metrics) and metrics alone both hold the law —
@@ -151,7 +149,7 @@ fn traced_campaign_is_bit_identical_to_untraced() {
 fn each_knob_alone_is_bit_identical() {
     let _guard = obs_lock();
     o4a_obs::uninstall();
-    let untraced = run(1);
+    let untraced = run();
     for (trace, metrics) in [(true, false), (false, true)] {
         let dir = scratch_dir(&format!("solo-t{trace}-m{metrics}"));
         o4a_obs::install(ObsConfig {
@@ -159,7 +157,7 @@ fn each_knob_alone_is_bit_identical() {
             metrics,
             ..ObsConfig::enabled_in(&dir)
         });
-        let solo = run(1);
+        let solo = run();
         o4a_obs::uninstall();
         assert_eq!(
             fingerprint(&solo),

@@ -9,6 +9,10 @@
 //! * [`Cervo`] (cvc5 stand-in): NNF + let inlining → model repair →
 //!   exhaustive fallback; additionally supports Sets/Relations, Bags, and
 //!   FiniteFields.
+//! * [`PipeSolver`]: a real external solver binary (Z3, cvc5, or the
+//!   deterministic mock) over stdin/stdout pipes — the only backend with
+//!   asynchronous checks ([`PipeSolver::check_async`]), which
+//!   `o4a-exec` keeps `K` in flight per worker.
 //!
 //! Both engines answer `sat` only with golden-evaluator-verified models and
 //! `unsat` only after complete finite exhaustion, so **with seeded bugs
@@ -28,7 +32,6 @@
 
 #![warn(missing_docs)]
 
-pub mod async_solver;
 pub mod bugs;
 mod cervo;
 pub mod coverage;
@@ -39,7 +42,6 @@ pub mod pipe;
 mod response;
 pub mod versions;
 
-pub use async_solver::{AsyncCheck, AsyncSmtSolver, CheckFuture, LatencyModel, LatencySolver};
 pub use cervo::Cervo;
 pub use coverage::{CoverageMap, Universe};
 pub use features::FormulaFeatures;

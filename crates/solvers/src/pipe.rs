@@ -2,13 +2,16 @@
 //! binary** (Z3, cvc5, or the deterministic mock in
 //! `crates/bench/src/bin/mock_solver.rs`) over stdin/stdout pipes.
 //!
-//! [`PipeSolver`] implements both [`SmtSolver`](crate::SmtSolver) and
-//! [`AsyncSmtSolver`]: it spawns the solver command, writes SMT-LIB
-//! scripts (the same printed text the in-process engines consume) to the
-//! child's stdin, and incrementally parses `sat`/`unsat`/`unknown`/model
-//! replies from its stdout through the fd reactor in `o4a-executor` — so
-//! a shard worker keeps `K` queries in flight without threads or
-//! busy-waiting. Reply parsing is **torn-read safe**: [`ReplyParser`]
+//! [`PipeSolver`] implements [`SmtSolver`](crate::SmtSolver) and offers
+//! an asynchronous [`PipeSolver::check_async`]: it spawns the solver
+//! command, writes SMT-LIB scripts (the same printed text the in-process
+//! engines consume) to the child's stdin, and incrementally parses
+//! `sat`/`unsat`/`unknown`/model replies from its stdout through the fd
+//! reactor in `o4a-executor` — so a shard worker keeps `K` queries in
+//! flight without threads or busy-waiting. This is the only solver
+//! backend with asynchronous checks: the in-process engines are CPU-bound
+//! on the calling thread, so keeping queries in flight against them
+//! overlaps nothing. Reply parsing is **torn-read safe**: [`ReplyParser`]
 //! consumes bytes in whatever chunks the pipe delivers and only releases
 //! complete lines / balanced s-expressions.
 //!
@@ -41,7 +44,6 @@
 //! documented in `crates/solvers/README.md`; the [`mock`] module holds
 //! the deterministic reply logic the mock binary serves.
 
-use crate::async_solver::{splitmix64, AsyncCheck, AsyncSmtSolver, CheckFuture};
 use crate::coverage::{universe, Universe};
 use crate::response::{CrashInfo, CrashKind, Outcome, SolveStats, SolverId, SolverResponse};
 use crate::versions::CommitIdx;
@@ -514,10 +516,18 @@ struct Session {
     next_id: u64,
 }
 
+/// SplitMix64 finalizer — the standard seed-expansion hash.
+fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
 // -------------------------------------------------------------- PipeSolver
 
-/// An external solver process bank behind the [`SmtSolver`] /
-/// [`AsyncSmtSolver`] interfaces.
+/// An external solver process bank behind the [`SmtSolver`] interface
+/// and the asynchronous [`PipeSolver::check_async`].
 ///
 /// One `PipeSolver` plays one solver lane of a differential campaign: it
 /// reports the [`SolverId`] it stands in for and drives child processes
@@ -539,7 +549,6 @@ pub struct PipeSolver {
     affinity: bool,
     empty_coverage: CoverageMap,
     universe: Universe,
-    submitted: Cell<u64>,
     spawned: Cell<u64>,
     respawns: Cell<u64>,
     scopes: Cell<u64>,
@@ -578,7 +587,6 @@ impl PipeSolver {
             affinity: false,
             empty_coverage: CoverageMap::new(),
             universe: universe(id),
-            submitted: Cell::new(0),
             spawned: Cell::new(0),
             respawns: Cell::new(0),
             scopes: Cell::new(0),
@@ -848,7 +856,11 @@ impl PipeSolver {
         }
     }
 
-    async fn run_query(&self, text: &str) -> SolverResponse {
+    /// Answers one script asynchronously — the response is identical to
+    /// what [`SmtSolver::check`] returns. Many checks against one lane may
+    /// be in flight at once: `&self` suffices, because the lane's state
+    /// sits behind interior mutability on the single-threaded executor.
+    pub async fn check_async(&self, text: &str) -> SolverResponse {
         let timer = o4a_obs::metrics::start_timer();
         let _span = o4a_obs::trace::span(
             "pipe",
@@ -1517,35 +1529,6 @@ impl Drop for SessionWait<'_> {
     }
 }
 
-impl AsyncSmtSolver for PipeSolver {
-    fn id(&self) -> SolverId {
-        self.id
-    }
-
-    fn commit(&self) -> CommitIdx {
-        self.commit
-    }
-
-    fn check_async(&self, text: String) -> CheckFuture<'_> {
-        self.submitted.set(self.submitted.get() + 1);
-        Box::pin(async move {
-            let response = self.run_query(&text).await;
-            AsyncCheck {
-                response,
-                coverage: CoverageMap::new(),
-            }
-        })
-    }
-
-    fn coverage(&self) -> CoverageMap {
-        CoverageMap::new()
-    }
-
-    fn queries_submitted(&self) -> u64 {
-        self.submitted.get()
-    }
-}
-
 impl SmtSolver for PipeSolver {
     fn id(&self) -> SolverId {
         self.id
@@ -1557,10 +1540,9 @@ impl SmtSolver for PipeSolver {
 
     fn check(&mut self, text: &str) -> SolverResponse {
         let reactor = Rc::clone(&self.reactor);
-        block_on_with(self.check_async(text.to_string()), move || {
+        block_on_with(self.check_async(text), move || {
             let _ = reactor.poll_io(None);
         })
-        .response
     }
 
     fn coverage(&self) -> &CoverageMap {
@@ -2475,19 +2457,19 @@ mod tests {
         use o4a_executor::InFlightPool;
         let solver = sh_session_lane();
         let reactor = Rc::clone(solver.reactor());
-        let mut pool: InFlightPool<AsyncCheck> = InFlightPool::new(4);
-        for i in 0..4u64 {
-            pool.submit(
-                i,
-                solver.check_async(format!("(assert (> x {i}))\n(check-sat)")),
-            );
+        let texts: Vec<String> = (0..4)
+            .map(|i| format!("(assert (> x {i}))\n(check-sat)"))
+            .collect();
+        let mut pool: InFlightPool<SolverResponse> = InFlightPool::new(4);
+        for (i, text) in texts.iter().enumerate() {
+            pool.submit(i as u64, solver.check_async(text));
         }
         let mut done = 0;
         while !pool.is_empty() {
-            for (_, check) in pool.wait_any_with(|| {
+            for (_, response) in pool.wait_any_with(|| {
                 reactor.poll_io(None).unwrap();
             }) {
-                assert_eq!(check.response.outcome, Outcome::Sat);
+                assert_eq!(response.outcome, Outcome::Sat);
                 done += 1;
             }
         }
@@ -2526,19 +2508,19 @@ mod tests {
         .with_mode(SolverMode::Session)
         .with_timeout(Duration::from_millis(600));
         let reactor = Rc::clone(solver.reactor());
-        let mut pool: InFlightPool<AsyncCheck> = InFlightPool::new(4);
-        for i in 0..4u64 {
-            pool.submit(
-                i,
-                solver.check_async(format!("(assert (> x {i}))\n(check-sat)")),
-            );
+        let texts: Vec<String> = (0..4)
+            .map(|i| format!("(assert (> x {i}))\n(check-sat)"))
+            .collect();
+        let mut pool: InFlightPool<SolverResponse> = InFlightPool::new(4);
+        for (i, text) in texts.iter().enumerate() {
+            pool.submit(i as u64, solver.check_async(text));
         }
         while !pool.is_empty() {
-            for (i, check) in pool.wait_any_with(|| {
+            for (i, response) in pool.wait_any_with(|| {
                 reactor.poll_io(None).unwrap();
             }) {
                 assert_eq!(
-                    check.response.outcome,
+                    response.outcome,
                     Outcome::Sat,
                     "queued frame {i} was blamed for its siblings' service time"
                 );

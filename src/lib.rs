@@ -15,12 +15,13 @@
 //! * [`baselines`] — the eight comparison fuzzers.
 //! * [`reduce`] — the ddSMT-style delta debugger.
 //! * [`exec`] — the sharded parallel campaign engine with mergeable
-//!   coverage, a resumable findings store, overlapped in-flight solver
-//!   queries, and the pipe transport for **external solver processes**
-//!   (`O4A_SOLVER_CMD`: real Z3/cvc5 binaries or the deterministic mock).
+//!   coverage, a resumable findings store, and the pipe transport for
+//!   **external solver processes** (`O4A_SOLVER_CMD`: real Z3/cvc5
+//!   binaries or the deterministic mock) with overlapped in-flight
+//!   queries.
 //! * [`executor`] — the tokio-free single-threaded poll-loop executor
 //!   (hand-rolled waker, bounded in-flight pool, completion re-sequencer,
-//!   `poll(2)` fd reactor) behind the async solver backend.
+//!   `poll(2)` fd reactor) behind the pipe transport.
 //! * [`dist`] — the distributed campaign layer: a coordinator driving a
 //!   fleet of worker processes over a JSONL pipe protocol with dynamic
 //!   shard leases (work stealing), per-worker findings journals merged

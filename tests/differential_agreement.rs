@@ -5,11 +5,9 @@
 //! in all bug-finding experiments.
 
 use once4all::core::{model_satisfies, Fuzzer, Once4AllConfig, Once4AllFuzzer};
-use once4all::executor::{InFlightPool, Sequencer};
 use once4all::smtlib::parse_script;
 use once4all::solvers::{
-    solver_with_config, AsyncSmtSolver, EngineConfig, LatencyModel, LatencySolver, Outcome,
-    SolverId, SolverResponse, TRUNK_COMMIT,
+    solver_with_config, EngineConfig, Outcome, SolverId, SolverResponse, TRUNK_COMMIT,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -19,18 +17,6 @@ fn clean_engine() -> EngineConfig {
         bugs_enabled: false,
         ..EngineConfig::default()
     }
-}
-
-/// Which solver backend a stream is checked through. The same agreement
-/// properties must hold on both — the async adapter is a transport, never
-/// an oracle change.
-#[derive(Clone, Copy, Debug)]
-enum Backend {
-    /// Direct synchronous `SmtSolver::check`, fresh solvers per case.
-    Sync,
-    /// The async backend with `K` overlapped cases in flight, completions
-    /// re-sequenced by case index.
-    AsyncOverlapped(usize),
 }
 
 /// Asserts the three agreement properties on one case's responses.
@@ -69,111 +55,24 @@ fn assert_agreement(text: &str, a: &SolverResponse, b: &SolverResponse) {
 }
 
 /// Generates a corpus of Once4All-style cases from a seed and checks the
-/// agreement property on each, through the chosen backend.
-fn check_agreement_for_stream_on(stream_seed: u64, cases: usize, backend: Backend) {
+/// agreement property on each, with fresh solvers per case.
+fn check_agreement_for_stream(stream_seed: u64, cases: usize) {
     let mut fuzzer = Once4AllFuzzer::new(Once4AllConfig::default());
     let mut rng = StdRng::seed_from_u64(stream_seed);
     fuzzer.setup(&mut rng);
-    let texts: Vec<String> = (0..cases)
-        .map(|_| fuzzer.next_case(&mut rng).text)
-        .collect();
-    match backend {
-        Backend::Sync => {
-            for text in &texts {
-                let mut oz = solver_with_config(SolverId::OxiZ, TRUNK_COMMIT, clean_engine());
-                let mut cv = solver_with_config(SolverId::Cervo, TRUNK_COMMIT, clean_engine());
-                let a = oz.check(text);
-                let b = cv.check(text);
-                assert_agreement(text, &a, &b);
-            }
-        }
-        Backend::AsyncOverlapped(k) => {
-            drive_overlapped(&texts, k, stream_seed, |index, a, b| {
-                assert_agreement(&texts[index], a, b);
-            });
-        }
+    for _ in 0..cases {
+        let text = fuzzer.next_case(&mut rng).text;
+        let mut oz = solver_with_config(SolverId::OxiZ, TRUNK_COMMIT, clean_engine());
+        let mut cv = solver_with_config(SolverId::Cervo, TRUNK_COMMIT, clean_engine());
+        let a = oz.check(&text);
+        let b = cv.check(&text);
+        assert_agreement(&text, &a, &b);
     }
-}
-
-/// Pipelines `texts` through latency-wrapped clean solvers with `k` cases
-/// in flight, invoking `check` with each case's re-sequenced responses —
-/// the shared harness of every async-backend test below.
-fn drive_overlapped(
-    texts: &[String],
-    k: usize,
-    latency_seed: u64,
-    mut check: impl FnMut(usize, &SolverResponse, &SolverResponse),
-) {
-    let oz = LatencySolver::new(
-        solver_with_config(SolverId::OxiZ, TRUNK_COMMIT, clean_engine()),
-        LatencyModel::uniform(latency_seed, 0, 11),
-    );
-    let cv = LatencySolver::new(
-        solver_with_config(SolverId::Cervo, TRUNK_COMMIT, clean_engine()),
-        LatencyModel::uniform(latency_seed ^ 0x5a5a, 0, 11),
-    );
-    let mut pool = InFlightPool::new(k);
-    let mut seq = Sequencer::new();
-    let mut submitted = 0u64;
-    let mut checked = 0usize;
-    while checked < texts.len() {
-        while pool.has_capacity() && (submitted as usize) < texts.len() {
-            let text = texts[submitted as usize].clone();
-            let (oz, cv) = (&oz, &cv);
-            pool.submit(submitted, async move {
-                let a = oz.check_async(text.clone()).await;
-                let b = cv.check_async(text).await;
-                (a.response, b.response)
-            });
-            submitted += 1;
-        }
-        for (index, responses) in pool.wait_any() {
-            seq.push(index, responses);
-        }
-        while let Some((index, (a, b))) = seq.pop() {
-            check(index as usize, &a, &b);
-            checked += 1;
-        }
-    }
-}
-
-fn check_agreement_for_stream(stream_seed: u64, cases: usize) {
-    check_agreement_for_stream_on(stream_seed, cases, Backend::Sync);
 }
 
 #[test]
 fn solvers_agree_on_once4all_stream() {
     check_agreement_for_stream(0xa9e1, 120);
-}
-
-/// The same stream, through the async backend with 6 cases in flight: the
-/// soundness property is backend-independent.
-#[test]
-fn solvers_agree_on_once4all_stream_async_overlapped() {
-    check_agreement_for_stream_on(0xa9e1, 120, Backend::AsyncOverlapped(6));
-}
-
-/// Per-case responses through the async backend are identical to the sync
-/// backend — under overlap, with latency-scrambled completion order.
-#[test]
-fn async_backend_matches_sync_responses_case_by_case() {
-    let mut fuzzer = Once4AllFuzzer::new(Once4AllConfig::default());
-    let mut rng = StdRng::seed_from_u64(0xd1a6);
-    fuzzer.setup(&mut rng);
-    let texts: Vec<String> = (0..40).map(|_| fuzzer.next_case(&mut rng).text).collect();
-
-    let mut expected = Vec::new();
-    for text in &texts {
-        let mut oz = solver_with_config(SolverId::OxiZ, TRUNK_COMMIT, clean_engine());
-        let mut cv = solver_with_config(SolverId::Cervo, TRUNK_COMMIT, clean_engine());
-        expected.push((oz.check(text), cv.check(text)));
-    }
-
-    drive_overlapped(&texts, 5, 0x7a7e, |index, a, b| {
-        let (ea, eb) = &expected[index];
-        assert_eq!(a, ea, "oxiz diverged under overlap on case {index}");
-        assert_eq!(b, eb, "cervo diverged under overlap on case {index}");
-    });
 }
 
 #[test]
@@ -211,14 +110,7 @@ fn solvers_agree_on_baseline_streams() {
 fn agreement_across_streams() {
     use rand::Rng;
     let mut meta = StdRng::seed_from_u64(0xd1ff);
-    for i in 0..16 {
-        // Alternate backends across the drawn streams: the property is
-        // engine-independent, so the sweep pins both transports.
-        let backend = if i % 2 == 0 {
-            Backend::Sync
-        } else {
-            Backend::AsyncOverlapped(4)
-        };
-        check_agreement_for_stream_on(meta.gen_range(0u64..1_000_000), 8, backend);
+    for _ in 0..16 {
+        check_agreement_for_stream(meta.gen_range(0u64..1_000_000), 8);
     }
 }
