@@ -4,15 +4,16 @@
 //! 6–9, Tables 1–2) are campaigns with different fuzzers/solver versions.
 
 use crate::fuzzer::{Fuzzer, TestCase};
-use crate::oracle::{judge, Verdict};
+use crate::oracle::{judge, judge_script, Verdict};
 use crate::triage::Finding;
 use o4a_solvers::coverage::{universe, Universe};
 use o4a_solvers::{
-    solver_with_config, CommitIdx, CoverageMap, EngineConfig, FormulaFeatures, Outcome, SmtSolver,
-    SolverId, SolverResponse, TRUNK_COMMIT,
+    solver_with_config, CommitIdx, CoverageMap, EngineConfig, FormulaFeatures, Outcome, Parsed,
+    SmtSolver, SolverId, SolverResponse, TRUNK_COMMIT,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// Campaign configuration.
@@ -246,6 +247,11 @@ pub struct CaseExecution {
     pub case: TestCase,
     /// Per-solver responses and coverage deltas, in campaign solver order.
     pub runs: Vec<SolverRun>,
+    /// The case's shared frontend pass, which the in-process solvers ran
+    /// on and [`CampaignStepper::apply_case`] judges on. `None` when the
+    /// case ran elsewhere (an external solver process); apply then parses
+    /// the text itself.
+    pub parsed: Option<Parsed>,
 }
 
 /// What one [`CampaignStepper::step`] call did.
@@ -401,11 +407,14 @@ impl CampaignStepper {
             "execute_case on an apply-only stepper (built without solvers)"
         );
         let _span = o4a_obs::trace::span("core", "case.execute");
+        let timer = o4a_obs::metrics::start_timer();
+        let parsed = Parsed::new(&case.text);
+        o4a_obs::metrics::record_elapsed("core.parse_micros", timer);
         let mut runs = Vec::with_capacity(self.solvers.len());
         for solver in self.solvers.iter_mut() {
             solver.reset_coverage();
             let timer = o4a_obs::metrics::start_timer();
-            let response = solver.check(&case.text);
+            let response = solver.check_parsed(&case.text, &parsed);
             o4a_obs::metrics::record_elapsed("core.check_micros", timer);
             runs.push(SolverRun {
                 solver: solver.id(),
@@ -413,7 +422,11 @@ impl CampaignStepper {
                 coverage: solver.coverage().clone(),
             });
         }
-        CaseExecution { case, runs }
+        CaseExecution {
+            case,
+            runs,
+            parsed: Some(parsed),
+        }
     }
 
     /// Applies one executed case to campaign state: statistics, virtual
@@ -427,7 +440,7 @@ impl CampaignStepper {
             self.fill_trailing_snapshots();
             return StepOutcome::Exhausted;
         }
-        let CaseExecution { case, runs } = execution;
+        let CaseExecution { case, runs, parsed } = execution;
         let text = case.text;
         if o4a_obs::metrics_enabled() {
             o4a_obs::metrics::counter("campaign.cases").inc();
@@ -469,16 +482,21 @@ impl CampaignStepper {
         let vhour = self.clock_micros as f64 / 3_600_000_000.0;
 
         let mut recorded_finding = false;
-        let verdict = judge(&text, &responses);
+        let verdict = match &parsed {
+            Some(p) => judge_script(p.script(), &responses),
+            None => judge(&text, &responses),
+        };
         if verdict.is_bug() {
             self.stats.bug_triggering += 1;
-            if let Some(finding) = Finding::from_verdict(
-                &text,
-                &verdict,
-                &FormulaFeatures::of(&o4a_smtlib::parse_script(&text).unwrap_or_default()),
-                &self.commits,
-                vhour,
-            ) {
+            let features = match &parsed {
+                Some(p) => p.features(),
+                None => Cow::Owned(FormulaFeatures::of(
+                    &o4a_smtlib::parse_script(&text).unwrap_or_default(),
+                )),
+            };
+            if let Some(finding) =
+                Finding::from_verdict(&text, &verdict, &features, &self.commits, vhour)
+            {
                 self.findings.push(finding);
                 recorded_finding = true;
                 o4a_obs::trace::event(

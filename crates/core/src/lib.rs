@@ -38,7 +38,7 @@ pub use fill::{
 };
 pub use fuzzer::{FrontendValidator, Fuzzer, Once4AllConfig, Once4AllFuzzer, TestCase};
 pub use lifespan::{lifespan_series, long_latent_count, LifespanPoint};
-pub use oracle::{judge, model_satisfies, Verdict};
+pub use oracle::{judge, judge_script, model_satisfies, Verdict};
 pub use seeds::{parsed_seeds, SEED_TEXTS};
 pub use skeleton::{skeletonize, skeletonize_arena, ArenaSkeleton, Skeleton, SkeletonConfig};
 pub use triage::{

@@ -86,6 +86,21 @@ pub fn model_satisfies(script: &Script, model: &o4a_smtlib::Model) -> Option<boo
 ///    re-evaluation when possible;
 /// 4. otherwise nothing to report.
 pub fn judge(case_text: &str, responses: &[(SolverId, SolverResponse)]) -> Verdict {
+    // A crash is judged without the script, so it costs no parse.
+    let crashed = responses
+        .iter()
+        .any(|(_, r)| matches!(r.outcome, Outcome::Crash(_)));
+    let script = if crashed {
+        None
+    } else {
+        parse_script(case_text).ok()
+    };
+    judge_script(script.as_ref(), responses)
+}
+
+/// [`judge`] on an already parsed case: `script` is the parse of the case
+/// text, `None` when it did not parse (then only a crash is reportable).
+pub fn judge_script(script: Option<&Script>, responses: &[(SolverId, SolverResponse)]) -> Verdict {
     for (solver, r) in responses {
         if let Outcome::Crash(info) = &r.outcome {
             return Verdict::Crash {
@@ -94,16 +109,14 @@ pub fn judge(case_text: &str, responses: &[(SolverId, SolverResponse)]) -> Verdi
             };
         }
     }
-
-    let script = match parse_script(case_text) {
-        Ok(s) => s,
-        Err(_) => return Verdict::NotComparable,
+    let Some(script) = script else {
+        return Verdict::NotComparable;
     };
 
     for (solver, r) in responses {
         if r.outcome == Outcome::Sat {
             if let Some(model) = &r.model {
-                if model_satisfies(&script, model) == Some(false) {
+                if model_satisfies(script, model) == Some(false) {
                     return Verdict::InvalidModel { solver: *solver };
                 }
             }
@@ -113,7 +126,7 @@ pub fn judge(case_text: &str, responses: &[(SolverId, SolverResponse)]) -> Verdi
     let sat = responses.iter().find(|(_, r)| r.outcome == Outcome::Sat);
     let unsat = responses.iter().find(|(_, r)| r.outcome == Outcome::Unsat);
     if let (Some((ss, sr)), Some((us, _))) = (sat, unsat) {
-        let model_confirms_sat = sr.model.as_ref().and_then(|m| model_satisfies(&script, m));
+        let model_confirms_sat = sr.model.as_ref().and_then(|m| model_satisfies(script, m));
         return Verdict::Soundness {
             sat_solver: *ss,
             unsat_solver: *us,

@@ -52,7 +52,7 @@
 //! a deterministic shard merge to the same bytes.
 
 use crate::checkpoint::{CheckpointSession, CheckpointStore};
-use crate::protocol::{CacheCounters, CampaignPlan, Frame, TraceBatch};
+use crate::protocol::{CacheCounters, CampaignPlan, Frame, TraceBatch, MAX_FRAME_BYTES};
 use crate::scope::{ScopeServer, ScopeStatus, ScopeWorker};
 use crate::transport::{Link, Listener, Transport};
 use o4a_core::{CampaignConfig, CampaignResult};
@@ -535,6 +535,46 @@ fn accepted_worker(link: Link) -> Worker {
         spawned_at: now,
         eof: false,
     }
+}
+
+/// How a peer's stream stood after [`drain_frames`].
+#[derive(Debug, PartialEq, Eq)]
+enum Drained {
+    /// Still connected; any torn frame tail stays buffered.
+    Open,
+    /// End of stream: the peer closed or died.
+    Closed,
+    /// The peer's unterminated frame outgrew [`MAX_FRAME_BYTES`]; its
+    /// buffer has been freed.
+    Oversized,
+}
+
+/// Reads what a peer has sent and pops its complete frame lines. Reading
+/// stops once `buf` holds one byte more than [`MAX_FRAME_BYTES`], so a
+/// peer flooding bytes cannot grow it further before its frames are split
+/// off and its torn tail is checked against the cap.
+fn drain_frames(link: &mut Link, buf: &mut Vec<u8>) -> io::Result<(Vec<String>, Drained)> {
+    let mut drained = Drained::Open;
+    loop {
+        let room = (MAX_FRAME_BYTES + 1).saturating_sub(buf.len());
+        if room == 0 {
+            break;
+        }
+        match link.read_available(buf, room)? {
+            Some(0) => {
+                drained = Drained::Closed;
+                break;
+            }
+            Some(_) => continue,
+            None => break,
+        }
+    }
+    let lines = take_lines(buf);
+    if buf.len() > MAX_FRAME_BYTES {
+        *buf = Vec::new();
+        drained = Drained::Oversized;
+    }
+    Ok((lines, drained))
 }
 
 /// Pops complete lines off the front of `buf`, leaving a partial
@@ -1351,17 +1391,24 @@ fn drive_fleet(
             if worker.eof {
                 continue;
             }
-            loop {
-                match worker.link.read_available(&mut worker.buf)? {
-                    Some(0) => {
-                        worker.eof = true;
-                        break;
+            let (lines, drained) = drain_frames(&mut worker.link, &mut worker.buf)?;
+            match drained {
+                Drained::Open => {}
+                Drained::Closed => worker.eof = true,
+                Drained::Oversized => {
+                    // Past any legitimate frame: drop the peer through the
+                    // death path, which re-issues its lease.
+                    eprintln!(
+                        "o4a-dist: dropping worker {}: frame longer than {MAX_FRAME_BYTES} bytes",
+                        worker.id
+                    );
+                    if o4a_obs::metrics_enabled() {
+                        o4a_obs::metrics::counter("dist.rejected_frames").inc();
                     }
-                    Some(_) => continue,
-                    None => break,
+                    worker.eof = true;
                 }
             }
-            for line in take_lines(&mut worker.buf) {
+            for line in lines {
                 worker.last_heard = Instant::now();
                 match Frame::from_line(&line) {
                     Ok(Frame::Hello {
@@ -1594,6 +1641,51 @@ mod tests {
             vec!["{\"type\":\"done\"}".to_string()]
         );
         assert!(buf.is_empty());
+    }
+
+    #[test]
+    fn peer_that_never_sends_a_newline_is_dropped_at_the_frame_cap() {
+        use crate::transport::{connect_with_retry, Listener};
+        use std::io::Write;
+
+        let listener = Listener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().to_string();
+        let flood = std::thread::spawn(move || {
+            let mut peer = connect_with_retry(&addr, Duration::from_secs(5)).unwrap();
+            // One honest frame, then bytes that never end a line; the
+            // writes fail once the coordinator side hangs up.
+            let _ = peer.write_all(b"{\"t\":\"hello\"}\n");
+            let chunk = vec![b'x'; 1 << 16];
+            while peer.write_all(&chunk).is_ok() {}
+        });
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let accepted = loop {
+            if let Some(stream) = listener.accept().unwrap() {
+                break stream;
+            }
+            assert!(Instant::now() < deadline, "peer never connected");
+            std::thread::sleep(Duration::from_millis(5));
+        };
+        let mut link = Link::tcp(accepted).unwrap();
+        let mut buf = Vec::new();
+        let mut lines = Vec::new();
+        loop {
+            let (got, drained) = drain_frames(&mut link, &mut buf).unwrap();
+            lines.extend(got);
+            match drained {
+                Drained::Open => {
+                    assert!(buf.len() <= MAX_FRAME_BYTES, "buffer grew past the cap");
+                    assert!(Instant::now() < deadline, "cap never tripped");
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                Drained::Oversized => break,
+                Drained::Closed => panic!("flooding peer hung up"),
+            }
+        }
+        assert_eq!(lines, vec!["{\"t\":\"hello\"}".to_string()]);
+        assert_eq!(buf.capacity(), 0, "the oversized tail is freed");
+        drop(link);
+        flood.join().unwrap();
     }
 
     fn base() -> DistConfig {

@@ -54,6 +54,17 @@ use o4a_solvers::{EngineConfig, SolverId};
 use std::collections::BTreeMap;
 use std::io;
 
+/// The longest frame line a peer may send, newline excluded.
+///
+/// Every frame is small except a `done` frame carrying a trace batch,
+/// which the worker caps at [`crate::worker::DONE_TRACE_EVENTS`] events of
+/// a few hundred bytes each: about 21 MB even with every field at its
+/// widest (pinned by a unit test). The coordinator drops a peer whose
+/// unterminated frame grows past this cap (counted as
+/// `dist.rejected_frames`), so a peer that never sends a newline cannot
+/// grow the coordinator's memory without bound.
+pub const MAX_FRAME_BYTES: usize = 32 << 20;
+
 fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
@@ -899,5 +910,42 @@ mod tests {
             panic!("expected done frame");
         };
         assert_eq!(coverage.get("oxiz"), Some(&61.5));
+    }
+
+    #[test]
+    fn largest_legitimate_done_frame_fits_the_frame_cap() {
+        // Every field at its widest: u64::MAX numbers, labels longer than
+        // any recording site uses, four args per event.
+        let event = TraceEvent {
+            ts_micros: u64::MAX,
+            dur_micros: Some(u64::MAX),
+            cat: "c".repeat(16).into(),
+            name: "n".repeat(48).into(),
+            tid: u64::MAX,
+            args: (0..4)
+                .map(|i| (format!("{i}{}", "k".repeat(15)).into(), u64::MAX))
+                .collect(),
+        };
+        let done = Frame::Done {
+            shard: u32::MAX,
+            cases: u64::MAX,
+            findings: u64::MAX,
+            cases_per_sec: f64::MAX,
+            metrics: Some(sample_metrics()),
+            cache: CacheCounters {
+                hits: u64::MAX,
+                misses: u64::MAX,
+                prefix_reuses: u64::MAX,
+            },
+            trace: Some(TraceBatch {
+                pid: u64::MAX,
+                epoch_unix_micros: u64::MAX,
+                dropped: u64::MAX,
+                events: vec![event; crate::worker::DONE_TRACE_EVENTS],
+            }),
+            coverage: BTreeMap::from([("oxiz".to_string(), 100.0), ("cervo".to_string(), 100.0)]),
+        };
+        let len = done.to_line().len();
+        assert!(len < MAX_FRAME_BYTES, "{len} bytes");
     }
 }

@@ -22,7 +22,7 @@
 //! a few hundred bytes of frame is as dead as a closed pipe.
 
 use o4a_executor::{read_available, set_nonblocking, write_available};
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::process::{ChildStdin, ChildStdout};
@@ -76,13 +76,19 @@ impl Link {
         }
     }
 
-    /// Drains whatever the worker has sent (see
+    /// Drains up to `limit` bytes of whatever the worker has sent (see
     /// [`o4a_executor::read_available`]): `Some(0)` is EOF/hangup,
-    /// `None` means nothing available right now.
-    pub(crate) fn read_available(&mut self, buf: &mut Vec<u8>) -> io::Result<Option<usize>> {
+    /// `None` means nothing available right now. `limit` must be nonzero,
+    /// or the empty read would look like EOF.
+    pub(crate) fn read_available(
+        &mut self,
+        buf: &mut Vec<u8>,
+        limit: usize,
+    ) -> io::Result<Option<usize>> {
+        let limit = limit as u64;
         match self {
-            Link::Pipe { stdout, .. } => read_available(stdout, buf),
-            Link::Tcp { stream } => read_available(stream, buf),
+            Link::Pipe { stdout, .. } => read_available(&mut stdout.take(limit), buf),
+            Link::Tcp { stream } => read_available(&mut stream.take(limit), buf),
         }
     }
 
@@ -266,7 +272,7 @@ mod tests {
         let mut buf = Vec::new();
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
-            match link.read_available(&mut buf).unwrap() {
+            match link.read_available(&mut buf, usize::MAX).unwrap() {
                 Some(0) => break, // EOF after the payload
                 _ => {
                     if buf.ends_with(b"hello-line\n") {

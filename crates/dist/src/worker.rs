@@ -48,6 +48,11 @@ pub const DEFAULT_PROGRESS_EVERY: u64 = 16;
 /// queue), so heartbeats stay small no matter how chatty a lease is.
 pub const TRACE_BATCH_EVENTS: usize = 2048;
 
+/// Most trace events a `done` frame carries: one full trace ring. Events
+/// still queued beyond it are shed into the batch's `dropped` count, which
+/// keeps every frame under [`crate::protocol::MAX_FRAME_BYTES`].
+pub const DONE_TRACE_EVENTS: usize = o4a_obs::trace::DEFAULT_RING_CAPACITY;
+
 /// Deterministic die-mid-lease injection for the crash-recovery
 /// gauntlet.
 #[derive(Clone, Debug)]
@@ -329,10 +334,11 @@ where
             cases: result.stats.cases,
             findings: result.findings.len() as u64,
         });
-        // The done frame flushes the whole trace spill (the lease span
-        // just closed, so its events are in the ring now) and carries
-        // the shard's final per-solver coverage for the scope plane's
-        // live view. Both stay off the wire unless the lease asked.
+        // The done frame flushes the trace spill (the lease span just
+        // closed, so its events are in the ring now), shedding whatever
+        // exceeds `DONE_TRACE_EVENTS`, and carries the shard's final
+        // per-solver coverage for the scope plane's live view. Both stay
+        // off the wire unless the lease asked.
         let coverage: BTreeMap<String, f64> = if trace_requested {
             result
                 .final_coverage
@@ -357,8 +363,13 @@ where
                 trace_requested,
                 &mut self.trace_spill,
                 &mut self.trace_shed,
-                usize::MAX,
-            ),
+                DONE_TRACE_EVENTS,
+            )
+            .map(|mut batch| {
+                batch.dropped += self.trace_spill.len() as u64;
+                self.trace_spill.clear();
+                batch
+            }),
             coverage,
         })
     }

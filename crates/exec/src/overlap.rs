@@ -184,7 +184,11 @@ async fn case_future(solvers: &[PipeSolver], case: TestCase) -> CaseExecution {
             coverage: CoverageMap::new(),
         });
     }
-    CaseExecution { case, runs }
+    CaseExecution {
+        case,
+        runs,
+        parsed: None,
+    }
 }
 
 /// Runs one shard with up to `inflight` overlapped cases against

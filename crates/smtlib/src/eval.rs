@@ -458,13 +458,7 @@ impl<'a> Evaluator<'a> {
                         .apply_fun(name, &vals)
                         .ok_or_else(|| EvalError::UnassignedSymbol(name.clone()))
                 }
-                _ => {
-                    let mut vals = Vec::with_capacity(args.len());
-                    for a in args {
-                        vals.push(self.eval_in(a, scope)?);
-                    }
-                    apply_op(op, &vals)
-                }
+                _ => apply_evaluated(op, args, |a| self.eval_in(a, scope)),
             },
         }
     }
@@ -654,13 +648,7 @@ impl<'a> Evaluator<'a> {
                             .apply_fun(name, &vals)
                             .ok_or_else(|| EvalError::UnassignedSymbol(name.clone()))
                     }
-                    op => {
-                        let mut vals = Vec::with_capacity(args.len());
-                        for &a in args {
-                            vals.push(self.eval_arena_in(a, arena, scope)?);
-                        }
-                        apply_op(op, &vals)
-                    }
+                    op => apply_evaluated(op, args, |&a| self.eval_arena_in(a, arena, scope)),
                 }
             }
         }
@@ -765,6 +753,29 @@ impl<'a> Evaluator<'a> {
         } else {
             Err(EvalError::Incomplete)
         }
+    }
+}
+
+/// Evaluates `args` left to right, stopping at the first error, and applies
+/// `op` to the values. Up to three arguments — nearly every application —
+/// are held in a stack array instead of a fresh `Vec`.
+fn apply_evaluated<T>(
+    op: &Op,
+    args: &[T],
+    mut eval: impl FnMut(&T) -> Result<Value, EvalError>,
+) -> Result<Value, EvalError> {
+    match args {
+        [a] => apply_op(op, &[eval(a)?]),
+        [a, b] => {
+            let a = eval(a)?;
+            apply_op(op, &[a, eval(b)?])
+        }
+        [a, b, c] => {
+            let a = eval(a)?;
+            let b = eval(b)?;
+            apply_op(op, &[a, b, eval(c)?])
+        }
+        _ => apply_op(op, &args.iter().map(eval).collect::<Result<Vec<_>, _>>()?),
     }
 }
 

@@ -15,7 +15,7 @@
 use crate::bugs::apply_bug_effects;
 use crate::coverage::{universe, CoverageMap, Universe};
 use crate::features::fnv1a;
-use crate::frontend::{Analyzed, Frontend};
+use crate::frontend::{Analyzed, Frontend, Parsed};
 use crate::oxiz::{domain_config, virtual_cost, EngineConfig};
 use crate::response::{Outcome, SolveStats, SolverId, SolverResponse};
 use crate::versions::{commit_of, CommitIdx, TRUNK_COMMIT};
@@ -144,12 +144,14 @@ impl Cervo {
             dims.push((name.clone(), Some(params.clone()), c));
         }
 
+        // Every evaluation charges each evaluated assertion's full size.
+        let sizes: Vec<u64> = assertions.iter().map(|a| a.size() as u64).collect();
         let eval_all = |model: &Model, stats: &mut SolveStats| -> Result<usize, EvalError> {
             let ev = Evaluator::new(model, &analyzed.defs, &cfg, self.config.eval_budget);
             let mut satisfied = 0;
             let mut incomplete = false;
-            for a in assertions {
-                stats.steps += a.size() as u64;
+            for (a, size) in assertions.iter().zip(&sizes) {
+                stats.steps += size;
                 match ev.eval(a) {
                     Ok(Value::Bool(true)) => satisfied += 1,
                     Ok(_) => {}
@@ -425,17 +427,14 @@ impl SmtSolver for Cervo {
     }
 
     fn check(&mut self, text: &str) -> SolverResponse {
+        self.check_parsed(text, &Parsed::new(text))
+    }
+
+    fn check_parsed(&mut self, _text: &str, parsed: &Parsed) -> SolverResponse {
         let frontend = Frontend::new(SolverId::Cervo);
-        let mut cov = CoverageMap::new();
-        let analyzed = match frontend.analyze(text, &self.universe, &mut cov) {
-            Ok(a) => {
-                self.coverage.merge(&cov);
-                a
-            }
-            Err(msg) => {
-                self.coverage.merge(&cov);
-                return SolverResponse::error(msg);
-            }
+        let analyzed = match frontend.analyze_parsed(parsed, &self.universe, &mut self.coverage) {
+            Ok(a) => a,
+            Err(msg) => return SolverResponse::error(msg),
         };
         let fh = analyzed.features.hash;
         let assertions: Vec<Term> = analyzed
@@ -444,7 +443,7 @@ impl SmtSolver for Cervo {
             .map(|t| self.normalize(t, fh))
             .collect();
 
-        let (mut outcome, mut model, mut stats) = self.solve(&analyzed, &assertions);
+        let (mut outcome, mut model, mut stats) = self.solve(analyzed, &assertions);
         stats.virtual_micros = virtual_cost(analyzed.input_bytes, &stats);
         if stats.virtual_micros > self.config.timeout_micros {
             outcome = Outcome::Timeout;

@@ -4,7 +4,9 @@
 //! Both solvers consume SMT-LIB text through [`Frontend::analyze`]; what
 //! differs is which theories they accept (OxiZ rejects the cvc5-only
 //! extensions, like real Z3 rejects `ff.add`) and the engine that runs
-//! afterwards.
+//! afterwards. The solver-independent half — parse, sort check,
+//! declarations, features — is a [`Parsed`], which a campaign builds once
+//! per case and hands to every solver through [`Frontend::analyze_parsed`].
 
 use crate::coverage::{supported_theories, CoverageMap, Universe};
 use crate::features::FormulaFeatures;
@@ -13,6 +15,7 @@ use o4a_smtlib::{
     parse_script, parse_script_arena, typeck, ANode, ArenaCommand, ArenaScript, Command, Script,
     Sort, Symbol, Term, TermArena, TermId, Theory,
 };
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 
@@ -40,45 +43,44 @@ pub struct Analyzed {
     pub input_bytes: usize,
 }
 
-/// Frontend for one solver.
-#[derive(Clone, Copy, Debug)]
-pub struct Frontend {
-    solver: SolverId,
+/// The solver-independent frontend work on one case, done once and shared
+/// by every in-process solver and the oracle: parse, sort check, the
+/// declaration tables and the [`FormulaFeatures`].
+///
+/// Only the per-solver steps — coverage attribution and the theory gate —
+/// are left to [`Frontend::analyze_parsed`].
+#[derive(Clone, Debug)]
+pub struct Parsed {
+    stage: Stage,
 }
 
-impl Frontend {
-    /// Creates the frontend for a solver.
-    pub fn new(solver: SolverId) -> Frontend {
-        Frontend { solver }
-    }
+#[derive(Clone, Debug)]
+enum Stage {
+    /// The parser's message.
+    ParseError(String),
+    /// The script parsed but failed the sort check (with its message).
+    TypeError(Script, String),
+    /// The script parsed and sort-checked.
+    Checked(Analyzed),
+}
 
-    /// Parses, gates theories, and sort-checks a script, recording frontend
-    /// coverage.
-    ///
-    /// # Errors
-    ///
-    /// Returns a solver-style error message (the text a real solver prints
-    /// to stderr) on lexical, syntactic, theory-support, or sort errors.
-    /// These messages are the feedback signal for Once4All's generator
-    /// self-correction loop.
-    pub fn analyze(
-        &self,
-        text: &str,
-        universe: &Universe,
-        cov: &mut CoverageMap,
-    ) -> Result<Analyzed, String> {
-        cov.hit_idx(universe, universe.error_reporting, 0);
-        let script = parse_script(text).map_err(|e| {
-            cov.hit_idx(universe, universe.error_reporting, 1);
-            format!("{e}")
-        })?;
-        self.walk_coverage(&script, universe, cov);
-        self.gate_theories(&script)?;
-        typeck::check_script(&script).map_err(|e| {
-            cov.hit_idx(universe, universe.error_reporting, 1);
-            format!("{e}")
-        })?;
-
+impl Parsed {
+    /// Parses and sort-checks `text`, collecting declarations and features
+    /// when both succeed.
+    pub fn new(text: &str) -> Parsed {
+        let script = match parse_script(text) {
+            Ok(s) => s,
+            Err(e) => {
+                return Parsed {
+                    stage: Stage::ParseError(format!("{e}")),
+                }
+            }
+        };
+        if let Err(e) = typeck::check_script(&script) {
+            return Parsed {
+                stage: Stage::TypeError(script, format!("{e}")),
+            };
+        }
         let mut consts = Vec::new();
         let mut funs = Vec::new();
         let mut defs = BTreeMap::new();
@@ -95,13 +97,97 @@ impl Frontend {
             }
         }
         let features = FormulaFeatures::of(&script);
-        Ok(Analyzed {
-            consts,
-            funs,
-            defs,
-            features,
-            input_bytes: text.len(),
-            script,
+        Parsed {
+            stage: Stage::Checked(Analyzed {
+                consts,
+                funs,
+                defs,
+                features,
+                input_bytes: text.len(),
+                script,
+            }),
+        }
+    }
+
+    /// The parsed script, or `None` when the text did not parse.
+    pub fn script(&self) -> Option<&Script> {
+        match &self.stage {
+            Stage::ParseError(_) => None,
+            Stage::TypeError(script, _) => Some(script),
+            Stage::Checked(a) => Some(&a.script),
+        }
+    }
+
+    /// The script's features; an unparsable script has the features of
+    /// the empty script.
+    pub fn features(&self) -> Cow<'_, FormulaFeatures> {
+        match &self.stage {
+            Stage::Checked(a) => Cow::Borrowed(&a.features),
+            _ => Cow::Owned(FormulaFeatures::of(
+                self.script().unwrap_or(&Script::default()),
+            )),
+        }
+    }
+}
+
+/// Frontend for one solver.
+#[derive(Clone, Copy, Debug)]
+pub struct Frontend {
+    solver: SolverId,
+}
+
+impl Frontend {
+    /// Creates the frontend for a solver.
+    pub fn new(solver: SolverId) -> Frontend {
+        Frontend { solver }
+    }
+
+    /// Parses, gates theories, and sort-checks a script, recording frontend
+    /// coverage: [`Parsed::new`] followed by [`Frontend::analyze_parsed`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a solver-style error message (the text a real solver prints
+    /// to stderr) on lexical, syntactic, theory-support, or sort errors.
+    /// These messages are the feedback signal for Once4All's generator
+    /// self-correction loop.
+    pub fn analyze(
+        &self,
+        text: &str,
+        universe: &Universe,
+        cov: &mut CoverageMap,
+    ) -> Result<Analyzed, String> {
+        self.analyze_parsed(&Parsed::new(text), universe, cov)
+            .cloned()
+    }
+
+    /// The per-solver half of [`Frontend::analyze`] on an already parsed
+    /// case: records frontend coverage and gates theories. Errors keep the
+    /// precedence parse → theory gate → sort check.
+    ///
+    /// # Errors
+    ///
+    /// The same solver-style messages as [`Frontend::analyze`].
+    pub fn analyze_parsed<'p>(
+        &self,
+        parsed: &'p Parsed,
+        universe: &Universe,
+        cov: &mut CoverageMap,
+    ) -> Result<&'p Analyzed, String> {
+        cov.hit_idx(universe, universe.error_reporting, 0);
+        let (script, checked) = match &parsed.stage {
+            Stage::ParseError(msg) => {
+                cov.hit_idx(universe, universe.error_reporting, 1);
+                return Err(msg.clone());
+            }
+            Stage::TypeError(script, msg) => (script, Err(msg)),
+            Stage::Checked(a) => (&a.script, Ok(a)),
+        };
+        self.walk_coverage(script, universe, cov);
+        self.gate_theories(script)?;
+        checked.map_err(|msg| {
+            cov.hit_idx(universe, universe.error_reporting, 1);
+            msg.clone()
         })
     }
 
@@ -407,10 +493,58 @@ mod tests {
         assert!(f.analyze("(assert (= 1 1)", &u, &mut cov).is_err());
     }
 
+    /// The single-pass `analyze` this crate shipped before the frontend
+    /// was split into [`Parsed`] and [`Frontend::analyze_parsed`], kept as
+    /// the reference the split must reproduce.
+    fn analyze_unsplit(
+        f: &Frontend,
+        text: &str,
+        universe: &Universe,
+        cov: &mut CoverageMap,
+    ) -> Result<Analyzed, String> {
+        cov.hit_idx(universe, universe.error_reporting, 0);
+        let script = parse_script(text).map_err(|e| {
+            cov.hit_idx(universe, universe.error_reporting, 1);
+            format!("{e}")
+        })?;
+        f.walk_coverage(&script, universe, cov);
+        f.gate_theories(&script)?;
+        typeck::check_script(&script).map_err(|e| {
+            cov.hit_idx(universe, universe.error_reporting, 1);
+            format!("{e}")
+        })?;
+        let mut consts = Vec::new();
+        let mut funs = Vec::new();
+        let mut defs = BTreeMap::new();
+        for cmd in &script.commands {
+            match cmd {
+                Command::DeclareConst(name, sort) => consts.push((name.clone(), sort.clone())),
+                Command::DeclareFun(name, args, ret) => {
+                    funs.push((name.clone(), args.clone(), ret.clone()))
+                }
+                Command::DefineFun(name, params, _, body) => {
+                    defs.insert(name.clone(), (params.clone(), body.clone()));
+                }
+                _ => {}
+            }
+        }
+        let features = FormulaFeatures::of(&script);
+        Ok(Analyzed {
+            consts,
+            funs,
+            defs,
+            features,
+            input_bytes: text.len(),
+            script,
+        })
+    }
+
     #[test]
     fn validate_matches_analyze() {
-        // The arena validate path must accept/reject exactly what analyze
-        // does, with byte-identical error text (the generator
+        // Three frontends must agree on every script: the shared-parse
+        // `analyze_parsed` with the unsplit reference (same result, same
+        // coverage), and the arena `validate` path with both on
+        // accept/reject and byte-identical error text (the generator
         // self-correction loop consumes these messages).
         let cases = [
             "(declare-const x Int)(assert (> x 1))(check-sat)",
@@ -423,17 +557,54 @@ mod tests {
             "(define-fun inc ((x Int)) Int (+ x 1))(assert (= (inc 1) 2))(check-sat)",
             "(declare-fun f (Int (Bag Real)) Bool)(assert (f 1 (bag.empty)))(check-sat)",
             "(declare-const x Int)(assert (let ((y (+ x 1))) (forall ((z Int)) (= y z))))(check-sat)",
+            // Fails OxiZ's theory gate *and* the sort check: the gate
+            // error must win, for OxiZ only.
+            "(declare-const v (_ FiniteField 3))(assert (= v (ff.add v 1)))(check-sat)",
+            // Sort error only, with declarations, a define-fun and a let.
+            "(declare-fun g (Int) Bool)(define-fun h () Int 3)\
+             (assert (let ((p (g h))) (and p (+ h 1))))(check-sat)",
+            // Lexical error.
+            "(assert (= #b2 1))(check-sat)",
         ];
+        let mut gate_won = false;
         for solver in SolverId::ALL {
             let u = universe(solver);
             let f = Frontend::new(solver);
             for text in cases {
+                let mut want_cov = CoverageMap::new();
+                let want = analyze_unsplit(&f, text, &u, &mut want_cov);
+                let parsed = Parsed::new(text);
+                let mut got_cov = CoverageMap::new();
+                let got = f.analyze_parsed(&parsed, &u, &mut got_cov);
+                assert_eq!(
+                    format!("{:?}", got),
+                    format!("{:?}", want.as_ref()),
+                    "{solver}: analyze_parsed diverged on {text}"
+                );
+                assert_eq!(
+                    got_cov.export(&u),
+                    want_cov.export(&u),
+                    "{solver}: coverage diverged on {text}"
+                );
                 let mut cov = CoverageMap::new();
-                let boxed = f.analyze(text, &u, &mut cov).map(|_| ());
-                let fast = f.validate(text);
-                assert_eq!(boxed, fast, "{solver}: diverged on {text}");
+                let wrapped = f.analyze(text, &u, &mut cov).map(|_| ());
+                assert_eq!(wrapped, want.as_ref().map(|_| ()).map_err(Clone::clone));
+                assert_eq!(cov.export(&u), want_cov.export(&u));
+                assert_eq!(f.validate(text), wrapped, "{solver}: diverged on {text}");
+                gate_won |= matches!(&want, Err(e) if e.contains("not supported"))
+                    && text.contains("(ff.add v 1)");
             }
         }
+        assert!(gate_won, "the gate-and-typeck case must report the gate");
+        // The same script, sort error and all, reaches Cervo's sort check.
+        let e = Frontend::new(SolverId::Cervo)
+            .analyze(
+                cases[9],
+                &universe(SolverId::Cervo),
+                &mut CoverageMap::new(),
+            )
+            .unwrap_err();
+        assert!(!e.contains("not supported"), "{e}");
     }
 
     #[test]

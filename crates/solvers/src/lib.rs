@@ -45,7 +45,7 @@ pub mod versions;
 pub use cervo::Cervo;
 pub use coverage::{CoverageMap, Universe};
 pub use features::FormulaFeatures;
-pub use frontend::{Analyzed, Frontend};
+pub use frontend::{Analyzed, Frontend, Parsed};
 pub use oxiz::{EngineConfig, OxiZ};
 pub use pipe::{
     normalized_script, parse_model_reply, CacheKey, CachedReply, PipeCommand, PipeSolver,
@@ -62,6 +62,14 @@ pub trait SmtSolver {
     fn commit(&self) -> CommitIdx;
     /// Runs a full SMT-LIB script and answers its `check-sat`.
     fn check(&mut self, text: &str) -> SolverResponse;
+    /// [`SmtSolver::check`] on a case whose frontend pass is already done:
+    /// `parsed` must be [`Parsed::new`] of `text`. The in-process engines
+    /// solve from `parsed` and skip their own parse; the default ignores it
+    /// and runs `check(text)`, which is what an external process needs.
+    fn check_parsed(&mut self, text: &str, parsed: &Parsed) -> SolverResponse {
+        let _ = parsed;
+        self.check(text)
+    }
     /// Cumulative coverage across all `check` calls.
     fn coverage(&self) -> &CoverageMap;
     /// The solver's instrumentation universe.

@@ -9,7 +9,7 @@
 
 use crate::bugs::apply_bug_effects;
 use crate::coverage::{universe, CoverageMap, Universe};
-use crate::frontend::{Analyzed, Frontend};
+use crate::frontend::{Analyzed, Frontend, Parsed};
 use crate::response::{Outcome, SolveStats, SolverId, SolverResponse};
 use crate::versions::{commit_of, CommitIdx, TRUNK_COMMIT};
 use crate::SmtSolver;
@@ -211,6 +211,8 @@ impl OxiZ {
             self.coverage.hit(&self.universe, "core::quant_expand", 0);
         }
 
+        // Every assignment charges each evaluated assertion's full size.
+        let sizes: Vec<u64> = assertions.iter().map(|a| a.size() as u64).collect();
         let mut idx = vec![0usize; dims.len()];
         let mut tried = 0usize;
         let mut capped = false;
@@ -227,8 +229,8 @@ impl OxiZ {
             let model = build_model(&dims, &idx);
             let ev = Evaluator::new(&model, &analyzed.defs, &cfg, self.config.eval_budget);
             let mut all_true = true;
-            for a in assertions {
-                stats.steps += a.size() as u64;
+            for (a, size) in assertions.iter().zip(&sizes) {
+                stats.steps += size;
                 match ev.eval(a) {
                     Ok(Value::Bool(true)) => {}
                     Ok(Value::Bool(false)) => {
@@ -357,17 +359,14 @@ impl SmtSolver for OxiZ {
     }
 
     fn check(&mut self, text: &str) -> SolverResponse {
+        self.check_parsed(text, &Parsed::new(text))
+    }
+
+    fn check_parsed(&mut self, _text: &str, parsed: &Parsed) -> SolverResponse {
         let frontend = Frontend::new(SolverId::OxiZ);
-        let mut cov = CoverageMap::new();
-        let analyzed = match frontend.analyze(text, &self.universe, &mut cov) {
-            Ok(a) => {
-                self.coverage.merge(&cov);
-                a
-            }
-            Err(msg) => {
-                self.coverage.merge(&cov);
-                return SolverResponse::error(msg);
-            }
+        let analyzed = match frontend.analyze_parsed(parsed, &self.universe, &mut self.coverage) {
+            Ok(a) => a,
+            Err(msg) => return SolverResponse::error(msg),
         };
         let fh = analyzed.features.hash;
         let assertions: Vec<Term> = analyzed
@@ -381,7 +380,7 @@ impl SmtSolver for OxiZ {
             self.coverage.hit(&self.universe, "core::prune", 2);
             (Outcome::Unsat, None, SolveStats::default())
         } else {
-            self.search(&analyzed, &assertions)
+            self.search(analyzed, &assertions)
         };
 
         stats.virtual_micros = virtual_cost(analyzed.input_bytes, &stats);
