@@ -1,4 +1,4 @@
-//! A live o4a-scope session, end to end: a 2-worker pipe fleet runs a
+//! A live o4a-scope session, end to end: a 2-worker spawned fleet runs a
 //! small campaign with the observatory on, while a real `dist_top`
 //! process polls `GET /status` and renders the fleet view into this
 //! terminal. When the campaign finishes, the coordinator's own summary

@@ -1,5 +1,5 @@
 //! The reference elastic-fleet coordinator binary: `o4a_dist`'s
-//! coordinator behind a CLI, listening on TCP for workers that join by
+//! coordinator behind a CLI, listening for workers that join by
 //! connecting (`dist_worker --connect`) and journaling lease state to a
 //! checkpoint so a killed coordinator resumes.
 //!
@@ -100,7 +100,7 @@ fn main() {
     };
 
     let mut dist = DistConfig::new(Vec::new(), journal_dir)
-        .with_tcp(listen)
+        .with_listen(listen)
         .with_workers(workers)
         .with_static_split(static_split)
         .with_heartbeat_timeout(Duration::from_millis(heartbeat_ms))

@@ -4,16 +4,16 @@
 //! configuration and a shard result stays a pure function of the plan.
 //!
 //! ```text
-//! dist_worker --journal PATH --worker N \
-//!     [--connect HOST:PORT [--reconnect-ms MS]] \
-//!     [--slow-ms MS] [--leave-after-leases K] \
+//! dist_worker --connect HOST:PORT --journal PATH --worker N \
+//!     [--reconnect-ms MS] [--slow-ms MS] [--leave-after-leases K] \
 //!     [--crash-shard S --crash-token PATH [--crash-after CASES]]
 //! ```
 //!
-//! Without `--connect` the worker speaks the pipe transport on
-//! stdin/stdout (the coordinator spawned it); with `--connect` it joins
-//! an elastic TCP fleet, retrying the dial for `--reconnect-ms` (default
-//! 10000) so it can outlive a coordinator restart. The crash flags are
+//! The worker joins the coordinator listening at `--connect` — the
+//! coordinator that spawned it, or any other — retrying the dial for
+//! `--reconnect-ms` (default 10000) so it can outlive a coordinator
+//! restart. A spawning coordinator hands its children the fleet secret
+//! in `O4A_DIST_SECRET`, which the `hello` echoes. The crash flags are
 //! the recovery gauntlet's fault injection: die abruptly mid-way through
 //! shard `S`, once per campaign (whoever wins the atomic creation of the
 //! token file crashes; every later holder of the lease runs it to
@@ -23,16 +23,15 @@
 //! for the control protocol and the worker CLI contract.
 
 use o4a_core::{Fuzzer, Once4AllFuzzer};
-use o4a_dist::{run_worker, run_worker_tcp, CrashInjection, WorkerConfig};
+use o4a_dist::{run_worker, CrashInjection, WorkerConfig};
 use std::path::PathBuf;
 use std::time::Duration;
 
 fn usage(msg: &str) -> ! {
     eprintln!("dist_worker: {msg}");
     eprintln!(
-        "usage: dist_worker --journal PATH --worker N \
-         [--connect HOST:PORT [--reconnect-ms MS]] \
-         [--slow-ms MS] [--leave-after-leases K] \
+        "usage: dist_worker --connect HOST:PORT --journal PATH --worker N \
+         [--reconnect-ms MS] [--slow-ms MS] [--leave-after-leases K] \
          [--crash-shard S --crash-token PATH [--crash-after CASES]]"
     );
     std::process::exit(2);
@@ -77,6 +76,9 @@ fn main() {
     let Some(journal) = journal else {
         usage("--journal is required");
     };
+    let Some(addr) = connect else {
+        usage("--connect is required");
+    };
     let crash = match (crash_shard, crash_token) {
         (Some(shard), Some(token)) => Some(CrashInjection {
             shard,
@@ -92,15 +94,7 @@ fn main() {
     config.slow_case_ms = slow_ms;
     config.leave_after_leases = leave_after;
     let factory = |_shard: u32| Box::new(Once4AllFuzzer::with_defaults()) as Box<dyn Fuzzer>;
-    let served = match connect {
-        Some(addr) => run_worker_tcp(factory, &config, &addr, Duration::from_millis(reconnect_ms)),
-        None => run_worker(
-            factory,
-            &config,
-            std::io::stdin().lock(),
-            std::io::stdout().lock(),
-        ),
-    };
+    let served = run_worker(factory, &config, &addr, Duration::from_millis(reconnect_ms));
     if let Err(e) = served {
         eprintln!("dist_worker: {e}");
         std::process::exit(1);

@@ -250,8 +250,9 @@ pub fn render_dist_stats(stats: &o4a_dist::DistStats) -> String {
         "shard leases granted     : {} ({} re-issued after a worker died mid-lease)",
         stats.leases_granted, stats.leases_reissued
     );
-    // Elastic-fleet churn — only TCP fleets join/leave/re-adopt, and
-    // only a checkpointed coordinator resumes; pipe fleets skip it all.
+    // Elastic-fleet churn — only workers that join on their own count as
+    // joins or re-adoptions, and only a checkpointed coordinator resumes;
+    // a spawned fleet that keeps its members skips it all.
     if stats.workers_joined > 0 || stats.workers_left > 0 || stats.resumed {
         let _ = writeln!(
             out,
@@ -569,8 +570,11 @@ mod tests {
             ..Default::default()
         };
         let s = render_dist_stats(&stats);
-        assert!(!s.contains("elastic fleet"), "pipe fleets never join: {s}");
-        assert!(!s.contains("resumed"), "pipe fleets never resume: {s}");
+        assert!(
+            !s.contains("elastic fleet"),
+            "spawned fleets never join: {s}"
+        );
+        assert!(!s.contains("resumed"), "unchecked fleets never resume: {s}");
     }
 
     fn bench_json(scenarios: &[(&str, f64)]) -> String {

@@ -15,13 +15,20 @@
 //!   counters record that it happened;
 //! * a fleet that never speaks the protocol is killed at the heartbeat
 //!   deadline and the campaign fails bounded-ly instead of hanging;
+//! * the spawned fleet's loopback listener admits only the
+//!   coordinator's own children: a `hello` without the per-run secret
+//!   gets `goodbye`, no lease, and its journal is never merged;
 //! * the fleet summary renders per-worker throughput and lease churn.
 
 use o4a_core::{CampaignConfig, CampaignResult, Fuzzer, Once4AllFuzzer};
-use o4a_dist::{run_distributed, DistConfig, DistReport};
-use o4a_exec::{run_campaign_sharded, ExecConfig, Parallelism};
+use o4a_dist::{
+    connect_with_retry, run_distributed, CampaignPlan, CheckpointStore, DistConfig, DistReport,
+    Frame,
+};
+use o4a_exec::{run_campaign_sharded, ExecConfig, FindingSink, FindingsStore, Parallelism};
 use o4a_solvers::coverage::universe;
 use o4a_solvers::SolverId;
+use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -46,6 +53,12 @@ fn scratch_dir(tag: &str) -> PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("scratch dir");
     dir
+}
+
+/// An address the OS considers free right now: bind, read, release.
+fn free_addr() -> String {
+    let probe = std::net::TcpListener::bind("127.0.0.1:0").expect("probe bind");
+    probe.local_addr().expect("probe addr").to_string()
 }
 
 /// Everything observable, bit-comparable: stats (transport counters
@@ -382,4 +395,98 @@ fn fleet_summary_renders() {
         stats.contains("shard leases granted"),
         "campaign stats must surface lease churn:\n{stats}"
     );
+}
+
+/// The spawned fleet's listener is loopback TCP like any other, but it
+/// admits only the coordinator's own children. Two rogues connect to a
+/// running campaign impersonating the children's ids — one with no
+/// secret, one with a wrong one — and name a journal full of forged
+/// `shard_done` records. Each gets `goodbye` and nothing else, the
+/// forged journal never enters the merge (the checkpoint records every
+/// journal the coordinator merges), and the result is the in-process
+/// one.
+#[test]
+fn rogue_hellos_are_refused_by_a_spawned_fleet() {
+    let reference = in_process_reference();
+    let dir = scratch_dir("rogue");
+    let addr = free_addr();
+    let forged = dir.join("forged.jsonl");
+    {
+        let (session, _) = FindingsStore::new(&forged)
+            .resume_or_create(&quick_config(), SHARDS)
+            .expect("forged journal");
+        let mut fake = reference.clone();
+        fake.stats.cases += 1_000_000;
+        for shard in 0..SHARDS {
+            session.on_shard_complete(shard, &fake);
+        }
+    }
+    let rogues: Vec<_> = [None, Some("0".repeat(32))]
+        .into_iter()
+        .enumerate()
+        .map(|(id, secret)| {
+            let addr = addr.clone();
+            let journal = forged.display().to_string();
+            std::thread::spawn(move || {
+                let stream =
+                    connect_with_retry(&addr, Duration::from_secs(30)).expect("rogue connect");
+                let hello = Frame::Hello {
+                    worker: id as u32,
+                    journal,
+                    secret,
+                };
+                let mut out = stream.try_clone().expect("clone stream");
+                writeln!(out, "{}", hello.to_line()).expect("send hello");
+                BufReader::new(stream)
+                    .lines()
+                    .map_while(Result::ok)
+                    .collect::<Vec<String>>()
+            })
+        })
+        .collect();
+
+    let checkpoint = dir.join("checkpoint.jsonl");
+    // The per-case delay keeps the campaign running while the rogues
+    // knock; results are invariant to it.
+    let command = vec![WORKER.to_string(), "--slow-ms".into(), "40".into()];
+    let dist = DistConfig::new(command, dir.join("journals"))
+        .with_workers(2)
+        .with_listen(addr.clone())
+        .with_checkpoint(&checkpoint)
+        .with_heartbeat_timeout(Duration::from_secs(30));
+    let report = run_distributed(&quick_config(), SHARDS, &dist).expect("spawned fleet");
+
+    for rogue in rogues {
+        let frames = rogue.join().expect("rogue thread");
+        assert_eq!(
+            frames.len(),
+            1,
+            "a rogue got more than a refusal: {frames:?}"
+        );
+        assert!(
+            matches!(Frame::from_line(&frames[0]), Ok(Frame::Goodbye { .. })),
+            "a rogue was not refused: {frames:?}"
+        );
+    }
+    let plan = CampaignPlan {
+        config: quick_config(),
+        shards: SHARDS,
+    };
+    let (_session, replayed) = CheckpointStore::new(&checkpoint)
+        .resume_or_create(&plan)
+        .expect("replay checkpoint");
+    assert!(
+        !replayed.journals.contains(&forged),
+        "the forged journal was merged: {:?}",
+        replayed.journals
+    );
+    assert_eq!(replayed.journals.len(), 2, "{:?}", replayed.journals);
+    assert_eq!(report.stats.workers_spawned, 2);
+    assert_eq!(report.stats.workers_joined, 0, "a refused hello is no join");
+    assert_eq!(
+        fingerprint(&report.result),
+        fingerprint(&reference),
+        "a rogue hello leaked into the merged result"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,8 +1,8 @@
-//! The elastic-fleet gauntlet: the TCP transport, mid-campaign worker
-//! churn, and the resumable coordinator (`o4a-dist` over
-//! `dist_worker --connect` / `dist_coordinator`), all held to the same
-//! law as the pipe gauntlet in `dist_campaign.rs`: **every topology
-//! merges bit-identical to the in-process sharded engine.**
+//! The elastic-fleet gauntlet: workers that join on their own,
+//! mid-campaign worker churn, and the resumable coordinator (`o4a-dist`
+//! over `dist_worker --connect` / `dist_coordinator`), all held to the
+//! same law as the spawned-fleet gauntlet in `dist_campaign.rs`: **every
+//! topology merges bit-identical to the in-process sharded engine.**
 //!
 //! The scenarios (each one a CI matrix leg; `O4A_ELASTIC_WORKERS` sets
 //! the fleet size, default 2):
@@ -11,6 +11,8 @@
 //! * a worker joining mid-campaign is granted the next lease;
 //! * a worker killed mid-lease has its lease re-issued to a survivor;
 //! * a worker leaving voluntarily (`goodbye`) retires cleanly;
+//! * a peer that completes a shard it does not hold is retired like a
+//!   dead worker instead of failing the campaign;
 //! * a coordinator killed mid-campaign resumes from its checkpoint,
 //!   re-adopts the still-live fleet, and merges bit-identical;
 //! * a heterogeneous fleet (one slow machine) finishes sooner with
@@ -18,10 +20,14 @@
 //!   measured.
 
 use o4a_core::{CampaignConfig, CampaignResult, Fuzzer, Once4AllFuzzer};
-use o4a_dist::{run_distributed, CampaignPlan, DistConfig, DistReport};
+use o4a_dist::{
+    connect_with_retry, run_distributed, CacheCounters, CampaignPlan, DistConfig, DistReport, Frame,
+};
 use o4a_exec::{merge_shard_results, run_campaign_sharded, ExecConfig, FindingsStore, Parallelism};
 use o4a_solvers::coverage::universe;
 use o4a_solvers::SolverId;
+use std::collections::BTreeMap;
+use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -67,7 +73,7 @@ fn free_addr() -> String {
 }
 
 /// Everything observable, bit-comparable — the same fingerprint as the
-/// pipe gauntlet: `sans_transport` stats, findings down to the `vhour`
+/// spawned-fleet gauntlet: `sans_transport` stats, findings down to the `vhour`
 /// bits, the hourly snapshot series, and the exported coverage maps.
 type Fingerprint = (
     o4a_core::CampaignStats,
@@ -164,7 +170,7 @@ fn reap_clean(workers: Vec<Child>) {
 
 fn tcp_coordinator(addr: &str, dir: &std::path::Path, workers: u32) -> DistConfig {
     DistConfig::new(Vec::new(), dir.join("journals"))
-        .with_tcp(addr.to_string())
+        .with_listen(addr.to_string())
         .with_workers(workers)
         .with_heartbeat_timeout(Duration::from_secs(30))
         .with_accept_timeout(Duration::from_secs(60))
@@ -335,6 +341,81 @@ fn voluntary_goodbye_retires_the_worker_cleanly() {
         fingerprint(&report.result),
         fingerprint(&in_process_reference(SHARDS)),
         "a voluntary departure leaked into the merged result"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One bad frame from one peer must not fail the campaign: a rogue
+/// joiner takes its lease, then reports `done` for a shard outside the
+/// plan. The coordinator hangs up on it through the death path — its
+/// lease is re-issued to the honest fleet, which joins only once the
+/// rogue holds a lease — and the merge is the in-process one.
+#[test]
+fn stray_done_retires_the_peer_instead_of_failing_the_campaign() {
+    let dir = scratch_dir("stray-done");
+    let addr = free_addr();
+    let (leased_tx, leased_rx) = std::sync::mpsc::channel();
+    let rogue = {
+        let addr = addr.clone();
+        let journal = dir.join("journals/rogue.jsonl").display().to_string();
+        std::thread::spawn(move || {
+            let stream = connect_with_retry(&addr, Duration::from_secs(30)).expect("rogue connect");
+            let mut out = stream.try_clone().expect("clone stream");
+            let hello = Frame::Hello {
+                worker: 77,
+                journal,
+                secret: None,
+            };
+            writeln!(out, "{}", hello.to_line()).expect("send hello");
+            let mut frames = BufReader::new(stream).lines().map_while(Result::ok);
+            let lease = frames.next().expect("rogue was never leased");
+            assert!(
+                matches!(Frame::from_line(&lease), Ok(Frame::Lease { .. })),
+                "rogue expected a lease, got {lease}"
+            );
+            leased_tx.send(()).expect("signal lease");
+            let stray = Frame::Done {
+                shard: SHARDS + 5,
+                cases: 1,
+                findings: 0,
+                cases_per_sec: 0.0,
+                metrics: None,
+                cache: CacheCounters::default(),
+                trace: None,
+                coverage: BTreeMap::new(),
+            };
+            writeln!(out, "{}", stray.to_line()).expect("send stray done");
+            frames.collect::<Vec<String>>()
+        })
+    };
+    let fleet = {
+        let (addr, dir) = (addr.clone(), dir.clone());
+        std::thread::spawn(move || {
+            leased_rx
+                .recv_timeout(Duration::from_secs(60))
+                .expect("rogue never held a lease");
+            (0..2)
+                .map(|id| spawn_joiner(&addr, &dir, id, &[]))
+                .collect::<Vec<Child>>()
+        })
+    };
+    let report = run_distributed(&quick_config(), SHARDS, &tcp_coordinator(&addr, &dir, 2))
+        .expect("a stray done must not abort the campaign");
+    reap_clean(fleet.join().expect("fleet thread"));
+    let after = rogue.join().expect("rogue thread");
+    assert!(
+        after.is_empty(),
+        "the rogue was answered, not dropped: {after:?}"
+    );
+    assert!(report.stats.worker_deaths >= 1, "the rogue was not retired");
+    assert!(
+        report.stats.leases_reissued >= 1,
+        "the rogue's lease was not re-issued"
+    );
+    assert_eq!(
+        fingerprint(&report.result),
+        fingerprint(&in_process_reference(SHARDS)),
+        "a stray done leaked into the merged result"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -159,7 +159,7 @@ fn reap_clean(workers: Vec<Child>) -> Vec<u32> {
 
 fn tcp_coordinator(addr: &str, dir: &std::path::Path) -> DistConfig {
     DistConfig::new(Vec::new(), dir.join("journals"))
-        .with_tcp(addr.to_string())
+        .with_listen(addr.to_string())
         .with_workers(2)
         .with_heartbeat_timeout(Duration::from_secs(30))
         .with_accept_timeout(Duration::from_secs(60))

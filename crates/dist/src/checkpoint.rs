@@ -69,8 +69,9 @@ pub struct CheckpointState {
     pub completed: BTreeMap<u32, (u64, u64)>,
     /// One past the highest worker id on record — where a restarted
     /// coordinator resumes numbering spawned workers, so a fresh spawn
-    /// can never clobber a previous incarnation's journal file.
-    pub next_worker_id: u32,
+    /// can never clobber a previous incarnation's journal file. Wider
+    /// than an id, so a record naming `u32::MAX` cannot overflow it.
+    pub next_worker_id: u64,
 }
 
 impl CheckpointStore {
@@ -189,6 +190,17 @@ fn u64_field(json: &Json, key: &str) -> io::Result<u64> {
         .ok_or_else(|| bad(format!("checkpoint record missing '{key}'")))
 }
 
+/// A worker id or shard index; a value above `u32::MAX` is corruption.
+fn u32_field(json: &Json, key: &str) -> io::Result<u32> {
+    u32::try_from(u64_field(json, key)?)
+        .map_err(|_| bad(format!("checkpoint record field '{key}' exceeds u32")))
+}
+
+/// Folds one recorded worker id into [`CheckpointState::next_worker_id`].
+fn saw_worker(state: &mut CheckpointState, worker: u32) {
+    state.next_worker_id = state.next_worker_id.max(u64::from(worker) + 1);
+}
+
 fn replay(path: &Path, header: &Json) -> io::Result<CheckpointState> {
     let reader = BufReader::new(File::open(path)?);
     let lines: Vec<String> = reader.lines().collect::<Result<_, _>>()?;
@@ -229,8 +241,7 @@ fn replay(path: &Path, header: &Json) -> io::Result<CheckpointState> {
                 }
             }
             "journal" => {
-                let worker = u64_field(&json, "worker")? as u32;
-                state.next_worker_id = state.next_worker_id.max(worker + 1);
+                saw_worker(&mut state, u32_field(&json, "worker")?);
                 let journal = PathBuf::from(
                     json.get("path")
                         .and_then(Json::as_str)
@@ -241,17 +252,16 @@ fn replay(path: &Path, header: &Json) -> io::Result<CheckpointState> {
                 }
             }
             "grant" => {
-                let shard = u64_field(&json, "shard")? as u32;
-                let worker = u64_field(&json, "worker")? as u32;
-                state.next_worker_id = state.next_worker_id.max(worker + 1);
+                let shard = u32_field(&json, "shard")?;
+                let worker = u32_field(&json, "worker")?;
+                saw_worker(&mut state, worker);
                 if !state.completed.contains_key(&shard) {
                     state.granted.insert(shard, worker);
                 }
             }
             "complete" => {
-                let shard = u64_field(&json, "shard")? as u32;
-                let worker = u64_field(&json, "worker")? as u32;
-                state.next_worker_id = state.next_worker_id.max(worker + 1);
+                let shard = u32_field(&json, "shard")?;
+                saw_worker(&mut state, u32_field(&json, "worker")?);
                 state.completed.insert(
                     shard,
                     (u64_field(&json, "cases")?, u64_field(&json, "findings")?),
@@ -385,5 +395,31 @@ mod tests {
         let (_s, state) = store.resume_or_create(&plan()).unwrap();
         assert!(state.granted.is_empty());
         assert_eq!(state.completed.get(&1), Some(&(12, 0)));
+    }
+
+    /// A joiner may call itself `u32::MAX`: its records replay without
+    /// overflowing the next spawn id. Anything wider is a corrupt record.
+    #[test]
+    fn worker_ids_at_and_past_u32_max() {
+        let path = temp_path("max-id");
+        let store = CheckpointStore::new(&path);
+        let (session, _) = store.resume_or_create(&plan()).unwrap();
+        session.record_journal(u32::MAX, Path::new("/tmp/wmax.jsonl"));
+        session.record_grant(0, u32::MAX);
+        session.record_complete(1, u32::MAX, 3, 0);
+        drop(session);
+        let (_s, state) = store.resume_or_create(&plan()).unwrap();
+        assert_eq!(state.next_worker_id, 1 << 32);
+        assert_eq!(state.granted.get(&0), Some(&u32::MAX));
+
+        let mut raw = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .unwrap();
+        writeln!(raw, "{{\"shard\":2,\"t\":\"grant\",\"worker\":4294967296}}").unwrap();
+        writeln!(raw, "{{\"shard\":3,\"t\":\"grant\",\"worker\":0}}").unwrap();
+        drop(raw);
+        let err = store.resume_or_create(&plan()).unwrap_err();
+        assert!(err.to_string().contains("exceeds u32"), "{err}");
     }
 }

@@ -1,6 +1,7 @@
 //! The coordinator: owns the shard plan, drives a fleet of workers over
-//! a pluggable transport (spawned pipes or a TCP listener), journals
-//! lease state to an optional checkpoint, and merges worker journals.
+//! its TCP listener (spawning them itself over loopback when it has a
+//! worker command), journals lease state to an optional checkpoint, and
+//! merges worker journals.
 //!
 //! ## Lease scheduling
 //!
@@ -20,50 +21,61 @@
 //!
 //! ## Failure handling
 //!
-//! Worker read fds — pipe stdouts and accepted sockets alike — ride the
-//! `poll(2)` reactor from `o4a-executor`, and every outstanding lease
-//! carries a **deadline**: a worker that neither heartbeats nor
-//! completes within [`DistConfig::heartbeat_timeout`] is killed like a
-//! crashed one. Either way the lease goes back to the front of the
-//! queue (a re-issue), the fleet is topped back up to strength (pipe
-//! transport; TCP fleets are elastic — membership is whoever is
-//! connected), and the dead worker's journal is kept for the final
-//! merge — shards it *completed* are scavenged from it; the shard it
-//! died inside has no completion record and is therefore re-derived
-//! from scratch by the re-issued lease (`FindingsStore`'s dedup-on-load
-//! law guarantees the half-journaled findings of the dead attempt
-//! cannot leak in).
+//! Worker sockets ride the `poll(2)` reactor from `o4a-executor`, and
+//! every outstanding lease carries a **deadline**: a worker that neither
+//! heartbeats nor completes within [`DistConfig::heartbeat_timeout`] is
+//! killed like a crashed one. Either way the lease goes back to the
+//! front of the queue (a re-issue), a spawning coordinator tops its
+//! fleet back up to strength, and the dead worker's journal is kept for
+//! the final merge — shards it *completed* are scavenged from it; the
+//! shard it died inside has no completion record and is therefore
+//! re-derived from scratch by the re-issued lease (`FindingsStore`'s
+//! dedup-on-load law guarantees the half-journaled findings of the dead
+//! attempt cannot leak in).
 //!
-//! ## Elastic membership and coordinator death (TCP transport)
+//! ## Membership
 //!
-//! Over TCP the coordinator spawns nothing: workers **join** by
-//! connecting (`hello` frame) at any point of the campaign and pull the
-//! next lease; one that disconnects or says `goodbye` mid-lease has its
-//! lease re-issued through the same deadline path. With a
-//! [`DistConfig::checkpoint`] configured, every grant is made durable
-//! *before* its lease frame is sent and every completion *after* its
-//! `done` arrives — so a coordinator killed mid-campaign restarts from
-//! the checkpoint, re-binds the recorded port, re-adopts reconnecting
-//! workers (their `re-adopt` frames credit leases completed during the
-//! outage), re-issues orphaned grants, and merges a result
+//! Every worker joins the same way: it connects to the listener and
+//! says `hello`, and is granted nothing before. With an empty
+//! [`DistConfig::worker_command`] the fleet is whoever connects, at any
+//! point of the campaign. Otherwise the coordinator spawns `<cmd>
+//! --connect <addr> --journal <path> --worker <id>` children, keeps
+//! [`DistConfig::workers`] of them alive (a child counts from its spawn;
+//! one that exits or stays silent before its `hello` is killed at the
+//! heartbeat deadline and charged to [`DistConfig::max_respawns`]), and
+//! admits only them: each gets a per-run secret in its environment and
+//! must echo it in its `hello`. Any other `hello` is answered with
+//! `goodbye` (counted as `dist.rejected_hellos`).
+//!
+//! ## Coordinator death
+//!
+//! With a [`DistConfig::checkpoint`] configured, every grant is made
+//! durable *before* its lease frame is sent and every completion
+//! *after* its `done` arrives — so a coordinator killed mid-campaign
+//! restarts from the checkpoint, re-binds the recorded port, re-adopts
+//! reconnecting workers (their `re-adopt` frames credit leases completed
+//! during the outage), re-issues orphaned grants, and merges a result
 //! bit-identical to an uninterrupted run. The determinism argument is
 //! the same one workers-dying rests on: the worst a lost frame or
 //! record can cause is a *redundant* lease, and redundant executions of
-//! a deterministic shard merge to the same bytes.
+//! a deterministic shard merge to the same bytes. (The children of a
+//! killed *spawning* coordinator hold the old secret: its successor
+//! answers them with `goodbye` and they exit.)
 
 use crate::checkpoint::{CheckpointSession, CheckpointStore};
-use crate::protocol::{CacheCounters, CampaignPlan, Frame, TraceBatch, MAX_FRAME_BYTES};
+use crate::protocol::{
+    CacheCounters, CampaignPlan, Frame, TraceBatch, FLEET_SECRET_ENV, MAX_FRAME_BYTES,
+};
 use crate::scope::{ScopeServer, ScopeStatus, ScopeWorker};
-use crate::transport::{Link, Listener, Transport};
+use crate::transport::{Link, Listener};
 use o4a_core::{CampaignConfig, CampaignResult};
 use o4a_exec::json::{obj, Json};
 use o4a_exec::{merge_shard_results, FindingsStore};
-use o4a_executor::{set_nonblocking, FdReactor, Interest, WakeFlag};
+use o4a_executor::{FdReactor, Interest, WakeFlag};
 use o4a_obs::metrics::MetricsSnapshot;
 use o4a_obs::trace::{TraceEvent, TraceMeta};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::io;
-use std::os::unix::io::AsRawFd;
+use std::io::{self, Read};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -75,52 +87,57 @@ fn bad(msg: impl Into<String>) -> io::Error {
 /// Fleet configuration for one distributed campaign.
 #[derive(Clone, Debug)]
 pub struct DistConfig {
-    /// Fleet strength: how many worker processes run concurrently (pipe
-    /// transport), or the nominal fleet size a [static split]
-    /// distributes over (TCP fleets are elastic — actual membership is
-    /// whoever has connected).
+    /// Fleet strength: how many worker processes a spawning coordinator
+    /// keeps running, and the nominal fleet size a [static split]
+    /// distributes over (without a worker command membership is
+    /// elastic — whoever has connected).
     ///
     /// [static split]: DistConfig::static_split
     pub workers: u32,
-    /// The worker command line (program + args), pipe transport only.
-    /// The coordinator appends `--journal <path> --worker <id>` for
-    /// each spawn, so any binary honouring that contract (the reference
-    /// one is `crates/bench/src/bin/dist_worker.rs`) can serve leases.
-    /// Unused over TCP, where workers connect on their own.
+    /// The worker command line (program + args). Non-empty: the
+    /// coordinator spawns its fleet, appending `--connect <addr>
+    /// --journal <path> --worker <id>` to each spawn, so any binary
+    /// honouring that contract (the reference one is
+    /// `crates/bench/src/bin/dist_worker.rs`) can serve leases. Empty:
+    /// it spawns nobody and workers join on their own.
     pub worker_command: Vec<String>,
-    /// Directory for per-worker findings journals (`worker-<n>.jsonl`,
-    /// one per spawned process). Created if absent; should be fresh per
-    /// campaign. TCP workers choose their own journal paths and
-    /// announce them in `hello`.
+    /// Directory for the findings journals of spawned workers
+    /// (`worker-<n>.jsonl`, one per process). Created if absent; should
+    /// be fresh per campaign. Joining workers choose their own journal
+    /// paths and announce them in `hello`.
     pub journal_dir: PathBuf,
     /// A leased worker that neither heartbeats nor completes within this
     /// window is presumed wedged: killed, lease re-issued. Must comfortably
     /// exceed the worker's heartbeat cadence (a `progress` frame every
     /// [`crate::worker::DEFAULT_PROGRESS_EVERY`] cases). Doubles as the
-    /// patience for a TCP connection that never says `hello`.
+    /// patience for a connection or spawned child that never says
+    /// `hello`.
     pub heartbeat_timeout: Duration,
-    /// Replacement-spawn budget past the initial fleet (pipe transport).
-    /// When worker deaths exhaust it with shards still unfinished, the
-    /// campaign fails instead of thrashing forever.
+    /// Replacement-spawn budget past the initial fleet (spawning
+    /// coordinators only). When worker deaths exhaust it with shards
+    /// still unfinished, the campaign fails instead of thrashing
+    /// forever.
     pub max_respawns: u32,
     /// Extra environment variables for every spawned worker (e.g.
     /// `O4A_TRACE`/`O4A_METRICS` to turn observability on fleet-wide
     /// without mutating the coordinator's own environment).
     pub envs: Vec<(String, String)>,
-    /// The wire to the fleet: spawn-and-pipe (default) or a TCP
-    /// listener workers connect to.
-    pub transport: Transport,
+    /// The listen address every worker connects to (`host:port`; the
+    /// default `127.0.0.1:0` picks a free loopback port, which
+    /// [`run_distributed`] records in the checkpoint so a resumed
+    /// coordinator reuses it).
+    pub listen: String,
     /// Checkpoint path for coordinator resumability. `None` (default)
     /// runs without one — a killed coordinator then loses the campaign,
     /// exactly the pre-checkpoint behavior.
     pub checkpoint: Option<PathBuf>,
     /// Disables work stealing: shard `s` may only be granted to fleet
-    /// slot `s % workers` (spawn order over pipes, join order over
-    /// TCP). A benchmarking knob — the heterogeneous-fleet gauntlet
-    /// measures stealing against exactly this.
+    /// slot `s % workers` (slots follow join order). A benchmarking
+    /// knob — the heterogeneous-fleet gauntlet measures stealing against
+    /// exactly this.
     pub static_split: bool,
-    /// TCP only: how long the coordinator waits with **zero** connected
-    /// workers and work remaining before declaring the campaign
+    /// How long the coordinator waits with **zero** workers (connected
+    /// or spawned) and work remaining before declaring the campaign
     /// stranded. Elastic fleets may legitimately dip to zero briefly
     /// (everyone churning at once); this bounds "forever".
     pub accept_timeout: Duration,
@@ -140,9 +157,10 @@ pub struct DistConfig {
 }
 
 impl DistConfig {
-    /// A fleet of 4 workers running `worker_command` over pipes,
-    /// journaling under `journal_dir`, with a 30 s heartbeat deadline
-    /// and 8 respawns. No checkpoint, dynamic leases.
+    /// A fleet of 4 workers running `worker_command` (none spawned when
+    /// it is empty), listening on `127.0.0.1:0`, journaling under
+    /// `journal_dir`, with a 30 s heartbeat deadline and 8 respawns. No
+    /// checkpoint, dynamic leases.
     pub fn new(worker_command: Vec<String>, journal_dir: impl Into<PathBuf>) -> DistConfig {
         DistConfig {
             workers: 4,
@@ -151,7 +169,7 @@ impl DistConfig {
             heartbeat_timeout: Duration::from_secs(30),
             max_respawns: 8,
             envs: Vec::new(),
-            transport: Transport::Pipes,
+            listen: "127.0.0.1:0".to_string(),
             checkpoint: None,
             static_split: false,
             accept_timeout: Duration::from_secs(60),
@@ -184,12 +202,10 @@ impl DistConfig {
         self
     }
 
-    /// Switches the fleet onto a TCP listener at `listen`
-    /// (`host:port`; port 0 picks a free one).
-    pub fn with_tcp(mut self, listen: impl Into<String>) -> DistConfig {
-        self.transport = Transport::Tcp {
-            listen: listen.into(),
-        };
+    /// Replaces the listen address (`host:port`; port 0 picks a free
+    /// one).
+    pub fn with_listen(mut self, listen: impl Into<String>) -> DistConfig {
+        self.listen = listen.into();
         self
     }
 
@@ -233,7 +249,7 @@ impl DistConfig {
     /// * `O4A_DIST_WORKERS` — fleet strength (≥ 1)
     /// * `O4A_DIST_HEARTBEAT_MS` — heartbeat deadline, milliseconds (≥ 1)
     /// * `O4A_DIST_MAX_RESPAWNS` — respawn budget
-    /// * `O4A_DIST_LISTEN` — switch to TCP, listening on this address
+    /// * `O4A_DIST_LISTEN` — the listen address
     /// * `O4A_CHECKPOINT` — coordinator checkpoint path
     /// * `O4A_SCOPE` — serve the o4a-scope observatory on this
     ///   `host:port`
@@ -253,9 +269,7 @@ impl DistConfig {
         }
         if let Ok(listen) = std::env::var("O4A_DIST_LISTEN") {
             if !listen.trim().is_empty() {
-                self.transport = Transport::Tcp {
-                    listen: listen.trim().to_string(),
-                };
+                self.listen = listen.trim().to_string();
             }
         }
         if let Ok(path) = std::env::var("O4A_CHECKPOINT") {
@@ -280,8 +294,8 @@ fn parse_env_u64(key: &str) -> Option<u64> {
 /// What one worker process did, for the fleet summary.
 #[derive(Clone, Debug)]
 pub struct WorkerSummary {
-    /// Spawn-sequence id (pipe transport; also the journal file's
-    /// number) or the self-reported id of a joined TCP worker.
+    /// Spawn-sequence id of a spawned worker (also its journal file's
+    /// number), or the self-reported id of a joined one.
     pub worker: u32,
     /// The worker's findings journal.
     pub journal: PathBuf,
@@ -289,7 +303,8 @@ pub struct WorkerSummary {
     pub leases_completed: u32,
     /// Cases executed across its completed leases.
     pub cases: u64,
-    /// Wall-clock lifetime of the process (connection, over TCP).
+    /// Wall-clock lifetime: of the process for a spawned worker, of the
+    /// connection for a joined one.
     pub wall: Duration,
     /// False when the worker died (or was killed as wedged) instead of
     /// exiting on shutdown / leaving with a `goodbye`.
@@ -324,8 +339,7 @@ pub struct DistStats {
     pub shards: u32,
     /// Configured fleet strength.
     pub workers: u32,
-    /// Worker processes spawned (initial fleet + replacements; pipe
-    /// transport).
+    /// Worker processes spawned (initial fleet + replacements).
     pub workers_spawned: u32,
     /// Workers that died or were killed as wedged.
     pub worker_deaths: u32,
@@ -334,8 +348,9 @@ pub struct DistStats {
     /// Leases re-issued after their holder died, left, or — on a
     /// coordinator resume — was orphaned by the previous incarnation.
     pub leases_reissued: u64,
-    /// TCP workers that joined the fleet (`hello` handshakes; a
-    /// reconnect counts again).
+    /// Workers that joined the fleet on their own (`hello` handshakes
+    /// from processes this coordinator did not spawn; a reconnect counts
+    /// again).
     pub workers_joined: u64,
     /// `re-adopt` handshakes honoured (reconnecting workers whose
     /// completed-lease lists were replayed).
@@ -347,7 +362,7 @@ pub struct DistStats {
     pub shards_readopted: u64,
     /// True when this campaign resumed from an existing checkpoint.
     pub resumed: bool,
-    /// Per-worker summaries, in spawn order.
+    /// Per-worker summaries, in worker-id order.
     pub per_worker: Vec<WorkerSummary>,
     /// Fleet-wide metrics: every worker's final snapshot merged
     /// (snapshots are cumulative per process, so summing one per
@@ -382,22 +397,22 @@ pub struct DistReport {
     pub stats: DistStats,
 }
 
-/// One live worker: a spawned child over pipes, or an accepted TCP
-/// connection (whose process belongs to someone else).
+/// One live connection: a worker-to-be until its `hello`, then a fleet
+/// member — backed by a child process when this coordinator spawned it.
 struct Worker {
     id: u32,
+    /// The spawned process behind this connection; `None` for a worker
+    /// that joined on its own (its process belongs to someone else).
     child: Option<Child>,
     link: Link,
     buf: Vec<u8>,
-    /// Known at spawn over pipes; announced by `hello` over TCP.
+    /// Announced by `hello`.
     journal: Option<PathBuf>,
-    /// Pipe workers are born greeted; a TCP connection earns it with
-    /// its `hello` and is granted nothing before.
+    /// Earned with an accepted `hello`; nothing is granted before.
     greeted: bool,
     /// Received a voluntary `goodbye` — retire cleanly.
     left: bool,
-    /// Fleet slot for [`DistConfig::static_split`]: spawn sequence over
-    /// pipes, join sequence over TCP.
+    /// Fleet slot for [`DistConfig::static_split`]: join order.
     slot: u32,
     lease: Option<u32>,
     /// Cases executed across *completed* leases (what the summary
@@ -422,6 +437,32 @@ struct Worker {
 }
 
 impl Worker {
+    /// A freshly accepted connection.
+    fn accepted(link: Link) -> Worker {
+        let now = Instant::now();
+        Worker {
+            id: u32::MAX,
+            child: None,
+            link,
+            buf: Vec::new(),
+            journal: None,
+            greeted: false,
+            left: false,
+            slot: 0,
+            lease: None,
+            cases: 0,
+            lease_cases: 0,
+            leases_completed: 0,
+            live_rate: 0.0,
+            latest_metrics: None,
+            ewma_rate: 0.0,
+            straggler: false,
+            last_heard: now,
+            spawned_at: now,
+            eof: false,
+        }
+    }
+
     fn fd(&self) -> std::os::unix::io::RawFd {
         self.link.read_fd()
     }
@@ -436,8 +477,8 @@ impl Worker {
     }
 
     fn into_summary(mut self, clean_exit: bool) -> WorkerSummary {
-        // Reap unconditionally; kill first so a worker that closed its
-        // stdout but kept running cannot block the coordinator. TCP
+        // Reap unconditionally; kill first so a child that stopped
+        // talking but kept running cannot block the coordinator. Joined
         // workers have no child — dropping the link closes the socket.
         if let Some(child) = self.child.as_mut() {
             if !clean_exit {
@@ -458,7 +499,25 @@ impl Worker {
     }
 }
 
-fn spawn_worker(dist: &DistConfig, id: u32) -> io::Result<Worker> {
+/// A spawned worker process that has not said `hello` yet: it holds a
+/// place in the fleet but has no connection.
+struct Spawned {
+    id: u32,
+    child: Child,
+    journal: PathBuf,
+    at: Instant,
+}
+
+impl Spawned {
+    fn kill(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+/// Spawns worker `id` against the coordinator's listener at `addr`,
+/// handing it `secret` through its environment.
+fn spawn_worker(dist: &DistConfig, id: u32, addr: &str, secret: &str) -> io::Result<Spawned> {
     let journal = dist.journal_dir.join(format!("worker-{id}.jsonl"));
     // The coordinator owns the journal dir: a stale file under an
     // assigned name would resume a previous campaign (or refuse a
@@ -469,72 +528,35 @@ fn spawn_worker(dist: &DistConfig, id: u32) -> io::Result<Worker> {
         .worker_command
         .split_first()
         .ok_or_else(|| bad("empty worker command"))?;
-    let mut child = Command::new(program)
+    let child = Command::new(program)
         .args(args)
+        .arg("--connect")
+        .arg(addr)
         .arg("--journal")
         .arg(&journal)
         .arg("--worker")
         .arg(id.to_string())
         .envs(dist.envs.iter().map(|(k, v)| (k.as_str(), v.as_str())))
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
+        .env(FLEET_SECRET_ENV, secret)
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
         .stderr(Stdio::inherit())
         .spawn()?;
     o4a_obs::trace::event("dist", "worker.spawn", &[("worker", u64::from(id))]);
-    let stdin = child.stdin.take().expect("piped stdin");
-    let stdout = child.stdout.take().expect("piped stdout");
-    set_nonblocking(stdout.as_raw_fd())?;
-    let now = Instant::now();
-    Ok(Worker {
+    Ok(Spawned {
         id,
-        child: Some(child),
-        link: Link::Pipe {
-            stdin: Some(stdin),
-            stdout,
-        },
-        buf: Vec::new(),
-        journal: Some(journal),
-        greeted: true,
-        left: false,
-        slot: id,
-        lease: None,
-        cases: 0,
-        lease_cases: 0,
-        leases_completed: 0,
-        live_rate: 0.0,
-        latest_metrics: None,
-        ewma_rate: 0.0,
-        straggler: false,
-        last_heard: now,
-        spawned_at: now,
-        eof: false,
+        child,
+        journal,
+        at: Instant::now(),
     })
 }
 
-/// A freshly accepted TCP connection: a worker-to-be until its `hello`.
-fn accepted_worker(link: Link) -> Worker {
-    let now = Instant::now();
-    Worker {
-        id: u32::MAX,
-        child: None,
-        link,
-        buf: Vec::new(),
-        journal: None,
-        greeted: false,
-        left: false,
-        slot: 0,
-        lease: None,
-        cases: 0,
-        lease_cases: 0,
-        leases_completed: 0,
-        live_rate: 0.0,
-        latest_metrics: None,
-        ewma_rate: 0.0,
-        straggler: false,
-        last_heard: now,
-        spawned_at: now,
-        eof: false,
-    }
+/// Mints the per-run fleet secret: 128 bits from the kernel's CSPRNG,
+/// hex-encoded.
+fn mint_secret() -> io::Result<String> {
+    let mut bytes = [0u8; 16];
+    std::fs::File::open("/dev/urandom")?.read_exact(&mut bytes)?;
+    Ok(bytes.iter().map(|b| format!("{b:02x}")).collect())
 }
 
 /// How a peer's stream stood after [`drain_frames`].
@@ -592,17 +614,22 @@ fn take_lines(buf: &mut Vec<u8>) -> Vec<String> {
     lines
 }
 
-/// The campaign-progress side of the fleet loop, separated from the
-/// fleet itself so an error path can still retire `live`.
+/// Everything the fleet loop tracks besides the live connections, kept
+/// outside the loop so an error path can still retire the fleet.
 struct FleetState {
     pending: VecDeque<u32>,
     done: BTreeSet<u32>,
     journals: Vec<PathBuf>,
-    /// Next spawn id (pipe transport); a resumed coordinator starts past
-    /// every id its checkpoint ever recorded.
-    spawn_seq: u32,
-    /// Join-order counter assigning TCP fleet slots.
-    greet_seq: u32,
+    /// The secret a `hello` must echo — set only when this coordinator
+    /// spawns its fleet.
+    secret: Option<String>,
+    /// Spawned children that have not said `hello` yet.
+    unjoined: Vec<Spawned>,
+    /// Next spawn id; a resumed coordinator starts past every id its
+    /// checkpoint ever recorded.
+    next_id: u64,
+    /// Join-order counter assigning fleet slots.
+    joins: u32,
     /// Completions recorded by *this incarnation* — what
     /// [`DistConfig::exit_after_completions`] counts.
     completions_recorded: u64,
@@ -860,10 +887,10 @@ fn build_metrics(stats: &DistStats, live: &[Worker], state: &FleetState) -> Stri
 ///
 /// # Errors
 ///
-/// Worker-spawn and journal I/O errors, protocol violations, checkpoint
-/// corruption, a pipe fleet that keeps dying until
-/// [`DistConfig::max_respawns`] is exhausted, and a TCP fleet empty for
-/// longer than [`DistConfig::accept_timeout`] with shards unfinished.
+/// Listener, worker-spawn and journal I/O errors, checkpoint corruption,
+/// a spawned fleet that keeps dying until [`DistConfig::max_respawns`]
+/// is exhausted, and a fleet empty for longer than
+/// [`DistConfig::accept_timeout`] with shards unfinished.
 pub fn run_distributed(
     config: &CampaignConfig,
     shards: u32,
@@ -887,8 +914,14 @@ pub fn run_distributed(
         pending: (0..shards).collect(),
         done: BTreeSet::new(),
         journals: Vec::new(),
-        spawn_seq: 0,
-        greet_seq: 0,
+        secret: if dist.worker_command.is_empty() {
+            None
+        } else {
+            Some(mint_secret()?)
+        },
+        unjoined: Vec::new(),
+        next_id: 0,
+        joins: 0,
         completions_recorded: 0,
     };
 
@@ -917,29 +950,23 @@ pub fn run_distributed(
             state.pending = pending;
             stats.leases_reissued += replayed.granted.len() as u64;
             state.journals = replayed.journals;
-            state.spawn_seq = replayed.next_worker_id;
+            state.next_id = replayed.next_worker_id;
             recorded_listen = replayed.listen;
         }
         checkpoint = Some(session);
     }
 
-    // TCP: bind the listener — on resume, the *recorded* address, so a
-    // fleet configured with port 0 still finds the restarted
-    // coordinator on the port it has been knocking on.
-    let listener = match &dist.transport {
-        Transport::Pipes => None,
-        Transport::Tcp { listen } => {
-            let addr = recorded_listen.clone().unwrap_or_else(|| listen.clone());
-            let bound = Listener::bind(&addr)
-                .map_err(|e| io::Error::new(e.kind(), format!("cannot listen on {addr}: {e}")))?;
-            if let Some(cp) = &checkpoint {
-                if recorded_listen.as_deref() != Some(bound.local_addr()) {
-                    cp.record_listen(bound.local_addr());
-                }
-            }
-            Some(bound)
+    // Bind the listener — on resume, the *recorded* address, so a fleet
+    // configured with port 0 still finds the restarted coordinator on
+    // the port it has been knocking on.
+    let addr = recorded_listen.as_deref().unwrap_or(&dist.listen);
+    let listener = Listener::bind(addr)
+        .map_err(|e| io::Error::new(e.kind(), format!("cannot listen on {addr}: {e}")))?;
+    if let Some(cp) = &checkpoint {
+        if recorded_listen.as_deref() != Some(listener.local_addr()) {
+            cp.record_listen(listener.local_addr());
         }
-    };
+    }
 
     // The scope plane: bound before the first lease so an observer can
     // watch the whole campaign. Failing to bind *is* an error (the user
@@ -973,11 +1000,14 @@ pub fn run_distributed(
         &mut live,
         &mut state,
         checkpoint.as_ref(),
-        listener.as_ref(),
+        &listener,
         &mut scope_ctx,
     ) {
-        // No worker connection outlives the campaign: kill and reap the
+        // No worker process outlives the campaign: kill and reap the
         // fleet before surfacing the error.
+        for mut spawned in state.unjoined.drain(..) {
+            spawned.kill();
+        }
         for worker in live.drain(..) {
             if worker.greeted {
                 stats.per_worker.push(worker.into_summary(false));
@@ -986,30 +1016,22 @@ pub fn run_distributed(
         return Err(e);
     }
 
-    // Shutdown. Pipes: closing stdin is the EOF signal. TCP: an explicit
-    // goodbye, so the worker's reconnect loop knows the campaign is over
-    // rather than the coordinator dead.
-    for mut worker in live {
-        let clean = if let Some(child) = &mut worker.child {
-            worker.link.close_input();
-            let deadline = Instant::now() + Duration::from_secs(10);
-            loop {
-                match child.try_wait() {
-                    Ok(Some(status)) => break status.success(),
-                    Err(_) => break false,
-                    Ok(None) if Instant::now() >= deadline => break false,
-                    Ok(None) => std::thread::sleep(Duration::from_millis(5)),
-                }
-            }
-        } else {
-            if !worker.greeted {
-                // A connection that never introduced itself: close it,
-                // no summary.
-                continue;
-            }
-            let farewell = Frame::Goodbye { worker: worker.id };
-            worker.link.send_line(&farewell.to_line()).is_ok()
-        };
+    // Shutdown: an explicit goodbye to every member, so its reconnect
+    // loop knows the campaign is over rather than the coordinator dead,
+    // and our own children exit on it. A child still starting up has
+    // nothing to say goodbye to, and a connection that never introduced
+    // itself is just closed.
+    for mut spawned in state.unjoined.drain(..) {
+        spawned.kill();
+    }
+    for mut worker in live.into_iter().filter(|w| w.greeted) {
+        let farewell = Frame::Goodbye { worker: worker.id };
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let clean = worker.link.send_line(&farewell.to_line()).is_ok()
+            && worker
+                .child
+                .as_mut()
+                .is_none_or(|child| exits_by(child, deadline));
         stats.per_worker.push(worker.into_summary(clean));
     }
     stats.per_worker.sort_by_key(|w| w.worker);
@@ -1088,14 +1110,50 @@ pub fn run_distributed(
     Ok(DistReport { result, stats })
 }
 
+/// Counts one worker death — `kind` is `eof`, `wedged` or `no-hello` —
+/// in the stats, the trace, the metrics and the SSE stream.
+fn note_death(stats: &mut DistStats, scope: &mut ScopeCtx, worker: u32, kind: &str) {
+    stats.worker_deaths += 1;
+    let name = if kind == "wedged" {
+        "worker.wedged"
+    } else {
+        "worker.death"
+    };
+    o4a_obs::trace::event("dist", name, &[("worker", u64::from(worker))]);
+    if o4a_obs::metrics_enabled() {
+        o4a_obs::metrics::counter("dist.worker_deaths").inc();
+    }
+    scope.emit(
+        "death",
+        vec![
+            ("worker", Json::U64(u64::from(worker))),
+            ("kind", Json::Str(kind.to_string())),
+        ],
+    );
+}
+
+/// Waits until `deadline` for `child` to exit; true for a successful
+/// exit.
+fn exits_by(child: &mut Child, deadline: Instant) -> bool {
+    loop {
+        match child.try_wait() {
+            Ok(Some(status)) => return status.success(),
+            Err(_) => return false,
+            Ok(None) if Instant::now() >= deadline => return false,
+            Ok(None) => std::thread::sleep(Duration::from_millis(5)),
+        }
+    }
+}
+
 /// How often the loop wakes with nothing but the listener registered —
 /// bounds how stale the zero-worker [`DistConfig::accept_timeout`]
 /// bookkeeping can get.
 const ACCEPT_TICK: Duration = Duration::from_millis(250);
 
 /// The lease loop: runs until every shard is done, or errors with the
-/// fleet in whatever state it reached — the caller owns `live` and must
-/// retire (kill + reap) whatever is left on either path.
+/// fleet in whatever state it reached — the caller owns `live` and
+/// `state.unjoined` and must retire (kill + reap) whatever is left on
+/// either path.
 #[allow(clippy::too_many_arguments)]
 fn drive_fleet(
     dist: &DistConfig,
@@ -1104,7 +1162,7 @@ fn drive_fleet(
     live: &mut Vec<Worker>,
     state: &mut FleetState,
     checkpoint: Option<&CheckpointSession>,
-    listener: Option<&Listener>,
+    listener: &Listener,
     scope: &mut ScopeCtx,
 ) -> io::Result<()> {
     let reactor = FdReactor::new();
@@ -1115,7 +1173,7 @@ fn drive_fleet(
     loop {
         // Retire leavers (clean), the dead, and wedged workers (no frame
         // within the deadline while holding a lease), re-queueing their
-        // leases. TCP connections that never said hello within the same
+        // leases. Connections that never said hello within the same
         // deadline are dropped without ceremony.
         let now = Instant::now();
         let mut i = 0;
@@ -1146,7 +1204,6 @@ fn drive_fleet(
                 }
                 scope.emit("goodbye", vec![("worker", Json::U64(u64::from(worker.id)))]);
             } else {
-                stats.worker_deaths += 1;
                 if wedged && !dead {
                     // The wedge-kill is the one retirement an operator
                     // will want to post-mortem: enumerate what the
@@ -1164,28 +1221,7 @@ fn drive_fleet(
                         worker.ewma_rate,
                     );
                 }
-                o4a_obs::trace::event(
-                    "dist",
-                    if dead {
-                        "worker.death"
-                    } else {
-                        "worker.wedged"
-                    },
-                    &[("worker", u64::from(worker.id))],
-                );
-                if o4a_obs::metrics_enabled() {
-                    o4a_obs::metrics::counter("dist.worker_deaths").inc();
-                }
-                scope.emit(
-                    "death",
-                    vec![
-                        ("worker", Json::U64(u64::from(worker.id))),
-                        (
-                            "kind",
-                            Json::Str(if dead { "eof" } else { "wedged" }.to_string()),
-                        ),
-                    ],
-                );
+                note_death(stats, scope, worker.id, if dead { "eof" } else { "wedged" });
             }
             // A lease whose shard a re-adopt already credited is
             // redundant — completed work is never re-queued.
@@ -1214,6 +1250,24 @@ fn drive_fleet(
             stats.per_worker.push(worker.into_summary(left));
         }
 
+        // Spawned children that exited, or stayed silent past the
+        // deadline, before their hello: killed and counted as deaths, so
+        // their replacements are charged to the respawn budget.
+        state.unjoined.retain_mut(|child| {
+            let exited = !matches!(child.child.try_wait(), Ok(None));
+            if !exited && now.duration_since(child.at) <= dist.heartbeat_timeout {
+                return true;
+            }
+            eprintln!(
+                "o4a-dist: worker {} {} before its hello",
+                child.id,
+                if exited { "exited" } else { "stayed silent" }
+            );
+            note_death(stats, scope, child.id, "no-hello");
+            child.kill();
+            false
+        });
+
         // Exit only once every live worker is idle too: a worker can
         // hold a lease whose shard a `re-adopt` completed out from under
         // it (redundant, deterministic). Waiting for its `done` lets the
@@ -1223,11 +1277,16 @@ fn drive_fleet(
             return Ok(());
         }
 
-        match listener {
-            // Pipes: top the fleet back up while unassigned work remains.
-            None => loop {
-                let idle = live.iter().filter(|w| w.lease.is_none()).count();
-                if idle >= state.pending.len() || live.len() >= dist.workers as usize {
+        // A spawning coordinator tops its fleet back up while unassigned
+        // work remains. Children count from their spawn, joined or not.
+        if let Some(secret) = state.secret.clone() {
+            loop {
+                let joined = live.iter().filter(|w| w.child.is_some());
+                let idle = joined.clone().filter(|w| w.lease.is_none()).count();
+                let strength = joined.count() + state.unjoined.len();
+                if idle + state.unjoined.len() >= state.pending.len()
+                    || strength >= dist.workers as usize
+                {
                     break;
                 }
                 if stats.workers_spawned >= dist.workers + dist.max_respawns {
@@ -1238,33 +1297,27 @@ fn drive_fleet(
                         shards
                     )));
                 }
-                let worker = spawn_worker(dist, state.spawn_seq)?;
-                state.track_journal(
-                    worker.id,
-                    worker.journal.clone().expect("pipe worker has a journal"),
-                    checkpoint,
-                );
-                state.spawn_seq += 1;
+                let id = u32::try_from(state.next_id)
+                    .map_err(|_| io::Error::other("worker ids exhausted"))?;
+                let child = spawn_worker(dist, id, listener.local_addr(), &secret)?;
+                state.track_journal(id, child.journal.clone(), checkpoint);
+                state.next_id += 1;
                 stats.workers_spawned += 1;
-                scope.emit("hello", vec![("worker", Json::U64(u64::from(worker.id)))]);
-                live.push(worker);
-            },
-            // TCP: membership is elastic — nobody to spawn, but a fleet
-            // that stays *empty* with work remaining is stranded.
-            Some(_) => {
-                if live.is_empty() {
-                    if fleet_nonempty_at.elapsed() > dist.accept_timeout {
-                        return Err(io::Error::other(format!(
-                            "no workers connected for {:?} with {} of {} shards unfinished",
-                            dist.accept_timeout,
-                            shards as usize - state.done.len(),
-                            shards
-                        )));
-                    }
-                } else {
-                    fleet_nonempty_at = Instant::now();
-                }
+                state.unjoined.push(child);
             }
+        }
+        // A fleet that stays *empty* with work remaining is stranded.
+        if live.is_empty() && state.unjoined.is_empty() {
+            if fleet_nonempty_at.elapsed() > dist.accept_timeout {
+                return Err(io::Error::other(format!(
+                    "no workers connected for {:?} with {} of {} shards unfinished",
+                    dist.accept_timeout,
+                    shards as usize - state.done.len(),
+                    shards
+                )));
+            }
+        } else {
+            fleet_nonempty_at = Instant::now();
         }
 
         // Grant: idle workers pull the queue front (work stealing), or —
@@ -1325,47 +1378,41 @@ fn drive_fleet(
             }
         }
 
-        // Wait for frames: every live read fd rides the poll(2) reactor —
-        // pipe stdouts and worker sockets alike — leased workers with
-        // their heartbeat deadline attached, pre-hello connections with
-        // their cull deadline, and the accept socket (whose POLLIN means
-        // a worker is joining) with a short tick so the zero-worker
-        // bookkeeping above stays fresh.
+        // Wait for frames: every worker socket rides the poll(2) reactor —
+        // leased workers with their heartbeat deadline attached, pre-hello
+        // connections with their cull deadline — and so does the accept
+        // socket (whose POLLIN means a worker is joining), with a short
+        // tick that also covers the deadlines of children still starting
+        // up, so the bookkeeping above stays fresh.
         let mut tokens = Vec::with_capacity(live.len() + 1);
         for worker in live.iter().filter(|w| !w.eof) {
             let deadline = (worker.lease.is_some() || !worker.greeted)
                 .then(|| worker.last_heard + dist.heartbeat_timeout);
             tokens.push(reactor.register(worker.fd(), Interest::Read, waker.clone(), deadline));
         }
-        if let Some(listener) = listener {
-            tokens.push(reactor.register(
-                listener.fd(),
-                Interest::Read,
-                waker.clone(),
-                Some(Instant::now() + ACCEPT_TICK),
-            ));
-        }
+        let tick = state
+            .unjoined
+            .iter()
+            .map(|child| child.at + dist.heartbeat_timeout)
+            .fold(Instant::now() + ACCEPT_TICK, Instant::min);
+        tokens.push(reactor.register(listener.fd(), Interest::Read, waker.clone(), Some(tick)));
         // The scope plane rides the same poll: its listener gets the
         // accept tick (which also keeps SSE flushes and straggler
         // sweeps timely), its clients their read/write readiness.
         if let Some(server) = scope.server.as_ref() {
             server.register(&reactor, &waker, ACCEPT_TICK, &mut tokens);
         }
-        if !tokens.is_empty() {
-            reactor.poll_io(None)?;
-        }
+        reactor.poll_io(None)?;
         for token in tokens {
             reactor.deregister(token);
         }
 
         // Accept joiners (every queued connect, not just one per wake).
-        if let Some(listener) = listener {
-            while let Some(stream) = listener.accept()? {
-                // A connection dead between accept and fcntl is dropped;
-                // the joiner will retry.
-                if let Ok(link) = Link::tcp(stream) {
-                    live.push(accepted_worker(link));
-                }
+        while let Some(stream) = listener.accept()? {
+            // A connection dead between accept and fcntl is dropped; the
+            // joiner will retry.
+            if let Ok(link) = Link::new(stream) {
+                live.push(Worker::accepted(link));
             }
         }
 
@@ -1414,25 +1461,52 @@ fn drive_fleet(
                     Ok(Frame::Hello {
                         worker: wid,
                         journal: path,
-                    })
-                    | Ok(Frame::JournalPath { worker: wid, path }) => {
-                        let announced = PathBuf::from(path);
+                        secret,
+                    }) => {
                         if !worker.greeted {
+                            if let Some(expected) = &state.secret {
+                                // A spawning coordinator admits its own
+                                // children only: the right secret, naming
+                                // a child still waiting to join.
+                                let child = state
+                                    .unjoined
+                                    .iter()
+                                    .position(|c| c.id == wid)
+                                    .filter(|_| secret.as_ref() == Some(expected));
+                                let Some(idx) = child else {
+                                    eprintln!(
+                                        "o4a-dist: refusing hello from worker {wid}: \
+                                         not a child of this coordinator"
+                                    );
+                                    if o4a_obs::metrics_enabled() {
+                                        o4a_obs::metrics::counter("dist.rejected_hellos").inc();
+                                    }
+                                    let refusal = Frame::Goodbye { worker: wid };
+                                    let _ = worker.link.send_line(&refusal.to_line());
+                                    worker.eof = true;
+                                    break;
+                                };
+                                let child = state.unjoined.swap_remove(idx);
+                                worker.child = Some(child.child);
+                                worker.spawned_at = child.at;
+                            } else {
+                                stats.workers_joined += 1;
+                                o4a_obs::trace::event(
+                                    "dist",
+                                    "worker.join",
+                                    &[("worker", u64::from(wid))],
+                                );
+                                if o4a_obs::metrics_enabled() {
+                                    o4a_obs::metrics::counter("dist.workers_joined").inc();
+                                }
+                            }
                             worker.id = wid;
                             worker.greeted = true;
-                            worker.slot = state.greet_seq;
-                            state.greet_seq += 1;
-                            stats.workers_joined += 1;
-                            o4a_obs::trace::event(
-                                "dist",
-                                "worker.join",
-                                &[("worker", u64::from(wid))],
-                            );
-                            if o4a_obs::metrics_enabled() {
-                                o4a_obs::metrics::counter("dist.workers_joined").inc();
-                            }
+                            worker.slot = state.joins;
+                            state.joins = state.joins.wrapping_add(1);
                             scope.emit("hello", vec![("worker", Json::U64(u64::from(wid)))]);
                         }
+                        let announced = PathBuf::from(path);
                         if worker.journal.as_ref() != Some(&announced) {
                             state.track_journal(worker.id, announced.clone(), checkpoint);
                             worker.journal = Some(announced);
@@ -1495,6 +1569,11 @@ fn drive_fleet(
                             scope.absorb(trace);
                         }
                     }
+                    // A redundant lease from an older coordinator
+                    // incarnation finishing late: deterministic, already
+                    // merged — ignore.
+                    Ok(Frame::Done { shard, .. })
+                        if worker.lease != Some(shard) && state.done.contains(&shard) => {}
                     Ok(Frame::Done {
                         shard,
                         cases,
@@ -1504,19 +1583,7 @@ fn drive_fleet(
                         cache,
                         trace,
                         coverage,
-                    }) => {
-                        if worker.lease != Some(shard) {
-                            if state.done.contains(&shard) {
-                                // A redundant lease from an older
-                                // coordinator incarnation finishing late:
-                                // deterministic, already merged — ignore.
-                                continue;
-                            }
-                            return Err(bad(format!(
-                                "worker {} completed shard {shard} it does not hold",
-                                worker.id
-                            )));
-                        }
+                    }) if worker.lease == Some(shard) => {
                         worker.lease = None;
                         worker.lease_cases = 0;
                         worker.leases_completed += 1;
@@ -1580,10 +1647,19 @@ fn drive_fleet(
                         }
                         exit_if_armed(dist, state);
                     }
-                    // A worker speaking garbage — or echoing frames only
-                    // the coordinator may send — is as trustworthy as a
-                    // dead one: retire it and re-issue its lease.
-                    Ok(Frame::Lease { .. }) | Err(_) => {
+                    // A worker speaking garbage, echoing frames only the
+                    // coordinator may send, or completing a shard it does
+                    // not hold is as trustworthy as a dead one: retire it
+                    // and re-issue its lease.
+                    Ok(Frame::Lease { .. }) | Ok(Frame::Done { .. }) | Err(_) => {
+                        eprintln!(
+                            "o4a-dist: dropping worker {}: rejected frame {}",
+                            worker.id,
+                            line.chars().take(120).collect::<String>()
+                        );
+                        if o4a_obs::metrics_enabled() {
+                            o4a_obs::metrics::counter("dist.rejected_frames").inc();
+                        }
                         worker.eof = true;
                         break;
                     }
@@ -1666,7 +1742,7 @@ mod tests {
             assert!(Instant::now() < deadline, "peer never connected");
             std::thread::sleep(Duration::from_millis(5));
         };
-        let mut link = Link::tcp(accepted).unwrap();
+        let mut link = Link::new(accepted).unwrap();
         let mut buf = Vec::new();
         let mut lines = Vec::new();
         loop {
@@ -1716,7 +1792,7 @@ mod tests {
         assert_eq!(cfg.workers, 3);
         assert_eq!(cfg.heartbeat_timeout, Duration::from_millis(1234));
         assert_eq!(cfg.max_respawns, 8);
-        assert_eq!(cfg.transport, Transport::Pipes);
+        assert_eq!(cfg.listen, "127.0.0.1:0");
         assert!(cfg.checkpoint.is_none());
         assert!(cfg.scope.is_none());
 
@@ -1732,7 +1808,10 @@ mod tests {
         assert_eq!(cfg.workers, 3);
         assert_eq!(cfg.heartbeat_timeout, Duration::from_secs(30));
         assert_eq!(cfg.max_respawns, 8);
-        assert_eq!(cfg.transport, Transport::Pipes);
+        assert_eq!(
+            cfg.listen, "127.0.0.1:0",
+            "blank O4A_DIST_LISTEN is ignored"
+        );
         assert!(cfg.checkpoint.is_none());
         assert!(cfg.scope.is_none(), "blank O4A_SCOPE stays dark");
 
@@ -1744,7 +1823,7 @@ mod tests {
         std::env::set_var("O4A_DIST_WORKERS", " 6 ");
         std::env::set_var("O4A_DIST_HEARTBEAT_MS", "250");
         std::env::set_var("O4A_DIST_MAX_RESPAWNS", "0");
-        std::env::set_var("O4A_DIST_LISTEN", " 127.0.0.1:0 ");
+        std::env::set_var("O4A_DIST_LISTEN", " 127.0.0.1:4747 ");
         std::env::set_var("O4A_CHECKPOINT", "/tmp/cp.jsonl");
         std::env::set_var("O4A_SCOPE", " 127.0.0.1:9090 ");
         let cfg = base().with_env_overrides();
@@ -1755,12 +1834,7 @@ mod tests {
             cfg.max_respawns, 0,
             "an explicit zero respawn budget is valid"
         );
-        assert_eq!(
-            cfg.transport,
-            Transport::Tcp {
-                listen: "127.0.0.1:0".into()
-            }
-        );
+        assert_eq!(cfg.listen, "127.0.0.1:4747");
         assert_eq!(
             cfg.checkpoint.as_deref(),
             Some(std::path::Path::new("/tmp/cp.jsonl"))

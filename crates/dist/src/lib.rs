@@ -1,24 +1,26 @@
 //! # o4a-dist
 //!
 //! The distributed campaign layer: a **coordinator** that owns the shard
-//! plan and a fleet of **workers** it drives over a pluggable transport
-//! — stdin/stdout pipes of processes it spawns (the default), or a TCP
-//! listener that workers join by connecting — using the same `poll(2)`
-//! reactor machinery the external-solver transport uses, one layer up
-//! the stack.
+//! plan and a fleet of **workers** it drives over one wire — a TCP
+//! listener every worker joins by connecting, whether the coordinator
+//! spawned it over loopback or it came on its own — using the same
+//! `poll(2)` reactor machinery the external-solver transport uses, one
+//! layer up the stack.
 //!
 //! * **Dynamic shard leases** — shards are granted one at a time to idle
 //!   workers ([`coordinator`]), so finished workers steal the long tail
 //!   instead of idling behind a static split (a
 //!   [`DistConfig::static_split`] knob exists purely to benchmark that
 //!   claim on heterogeneous fleets).
-//! * **A JSONL control protocol** — `lease` / `journal-path` /
-//!   `progress` / `done` frames plus the elastic-fleet trio `hello` /
-//!   `re-adopt` / `goodbye` ([`protocol`]), with per-worker heartbeat
-//!   deadlines riding the reactor's `poll(2)` timeout.
-//! * **Elastic TCP fleets** — workers join mid-campaign and immediately
+//! * **A JSONL control protocol** — `hello` / `lease` / `progress` /
+//!   `done` / `re-adopt` / `goodbye` frames ([`protocol`]), with
+//!   per-worker heartbeat deadlines riding the reactor's `poll(2)`
+//!   timeout.
+//! * **Elastic fleets** — workers join mid-campaign and immediately
 //!   pull leases, leave (or die) mid-lease and have them re-issued
-//!   ([`transport`]).
+//!   ([`transport`]). A coordinator with a worker command spawns its own
+//!   fleet as `<cmd> --connect <addr>`, keeps it at strength, and admits
+//!   only children that echo its per-run secret.
 //! * **A resumable coordinator** — with a [`DistConfig::checkpoint`],
 //!   lease state is journaled fsync-per-record ([`checkpoint`]); a
 //!   killed coordinator restarts, re-adopts reconnecting workers, and
@@ -71,7 +73,9 @@ pub mod worker;
 
 pub use checkpoint::{CheckpointSession, CheckpointState, CheckpointStore};
 pub use coordinator::{run_distributed, DistConfig, DistReport, DistStats, WorkerSummary};
-pub use protocol::{CacheCounters, CampaignPlan, CompletedLease, Frame, TraceBatch};
+pub use protocol::{
+    CacheCounters, CampaignPlan, CompletedLease, Frame, TraceBatch, FLEET_SECRET_ENV,
+};
 pub use scope::{ScopeServer, ScopeStatus, ScopeWorker};
-pub use transport::{connect_with_retry, Transport};
-pub use worker::{run_worker, run_worker_tcp, CrashInjection, WorkerConfig};
+pub use transport::connect_with_retry;
+pub use worker::{run_worker, CrashInjection, WorkerConfig};

@@ -1,18 +1,18 @@
 //! The JSONL control protocol between the coordinator and its workers.
 //!
-//! Frames ride the transport ([`crate::transport`]: stdin/stdout pipes
-//! or a TCP connection) one JSON object per line — the same framing the
-//! findings journal uses, so a torn line is always the *last* one.
+//! Frames ride a TCP connection ([`crate::transport`]) one JSON object
+//! per line — the same framing the findings journal uses, so a torn
+//! line is always the *last* one.
 //!
-//! The original pipe-era frames:
-//!
+//! * `hello` (worker → coordinator) — the first frame on **every**
+//!   connection: the worker's identity, its journal path, and — for a
+//!   worker the coordinator spawned — the per-run fleet secret it was
+//!   handed in [`FLEET_SECRET_ENV`]. A worker may connect at any point
+//!   of a running campaign — that is elastic scale-out.
 //! * `lease` (coordinator → worker) — grants shard `shard` of an
 //!   `N`-way campaign plan. The full plan rides in every frame
-//!   ([`CampaignPlan`]), so frames are stateless and a worker can join
-//!   mid-campaign (a respawn after a crash) with no handshake.
-//! * `journal-path` (worker → coordinator) — the pipe worker's first
-//!   frame: announces where its findings journal lives and doubles as
-//!   the liveness signal that the process came up.
+//!   ([`CampaignPlan`]), so frames are stateless and a worker joining
+//!   mid-campaign needs no handshake beyond its `hello`.
 //! * `progress` (worker → coordinator) — heartbeat while a lease runs:
 //!   cases generated so far, live throughput, and (when `O4A_METRICS`
 //!   is on in the worker) a cumulative metrics snapshot. Its absence
@@ -22,13 +22,6 @@
 //!   strictly **after** the shard's `shard_done` record is fsync'd into
 //!   the worker's journal — the ordering that lets the coordinator
 //!   treat a `done` frame as proof the merge will find the shard.
-//!
-//! The elastic-fleet frames (TCP transport):
-//!
-//! * `hello` (worker → coordinator) — the first frame on **every** TCP
-//!   connection: the worker's identity and journal path (the TCP
-//!   counterpart of `journal-path`). A worker may connect at any point
-//!   of a running campaign — that is elastic scale-out.
 //! * `re-adopt` (worker → coordinator) — sent right after `hello` on a
 //!   *re*-connection: the leases this worker process completed whose
 //!   `done` frames may have been lost with the previous connection
@@ -37,14 +30,9 @@
 //!   completion the coordinator already knows is a no-op.
 //! * `goodbye` — worker → coordinator: the worker is leaving the fleet
 //!   voluntarily (elastic scale-in; a held lease goes back to the
-//!   queue). Coordinator → worker: the campaign is complete — exit
-//!   instead of treating the connection loss as a coordinator death
-//!   and reconnecting.
-//!
-//! Over pipes there is still no shutdown frame: the coordinator closes
-//! the worker's stdin, and the worker exits on EOF. Over TCP a closed
-//! connection is ambiguous (death or completion), which is what
-//! `goodbye` disambiguates.
+//!   queue). Coordinator → worker: the campaign is complete, or this
+//!   connection is refused — exit instead of treating the connection
+//!   loss as a coordinator death and reconnecting.
 
 use o4a_core::CampaignConfig;
 use o4a_exec::json::{obj, parse, Json};
@@ -64,6 +52,11 @@ use std::io;
 /// `dist.rejected_frames`), so a peer that never sends a newline cannot
 /// grow the coordinator's memory without bound.
 pub const MAX_FRAME_BYTES: usize = 32 << 20;
+
+/// The environment variable through which a spawning coordinator hands
+/// each child the per-run fleet secret (the environment, not argv,
+/// because `ps` shows argv). The worker echoes it in its `hello`.
+pub const FLEET_SECRET_ENV: &str = "O4A_DIST_SECRET";
 
 fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
@@ -159,14 +152,14 @@ impl CampaignPlan {
         }
         Ok(CampaignPlan {
             config: CampaignConfig {
-                virtual_hours: u64_field(json, "virtual_hours")? as u32,
+                virtual_hours: u32_field(json, "virtual_hours")?,
                 time_scale: u64_field(json, "time_scale")?,
                 solvers,
                 engine,
                 seed: u64_field(json, "seed")?,
                 max_cases: u64_field(json, "max_cases")? as usize,
             },
-            shards: u64_field(json, "shards")? as u32,
+            shards: u32_field(json, "shards")?,
         })
     }
 }
@@ -187,14 +180,6 @@ pub enum Frame {
         /// to the pre-scope protocol; workers with tracing disabled
         /// ignore it (they have nothing buffered to send).
         trace: bool,
-    },
-    /// Worker → coordinator: startup announcement of the worker's
-    /// findings-journal location.
-    JournalPath {
-        /// The worker's id (as passed on its command line).
-        worker: u32,
-        /// Absolute or coordinator-relative journal path.
-        path: String,
     },
     /// Worker → coordinator: heartbeat during a lease.
     Progress {
@@ -248,13 +233,17 @@ pub enum Frame {
         /// scope-off frames stay byte-identical.
         coverage: BTreeMap<String, f64>,
     },
-    /// Worker → coordinator: the first frame on every TCP connection —
-    /// identity plus journal location (the TCP `journal-path`).
+    /// Worker → coordinator: the first frame on every connection —
+    /// identity plus journal location.
     Hello {
         /// The worker's id (as passed on its command line).
         worker: u32,
         /// Absolute or coordinator-relative journal path.
         journal: String,
+        /// The fleet secret from [`FLEET_SECRET_ENV`], present only for
+        /// a worker whose coordinator spawned it. Absent on the wire
+        /// when unset, so joiners' frames stay byte-identical.
+        secret: Option<String>,
     },
     /// Worker → coordinator, after `hello` on a re-connection: every
     /// lease this worker process has completed (fsync'd `shard_done` in
@@ -405,11 +394,6 @@ impl Frame {
                 }
                 obj(fields)
             }
-            Frame::JournalPath { worker, path } => obj(vec![
-                ("t", Json::Str("journal-path".into())),
-                ("worker", Json::U64(*worker as u64)),
-                ("path", Json::Str(path.clone())),
-            ]),
             Frame::Progress {
                 shard,
                 cases,
@@ -470,11 +454,21 @@ impl Frame {
                 }
                 obj(fields)
             }
-            Frame::Hello { worker, journal } => obj(vec![
-                ("t", Json::Str("hello".into())),
-                ("worker", Json::U64(*worker as u64)),
-                ("journal", Json::Str(journal.clone())),
-            ]),
+            Frame::Hello {
+                worker,
+                journal,
+                secret,
+            } => {
+                let mut fields = vec![
+                    ("t", Json::Str("hello".into())),
+                    ("worker", Json::U64(*worker as u64)),
+                    ("journal", Json::Str(journal.clone())),
+                ];
+                if let Some(secret) = secret {
+                    fields.push(("secret", Json::Str(secret.clone())));
+                }
+                obj(fields)
+            }
             Frame::ReAdopt { worker, completed } => obj(vec![
                 ("t", Json::Str("re-adopt".into())),
                 ("worker", Json::U64(*worker as u64)),
@@ -515,23 +509,15 @@ impl Frame {
             .ok_or_else(|| bad("frame without a 't' tag"))?;
         match tag {
             "lease" => Ok(Frame::Lease {
-                shard: u64_field(&json, "shard")? as u32,
+                shard: u32_field(&json, "shard")?,
                 plan: CampaignPlan::from_json(
                     json.get("campaign")
                         .ok_or_else(|| bad("missing campaign"))?,
                 )?,
                 trace: matches!(json.get("trace"), Some(Json::Bool(true))),
             }),
-            "journal-path" => Ok(Frame::JournalPath {
-                worker: u64_field(&json, "worker")? as u32,
-                path: json
-                    .get("path")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| bad("missing path"))?
-                    .to_string(),
-            }),
             "progress" => Ok(Frame::Progress {
-                shard: u64_field(&json, "shard")? as u32,
+                shard: u32_field(&json, "shard")?,
                 cases: u64_field(&json, "cases")?,
                 cases_per_sec: f64_field_or_zero(&json, "cps"),
                 metrics: metrics_field(&json)?,
@@ -539,7 +525,7 @@ impl Frame {
                 trace: trace_field(&json)?,
             }),
             "done" => Ok(Frame::Done {
-                shard: u64_field(&json, "shard")? as u32,
+                shard: u32_field(&json, "shard")?,
                 cases: u64_field(&json, "cases")?,
                 findings: u64_field(&json, "findings")?,
                 cases_per_sec: f64_field_or_zero(&json, "cps"),
@@ -549,12 +535,16 @@ impl Frame {
                 coverage: coverage_field(&json)?,
             }),
             "hello" => Ok(Frame::Hello {
-                worker: u64_field(&json, "worker")? as u32,
+                worker: u32_field(&json, "worker")?,
                 journal: json
                     .get("journal")
                     .and_then(Json::as_str)
                     .ok_or_else(|| bad("missing journal"))?
                     .to_string(),
+                secret: match json.get("secret") {
+                    None | Some(Json::Null) => None,
+                    Some(v) => Some(v.as_str().ok_or_else(|| bad("bad secret"))?.to_string()),
+                },
             }),
             "re-adopt" => {
                 let mut completed = Vec::new();
@@ -573,18 +563,19 @@ impl Frame {
                             .ok_or_else(|| bad(format!("bad completed {what}")))
                     };
                     completed.push(CompletedLease {
-                        shard: field(0, "shard")? as u32,
+                        shard: u32::try_from(field(0, "shard")?)
+                            .map_err(|_| bad("completed shard out of range"))?,
                         cases: field(1, "cases")?,
                         findings: field(2, "findings")?,
                     });
                 }
                 Ok(Frame::ReAdopt {
-                    worker: u64_field(&json, "worker")? as u32,
+                    worker: u32_field(&json, "worker")?,
                     completed,
                 })
             }
             "goodbye" => Ok(Frame::Goodbye {
-                worker: u64_field(&json, "worker")? as u32,
+                worker: u32_field(&json, "worker")?,
             }),
             other => Err(bad(format!("unknown frame '{other}'"))),
         }
@@ -595,6 +586,13 @@ fn u64_field(json: &Json, key: &str) -> io::Result<u64> {
     json.get(key)
         .and_then(Json::as_u64)
         .ok_or_else(|| bad(format!("missing integer field '{key}'")))
+}
+
+/// A worker id or shard index: a `u32` on the wire too — a larger value
+/// is malformed, never silently truncated onto some other id.
+fn u32_field(json: &Json, key: &str) -> io::Result<u32> {
+    u32::try_from(u64_field(json, key)?)
+        .map_err(|_| bad(format!("integer field '{key}' exceeds u32")))
 }
 
 /// Observability fields are additions to a live protocol: a frame
@@ -724,10 +722,6 @@ mod tests {
                 plan: plan(),
                 trace: true,
             },
-            Frame::JournalPath {
-                worker: 2,
-                path: "/tmp/worker-2.jsonl".into(),
-            },
             Frame::Progress {
                 shard: 3,
                 cases: 40,
@@ -765,6 +759,12 @@ mod tests {
             Frame::Hello {
                 worker: 7,
                 journal: "/tmp/worker-7.jsonl".into(),
+                secret: None,
+            },
+            Frame::Hello {
+                worker: 2,
+                journal: "/tmp/worker-2.jsonl".into(),
+                secret: Some("00ff".repeat(8)),
             },
             Frame::ReAdopt {
                 worker: 7,
@@ -808,6 +808,49 @@ mod tests {
             "completed entries must be [shard, cases, findings] triples"
         );
         assert!(Frame::from_line("{\"t\":\"goodbye\"}").is_err());
+        assert!(
+            Frame::from_line("{\"journal\":\"j\",\"secret\":7,\"t\":\"hello\",\"worker\":1}")
+                .is_err(),
+            "a present secret must be a string"
+        );
+    }
+
+    /// A joiner's `hello` carries no `secret` key at all, so its bytes
+    /// are exactly what they were before spawned workers had one.
+    #[test]
+    fn hello_without_a_secret_keeps_its_old_bytes() {
+        let hello = Frame::Hello {
+            worker: 3,
+            journal: "/tmp/w3.jsonl".into(),
+            secret: None,
+        };
+        assert_eq!(
+            hello.to_line(),
+            "{\"journal\":\"/tmp/w3.jsonl\",\"t\":\"hello\",\"worker\":3}"
+        );
+    }
+
+    /// Ids and shard indices above `u32::MAX` are malformed frames, not
+    /// silently truncated onto a different worker or shard.
+    #[test]
+    fn out_of_range_ids_are_refused() {
+        let max = "{\"journal\":\"j\",\"t\":\"hello\",\"worker\":4294967295}";
+        assert!(matches!(
+            Frame::from_line(max).unwrap(),
+            Frame::Hello {
+                worker: u32::MAX,
+                ..
+            }
+        ));
+        for line in [
+            "{\"journal\":\"j\",\"t\":\"hello\",\"worker\":4294967296}",
+            "{\"t\":\"goodbye\",\"worker\":4294967296}",
+            "{\"cases\":1,\"shard\":4294967296,\"t\":\"progress\"}",
+            "{\"cases\":1,\"findings\":0,\"shard\":4294967296,\"t\":\"done\"}",
+            "{\"completed\":[[4294967296,1,0]],\"t\":\"re-adopt\",\"worker\":1}",
+        ] {
+            assert!(Frame::from_line(line).is_err(), "accepted {line}");
+        }
     }
 
     /// Frames from a worker predating the observability fields still

@@ -2,7 +2,7 @@
 //!
 //! A read-only HTTP/1.1 + SSE status server that rides the same
 //! `poll(2)` reactor as the fleet itself — no thread, no runtime, no
-//! extra wakeups beyond the accept tick the TCP listener already pays.
+//! extra wakeups beyond the accept tick the fleet listener already pays.
 //! Three endpoints:
 //!
 //! * `GET /status` — one JSON snapshot of the fleet ([`ScopeStatus`]):
@@ -30,7 +30,7 @@ use o4a_exec::json::{obj, parse, Json};
 use o4a_executor::{flush_outbuf, read_available, set_nonblocking, FdReactor, Interest};
 use o4a_obs::serve::{http_response, parse_request, sse_event, sse_preamble, MAX_REQUEST_BYTES};
 use std::collections::BTreeMap;
-use std::io;
+use std::io::{self, Read};
 use std::net::TcpStream;
 use std::os::unix::io::AsRawFd;
 use std::task::Waker;
@@ -55,6 +55,55 @@ struct ScopeClient {
     done_reading: bool,
     /// The peer closed its side (EOF) — an SSE subscriber hanging up.
     peer_closed: bool,
+}
+
+impl ScopeClient {
+    fn new(stream: TcpStream) -> ScopeClient {
+        ScopeClient {
+            stream,
+            inbuf: Vec::new(),
+            outbuf: Vec::new(),
+            sse: false,
+            closing: false,
+            done_reading: false,
+            peer_closed: false,
+        }
+    }
+
+    /// Reads what the peer sent — at most one byte past the request cap
+    /// per pass, so a flooding client cannot grow `inbuf` further. An SSE
+    /// subscriber's input is read the same way, then discarded.
+    fn read_pass(&mut self) {
+        loop {
+            let room = (MAX_REQUEST_BYTES + 1).saturating_sub(self.inbuf.len());
+            if room == 0 {
+                break;
+            }
+            let mut bounded = (&mut self.stream).take(room as u64);
+            match read_available(&mut bounded, &mut self.inbuf) {
+                Ok(Some(0)) => {
+                    self.peer_closed = true;
+                    // EOF before a full request: nothing to answer,
+                    // close once any backlog drains.
+                    if !self.done_reading && !self.closing {
+                        self.closing = true;
+                    }
+                    break;
+                }
+                Ok(Some(_)) => continue,
+                Ok(None) => break,
+                Err(_) => {
+                    self.peer_closed = true;
+                    self.closing = true;
+                    self.outbuf.clear();
+                    break;
+                }
+            }
+        }
+        if self.done_reading {
+            self.inbuf.clear();
+        }
+    }
 }
 
 /// The status plane: a non-blocking listener plus its observer
@@ -130,59 +179,18 @@ impl ScopeServer {
             if set_nonblocking(stream.as_raw_fd()).is_err() {
                 continue;
             }
-            self.clients.push(ScopeClient {
-                stream,
-                inbuf: Vec::new(),
-                outbuf: Vec::new(),
-                sse: false,
-                closing: false,
-                done_reading: false,
-                peer_closed: false,
-            });
+            self.clients.push(ScopeClient::new(stream));
         }
         let mut status_body: Option<String> = None;
         let mut metrics_body: Option<String> = None;
         for client in &mut self.clients {
             if !client.peer_closed {
-                loop {
-                    match read_available(&mut client.stream, &mut client.inbuf) {
-                        Ok(Some(0)) => {
-                            client.peer_closed = true;
-                            // EOF before a full request: nothing to
-                            // answer, close once any backlog drains.
-                            if !client.done_reading && !client.closing {
-                                client.closing = true;
-                            }
-                            break;
-                        }
-                        Ok(Some(_)) => continue,
-                        Ok(None) => break,
-                        Err(_) => {
-                            client.peer_closed = true;
-                            client.closing = true;
-                            client.outbuf.clear();
-                            break;
-                        }
-                    }
-                }
-                if client.done_reading {
-                    client.inbuf.clear();
-                }
+                client.read_pass();
             }
             if !client.done_reading && !client.peer_closed && !client.closing {
+                // Past the cap `parse_request` answers `Some(Err)`: 400.
                 match parse_request(&client.inbuf) {
-                    None => {
-                        if client.inbuf.len() > MAX_REQUEST_BYTES {
-                            client.outbuf = http_response(
-                                431,
-                                "Request Header Fields Too Large",
-                                "text/plain",
-                                "request too large\n",
-                            );
-                            client.closing = true;
-                            client.done_reading = true;
-                        }
-                    }
+                    None => {}
                     Some(Err(_)) => {
                         client.outbuf =
                             http_response(400, "Bad Request", "text/plain", "bad request\n");
@@ -279,7 +287,8 @@ impl ScopeServer {
 /// One live worker's row in [`ScopeStatus`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct ScopeWorker {
-    /// Worker id (spawn sequence over pipes, self-reported over TCP).
+    /// Worker id (spawn sequence for a spawned worker, self-reported for
+    /// a joined one).
     pub worker: u32,
     /// The shard it currently holds, if any.
     pub lease: Option<u32>,
@@ -315,7 +324,7 @@ pub struct ScopeStatus {
     pub shards_done: u32,
     /// Shards still queued (granted-but-running shards are neither).
     pub shards_pending: u32,
-    /// Worker processes spawned (pipe transport).
+    /// Worker processes spawned by the coordinator.
     pub workers_spawned: u32,
     /// Workers that died or were killed as wedged.
     pub worker_deaths: u32,
@@ -323,9 +332,9 @@ pub struct ScopeStatus {
     pub leases_granted: u64,
     /// Leases re-issued after death/churn.
     pub leases_reissued: u64,
-    /// TCP `hello` handshakes.
+    /// `hello` handshakes from workers that joined on their own.
     pub workers_joined: u64,
-    /// TCP `re-adopt` handshakes honoured.
+    /// `re-adopt` handshakes honoured.
     pub workers_readopted: u64,
     /// Voluntary `goodbye`s.
     pub workers_left: u64,
@@ -728,5 +737,66 @@ mod tests {
         drop(client);
         serve_until(service_default, &mut server, 20);
         assert_eq!(server.client_count(), 0, "hung-up subscriber retired");
+    }
+
+    /// A client streaming a megabyte with no blank line: its buffer never
+    /// holds more than one byte past the cap, however much is waiting on
+    /// the socket, and the server answers it 400.
+    #[test]
+    fn flooding_client_is_refused_at_the_request_cap() {
+        let flood = |addr: String| {
+            std::thread::spawn(move || {
+                let mut client = TcpStream::connect(&addr).expect("connect");
+                let chunk = vec![b'a'; 64 * 1024];
+                for _ in 0..16 {
+                    if client.write_all(&chunk).is_err() {
+                        break; // the server answered and hung up
+                    }
+                }
+                client
+                    .set_read_timeout(Some(Duration::from_secs(10)))
+                    .unwrap();
+                read_to_end_lossy(&mut client)
+            })
+        };
+
+        // One client, read pass by pass.
+        let server = ScopeServer::bind("127.0.0.1:0").expect("bind");
+        let flooder = flood(server.local_addr().to_string());
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let stream = loop {
+            if let Some(stream) = server.listener.accept().unwrap() {
+                break stream;
+            }
+            assert!(Instant::now() < deadline, "flooder never connected");
+            std::thread::sleep(Duration::from_millis(5));
+        };
+        set_nonblocking(stream.as_raw_fd()).unwrap();
+        let mut client = ScopeClient::new(stream);
+        while client.inbuf.len() <= MAX_REQUEST_BYTES {
+            // Let the socket fill well past the cap before each pass.
+            std::thread::sleep(Duration::from_millis(20));
+            client.read_pass();
+            assert!(
+                client.inbuf.len() <= MAX_REQUEST_BYTES + 1,
+                "inbuf grew to {} bytes",
+                client.inbuf.len()
+            );
+            assert!(Instant::now() < deadline, "the flood never arrived");
+        }
+        assert!(matches!(parse_request(&client.inbuf), Some(Err(_))));
+        drop(client);
+        flooder.join().unwrap();
+
+        // The same flood against the whole service: a 400.
+        let mut server = ScopeServer::bind("127.0.0.1:0").expect("bind");
+        let flooder = flood(server.local_addr().to_string());
+        while !flooder.is_finished() {
+            service_default(&mut server);
+            assert!(Instant::now() < deadline, "flooding client never answered");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let reply = flooder.join().unwrap();
+        assert!(reply.starts_with("HTTP/1.1 400 Bad Request\r\n"), "{reply}");
     }
 }

@@ -1,79 +1,49 @@
-//! The pluggable wire between the coordinator and its workers.
+//! The one wire between the coordinator and its workers: TCP.
 //!
-//! The control protocol ([`crate::protocol`]) is transport-agnostic
-//! JSONL; this module supplies the two wires it rides:
+//! The control protocol ([`crate::protocol`]) is JSONL; this module
+//! carries it over sockets. The coordinator always binds a listener and
+//! every worker *joins* by connecting (`dist_worker --connect
+//! host:port`) — the ones it spawned itself over loopback, and any it
+//! did not. Membership is elastic: a worker may connect mid-campaign
+//! and immediately pull the next lease, or leave and have its lease
+//! re-issued. Shutdown is an explicit `goodbye` frame, because a closed
+//! socket alone cannot tell "campaign complete" from "coordinator
+//! died".
 //!
-//! * **Pipes** (the default): the coordinator spawns each worker and
-//!   speaks over its stdin/stdout. Fleet membership is whatever the
-//!   coordinator spawned; shutdown is closing stdin.
-//! * **TCP**: the coordinator binds a listener and workers *join* by
-//!   connecting (`dist_worker --connect host:port`). Membership is
-//!   elastic — a worker may connect mid-campaign and immediately pull
-//!   the next lease, or leave and have its lease re-issued. Shutdown is
-//!   an explicit `goodbye` frame, because a closed socket alone cannot
-//!   tell "campaign complete" from "coordinator died".
-//!
-//! Both wires end up as one [`Link`] per worker on the coordinator:
-//! a readable fd that rides the `o4a-executor` `poll(2)` reactor
-//! (pipe stdout or socket — the reactor does not care) plus a
-//! line-oriented send path. Socket reads are non-blocking like pipe
-//! reads; socket *writes* poll for writability with a deadline, since a
-//! peer that keeps its receive window shut for seconds while being sent
-//! a few hundred bytes of frame is as dead as a closed pipe.
+//! Each worker is one [`Link`] on the coordinator: a non-blocking socket
+//! whose fd rides the `o4a-executor` `poll(2)` reactor plus a
+//! line-oriented send path. Socket *writes* poll for writability with a
+//! deadline, since a peer that keeps its receive window shut for
+//! seconds while being sent a few hundred bytes of frame is as dead as
+//! a closed one.
 
 use o4a_executor::{read_available, set_nonblocking, write_available};
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::{AsRawFd, RawFd};
-use std::process::{ChildStdin, ChildStdout};
 use std::time::{Duration, Instant};
 
-/// How the coordinator reaches its fleet.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub enum Transport {
-    /// Spawn workers locally and speak over stdin/stdout pipes.
-    #[default]
-    Pipes,
-    /// Bind a TCP listener and let workers join by connecting.
-    Tcp {
-        /// The address to listen on, e.g. `127.0.0.1:0` (port 0 picks a
-        /// free port; [`crate::run_distributed`] records the actual one
-        /// in the checkpoint so a resumed coordinator reuses it).
-        listen: String,
-    },
-}
-
 /// A socket write that cannot complete within this window means the
-/// peer stopped reading frames entirely — treat it like a broken pipe.
+/// peer stopped reading frames entirely — treat it like a dead peer.
 const SEND_DEADLINE: Duration = Duration::from_secs(10);
 
-/// Coordinator-side connection to one worker: the pipe pair of a
-/// spawned child, or an accepted socket.
-pub(crate) enum Link {
-    /// stdin/stdout of a coordinator-spawned worker. `stdin` becomes
-    /// `None` once closed for the EOF shutdown signal.
-    Pipe {
-        stdin: Option<ChildStdin>,
-        stdout: ChildStdout,
-    },
-    /// An accepted worker connection (non-blocking).
-    Tcp { stream: TcpStream },
+/// Coordinator-side connection to one worker: an accepted socket,
+/// switched to non-blocking.
+pub(crate) struct Link {
+    stream: TcpStream,
 }
 
 impl Link {
     /// Wraps an accepted socket, switching it to non-blocking so it can
-    /// ride the reactor like a pipe stdout.
-    pub(crate) fn tcp(stream: TcpStream) -> io::Result<Link> {
+    /// ride the reactor.
+    pub(crate) fn new(stream: TcpStream) -> io::Result<Link> {
         set_nonblocking(stream.as_raw_fd())?;
-        Ok(Link::Tcp { stream })
+        Ok(Link { stream })
     }
 
     /// The fd whose read-readiness the reactor polls.
     pub(crate) fn read_fd(&self) -> RawFd {
-        match self {
-            Link::Pipe { stdout, .. } => stdout.as_raw_fd(),
-            Link::Tcp { stream } => stream.as_raw_fd(),
-        }
+        self.stream.as_raw_fd()
     }
 
     /// Drains up to `limit` bytes of whatever the worker has sent (see
@@ -85,37 +55,14 @@ impl Link {
         buf: &mut Vec<u8>,
         limit: usize,
     ) -> io::Result<Option<usize>> {
-        let limit = limit as u64;
-        match self {
-            Link::Pipe { stdout, .. } => read_available(&mut stdout.take(limit), buf),
-            Link::Tcp { stream } => read_available(&mut stream.take(limit), buf),
-        }
+        read_available(&mut (&mut self.stream).take(limit as u64), buf)
     }
 
-    /// Sends one protocol line (newline appended). Pipe writes block in
-    /// the kernel as before; socket writes retry up to [`SEND_DEADLINE`].
+    /// Sends one protocol line (newline appended), retrying a full send
+    /// buffer up to [`SEND_DEADLINE`].
     pub(crate) fn send_line(&mut self, line: &str) -> io::Result<()> {
-        match self {
-            Link::Pipe { stdin, .. } => {
-                let stdin = stdin.as_mut().ok_or_else(|| {
-                    io::Error::new(io::ErrorKind::BrokenPipe, "worker stdin already closed")
-                })?;
-                writeln!(stdin, "{line}")?;
-                stdin.flush()
-            }
-            Link::Tcp { stream } => {
-                let bytes = format!("{line}\n");
-                send_all(stream, bytes.as_bytes())
-            }
-        }
-    }
-
-    /// The pipe shutdown signal: close the worker's stdin so it exits
-    /// on EOF. No-op for sockets (they get a `goodbye` frame instead).
-    pub(crate) fn close_input(&mut self) {
-        if let Link::Pipe { stdin, .. } = self {
-            drop(stdin.take());
-        }
+        let bytes = format!("{line}\n");
+        send_all(&mut self.stream, bytes.as_bytes())
     }
 }
 
@@ -220,7 +167,7 @@ pub fn connect_with_retry(addr: &str, window: Duration) -> io::Result<TcpStream>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{BufRead, BufReader};
+    use std::io::{BufRead, BufReader, Write};
 
     #[test]
     fn listener_resolves_port_zero_and_accepts() {
@@ -258,7 +205,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         };
 
-        let mut link = Link::tcp(accepted).unwrap();
+        let mut link = Link::new(accepted).unwrap();
         link.send_line("{\"t\":\"goodbye\",\"worker\":1}").unwrap();
         let mut reader = BufReader::new(client);
         let mut line = String::new();

@@ -1,21 +1,21 @@
 //! The worker side of a distributed campaign: a lease-execution loop
-//! around [`o4a_exec::run_shard_lease`], over pipes or TCP.
+//! around [`o4a_exec::run_shard_lease`], over one TCP connection to the
+//! coordinator.
 //!
-//! A worker process announces its findings journal, then serves leases
-//! until told to stop: each `lease` frame names one shard of the
-//! campaign plan, the worker runs it with the repo's standard shard
-//! engine (every finding fsync'd into the worker's own journal the
-//! moment it is recorded), and the `done` frame goes out only **after**
-//! the shard's completion record is durable. Heartbeat `progress`
-//! frames flow while the shard runs so the coordinator's per-worker
-//! deadline can tell a slow worker from a wedged one.
+//! A worker process *connects* to the coordinator, introduces itself
+//! with `hello` (its id, its findings journal, and the fleet secret if
+//! the coordinator spawned it), then serves leases until told to stop:
+//! each `lease` frame names one shard of the campaign plan, the worker
+//! runs it with the repo's standard shard engine (every finding fsync'd
+//! into the worker's own journal the moment it is recorded), and the
+//! `done` frame goes out only **after** the shard's completion record
+//! is durable. Heartbeat `progress` frames flow while the shard runs so
+//! the coordinator's per-worker deadline can tell a slow worker from a
+//! wedged one.
 //!
-//! Over pipes ([`run_worker`]) the transport is stdin/stdout and EOF is
-//! the shutdown signal. Over TCP ([`run_worker_tcp`]) the worker
-//! *connects* to the coordinator, introduces itself with `hello`, and
-//! treats a dropped connection as a coordinator outage: it finishes any
-//! lease in flight (heartbeat writes fail silently — by design), then
-//! reconnects and replays its completed-lease list in a `re-adopt`
+//! A dropped connection is a coordinator outage: the worker finishes
+//! any lease in flight (heartbeat writes fail silently — by design),
+//! then reconnects and replays its completed-lease list in a `re-adopt`
 //! frame so a **restarted** coordinator can credit work finished during
 //! the outage. Only an explicit `goodbye` ends the loop.
 //!
@@ -27,7 +27,7 @@
 //! finds the token and runs to completion, which is exactly the
 //! kill-mid-lease scenario the merge must absorb losslessly.
 
-use crate::protocol::{CacheCounters, CompletedLease, Frame, TraceBatch};
+use crate::protocol::{CacheCounters, CompletedLease, Frame, TraceBatch, FLEET_SECRET_ENV};
 use crate::transport::connect_with_retry;
 use o4a_core::{Fuzzer, TestCase};
 use o4a_exec::json::Json;
@@ -74,10 +74,10 @@ pub struct WorkerConfig {
     /// The findings journal this worker appends to. Unique per worker
     /// *process* — a respawned worker gets a fresh journal, so a crashed
     /// predecessor's torn tail can never sit in the middle of a live
-    /// file. (One TCP worker keeps one journal across reconnects: same
+    /// file. (One worker keeps one journal across reconnects: same
     /// process, same `StoreSession`.)
     pub journal: PathBuf,
-    /// Worker id, echoed in the `journal-path`/`hello` frames.
+    /// Worker id, echoed in the `hello` frame.
     pub worker_id: u32,
     /// Cases between `progress` heartbeats.
     pub progress_every: u64,
@@ -213,8 +213,7 @@ impl<W: Write> Fuzzer for Instrumented<'_, W> {
         self.cases += 1;
         if self.cases.is_multiple_of(self.every) {
             // Heartbeat only; a failed write means the coordinator is
-            // gone — over pipes the worker will exit on stdin EOF
-            // shortly, over TCP it finishes the lease and reconnects.
+            // gone — the worker finishes the lease and reconnects.
             // The lease's cache counters live in the shard stats, which
             // only exist once the lease completes — heartbeats carry the
             // zero trio (omitted on the wire), the `done` frame the real
@@ -382,83 +381,7 @@ where
     }
 }
 
-/// Runs the pipe worker loop: announce the journal, serve leases from
-/// `input` until EOF (or a `goodbye`), emit `progress`/`done` frames on
-/// `output`. `factory(shard)` builds the fuzzer for each lease — it
-/// must be the same factory every worker of the campaign uses, or shard
-/// results stop being a pure function of the plan.
-///
-/// # Errors
-///
-/// Protocol violations (malformed frames, a lease from a different
-/// campaign than the first one, frames only workers may send) and
-/// journal I/O errors.
-pub fn run_worker<F>(
-    factory: F,
-    cfg: &WorkerConfig,
-    input: impl BufRead,
-    mut output: impl Write,
-) -> io::Result<()>
-where
-    F: Fn(u32) -> Box<dyn Fuzzer>,
-{
-    let announce = Frame::JournalPath {
-        worker: cfg.worker_id,
-        path: cfg.journal.display().to_string(),
-    };
-    writeln!(output, "{}", announce.to_line())?;
-    output.flush()?;
-
-    // First-install-wins: a host that already installed an ObsConfig
-    // programmatically (tests) keeps it; otherwise the worker's own
-    // environment decides.
-    o4a_obs::init_from_env();
-    // Flushes this process's trace ring and metrics registry on every
-    // exit path — clean shutdown, protocol error, or a panicking lease.
-    // Only a hard crash (the injected `exit(9)`) loses the ring, and
-    // that is best-effort by design.
-    let _drain = o4a_obs::DrainGuard::new();
-
-    let mut server = LeaseServer {
-        factory: &factory,
-        cfg,
-        store: FindingsStore::new(&cfg.journal),
-        session: None,
-        completed: Vec::new(),
-        trace_spill: VecDeque::new(),
-        trace_shed: 0,
-    };
-    for line in input.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let shard_plan = match Frame::from_line(&line)? {
-            Frame::Lease { shard, plan, trace } => (shard, plan, trace),
-            Frame::Goodbye { .. } => break,
-            _ => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "worker expects only lease/goodbye frames on stdin",
-                ));
-            }
-        };
-        let done = server.serve(shard_plan.0, &shard_plan.1, shard_plan.2, &mut output)?;
-        writeln!(output, "{}", done.to_line())?;
-        output.flush()?;
-        if server.leave_due() {
-            let farewell = Frame::Goodbye {
-                worker: cfg.worker_id,
-            };
-            let _ = writeln!(output, "{}", farewell.to_line());
-            let _ = output.flush();
-            break;
-        }
-    }
-    Ok(())
-}
-
-/// Runs the TCP worker loop: connect to the coordinator at `addr`
+/// Runs the worker loop: connect to the coordinator at `addr`
 /// (retrying for `reconnect_window` — it may not be up *yet*, or may be
 /// restarting), introduce this worker with `hello`, serve leases, and
 /// on any connection loss reconnect and `re-adopt`. Returns when the
@@ -467,13 +390,16 @@ where
 /// `reconnect_window`.
 ///
 /// The window bounds *continuous* unreachability: it rearms after every
-/// successful connect.
+/// successful connect. `factory(shard)` builds the fuzzer for each
+/// lease — it must be the same factory every worker of the campaign
+/// uses, or shard results stop being a pure function of the plan. The
+/// fleet secret, if any, comes from [`FLEET_SECRET_ENV`].
 ///
 /// # Errors
 ///
 /// Protocol violations, journal I/O errors, and a coordinator
 /// unreachable for longer than `reconnect_window`.
-pub fn run_worker_tcp<F>(
+pub fn run_worker<F>(
     factory: F,
     cfg: &WorkerConfig,
     addr: &str,
@@ -482,11 +408,18 @@ pub fn run_worker_tcp<F>(
 where
     F: Fn(u32) -> Box<dyn Fuzzer>,
 {
+    // First-install-wins: a host that already installed an ObsConfig
+    // programmatically (tests) keeps it; otherwise the worker's own
+    // environment decides.
     o4a_obs::init_from_env();
-    // Same RAII drain barrier as the pipe loop: every return path —
-    // goodbye, leave injection, protocol error, panic — flushes the
-    // ring and registry.
+    // Flushes this process's trace ring and metrics registry on every
+    // return path — goodbye, leave injection, protocol error, or a
+    // panicking lease. Only a hard crash (the injected `exit(9)`) loses
+    // the ring, and that is best-effort by design.
     let _drain = o4a_obs::DrainGuard::new();
+    let secret = std::env::var(FLEET_SECRET_ENV)
+        .ok()
+        .filter(|s| !s.is_empty());
     let mut server = LeaseServer {
         factory: &factory,
         cfg,
@@ -510,6 +443,7 @@ where
         let mut greeting = Frame::Hello {
             worker: cfg.worker_id,
             journal: cfg.journal.display().to_string(),
+            secret: secret.clone(),
         }
         .to_line();
         greeting.push('\n');

@@ -1,7 +1,7 @@
-//! Demonstrates the distributed campaign engine: a coordinator driving a
-//! fleet of `dist_worker` processes over pipes with dynamic shard
-//! leases, then proving the merged result is bit-identical to the
-//! in-process sharded engine.
+//! Demonstrates the distributed campaign engine: a coordinator spawning a
+//! fleet of `dist_worker` processes that connect back to it over
+//! loopback TCP, handing out dynamic shard leases, then proving the
+//! merged result is bit-identical to the in-process sharded engine.
 //!
 //! ```text
 //! cargo build -p o4a-bench --bin dist_worker

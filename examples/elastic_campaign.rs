@@ -110,7 +110,7 @@ fn main() {
     };
 
     let dist = DistConfig::new(Vec::new(), scratch.join("journals"))
-        .with_tcp(addr.clone())
+        .with_listen(addr.clone())
         .with_workers(initial)
         .with_checkpoint(scratch.join("checkpoint.jsonl"));
     println!("listening on {addr}: {SHARDS} shards, {initial} worker(s) joining, 1 more late...");
