@@ -154,7 +154,12 @@ impl Cervo {
                 stats.steps += size;
                 match ev.eval(a) {
                     Ok(Value::Bool(true)) => satisfied += 1,
-                    Ok(_) => {}
+                    Ok(Value::Bool(false)) => {}
+                    // A non-Bool value is as much trouble as an error: it
+                    // must not count as a refuted assignment.
+                    Ok(_) => {
+                        return Err(EvalError::IllSorted("assertion not Bool".into()));
+                    }
                     Err(EvalError::Incomplete) => incomplete = true,
                     Err(e) => return Err(e),
                 }
@@ -521,6 +526,18 @@ mod tests {
         let t = parse_term("(let ((x 1)) (exists ((x Int)) (= x 0)))").unwrap();
         let inlined = inline_lets(&t, &mut vec![]);
         assert_eq!(inlined.to_string(), "(exists ((x Int)) (= x 0))");
+    }
+
+    #[test]
+    fn overflow_is_unknown_not_unsat() {
+        // Satisfiable with b = true, where the product overflows i128: an
+        // evaluation error refutes nothing, so no complete search exists.
+        let mut s = Cervo::new().with_config(no_bugs());
+        let r = s.check(
+            "(declare-const b Bool)\
+             (assert (and b (> (* 170141183460469231731687303715884105727 2) 0)))(check-sat)",
+        );
+        assert_eq!(r.outcome, Outcome::Unknown);
     }
 
     #[test]

@@ -218,6 +218,7 @@ impl OxiZ {
         let mut capped = false;
         let mut saw_incomplete = false;
         let mut saw_budget = false;
+        let mut saw_error = false;
         self.coverage.hit(&self.universe, "core::enumerate", 0);
         'outer: loop {
             if tried >= self.config.max_assignments {
@@ -238,10 +239,6 @@ impl OxiZ {
                         self.coverage.hit(&self.universe, "core::prune", 0);
                         break;
                     }
-                    Ok(_) => {
-                        all_true = false;
-                        break;
-                    }
                     Err(EvalError::Incomplete) => {
                         saw_incomplete = true;
                         if has_quant {
@@ -256,7 +253,11 @@ impl OxiZ {
                         all_true = false;
                         break;
                     }
-                    Err(_) => {
+                    // A non-Bool value or any other error (say, an i128
+                    // overflow) decides nothing about this assignment, so
+                    // the search can no longer claim `unsat`.
+                    Ok(_) | Err(_) => {
+                        saw_error = true;
                         all_true = false;
                         break;
                     }
@@ -286,7 +287,7 @@ impl OxiZ {
             }
         }
 
-        let outcome = if complete && !capped && !saw_incomplete && !saw_budget {
+        let outcome = if complete && !capped && !saw_incomplete && !saw_budget && !saw_error {
             Outcome::Unsat
         } else {
             Outcome::Unknown
@@ -425,6 +426,18 @@ mod tests {
             bugs_enabled: false,
             ..EngineConfig::default()
         }
+    }
+
+    #[test]
+    fn overflow_is_unknown_not_unsat() {
+        // Satisfiable with b = true, where the product overflows i128: an
+        // evaluation error refutes nothing, so no complete search exists.
+        let mut s = OxiZ::new().with_config(no_bugs());
+        let r = s.check(
+            "(declare-const b Bool)\
+             (assert (and b (> (* 170141183460469231731687303715884105727 2) 0)))(check-sat)",
+        );
+        assert_eq!(r.outcome, Outcome::Unknown);
     }
 
     #[test]
