@@ -13,6 +13,8 @@
 //! * a worker leaving voluntarily (`goodbye`) retires cleanly;
 //! * a peer that completes a shard it does not hold is retired like a
 //!   dead worker instead of failing the campaign;
+//! * a peer whose first frame nests past the JSON cap is refused,
+//!   counted, and dropped while the coordinator keeps serving;
 //! * a coordinator killed mid-campaign resumes from its checkpoint,
 //!   re-adopts the still-live fleet, and merges bit-identical;
 //! * a heterogeneous fleet (one slow machine) finishes sooner with
@@ -416,6 +418,64 @@ fn stray_done_retires_the_peer_instead_of_failing_the_campaign() {
         fingerprint(&report.result),
         fingerprint(&in_process_reference(SHARDS)),
         "a stray done leaked into the merged result"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Hostile bytes before any handshake: a peer connects and sends one
+/// line of a million `[` — far under the frame cap, far over the JSON
+/// nesting cap. The coordinator must refuse the frame (counted in
+/// `dist.rejected_frames`), hang up on that peer, and go on to serve the
+/// honest fleet, which joins only once the rogue has been dropped.
+#[test]
+fn deeply_nested_frame_is_rejected_and_counted() {
+    o4a_obs::install(o4a_obs::ObsConfig {
+        metrics: true,
+        ..o4a_obs::ObsConfig::default()
+    });
+    let rejected = o4a_obs::metrics::counter("dist.rejected_frames");
+    let before = rejected.get();
+    let dir = scratch_dir("nested");
+    let addr = free_addr();
+    let (dropped_tx, dropped_rx) = std::sync::mpsc::channel();
+    let rogue = {
+        let addr = addr.clone();
+        std::thread::spawn(move || {
+            let stream = connect_with_retry(&addr, Duration::from_secs(30)).expect("rogue connect");
+            let mut out = stream.try_clone().expect("clone stream");
+            writeln!(out, "{}", "[".repeat(1_000_000)).expect("send nested frame");
+            let answered: Vec<String> = BufReader::new(stream)
+                .lines()
+                .map_while(Result::ok)
+                .collect();
+            dropped_tx.send(()).expect("signal drop");
+            answered
+        })
+    };
+    let fleet = {
+        let (addr, dir) = (addr.clone(), dir.clone());
+        std::thread::spawn(move || {
+            dropped_rx
+                .recv_timeout(Duration::from_secs(60))
+                .expect("the rogue was never dropped");
+            (0..2)
+                .map(|id| spawn_joiner(&addr, &dir, id, &[]))
+                .collect::<Vec<Child>>()
+        })
+    };
+    let report = run_distributed(&quick_config(), SHARDS, &tcp_coordinator(&addr, &dir, 2))
+        .expect("a nested frame must not abort the coordinator");
+    reap_clean(fleet.join().expect("fleet thread"));
+    let answered = rogue.join().expect("rogue thread");
+    assert!(answered.is_empty(), "the rogue was answered: {answered:?}");
+    assert!(
+        rejected.get() > before,
+        "the nested frame was not counted in dist.rejected_frames"
+    );
+    assert_eq!(
+        fingerprint(&report.result),
+        fingerprint(&in_process_reference(SHARDS)),
+        "a rejected frame leaked into the merged result"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

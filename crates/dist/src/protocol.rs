@@ -988,7 +988,31 @@ mod tests {
             }),
             coverage: BTreeMap::from([("oxiz".to_string(), 100.0), ("cervo".to_string(), 100.0)]),
         };
-        let len = done.to_line().len();
-        assert!(len < MAX_FRAME_BYTES, "{len} bytes");
+        let line = done.to_line();
+        assert!(line.len() < MAX_FRAME_BYTES, "{} bytes", line.len());
+        // The widest frames nest a few levels, well inside the reader's
+        // cap, so the cap refuses only hostile input.
+        let lease = Frame::Lease {
+            shard: u32::MAX,
+            plan: CampaignPlan {
+                config: CampaignConfig::default(),
+                shards: u32::MAX,
+            },
+            trace: true,
+        };
+        for frame in [line, lease.to_line()] {
+            let depth = nesting(&parse(&frame).expect("frame parses"));
+            assert!(depth <= 8, "a legitimate frame nests {depth} levels");
+            assert!(depth < o4a_obs::json::MAX_DEPTH);
+        }
+    }
+
+    /// Array/object nesting depth of a parsed value.
+    fn nesting(json: &Json) -> usize {
+        match json {
+            Json::Arr(items) => 1 + items.iter().map(nesting).max().unwrap_or(0),
+            Json::Obj(map) => 1 + map.values().map(nesting).max().unwrap_or(0),
+            _ => 0,
+        }
     }
 }

@@ -141,14 +141,24 @@ fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`parse`] accepts. Every format in the
+/// workspace nests a handful of levels; the cap keeps a hostile line from
+/// recursing the reader off its stack (a stack overflow aborts the
+/// process, which no panic guard can catch).
+pub const MAX_DEPTH: usize = 64;
+
 /// Parses one JSON value from a full line of text.
 ///
 /// # Errors
 ///
-/// Returns a human-readable description of the first syntax error.
+/// Returns a human-readable description of the first syntax error,
+/// including nesting deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Json, String> {
-    let bytes: Vec<char> = text.chars().collect();
-    let mut p = Parser { c: &bytes, i: 0 };
+    let mut p = Parser {
+        c: text.as_bytes(),
+        i: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -158,9 +168,13 @@ pub fn parse(text: &str) -> Result<Json, String> {
     Ok(v)
 }
 
+/// A recursive-descent reader over the line's UTF-8 bytes. Every
+/// structural character is ASCII, and no byte of a multi-byte UTF-8
+/// sequence is, so string contents are copied through byte for byte.
 struct Parser<'a> {
-    c: &'a [char],
+    c: &'a [u8],
     i: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -170,21 +184,21 @@ impl Parser<'_> {
         }
     }
 
-    fn peek(&self) -> Option<char> {
+    fn peek(&self) -> Option<u8> {
         self.c.get(self.i).copied()
     }
 
-    fn expect(&mut self, ch: char) -> Result<(), String> {
+    fn expect(&mut self, ch: u8) -> Result<(), String> {
         if self.peek() == Some(ch) {
             self.i += 1;
             Ok(())
         } else {
-            Err(format!("expected '{ch}' at {}", self.i))
+            Err(format!("expected '{}' at {}", char::from(ch), self.i))
         }
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        for ch in word.chars() {
+        for &ch in word.as_bytes() {
             self.expect(ch)?;
         }
         Ok(value)
@@ -192,22 +206,37 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some('{') => self.object(),
-            Some('[') => self.array(),
-            Some('"') => Ok(Json::Str(self.string()?)),
-            Some('t') => self.literal("true", Json::Bool(true)),
-            Some('f') => self.literal("false", Json::Bool(false)),
-            Some('n') => self.literal("null", Json::Null),
-            Some(c) if c == '-' || c.is_ascii_digit() => self.number(),
-            other => Err(format!("unexpected {other:?} at {}", self.i)),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b't') => self.literal("true", Json::Bool(true)),
+            Some(b'f') => self.literal("false", Json::Bool(false)),
+            Some(b'n') => self.literal("null", Json::Null),
+            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
+            other => Err(format!(
+                "unexpected {:?} at {}",
+                other.map(char::from),
+                self.i
+            )),
         }
     }
 
+    /// Runs `inner` one nesting level deeper, refusing past [`MAX_DEPTH`].
+    fn nested(&mut self, inner: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH} at {}", self.i));
+        }
+        self.depth += 1;
+        let out = inner(self);
+        self.depth -= 1;
+        out
+    }
+
     fn object(&mut self) -> Result<Json, String> {
-        self.expect('{')?;
+        self.expect(b'{')?;
         let mut map = BTreeMap::new();
         self.skip_ws();
-        if self.peek() == Some('}') {
+        if self.peek() == Some(b'}') {
             self.i += 1;
             return Ok(Json::Obj(map));
         }
@@ -215,27 +244,32 @@ impl Parser<'_> {
             self.skip_ws();
             let key = self.string()?;
             self.skip_ws();
-            self.expect(':')?;
+            self.expect(b':')?;
             self.skip_ws();
             let val = self.value()?;
             map.insert(key, val);
             self.skip_ws();
             match self.peek() {
-                Some(',') => self.i += 1,
-                Some('}') => {
+                Some(b',') => self.i += 1,
+                Some(b'}') => {
                     self.i += 1;
                     return Ok(Json::Obj(map));
                 }
-                other => return Err(format!("expected ',' or '}}', got {other:?}")),
+                other => {
+                    return Err(format!(
+                        "expected ',' or '}}', got {:?}",
+                        other.map(char::from)
+                    ))
+                }
             }
         }
     }
 
     fn array(&mut self) -> Result<Json, String> {
-        self.expect('[')?;
+        self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
-        if self.peek() == Some(']') {
+        if self.peek() == Some(b']') {
             self.i += 1;
             return Ok(Json::Arr(items));
         }
@@ -244,78 +278,89 @@ impl Parser<'_> {
             items.push(self.value()?);
             self.skip_ws();
             match self.peek() {
-                Some(',') => self.i += 1,
-                Some(']') => {
+                Some(b',') => self.i += 1,
+                Some(b']') => {
                     self.i += 1;
                     return Ok(Json::Arr(items));
                 }
-                other => return Err(format!("expected ',' or ']', got {other:?}")),
+                other => {
+                    return Err(format!(
+                        "expected ',' or ']', got {:?}",
+                        other.map(char::from)
+                    ))
+                }
             }
         }
     }
 
     fn string(&mut self) -> Result<String, String> {
-        self.expect('"')?;
+        self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            let Some(c) = self.peek() else {
-                return Err("unterminated string".into());
+            // Copy the run up to the next quote or escape in one go; it
+            // starts and ends on ASCII bytes, so it is whole UTF-8.
+            let run = self.c[self.i..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or("unterminated string")?;
+            out.push_str(
+                std::str::from_utf8(&self.c[self.i..self.i + run]).map_err(|e| e.to_string())?,
+            );
+            self.i += run;
+            let c = self.c[self.i];
+            self.i += 1;
+            if c == b'"' {
+                return Ok(out);
+            }
+            let Some(esc) = self.peek() else {
+                return Err("unterminated escape".into());
             };
             self.i += 1;
-            match c {
-                '"' => return Ok(out),
-                '\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err("unterminated escape".into());
-                    };
-                    self.i += 1;
-                    match esc {
-                        '"' => out.push('"'),
-                        '\\' => out.push('\\'),
-                        '/' => out.push('/'),
-                        'n' => out.push('\n'),
-                        'r' => out.push('\r'),
-                        't' => out.push('\t'),
-                        'b' => out.push('\u{8}'),
-                        'f' => out.push('\u{c}'),
-                        'u' => {
-                            let mut code = 0u32;
-                            for _ in 0..4 {
-                                let Some(h) = self.peek().and_then(|c| c.to_digit(16)) else {
-                                    return Err("bad \\u escape".into());
-                                };
-                                self.i += 1;
-                                code = code * 16 + h;
-                            }
-                            // Surrogate pairs are not emitted by this
-                            // writer; map lone surrogates to U+FFFD.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        other => return Err(format!("bad escape '\\{other}'")),
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'u' => {
+                    let mut code = 0u32;
+                    for _ in 0..4 {
+                        let Some(h) = self.peek().and_then(|c| char::from(c).to_digit(16)) else {
+                            return Err("bad \\u escape".into());
+                        };
+                        self.i += 1;
+                        code = code * 16 + h;
                     }
+                    // Surrogate pairs are not emitted by this writer; map
+                    // lone surrogates to U+FFFD.
+                    out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                 }
-                c => out.push(c),
+                other => return Err(format!("bad escape '\\{}'", char::from(other))),
             }
         }
     }
 
     fn number(&mut self) -> Result<Json, String> {
         let start = self.i;
-        if self.peek() == Some('-') {
+        if self.peek() == Some(b'-') {
             self.i += 1;
         }
         let mut is_float = false;
         while let Some(c) = self.peek() {
             if c.is_ascii_digit() {
                 self.i += 1;
-            } else if c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-' {
+            } else if matches!(c, b'.' | b'e' | b'E' | b'+' | b'-') {
                 is_float = true;
                 self.i += 1;
             } else {
                 break;
             }
         }
-        let text: String = self.c[start..self.i].iter().collect();
+        // Only ASCII digits and signs were consumed.
+        let text = std::str::from_utf8(&self.c[start..self.i]).map_err(|e| e.to_string())?;
         if !is_float && !text.starts_with('-') {
             if let Ok(n) = text.parse::<u64>() {
                 return Ok(Json::U64(n));
@@ -367,6 +412,25 @@ mod tests {
         let n = (1u64 << 53) + 1; // not representable as f64
         let line = Json::U64(n).to_line();
         assert_eq!(parse(&line).unwrap().as_u64(), Some(n));
+    }
+
+    #[test]
+    fn multibyte_strings_round_trip() {
+        let v = obj(vec![("s", Json::Str("λ→\u{1F600} \"q\" ü".into()))]);
+        assert_eq!(parse(&v.to_line()).unwrap(), v);
+        assert!(parse("[\"é").is_err(), "unterminated after a multibyte char");
+    }
+
+    #[test]
+    fn nesting_is_capped_without_overflowing_the_stack() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&deep(MAX_DEPTH)).is_ok());
+        let err = parse(&deep(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        let objects = format!("{}1{}", "{\"k\":".repeat(MAX_DEPTH + 1), "}".repeat(MAX_DEPTH + 1));
+        assert!(parse(&objects).unwrap_err().contains("nesting"));
+        // A megabyte of openers: an error, not a stack overflow.
+        assert!(parse(&"[".repeat(1_000_000)).is_err());
     }
 
     #[test]
