@@ -33,8 +33,8 @@ use o4a_core::{
 use o4a_exec::{run_shard_piped, PipeBackend};
 use o4a_llm::RawTerm;
 use o4a_obs::json::{obj, Json};
-use o4a_smtlib::eval::{no_defs, DomainConfig, Evaluator};
-use o4a_smtlib::{ArenaScript, Model, Symbol, TermArena, Value};
+use o4a_smtlib::eval::{no_defs, Dim, DomainConfig, IncrementalEval};
+use o4a_smtlib::{ArenaScript, Symbol, TermArena, Value};
 use o4a_solvers::SolverMode;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -212,31 +212,27 @@ fn micro_term_print() -> f64 {
     })
 }
 
-/// Arena evaluation of the seed's assertions under a concrete model.
+/// Incremental evaluation of the seed's assertions, compiled once onto
+/// slots: each iteration moves `T`, which both assertions read, and
+/// evaluates them again — one step of an engine's model search.
 fn micro_term_eval() -> f64 {
     let seed = o4a_smtlib::parse_script(MICRO_SEED).expect("micro seed parses");
-    let mut arena = TermArena::new();
-    let script = ArenaScript::from_script(&seed, &mut arena);
-    let terms: Vec<_> = script
-        .commands
-        .iter()
-        .filter_map(|c| match c {
-            o4a_smtlib::ArenaCommand::Assert(t) => Some(*t),
-            _ => None,
-        })
-        .collect();
-    let mut model = Model::new();
-    model.set_const(Symbol::new("T"), Value::Int(3));
-    model.set_const(Symbol::new("b"), Value::Bool(true));
-    model.set_const(
-        Symbol::new("s"),
+    let terms: Vec<_> = seed.assertions().cloned().collect();
+    let dims = ["T", "b", "s"].map(|n| Dim::Const(Symbol::new(n)));
+    let cfg = DomainConfig::default();
+    let mut ev = IncrementalEval::compile(&terms, &dims, no_defs(), &cfg);
+    ev.set(1, Value::Bool(true));
+    ev.set(
+        2,
         Value::Seq(o4a_smtlib::Sort::Int, vec![Value::Int(1), Value::Int(2)]),
     );
-    let cfg = DomainConfig::default();
-    micro_rate(move || {
-        let ev = Evaluator::new(&model, no_defs(), &cfg, 100_000);
-        for &t in &terms {
-            let _ = ev.eval_arena(t, &arena);
+    let (roots, mut flip) = (terms.len(), false);
+    micro_rate(|| {
+        flip = !flip;
+        ev.set(0, Value::Int(if flip { 3 } else { 2 }));
+        let mut budget = 100_000;
+        for i in 0..roots {
+            let _ = ev.eval(i, &mut budget);
         }
     })
 }

@@ -218,6 +218,17 @@ pub fn render_stats(result: &CampaignResult) -> String {
             s.leases_granted, s.leases_reissued
         );
     }
+    // Engine search time is a process metric, recorded only while metrics
+    // are on (`O4A_METRICS`); a metrics-off run prints no line.
+    if o4a_obs::metrics_enabled() {
+        if let Some(h) = o4a_obs::metrics::snapshot().histograms.get("solver.search") {
+            let _ = writeln!(
+                out,
+                "solver.search µs/call    : {}",
+                render_histogram_line(h)
+            );
+        }
+    }
     for (solver, cov) in &result.final_coverage {
         let _ = writeln!(
             out,
@@ -660,6 +671,27 @@ mod tests {
             "cache line missing or wrong: {s}"
         );
         assert!(s.contains("prefix scopes reused     : 7"));
+    }
+
+    #[test]
+    fn stats_render_shows_search_time_with_metrics_on() {
+        let result = CampaignResult {
+            fuzzer: "test".into(),
+            snapshots: Vec::new(),
+            findings: Vec::new(),
+            stats: Default::default(),
+            final_coverage: BTreeMap::new(),
+            covered_functions: BTreeMap::new(),
+            coverage: BTreeMap::new(),
+            hourly_coverage: Vec::new(),
+        };
+        o4a_obs::install(o4a_obs::ObsConfig {
+            metrics: true,
+            ..o4a_obs::ObsConfig::default()
+        });
+        o4a_obs::metrics::histogram("solver.search").record(40);
+        let s = render_stats(&result);
+        assert!(s.contains("solver.search µs/call    : n="), "{s}");
     }
 
     #[test]

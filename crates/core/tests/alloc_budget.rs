@@ -1,13 +1,14 @@
 //! Allocation-count regression gate for the arena hot loop: after warmup,
-//! one fill→print→eval case must stay under a pinned allocation budget.
+//! one fill→print→extract→compile→eval case must stay under a pinned
+//! allocation budget.
 //! The arena substrate exists precisely so the steady state recycles its
 //! buffers — a regression here means boxed-term cloning crept back in.
 
 use o4a_core::SkeletonConfig;
 use o4a_core::{adapt_fill_arena, parse_fill_into, skeletonize_arena, synthesize_arena};
 use o4a_llm::RawTerm;
-use o4a_smtlib::eval::{no_defs, DomainConfig, Evaluator};
-use o4a_smtlib::{ArenaCommand, ArenaScript, Model, Script, Symbol, TermArena, Value};
+use o4a_smtlib::eval::{no_defs, Dim, DomainConfig, IncrementalEval};
+use o4a_smtlib::{ArenaScript, Script, Symbol, Term, TermArena, Value};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -52,7 +53,7 @@ fn one_case(
     raws: &[RawTerm],
     arena: &mut TermArena,
     buf: &mut String,
-    model: &Model,
+    model: &[(Dim, Value)],
     cfg: &DomainConfig,
     rng: &mut StdRng,
 ) {
@@ -70,11 +71,17 @@ fn one_case(
     buf.clear();
     out.print_into(arena, buf);
     assert!(buf.ends_with("(check-sat)"));
-    let ev = Evaluator::new(model, no_defs(), cfg, 100_000);
-    for c in &out.commands {
-        if let ArenaCommand::Assert(t) = c {
-            let _ = ev.eval_arena(*t, arena);
-        }
+    // Compile the case's assertions onto slots and evaluate them under
+    // the model, as an engine's search does for its first assignment.
+    let roots: Vec<Term> = out.assertions().map(|t| arena.extract_term(t)).collect();
+    let dims: Vec<Dim> = model.iter().map(|(d, _)| d.clone()).collect();
+    let mut ev = IncrementalEval::compile(&roots, &dims, no_defs(), cfg);
+    for (k, (_, v)) in model.iter().enumerate() {
+        ev.set(k, v.clone());
+    }
+    let mut budget = 100_000;
+    for i in 0..roots.len() {
+        let _ = ev.eval(i, &mut budget);
     }
 }
 
@@ -96,11 +103,13 @@ fn steady_state_case_allocations_stay_under_budget() {
             term: "(= str0 \"ab\")".into(),
         },
     ];
-    let mut model = Model::new();
-    model.set_const(Symbol::new("T"), Value::Int(3));
-    model.set_const(Symbol::new("b"), Value::Bool(true));
-    model.set_const(Symbol::new("i0"), Value::Int(6));
-    model.set_const(Symbol::new("str0"), Value::Str("ab".into()));
+    let model = [
+        ("T", Value::Int(3)),
+        ("b", Value::Bool(true)),
+        ("i0", Value::Int(6)),
+        ("str0", Value::Str("ab".into())),
+    ]
+    .map(|(name, v)| (Dim::Const(Symbol::new(name)), v));
     let cfg = DomainConfig::default();
     let mut arena = TermArena::new();
     let mut buf = String::new();

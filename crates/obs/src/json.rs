@@ -418,7 +418,10 @@ mod tests {
     fn multibyte_strings_round_trip() {
         let v = obj(vec![("s", Json::Str("λ→\u{1F600} \"q\" ü".into()))]);
         assert_eq!(parse(&v.to_line()).unwrap(), v);
-        assert!(parse("[\"é").is_err(), "unterminated after a multibyte char");
+        assert!(
+            parse("[\"é").is_err(),
+            "unterminated after a multibyte char"
+        );
     }
 
     #[test]
@@ -427,7 +430,11 @@ mod tests {
         assert!(parse(&deep(MAX_DEPTH)).is_ok());
         let err = parse(&deep(MAX_DEPTH + 1)).unwrap_err();
         assert!(err.contains("nesting"), "{err}");
-        let objects = format!("{}1{}", "{\"k\":".repeat(MAX_DEPTH + 1), "}".repeat(MAX_DEPTH + 1));
+        let objects = format!(
+            "{}1{}",
+            "{\"k\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
         assert!(parse(&objects).unwrap_err().contains("nesting"));
         // A megabyte of openers: an error, not a stack overflow.
         assert!(parse(&"[".repeat(1_000_000)).is_err());

@@ -30,13 +30,16 @@
 //! covers the whole sort ([`Sort::is_exhaustible`]); otherwise evaluation
 //! reports [`EvalError::Incomplete`] and solvers answer `unknown`.
 
-use crate::arena::{ANode, TermArena, TermId};
 use crate::{
     BitVecValue, EvalError, FiniteFieldValue, Model, Op, Quantifier, Rational, Sort, Symbol, Term,
     Value,
 };
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
+
+mod incremental;
+
+pub use incremental::{model_of, Dim, IncrementalEval};
 
 /// Bounds for candidate domains used in quantifier expansion and model
 /// search.
@@ -93,27 +96,33 @@ pub fn candidates(sort: &Sort, cfg: &DomainConfig) -> Candidates {
             values: vec![Value::Bool(false), Value::Bool(true)],
             complete: true,
         },
+        // Sorted and deduplicated in a `Vec`: the order and the survivors of
+        // an ordered set, without its per-element allocations.
         Sort::Int => {
-            let mut vals: BTreeSet<i128> = (-cfg.int_radius..=cfg.int_radius)
+            let mut vals: Vec<i128> = (-cfg.int_radius..=cfg.int_radius)
                 .map(|i| i as i128)
+                .chain(cfg.extra_ints.iter().copied())
                 .collect();
-            vals.extend(cfg.extra_ints.iter().copied());
+            vals.sort_unstable();
+            vals.dedup();
             Candidates {
                 values: vals.into_iter().take(cap).map(Value::Int).collect(),
                 complete: false,
             }
         }
         Sort::Real => {
-            let mut vals: BTreeSet<Rational> = BTreeSet::new();
+            let mut vals: Vec<Rational> = Vec::new();
             for i in -cfg.int_radius..=cfg.int_radius {
-                vals.insert(Rational::from_int(i as i128));
+                vals.push(Rational::from_int(i as i128));
                 if let Some(h) = Rational::new(2 * i as i128 + 1, 2) {
-                    vals.insert(h);
+                    vals.push(h);
                 }
             }
-            for &i in &cfg.extra_ints {
-                vals.insert(Rational::from_int(i));
-            }
+            vals.extend(cfg.extra_ints.iter().map(|&i| Rational::from_int(i)));
+            // Stable, keeping the first of each `Ord`-equal run, as set
+            // insertion would.
+            vals.sort();
+            vals.dedup_by(|later, first| (*later).cmp(first).is_eq());
             Candidates {
                 values: vals.into_iter().take(cap).map(Value::Real).collect(),
                 complete: false,
@@ -523,205 +532,6 @@ impl<'a> Evaluator<'a> {
                 scope.push((name.clone(), doms[k].values[idx[k]].clone()));
             }
             let res = self.eval_in(body, scope);
-            scope.truncate(n);
-            match res {
-                Ok(Value::Bool(b)) => {
-                    if b == decisive {
-                        return Ok(Value::Bool(decisive));
-                    }
-                }
-                Ok(_) => return Err(EvalError::IllSorted("quantifier body not Bool".into())),
-                Err(EvalError::Incomplete) => saw_incomplete = true,
-                Err(e) => return Err(e),
-            }
-            // Advance the odometer.
-            let mut k = 0;
-            loop {
-                if k == vars.len() {
-                    break 'outer;
-                }
-                idx[k] += 1;
-                if idx[k] < doms[k].values.len() {
-                    break;
-                }
-                idx[k] = 0;
-                k += 1;
-            }
-        }
-
-        if complete && !capped && !saw_incomplete {
-            Ok(Value::Bool(!decisive))
-        } else {
-            Err(EvalError::Incomplete)
-        }
-    }
-
-    // ---- arena evaluation (the zero-copy hot path) ----
-
-    /// Evaluates an arena term to a concrete value. Semantics — including
-    /// step-budget accounting — are identical to [`Evaluator::eval`] on the
-    /// extracted boxed term.
-    ///
-    /// # Errors
-    ///
-    /// See [`EvalError`]; identical to the boxed path.
-    pub fn eval_arena(&self, id: TermId, arena: &TermArena) -> Result<Value, EvalError> {
-        let mut scope = Vec::new();
-        self.eval_arena_in(id, arena, &mut scope)
-    }
-
-    fn eval_arena_in(
-        &self,
-        id: TermId,
-        arena: &TermArena,
-        scope: &mut Vec<(Symbol, Value)>,
-    ) -> Result<Value, EvalError> {
-        self.tick()?;
-        match arena.node(id) {
-            ANode::Const(vi) => Ok(arena.value(vi).clone()),
-            ANode::Placeholder(_) => Err(EvalError::Placeholder),
-            ANode::Var(sid) => {
-                let name = arena.symbol(sid);
-                if let Some((_, v)) = scope.iter().rev().find(|(n, _)| n == name) {
-                    return Ok(v.clone());
-                }
-                if let Some(v) = self.model.get_const(name) {
-                    return Ok(v.clone());
-                }
-                if let Some((params, body)) = self.defs.get(name) {
-                    if params.is_empty() {
-                        return self.eval_in(&body.clone(), scope);
-                    }
-                }
-                Err(EvalError::UnassignedSymbol(name.clone()))
-            }
-            ANode::Let(start, len, body) => {
-                let mut bound = Vec::with_capacity(len as usize);
-                for &(sid, value) in arena.let_binds(start, len) {
-                    bound.push((
-                        arena.symbol(sid).clone(),
-                        self.eval_arena_in(value, arena, scope)?,
-                    ));
-                }
-                let n = scope.len();
-                scope.extend(bound);
-                let out = self.eval_arena_in(body, arena, scope);
-                scope.truncate(n);
-                out
-            }
-            ANode::Quant(q, start, len, body) => {
-                self.eval_quant_arena(q, start, len, body, arena, scope)
-            }
-            ANode::App(opid, start, len) => {
-                let args = arena.args(start, len);
-                match arena.op(opid) {
-                    // Short-circuiting connectives need special treatment so a
-                    // decisive child dominates an incomplete sibling.
-                    Op::And => self.eval_connective_arena(args, arena, scope, false),
-                    Op::Or => self.eval_connective_arena(args, arena, scope, true),
-                    Op::Ite => {
-                        let c = self.eval_arena_in(args[0], arena, scope)?;
-                        match c.as_bool() {
-                            Some(true) => self.eval_arena_in(args[1], arena, scope),
-                            Some(false) => self.eval_arena_in(args[2], arena, scope),
-                            None => Err(EvalError::IllSorted("ite condition not Bool".into())),
-                        }
-                    }
-                    Op::Uf(name) => {
-                        let mut vals = Vec::with_capacity(args.len());
-                        for &a in args {
-                            vals.push(self.eval_arena_in(a, arena, scope)?);
-                        }
-                        if let Some((params, body)) = self.defs.get(name) {
-                            let n = scope.len();
-                            scope.extend(
-                                params
-                                    .iter()
-                                    .map(|(p, _)| p.clone())
-                                    .zip(vals.iter().cloned()),
-                            );
-                            let out = self.eval_in(&body.clone(), scope);
-                            scope.truncate(n);
-                            return out;
-                        }
-                        self.model
-                            .apply_fun(name, &vals)
-                            .ok_or_else(|| EvalError::UnassignedSymbol(name.clone()))
-                    }
-                    op => apply_evaluated(op, args, |&a| self.eval_arena_in(a, arena, scope)),
-                }
-            }
-        }
-    }
-
-    /// Arena twin of [`Evaluator::eval_connective`].
-    fn eval_connective_arena(
-        &self,
-        args: &[TermId],
-        arena: &TermArena,
-        scope: &mut Vec<(Symbol, Value)>,
-        decisive: bool,
-    ) -> Result<Value, EvalError> {
-        let mut pending_incomplete = false;
-        for &a in args {
-            match self.eval_arena_in(a, arena, scope) {
-                Ok(Value::Bool(b)) => {
-                    if b == decisive {
-                        return Ok(Value::Bool(decisive));
-                    }
-                }
-                Ok(_) => return Err(EvalError::IllSorted("connective over non-Bool".into())),
-                Err(EvalError::Incomplete) => pending_incomplete = true,
-                Err(e) => return Err(e),
-            }
-        }
-        if pending_incomplete {
-            Err(EvalError::Incomplete)
-        } else {
-            Ok(Value::Bool(!decisive))
-        }
-    }
-
-    /// Arena twin of [`Evaluator::eval_quant`]: same candidate domains, same
-    /// odometer order, same budget caps.
-    fn eval_quant_arena(
-        &self,
-        q: Quantifier,
-        start: u32,
-        len: u32,
-        body: TermId,
-        arena: &TermArena,
-        scope: &mut Vec<(Symbol, Value)>,
-    ) -> Result<Value, EvalError> {
-        let vars = arena.quant_vars(start, len);
-        let decisive = match q {
-            Quantifier::Forall => false, // a false instance decides forall
-            Quantifier::Exists => true,  // a true instance decides exists
-        };
-        let doms: Vec<Candidates> = vars
-            .iter()
-            .map(|&(_, srt)| candidates(arena.sort(srt), self.cfg))
-            .collect();
-        let complete = doms.iter().all(|d| d.complete);
-        let mut total: usize = 1;
-        for d in &doms {
-            total = total.saturating_mul(d.values.len().max(1));
-        }
-        let capped = total > self.cfg.quant_budget;
-        let mut saw_incomplete = false;
-
-        let mut idx = vec![0usize; vars.len()];
-        let mut visited = 0usize;
-        'outer: loop {
-            if visited >= self.cfg.quant_budget {
-                break;
-            }
-            visited += 1;
-            let n = scope.len();
-            for (k, &(sid, _)) in vars.iter().enumerate() {
-                scope.push((arena.symbol(sid).clone(), doms[k].values[idx[k]].clone()));
-            }
-            let res = self.eval_arena_in(body, arena, scope);
             scope.truncate(n);
             match res {
                 Ok(Value::Bool(b)) => {

@@ -16,12 +16,12 @@ use crate::bugs::apply_bug_effects;
 use crate::coverage::{universe, CoverageMap, Universe};
 use crate::features::fnv1a;
 use crate::frontend::{Analyzed, Frontend, Parsed};
-use crate::oxiz::{domain_config, virtual_cost, EngineConfig};
+use crate::oxiz::{domain_config, search_space, verified, virtual_cost, EngineConfig};
 use crate::response::{Outcome, SolveStats, SolverId, SolverResponse};
 use crate::versions::{commit_of, CommitIdx, TRUNK_COMMIT};
 use crate::SmtSolver;
-use o4a_smtlib::eval::{candidates, Candidates, Evaluator};
-use o4a_smtlib::{EvalError, Model, Op, Quantifier, Sort, Symbol, Term, Value};
+use o4a_smtlib::eval::{Evaluator, IncrementalEval};
+use o4a_smtlib::{EvalError, Model, Op, Quantifier, Symbol, Term, Value};
 
 /// The Cervo solver.
 #[derive(Debug)]
@@ -127,54 +127,36 @@ impl Cervo {
 
         // Candidate domains, ordered by a Cervo-specific deterministic
         // shuffle so the two engines explore the space differently.
-        let mut dims: Vec<(Symbol, Option<Vec<Sort>>, Candidates)> = Vec::new();
-        let mut complete = true;
-        for (name, sort) in &analyzed.consts {
-            let mut c = candidates(sort, &cfg);
+        let (dims, mut domains, complete) = search_space(analyzed, &cfg);
+        for ((name, _), c) in analyzed.consts.iter().zip(&mut domains) {
             cervo_order(
                 &mut c.values,
                 analyzed.features.hash ^ fnv1a(name.as_str().as_bytes()),
             );
-            complete &= c.complete;
-            dims.push((name.clone(), None, c));
-        }
-        for (name, params, ret) in &analyzed.funs {
-            let c = candidates(ret, &cfg);
-            complete = false;
-            dims.push((name.clone(), Some(params.clone()), c));
         }
 
         // Every evaluation charges each evaluated assertion's full size.
         let sizes: Vec<u64> = assertions.iter().map(|a| a.size() as u64).collect();
-        let eval_all = |model: &Model, stats: &mut SolveStats| -> Result<usize, EvalError> {
-            let ev = Evaluator::new(model, &analyzed.defs, &cfg, self.config.eval_budget);
-            let mut satisfied = 0;
-            let mut incomplete = false;
-            for (a, size) in assertions.iter().zip(&sizes) {
-                stats.steps += size;
-                match ev.eval(a) {
-                    Ok(Value::Bool(true)) => satisfied += 1,
-                    Ok(Value::Bool(false)) => {}
-                    // A non-Bool value is as much trouble as an error: it
-                    // must not count as a refuted assignment.
-                    Ok(_) => {
-                        return Err(EvalError::IllSorted("assertion not Bool".into()));
-                    }
-                    Err(EvalError::Incomplete) => incomplete = true,
-                    Err(e) => return Err(e),
-                }
-            }
-            if incomplete && satisfied < assertions.len() {
-                return Err(EvalError::Incomplete);
-            }
-            Ok(satisfied)
+        let budget = self.config.eval_budget;
+        let mut ev = IncrementalEval::compile(assertions, &dims, &analyzed.defs, &cfg);
+        for (k, d) in domains.iter().enumerate() {
+            ev.set(k, d.values[0].clone());
+        }
+        // One assignment, one shared budget; `idx` mirrors the slots.
+        let mut idx = vec![0usize; dims.len()];
+        let assess = |ev: &mut IncrementalEval, stats: &mut SolveStats| {
+            let mut left = budget;
+            tally(&sizes, stats, |i| ev.eval(i, &mut left))
+        };
+        let move_to = |ev: &mut IncrementalEval, idx: &mut [usize], d: usize, v: usize| {
+            idx[d] = v;
+            ev.set(d, domains[d].values[v].clone());
         };
 
         // Phase 1: hill-climbing repair from the default assignment.
         self.coverage.hit(&self.universe, "core::repair_climb", 0);
-        let mut idx = vec![0usize; dims.len()];
         let mut saw_eval_trouble = false;
-        let mut best = match eval_all(&build_model(&dims, &idx), &mut stats) {
+        let mut best = match assess(&mut ev, &mut stats) {
             Ok(n) => n,
             Err(_) => {
                 saw_eval_trouble = true;
@@ -188,7 +170,7 @@ impl Cervo {
             let mut improved = false;
             for d in 0..dims.len() {
                 let original = idx[d];
-                for v in 0..dims[d].2.values.len() {
+                for v in 0..domains[d].values.len() {
                     if v == original {
                         continue;
                     }
@@ -196,19 +178,19 @@ impl Cervo {
                     if moves >= repair_budget {
                         break 'climb;
                     }
-                    idx[d] = v;
+                    move_to(&mut ev, &mut idx, d, v);
                     stats.assignments_tried += 1;
-                    match eval_all(&build_model(&dims, &idx), &mut stats) {
+                    match assess(&mut ev, &mut stats) {
                         Ok(n) if n > best => {
                             best = n;
                             improved = true;
                             self.coverage.hit(&self.universe, "core::repair_climb", 1);
                             break;
                         }
-                        Ok(_) => idx[d] = original,
+                        Ok(_) => move_to(&mut ev, &mut idx, d, original),
                         Err(_) => {
                             saw_eval_trouble = true;
-                            idx[d] = original;
+                            move_to(&mut ev, &mut idx, d, original);
                         }
                     }
                 }
@@ -222,33 +204,42 @@ impl Cervo {
             }
         }
         if best == assertions.len() {
-            let model = build_model(&dims, &idx);
-            // Final verification before answering sat.
+            let model = ev.model();
+            // Final verification before answering sat, by the plain
+            // evaluator.
             self.coverage.hit(&self.universe, "core::model_build", 0);
             self.coverage.hit(&self.universe, "core::model_check", 0);
-            if eval_all(&model, &mut stats) == Ok(assertions.len()) {
+            let plain = Evaluator::new(&model, &analyzed.defs, &cfg, budget);
+            if tally(&sizes, &mut stats, |i| plain.eval(&assertions[i])) == Ok(assertions.len()) {
                 return (Outcome::Sat, Some(model), stats);
             }
         }
 
         // Phase 2: exhaustive enumeration when the whole space is finite
         // and small; this is the only path that can answer unsat.
-        let space: usize = dims
+        let space: usize = domains
             .iter()
-            .map(|(_, _, c)| c.values.len().max(1))
+            .map(|c| c.values.len().max(1))
             .fold(1usize, |acc, n| acc.saturating_mul(n));
         if complete && space <= self.config.max_assignments * 4 {
             self.coverage
                 .hit(&self.universe, "core::enumerate_exhaustive", 0);
-            let mut idx = vec![0usize; dims.len()];
+            for d in 0..dims.len() {
+                if idx[d] != 0 {
+                    move_to(&mut ev, &mut idx, d, 0);
+                }
+            }
             let mut any_trouble = false;
             loop {
-                let model = build_model(&dims, &idx);
                 stats.assignments_tried += 1;
-                match eval_all(&model, &mut stats) {
+                match assess(&mut ev, &mut stats) {
                     Ok(n) if n == assertions.len() => {
-                        self.coverage.hit(&self.universe, "core::model_build", 0);
-                        return (Outcome::Sat, Some(model), stats);
+                        let model = ev.model();
+                        if verified(&model, analyzed, assertions, &cfg, budget) {
+                            self.coverage.hit(&self.universe, "core::model_build", 0);
+                            return (Outcome::Sat, Some(model), stats);
+                        }
+                        any_trouble = true;
                     }
                     Ok(_) => {}
                     Err(_) => any_trouble = true,
@@ -266,11 +257,14 @@ impl Cervo {
                             .hit(&self.universe, "core::enumerate_exhaustive", 1);
                         return (Outcome::Unsat, None, stats);
                     }
-                    idx[k] += 1;
-                    if idx[k] < dims[k].2.values.len() {
+                    let next = idx[k] + 1;
+                    if next < domains[k].values.len() {
+                        move_to(&mut ev, &mut idx, k, next);
                         break;
                     }
-                    idx[k] = 0;
+                    if idx[k] != 0 {
+                        move_to(&mut ev, &mut idx, k, 0);
+                    }
                     k += 1;
                 }
             }
@@ -287,22 +281,37 @@ impl Cervo {
     }
 }
 
+/// Cervo's verdict on one assignment: how many assertions hold, each
+/// evaluated one charged its full size. `Incomplete` is trouble only when
+/// the assignment is not a model anyway; a non-Bool value or any other
+/// error is trouble outright.
+fn tally(
+    sizes: &[u64],
+    stats: &mut SolveStats,
+    mut eval: impl FnMut(usize) -> Result<Value, EvalError>,
+) -> Result<usize, EvalError> {
+    let mut satisfied = 0;
+    let mut incomplete = false;
+    for (i, size) in sizes.iter().enumerate() {
+        stats.steps += size;
+        match eval(i) {
+            Ok(Value::Bool(true)) => satisfied += 1,
+            Ok(Value::Bool(false)) => {}
+            Ok(_) => return Err(EvalError::IllSorted("assertion not Bool".into())),
+            Err(EvalError::Incomplete) => incomplete = true,
+            Err(e) => return Err(e),
+        }
+    }
+    if incomplete && satisfied < sizes.len() {
+        return Err(EvalError::Incomplete);
+    }
+    Ok(satisfied)
+}
+
 impl Default for Cervo {
     fn default() -> Self {
         Self::new()
     }
-}
-
-fn build_model(dims: &[(Symbol, Option<Vec<Sort>>, Candidates)], idx: &[usize]) -> Model {
-    let mut model = Model::new();
-    for (k, (name, params, cands)) in dims.iter().enumerate() {
-        let value = cands.values[idx[k]].clone();
-        match params {
-            None => model.set_const(name.clone(), value),
-            Some(ps) => model.set_fun(name.clone(), ps.clone(), Default::default(), value),
-        }
-    }
-    model
 }
 
 /// Deterministic Cervo-specific candidate ordering (distinct from OxiZ's
@@ -448,7 +457,9 @@ impl SmtSolver for Cervo {
             .map(|t| self.normalize(t, fh))
             .collect();
 
+        let timer = o4a_obs::metrics::start_timer();
         let (mut outcome, mut model, mut stats) = self.solve(analyzed, &assertions);
+        o4a_obs::metrics::record_elapsed("solver.search", timer);
         stats.virtual_micros = virtual_cost(analyzed.input_bytes, &stats);
         if stats.virtual_micros > self.config.timeout_micros {
             outcome = Outcome::Timeout;

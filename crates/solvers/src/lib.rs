@@ -46,7 +46,7 @@ pub use cervo::Cervo;
 pub use coverage::{CoverageMap, Universe};
 pub use features::FormulaFeatures;
 pub use frontend::{Analyzed, Frontend, Parsed};
-pub use oxiz::{EngineConfig, OxiZ};
+pub use oxiz::{domain_config, EngineConfig, OxiZ};
 pub use pipe::{
     normalized_script, parse_model_reply, CacheKey, CachedReply, PipeCommand, PipeSolver,
     ReplyParser, SolverMode, VerdictCache,
@@ -102,6 +102,33 @@ pub fn solver_with_config(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn search_time_is_recorded_only_with_metrics_on() {
+        let searches = || {
+            o4a_obs::metrics::snapshot()
+                .histograms
+                .get("solver.search")
+                .map_or(0, |h| h.count)
+        };
+        let text = "(declare-const x Int)(assert (> x 1))(check-sat)";
+        if !o4a_obs::metrics_enabled() {
+            let before = searches();
+            for id in SolverId::ALL {
+                solver_at(id, TRUNK_COMMIT).check(text);
+            }
+            assert_eq!(searches(), before, "recorded with metrics off");
+        }
+        o4a_obs::install(o4a_obs::ObsConfig {
+            metrics: true,
+            ..o4a_obs::ObsConfig::default()
+        });
+        let before = searches();
+        for id in SolverId::ALL {
+            solver_at(id, TRUNK_COMMIT).check(text);
+        }
+        assert!(searches() >= before + 2, "one sample per engine search");
+    }
 
     #[test]
     fn factory_builds_both() {

@@ -13,15 +13,16 @@ use crate::frontend::{Analyzed, Frontend, Parsed};
 use crate::response::{Outcome, SolveStats, SolverId, SolverResponse};
 use crate::versions::{commit_of, CommitIdx, TRUNK_COMMIT};
 use crate::SmtSolver;
-use o4a_smtlib::eval::{candidates, Candidates, DomainConfig, Evaluator};
-use o4a_smtlib::{EvalError, Model, Op, Term, Value};
+use o4a_smtlib::eval::{candidates, Candidates, Dim, DomainConfig, Evaluator, IncrementalEval};
+use o4a_smtlib::{EvalError, Model, Op, Sort, Term, Value};
 
 /// Engine tuning knobs shared by both solvers.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
     /// Maximum candidate assignments tried before answering `unknown`.
     pub max_assignments: usize,
-    /// Golden-evaluator step budget per assertion evaluation.
+    /// Evaluator step budget per candidate assignment: one budget is
+    /// shared by every assertion evaluated under that assignment.
     pub eval_budget: u64,
     /// Per-query virtual time limit in microseconds (the paper's 10 s).
     pub timeout_micros: u64,
@@ -187,20 +188,9 @@ impl OxiZ {
         let cfg = domain_config(analyzed);
         self.coverage.hit(&self.universe, "core::domain_build", 0);
 
-        // One enumeration dimension per declared constant, plus one per
-        // n-ary UF (constant-function interpretations only).
-        let mut dims: Vec<(Dim, Candidates)> = Vec::new();
-        let mut complete = true;
-        for (name, sort) in &analyzed.consts {
-            let c = candidates(sort, &cfg);
-            complete &= c.complete;
-            dims.push((Dim::Const(name.clone()), c));
-        }
-        for (name, params, ret) in &analyzed.funs {
+        let (dims, domains, complete) = search_space(analyzed, &cfg);
+        if !analyzed.funs.is_empty() {
             self.coverage.hit(&self.universe, "core::uf_assign", 0);
-            let c = candidates(ret, &cfg);
-            complete = false; // constant functions never exhaust UF space
-            dims.push((Dim::Fun(name.clone(), params.clone()), c));
         }
         if !complete {
             self.coverage.hit(&self.universe, "core::domain_build", 1);
@@ -213,6 +203,10 @@ impl OxiZ {
 
         // Every assignment charges each evaluated assertion's full size.
         let sizes: Vec<u64> = assertions.iter().map(|a| a.size() as u64).collect();
+        let mut ev = IncrementalEval::compile(assertions, &dims, &analyzed.defs, &cfg);
+        for (k, d) in domains.iter().enumerate() {
+            ev.set(k, d.values[0].clone());
+        }
         let mut idx = vec![0usize; dims.len()];
         let mut tried = 0usize;
         let mut capped = false;
@@ -227,12 +221,11 @@ impl OxiZ {
                 break;
             }
             tried += 1;
-            let model = build_model(&dims, &idx);
-            let ev = Evaluator::new(&model, &analyzed.defs, &cfg, self.config.eval_budget);
+            let mut budget = self.config.eval_budget;
             let mut all_true = true;
-            for (a, size) in assertions.iter().zip(&sizes) {
+            for (i, size) in sizes.iter().enumerate() {
                 stats.steps += size;
-                match ev.eval(a) {
+                match ev.eval(i, &mut budget) {
                     Ok(Value::Bool(true)) => {}
                     Ok(Value::Bool(false)) => {
                         all_true = false;
@@ -265,24 +258,30 @@ impl OxiZ {
             }
             stats.assignments_tried += 1;
             if all_true {
-                self.coverage.hit(&self.universe, "core::model_build", 0);
-                self.coverage.hit(&self.universe, "core::model_eval", 0);
-                return (Outcome::Sat, Some(model), stats);
+                let model = ev.model();
+                if verified(&model, analyzed, assertions, &cfg, self.config.eval_budget) {
+                    self.coverage.hit(&self.universe, "core::model_build", 0);
+                    self.coverage.hit(&self.universe, "core::model_eval", 0);
+                    return (Outcome::Sat, Some(model), stats);
+                }
+                saw_error = true;
             }
-            // Odometer advance.
-            if dims.is_empty() {
-                break;
-            }
+            // Odometer advance: one slot per digit that moves.
             let mut k = 0;
             loop {
                 if k == dims.len() {
                     break 'outer;
                 }
-                idx[k] += 1;
-                if idx[k] < dims[k].1.values.len() {
+                let values = &domains[k].values;
+                if idx[k] + 1 < values.len() {
+                    idx[k] += 1;
+                    ev.set(k, values[idx[k]].clone());
                     break;
                 }
-                idx[k] = 0;
+                if idx[k] != 0 {
+                    idx[k] = 0;
+                    ev.set(k, values[0].clone());
+                }
                 k += 1;
             }
         }
@@ -302,35 +301,75 @@ impl Default for OxiZ {
     }
 }
 
-enum Dim {
-    Const(o4a_smtlib::Symbol),
-    Fun(o4a_smtlib::Symbol, Vec<o4a_smtlib::Sort>),
+/// The search space both engines enumerate: one dimension per declared
+/// constant, then one per n-ary declared function (interpreted as a
+/// constant function), each with its candidate domain — computed once per
+/// distinct sort. The flag is true when every domain is complete and there
+/// is no function, whose space no constant interpretation exhausts.
+pub(crate) fn search_space(
+    analyzed: &Analyzed,
+    cfg: &DomainConfig,
+) -> (Vec<Dim>, Vec<Candidates>, bool) {
+    let consts = analyzed
+        .consts
+        .iter()
+        .map(|(name, sort)| (Dim::Const(name.clone()), sort));
+    let funs = analyzed
+        .funs
+        .iter()
+        .map(|(name, params, ret)| (Dim::Fun(name.clone(), params.clone()), ret));
+    let mut dims = Vec::new();
+    let mut domains: Vec<Candidates> = Vec::new();
+    let mut first_of: Vec<(&Sort, usize)> = Vec::new();
+    for (dim, sort) in consts.chain(funs) {
+        let domain = match first_of.iter().find(|(s, _)| *s == sort) {
+            Some(&(_, k)) => domains[k].clone(),
+            None => {
+                first_of.push((sort, domains.len()));
+                candidates(sort, cfg)
+            }
+        };
+        dims.push(dim);
+        domains.push(domain);
+    }
+    let complete = analyzed.funs.is_empty() && domains.iter().all(|d| d.complete);
+    (dims, domains, complete)
 }
 
-fn build_model(dims: &[(Dim, Candidates)], idx: &[usize]) -> Model {
-    let mut model = Model::new();
-    for (k, (dim, cands)) in dims.iter().enumerate() {
-        let value = cands.values[idx[k]].clone();
-        match dim {
-            Dim::Const(name) => model.set_const(name.clone(), value),
-            Dim::Fun(name, params) => {
-                model.set_fun(name.clone(), params.clone(), Default::default(), value)
-            }
-        }
-    }
-    model
+/// The golden check every `sat` model passes before it is returned: the
+/// plain evaluator finds each assertion true under it. The incremental
+/// search is exact, so this never fails; if it did, the engine would
+/// treat the assignment as undecided rather than answer `sat`.
+pub(crate) fn verified(
+    model: &Model,
+    analyzed: &Analyzed,
+    assertions: &[Term],
+    cfg: &DomainConfig,
+    budget: u64,
+) -> bool {
+    let ev = Evaluator::new(model, &analyzed.defs, cfg, budget);
+    let ok = assertions
+        .iter()
+        .all(|a| ev.eval(a) == Ok(Value::Bool(true)));
+    debug_assert!(ok, "the golden evaluator refutes a search model: {model}");
+    ok
 }
 
 /// Builds the evaluator domain configuration from formula constants, so the
 /// search explores values the formula actually talks about.
-pub(crate) fn domain_config(analyzed: &Analyzed) -> DomainConfig {
+pub fn domain_config(analyzed: &Analyzed) -> DomainConfig {
     let mut cfg = DomainConfig::default();
     let mut extras = Vec::new();
     for t in analyzed.script.assertions() {
         t.visit(&mut |n| {
             if let Term::Const(Value::Int(i)) = n {
-                for v in [*i, i - 1, i + 1] {
-                    if v.abs() <= 1_000_000 {
+                // Checked: a literal at the edge of i128 has no neighbour
+                // there, and none near zero either.
+                for v in [Some(*i), i.checked_sub(1), i.checked_add(1)]
+                    .into_iter()
+                    .flatten()
+                {
+                    if v.unsigned_abs() <= 1_000_000 {
                         extras.push(v);
                     }
                 }
@@ -381,7 +420,10 @@ impl SmtSolver for OxiZ {
             self.coverage.hit(&self.universe, "core::prune", 2);
             (Outcome::Unsat, None, SolveStats::default())
         } else {
-            self.search(analyzed, &assertions)
+            let timer = o4a_obs::metrics::start_timer();
+            let searched = self.search(analyzed, &assertions);
+            o4a_obs::metrics::record_elapsed("solver.search", timer);
+            searched
         };
 
         stats.virtual_micros = virtual_cost(analyzed.input_bytes, &stats);
