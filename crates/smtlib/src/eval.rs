@@ -96,33 +96,27 @@ pub fn candidates(sort: &Sort, cfg: &DomainConfig) -> Candidates {
             values: vec![Value::Bool(false), Value::Bool(true)],
             complete: true,
         },
-        // Sorted and deduplicated in a `Vec`: the order and the survivors of
-        // an ordered set, without its per-element allocations.
         Sort::Int => {
-            let mut vals: Vec<i128> = (-cfg.int_radius..=cfg.int_radius)
+            let mut vals: BTreeSet<i128> = (-cfg.int_radius..=cfg.int_radius)
                 .map(|i| i as i128)
-                .chain(cfg.extra_ints.iter().copied())
                 .collect();
-            vals.sort_unstable();
-            vals.dedup();
+            vals.extend(cfg.extra_ints.iter().copied());
             Candidates {
                 values: vals.into_iter().take(cap).map(Value::Int).collect(),
                 complete: false,
             }
         }
         Sort::Real => {
-            let mut vals: Vec<Rational> = Vec::new();
+            let mut vals: BTreeSet<Rational> = BTreeSet::new();
             for i in -cfg.int_radius..=cfg.int_radius {
-                vals.push(Rational::from_int(i as i128));
+                vals.insert(Rational::from_int(i as i128));
                 if let Some(h) = Rational::new(2 * i as i128 + 1, 2) {
-                    vals.push(h);
+                    vals.insert(h);
                 }
             }
-            vals.extend(cfg.extra_ints.iter().map(|&i| Rational::from_int(i)));
-            // Stable, keeping the first of each `Ord`-equal run, as set
-            // insertion would.
-            vals.sort();
-            vals.dedup_by(|later, first| (*later).cmp(first).is_eq());
+            for &i in &cfg.extra_ints {
+                vals.insert(Rational::from_int(i));
+            }
             Candidates {
                 values: vals.into_iter().take(cap).map(Value::Real).collect(),
                 complete: false,

@@ -20,7 +20,8 @@
 //! ## The node cache
 //!
 //! A node's value is a pure function of the slots its subterm reads, so it
-//! is cached together with the ticks its evaluation consumed. Writing a
+//! is cached together with the ticks its evaluation consumed (subterms of
+//! fewer than four nodes are simply evaluated). Writing a
 //! slot drops the entries of the nodes that read it and of their
 //! ancestors, and nothing else. A quantifier body that ignores its binders
 //! is evaluated once per quantifier evaluation, with the other instances'
@@ -77,6 +78,9 @@ pub fn model_of<'v>(dims: &[Dim], values: impl IntoIterator<Item = &'v Value>) -
 
 /// The parent of a root node.
 const NO_PARENT: u32 = u32::MAX;
+
+/// Subterms smaller than this are evaluated rather than cached.
+const MIN_CACHED_SIZE: u32 = 4;
 
 /// Nested `define-fun` inlining stops at this depth…
 const MAX_INLINE_DEPTH: usize = 16;
@@ -141,21 +145,6 @@ enum Node<'a> {
     Opaque(&'a Term, Span),
 }
 
-impl Node<'_> {
-    /// Leaves cost no more to evaluate than to replay, and the plain
-    /// evaluator's nodes are never cached.
-    fn cached(&self) -> bool {
-        !matches!(
-            self,
-            Node::Const(_)
-                | Node::Read(_)
-                | Node::Placeholder
-                | Node::Unassigned(_)
-                | Node::Opaque(..)
-        )
-    }
-}
-
 /// A case's assertions compiled onto slots, with the per-node cache.
 ///
 /// # Examples
@@ -190,6 +179,12 @@ struct Program<'a> {
     roots: Vec<u32>,
     /// Each node's parent (`NO_PARENT` for a root).
     parent: Vec<u32>,
+    /// Whether a node keeps a cache entry: leaves and small subterms cost
+    /// no more to evaluate than to replay, and the plain evaluator's
+    /// nodes are never cached.
+    cached: Vec<bool>,
+    /// Each node's subterm size, inlined bodies included.
+    size: Vec<u32>,
     /// Each node's nearest enclosing quantifier (`NO_PARENT` if none).
     quant_above: Vec<u32>,
     /// Per slot, the nodes that read it directly (CSR).
@@ -204,7 +199,7 @@ struct Program<'a> {
 }
 
 /// The mutable half: slot values and the cache.
-#[derive(Clone)]
+#[cfg_attr(test, derive(Clone))]
 struct State {
     slots: Vec<Value>,
     memo: Vec<Option<(Result<Value, EvalError>, u64)>>,
@@ -233,6 +228,8 @@ impl<'a> IncrementalEval<'a> {
                 domains: Vec::new(),
                 roots: Vec::with_capacity(roots.len()),
                 parent: Vec::new(),
+                cached: Vec::new(),
+                size: Vec::new(),
                 quant_above: Vec::new(),
                 reader_start: Vec::new(),
                 readers: Vec::new(),
@@ -339,14 +336,12 @@ impl State {
         self.slots[slot as usize] = value;
         for &reader in p.readers(slot) {
             let mut n = reader;
-            if !p.nodes[n as usize].cached() {
-                n = p.parent[n as usize];
-            }
             while n != NO_PARENT {
-                n = if self.memo[n as usize].take().is_some() {
-                    p.parent[n as usize]
+                let i = n as usize;
+                n = if !p.cached[i] || self.memo[i].take().is_some() {
+                    p.parent[i]
                 } else {
-                    p.quant_above[n as usize]
+                    p.quant_above[i]
                 };
             }
         }
@@ -380,7 +375,7 @@ fn eval(p: &Program, s: &mut State, n: u32, budget: &mut u64) -> Result<Value, E
     }
     let start = *budget;
     let out = compute(p, s, n, budget);
-    if p.nodes[n as usize].cached() && !matches!(out, Err(EvalError::BudgetExhausted)) {
+    if p.cached[n as usize] && !matches!(out, Err(EvalError::BudgetExhausted)) {
         s.memo[n as usize] = Some((out.clone(), start - *budget));
     }
     out
@@ -600,7 +595,11 @@ impl<'a> Compiler<'a> {
     fn push(&mut self, node: Node<'a>) -> u32 {
         let n = self.prog.nodes.len() as u32;
         let p = &mut self.prog;
-        let mut adopt = |child: u32| p.parent[child as usize] = n;
+        let mut size = 1;
+        let mut adopt = |child: u32| {
+            p.parent[child as usize] = n;
+            size += p.size[child as usize];
+        };
         match &node {
             Node::Const(_) | Node::Placeholder | Node::Unassigned(_) => {}
             Node::Read(slot) => self.reads.push((*slot, n)),
@@ -646,8 +645,15 @@ impl<'a> Compiler<'a> {
                 }
             }
         }
+        let cached = match node {
+            Node::Const(_) | Node::Read(_) | Node::Placeholder | Node::Unassigned(_) => false,
+            Node::Opaque(..) => false,
+            _ => size >= MIN_CACHED_SIZE,
+        };
         self.prog.nodes.push(node);
         self.prog.parent.push(NO_PARENT);
+        self.prog.cached.push(cached);
+        self.prog.size.push(size);
         n
     }
 

@@ -364,7 +364,7 @@ pub fn domain_config(analyzed: &Analyzed) -> DomainConfig {
         t.visit(&mut |n| {
             if let Term::Const(Value::Int(i)) = n {
                 // Checked: a literal at the edge of i128 has no neighbour
-                // there, and none near zero either.
+                // past it (wrapping would add the other edge).
                 for v in [Some(*i), i.checked_sub(1), i.checked_add(1)]
                     .into_iter()
                     .flatten()

@@ -8,7 +8,8 @@
 //! constant, and a `let` that shadows another `let`. For every response:
 //!
 //! * a `sat` model re-verifies with the plain [`Evaluator`] against the
-//!   case's own script;
+//!   case's own script: no assertion is false or non-Bool under it, and
+//!   nearly every model (every crafted one) makes every assertion true;
 //! * an `unsat` survives an independent re-enumeration of the candidate
 //!   domains by the plain evaluator: under every assignment some assertion
 //!   is false, so none satisfies the script and none is refuted by an
