@@ -213,8 +213,8 @@ fn micro_term_print() -> f64 {
 }
 
 /// Incremental evaluation of the seed's assertions, compiled once onto
-/// slots: each iteration moves `T`, which both assertions read, and
-/// evaluates them again — one step of an engine's model search.
+/// slots: each iteration moves `T` and evaluates both assertions again.
+/// Both read `T`, so this is a search step with the least to reuse.
 fn micro_term_eval() -> f64 {
     let seed = o4a_smtlib::parse_script(MICRO_SEED).expect("micro seed parses");
     let terms: Vec<_> = seed.assertions().cloned().collect();
