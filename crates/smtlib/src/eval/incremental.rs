@@ -9,24 +9,21 @@
 //!
 //! Compiling resolves every symbol occurrence ahead of time. Each search
 //! [`Dim`] (a declared constant, or a declared function interpreted as a
-//! constant function) gets a *dimension slot*; every quantifier, `let` and
-//! `define-fun` parameter binder gets a *binder slot* of its own. The
-//! model is the slot vector: a move writes one slot, and no `Model`,
-//! `BTreeMap` or `Symbol` is built per assignment. `define-fun` bodies are
-//! inlined at each call site, so a body sees exactly the binders the plain
-//! evaluator's dynamic scope would show it. Each quantifier's candidate
-//! domains are computed once, at compile time.
+//! constant function) gets a *dimension slot*; every quantifier and `let`
+//! binder gets a *binder slot* of its own. The model is the slot vector: a
+//! move writes one slot, and no `Model`, `BTreeMap` or `Symbol` is built
+//! per assignment. Each quantifier's candidate domains are computed once,
+//! at compile time.
 //!
 //! ## The node cache
 //!
 //! A node's value is a pure function of the slots its subterm reads, so it
 //! is cached together with the ticks its evaluation consumed (subterms of
-//! fewer than four nodes are simply evaluated). Writing a
-//! slot drops the entries of the nodes that read it and of their
-//! ancestors, and nothing else. A quantifier body that ignores its binders
-//! is evaluated once per quantifier evaluation, with the other instances'
-//! ticks charged in one step; an assertion that does not read the slot a
-//! move changed is not evaluated at all.
+//! fewer than four nodes are simply evaluated). Writing a slot drops the
+//! entries of the nodes that read it and of their ancestors, and nothing
+//! else: a quantifier body that ignores its binders is a cache hit on
+//! every instance after the first, and an assertion that does not read
+//! the slot a move changed is not evaluated at all.
 //!
 //! ## Exactness
 //!
@@ -42,9 +39,10 @@
 //!   budget of at least `t`; under a smaller budget it stops with
 //!   [`EvalError::BudgetExhausted`] and leaves the budget at 0, which is
 //!   what the replay answers. `BudgetExhausted` itself is never cached.
-//! * A call whose inline expansion would not terminate (a recursive
-//!   `define-fun`) or would grow past a size cap is compiled to a node the
-//!   plain evaluator runs in the same scope. Such nodes are never cached.
+//! * A reference to a `define-fun` is compiled to a node the plain
+//!   evaluator runs in the same scope, so the body sees exactly the
+//!   binders the plain evaluator's dynamic scope shows it. Such nodes are
+//!   never cached; they read every dimension and every binder in scope.
 //!
 //! Debug builds check every root evaluation against the plain evaluator:
 //! same result, same remaining budget.
@@ -82,12 +80,6 @@ const NO_PARENT: u32 = u32::MAX;
 /// Subterms smaller than this are evaluated rather than cached.
 const MIN_CACHED_SIZE: u32 = 4;
 
-/// Nested `define-fun` inlining stops at this depth…
-const MAX_INLINE_DEPTH: usize = 16;
-/// …or once the program holds this many nodes; the rest of the call is
-/// left to the plain evaluator.
-const MAX_INLINE_NODES: usize = 1 << 16;
-
 /// A `(start, len)` span into one of the program's side tables.
 #[derive(Clone, Copy, Debug)]
 struct Span(u32, u32);
@@ -108,30 +100,20 @@ enum Node<'a> {
     Placeholder,
     /// A symbol nothing interprets: fails after its tick.
     Unassigned(&'a Symbol),
-    /// A symbol naming a 0-ary `define-fun`: one tick, then the inlined
-    /// body.
-    Alias(u32),
     /// `let`: `(slot, value node)` pairs in `binds`, then the body.
     Let(Span, u32),
     /// A quantifier: `(slot, domain)` pairs in `qvars`, then the body.
-    /// `instances` is how many the plain evaluator's odometer visits when
-    /// none decides; `blind` marks a body that reads none of the binders.
     Quant {
         decisive: bool,
         vars: Span,
         body: u32,
         complete: bool,
         capped: bool,
-        instances: u32,
-        blind: bool,
     },
     /// `and` (decisive `false`) / `or` (decisive `true`) over `kids`.
     Conn(bool, Span),
     /// `ite` over exactly three children.
     Ite(u32, u32, u32),
-    /// A `define-fun` call: arguments in `kids`, the slots of the
-    /// parameters they bind in `params`, then the inlined body.
-    Call { args: Span, params: Span, body: u32 },
     /// A declared-function application: the arguments, then the value of
     /// the dimension, or the error the model lookup gives.
     Fun {
@@ -173,7 +155,6 @@ struct Program<'a> {
     kids: Vec<u32>,
     binds: Vec<(u32, u32)>,
     qvars: Vec<(u32, u32)>,
-    params: Vec<u32>,
     opaque_scope: Vec<(&'a Symbol, u32)>,
     domains: Vec<Candidates>,
     roots: Vec<u32>,
@@ -183,7 +164,7 @@ struct Program<'a> {
     /// no more to evaluate than to replay, and the plain evaluator's
     /// nodes are never cached.
     cached: Vec<bool>,
-    /// Each node's subterm size, inlined bodies included.
+    /// Each node's subterm size.
     size: Vec<u32>,
     /// Each node's nearest enclosing quantifier (`NO_PARENT` if none).
     quant_above: Vec<u32>,
@@ -223,7 +204,6 @@ impl<'a> IncrementalEval<'a> {
                 kids: Vec::new(),
                 binds: Vec::new(),
                 qvars: Vec::new(),
-                params: Vec::new(),
                 opaque_scope: Vec::new(),
                 domains: Vec::new(),
                 roots: Vec::with_capacity(roots.len()),
@@ -241,7 +221,6 @@ impl<'a> IncrementalEval<'a> {
             },
             slots: dims.len() as u32,
             scope: Vec::new(),
-            inlining: Vec::new(),
             stack: Vec::new(),
             sorts: Vec::new(),
             reads: Vec::new(),
@@ -328,7 +307,7 @@ impl State {
     /// read it: each reader's, then its ancestors'. Above an entry already
     /// dropped, the walk resumes at the nearest enclosing quantifier. Every
     /// node between the two that still holds an entry did not read the
-    /// dropped one in its last evaluation (a `let` or call binds its slots
+    /// dropped one in its last evaluation (a `let` binds its slots
     /// before evaluating its body, and a dropped entry takes its valid
     /// ancestors with it), but a quantifier's entry sums all its instances,
     /// and its body's entries were dropped instance by instance on the way.
@@ -402,7 +381,6 @@ fn compute(p: &Program, s: &mut State, n: u32, budget: &mut u64) -> Result<Value
         Node::Read(slot) => Ok(s.slots[*slot as usize].clone()),
         Node::Placeholder => Err(EvalError::Placeholder),
         Node::Unassigned(name) => Err(EvalError::UnassignedSymbol((*name).clone())),
-        Node::Alias(body) => eval(p, s, *body, budget),
         Node::Let(binds, body) => {
             // A bound value is compiled in the outer scope, so it never
             // reads a slot of this `let`: binding as we go is parallel
@@ -415,52 +393,10 @@ fn compute(p: &Program, s: &mut State, n: u32, budget: &mut u64) -> Result<Value
         }
         Node::Quant {
             decisive,
-            body,
-            complete,
-            capped,
-            instances,
-            blind: true,
-            ..
-        } => {
-            // A body that reads no binder evaluates alike on every
-            // instance, with the same ticks: evaluate it once and charge
-            // the rest in one go, exhausting the budget exactly where the
-            // instance-by-instance loop would.
-            let mut saw_incomplete = false;
-            if *instances > 0 {
-                let before = *budget;
-                match eval(p, s, *body, budget) {
-                    Ok(Value::Bool(b)) => {
-                        if b == *decisive {
-                            return Ok(Value::Bool(*decisive));
-                        }
-                    }
-                    Ok(_) => return Err(EvalError::IllSorted("quantifier body not Bool".into())),
-                    Err(EvalError::Incomplete) => saw_incomplete = true,
-                    Err(e) => return Err(e),
-                }
-                let ticks = before - *budget;
-                match ticks.checked_mul(u64::from(*instances - 1)) {
-                    Some(rest) if rest <= *budget => *budget -= rest,
-                    _ => {
-                        *budget = 0;
-                        return Err(EvalError::BudgetExhausted);
-                    }
-                }
-            }
-            if *complete && !*capped && !saw_incomplete {
-                Ok(Value::Bool(!*decisive))
-            } else {
-                Err(EvalError::Incomplete)
-            }
-        }
-        Node::Quant {
-            decisive,
             vars,
             body,
             complete,
             capped,
-            ..
         } => {
             let entries = vars.range();
             // The odometer's digits are the candidate indices the binder
@@ -548,16 +484,6 @@ fn compute(p: &Program, s: &mut State, n: u32, budget: &mut u64) -> Result<Value
                 None => Err(EvalError::IllSorted("ite condition not Bool".into())),
             }
         }
-        Node::Call { args, params, body } => {
-            let params = &p.params[params.range()];
-            for (i, &a) in p.kids(*args).iter().enumerate() {
-                let v = eval(p, s, a, budget)?;
-                if let Some(&slot) = params.get(i) {
-                    s.bind(p, slot, v);
-                }
-            }
-            eval(p, s, *body, budget)
-        }
         Node::Fun { args, target } => {
             for &a in p.kids(*args) {
                 eval(p, s, a, budget)?;
@@ -579,8 +505,6 @@ struct Compiler<'a> {
     /// The binders in scope, innermost last, as the plain evaluator's
     /// scope stack would hold them.
     scope: Vec<(&'a Symbol, u32)>,
-    /// The `define-fun`s being inlined.
-    inlining: Vec<&'a Symbol>,
     /// Scratch for child node lists.
     stack: Vec<u32>,
     /// Candidate domains computed so far, by sort.
@@ -603,7 +527,7 @@ impl<'a> Compiler<'a> {
         match &node {
             Node::Const(_) | Node::Placeholder | Node::Unassigned(_) => {}
             Node::Read(slot) => self.reads.push((*slot, n)),
-            Node::Alias(body) | Node::Quant { body, .. } => adopt(*body),
+            Node::Quant { body, .. } => adopt(*body),
             Node::Let(binds, body) => {
                 for k in binds.range() {
                     adopt(p.binds[k].1);
@@ -619,12 +543,6 @@ impl<'a> Compiler<'a> {
                 for child in [*c, *t, *e] {
                     adopt(child);
                 }
-            }
-            Node::Call { args, body, .. } => {
-                for k in args.range() {
-                    adopt(p.kids[k]);
-                }
-                adopt(*body);
             }
             Node::Fun { args, target } => {
                 for k in args.range() {
@@ -691,13 +609,6 @@ impl<'a> Compiler<'a> {
             .map(|(k, d)| (k as u32, d))
     }
 
-    /// Whether inlining `name` here must be left to the plain evaluator.
-    fn must_defer(&self, name: &Symbol) -> bool {
-        self.inlining.contains(&name)
-            || self.inlining.len() >= MAX_INLINE_DEPTH
-            || self.prog.nodes.len() >= MAX_INLINE_NODES
-    }
-
     fn opaque(&mut self, term: &'a Term) -> u32 {
         let start = self.prog.opaque_scope.len() as u32;
         self.prog.opaque_scope.extend_from_slice(&self.scope);
@@ -716,16 +627,8 @@ impl<'a> Compiler<'a> {
                 if let Some((k, Dim::Const(_))) = self.dim_of(name) {
                     return self.push(Node::Read(k));
                 }
-                match defs.get_key_value(name) {
-                    Some((name, (params, body))) if params.is_empty() => {
-                        if self.must_defer(name) {
-                            return self.opaque(term);
-                        }
-                        self.inlining.push(name);
-                        let body = self.term(body);
-                        self.inlining.pop();
-                        self.push(Node::Alias(body))
-                    }
+                match defs.get(name) {
+                    Some((params, _)) if params.is_empty() => self.opaque(term),
                     _ => self.push(Node::Unassigned(name)),
                 }
             }
@@ -751,13 +654,12 @@ impl<'a> Compiler<'a> {
             Term::Quant(q, vars, body) => {
                 let first = self.prog.qvars.len() as u32;
                 let scope = self.scope.len();
-                let (mut complete, mut total, mut instances) = (true, 1usize, 1usize);
+                let (mut complete, mut total) = (true, 1usize);
                 for (name, sort) in vars {
                     let dom = self.domain(sort);
                     let cands = &self.prog.domains[dom as usize];
                     complete &= cands.complete;
                     total = total.saturating_mul(cands.values.len().max(1));
-                    instances = instances.saturating_mul(cands.values.len());
                     let slot = self.slot();
                     self.prog.qvars.push((slot, dom));
                     self.scope.push((name, slot));
@@ -772,9 +674,6 @@ impl<'a> Compiler<'a> {
                     body,
                     complete,
                     capped: total > budget,
-                    instances: instances.min(budget).min(u32::MAX as usize) as u32,
-                    // Set once the read-sets are known.
-                    blind: false,
                 })
             }
             Term::App(op, args) => match op {
@@ -795,43 +694,19 @@ impl<'a> Compiler<'a> {
                 // A malformed `ite` keeps the plain evaluator's behaviour,
                 // whatever it is.
                 Op::Ite => self.opaque(term),
-                Op::Uf(name) => match defs.get_key_value(name) {
-                    Some((name, (params, body))) => {
-                        if self.must_defer(name) {
-                            return self.opaque(term);
-                        }
-                        let kids = self.children(args);
-                        let first = self.prog.params.len() as u32;
-                        let scope = self.scope.len();
-                        for ((param, _), _) in params.iter().zip(args) {
-                            let slot = self.slot();
-                            self.prog.params.push(slot);
-                            self.scope.push((param, slot));
-                        }
-                        let bound = self.prog.params.len() as u32 - first;
-                        self.inlining.push(name);
-                        let body = self.term(body);
-                        self.inlining.pop();
-                        self.scope.truncate(scope);
-                        self.push(Node::Call {
-                            args: kids,
-                            params: Span(first, bound),
-                            body,
-                        })
-                    }
-                    None => {
-                        // `Model::apply_fun`: a function answers its
-                        // constant value, a constant only when applied to
-                        // nothing.
-                        let target = match self.dim_of(name) {
-                            Some((k, Dim::Fun(..))) => Ok(k),
-                            Some((k, Dim::Const(_))) if args.is_empty() => Ok(k),
-                            _ => Err(name),
-                        };
-                        let kids = self.children(args);
-                        self.push(Node::Fun { args: kids, target })
-                    }
-                },
+                Op::Uf(name) if defs.contains_key(name) => self.opaque(term),
+                Op::Uf(name) => {
+                    // `Model::apply_fun`: a function answers its
+                    // constant value, a constant only when applied to
+                    // nothing.
+                    let target = match self.dim_of(name) {
+                        Some((k, Dim::Fun(..))) => Ok(k),
+                        Some((k, Dim::Const(_))) if args.is_empty() => Ok(k),
+                        _ => Err(name),
+                    };
+                    let kids = self.children(args);
+                    self.push(Node::Fun { args: kids, target })
+                }
                 op => {
                     let kids = self.children(args);
                     self.push(Node::App(op, kids))
@@ -840,8 +715,8 @@ impl<'a> Compiler<'a> {
         }
     }
 
-    /// Indexes the readers of each slot and marks the quantifiers whose
-    /// bodies read none of their binders.
+    /// Indexes the readers of each slot and each node's nearest enclosing
+    /// quantifier.
     fn link(&mut self, slots: usize) {
         let p = &mut self.prog;
         let mut start = vec![0u32; slots + 1];
@@ -867,16 +742,6 @@ impl<'a> Compiler<'a> {
                     Node::Quant { .. } => up,
                     _ => p.quant_above[up as usize],
                 };
-            }
-        }
-        for n in 0..p.nodes.len() {
-            if let Node::Quant { vars, .. } = p.nodes[n] {
-                let unread = p.qvars[vars.range()]
-                    .iter()
-                    .all(|&(slot, _)| p.readers(slot).is_empty());
-                if let Node::Quant { blind, .. } = &mut p.nodes[n] {
-                    *blind = unread;
-                }
             }
         }
     }
