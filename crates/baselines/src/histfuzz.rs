@@ -6,53 +6,60 @@
 //! and solver-specific theories stay out of reach.
 
 use crate::common::{decls_for, mine_atoms, seed_pool};
-use o4a_core::{skeletonize, Fuzzer, ParsedFill, SkeletonConfig, TestCase};
-use o4a_smtlib::{Script, Sort, Term};
+use o4a_core::{
+    adapt_fill_arena, skeletonize_arena, synthesize_arena, ArenaFill, Fuzzer, SkeletonConfig,
+    TestCase,
+};
+use o4a_smtlib::{ArenaScript, Command, Script, Sort, Symbol, Term, TermArena};
 use rand::rngs::StdRng;
 use rand::Rng;
+
+/// Constant declarations (name, sort) a mined atom needs.
+type Decls = Vec<(Symbol, Sort)>;
 
 /// The HistFuzz baseline.
 pub struct HistFuzz {
     seeds: Vec<Script>,
-    /// Atom pool: (atom, origin script) pairs.
-    atoms: Vec<(Term, Script)>,
+    /// Atom pool: each mined atom with the constants it needs, declared as
+    /// in its origin script, or `None` when it needs an n-ary function
+    /// (such an atom can be drawn but is never inserted).
+    atoms: Vec<(Term, Option<Decls>)>,
     skeleton: SkeletonConfig,
+    /// The per-case term arena; reset at the start of every case.
+    arena: TermArena,
 }
 
 impl HistFuzz {
     /// Creates the fuzzer, mining the atom pool from the shared seeds.
     pub fn new() -> HistFuzz {
         let seeds = seed_pool();
-        let atoms = mine_atoms(&seeds);
+        let atoms = mine_atoms(&seeds)
+            .into_iter()
+            .map(|(atom, origin)| {
+                let decls = atom_decls(&atom, &origin);
+                (atom, decls)
+            })
+            .collect();
         HistFuzz {
             seeds,
             atoms,
             skeleton: SkeletonConfig::default(),
+            arena: TermArena::new(),
         }
     }
+}
 
-    /// Converts a mined atom into a fill with its original declarations.
-    fn atom_fill(&self, idx: usize) -> Option<ParsedFill> {
-        let (atom, origin) = &self.atoms[idx];
-        let decls = decls_for(atom, origin)?;
-        let decls = decls
-            .into_iter()
-            .filter_map(|c| match c {
-                o4a_smtlib::Command::DeclareConst(n, s) => Some((n, s)),
-                // Atoms whose free symbols include n-ary functions cannot be
-                // re-declared as constants; skip them.
-                _ => None,
-            })
-            .collect::<Vec<(o4a_smtlib::Symbol, Sort)>>();
-        // Reject atoms that needed an n-ary function (decl count mismatch).
-        if decls.len() != atom.free_vars().len() {
-            return None;
-        }
-        Some(ParsedFill {
-            decls,
-            term: atom.clone(),
+/// The constant declarations a mined atom needs, or `None` when one of its
+/// free symbols is unresolved or an n-ary function (which cannot be
+/// re-declared as a constant).
+fn atom_decls(atom: &Term, origin: &Script) -> Option<Decls> {
+    decls_for(atom, origin)?
+        .into_iter()
+        .map(|c| match c {
+            Command::DeclareConst(n, s) => Some((n, s)),
+            _ => None,
         })
-    }
+        .collect()
 }
 
 impl Default for HistFuzz {
@@ -67,24 +74,31 @@ impl Fuzzer for HistFuzz {
     }
 
     fn next_case(&mut self, rng: &mut StdRng) -> TestCase {
-        let seed = self.seeds[rng.gen_range(0..self.seeds.len())].clone();
-        let skeleton = skeletonize(&seed, self.skeleton, rng);
+        let arena = &mut self.arena;
+        arena.reset();
+        let seed = &self.seeds[rng.gen_range(0..self.seeds.len())];
+        let seed = ArenaScript::from_script(seed, arena);
+        let skeleton = skeletonize_arena(&seed, arena, self.skeleton, rng);
         let mut fills = Vec::new();
         for _ in 0..rng.gen_range(1..=2) {
             if self.atoms.is_empty() {
                 break;
             }
-            let idx = rng.gen_range(0..self.atoms.len());
-            if let Some(fill) = self.atom_fill(idx) {
-                fills.push(o4a_core::adapt_fill(&fill, &skeleton, rng));
+            if let (atom, Some(decls)) = &self.atoms[rng.gen_range(0..self.atoms.len())] {
+                let fill = ArenaFill {
+                    decls: decls.clone(),
+                    term: arena.intern_term(atom),
+                };
+                fills.push(adapt_fill_arena(&fill, &skeleton, arena, rng));
             }
         }
         let script = if fills.is_empty() {
             seed
         } else {
-            o4a_core::synthesize(&skeleton, &fills, rng)
+            synthesize_arena(&skeleton, &fills, arena)
         };
-        let text = script.to_string();
+        let mut text = String::new();
+        script.print_into(arena, &mut text);
         let gen_micros = 140 + text.len() as u64;
         TestCase { text, gen_micros }
     }
@@ -123,9 +137,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let mut quantified = 0;
         for _ in 0..80 {
-            if f.next_case(&mut rng).text.contains("exists")
-                || f.next_case(&mut rng).text.contains("forall")
-            {
+            let text = f.next_case(&mut rng).text;
+            if text.contains("exists") || text.contains("forall") {
                 quantified += 1;
             }
         }

@@ -194,7 +194,7 @@ fn micro_term_fill() -> f64 {
                 adapt_fill_arena(&f, &sk, &mut arena, &mut rng)
             })
             .collect();
-        let out = synthesize_arena(&sk, &fills, &mut arena, &mut rng);
+        let out = synthesize_arena(&sk, &fills, &mut arena);
         assert!(!out.commands.is_empty());
     })
 }

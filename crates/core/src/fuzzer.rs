@@ -306,7 +306,7 @@ impl Fuzzer for Once4AllFuzzer {
                 let script = self.generator_only_case(rng);
                 script.print_into(&self.arena, &mut self.print_buf);
             } else {
-                let out = synthesize_arena(&skeleton, &fills, &mut self.arena, rng);
+                let out = synthesize_arena(&skeleton, &fills, &mut self.arena);
                 out.print_into(&self.arena, &mut self.print_buf);
                 // The mutant becomes the next iteration's seed (the paper
                 // mutates f in place across the repeat loop) — unless it

@@ -32,15 +32,12 @@ pub use campaign::{
     run_campaign, CampaignConfig, CampaignResult, CampaignStats, CampaignStepper, CaseExecution,
     CoveragePoint, HourlySnapshot, SolverRun, StepOutcome,
 };
-pub use fill::{
-    adapt_fill, adapt_fill_arena, parse_fill, parse_fill_into, synthesize, synthesize_arena,
-    ArenaFill, ParsedFill, ADAPT_PROBABILITY,
-};
+pub use fill::{adapt_fill_arena, parse_fill_into, synthesize_arena, ArenaFill, ADAPT_PROBABILITY};
 pub use fuzzer::{FrontendValidator, Fuzzer, Once4AllConfig, Once4AllFuzzer, TestCase};
 pub use lifespan::{lifespan_series, long_latent_count, LifespanPoint};
 pub use oracle::{judge, judge_script, model_satisfies, Verdict};
 pub use seeds::{parsed_seeds, SEED_TEXTS};
-pub use skeleton::{skeletonize, skeletonize_arena, ArenaSkeleton, Skeleton, SkeletonConfig};
+pub use skeleton::{skeletonize_arena, ArenaSkeleton, SkeletonConfig};
 pub use triage::{
     attribute, dedup, dedup_refs, extended_theory_count, status_table, type_table, Finding,
     FoundKind, Issue, StatusCounts,

@@ -3,10 +3,7 @@
 //! logical structure — quantifiers, `let` binders, and connectives — that
 //! Observation 2 identifies as bug-critical.
 
-use o4a_smtlib::{
-    ANode, ArenaCommand, ArenaScript, Command, Op, Script, Sort, Symbol, Term, TermArena, TermId,
-    Value,
-};
+use o4a_smtlib::{ANode, ArenaCommand, ArenaScript, Sort, Symbol, TermArena, TermId, Value};
 use rand::Rng;
 
 /// Tuning for skeleton extraction.
@@ -28,10 +25,11 @@ impl Default for SkeletonConfig {
 }
 
 /// A skeleton: the hollowed script plus bookkeeping about what it kept.
+/// Its terms are [`TermId`]s in the caller's arena.
 #[derive(Clone, Debug)]
-pub struct Skeleton {
+pub struct ArenaSkeleton {
     /// The script with placeholders in place of removed atoms.
-    pub script: Script,
+    pub script: ArenaScript,
     /// Number of placeholders inserted.
     pub placeholder_count: usize,
     /// Declared variables visible to inserted terms (name, sort) — the
@@ -44,144 +42,8 @@ pub struct Skeleton {
 /// Atomic Boolean sub-formulas (Boolean-valued applications whose head is
 /// not a connective) are replaced by placeholders with the configured
 /// probability; at least one placeholder is always inserted when any atom
-/// exists, so the skeleton is never a no-op.
-pub fn skeletonize(seed: &Script, cfg: SkeletonConfig, rng: &mut impl Rng) -> Skeleton {
-    let mut counter = 0u32;
-    let mut script = seed.clone();
-
-    // Collect atoms first so we can force at least one replacement.
-    let mut atom_total = 0usize;
-    for t in seed.assertions() {
-        atom_total += count_atoms(t);
-    }
-    let force_index = if atom_total > 0 {
-        Some(rng.gen_range(0..atom_total))
-    } else {
-        None
-    };
-
-    let mut seen = 0usize;
-    for term in script.assertions_mut() {
-        *term = replace_atoms(term, cfg, rng, &mut counter, &mut seen, force_index);
-    }
-
-    let variables = script
-        .declarations()
-        .into_iter()
-        .filter(|(_, args, _)| args.is_empty())
-        .map(|(name, _, ret)| (name, ret))
-        .collect();
-
-    Skeleton {
-        placeholder_count: counter as usize,
-        variables,
-        script,
-    }
-}
-
-/// True when a term is an *atomic formula* in the paper's sense: a
-/// Boolean-valued application whose head is not a logical connective.
-/// (Sort information is approximated structurally: comparison/predicate
-/// heads and Boolean constants/variables inside connectives.)
-fn is_atom(t: &Term) -> bool {
-    match t {
-        Term::App(_, _) => !t.is_logical_connective(),
-        Term::Const(o4a_smtlib::Value::Bool(_)) | Term::Var(_) => true,
-        _ => false,
-    }
-}
-
-fn count_atoms(t: &Term) -> usize {
-    match t {
-        Term::App(op, args) if t.is_logical_connective() => {
-            let _ = op;
-            args.iter().map(count_atoms).sum()
-        }
-        Term::Let(binds, body) => {
-            binds.iter().map(|(_, v)| count_atoms(v)).sum::<usize>() + count_atoms(body)
-        }
-        Term::Quant(_, _, body) => count_atoms(body),
-        t if is_atom(t) => 1,
-        _ => 0,
-    }
-}
-
-/// Walks the Boolean structure, replacing atoms. Only positions of Boolean
-/// sort are candidates: connective children, quantifier bodies, and `let`
-/// bodies in Boolean context (binder *values* are left untouched — their
-/// sort is unknown and replacing them would break well-sortedness).
-fn replace_atoms(
-    t: &Term,
-    cfg: SkeletonConfig,
-    rng: &mut impl Rng,
-    counter: &mut u32,
-    seen: &mut usize,
-    force_index: Option<usize>,
-) -> Term {
-    if is_atom(t) {
-        let my_index = *seen;
-        *seen += 1;
-        let forced = force_index == Some(my_index);
-        let replace = (*counter as usize) < cfg.max_placeholders
-            && (forced || rng.gen_bool(cfg.replace_probability));
-        if replace {
-            let p = Term::Placeholder(*counter);
-            *counter += 1;
-            return p;
-        }
-        return t.clone();
-    }
-    match t {
-        Term::App(op, args) if t.is_logical_connective() => Term::App(
-            op.clone(),
-            args.iter()
-                .map(|a| replace_atoms(a, cfg, rng, counter, seen, force_index))
-                .collect(),
-        ),
-        Term::Quant(q, vars, body) => Term::Quant(
-            *q,
-            vars.clone(),
-            Box::new(replace_atoms(body, cfg, rng, counter, seen, force_index)),
-        ),
-        Term::Let(binds, body) => {
-            // Binder values keep their atoms (counted but never replaced in
-            // non-Boolean positions; Boolean-valued binder values are rare
-            // and safely left intact).
-            for (_, v) in binds {
-                *seen += count_atoms(v);
-            }
-            Term::Let(
-                binds.clone(),
-                Box::new(replace_atoms(body, cfg, rng, counter, seen, force_index)),
-            )
-        }
-        other => other.clone(),
-    }
-}
-
-/// Strips `check-sat`/`get-model` commands from a skeleton script (the
-/// fuzzer re-appends them after filling).
-pub fn strip_commands(script: &mut Script) {
-    script
-        .commands
-        .retain(|c| !matches!(c, Command::CheckSat | Command::GetModel | Command::Exit));
-}
-
-/// Arena twin of [`Skeleton`]: the hollowed script's terms live as
-/// [`TermId`]s in the fuzzer's arena.
-#[derive(Clone, Debug)]
-pub struct ArenaSkeleton {
-    /// The script with placeholders in place of removed atoms.
-    pub script: ArenaScript,
-    /// Number of placeholders inserted.
-    pub placeholder_count: usize,
-    /// Declared variables visible to inserted terms (name, sort).
-    pub variables: Vec<(Symbol, Sort)>,
-}
-
-/// Arena twin of [`skeletonize`]: same traversal, same RNG draw sequence,
-/// byte-identical hollowed script — but untouched subtrees keep their node
-/// ids instead of being deep-cloned.
+/// exists, so the skeleton is never a no-op. Untouched subtrees keep their
+/// node ids.
 pub fn skeletonize_arena(
     seed: &ArenaScript,
     arena: &mut TermArena,
@@ -191,12 +53,7 @@ pub fn skeletonize_arena(
     let mut counter = 0u32;
     let mut script = seed.clone();
 
-    let mut atom_total = 0usize;
-    for cmd in &seed.commands {
-        if let ArenaCommand::Assert(t) = cmd {
-            atom_total += count_atoms_arena(arena, *t);
-        }
-    }
+    let atom_total: usize = seed.assertions().map(|t| count_atoms_arena(arena, t)).sum();
     let force_index = if atom_total > 0 {
         Some(rng.gen_range(0..atom_total))
     } else {
@@ -210,47 +67,45 @@ pub fn skeletonize_arena(
         }
     }
 
-    let variables = script
-        .commands
-        .iter()
-        .filter_map(|c| match c {
-            ArenaCommand::DeclareConst(name, sort) => Some((name.clone(), sort.clone())),
-            ArenaCommand::DeclareFun(name, args, ret) if args.is_empty() => {
-                Some((name.clone(), ret.clone()))
-            }
-            _ => None,
-        })
-        .collect();
-
     ArenaSkeleton {
         placeholder_count: counter as usize,
-        variables,
+        variables: declared_constants(&script).collect(),
         script,
     }
 }
 
-/// Arena twin of `is_atom`.
+/// The script's declared 0-ary symbols (`declare-const`, or `declare-fun`
+/// without arguments) with their sorts, in file order.
+pub(crate) fn declared_constants(
+    script: &ArenaScript,
+) -> impl Iterator<Item = (Symbol, Sort)> + '_ {
+    script.commands.iter().filter_map(|c| match c {
+        ArenaCommand::DeclareConst(name, sort) => Some((name.clone(), sort.clone())),
+        ArenaCommand::DeclareFun(name, args, ret) if args.is_empty() => {
+            Some((name.clone(), ret.clone()))
+        }
+        _ => None,
+    })
+}
+
+/// True when a term is an *atomic formula* in the paper's sense: a
+/// Boolean-valued application whose head is not a logical connective.
+/// (Sort information is approximated structurally: comparison/predicate
+/// heads and Boolean constants/variables inside connectives.)
 fn is_atom_arena(arena: &TermArena, id: TermId) -> bool {
     match arena.node(id) {
-        ANode::App(op, _, _) => !matches!(
-            arena.op(op),
-            Op::Not | Op::And | Op::Or | Op::Xor | Op::Implies | Op::Ite
-        ),
+        ANode::App(op, _, _) => !arena.op(op).is_connective(),
         ANode::Const(vi) => matches!(arena.value(vi), Value::Bool(_)),
         ANode::Var(_) => true,
         _ => false,
     }
 }
 
-/// Arena twin of `count_atoms`; identical traversal order.
+/// Number of atoms in a term, in the order [`replace_atoms_arena`] visits
+/// them.
 fn count_atoms_arena(arena: &TermArena, id: TermId) -> usize {
     match arena.node(id) {
-        ANode::App(op, start, len)
-            if matches!(
-                arena.op(op),
-                Op::Not | Op::And | Op::Or | Op::Xor | Op::Implies | Op::Ite
-            ) =>
-        {
+        ANode::App(op, start, len) if arena.op(op).is_connective() => {
             let mut n = 0;
             for i in 0..len {
                 n += count_atoms_arena(arena, arena.args(start, len)[i as usize]);
@@ -270,8 +125,11 @@ fn count_atoms_arena(arena: &TermArena, id: TermId) -> usize {
     }
 }
 
-/// Arena twin of `replace_atoms`: same RNG short-circuits (`forced ||
-/// gen_bool`, cap check first), same pre-order walk, rebuild-if-changed.
+/// Walks the Boolean structure, replacing atoms. Only positions of Boolean
+/// sort are candidates: connective children, quantifier bodies, and `let`
+/// bodies in Boolean context (binder *values* are left untouched — their
+/// sort is unknown and replacing them would break well-sortedness). Nodes
+/// are rebuilt only when a child changed.
 fn replace_atoms_arena(
     arena: &mut TermArena,
     id: TermId,
@@ -295,12 +153,7 @@ fn replace_atoms_arena(
         return id;
     }
     match arena.node(id) {
-        ANode::App(op, start, len)
-            if matches!(
-                arena.op(op),
-                Op::Not | Op::And | Op::Or | Op::Xor | Op::Implies | Op::Ite
-            ) =>
-        {
+        ANode::App(op, start, len) if arena.op(op).is_connective() => {
             let kids = arena.args(start, len).to_vec();
             let new: Vec<TermId> = kids
                 .iter()
@@ -338,7 +191,8 @@ fn replace_atoms_arena(
     }
 }
 
-/// Arena twin of [`strip_commands`].
+/// Strips `check-sat`/`get-model`/`exit` commands from a skeleton script
+/// (the fuzzer re-appends `check-sat` after filling).
 pub fn strip_commands_arena(script: &mut ArenaScript) {
     script.commands.retain(|c| {
         !matches!(
@@ -359,32 +213,48 @@ mod tests {
         StdRng::seed_from_u64(42)
     }
 
+    /// Skeletonizes `text` in a fresh arena; returns the skeleton, its
+    /// printed script and the arena it lives in.
+    fn skeleton_of(
+        text: &str,
+        cfg: SkeletonConfig,
+        rng: &mut StdRng,
+    ) -> (ArenaSkeleton, String, TermArena) {
+        let mut arena = TermArena::new();
+        let seed = ArenaScript::from_script(&parse_script(text).unwrap(), &mut arena);
+        let sk = skeletonize_arena(&seed, &mut arena, cfg, rng);
+        let mut printed = String::new();
+        sk.script.print_into(&arena, &mut printed);
+        (sk, printed, arena)
+    }
+
     #[test]
     fn skeleton_always_inserts_at_least_one_placeholder() {
-        let seed =
-            parse_script("(declare-fun T () Int)(assert (or (= T 0) (< T 1)))(check-sat)").unwrap();
         for i in 0..50 {
             let mut r = StdRng::seed_from_u64(i);
-            let sk = skeletonize(&seed, SkeletonConfig::default(), &mut r);
+            let (sk, _, arena) = skeleton_of(
+                "(declare-fun T () Int)(assert (or (= T 0) (< T 1)))(check-sat)",
+                SkeletonConfig::default(),
+                &mut r,
+            );
             assert!(sk.placeholder_count >= 1);
-            assert!(sk.script.has_placeholders());
+            assert!(sk.script.has_placeholders(&arena));
         }
     }
 
     #[test]
     fn skeleton_preserves_quantifier_structure() {
         // The paper's running example: (exists ((f Int)) <placeholder>).
-        let seed = parse_script(
-            "(declare-fun s () (Seq Int))\
-             (assert (exists ((f Int)) (distinct (seq.len s) 0)))(check-sat)",
-        )
-        .unwrap();
         let cfg = SkeletonConfig {
             replace_probability: 1.0,
             max_placeholders: 8,
         };
-        let sk = skeletonize(&seed, cfg, &mut rng());
-        let printed = sk.script.to_string();
+        let (_, printed, _) = skeleton_of(
+            "(declare-fun s () (Seq Int))\
+             (assert (exists ((f Int)) (distinct (seq.len s) 0)))(check-sat)",
+            cfg,
+            &mut rng(),
+        );
         assert!(
             printed.contains("(exists ((f Int)) <placeholder>)"),
             "{printed}"
@@ -393,29 +263,29 @@ mod tests {
 
     #[test]
     fn skeleton_respects_max_placeholders() {
-        let seed = parse_script(
-            "(declare-const a Bool)(declare-const b Bool)(declare-const c Bool)\
-             (declare-const d Bool)(declare-const e Bool)(declare-const f Bool)\
-             (assert (and a b c d e f))(check-sat)",
-        )
-        .unwrap();
         let cfg = SkeletonConfig {
             replace_probability: 1.0,
             max_placeholders: 3,
         };
-        let sk = skeletonize(&seed, cfg, &mut rng());
+        let (sk, _, _) = skeleton_of(
+            "(declare-const a Bool)(declare-const b Bool)(declare-const c Bool)\
+             (declare-const d Bool)(declare-const e Bool)(declare-const f Bool)\
+             (assert (and a b c d e f))(check-sat)",
+            cfg,
+            &mut rng(),
+        );
         assert_eq!(sk.placeholder_count, 3);
     }
 
     #[test]
     fn variables_collected_with_sorts() {
-        let seed = parse_script(
+        let (sk, _, _) = skeleton_of(
             "(declare-const x Int)(declare-fun s () (Seq Int))\
              (declare-fun f (Int) Int)\
              (assert (> x (seq.len s)))(check-sat)",
-        )
-        .unwrap();
-        let sk = skeletonize(&seed, SkeletonConfig::default(), &mut rng());
+            SkeletonConfig::default(),
+            &mut rng(),
+        );
         // n-ary functions are not adaptation targets.
         assert_eq!(sk.variables.len(), 2);
         assert!(sk
@@ -427,20 +297,25 @@ mod tests {
     #[test]
     fn non_boolean_positions_untouched() {
         // The arithmetic subterm (+ x 1) must never become a placeholder.
-        let seed = parse_script("(declare-const x Int)(assert (= (+ x 1) 2))(check-sat)").unwrap();
         let cfg = SkeletonConfig {
             replace_probability: 1.0,
             max_placeholders: 8,
         };
-        let sk = skeletonize(&seed, cfg, &mut rng());
+        let (sk, printed, _) = skeleton_of(
+            "(declare-const x Int)(assert (= (+ x 1) 2))(check-sat)",
+            cfg,
+            &mut rng(),
+        );
         assert_eq!(sk.placeholder_count, 1, "only the whole atom is replaced");
-        assert!(sk.script.to_string().contains("(assert <placeholder>)"));
+        assert!(printed.contains("(assert <placeholder>)"));
     }
 
     #[test]
     fn strip_commands_removes_check_sat() {
-        let mut s = parse_script("(assert true)(check-sat)(get-model)").unwrap();
-        strip_commands(&mut s);
+        let mut arena = TermArena::new();
+        let s = parse_script("(assert true)(check-sat)(get-model)").unwrap();
+        let mut s = ArenaScript::from_script(&s, &mut arena);
+        strip_commands_arena(&mut s);
         assert_eq!(s.commands.len(), 1);
     }
 }

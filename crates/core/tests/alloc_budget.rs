@@ -67,7 +67,7 @@ fn one_case(
             adapt_fill_arena(&f, &sk, arena, rng)
         })
         .collect();
-    let out = synthesize_arena(&sk, &fills, arena, rng);
+    let out = synthesize_arena(&sk, &fills, arena);
     buf.clear();
     out.print_into(arena, buf);
     assert!(buf.ends_with("(check-sat)"));

@@ -10,7 +10,7 @@
 //! socket alone cannot tell "campaign complete" from "coordinator
 //! died".
 //!
-//! Each worker is one [`Link`] on the coordinator: a non-blocking socket
+//! Each worker is one `Link` on the coordinator: a non-blocking socket
 //! whose fd rides the `o4a-executor` `poll(2)` reactor plus a
 //! line-oriented send path. Socket *writes* poll for writability with a
 //! deadline, since a peer that keeps its receive window shut for

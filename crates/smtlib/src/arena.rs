@@ -288,7 +288,7 @@ impl TermArena {
         n
     }
 
-    /// Number of placeholder nodes, matching [`Term::placeholder_count`].
+    /// Number of placeholder nodes.
     pub fn placeholder_count(&self, id: TermId) -> usize {
         let mut n = 0usize;
         let mut stack = vec![id];
@@ -374,10 +374,10 @@ impl TermArena {
     }
 
     /// Replaces placeholder nodes round-robin with `fills`, advancing
-    /// `next` once per replacement — the arena twin of the fuzzer's
-    /// `map_bottom_up` fill step (leaves are visited left-to-right in both,
-    /// so `next` assigns identically). With no fills, placeholders become
-    /// `true`. Fill ids are shared, not cloned; printing expands them.
+    /// `next` once per replacement; placeholders are visited left to
+    /// right, as [`Term::map_bottom_up`] visits leaves. With no fills,
+    /// placeholders become `true`. Fill ids are shared, not cloned;
+    /// printing expands them.
     pub fn fill_placeholders(&mut self, id: TermId, fills: &[TermId], next: &mut usize) -> TermId {
         match self.node(id) {
             ANode::Placeholder(_) => {

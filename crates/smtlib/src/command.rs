@@ -131,12 +131,6 @@ impl Script {
         self.assertions().map(Term::size).sum()
     }
 
-    /// Whether any assertion contains a placeholder (i.e. this is a skeleton,
-    /// not a complete test case).
-    pub fn has_placeholders(&self) -> bool {
-        self.assertions().any(|t| t.placeholder_count() > 0)
-    }
-
     /// Ensures the script ends with `(check-sat)`, appending one if missing.
     pub fn ensure_check_sat(&mut self) {
         if !self.commands.iter().any(|c| matches!(c, Command::CheckSat)) {
@@ -276,8 +270,9 @@ mod tests {
     #[test]
     fn placeholders_flagged() {
         let mut s = sample_script();
-        assert!(!s.has_placeholders());
+        let mut arena = crate::TermArena::new();
+        assert!(!crate::ArenaScript::from_script(&s, &mut arena).has_placeholders(&arena));
         s.commands.push(Command::Assert(Term::Placeholder(0)));
-        assert!(s.has_placeholders());
+        assert!(crate::ArenaScript::from_script(&s, &mut arena).has_placeholders(&arena));
     }
 }

@@ -326,6 +326,16 @@ impl Op {
         }
     }
 
+    /// True for the Boolean connectives `not`, `and`, `or`, `xor`, `=>`
+    /// and `ite`: the operators skeleton extraction walks through rather
+    /// than hollows out.
+    pub fn is_connective(&self) -> bool {
+        matches!(
+            self,
+            Op::Not | Op::And | Op::Or | Op::Xor | Op::Implies | Op::Ite
+        )
+    }
+
     /// The SMT-LIB spelling of the operator head. Indexed operators return
     /// only the base name; the printer adds `(_ name indices)`.
     pub fn smt_name(&self) -> &str {

@@ -1,10 +1,10 @@
 //! Recursive-descent parser from SMT-LIB text to [`Script`]/[`Term`].
 //!
-//! The core parser runs over borrowed tokens and builds terms directly into
-//! a [`TermArena`] — [`parse_script_arena`]/[`parse_term_arena`] are the
-//! zero-copy entry points the hot loop uses. The boxed [`parse_script`]/
-//! [`parse_term`] wrappers parse into a thread-local scratch arena and
-//! extract, so their behavior (including every error message) is unchanged.
+//! There is one parser. It runs over borrowed tokens and builds terms
+//! directly into a [`TermArena`]: [`parse_script_arena`]/[`parse_term_arena`]
+//! are its entry points. The boxed [`parse_script`]/[`parse_term`] wrappers
+//! parse into a thread-local scratch arena and extract the result, so both
+//! forms report the same errors with the same messages.
 
 use crate::arena::{ANode, ArenaCommand, ArenaScript, SymbolId, TermArena, TermId};
 use crate::lexer::{lex, resolve_string_lit, SpannedTok, Tok};

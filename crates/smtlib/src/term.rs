@@ -237,29 +237,15 @@ impl Term {
         found
     }
 
-    /// Number of placeholders in the term.
-    pub fn placeholder_count(&self) -> usize {
-        let mut n = 0;
-        self.visit(&mut |t| {
-            if matches!(t, Term::Placeholder(_)) {
-                n += 1;
-            }
-        });
-        n
-    }
-
     /// An *atomic* sub-formula in the paper's sense: a Boolean-valued term
     /// whose head is not a logical connective or quantifier. These are the
     /// removal candidates during skeleton extraction.
     pub fn is_logical_connective(&self) -> bool {
-        matches!(
-            self,
-            Term::App(
-                Op::Not | Op::And | Op::Or | Op::Xor | Op::Implies | Op::Ite,
-                _
-            ) | Term::Quant(_, _, _)
-                | Term::Let(_, _)
-        )
+        match self {
+            Term::App(op, _) => op.is_connective(),
+            Term::Quant(_, _, _) | Term::Let(_, _) => true,
+            _ => false,
+        }
     }
 }
 

@@ -7,10 +7,23 @@
 //! — bit-widths, field moduli, element sorts, relation arities — is strict,
 //! because those strict errors are exactly the feedback signal Once4All's
 //! self-correction loop consumes.
+//!
+//! The checker runs on [`TermArena`] ids ([`check_script_arena`],
+//! [`check_term_arena`]). The boxed [`check_script`]/[`check_term`] entry
+//! points intern their input into a thread-local scratch arena and call
+//! it, so there is one implementation of the typing rules.
 
 use crate::arena::{ANode, ArenaCommand, ArenaScript, TermArena, TermId};
 use crate::{Command, Op, Script, Sort, SortError, Symbol, Term, Value};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
+
+thread_local! {
+    /// Scratch arena backing the boxed `check_script`/`check_term`
+    /// wrappers; reset per call, interners stay warm for the thread's
+    /// lifetime.
+    static CHECK_ARENA: RefCell<TermArena> = RefCell::new(TermArena::new());
+}
 
 /// Declared symbols visible while checking a term.
 #[derive(Clone, Debug, Default)]
@@ -28,21 +41,44 @@ impl SortContext {
     ///
     /// Returns [`SortError::Redeclaration`] when a symbol is declared twice.
     pub fn from_script(script: &Script) -> Result<SortContext, SortError> {
+        SortContext::collect(script.commands.iter().map(|cmd| match cmd {
+            Command::DeclareConst(name, sort) => Decl::Fun(name, &[], sort),
+            Command::DeclareFun(name, args, ret) => Decl::Fun(name, args, ret),
+            Command::DeclareSort(name) => Decl::Sort(name),
+            Command::DefineFun(name, params, ret, _) => Decl::Def(name, params, ret),
+            _ => Decl::None,
+        }))
+    }
+
+    /// Builds a context from an arena script's declarations.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SortError::Redeclaration`] when a symbol is declared twice.
+    pub fn from_arena_script(script: &ArenaScript) -> Result<SortContext, SortError> {
+        SortContext::collect(script.commands.iter().map(|cmd| match cmd {
+            ArenaCommand::DeclareConst(name, sort) => Decl::Fun(name, &[], sort),
+            ArenaCommand::DeclareFun(name, args, ret) => Decl::Fun(name, args, ret),
+            ArenaCommand::DeclareSort(name) => Decl::Sort(name),
+            ArenaCommand::DefineFun(name, params, ret, _) => Decl::Def(name, params, ret),
+            _ => Decl::None,
+        }))
+    }
+
+    /// The one declaration collector behind both constructors.
+    fn collect<'a>(decls: impl Iterator<Item = Decl<'a>>) -> Result<SortContext, SortError> {
         let mut ctx = SortContext::default();
-        for cmd in &script.commands {
-            match cmd {
-                Command::DeclareConst(name, sort) => {
-                    ctx.declare(name.clone(), Vec::new(), sort.clone())?;
+        for decl in decls {
+            match decl {
+                Decl::Fun(name, args, ret) => {
+                    ctx.declare(name.clone(), args.to_vec(), ret.clone())?
                 }
-                Command::DeclareFun(name, args, ret) => {
-                    ctx.declare(name.clone(), args.clone(), ret.clone())?;
-                }
-                Command::DeclareSort(name) => ctx.sorts.push(name.clone()),
-                Command::DefineFun(name, params, ret, _) => {
+                Decl::Def(name, params, ret) => {
                     let args = params.iter().map(|(_, s)| s.clone()).collect();
                     ctx.declare(name.clone(), args, ret.clone())?;
                 }
-                _ => {}
+                Decl::Sort(name) => ctx.sorts.push(name.clone()),
+                Decl::None => {}
             }
         }
         Ok(ctx)
@@ -68,90 +104,55 @@ impl SortContext {
             _ => None,
         }
     }
+}
 
-    /// Builds a context from an arena script's declarations; identical to
-    /// [`SortContext::from_script`] on the extracted boxed script.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SortError::Redeclaration`] when a symbol is declared twice.
-    pub fn from_arena_script(script: &ArenaScript) -> Result<SortContext, SortError> {
-        let mut ctx = SortContext::default();
-        for cmd in &script.commands {
-            match cmd {
-                ArenaCommand::DeclareConst(name, sort) => {
-                    ctx.declare(name.clone(), Vec::new(), sort.clone())?;
-                }
-                ArenaCommand::DeclareFun(name, args, ret) => {
-                    ctx.declare(name.clone(), args.clone(), ret.clone())?;
-                }
-                ArenaCommand::DeclareSort(name) => ctx.sorts.push(name.clone()),
-                ArenaCommand::DefineFun(name, params, ret, _) => {
-                    let args = params.iter().map(|(_, s)| s.clone()).collect();
-                    ctx.declare(name.clone(), args, ret.clone())?;
-                }
-                _ => {}
-            }
-        }
-        Ok(ctx)
-    }
+/// What one command declares, borrowed from either script form.
+enum Decl<'a> {
+    /// A constant or function: name, argument sorts, result sort.
+    Fun(&'a Symbol, &'a [Sort], &'a Sort),
+    /// A defined function: name, parameters, result sort.
+    Def(&'a Symbol, &'a [(Symbol, Sort)], &'a Sort),
+    /// An uninterpreted sort.
+    Sort(&'a Symbol),
+    /// Not a declaration.
+    None,
 }
 
 /// Checks a whole script: declarations are consistent, every assertion is
 /// Boolean, defined function bodies match their signatures, and no
-/// placeholder remains.
+/// placeholder remains. Interns the script into a thread-local scratch
+/// arena and runs [`check_script_arena`].
 ///
 /// # Errors
 ///
 /// Returns the first [`SortError`] encountered, in file order.
 pub fn check_script(script: &Script) -> Result<SortContext, SortError> {
-    let ctx = SortContext::from_script(script)?;
-    for cmd in &script.commands {
-        match cmd {
-            Command::DefineFun(_, params, ret, body) => {
-                let mut locals: Vec<(Symbol, Sort)> = params.clone();
-                let got = sort_of_with_locals(body, &ctx, &mut locals)?;
-                if !compatible(&got, ret) {
-                    return Err(SortError::ArgSort {
-                        op: "define-fun".into(),
-                        index: 0,
-                        expected: ret.to_string(),
-                        got,
-                    });
-                }
-            }
-            Command::Assert(t) => {
-                if t.placeholder_count() > 0 {
-                    return Err(SortError::PlaceholderPresent);
-                }
-                let got = check_term(t, &ctx)?;
-                if got != Sort::Bool {
-                    return Err(SortError::ArgSort {
-                        op: "assert".into(),
-                        index: 0,
-                        expected: "Bool".into(),
-                        got,
-                    });
-                }
-            }
-            _ => {}
-        }
-    }
-    Ok(ctx)
+    CHECK_ARENA.with(|cell| {
+        let mut arena = cell.borrow_mut();
+        arena.reset();
+        let script = ArenaScript::from_script(script, &mut arena);
+        check_script_arena(&script, &arena)
+    })
 }
 
-/// Computes the sort of a closed term under a context.
+/// Computes the sort of a closed term under a context, on a thread-local
+/// scratch arena (see [`check_term_arena`]).
 ///
 /// # Errors
 ///
 /// Returns a [`SortError`] describing the first violation found.
 pub fn check_term(term: &Term, ctx: &SortContext) -> Result<Sort, SortError> {
-    let mut locals = Vec::new();
-    sort_of_with_locals(term, ctx, &mut locals)
+    CHECK_ARENA.with(|cell| {
+        let mut arena = cell.borrow_mut();
+        arena.reset();
+        let id = arena.intern_term(term);
+        check_term_arena(id, &arena, ctx)
+    })
 }
 
-/// Checks a whole arena script; errors (and their order) are identical to
-/// [`check_script`] on the extracted boxed script.
+/// Checks a whole arena script: declarations are consistent, every
+/// assertion is Boolean, defined function bodies match their signatures,
+/// and no placeholder remains.
 ///
 /// # Errors
 ///
@@ -408,59 +409,6 @@ fn relation_arity(op: &Op, index: usize, s: &Sort) -> Result<Vec<Sort>, SortErro
             }),
         },
         other => Err(arg_err(op, index, "a relation (set of tuples)", other)),
-    }
-}
-
-fn sort_of_with_locals(
-    term: &Term,
-    ctx: &SortContext,
-    locals: &mut Vec<(Symbol, Sort)>,
-) -> Result<Sort, SortError> {
-    match term {
-        Term::Const(v) => Ok(v.sort()),
-        Term::Placeholder(_) => Ok(Sort::Bool),
-        Term::Var(name) => {
-            if let Some((_, s)) = locals.iter().rev().find(|(n, _)| n == name) {
-                return Ok(s.clone());
-            }
-            ctx.const_sort(name)
-                .cloned()
-                .ok_or_else(|| SortError::UnknownSymbol(name.clone()))
-        }
-        Term::Let(binds, body) => {
-            let mut bound = Vec::with_capacity(binds.len());
-            for (name, value) in binds {
-                let s = sort_of_with_locals(value, ctx, locals)?;
-                bound.push((name.clone(), s));
-            }
-            let n = locals.len();
-            locals.extend(bound);
-            let out = sort_of_with_locals(body, ctx, locals);
-            locals.truncate(n);
-            out
-        }
-        Term::Quant(_, vars, body) => {
-            let n = locals.len();
-            locals.extend(vars.iter().cloned());
-            let got = sort_of_with_locals(body, ctx, locals)?;
-            locals.truncate(n);
-            if got != Sort::Bool {
-                return Err(SortError::ArgSort {
-                    op: "quantifier body".into(),
-                    index: 0,
-                    expected: "Bool".into(),
-                    got,
-                });
-            }
-            Ok(Sort::Bool)
-        }
-        Term::App(op, args) => {
-            let mut sorts = Vec::with_capacity(args.len());
-            for a in args {
-                sorts.push(sort_of_with_locals(a, ctx, locals)?);
-            }
-            sort_of_app(op, &sorts, ctx)
-        }
     }
 }
 

@@ -4,26 +4,28 @@
 //! Both solvers consume SMT-LIB text through [`Frontend::analyze`]; what
 //! differs is which theories they accept (OxiZ rejects the cvc5-only
 //! extensions, like real Z3 rejects `ff.add`) and the engine that runs
-//! afterwards. The solver-independent half — parse, sort check,
-//! declarations, features — is a [`Parsed`], which a campaign builds once
-//! per case and hands to every solver through [`Frontend::analyze_parsed`].
+//! afterwards. Everything but coverage — parse, each solver's theory gate,
+//! sort check, declarations, features — is a [`Parsed`], which a campaign
+//! builds once per case and hands to every solver through
+//! [`Frontend::analyze_parsed`]. Parser, gate and sort checker all run on
+//! a [`TermArena`].
 
 use crate::coverage::{supported_theories, CoverageMap, Universe};
 use crate::features::FormulaFeatures;
 use crate::SolverId;
 use o4a_smtlib::{
-    parse_script, parse_script_arena, typeck, ANode, ArenaCommand, ArenaScript, Command, Script,
-    Sort, Symbol, Term, TermArena, TermId, Theory,
+    parse_script_arena, typeck, ANode, ArenaCommand, ArenaScript, Command, Op, Script, Sort,
+    Symbol, Term, TermArena, TermId, Theory,
 };
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 thread_local! {
-    /// Scratch arena for [`Frontend::validate`]: reset per call, so the
-    /// mutation→validate inner loop reuses one node table and warm
-    /// symbol/sort/op interners instead of boxing a fresh AST per script.
-    static VALIDATE_ARENA: RefCell<TermArena> = RefCell::new(TermArena::new());
+    /// Scratch arena for [`Parsed::new`] and [`Frontend::validate`]: reset
+    /// per call, so every case reuses one node table and warm
+    /// symbol/sort/op interners.
+    static FRONTEND_ARENA: RefCell<TermArena> = RefCell::new(TermArena::new());
 }
 
 /// The result of frontend analysis: everything an engine needs to solve.
@@ -43,44 +45,10 @@ pub struct Analyzed {
     pub input_bytes: usize,
 }
 
-/// The solver-independent frontend work on one case, done once and shared
-/// by every in-process solver and the oracle: parse, sort check, the
-/// declaration tables and the [`FormulaFeatures`].
-///
-/// Only the per-solver steps — coverage attribution and the theory gate —
-/// are left to [`Frontend::analyze_parsed`].
-#[derive(Clone, Debug)]
-pub struct Parsed {
-    stage: Stage,
-}
-
-#[derive(Clone, Debug)]
-enum Stage {
-    /// The parser's message.
-    ParseError(String),
-    /// The script parsed but failed the sort check (with its message).
-    TypeError(Script, String),
-    /// The script parsed and sort-checked.
-    Checked(Analyzed),
-}
-
-impl Parsed {
-    /// Parses and sort-checks `text`, collecting declarations and features
-    /// when both succeed.
-    pub fn new(text: &str) -> Parsed {
-        let script = match parse_script(text) {
-            Ok(s) => s,
-            Err(e) => {
-                return Parsed {
-                    stage: Stage::ParseError(format!("{e}")),
-                }
-            }
-        };
-        if let Err(e) = typeck::check_script(&script) {
-            return Parsed {
-                stage: Stage::TypeError(script, format!("{e}")),
-            };
-        }
+impl Analyzed {
+    /// Collects the declaration tables and features of a sort-checked
+    /// script.
+    fn of(script: Script, input_bytes: usize) -> Analyzed {
         let mut consts = Vec::new();
         let mut funs = Vec::new();
         let mut defs = BTreeMap::new();
@@ -96,17 +64,67 @@ impl Parsed {
                 _ => {}
             }
         }
-        let features = FormulaFeatures::of(&script);
-        Parsed {
-            stage: Stage::Checked(Analyzed {
-                consts,
-                funs,
-                defs,
-                features,
-                input_bytes: text.len(),
-                script,
-            }),
+        Analyzed {
+            consts,
+            funs,
+            defs,
+            features: FormulaFeatures::of(&script),
+            input_bytes,
+            script,
         }
+    }
+}
+
+/// The frontend work on one case, done once and shared by every
+/// in-process solver and the oracle: parse, each solver's theory-gate
+/// verdict, sort check, the declaration tables and the
+/// [`FormulaFeatures`]. Only coverage attribution is left to
+/// [`Frontend::analyze_parsed`].
+#[derive(Clone, Debug)]
+pub struct Parsed {
+    stage: Stage,
+    /// The theory gate's verdict for each solver, in [`SolverId::ALL`]
+    /// order (both `Ok` when the text did not parse).
+    gates: [Result<(), String>; 2],
+}
+
+#[derive(Clone, Debug)]
+enum Stage {
+    /// The parser's message.
+    ParseError(String),
+    /// The script parsed but failed the sort check (with its message).
+    TypeError(Script, String),
+    /// The script parsed and sort-checked.
+    Checked(Analyzed),
+}
+
+impl Parsed {
+    /// Parses, theory-gates and sort-checks `text` on the frontend's
+    /// thread-local arena, collecting declarations and features when the
+    /// sort check succeeds. The script is boxed once, at the end.
+    pub fn new(text: &str) -> Parsed {
+        FRONTEND_ARENA.with(|cell| {
+            let arena = &mut *cell.borrow_mut();
+            arena.reset();
+            let script = match parse_script_arena(text, arena) {
+                Ok(s) => s,
+                Err(e) => {
+                    return Parsed {
+                        stage: Stage::ParseError(format!("{e}")),
+                        gates: [Ok(()), Ok(())],
+                    }
+                }
+            };
+            let gates =
+                SolverId::ALL.map(|id| Frontend::new(id).gate_theories_arena(&script, arena));
+            let checked = typeck::check_script_arena(&script, arena);
+            let script = script.to_script(arena);
+            let stage = match checked {
+                Ok(_) => Stage::Checked(Analyzed::of(script, text.len())),
+                Err(e) => Stage::TypeError(script, format!("{e}")),
+            };
+            Parsed { stage, gates }
+        })
     }
 
     /// The parsed script, or `None` when the text did not parse.
@@ -162,8 +180,9 @@ impl Frontend {
     }
 
     /// The per-solver half of [`Frontend::analyze`] on an already parsed
-    /// case: records frontend coverage and gates theories. Errors keep the
-    /// precedence parse → theory gate → sort check.
+    /// case: records frontend coverage and reports the stored theory-gate
+    /// verdict. Errors keep the precedence parse → theory gate → sort
+    /// check.
     ///
     /// # Errors
     ///
@@ -184,27 +203,28 @@ impl Frontend {
             Stage::Checked(a) => (&a.script, Ok(a)),
         };
         self.walk_coverage(script, universe, cov);
-        self.gate_theories(script)?;
+        // `SolverId::ALL` lists the solvers in declaration order.
+        parsed.gates[self.solver as usize].clone()?;
         checked.map_err(|msg| {
             cov.hit_idx(universe, universe.error_reporting, 1);
             msg.clone()
         })
     }
 
-    /// Parses, gates theories, and sort-checks a script on the arena fast
-    /// path, without boxing an AST or recording coverage.
+    /// Parses, gates theories, and sort-checks a script without boxing an
+    /// AST or recording coverage.
     ///
-    /// This is the validator twin of [`Frontend::analyze`]: it accepts
-    /// exactly the scripts `analyze` accepts and produces byte-identical
-    /// error messages (the generator self-correction loop consumes them),
-    /// but runs on a thread-local [`TermArena`] that is reset per call —
-    /// the hot mutation→validate loop allocates no per-node memory.
+    /// It accepts exactly the scripts [`Frontend::analyze`] accepts and
+    /// produces byte-identical error messages (the generator
+    /// self-correction loop consumes them), but runs entirely on a
+    /// thread-local [`TermArena`] that is reset per call — the hot
+    /// mutation→validate loop allocates no per-node memory.
     ///
     /// # Errors
     ///
     /// The same solver-style messages as [`Frontend::analyze`].
     pub fn validate(&self, text: &str) -> Result<(), String> {
-        VALIDATE_ARENA.with(|cell| {
+        FRONTEND_ARENA.with(|cell| {
             let arena = &mut *cell.borrow_mut();
             arena.reset();
             let script = parse_script_arena(text, arena).map_err(|e| format!("{e}"))?;
@@ -214,27 +234,23 @@ impl Frontend {
         })
     }
 
-    /// Arena twin of [`Frontend::gate_theories`]: an allocation-light
-    /// support scan over the node table. On failure it re-collects the
-    /// failing assertion's ops through the boxed path, so the reported
-    /// operator is exactly the one the boxed gate would pick (first
-    /// unsupported op in `BTreeSet<Op>` order of the first bad assertion).
+    /// Rejects scripts that use theories this solver does not implement.
+    /// An allocation-light scan over the node table; in the first
+    /// assertion with an unsupported operator it reports the smallest such
+    /// operator (by `Op`'s order), then checks declared sorts.
     fn gate_theories_arena(&self, script: &ArenaScript, arena: &TermArena) -> Result<(), String> {
         let supported = supported_theories(self.solver);
         let mut stack: Vec<TermId> = Vec::new();
-        for cmd in &script.commands {
-            let ArenaCommand::Assert(t) = cmd else {
-                continue;
-            };
+        for t in script.assertions() {
             stack.clear();
-            stack.push(*t);
-            let mut bad = false;
+            stack.push(t);
+            let mut unsupported: Option<&Op> = None;
             while let Some(id) = stack.pop() {
                 match arena.node(id) {
                     ANode::App(op, start, len) => {
-                        if !supported.contains(&arena.op(op).theory()) {
-                            bad = true;
-                            break;
+                        let op = arena.op(op);
+                        if !supported.contains(&op.theory()) && unsupported.is_none_or(|u| op < u) {
+                            unsupported = Some(op);
                         }
                         stack.extend_from_slice(arena.args(start, len));
                     }
@@ -246,17 +262,13 @@ impl Frontend {
                     ANode::Const(_) | ANode::Var(_) | ANode::Placeholder(_) => {}
                 }
             }
-            if bad {
-                for op in arena.extract_term(*t).ops() {
-                    if !supported.contains(&op.theory()) {
-                        return Err(format!(
-                            "unknown constant or function symbol '{}' (theory '{}' is not supported by {})",
-                            op.smt_name(),
-                            op.theory(),
-                            self.solver.name(),
-                        ));
-                    }
-                }
+            if let Some(op) = unsupported {
+                return Err(format!(
+                    "unknown constant or function symbol '{}' (theory '{}' is not supported by {})",
+                    op.smt_name(),
+                    op.theory(),
+                    self.solver.name(),
+                ));
             }
         }
         for cmd in &script.commands {
@@ -267,37 +279,6 @@ impl Frontend {
             };
             for s in args.iter().chain(std::iter::once(ret)) {
                 for t in deep_theories(s) {
-                    if !supported.contains(&t) {
-                        return Err(format!(
-                            "unknown sort '{s}' (theory '{t}' is not supported by {})",
-                            self.solver.name(),
-                        ));
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Rejects scripts that use theories this solver does not implement.
-    fn gate_theories(&self, script: &Script) -> Result<(), String> {
-        let supported = supported_theories(self.solver);
-        for t in script.assertions() {
-            for op in t.ops() {
-                if !supported.contains(&op.theory()) {
-                    return Err(format!(
-                        "unknown constant or function symbol '{}' (theory '{}' is not supported by {})",
-                        op.smt_name(),
-                        op.theory(),
-                        self.solver.name(),
-                    ));
-                }
-            }
-        }
-        for (_, args, ret) in script.declarations() {
-            for s in args.iter().chain(std::iter::once(&ret)) {
-                let th = deep_theories(s);
-                for t in th {
                     if !supported.contains(&t) {
                         return Err(format!(
                             "unknown sort '{s}' (theory '{t}' is not supported by {})",
@@ -495,20 +476,49 @@ mod tests {
 
     /// The single-pass `analyze` this crate shipped before the frontend
     /// was split into [`Parsed`] and [`Frontend::analyze_parsed`], kept as
-    /// the reference the split must reproduce.
+    /// the reference the split must reproduce — boxed theory gate included.
     fn analyze_unsplit(
         f: &Frontend,
         text: &str,
         universe: &Universe,
         cov: &mut CoverageMap,
     ) -> Result<Analyzed, String> {
+        fn gate_theories(solver: SolverId, script: &Script) -> Result<(), String> {
+            let supported = supported_theories(solver);
+            for t in script.assertions() {
+                for op in t.ops() {
+                    if !supported.contains(&op.theory()) {
+                        return Err(format!(
+                            "unknown constant or function symbol '{}' (theory '{}' is not supported by {})",
+                            op.smt_name(),
+                            op.theory(),
+                            solver.name(),
+                        ));
+                    }
+                }
+            }
+            for (_, args, ret) in script.declarations() {
+                for s in args.iter().chain(std::iter::once(&ret)) {
+                    for t in deep_theories(s) {
+                        if !supported.contains(&t) {
+                            return Err(format!(
+                                "unknown sort '{s}' (theory '{t}' is not supported by {})",
+                                solver.name(),
+                            ));
+                        }
+                    }
+                }
+            }
+            Ok(())
+        }
+
         cov.hit_idx(universe, universe.error_reporting, 0);
-        let script = parse_script(text).map_err(|e| {
+        let script = o4a_smtlib::parse_script(text).map_err(|e| {
             cov.hit_idx(universe, universe.error_reporting, 1);
             format!("{e}")
         })?;
         f.walk_coverage(&script, universe, cov);
-        f.gate_theories(&script)?;
+        gate_theories(f.solver, &script)?;
         typeck::check_script(&script).map_err(|e| {
             cov.hit_idx(universe, universe.error_reporting, 1);
             format!("{e}")
@@ -560,6 +570,11 @@ mod tests {
             // Fails OxiZ's theory gate *and* the sort check: the gate
             // error must win, for OxiZ only.
             "(declare-const v (_ FiniteField 3))(assert (= v (ff.add v 1)))(check-sat)",
+            // Several unsupported operators in one assertion (and a second
+            // failing assertion): the smallest operator of the first wins.
+            "(declare-const s (Set Int))(declare-const v (_ FiniteField 3))\
+             (assert (or (set.member 1 (set.union s s)) (= v (ff.mul v (ff.add v v)))))\
+             (assert (bag.member 1 (bag.empty)))(check-sat)",
             // Sort error only, with declarations, a define-fun and a let.
             "(declare-fun g (Int) Bool)(define-fun h () Int 3)\
              (assert (let ((p (g h))) (and p (+ h 1))))(check-sat)",
@@ -605,6 +620,12 @@ mod tests {
             )
             .unwrap_err();
         assert!(!e.contains("not supported"), "{e}");
+        // The gate names the smallest unsupported operator, not the first
+        // one the walk meets.
+        let e = Frontend::new(SolverId::OxiZ)
+            .validate(cases[10])
+            .unwrap_err();
+        assert!(e.contains("'set.union'"), "{e}");
     }
 
     #[test]

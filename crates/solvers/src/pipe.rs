@@ -2,7 +2,7 @@
 //! binary** (Z3, cvc5, or the deterministic mock in
 //! `crates/bench/src/bin/mock_solver.rs`) over stdin/stdout pipes.
 //!
-//! [`PipeSolver`] implements [`SmtSolver`](crate::SmtSolver) and offers
+//! [`PipeSolver`] implements [`SmtSolver`] and offers
 //! an asynchronous [`PipeSolver::check_async`]: it spawns the solver
 //! command, writes SMT-LIB scripts (the same printed text the in-process
 //! engines consume) to the child's stdin, and incrementally parses
