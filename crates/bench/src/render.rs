@@ -218,15 +218,18 @@ pub fn render_stats(result: &CampaignResult) -> String {
             s.leases_granted, s.leases_reissued
         );
     }
-    // Engine search time is a process metric, recorded only while metrics
-    // are on (`O4A_METRICS`); a metrics-off run prints no line.
+    // Engine search and shard merge times are process metrics, recorded
+    // only while metrics are on (`O4A_METRICS`); a metrics-off run prints
+    // neither line.
     if o4a_obs::metrics_enabled() {
-        if let Some(h) = o4a_obs::metrics::snapshot().histograms.get("solver.search") {
-            let _ = writeln!(
-                out,
-                "solver.search µs/call    : {}",
-                render_histogram_line(h)
-            );
+        let histograms = o4a_obs::metrics::snapshot().histograms;
+        for (name, label) in [
+            ("solver.search", "solver.search µs/call    "),
+            ("exec.merge_micros", "exec.merge µs/campaign   "),
+        ] {
+            if let Some(h) = histograms.get(name) {
+                let _ = writeln!(out, "{label}: {}", render_histogram_line(h));
+            }
         }
     }
     for (solver, cov) in &result.final_coverage {
@@ -690,8 +693,10 @@ mod tests {
             ..o4a_obs::ObsConfig::default()
         });
         o4a_obs::metrics::histogram("solver.search").record(40);
+        o4a_obs::metrics::histogram("exec.merge_micros").record(900);
         let s = render_stats(&result);
         assert!(s.contains("solver.search µs/call    : n="), "{s}");
+        assert!(s.contains("exec.merge µs/campaign   : n="), "{s}");
     }
 
     #[test]

@@ -118,7 +118,7 @@ fn fingerprint(result: &CampaignResult) -> Fingerprint {
         result
             .coverage
             .iter()
-            .map(|(&id, map)| (id, map.export(&universe(id))))
+            .map(|(&id, map)| (id, map.export(universe(id))))
             .collect(),
     )
 }

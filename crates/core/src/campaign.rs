@@ -6,7 +6,7 @@
 use crate::fuzzer::{Fuzzer, TestCase};
 use crate::oracle::{judge, judge_script, Verdict};
 use crate::triage::Finding;
-use o4a_solvers::coverage::{universe, Universe};
+use o4a_solvers::coverage::universe;
 use o4a_solvers::{
     solver_with_config, CommitIdx, CoverageMap, EngineConfig, FormulaFeatures, Outcome, Parsed,
     SmtSolver, SolverId, SolverResponse, TRUNK_COMMIT,
@@ -59,6 +59,17 @@ pub struct CoveragePoint {
     pub line_pct: f64,
     /// Function coverage percent.
     pub function_pct: f64,
+}
+
+impl CoveragePoint {
+    /// The percentages of `map` against `solver`'s universe.
+    pub fn of(solver: SolverId, map: &CoverageMap) -> CoveragePoint {
+        let u = universe(solver);
+        CoveragePoint {
+            line_pct: map.line_coverage_pct(u),
+            function_pct: map.function_coverage_pct(u),
+        }
+    }
 }
 
 /// One hourly snapshot.
@@ -280,7 +291,6 @@ pub struct CampaignStepper {
     config: CampaignConfig,
     solvers: Vec<Box<dyn SmtSolver>>,
     commits: BTreeMap<SolverId, CommitIdx>,
-    universes: BTreeMap<SolverId, Universe>,
     coverage: BTreeMap<SolverId, CoverageMap>,
     stats: CampaignStats,
     findings: Vec<Finding>,
@@ -321,11 +331,6 @@ impl CampaignStepper {
             Vec::new()
         };
         let commits: BTreeMap<SolverId, CommitIdx> = config.solvers.iter().copied().collect();
-        let universes: BTreeMap<SolverId, Universe> = config
-            .solvers
-            .iter()
-            .map(|&(id, _)| (id, universe(id)))
-            .collect();
         let coverage: BTreeMap<SolverId, CoverageMap> = config
             .solvers
             .iter()
@@ -334,7 +339,6 @@ impl CampaignStepper {
         CampaignStepper {
             solvers,
             commits,
-            universes,
             coverage,
             stats: CampaignStats::default(),
             findings: Vec::new(),
@@ -489,7 +493,7 @@ impl CampaignStepper {
         if verdict.is_bug() {
             self.stats.bug_triggering += 1;
             let features = match &parsed {
-                Some(p) => p.features(),
+                Some(p) => Cow::Borrowed(p.features()),
                 None => Cow::Owned(FormulaFeatures::of(
                     &o4a_smtlib::parse_script(&text).unwrap_or_default(),
                 )),
@@ -546,7 +550,6 @@ impl CampaignStepper {
         self.snapshots.push(snapshot(
             self.next_snapshot_hour,
             &self.coverage,
-            &self.universes,
             self.stats.cases,
             &self.findings,
         ));
@@ -565,17 +568,10 @@ impl CampaignStepper {
         let mut final_coverage = BTreeMap::new();
         let mut covered_functions = BTreeMap::new();
         for (&id, map) in &self.coverage {
-            let u = &self.universes[&id];
-            final_coverage.insert(
-                id,
-                CoveragePoint {
-                    line_pct: map.line_coverage_pct(u),
-                    function_pct: map.function_coverage_pct(u),
-                },
-            );
+            final_coverage.insert(id, CoveragePoint::of(id, map));
             covered_functions.insert(
                 id,
-                map.covered_function_names(u)
+                map.covered_function_names(universe(id))
                     .iter()
                     .map(|s| s.to_string())
                     .collect(),
@@ -609,24 +605,15 @@ pub fn run_campaign(fuzzer: &mut dyn Fuzzer, config: &CampaignConfig) -> Campaig
 fn snapshot(
     hour: u32,
     maps: &BTreeMap<SolverId, CoverageMap>,
-    universes: &BTreeMap<SolverId, Universe>,
     cases: u64,
     findings: &[Finding],
 ) -> HourlySnapshot {
-    let mut coverage = BTreeMap::new();
-    for (&id, map) in maps {
-        let u = &universes[&id];
-        coverage.insert(
-            id,
-            CoveragePoint {
-                line_pct: map.line_coverage_pct(u),
-                function_pct: map.function_coverage_pct(u),
-            },
-        );
-    }
     HourlySnapshot {
         hour,
-        coverage,
+        coverage: maps
+            .iter()
+            .map(|(&id, map)| (id, CoveragePoint::of(id, map)))
+            .collect(),
         cases,
         // Count only findings discovered by the hour boundary (`vhour` can
         // land past it when one case jumps several virtual hours). This is
@@ -780,8 +767,7 @@ mod tests {
         for id in [SolverId::OxiZ, SolverId::Cervo] {
             let map = &result.coverage[&id];
             assert!(!map.is_empty());
-            let u = o4a_solvers::coverage::universe(id);
-            let pct = map.line_coverage_pct(&u);
+            let pct = map.line_coverage_pct(universe(id));
             assert!(
                 (pct - result.final_coverage[&id].line_pct).abs() < 1e-9,
                 "raw map disagrees with recorded percentage for {id}"
@@ -796,9 +782,8 @@ mod tests {
         assert_eq!(result.hourly_coverage.len(), result.snapshots.len());
         for (snap, maps) in result.snapshots.iter().zip(&result.hourly_coverage) {
             for (&id, point) in &snap.coverage {
-                let u = o4a_solvers::coverage::universe(id);
                 assert_eq!(
-                    maps[&id].line_coverage_pct(&u).to_bits(),
+                    maps[&id].line_coverage_pct(universe(id)).to_bits(),
                     point.line_pct.to_bits(),
                     "hour {}: stored map disagrees with snapshot percentage",
                     snap.hour
@@ -809,7 +794,7 @@ mod tests {
         // the lossless hourly merge preserves.
         let last = result.hourly_coverage.last().unwrap();
         for (id, map) in &result.coverage {
-            assert_eq!(last[id].export(&universe(*id)), map.export(&universe(*id)));
+            assert_eq!(last[id].export(universe(*id)), map.export(universe(*id)));
         }
     }
 

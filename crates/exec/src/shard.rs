@@ -393,7 +393,10 @@ where
         by_shard.insert(todo[j], result);
     }
     let ordered: Vec<CampaignResult> = by_shard.into_values().collect();
-    merge_shard_results(config, &ordered)
+    let timer = o4a_obs::metrics::start_timer();
+    let merged = merge_shard_results(config, &ordered);
+    o4a_obs::metrics::record_elapsed("exec.merge_micros", timer);
+    merged
 }
 
 /// Merges per-shard campaign results (in ascending shard order) into one
@@ -420,17 +423,10 @@ pub fn merge_shard_results(
     let mut final_coverage = BTreeMap::new();
     let mut covered_functions = BTreeMap::new();
     for (&solver, map) in &coverage {
-        let u = universe(solver);
-        final_coverage.insert(
-            solver,
-            CoveragePoint {
-                line_pct: map.line_coverage_pct(&u),
-                function_pct: map.function_coverage_pct(&u),
-            },
-        );
+        final_coverage.insert(solver, CoveragePoint::of(solver, map));
         covered_functions.insert(
             solver,
-            map.covered_function_names(&u)
+            map.covered_function_names(universe(solver))
                 .iter()
                 .map(|s| s.to_string())
                 .collect(),
@@ -464,14 +460,7 @@ pub fn merge_shard_results(
                 }
             }
             for (&solver, map) in &union {
-                let u = universe(solver);
-                cov.insert(
-                    solver,
-                    CoveragePoint {
-                        line_pct: map.line_coverage_pct(&u),
-                        function_pct: map.function_coverage_pct(&u),
-                    },
-                );
+                cov.insert(solver, CoveragePoint::of(solver, map));
             }
             hourly_coverage.push(union);
         } else {

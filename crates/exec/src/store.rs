@@ -299,14 +299,14 @@ fn stats_record(stats: &CampaignStats) -> Json {
 /// maps keep the full solver key set.
 fn hourly_delta_records(result: &CampaignResult) -> Json {
     let mut prev_masks: BTreeMap<SolverId, BTreeMap<String, u32>> = BTreeMap::new();
+    let universes = SolverId::ALL.map(universe);
     let mut hours = Vec::with_capacity(result.hourly_coverage.len());
     for maps in &result.hourly_coverage {
         let mut hour: Vec<(&str, Json)> = Vec::new();
         for (&solver, map) in maps {
-            let u = universe(solver);
             let seen = prev_masks.entry(solver).or_default();
             let mut deltas = Vec::new();
-            for (name, mask) in map.export(&u) {
+            for (name, mask) in map.export(universes[solver as usize]) {
                 let new_bits = mask & !seen.get(&name).copied().unwrap_or(0);
                 if new_bits != 0 {
                     deltas.push(Json::Arr(vec![
@@ -354,7 +354,7 @@ fn shard_done_record(shard: u32, result: &CampaignResult) -> Json {
         .iter()
         .map(|(id, map)| {
             let entries: Vec<Json> = map
-                .export(&universe(*id))
+                .export(universe(*id))
                 .into_iter()
                 .map(|(name, mask)| Json::Arr(vec![Json::Str(name), Json::U64(mask as u64)]))
                 .collect();
@@ -523,18 +523,12 @@ fn decode_shard_done(record: &Json, findings: Vec<Finding>) -> io::Result<Campai
                 }
                 let fn_name = pair[0].as_str().ok_or_else(|| bad("bad function name"))?;
                 let mask = pair[1].as_u64().ok_or_else(|| bad("bad branch mask"))? as u32;
-                map.absorb_mask(&u, fn_name, mask);
+                map.absorb_mask(u, fn_name, mask);
             }
-            final_coverage.insert(
-                solver,
-                CoveragePoint {
-                    line_pct: map.line_coverage_pct(&u),
-                    function_pct: map.function_coverage_pct(&u),
-                },
-            );
+            final_coverage.insert(solver, CoveragePoint::of(solver, &map));
             covered_functions.insert(
                 solver,
-                map.covered_function_names(&u)
+                map.covered_function_names(u)
                     .iter()
                     .map(|s| s.to_string())
                     .collect(),
@@ -549,6 +543,7 @@ fn decode_shard_done(record: &Json, findings: Vec<Finding>) -> io::Result<Campai
     // the per-shard-max lower bound).
     let mut hourly_coverage = Vec::new();
     if let Some(hours) = record.get("hourly").and_then(Json::as_arr) {
+        let universes = SolverId::ALL.map(universe);
         let mut running: BTreeMap<SolverId, CoverageMap> = BTreeMap::new();
         for hour in hours {
             let Json::Obj(by_solver) = hour else {
@@ -557,7 +552,6 @@ fn decode_shard_done(record: &Json, findings: Vec<Finding>) -> io::Result<Campai
             for (name, deltas) in by_solver {
                 let solver = solver_from_name(name)
                     .ok_or_else(|| bad(format!("unknown solver '{name}'")))?;
-                let u = universe(solver);
                 let map = running.entry(solver).or_default();
                 for entry in deltas
                     .as_arr()
@@ -569,7 +563,7 @@ fn decode_shard_done(record: &Json, findings: Vec<Finding>) -> io::Result<Campai
                     }
                     let fn_name = pair[0].as_str().ok_or_else(|| bad("bad function name"))?;
                     let mask = pair[1].as_u64().ok_or_else(|| bad("bad branch mask"))? as u32;
-                    map.absorb_mask(&u, fn_name, mask);
+                    map.absorb_mask(universes[solver as usize], fn_name, mask);
                 }
             }
             hourly_coverage.push(running.clone());

@@ -40,7 +40,7 @@ fn fingerprint(result: &o4a_core::CampaignResult) -> Fingerprint {
     let lines: Vec<(SolverId, u64)> = result
         .coverage
         .iter()
-        .map(|(&s, m)| (s, m.lines_hit(&universe(s))))
+        .map(|(&s, m)| (s, m.lines_hit(universe(s))))
         .collect();
     (
         result.stats.cases,
@@ -228,13 +228,13 @@ fn merged_hourly_series_is_the_exact_union() {
             let point = snap.coverage[&solver];
             assert_eq!(
                 point.line_pct.to_bits(),
-                map.line_coverage_pct(&u).to_bits(),
+                map.line_coverage_pct(u).to_bits(),
                 "hour {}: merged line coverage is not the union's",
                 snap.hour
             );
             assert_eq!(
                 point.function_pct.to_bits(),
-                map.function_coverage_pct(&u).to_bits(),
+                map.function_coverage_pct(u).to_bits(),
                 "hour {}: merged function coverage is not the union's",
                 snap.hour
             );
@@ -294,8 +294,8 @@ fn journal_roundtrip_preserves_exact_hourly_series() {
         for (&solver, map) in a {
             let u = universe(solver);
             assert_eq!(
-                map.export(&u),
-                b[&solver].export(&u),
+                map.export(u),
+                b[&solver].export(u),
                 "hour {}: {solver} map diverged across the round trip",
                 idx + 1
             );

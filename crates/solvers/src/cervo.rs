@@ -28,7 +28,7 @@ use o4a_smtlib::{EvalError, Model, Op, Quantifier, Symbol, Term, Value};
 pub struct Cervo {
     commit: CommitIdx,
     config: EngineConfig,
-    universe: Universe,
+    universe: &'static Universe,
     coverage: CoverageMap,
 }
 
@@ -68,15 +68,15 @@ impl Cervo {
     /// the leaves (stopping at non-connective atoms and quantifiers, which
     /// flip quantifier kind).
     fn normalize(&mut self, term: &Term, features_hash: u64) -> Term {
-        self.coverage.hit(&self.universe, "core::let_inline", 0);
+        self.coverage.hit(self.universe, "core::let_inline", 0);
         let inlined = inline_lets(term, &mut Vec::new());
         if inlined != *term {
-            self.coverage.hit(&self.universe, "core::let_inline", 1);
+            self.coverage.hit(self.universe, "core::let_inline", 1);
         }
-        self.coverage.hit(&self.universe, "core::nnf", 0);
+        self.coverage.hit(self.universe, "core::nnf", 0);
         let nnf = to_nnf(&inlined, false, &mut |negated_quant| {
             if negated_quant {
-                self.coverage.hit(&self.universe, "core::nnf", 1);
+                self.coverage.hit(self.universe, "core::nnf", 1);
             }
         });
         // Per-operator rewrite/eval coverage, with content-dependent branch
@@ -86,21 +86,21 @@ impl Cervo {
                 // Pre-resolved per-family point row; `None` (Uf) makes
                 // every hit a no-op, just as the name lookup would.
                 if let Some(r) = self.universe.op_row(op) {
-                    self.coverage.hit_idx(&self.universe, r.rewrite, 0);
+                    self.coverage.hit_idx(self.universe, r.rewrite, 0);
                     if args.len() > 2 {
-                        self.coverage.hit_idx(&self.universe, r.rewrite, 1);
+                        self.coverage.hit_idx(self.universe, r.rewrite, 1);
                     }
-                    self.coverage.hit_idx(&self.universe, r.eval, 0);
+                    self.coverage.hit_idx(self.universe, r.eval, 0);
                     // Deep arms are rare value shapes; see the OxiZ twin note.
                     let roll = (features_hash ^ r.name_fnv) % 53;
                     if roll < 2 {
                         self.coverage
-                            .hit_idx(&self.universe, r.eval, 1 + (roll % 2) as usize);
+                            .hit_idx(self.universe, r.eval, 1 + (roll % 2) as usize);
                     }
                 }
             }
             if matches!(t, Term::Quant(_, _, _)) {
-                self.coverage.hit(&self.universe, "quant::binder_scope", 0);
+                self.coverage.hit(self.universe, "quant::binder_scope", 0);
             }
         });
         nnf
@@ -115,14 +115,13 @@ impl Cervo {
         let mut stats = SolveStats::default();
         let cfg = domain_config(analyzed);
 
-        self.coverage.hit(&self.universe, "core::atom_abstract", 0);
+        self.coverage.hit(self.universe, "core::atom_abstract", 0);
         let atom_count: usize = assertions.iter().map(count_atoms).sum();
         if atom_count > 4 {
-            self.coverage.hit(&self.universe, "core::atom_abstract", 1);
+            self.coverage.hit(self.universe, "core::atom_abstract", 1);
         }
         if analyzed.features.has_quantifier {
-            self.coverage
-                .hit(&self.universe, "quant::exists_witness", 0);
+            self.coverage.hit(self.universe, "quant::exists_witness", 0);
         }
 
         // Candidate domains, ordered by a Cervo-specific deterministic
@@ -154,7 +153,7 @@ impl Cervo {
         };
 
         // Phase 1: hill-climbing repair from the default assignment.
-        self.coverage.hit(&self.universe, "core::repair_climb", 0);
+        self.coverage.hit(self.universe, "core::repair_climb", 0);
         let mut saw_eval_trouble = false;
         let mut best = match assess(&mut ev, &mut stats) {
             Ok(n) => n,
@@ -184,7 +183,7 @@ impl Cervo {
                         Ok(n) if n > best => {
                             best = n;
                             improved = true;
-                            self.coverage.hit(&self.universe, "core::repair_climb", 1);
+                            self.coverage.hit(self.universe, "core::repair_climb", 1);
                             break;
                         }
                         Ok(_) => move_to(&mut ev, &mut idx, d, original),
@@ -199,7 +198,7 @@ impl Cervo {
                 }
             }
             if !improved {
-                self.coverage.hit(&self.universe, "core::repair_climb", 2);
+                self.coverage.hit(self.universe, "core::repair_climb", 2);
                 break;
             }
         }
@@ -207,8 +206,8 @@ impl Cervo {
             let model = ev.model();
             // Final verification before answering sat, by the plain
             // evaluator.
-            self.coverage.hit(&self.universe, "core::model_build", 0);
-            self.coverage.hit(&self.universe, "core::model_check", 0);
+            self.coverage.hit(self.universe, "core::model_build", 0);
+            self.coverage.hit(self.universe, "core::model_check", 0);
             let plain = Evaluator::new(&model, &analyzed.defs, &cfg, budget);
             if tally(&sizes, &mut stats, |i| plain.eval(&assertions[i])) == Ok(assertions.len()) {
                 return (Outcome::Sat, Some(model), stats);
@@ -223,7 +222,7 @@ impl Cervo {
             .fold(1usize, |acc, n| acc.saturating_mul(n));
         if complete && space <= self.config.max_assignments * 4 {
             self.coverage
-                .hit(&self.universe, "core::enumerate_exhaustive", 0);
+                .hit(self.universe, "core::enumerate_exhaustive", 0);
             for d in 0..dims.len() {
                 if idx[d] != 0 {
                     move_to(&mut ev, &mut idx, d, 0);
@@ -236,7 +235,7 @@ impl Cervo {
                     Ok(n) if n == assertions.len() => {
                         let model = ev.model();
                         if verified(&model, analyzed, assertions, &cfg, budget) {
-                            self.coverage.hit(&self.universe, "core::model_build", 0);
+                            self.coverage.hit(self.universe, "core::model_build", 0);
                             return (Outcome::Sat, Some(model), stats);
                         }
                         any_trouble = true;
@@ -254,7 +253,7 @@ impl Cervo {
                             return (Outcome::Unknown, None, stats);
                         }
                         self.coverage
-                            .hit(&self.universe, "core::enumerate_exhaustive", 1);
+                            .hit(self.universe, "core::enumerate_exhaustive", 1);
                         return (Outcome::Unsat, None, stats);
                     }
                     let next = idx[k] + 1;
@@ -446,7 +445,7 @@ impl SmtSolver for Cervo {
 
     fn check_parsed(&mut self, _text: &str, parsed: &Parsed) -> SolverResponse {
         let frontend = Frontend::new(SolverId::Cervo);
-        let analyzed = match frontend.analyze_parsed(parsed, &self.universe, &mut self.coverage) {
+        let analyzed = match frontend.analyze_parsed(parsed, self.universe, &mut self.coverage) {
             Ok(a) => a,
             Err(msg) => return SolverResponse::error(msg),
         };
@@ -483,7 +482,7 @@ impl SmtSolver for Cervo {
     }
 
     fn universe(&self) -> &Universe {
-        &self.universe
+        self.universe
     }
 
     fn reset_coverage(&mut self) {

@@ -11,13 +11,16 @@
 //! The *universe* of instrumentable points is fixed per solver
 //! ([`universe`]) and includes component groups that are never reachable in
 //! the default configuration (proof production, parallel mode, ...), which
-//! keeps absolute percentages below 50% as in the paper.
+//! keeps absolute percentages below 50% as in the paper. It is a constant
+//! table, built once per process and shared by every solver, campaign
+//! stepper, shard merge and journal codec.
 
 use crate::features::fnv1a;
 use crate::SolverId;
 use o4a_smtlib::{Op, Theory};
 use std::collections::{BTreeMap, HashMap};
 use std::mem::Discriminant;
+use std::sync::OnceLock;
 
 /// The fixed `frontend::cmd_*` point names, in universe layout order.
 /// [`Universe::frontend_cmd`] caches their indices slot-for-slot.
@@ -136,13 +139,25 @@ impl Universe {
     }
 }
 
+/// The instrumentation universe of a solver: built on first use, then
+/// shared for the life of the process.
+pub fn universe(solver: SolverId) -> &'static Universe {
+    static OXIZ: OnceLock<Universe> = OnceLock::new();
+    static CERVO: OnceLock<Universe> = OnceLock::new();
+    let cell = match solver {
+        SolverId::OxiZ => &OXIZ,
+        SolverId::Cervo => &CERVO,
+    };
+    cell.get_or_init(|| build_universe(solver))
+}
+
 /// Builds the instrumentation universe for a solver.
 ///
 /// The layout mirrors a real solver source tree: frontend (lexer, parser,
 /// typechecker), per-theory rewriters and evaluators, the search core, the
 /// model builder, and a block of option-gated components that stay dark in
 /// default-configuration runs.
-pub fn universe(solver: SolverId) -> Universe {
+fn build_universe(solver: SolverId) -> Universe {
     let mut functions = Vec::new();
     let mut push = |name: String, branch_lines: Vec<u32>, reachable: bool| {
         functions.push(FunctionInfo {
@@ -474,6 +489,26 @@ mod tests {
     use super::*;
 
     #[test]
+    fn universe_is_built_once_per_process() {
+        for solver in SolverId::ALL {
+            let first = universe(solver);
+            assert!(std::ptr::eq(first, universe(solver)));
+            let (a, b) = std::thread::scope(|s| {
+                let a = s.spawn(|| universe(solver) as *const Universe as usize);
+                let b = s.spawn(|| universe(solver) as *const Universe as usize);
+                (a.join().unwrap(), b.join().unwrap())
+            });
+            assert_eq!(a, first as *const Universe as usize);
+            assert_eq!(b, a);
+            // The shared table is exactly what a fresh build produces.
+            let fresh = build_universe(solver);
+            assert_eq!(first.solver(), fresh.solver());
+            assert_eq!(first.functions(), fresh.functions());
+            assert_eq!(first.total_lines(), fresh.total_lines());
+        }
+    }
+
+    #[test]
     fn universes_have_dark_mass() {
         for solver in SolverId::ALL {
             let u = universe(solver);
@@ -505,13 +540,13 @@ mod tests {
     fn hits_accumulate_and_merge() {
         let u = universe(SolverId::Cervo);
         let mut a = CoverageMap::new();
-        a.hit(&u, "core::nnf", 0);
-        a.hit(&u, "core::nnf", 1);
+        a.hit(u, "core::nnf", 0);
+        a.hit(u, "core::nnf", 1);
         let mut b = CoverageMap::new();
-        b.hit(&u, "core::model_build", 0);
+        b.hit(u, "core::model_build", 0);
         a.merge(&b);
         assert_eq!(a.functions_hit(), 2);
-        assert!(a.lines_hit(&u) >= 14 + 10 + 14);
+        assert!(a.lines_hit(u) >= 14 + 10 + 14);
     }
 
     /// Random-ish coverage map over the reachable part of a universe.
@@ -532,59 +567,59 @@ mod tests {
     #[test]
     fn merge_is_idempotent() {
         let u = universe(SolverId::OxiZ);
-        let mut a = sample_map(&u, 3, 0);
-        let before = fingerprint(&a, &u);
+        let mut a = sample_map(u, 3, 0);
+        let before = fingerprint(&a, u);
         let copy = a.clone();
         a.merge(&copy);
-        assert_eq!(fingerprint(&a, &u), before);
+        assert_eq!(fingerprint(&a, u), before);
     }
 
     #[test]
     fn merge_is_commutative() {
         let u = universe(SolverId::Cervo);
-        let a = sample_map(&u, 3, 0);
-        let b = sample_map(&u, 5, 1);
+        let a = sample_map(u, 3, 0);
+        let b = sample_map(u, 5, 1);
         let mut ab = a.clone();
         ab.merge(&b);
         let mut ba = b.clone();
         ba.merge(&a);
-        assert_eq!(fingerprint(&ab, &u), fingerprint(&ba, &u));
+        assert_eq!(fingerprint(&ab, u), fingerprint(&ba, u));
     }
 
     #[test]
     fn merge_is_monotone() {
         let u = universe(SolverId::OxiZ);
-        let mut a = sample_map(&u, 4, 2);
-        let b = sample_map(&u, 7, 3);
-        let lines_before = a.lines_hit(&u);
+        let mut a = sample_map(u, 4, 2);
+        let b = sample_map(u, 7, 3);
+        let lines_before = a.lines_hit(u);
         let fns_before = a.functions_hit();
         a.merge(&b);
-        assert!(a.lines_hit(&u) >= lines_before);
-        assert!(a.lines_hit(&u) >= b.lines_hit(&u));
+        assert!(a.lines_hit(u) >= lines_before);
+        assert!(a.lines_hit(u) >= b.lines_hit(u));
         assert!(a.functions_hit() >= fns_before.max(b.functions_hit()));
     }
 
     #[test]
     fn export_absorb_round_trip() {
         let u = universe(SolverId::Cervo);
-        let a = sample_map(&u, 2, 1);
+        let a = sample_map(u, 2, 1);
         let mut b = CoverageMap::new();
-        for (name, mask) in a.export(&u) {
-            b.absorb_mask(&u, &name, mask);
+        for (name, mask) in a.export(u) {
+            b.absorb_mask(u, &name, mask);
         }
-        assert_eq!(fingerprint(&a, &u), fingerprint(&b, &u));
+        assert_eq!(fingerprint(&a, u), fingerprint(&b, u));
         // Unknown names and oversized masks are ignored/clipped.
-        b.absorb_mask(&u, "no::such::function", 0xff);
-        b.absorb_mask(&u, "proof::fn_0", 0x1); // dark mass stays dark
-        assert_eq!(fingerprint(&a, &u), fingerprint(&b, &u));
+        b.absorb_mask(u, "no::such::function", 0xff);
+        b.absorb_mask(u, "proof::fn_0", 0x1); // dark mass stays dark
+        assert_eq!(fingerprint(&a, u), fingerprint(&b, u));
     }
 
     #[test]
     fn unknown_points_ignored() {
         let u = universe(SolverId::OxiZ);
         let mut m = CoverageMap::new();
-        m.hit(&u, "no::such::function", 0);
-        m.hit(&u, "core::enumerate", 99);
+        m.hit(u, "no::such::function", 0);
+        m.hit(u, "core::enumerate", 99);
         assert_eq!(m.functions_hit(), 0);
     }
 
@@ -592,7 +627,7 @@ mod tests {
     fn dark_functions_never_counted() {
         let u = universe(SolverId::OxiZ);
         let mut m = CoverageMap::new();
-        m.hit(&u, "proof::fn_0", 0);
+        m.hit(u, "proof::fn_0", 0);
         assert_eq!(m.functions_hit(), 0);
     }
 
@@ -670,13 +705,13 @@ mod tests {
             ("proof::fn_0", 0),        // dark: ignored on both paths
             ("core::model_build", 99), // out of range: ignored on both
         ] {
-            by_name.hit(&u, name, branch);
+            by_name.hit(u, name, branch);
             if let Some(i) = u.function_index(name) {
-                by_idx.hit_idx(&u, i, branch);
+                by_idx.hit_idx(u, i, branch);
             }
         }
-        by_idx.hit_idx(&u, usize::MAX, 0); // unknown index: ignored
-        assert_eq!(by_name.export(&u), by_idx.export(&u));
+        by_idx.hit_idx(u, usize::MAX, 0); // unknown index: ignored
+        assert_eq!(by_name.export(u), by_idx.export(u));
     }
 
     #[test]
@@ -691,10 +726,10 @@ mod tests {
             .flat_map(|f| (0..f.branch_lines.len()).map(move |b| (f.name.clone(), b)))
             .collect();
         for (name, b) in names {
-            m.hit(&u, &name, b);
+            m.hit(u, &name, b);
         }
-        let line_pct = m.line_coverage_pct(&u);
-        let fn_pct = m.function_coverage_pct(&u);
+        let line_pct = m.line_coverage_pct(u);
+        let fn_pct = m.function_coverage_pct(u);
         assert!(line_pct < 70.0, "line pct {line_pct}");
         assert!(fn_pct < 70.0, "fn pct {fn_pct}");
         assert!(line_pct > 20.0);

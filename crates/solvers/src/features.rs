@@ -1,8 +1,16 @@
 //! Structural features of a formula, used by bug triggers and coverage
 //! attribution.
+//!
+//! There is one implementation: the frontend's single arena walk over a
+//! script's assertions. [`crate::Parsed::new`] takes the features from the
+//! walk it does anyway; [`FormulaFeatures::of`] interns a boxed script into
+//! a scratch arena and runs the same walk.
 
-use o4a_smtlib::{Script, Sort, Term, Theory};
+use o4a_smtlib::{Script, Theory};
 use std::collections::BTreeSet;
+
+/// The FNV-1a 64-bit offset basis: the hash of no bytes.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// A cheap structural summary of a script computed once per `check-sat`.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -27,47 +35,21 @@ pub struct FormulaFeatures {
 }
 
 impl FormulaFeatures {
+    /// The features of the empty script.
+    pub const EMPTY: FormulaFeatures = FormulaFeatures {
+        op_names: BTreeSet::new(),
+        theories: BTreeSet::new(),
+        has_quantifier: false,
+        has_let: false,
+        max_depth: 0,
+        size: 0,
+        assert_count: 0,
+        hash: FNV_OFFSET,
+    };
+
     /// Computes features for a script.
     pub fn of(script: &Script) -> FormulaFeatures {
-        let mut op_names = BTreeSet::new();
-        let mut theories = script.theories();
-        let mut has_quantifier = false;
-        let mut has_let = false;
-        let mut max_depth = 0;
-        let mut size = 0;
-        let mut assert_count = 0;
-        for t in script.assertions() {
-            assert_count += 1;
-            size += t.size();
-            max_depth = max_depth.max(t.depth());
-            has_quantifier |= t.has_quantifier();
-            t.visit(&mut |n| {
-                if matches!(n, Term::Let(_, _)) {
-                    has_let = true;
-                }
-            });
-            for op in t.ops() {
-                theories.insert(op.theory());
-                op_names.insert(op.smt_name().to_string());
-            }
-        }
-        // Sort features from declarations.
-        for (_, args, ret) in script.declarations() {
-            for s in args.iter().chain(std::iter::once(&ret)) {
-                collect_sort_theories(s, &mut theories);
-            }
-        }
-        theories.remove(&Theory::Core);
-        FormulaFeatures {
-            op_names,
-            theories,
-            has_quantifier,
-            has_let,
-            max_depth,
-            size,
-            assert_count,
-            hash: fnv1a(script.to_string().as_bytes()),
-        }
+        crate::frontend::features_of(script)
     }
 
     /// True when the formula uses operator `name`.
@@ -76,16 +58,9 @@ impl FormulaFeatures {
     }
 }
 
-fn collect_sort_theories(s: &Sort, out: &mut BTreeSet<Theory>) {
-    out.insert(s.theory());
-    for c in s.children() {
-        collect_sort_theories(c, out);
-    }
-}
-
 /// FNV-1a, 64-bit: deterministic, platform-independent.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = FNV_OFFSET;
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -128,6 +103,14 @@ mod tests {
     fn let_detection() {
         let s = parse_script("(declare-const p Bool)(assert (let ((q p)) q))").unwrap();
         assert!(FormulaFeatures::of(&s).has_let);
+    }
+
+    #[test]
+    fn empty_script_has_the_empty_features() {
+        assert_eq!(
+            FormulaFeatures::of(&Script::default()),
+            FormulaFeatures::EMPTY
+        );
     }
 
     #[test]

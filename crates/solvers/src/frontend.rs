@@ -1,31 +1,34 @@
 //! The solver frontend shared machinery: parsing, theory gating, sort
-//! checking, and frontend coverage attribution.
+//! checking, features and frontend coverage.
 //!
 //! Both solvers consume SMT-LIB text through [`Frontend::analyze`]; what
 //! differs is which theories they accept (OxiZ rejects the cvc5-only
 //! extensions, like real Z3 rejects `ff.add`) and the engine that runs
-//! afterwards. Everything but coverage — parse, each solver's theory gate,
-//! sort check, declarations, features — is a [`Parsed`], which a campaign
-//! builds once per case and hands to every solver through
-//! [`Frontend::analyze_parsed`]. Parser, gate and sort checker all run on
-//! a [`TermArena`].
+//! afterwards. All of it is a [`Parsed`], which a campaign builds once
+//! per case and hands to every solver through [`Frontend::analyze_parsed`].
+//! [`Parsed::new`] parses onto a [`TermArena`] and walks each assertion
+//! once; that walk yields both solvers' theory-gate verdicts, the
+//! [`FormulaFeatures`], and solver-independent coverage facts, which
+//! `analyze_parsed` replays through the solver's [`Universe`]. The sort
+//! checker runs on the same arena.
 
 use crate::coverage::{supported_theories, CoverageMap, Universe};
-use crate::features::FormulaFeatures;
+use crate::features::{fnv1a, FormulaFeatures};
 use crate::SolverId;
 use o4a_smtlib::{
-    parse_script_arena, typeck, ANode, ArenaCommand, ArenaScript, Command, Op, Script, Sort,
+    parse_script_arena, typeck, ANode, ArenaCommand, ArenaScript, Command, Op, OpId, Script, Sort,
     Symbol, Term, TermArena, TermId, Theory,
 };
-use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 thread_local! {
-    /// Scratch arena for [`Parsed::new`] and [`Frontend::validate`]: reset
-    /// per call, so every case reuses one node table and warm
-    /// symbol/sort/op interners.
+    /// Scratch arena for [`Parsed::new`], [`Frontend::validate`] and
+    /// [`FormulaFeatures::of`]: reset per call, so every case reuses one
+    /// node table and warm symbol/sort/op interners.
     static FRONTEND_ARENA: RefCell<TermArena> = RefCell::new(TermArena::new());
+    /// The printed script behind [`FormulaFeatures::hash`], reused per case.
+    static PRINT_BUFFER: RefCell<String> = const { RefCell::new(String::new()) };
 }
 
 /// The result of frontend analysis: everything an engine needs to solve.
@@ -46,9 +49,8 @@ pub struct Analyzed {
 }
 
 impl Analyzed {
-    /// Collects the declaration tables and features of a sort-checked
-    /// script.
-    fn of(script: Script, input_bytes: usize) -> Analyzed {
+    /// Collects the declaration tables of a sort-checked script.
+    fn of(script: Script, features: FormulaFeatures, input_bytes: usize) -> Analyzed {
         let mut consts = Vec::new();
         let mut funs = Vec::new();
         let mut defs = BTreeMap::new();
@@ -68,7 +70,7 @@ impl Analyzed {
             consts,
             funs,
             defs,
-            features: FormulaFeatures::of(&script),
+            features,
             input_bytes,
             script,
         }
@@ -77,15 +79,16 @@ impl Analyzed {
 
 /// The frontend work on one case, done once and shared by every
 /// in-process solver and the oracle: parse, each solver's theory-gate
-/// verdict, sort check, the declaration tables and the
-/// [`FormulaFeatures`]. Only coverage attribution is left to
-/// [`Frontend::analyze_parsed`].
+/// verdict, sort check, the declaration tables, the [`FormulaFeatures`]
+/// and the solver-independent coverage facts. Only replaying those facts
+/// through a solver's universe is left to [`Frontend::analyze_parsed`].
 #[derive(Clone, Debug)]
 pub struct Parsed {
     stage: Stage,
     /// The theory gate's verdict for each solver, in [`SolverId::ALL`]
     /// order (both `Ok` when the text did not parse).
     gates: [Result<(), String>; 2],
+    coverage: CoverageFacts,
 }
 
 #[derive(Clone, Debug)]
@@ -93,15 +96,16 @@ enum Stage {
     /// The parser's message.
     ParseError(String),
     /// The script parsed but failed the sort check (with its message).
-    TypeError(Script, String),
+    TypeError(Script, String, FormulaFeatures),
     /// The script parsed and sort-checked.
     Checked(Analyzed),
 }
 
 impl Parsed {
-    /// Parses, theory-gates and sort-checks `text` on the frontend's
-    /// thread-local arena, collecting declarations and features when the
-    /// sort check succeeds. The script is boxed once, at the end.
+    /// Parses `text` on the frontend's thread-local arena, walks its
+    /// assertions once (theory gates, features, coverage facts) and
+    /// sort-checks it, collecting declarations when the check succeeds.
+    /// The script is boxed once, at the end.
     pub fn new(text: &str) -> Parsed {
         FRONTEND_ARENA.with(|cell| {
             let arena = &mut *cell.borrow_mut();
@@ -112,18 +116,28 @@ impl Parsed {
                     return Parsed {
                         stage: Stage::ParseError(format!("{e}")),
                         gates: [Ok(()), Ok(())],
+                        coverage: CoverageFacts::default(),
                     }
                 }
             };
-            let gates =
-                SolverId::ALL.map(|id| Frontend::new(id).gate_theories_arena(&script, arena));
+            let arena = &*arena;
+            let Walk {
+                features,
+                coverage,
+                unsupported,
+            } = Walk::new(&script, arena);
+            let gates = SolverId::ALL.map(|id| gate_verdict(id, unsupported[id as usize], &script));
             let checked = typeck::check_script_arena(&script, arena);
             let script = script.to_script(arena);
             let stage = match checked {
-                Ok(_) => Stage::Checked(Analyzed::of(script, text.len())),
-                Err(e) => Stage::TypeError(script, format!("{e}")),
+                Ok(_) => Stage::Checked(Analyzed::of(script, features, text.len())),
+                Err(e) => Stage::TypeError(script, format!("{e}"), features),
             };
-            Parsed { stage, gates }
+            Parsed {
+                stage,
+                gates,
+                coverage,
+            }
         })
     }
 
@@ -131,20 +145,297 @@ impl Parsed {
     pub fn script(&self) -> Option<&Script> {
         match &self.stage {
             Stage::ParseError(_) => None,
-            Stage::TypeError(script, _) => Some(script),
+            Stage::TypeError(script, _, _) => Some(script),
             Stage::Checked(a) => Some(&a.script),
         }
     }
 
     /// The script's features; an unparsable script has the features of
     /// the empty script.
-    pub fn features(&self) -> Cow<'_, FormulaFeatures> {
+    pub fn features(&self) -> &FormulaFeatures {
         match &self.stage {
-            Stage::Checked(a) => Cow::Borrowed(&a.features),
-            _ => Cow::Owned(FormulaFeatures::of(
-                self.script().unwrap_or(&Script::default()),
-            )),
+            Stage::ParseError(_) => {
+                static EMPTY: FormulaFeatures = FormulaFeatures::EMPTY;
+                &EMPTY
+            }
+            Stage::TypeError(_, _, features) => features,
+            Stage::Checked(a) => &a.features,
         }
+    }
+}
+
+/// [`FormulaFeatures::of`]: the walk of [`Parsed::new`] over a boxed
+/// script interned into the frontend's scratch arena.
+pub(crate) fn features_of(script: &Script) -> FormulaFeatures {
+    FRONTEND_ARENA.with(|cell| {
+        let arena = &mut *cell.borrow_mut();
+        arena.reset();
+        let script = ArenaScript::from_script(script, arena);
+        Walk::new(&script, arena).features
+    })
+}
+
+/// What one walk over a script's assertions learns.
+struct Walk<'a> {
+    features: FormulaFeatures,
+    coverage: CoverageFacts,
+    /// Per solver, in [`SolverId::ALL`] order: the smallest unsupported
+    /// operator of the first assertion that has one.
+    unsupported: [Option<&'a Op>; 2],
+}
+
+impl<'a> Walk<'a> {
+    fn new(script: &ArenaScript, arena: &'a TermArena) -> Walk<'a> {
+        let supported = SolverId::ALL.map(supported_theories);
+        let mut features = FormulaFeatures::EMPTY;
+        let mut coverage = CoverageFacts::default();
+        let mut unsupported = [None, None];
+        // The distinct applied operators, each with whether some
+        // application of it has more than two arguments.
+        let mut ops: Vec<(OpId, bool)> = Vec::new();
+        let mut stack = Vec::new();
+        for t in script.assertions() {
+            features.assert_count += 1;
+            let mut smallest: [Option<&Op>; 2] = [None, None];
+            for_each_node(arena, t, &mut stack, |node, depth| {
+                features.size += 1;
+                features.max_depth = features.max_depth.max(depth);
+                // Slot in the `TERM_POINTS` table, and whether the node
+                // takes the deep branch.
+                let (slot, deep) = match node {
+                    ANode::Const(_) => (0, false),
+                    ANode::Var(_) => (1, false),
+                    ANode::App(id, _, len) => {
+                        let op = arena.op(id);
+                        for (s, theories) in smallest.iter_mut().zip(&supported) {
+                            note_unsupported(s, op, theories);
+                        }
+                        let wide = len > 2;
+                        match ops.iter_mut().find(|(seen, _)| *seen == id) {
+                            Some((_, w)) => *w |= wide,
+                            None => ops.push((id, wide)),
+                        }
+                        (2, wide)
+                    }
+                    ANode::Let(..) => {
+                        features.has_let = true;
+                        (3, true)
+                    }
+                    ANode::Quant(..) => {
+                        features.has_quantifier = true;
+                        (4, true)
+                    }
+                    ANode::Placeholder(_) => return,
+                };
+                mark(&mut coverage.terms, slot, deep);
+            });
+            for (first, s) in unsupported.iter_mut().zip(smallest) {
+                *first = first.or(s);
+            }
+        }
+        for (id, wide) in ops {
+            let op = arena.op(id);
+            features.op_names.insert(op.smt_name().to_string());
+            features.theories.insert(op.theory());
+            coverage.ops.push((op.clone(), wide));
+        }
+        for cmd in &script.commands {
+            // Slot in the `CMD_POINTS` table, and whether the command has
+            // a payload (the deep branch).
+            let (slot, payload) = match cmd {
+                ArenaCommand::SetLogic(_) => (0, false),
+                ArenaCommand::SetOption(_, _) => (1, false),
+                ArenaCommand::SetInfo(_, _) => (2, false),
+                ArenaCommand::DeclareConst(_, _) => (3, false),
+                ArenaCommand::DeclareFun(_, _, _) => (4, true),
+                ArenaCommand::DeclareSort(_) => (5, false),
+                ArenaCommand::DefineFun(_, _, _, _) => (6, true),
+                ArenaCommand::Assert(_) => (7, true),
+                ArenaCommand::CheckSat => (8, false),
+                ArenaCommand::GetModel => (9, false),
+                ArenaCommand::GetValue(_) => (10, false),
+                ArenaCommand::Push(_) | ArenaCommand::Pop(_) => (11, false),
+                ArenaCommand::Exit => continue,
+            };
+            mark(&mut coverage.commands, slot, payload);
+        }
+        for (args, ret) in declared_sorts(script) {
+            for s in args.iter().chain(std::iter::once(ret)) {
+                features.theories.extend(deep_theories(s));
+                mark_sort(s, &mut coverage.sorts);
+            }
+        }
+        features.theories.remove(&Theory::Core);
+        features.hash = PRINT_BUFFER.with(|cell| {
+            let out = &mut *cell.borrow_mut();
+            out.clear();
+            script.print_into(arena, out);
+            fnv1a(out.as_bytes())
+        });
+        Walk {
+            features,
+            coverage,
+            unsupported,
+        }
+    }
+}
+
+/// Calls `f` on every node of the term at `root` with its depth (the root
+/// is at depth 1), iteratively; `stack` is scratch space.
+fn for_each_node(
+    arena: &TermArena,
+    root: TermId,
+    stack: &mut Vec<(TermId, usize)>,
+    mut f: impl FnMut(ANode, usize),
+) {
+    stack.clear();
+    stack.push((root, 1));
+    while let Some((id, depth)) = stack.pop() {
+        let node = arena.node(id);
+        f(node, depth);
+        match node {
+            ANode::App(_, start, len) => {
+                stack.extend(arena.args(start, len).iter().map(|&a| (a, depth + 1)));
+            }
+            ANode::Let(start, len, body) => {
+                stack.push((body, depth + 1));
+                stack.extend(
+                    arena
+                        .let_binds(start, len)
+                        .iter()
+                        .map(|&(_, t)| (t, depth + 1)),
+                );
+            }
+            ANode::Quant(_, _, _, body) => stack.push((body, depth + 1)),
+            ANode::Const(_) | ANode::Var(_) | ANode::Placeholder(_) => {}
+        }
+    }
+}
+
+/// Keeps in `smallest` the smallest (by `Op`'s order) operator seen whose
+/// theory is not in `supported`.
+fn note_unsupported<'a>(smallest: &mut Option<&'a Op>, op: &'a Op, supported: &[Theory]) {
+    if !supported.contains(&op.theory()) && smallest.is_none_or(|u| op < u) {
+        *smallest = Some(op);
+    }
+}
+
+/// A solver's theory-gate verdict: an error for `unsupported`, the
+/// smallest unsupported operator of the first assertion that has one;
+/// failing that, an error for the first declared sort the solver does not
+/// implement.
+fn gate_verdict(
+    solver: SolverId,
+    unsupported: Option<&Op>,
+    script: &ArenaScript,
+) -> Result<(), String> {
+    if let Some(op) = unsupported {
+        return Err(format!(
+            "unknown constant or function symbol '{}' (theory '{}' is not supported by {})",
+            op.smt_name(),
+            op.theory(),
+            solver.name(),
+        ));
+    }
+    let supported = supported_theories(solver);
+    for (args, ret) in declared_sorts(script) {
+        for s in args.iter().chain(std::iter::once(ret)) {
+            for t in deep_theories(s) {
+                if !supported.contains(&t) {
+                    return Err(format!(
+                        "unknown sort '{s}' (theory '{t}' is not supported by {})",
+                        solver.name(),
+                    ));
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The argument and result sorts of each `declare-const`/`declare-fun`.
+fn declared_sorts(script: &ArenaScript) -> impl Iterator<Item = (&[Sort], &Sort)> {
+    script.commands.iter().filter_map(|cmd| match cmd {
+        ArenaCommand::DeclareConst(_, sort) => Some((&[][..], sort)),
+        ArenaCommand::DeclareFun(_, args, ret) => Some((&args[..], ret)),
+        _ => None,
+    })
+}
+
+/// Sets the branch bits of point `slot` in a two-bits-per-point table:
+/// bit `2 * slot` is the entry branch, bit `2 * slot + 1` the deep one.
+fn mark(bits: &mut u32, slot: usize, deep: bool) {
+    *bits |= 1 << (2 * slot);
+    if deep {
+        *bits |= 1 << (2 * slot + 1);
+    }
+}
+
+/// The frontend coverage of one case, independent of the solver: which
+/// command, sort and term points it reaches (two branch bits per point,
+/// see [`mark`]) and which operators its assertions apply. Hits are
+/// idempotent ORs, so replaying the facts gives the map a walk over the
+/// script would.
+#[derive(Clone, Debug, Default)]
+struct CoverageFacts {
+    /// `CMD_POINTS` bits; commands with a payload take the deep branch.
+    commands: u32,
+    /// `SORT_POINTS` bits of the declared sorts and their components.
+    sorts: u32,
+    /// `TERM_POINTS` bits of the assertion nodes.
+    terms: u32,
+    /// The distinct operators applied in assertions, each with whether
+    /// some application of it has more than two arguments.
+    ops: Vec<(Op, bool)>,
+}
+
+impl CoverageFacts {
+    /// Records the facts as hits in `universe`'s points.
+    fn replay(&self, universe: &Universe, cov: &mut CoverageMap) {
+        for (bits, points) in [
+            (self.commands, &universe.frontend_cmd[..]),
+            (self.sorts, &universe.frontend_sort[..]),
+            (self.terms, &universe.frontend_term[..]),
+        ] {
+            for (slot, &idx) in points.iter().enumerate() {
+                for branch in 0..2 {
+                    if bits & (1 << (2 * slot + branch)) != 0 {
+                        cov.hit_idx(universe, idx, branch);
+                    }
+                }
+            }
+        }
+        for (op, wide) in &self.ops {
+            if let Some(row) = universe.op_row(op) {
+                cov.hit_idx(universe, row.typeck, 0);
+                if *wide {
+                    cov.hit_idx(universe, row.typeck, 1);
+                }
+            }
+        }
+    }
+}
+
+/// Marks a sort and its components in a `SORT_POINTS` table; nested
+/// sorts take the deep branch.
+fn mark_sort(sort: &Sort, bits: &mut u32) {
+    let slot = match sort {
+        Sort::Bool => 0,
+        Sort::Int => 1,
+        Sort::Real => 2,
+        Sort::String => 3,
+        Sort::BitVec(_) => 4,
+        Sort::FiniteField(_) => 5,
+        Sort::Seq(_) => 6,
+        Sort::Set(_) => 7,
+        Sort::Bag(_) => 8,
+        Sort::Array(_, _) => 9,
+        Sort::Tuple(_) => 10,
+        Sort::Uninterpreted(_) => 11,
+    };
+    mark(bits, slot, sort.depth() > 1);
+    for c in sort.children() {
+        mark_sort(c, bits);
     }
 }
 
@@ -180,9 +471,9 @@ impl Frontend {
     }
 
     /// The per-solver half of [`Frontend::analyze`] on an already parsed
-    /// case: records frontend coverage and reports the stored theory-gate
-    /// verdict. Errors keep the precedence parse → theory gate → sort
-    /// check.
+    /// case: replays the case's coverage facts through `universe` and
+    /// reports the stored theory-gate verdict. Errors keep the precedence
+    /// parse → theory gate → sort check.
     ///
     /// # Errors
     ///
@@ -194,15 +485,15 @@ impl Frontend {
         cov: &mut CoverageMap,
     ) -> Result<&'p Analyzed, String> {
         cov.hit_idx(universe, universe.error_reporting, 0);
-        let (script, checked) = match &parsed.stage {
+        let checked = match &parsed.stage {
             Stage::ParseError(msg) => {
                 cov.hit_idx(universe, universe.error_reporting, 1);
                 return Err(msg.clone());
             }
-            Stage::TypeError(script, msg) => (script, Err(msg)),
-            Stage::Checked(a) => (&a.script, Ok(a)),
+            Stage::TypeError(_, msg, _) => Err(msg),
+            Stage::Checked(a) => Ok(a),
         };
-        self.walk_coverage(script, universe, cov);
+        parsed.coverage.replay(universe, cov);
         // `SolverId::ALL` lists the solvers in declaration order.
         parsed.gates[self.solver as usize].clone()?;
         checked.map_err(|msg| {
@@ -234,159 +525,24 @@ impl Frontend {
         })
     }
 
-    /// Rejects scripts that use theories this solver does not implement.
-    /// An allocation-light scan over the node table; in the first
-    /// assertion with an unsupported operator it reports the smallest such
-    /// operator (by `Op`'s order), then checks declared sorts.
+    /// This solver's theory gate alone, for [`Frontend::validate`]: the
+    /// verdict [`Parsed::new`] stores, from a walk that stops after the
+    /// first assertion with an unsupported operator.
     fn gate_theories_arena(&self, script: &ArenaScript, arena: &TermArena) -> Result<(), String> {
         let supported = supported_theories(self.solver);
-        let mut stack: Vec<TermId> = Vec::new();
+        let mut stack = Vec::new();
+        let mut unsupported = None;
         for t in script.assertions() {
-            stack.clear();
-            stack.push(t);
-            let mut unsupported: Option<&Op> = None;
-            while let Some(id) = stack.pop() {
-                match arena.node(id) {
-                    ANode::App(op, start, len) => {
-                        let op = arena.op(op);
-                        if !supported.contains(&op.theory()) && unsupported.is_none_or(|u| op < u) {
-                            unsupported = Some(op);
-                        }
-                        stack.extend_from_slice(arena.args(start, len));
-                    }
-                    ANode::Let(start, len, body) => {
-                        stack.push(body);
-                        stack.extend(arena.let_binds(start, len).iter().map(|&(_, bt)| bt));
-                    }
-                    ANode::Quant(_, _, _, body) => stack.push(body),
-                    ANode::Const(_) | ANode::Var(_) | ANode::Placeholder(_) => {}
+            for_each_node(arena, t, &mut stack, |node, _| {
+                if let ANode::App(id, _, _) = node {
+                    note_unsupported(&mut unsupported, arena.op(id), &supported);
                 }
-            }
-            if let Some(op) = unsupported {
-                return Err(format!(
-                    "unknown constant or function symbol '{}' (theory '{}' is not supported by {})",
-                    op.smt_name(),
-                    op.theory(),
-                    self.solver.name(),
-                ));
+            });
+            if unsupported.is_some() {
+                break;
             }
         }
-        for cmd in &script.commands {
-            let (args, ret) = match cmd {
-                ArenaCommand::DeclareConst(_, sort) => (&[][..], sort),
-                ArenaCommand::DeclareFun(_, args, ret) => (&args[..], ret),
-                _ => continue,
-            };
-            for s in args.iter().chain(std::iter::once(ret)) {
-                for t in deep_theories(s) {
-                    if !supported.contains(&t) {
-                        return Err(format!(
-                            "unknown sort '{s}' (theory '{t}' is not supported by {})",
-                            self.solver.name(),
-                        ));
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Walks the AST and records frontend + typecheck coverage. The branch
-    /// taken inside each instrumented function depends on node content, so
-    /// structural diversity of inputs translates into line coverage.
-    fn walk_coverage(&self, script: &Script, universe: &Universe, cov: &mut CoverageMap) {
-        for cmd in &script.commands {
-            // Slot in the pre-resolved `frontend_cmd` table (CMD_POINTS order).
-            let slot = match cmd {
-                Command::SetLogic(_) => 0,
-                Command::SetOption(_, _) => 1,
-                Command::SetInfo(_, _) => 2,
-                Command::DeclareConst(_, _) => 3,
-                Command::DeclareFun(_, _, _) => 4,
-                Command::DeclareSort(_) => 5,
-                Command::DefineFun(_, _, _, _) => 6,
-                Command::Assert(_) => 7,
-                Command::CheckSat => 8,
-                Command::GetModel => 9,
-                Command::GetValue(_) => 10,
-                Command::Push(_) | Command::Pop(_) => 11,
-                Command::Exit => continue,
-            };
-            let idx = universe.frontend_cmd[slot];
-            cov.hit_idx(universe, idx, 0);
-            // Second branch: commands with non-trivial payloads.
-            let deep = matches!(
-                cmd,
-                Command::Assert(_) | Command::DefineFun(_, _, _, _) | Command::DeclareFun(_, _, _)
-            );
-            if deep {
-                cov.hit_idx(universe, idx, 1);
-            }
-            if let Command::DeclareConst(_, sort) = cmd {
-                self.sort_coverage(sort, universe, cov);
-            }
-            if let Command::DeclareFun(_, args, ret) = cmd {
-                for s in args.iter().chain(std::iter::once(ret)) {
-                    self.sort_coverage(s, universe, cov);
-                }
-            }
-            if let Command::Assert(t) = cmd {
-                self.term_coverage(t, universe, cov);
-            }
-        }
-    }
-
-    fn sort_coverage(&self, sort: &Sort, universe: &Universe, cov: &mut CoverageMap) {
-        // Slot in the pre-resolved `frontend_sort` table (SORT_POINTS order).
-        let slot = match sort {
-            Sort::Bool => 0,
-            Sort::Int => 1,
-            Sort::Real => 2,
-            Sort::String => 3,
-            Sort::BitVec(_) => 4,
-            Sort::FiniteField(_) => 5,
-            Sort::Seq(_) => 6,
-            Sort::Set(_) => 7,
-            Sort::Bag(_) => 8,
-            Sort::Array(_, _) => 9,
-            Sort::Tuple(_) => 10,
-            Sort::Uninterpreted(_) => 11,
-        };
-        let idx = universe.frontend_sort[slot];
-        cov.hit_idx(universe, idx, 0);
-        if sort.depth() > 1 {
-            cov.hit_idx(universe, idx, 1);
-        }
-        for c in sort.children() {
-            self.sort_coverage(c, universe, cov);
-        }
-    }
-
-    fn term_coverage(&self, term: &Term, universe: &Universe, cov: &mut CoverageMap) {
-        term.visit(&mut |t| {
-            // Slot in the pre-resolved `frontend_term` table (TERM_POINTS order).
-            let (slot, deep) = match t {
-                Term::Const(_) => (0, false),
-                Term::Var(_) => (1, false),
-                Term::App(_, args) => (2, args.len() > 2),
-                Term::Let(_, _) => (3, true),
-                Term::Quant(_, _, _) => (4, true),
-                Term::Placeholder(_) => return,
-            };
-            let idx = universe.frontend_term[slot];
-            cov.hit_idx(universe, idx, 0);
-            if deep {
-                cov.hit_idx(universe, idx, 1);
-            }
-            if let Term::App(op, args) = t {
-                if let Some(row) = universe.op_row(op) {
-                    cov.hit_idx(universe, row.typeck, 0);
-                    if args.len() > 2 {
-                        cov.hit_idx(universe, row.typeck, 1);
-                    }
-                }
-            }
-        });
+        gate_verdict(self.solver, unsupported, script)
     }
 }
 
@@ -402,6 +558,10 @@ fn deep_theories(s: &Sort) -> Vec<Theory> {
 mod tests {
     use super::*;
     use crate::coverage::universe;
+    use o4a_core::{Fuzzer, Once4AllConfig, Once4AllFuzzer};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use std::collections::BTreeSet;
 
     #[test]
     fn analyze_accepts_supported_script() {
@@ -411,7 +571,7 @@ mod tests {
         let a = f
             .analyze(
                 "(declare-const x Int)(assert (> x 1))(check-sat)",
-                &u,
+                u,
                 &mut cov,
             )
             .unwrap();
@@ -429,7 +589,7 @@ mod tests {
             .analyze(
                 "(declare-const v (_ FiniteField 3))\
                  (assert (= v (ff.add v v)))(check-sat)",
-                &u,
+                u,
                 &mut cov,
             )
             .unwrap_err();
@@ -444,7 +604,7 @@ mod tests {
         f.analyze(
             "(declare-const v (_ FiniteField 3))\
              (assert (= v (ff.add v v)))(check-sat)",
-            &u,
+            u,
             &mut cov,
         )
         .unwrap();
@@ -459,7 +619,7 @@ mod tests {
             .analyze(
                 "(declare-const a (_ BitVec 8))(declare-const b (_ BitVec 4))\
                  (assert (= a (bvadd a b)))(check-sat)",
-                &u,
+                u,
                 &mut cov,
             )
             .unwrap_err();
@@ -471,12 +631,146 @@ mod tests {
         let u = universe(SolverId::OxiZ);
         let mut cov = CoverageMap::new();
         let f = Frontend::new(SolverId::OxiZ);
-        assert!(f.analyze("(assert (= 1 1)", &u, &mut cov).is_err());
+        assert!(f.analyze("(assert (= 1 1)", u, &mut cov).is_err());
+    }
+
+    /// The boxed `FormulaFeatures::of` the single arena walk replaced,
+    /// kept as its reference.
+    fn boxed_features(script: &Script) -> FormulaFeatures {
+        let mut op_names = BTreeSet::new();
+        let mut theories = script.theories();
+        let mut has_quantifier = false;
+        let mut has_let = false;
+        let mut max_depth = 0;
+        let mut size = 0;
+        let mut assert_count = 0;
+        for t in script.assertions() {
+            assert_count += 1;
+            size += t.size();
+            max_depth = max_depth.max(t.depth());
+            has_quantifier |= t.has_quantifier();
+            t.visit(&mut |n| {
+                if matches!(n, Term::Let(_, _)) {
+                    has_let = true;
+                }
+            });
+            for op in t.ops() {
+                theories.insert(op.theory());
+                op_names.insert(op.smt_name().to_string());
+            }
+        }
+        for (_, args, ret) in script.declarations() {
+            for s in args.iter().chain(std::iter::once(&ret)) {
+                theories.extend(deep_theories(s));
+            }
+        }
+        theories.remove(&Theory::Core);
+        FormulaFeatures {
+            op_names,
+            theories,
+            has_quantifier,
+            has_let,
+            max_depth,
+            size,
+            assert_count,
+            hash: fnv1a(script.to_string().as_bytes()),
+        }
+    }
+
+    /// The boxed frontend coverage walk that replaying coverage facts
+    /// replaced, kept as its reference: commands, declared sorts, and
+    /// every assertion node with its operator's typecheck point.
+    fn boxed_walk_coverage(script: &Script, universe: &Universe, cov: &mut CoverageMap) {
+        fn sort_coverage(sort: &Sort, universe: &Universe, cov: &mut CoverageMap) {
+            let slot = match sort {
+                Sort::Bool => 0,
+                Sort::Int => 1,
+                Sort::Real => 2,
+                Sort::String => 3,
+                Sort::BitVec(_) => 4,
+                Sort::FiniteField(_) => 5,
+                Sort::Seq(_) => 6,
+                Sort::Set(_) => 7,
+                Sort::Bag(_) => 8,
+                Sort::Array(_, _) => 9,
+                Sort::Tuple(_) => 10,
+                Sort::Uninterpreted(_) => 11,
+            };
+            let idx = universe.frontend_sort[slot];
+            cov.hit_idx(universe, idx, 0);
+            if sort.depth() > 1 {
+                cov.hit_idx(universe, idx, 1);
+            }
+            for c in sort.children() {
+                sort_coverage(c, universe, cov);
+            }
+        }
+
+        for cmd in &script.commands {
+            let slot = match cmd {
+                Command::SetLogic(_) => 0,
+                Command::SetOption(_, _) => 1,
+                Command::SetInfo(_, _) => 2,
+                Command::DeclareConst(_, _) => 3,
+                Command::DeclareFun(_, _, _) => 4,
+                Command::DeclareSort(_) => 5,
+                Command::DefineFun(_, _, _, _) => 6,
+                Command::Assert(_) => 7,
+                Command::CheckSat => 8,
+                Command::GetModel => 9,
+                Command::GetValue(_) => 10,
+                Command::Push(_) | Command::Pop(_) => 11,
+                Command::Exit => continue,
+            };
+            let idx = universe.frontend_cmd[slot];
+            cov.hit_idx(universe, idx, 0);
+            let deep = matches!(
+                cmd,
+                Command::Assert(_) | Command::DefineFun(_, _, _, _) | Command::DeclareFun(_, _, _)
+            );
+            if deep {
+                cov.hit_idx(universe, idx, 1);
+            }
+            if let Command::DeclareConst(_, sort) = cmd {
+                sort_coverage(sort, universe, cov);
+            }
+            if let Command::DeclareFun(_, args, ret) = cmd {
+                for s in args.iter().chain(std::iter::once(ret)) {
+                    sort_coverage(s, universe, cov);
+                }
+            }
+            if let Command::Assert(t) = cmd {
+                t.visit(&mut |t| {
+                    let (slot, deep) = match t {
+                        Term::Const(_) => (0, false),
+                        Term::Var(_) => (1, false),
+                        Term::App(_, args) => (2, args.len() > 2),
+                        Term::Let(_, _) => (3, true),
+                        Term::Quant(_, _, _) => (4, true),
+                        Term::Placeholder(_) => return,
+                    };
+                    let idx = universe.frontend_term[slot];
+                    cov.hit_idx(universe, idx, 0);
+                    if deep {
+                        cov.hit_idx(universe, idx, 1);
+                    }
+                    if let Term::App(op, args) = t {
+                        if let Some(row) = universe.op_row(op) {
+                            cov.hit_idx(universe, row.typeck, 0);
+                            if args.len() > 2 {
+                                cov.hit_idx(universe, row.typeck, 1);
+                            }
+                        }
+                    }
+                });
+            }
+        }
     }
 
     /// The single-pass `analyze` this crate shipped before the frontend
     /// was split into [`Parsed`] and [`Frontend::analyze_parsed`], kept as
-    /// the reference the split must reproduce — boxed theory gate included.
+    /// the reference the split must reproduce — boxed theory gate, boxed
+    /// coverage walk and boxed features included.
     fn analyze_unsplit(
         f: &Frontend,
         text: &str,
@@ -517,7 +811,7 @@ mod tests {
             cov.hit_idx(universe, universe.error_reporting, 1);
             format!("{e}")
         })?;
-        f.walk_coverage(&script, universe, cov);
+        boxed_walk_coverage(&script, universe, cov);
         gate_theories(f.solver, &script)?;
         typeck::check_script(&script).map_err(|e| {
             cov.hit_idx(universe, universe.error_reporting, 1);
@@ -538,7 +832,7 @@ mod tests {
                 _ => {}
             }
         }
-        let features = FormulaFeatures::of(&script);
+        let features = boxed_features(&script);
         Ok(Analyzed {
             consts,
             funs,
@@ -587,24 +881,24 @@ mod tests {
             let f = Frontend::new(solver);
             for text in cases {
                 let mut want_cov = CoverageMap::new();
-                let want = analyze_unsplit(&f, text, &u, &mut want_cov);
+                let want = analyze_unsplit(&f, text, u, &mut want_cov);
                 let parsed = Parsed::new(text);
                 let mut got_cov = CoverageMap::new();
-                let got = f.analyze_parsed(&parsed, &u, &mut got_cov);
+                let got = f.analyze_parsed(&parsed, u, &mut got_cov);
                 assert_eq!(
                     format!("{:?}", got),
                     format!("{:?}", want.as_ref()),
                     "{solver}: analyze_parsed diverged on {text}"
                 );
                 assert_eq!(
-                    got_cov.export(&u),
-                    want_cov.export(&u),
+                    got_cov.export(u),
+                    want_cov.export(u),
                     "{solver}: coverage diverged on {text}"
                 );
                 let mut cov = CoverageMap::new();
-                let wrapped = f.analyze(text, &u, &mut cov).map(|_| ());
+                let wrapped = f.analyze(text, u, &mut cov).map(|_| ());
                 assert_eq!(wrapped, want.as_ref().map(|_| ()).map_err(Clone::clone));
-                assert_eq!(cov.export(&u), want_cov.export(&u));
+                assert_eq!(cov.export(u), want_cov.export(u));
                 assert_eq!(f.validate(text), wrapped, "{solver}: diverged on {text}");
                 gate_won |= matches!(&want, Err(e) if e.contains("not supported"))
                     && text.contains("(ff.add v 1)");
@@ -613,11 +907,7 @@ mod tests {
         assert!(gate_won, "the gate-and-typeck case must report the gate");
         // The same script, sort error and all, reaches Cervo's sort check.
         let e = Frontend::new(SolverId::Cervo)
-            .analyze(
-                cases[9],
-                &universe(SolverId::Cervo),
-                &mut CoverageMap::new(),
-            )
+            .analyze(cases[9], universe(SolverId::Cervo), &mut CoverageMap::new())
             .unwrap_err();
         assert!(!e.contains("not supported"), "{e}");
         // The gate names the smallest unsupported operator, not the first
@@ -628,6 +918,82 @@ mod tests {
         assert!(e.contains("'set.union'"), "{e}");
     }
 
+    /// Checks one text against the boxed references: its features, and
+    /// for each solver the `analyze_parsed` result and coverage. Returns
+    /// whether it failed to parse and whether it failed the sort check.
+    fn check_against_boxed(text: &str) -> (bool, bool) {
+        let parsed = Parsed::new(text);
+        let boxed = o4a_smtlib::parse_script(text);
+        let script = boxed.as_ref().cloned().unwrap_or_default();
+        assert_eq!(
+            *parsed.features(),
+            boxed_features(&script),
+            "features of {text}"
+        );
+        assert_eq!(
+            FormulaFeatures::of(&script),
+            boxed_features(&script),
+            "{text}"
+        );
+        for solver in SolverId::ALL {
+            let u = universe(solver);
+            let f = Frontend::new(solver);
+            let mut want_cov = CoverageMap::new();
+            let want = analyze_unsplit(&f, text, u, &mut want_cov);
+            let mut got_cov = CoverageMap::new();
+            let got = f.analyze_parsed(&parsed, u, &mut got_cov);
+            assert_eq!(
+                format!("{got:?}"),
+                format!("{:?}", want.as_ref()),
+                "{solver}: analyze_parsed diverged on {text}"
+            );
+            assert_eq!(
+                got_cov.export(u),
+                want_cov.export(u),
+                "{solver}: coverage diverged on {text}"
+            );
+        }
+        let sort_error = boxed.is_ok() && typeck::check_script(&script).is_err();
+        (boxed.is_err(), sort_error)
+    }
+
+    #[test]
+    fn single_walk_matches_boxed_references() {
+        // About 2000 generated texts: Once4All with and without skeletons
+        // and the eight baselines, each from a fixed seed. Every tenth
+        // text is also checked with its last `)` cut off, so the sweep
+        // meets parse errors as well as sort errors.
+        let mut fuzzers: Vec<Box<dyn Fuzzer>> = vec![
+            Box::new(Once4AllFuzzer::new(Once4AllConfig::default())),
+            Box::new(Once4AllFuzzer::new(Once4AllConfig {
+                use_skeletons: false,
+                ..Once4AllConfig::default()
+            })),
+        ];
+        fuzzers.extend(o4a_baselines::all_baselines());
+        let (mut texts, mut parse_errors, mut sort_errors) = (0, 0, 0);
+        for mut fuzzer in fuzzers {
+            let mut rng = StdRng::seed_from_u64(0x5eed);
+            fuzzer.setup(&mut rng);
+            for i in 0..180 {
+                let text = fuzzer.next_case(&mut rng).text;
+                let mut variants = vec![text.as_str()];
+                if i % 10 == 0 {
+                    variants.extend(text.rfind(')').map(|end| &text[..end]));
+                }
+                for t in variants {
+                    let (parse_error, sort_error) = check_against_boxed(t);
+                    texts += 1;
+                    parse_errors += usize::from(parse_error);
+                    sort_errors += usize::from(sort_error);
+                }
+            }
+        }
+        assert!(texts >= 1900, "only {texts} texts");
+        assert!(parse_errors > 0, "the sweep met no parse error");
+        assert!(sort_errors > 0, "the sweep met no sort error");
+    }
+
     #[test]
     fn defs_collected() {
         let u = universe(SolverId::Cervo);
@@ -636,7 +1002,7 @@ mod tests {
         let a = f
             .analyze(
                 "(define-fun inc ((x Int)) Int (+ x 1))(assert (= (inc 1) 2))(check-sat)",
-                &u,
+                u,
                 &mut cov,
             )
             .unwrap();

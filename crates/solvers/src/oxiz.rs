@@ -47,7 +47,7 @@ impl Default for EngineConfig {
 pub struct OxiZ {
     commit: CommitIdx,
     config: EngineConfig,
-    universe: Universe,
+    universe: &'static Universe,
     coverage: CoverageMap,
 }
 
@@ -87,7 +87,7 @@ impl OxiZ {
     /// `and`/`or` flattening, reflexive-equality elimination. Records
     /// per-rule coverage.
     fn simplify(&mut self, term: &Term, features_hash: u64) -> Term {
-        self.coverage.hit(&self.universe, "core::simplify_pass", 0);
+        self.coverage.hit(self.universe, "core::simplify_pass", 0);
         term.map_bottom_up(&mut |node| {
             match &node {
                 Term::App(op, args) => {
@@ -96,7 +96,7 @@ impl OxiZ {
                     // as the name lookup would.
                     let row = self.universe.op_row(op);
                     if let Some(r) = row {
-                        self.coverage.hit_idx(&self.universe, r.rewrite, 0);
+                        self.coverage.hit_idx(self.universe, r.rewrite, 0);
                     }
                     // Rule 1: constant folding.
                     if !matches!(op, Op::Uf(_))
@@ -112,9 +112,9 @@ impl OxiZ {
                             .collect();
                         if let Ok(v) = o4a_smtlib::eval::apply_op(op, &vals) {
                             if let Some(r) = row {
-                                self.coverage.hit_idx(&self.universe, r.rewrite, 2);
+                                self.coverage.hit_idx(self.universe, r.rewrite, 2);
                             }
-                            self.coverage.hit(&self.universe, "core::const_fold", 0);
+                            self.coverage.hit(self.universe, "core::const_fold", 0);
                             return Term::Const(v);
                         }
                     }
@@ -122,13 +122,13 @@ impl OxiZ {
                     match (op, args.as_slice()) {
                         (Op::Not, [Term::App(Op::Not, inner)]) if inner.len() == 1 => {
                             if let Some(r) = row {
-                                self.coverage.hit_idx(&self.universe, r.rewrite, 1);
+                                self.coverage.hit_idx(self.universe, r.rewrite, 1);
                             }
                             return inner[0].clone();
                         }
                         (Op::Eq, [a, b]) if a == b => {
                             if let Some(r) = row {
-                                self.coverage.hit_idx(&self.universe, r.rewrite, 1);
+                                self.coverage.hit_idx(self.universe, r.rewrite, 1);
                             }
                             return Term::tru();
                         }
@@ -136,9 +136,9 @@ impl OxiZ {
                             if args.iter().any(|a| matches!(a, Term::App(o, _) if o == op)) =>
                         {
                             // Flatten nested same-op children.
-                            self.coverage.hit(&self.universe, "core::flatten", 0);
+                            self.coverage.hit(self.universe, "core::flatten", 0);
                             if let Some(r) = row {
-                                self.coverage.hit_idx(&self.universe, r.rewrite, 1);
+                                self.coverage.hit_idx(self.universe, r.rewrite, 1);
                             }
                             let mut flat = Vec::new();
                             for a in args {
@@ -157,7 +157,7 @@ impl OxiZ {
                     // formula content, so input diversity grows line
                     // coverage like real basic blocks do.
                     if let Some(r) = row {
-                        self.coverage.hit_idx(&self.universe, r.eval, 0);
+                        self.coverage.hit_idx(self.universe, r.eval, 0);
                         // Deep evaluation arms correspond to rare value
                         // shapes: only ~4% of formulas take each one, so line
                         // coverage keeps growing for hours like real gcov
@@ -165,12 +165,12 @@ impl OxiZ {
                         let roll = (features_hash ^ r.name_fnv) % 53;
                         if roll < 2 {
                             self.coverage
-                                .hit_idx(&self.universe, r.eval, 1 + (roll % 2) as usize);
+                                .hit_idx(self.universe, r.eval, 1 + (roll % 2) as usize);
                         }
                     }
                 }
                 Term::Quant(_, _, _) => {
-                    self.coverage.hit(&self.universe, "quant::binder_scope", 0);
+                    self.coverage.hit(self.universe, "quant::binder_scope", 0);
                 }
                 _ => {}
             }
@@ -186,19 +186,19 @@ impl OxiZ {
     ) -> (Outcome, Option<Model>, SolveStats) {
         let mut stats = SolveStats::default();
         let cfg = domain_config(analyzed);
-        self.coverage.hit(&self.universe, "core::domain_build", 0);
+        self.coverage.hit(self.universe, "core::domain_build", 0);
 
         let (dims, domains, complete) = search_space(analyzed, &cfg);
         if !analyzed.funs.is_empty() {
-            self.coverage.hit(&self.universe, "core::uf_assign", 0);
+            self.coverage.hit(self.universe, "core::uf_assign", 0);
         }
         if !complete {
-            self.coverage.hit(&self.universe, "core::domain_build", 1);
+            self.coverage.hit(self.universe, "core::domain_build", 1);
         }
         let has_quant = analyzed.features.has_quantifier;
         if has_quant {
-            self.coverage.hit(&self.universe, "quant::forall_inst", 0);
-            self.coverage.hit(&self.universe, "core::quant_expand", 0);
+            self.coverage.hit(self.universe, "quant::forall_inst", 0);
+            self.coverage.hit(self.universe, "core::quant_expand", 0);
         }
 
         // Every assignment charges each evaluated assertion's full size.
@@ -213,11 +213,11 @@ impl OxiZ {
         let mut saw_incomplete = false;
         let mut saw_budget = false;
         let mut saw_error = false;
-        self.coverage.hit(&self.universe, "core::enumerate", 0);
+        self.coverage.hit(self.universe, "core::enumerate", 0);
         'outer: loop {
             if tried >= self.config.max_assignments {
                 capped = true;
-                self.coverage.hit(&self.universe, "core::enumerate", 1);
+                self.coverage.hit(self.universe, "core::enumerate", 1);
                 break;
             }
             tried += 1;
@@ -229,20 +229,20 @@ impl OxiZ {
                     Ok(Value::Bool(true)) => {}
                     Ok(Value::Bool(false)) => {
                         all_true = false;
-                        self.coverage.hit(&self.universe, "core::prune", 0);
+                        self.coverage.hit(self.universe, "core::prune", 0);
                         break;
                     }
                     Err(EvalError::Incomplete) => {
                         saw_incomplete = true;
                         if has_quant {
-                            self.coverage.hit(&self.universe, "core::quant_expand", 1);
+                            self.coverage.hit(self.universe, "core::quant_expand", 1);
                         }
                         all_true = false;
                         break;
                     }
                     Err(EvalError::BudgetExhausted) => {
                         saw_budget = true;
-                        self.coverage.hit(&self.universe, "core::prune", 1);
+                        self.coverage.hit(self.universe, "core::prune", 1);
                         all_true = false;
                         break;
                     }
@@ -260,8 +260,8 @@ impl OxiZ {
             if all_true {
                 let model = ev.model();
                 if verified(&model, analyzed, assertions, &cfg, self.config.eval_budget) {
-                    self.coverage.hit(&self.universe, "core::model_build", 0);
-                    self.coverage.hit(&self.universe, "core::model_eval", 0);
+                    self.coverage.hit(self.universe, "core::model_build", 0);
+                    self.coverage.hit(self.universe, "core::model_eval", 0);
                     return (Outcome::Sat, Some(model), stats);
                 }
                 saw_error = true;
@@ -404,7 +404,7 @@ impl SmtSolver for OxiZ {
 
     fn check_parsed(&mut self, _text: &str, parsed: &Parsed) -> SolverResponse {
         let frontend = Frontend::new(SolverId::OxiZ);
-        let analyzed = match frontend.analyze_parsed(parsed, &self.universe, &mut self.coverage) {
+        let analyzed = match frontend.analyze_parsed(parsed, self.universe, &mut self.coverage) {
             Ok(a) => a,
             Err(msg) => return SolverResponse::error(msg),
         };
@@ -417,7 +417,7 @@ impl SmtSolver for OxiZ {
 
         // Fast path: a literally-false assertion after simplification.
         let (mut outcome, mut model, mut stats) = if assertions.iter().any(|a| *a == Term::fls()) {
-            self.coverage.hit(&self.universe, "core::prune", 2);
+            self.coverage.hit(self.universe, "core::prune", 2);
             (Outcome::Unsat, None, SolveStats::default())
         } else {
             let timer = o4a_obs::metrics::start_timer();
@@ -450,7 +450,7 @@ impl SmtSolver for OxiZ {
     }
 
     fn universe(&self) -> &Universe {
-        &self.universe
+        self.universe
     }
 
     fn reset_coverage(&mut self) {

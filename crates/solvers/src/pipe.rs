@@ -548,7 +548,7 @@ pub struct PipeSolver {
     cache: Option<Rc<dyn VerdictCache>>,
     affinity: bool,
     empty_coverage: CoverageMap,
-    universe: Universe,
+    universe: &'static Universe,
     spawned: Cell<u64>,
     respawns: Cell<u64>,
     scopes: Cell<u64>,
@@ -1550,7 +1550,7 @@ impl SmtSolver for PipeSolver {
     }
 
     fn universe(&self) -> &Universe {
-        &self.universe
+        self.universe
     }
 
     fn reset_coverage(&mut self) {}

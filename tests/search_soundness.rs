@@ -70,7 +70,7 @@ fn generated() -> &'static [String] {
 fn analyze(text: &str) -> Option<Analyzed> {
     let mut cov = CoverageMap::new();
     Frontend::new(SolverId::Cervo)
-        .analyze(text, &universe(SolverId::Cervo), &mut cov)
+        .analyze(text, universe(SolverId::Cervo), &mut cov)
         .ok()
 }
 

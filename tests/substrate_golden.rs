@@ -44,9 +44,9 @@ fn record(out: &mut String, text: &str) {
         let u = universe(solver);
         let frontend = Frontend::new(solver);
         let mut cov = CoverageMap::new();
-        let analyzed = frontend.analyze(text, &u, &mut cov);
+        let analyzed = frontend.analyze(text, u, &mut cov);
         out.push_str(&format!("{solver} analyze {analyzed:?}\n"));
-        for (name, mask) in cov.export(&u) {
+        for (name, mask) in cov.export(u) {
             out.push_str(&format!("{name}:{mask:x},"));
         }
         out.push_str(&format!(
