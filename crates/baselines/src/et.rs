@@ -120,7 +120,11 @@ impl Fuzzer for Et {
         }
         text.push_str(&format!("(assert {term})\n(check-sat)"));
         let gen_micros = 40 + text.len() as u64 / 2;
-        TestCase { text, gen_micros }
+        TestCase {
+            text,
+            gen_micros,
+            parsed: None,
+        }
     }
 }
 

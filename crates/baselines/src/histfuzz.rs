@@ -11,6 +11,7 @@ use o4a_core::{
     TestCase,
 };
 use o4a_smtlib::{ArenaScript, Command, Script, Sort, Symbol, Term, TermArena};
+use o4a_solvers::Parsed;
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -99,8 +100,11 @@ impl Fuzzer for HistFuzz {
         };
         let mut text = String::new();
         script.print_into(arena, &mut text);
-        let gen_micros = 140 + text.len() as u64;
-        TestCase { text, gen_micros }
+        TestCase {
+            gen_micros: 140 + text.len() as u64,
+            parsed: Some(Parsed::from_arena(&script, arena, &text)),
+            text,
+        }
     }
 }
 

@@ -94,6 +94,7 @@ impl Fuzzer for Fuzz4All {
         TestCase {
             gen_micros: self.latency_micros + text.len() as u64,
             text,
+            parsed: None,
         }
     }
 }
@@ -152,6 +153,7 @@ impl Fuzzer for LaST {
         TestCase {
             gen_micros: 900 + text.len() as u64, // local model inference cost
             text,
+            parsed: None,
         }
     }
 }

@@ -44,7 +44,11 @@ impl Fuzzer for OpFuzz {
         }
         let text = script.to_string();
         let gen_micros = 60 + text.len() as u64 / 2;
-        TestCase { text, gen_micros }
+        TestCase {
+            text,
+            gen_micros,
+            parsed: None,
+        }
     }
 }
 
@@ -129,7 +133,11 @@ impl Fuzzer for TypeFuzz {
         let text = script.to_string();
         // Typed-pool construction dominates TypeFuzz's per-case cost.
         let gen_micros = 2_500 + 3 * text.len() as u64;
-        TestCase { text, gen_micros }
+        TestCase {
+            text,
+            gen_micros,
+            parsed: None,
+        }
     }
 }
 
@@ -206,7 +214,11 @@ impl Fuzzer for Storm {
         out.ensure_check_sat();
         let text = out.to_string();
         let gen_micros = 100 + text.len() as u64;
-        TestCase { text, gen_micros }
+        TestCase {
+            text,
+            gen_micros,
+            parsed: None,
+        }
     }
 }
 
@@ -293,7 +305,11 @@ impl Fuzzer for YinYang {
         let text = out.to_string();
         // Fusion pre-solves both seeds, the dominant per-case cost.
         let gen_micros = 3_000 + 2 * text.len() as u64;
-        TestCase { text, gen_micros }
+        TestCase {
+            text,
+            gen_micros,
+            parsed: None,
+        }
     }
 }
 

@@ -218,12 +218,13 @@ pub fn render_stats(result: &CampaignResult) -> String {
             s.leases_granted, s.leases_reissued
         );
     }
-    // Engine search and shard merge times are process metrics, recorded
-    // only while metrics are on (`O4A_METRICS`); a metrics-off run prints
-    // neither line.
+    // Engine rewrite, search and shard merge times are process metrics,
+    // recorded only while metrics are on (`O4A_METRICS`); a metrics-off
+    // run prints none of these lines.
     if o4a_obs::metrics_enabled() {
         let histograms = o4a_obs::metrics::snapshot().histograms;
         for (name, label) in [
+            ("solver.rewrite", "solver.rewrite µs/call   "),
             ("solver.search", "solver.search µs/call    "),
             ("exec.merge_micros", "exec.merge µs/campaign   "),
         ] {
@@ -692,9 +693,11 @@ mod tests {
             metrics: true,
             ..o4a_obs::ObsConfig::default()
         });
+        o4a_obs::metrics::histogram("solver.rewrite").record(30);
         o4a_obs::metrics::histogram("solver.search").record(40);
         o4a_obs::metrics::histogram("exec.merge_micros").record(900);
         let s = render_stats(&result);
+        assert!(s.contains("solver.rewrite µs/call   : n="), "{s}");
         assert!(s.contains("solver.search µs/call    : n="), "{s}");
         assert!(s.contains("exec.merge µs/campaign   : n="), "{s}");
     }

@@ -259,9 +259,10 @@ pub struct CaseExecution {
     /// Per-solver responses and coverage deltas, in campaign solver order.
     pub runs: Vec<SolverRun>,
     /// The case's shared frontend pass, which the in-process solvers ran
-    /// on and [`CampaignStepper::apply_case`] judges on. `None` when the
-    /// case ran elsewhere (an external solver process); apply then parses
-    /// the text itself.
+    /// on and [`CampaignStepper::apply_case`] judges on. An external
+    /// solver process runs on the text, so there it is the fuzzer's
+    /// [`TestCase::parsed`]; when that is `None` too, apply parses the
+    /// text itself.
     pub parsed: Option<Parsed>,
 }
 
@@ -405,15 +406,21 @@ impl CampaignStepper {
     /// campaign state** (clock, stats, findings, snapshots). Executions
     /// are therefore order-independent and safe to perform speculatively —
     /// the property the overlapped async engine relies on.
-    pub fn execute_case(&mut self, case: TestCase) -> CaseExecution {
+    ///
+    /// The case's own [`TestCase::parsed`] is used when the fuzzer handed
+    /// one over; otherwise the text is parsed here.
+    pub fn execute_case(&mut self, mut case: TestCase) -> CaseExecution {
         assert!(
             self.solvers.len() == self.config.solvers.len(),
             "execute_case on an apply-only stepper (built without solvers)"
         );
         let _span = o4a_obs::trace::span("core", "case.execute");
-        let timer = o4a_obs::metrics::start_timer();
-        let parsed = Parsed::new(&case.text);
-        o4a_obs::metrics::record_elapsed("core.parse_micros", timer);
+        let parsed = case.parsed.take().unwrap_or_else(|| {
+            let timer = o4a_obs::metrics::start_timer();
+            let parsed = Parsed::new(&case.text);
+            o4a_obs::metrics::record_elapsed("core.parse_micros", timer);
+            parsed
+        });
         let mut runs = Vec::with_capacity(self.solvers.len());
         for solver in self.solvers.iter_mut() {
             solver.reset_coverage();

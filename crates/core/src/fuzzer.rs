@@ -9,7 +9,7 @@ use o4a_llm::{
     SimulatedLlm, Validator,
 };
 use o4a_smtlib::{ArenaScript, Script, TermArena};
-use o4a_solvers::{Frontend, SolverId};
+use o4a_solvers::{Frontend, Parsed, SolverId};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -22,6 +22,12 @@ pub struct TestCase {
     pub text: String,
     /// Virtual microseconds spent generating it.
     pub gen_micros: u64,
+    /// The case's frontend pass, handed over by a fuzzer that built the
+    /// case on a term arena ([`Parsed::from_arena`]) so the campaign need
+    /// not parse `text` back. When present it equals
+    /// `Parsed::new(&text)`; `None` (text-only fuzzers) makes the
+    /// campaign run [`Parsed::new`] itself.
+    pub parsed: Option<Parsed>,
 }
 
 /// A fuzzer plugin: Once4All, its variants, and all baselines implement
@@ -181,6 +187,20 @@ impl Once4AllFuzzer {
         }
     }
 
+    /// Prints `script` as the next case, with its frontend pass read off
+    /// the fuzzer's arena.
+    fn emit(&mut self, script: &ArenaScript) -> TestCase {
+        self.print_buf.clear();
+        script.print_into(&self.arena, &mut self.print_buf);
+        let text = self.print_buf.clone();
+        let parsed = Parsed::from_arena(script, &self.arena, &text);
+        TestCase {
+            gen_micros: 150 + text.len() as u64,
+            text,
+            parsed: Some(parsed),
+        }
+    }
+
     /// Emits a skeleton-free case (the w/oS variant and the fallback when a
     /// seed yields no usable skeleton).
     fn generator_only_case(&mut self, rng: &mut StdRng) -> ArenaScript {
@@ -265,64 +285,58 @@ impl Fuzzer for Once4AllFuzzer {
 
     fn next_case(&mut self, rng: &mut StdRng) -> TestCase {
         self.cases_emitted += 1;
-        self.print_buf.clear();
         if !self.config.use_skeletons {
             // No skeleton state survives between cases, so the arena can be
             // recycled every time.
             self.arena.reset();
             let script = self.generator_only_case(rng);
-            script.print_into(&self.arena, &mut self.print_buf);
+            return self.emit(&script);
+        }
+        // Algorithm 2: pick a seed, then mutate it for N iterations before
+        // picking the next.
+        if self.current.is_none() || self.iterations_left == 0 {
+            let k = rng.gen_range(0..self.seeds.len());
+            // Fresh seed: nothing references the arena any more, so all
+            // terms accumulated across the previous mutation chain can be
+            // dropped at once.
+            self.arena.reset();
+            self.current = Some(ArenaScript::from_script(&self.seeds[k], &mut self.arena));
+            self.iterations_left = self.config.mutations_per_seed;
+        }
+        self.iterations_left -= 1;
+        let seed = self.current.clone().expect("seed selected above");
+        let skeleton: ArenaSkeleton =
+            skeletonize_arena(&seed, &mut self.arena, self.config.skeleton, rng);
+        let n_fills = rng.gen_range(1..=self.config.max_fills.max(1));
+        let focus = if self.generators.is_empty() {
+            None
         } else {
-            // Algorithm 2: pick a seed, then mutate it for N iterations
-            // before picking the next.
-            if self.current.is_none() || self.iterations_left == 0 {
-                let k = rng.gen_range(0..self.seeds.len());
-                // Fresh seed: nothing references the arena any more, so all
-                // terms accumulated across the previous mutation chain can
-                // be dropped at once.
-                self.arena.reset();
-                self.current = Some(ArenaScript::from_script(&self.seeds[k], &mut self.arena));
-                self.iterations_left = self.config.mutations_per_seed;
-            }
-            self.iterations_left -= 1;
-            let seed = self.current.clone().expect("seed selected above");
-            let skeleton: ArenaSkeleton =
-                skeletonize_arena(&seed, &mut self.arena, self.config.skeleton, rng);
-            let n_fills = rng.gen_range(1..=self.config.max_fills.max(1));
-            let focus = if self.generators.is_empty() {
-                None
-            } else {
-                Some(rng.gen_range(0..self.generators.len()))
-            };
-            let mut fills = Vec::new();
-            for _ in 0..n_fills {
-                if let Ok(f) = self.draw_fill_from(focus, rng) {
-                    fills.push(adapt_fill_arena(&f, &skeleton, &mut self.arena, rng));
-                }
-            }
-            if fills.is_empty() {
-                // All samples invalid this round: fall back to a
-                // generator-only case so throughput is preserved.
-                let script = self.generator_only_case(rng);
-                script.print_into(&self.arena, &mut self.print_buf);
-            } else {
-                let out = synthesize_arena(&skeleton, &fills, &mut self.arena);
-                out.print_into(&self.arena, &mut self.print_buf);
-                // The mutant becomes the next iteration's seed (the paper
-                // mutates f in place across the repeat loop) — unless it
-                // outgrew the size budget, in which case the next call
-                // restarts from a fresh seed (keeps throughput and mean
-                // formula size in the paper's ballpark).
-                if self.print_buf.len() > 3_000 {
-                    self.current = None;
-                } else {
-                    self.current = Some(out);
-                }
+            Some(rng.gen_range(0..self.generators.len()))
+        };
+        let mut fills = Vec::new();
+        for _ in 0..n_fills {
+            if let Ok(f) = self.draw_fill_from(focus, rng) {
+                fills.push(adapt_fill_arena(&f, &skeleton, &mut self.arena, rng));
             }
         }
-        let text = self.print_buf.clone();
-        let gen_micros = 150 + text.len() as u64;
-        TestCase { text, gen_micros }
+        if fills.is_empty() {
+            // All samples invalid this round: fall back to a generator-only
+            // case so throughput is preserved.
+            let script = self.generator_only_case(rng);
+            return self.emit(&script);
+        }
+        let out = synthesize_arena(&skeleton, &fills, &mut self.arena);
+        let case = self.emit(&out);
+        // The mutant becomes the next iteration's seed (the paper mutates f
+        // in place across the repeat loop) — unless it outgrew the size
+        // budget, in which case the next call restarts from a fresh seed
+        // (keeps throughput and mean formula size in the paper's ballpark).
+        if case.text.len() > 3_000 {
+            self.current = None;
+        } else {
+            self.current = Some(out);
+        }
+        case
     }
 }
 

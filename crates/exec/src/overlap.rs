@@ -168,8 +168,9 @@ impl PipeBackend {
 
 /// One case's in-flight work: every solver lane queried in campaign
 /// order, with each lane's pipe round-trip awaited before its result is
-/// available.
-async fn case_future(solvers: &[PipeSolver], case: TestCase) -> CaseExecution {
+/// available. The fuzzer's frontend pass, if it handed one over, travels
+/// with the execution for the judge.
+async fn case_future(solvers: &[PipeSolver], mut case: TestCase) -> CaseExecution {
     // The span covers the whole in-flight life of the case, queue waits
     // included — the overlapped counterpart of the serial stepper's
     // `case.execute` span. Held across awaits: the executor is
@@ -185,9 +186,9 @@ async fn case_future(solvers: &[PipeSolver], case: TestCase) -> CaseExecution {
         });
     }
     CaseExecution {
+        parsed: case.parsed.take(),
         case,
         runs,
-        parsed: None,
     }
 }
 

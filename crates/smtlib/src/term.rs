@@ -237,6 +237,16 @@ impl Term {
         found
     }
 
+    /// True when the term contains a `let` anywhere.
+    pub fn has_let(&self) -> bool {
+        match self {
+            Term::Let(_, _) => true,
+            Term::App(_, args) => args.iter().any(Term::has_let),
+            Term::Quant(_, _, body) => body.has_let(),
+            Term::Const(_) | Term::Var(_) | Term::Placeholder(_) => false,
+        }
+    }
+
     /// An *atomic* sub-formula in the paper's sense: a Boolean-valued term
     /// whose head is not a logical connective or quantifier. These are the
     /// removal candidates during skeleton extraction.

@@ -69,12 +69,17 @@ impl Cervo {
     /// flip quantifier kind).
     fn normalize(&mut self, term: &Term, features_hash: u64) -> Term {
         self.coverage.hit(self.universe, "core::let_inline", 0);
-        let inlined = inline_lets(term, &mut Vec::new());
-        if inlined != *term {
+        // Inlining changes a term exactly when the term contains a `let`.
+        let inlined;
+        let term = if term.has_let() {
             self.coverage.hit(self.universe, "core::let_inline", 1);
-        }
+            inlined = inline_lets(term, &mut Vec::new());
+            &inlined
+        } else {
+            term
+        };
         self.coverage.hit(self.universe, "core::nnf", 0);
-        let nnf = to_nnf(&inlined, false, &mut |negated_quant| {
+        let nnf = to_nnf(term, false, &mut |negated_quant| {
             if negated_quant {
                 self.coverage.hit(self.universe, "core::nnf", 1);
             }
@@ -450,11 +455,13 @@ impl SmtSolver for Cervo {
             Err(msg) => return SolverResponse::error(msg),
         };
         let fh = analyzed.features.hash;
+        let timer = o4a_obs::metrics::start_timer();
         let assertions: Vec<Term> = analyzed
             .script
             .assertions()
             .map(|t| self.normalize(t, fh))
             .collect();
+        o4a_obs::metrics::record_elapsed("solver.rewrite", timer);
 
         let timer = o4a_obs::metrics::start_timer();
         let (mut outcome, mut model, mut stats) = self.solve(analyzed, &assertions);

@@ -6,11 +6,13 @@
 //! extensions, like real Z3 rejects `ff.add`) and the engine that runs
 //! afterwards. All of it is a [`Parsed`], which a campaign builds once
 //! per case and hands to every solver through [`Frontend::analyze_parsed`].
-//! [`Parsed::new`] parses onto a [`TermArena`] and walks each assertion
-//! once; that walk yields both solvers' theory-gate verdicts, the
-//! [`FormulaFeatures`], and solver-independent coverage facts, which
-//! `analyze_parsed` replays through the solver's [`Universe`]. The sort
-//! checker runs on the same arena.
+//! [`Parsed::new`] parses text onto a [`TermArena`]; a case that was built
+//! on an arena (Once4All, HistFuzz) skips the parse through
+//! [`Parsed::from_arena`], which reads the fuzzer's own arena. Either way
+//! each assertion is walked once; that walk yields both solvers'
+//! theory-gate verdicts, the [`FormulaFeatures`], and solver-independent
+//! coverage facts, which `analyze_parsed` replays through the solver's
+//! [`Universe`]. The sort checker runs on the same arena.
 
 use crate::coverage::{supported_theories, CoverageMap, Universe};
 use crate::features::{fnv1a, FormulaFeatures};
@@ -32,7 +34,7 @@ thread_local! {
 }
 
 /// The result of frontend analysis: everything an engine needs to solve.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Analyzed {
     /// The parsed script.
     pub script: Script,
@@ -82,7 +84,10 @@ impl Analyzed {
 /// verdict, sort check, the declaration tables, the [`FormulaFeatures`]
 /// and the solver-independent coverage facts. Only replaying those facts
 /// through a solver's universe is left to [`Frontend::analyze_parsed`].
-#[derive(Clone, Debug)]
+///
+/// Both constructors agree: `Parsed::from_arena(s, a, t) == Parsed::new(t)`
+/// whenever `t` is the printer's output for `s` on `a`.
+#[derive(Clone, Debug, PartialEq)]
 pub struct Parsed {
     stage: Stage,
     /// The theory gate's verdict for each solver, in [`SolverId::ALL`]
@@ -91,7 +96,7 @@ pub struct Parsed {
     coverage: CoverageFacts,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 enum Stage {
     /// The parser's message.
     ParseError(String),
@@ -110,35 +115,55 @@ impl Parsed {
         FRONTEND_ARENA.with(|cell| {
             let arena = &mut *cell.borrow_mut();
             arena.reset();
-            let script = match parse_script_arena(text, arena) {
-                Ok(s) => s,
-                Err(e) => {
-                    return Parsed {
-                        stage: Stage::ParseError(format!("{e}")),
-                        gates: [Ok(()), Ok(())],
-                        coverage: CoverageFacts::default(),
-                    }
-                }
-            };
-            let arena = &*arena;
-            let Walk {
-                features,
-                coverage,
-                unsupported,
-            } = Walk::new(&script, arena);
-            let gates = SolverId::ALL.map(|id| gate_verdict(id, unsupported[id as usize], &script));
-            let checked = typeck::check_script_arena(&script, arena);
-            let script = script.to_script(arena);
-            let stage = match checked {
-                Ok(_) => Stage::Checked(Analyzed::of(script, features, text.len())),
-                Err(e) => Stage::TypeError(script, format!("{e}"), features),
-            };
-            Parsed {
-                stage,
-                gates,
-                coverage,
+            match parse_script_arena(text, arena) {
+                Ok(script) => Parsed::of(&script, arena, text.len(), print_hash(&script, arena)),
+                Err(e) => Parsed {
+                    stage: Stage::ParseError(format!("{e}")),
+                    gates: [Ok(()), Ok(())],
+                    coverage: CoverageFacts::default(),
+                },
             }
         })
+    }
+
+    /// [`Parsed::new`] of `text` for a case that already exists as
+    /// `script` on `arena`, with `text` the printer's output for it
+    /// ([`ArenaScript::print_into`]): the same walk, gates, sort check and
+    /// boxing, without parsing `text` or printing the script again. The
+    /// printed text is its own re-print, so the feature hash is the hash
+    /// of `text`; debug builds check that `text` is the script's print and
+    /// that it parses and re-prints to itself.
+    pub fn from_arena(script: &ArenaScript, arena: &TermArena, text: &str) -> Parsed {
+        debug_assert!(
+            is_print_fixpoint(script, arena, text),
+            "not the re-printable print of its script: {text}"
+        );
+        Parsed::of(script, arena, text.len(), fnv1a(text.as_bytes()))
+    }
+
+    /// The body both constructors share: one walk over `script` (theory
+    /// gates, features, coverage facts), the sort check, and the boxed
+    /// script with its declaration tables. `input_bytes` is the length of
+    /// the script's text and `hash` the FNV-1a hash of its print.
+    fn of(script: &ArenaScript, arena: &TermArena, input_bytes: usize, hash: u64) -> Parsed {
+        let Walk {
+            mut features,
+            coverage,
+            unsupported,
+        } = Walk::new(script, arena);
+        features.hash = hash;
+        let gates = SolverId::ALL.map(|id| gate_verdict(id, unsupported[id as usize], script));
+        let checked = typeck::check_script_arena(script, arena);
+        let boxed = script.to_script(arena);
+        let stage = match checked {
+            Ok(_) => Stage::Checked(Analyzed::of(boxed, features, input_bytes)),
+            Err(e) => Stage::TypeError(boxed, format!("{e}"), features),
+        };
+        Parsed {
+            stage,
+            gates,
+            coverage,
+        }
     }
 
     /// The parsed script, or `None` when the text did not parse.
@@ -171,12 +196,45 @@ pub(crate) fn features_of(script: &Script) -> FormulaFeatures {
         let arena = &mut *cell.borrow_mut();
         arena.reset();
         let script = ArenaScript::from_script(script, arena);
-        Walk::new(&script, arena).features
+        FormulaFeatures {
+            hash: print_hash(&script, arena),
+            ..Walk::new(&script, arena).features
+        }
+    })
+}
+
+/// The FNV-1a hash of `script`'s print ([`FormulaFeatures::hash`]),
+/// printed into a reused thread-local buffer.
+fn print_hash(script: &ArenaScript, arena: &TermArena) -> u64 {
+    PRINT_BUFFER.with(|cell| {
+        let out = &mut *cell.borrow_mut();
+        out.clear();
+        script.print_into(arena, out);
+        fnv1a(out.as_bytes())
+    })
+}
+
+/// Whether `text` is `script`'s print on `arena` and parses and re-prints
+/// to itself: what lets [`Parsed::from_arena`] hash `text` in place of
+/// the re-print [`Parsed::new`] hashes.
+fn is_print_fixpoint(script: &ArenaScript, arena: &TermArena, text: &str) -> bool {
+    let mut printed = String::new();
+    script.print_into(arena, &mut printed);
+    FRONTEND_ARENA.with(|cell| {
+        let scratch = &mut *cell.borrow_mut();
+        scratch.reset();
+        let Ok(reparsed) = parse_script_arena(text, scratch) else {
+            return false;
+        };
+        let mut reprinted = String::new();
+        reparsed.print_into(scratch, &mut reprinted);
+        printed == text && reprinted == text
     })
 }
 
 /// What one walk over a script's assertions learns.
 struct Walk<'a> {
+    /// Every feature but the hash, which the caller sets.
     features: FormulaFeatures,
     coverage: CoverageFacts,
     /// Per solver, in [`SolverId::ALL`] order: the smallest unsupported
@@ -266,12 +324,6 @@ impl<'a> Walk<'a> {
             }
         }
         features.theories.remove(&Theory::Core);
-        features.hash = PRINT_BUFFER.with(|cell| {
-            let out = &mut *cell.borrow_mut();
-            out.clear();
-            script.print_into(arena, out);
-            fnv1a(out.as_bytes())
-        });
         Walk {
             features,
             coverage,
@@ -376,7 +428,7 @@ fn mark(bits: &mut u32, slot: usize, deep: bool) {
 /// see [`mark`]) and which operators its assertions apply. Hits are
 /// idempotent ORs, so replaying the facts gives the map a walk over the
 /// script would.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 struct CoverageFacts {
     /// `CMD_POINTS` bits; commands with a payload take the deep branch.
     commands: u32,

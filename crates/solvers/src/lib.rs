@@ -105,29 +105,31 @@ mod tests {
 
     #[test]
     fn search_time_is_recorded_only_with_metrics_on() {
-        let searches = || {
-            o4a_obs::metrics::snapshot()
-                .histograms
-                .get("solver.search")
-                .map_or(0, |h| h.count)
+        // Samples in the rewrite and the search histogram.
+        let samples = || {
+            let histograms = o4a_obs::metrics::snapshot().histograms;
+            ["solver.rewrite", "solver.search"]
+                .map(|name| histograms.get(name).map_or(0, |h| h.count))
         };
         let text = "(declare-const x Int)(assert (> x 1))(check-sat)";
         if !o4a_obs::metrics_enabled() {
-            let before = searches();
+            let before = samples();
             for id in SolverId::ALL {
                 solver_at(id, TRUNK_COMMIT).check(text);
             }
-            assert_eq!(searches(), before, "recorded with metrics off");
+            assert_eq!(samples(), before, "recorded with metrics off");
         }
         o4a_obs::install(o4a_obs::ObsConfig {
             metrics: true,
             ..o4a_obs::ObsConfig::default()
         });
-        let before = searches();
+        let before = samples();
         for id in SolverId::ALL {
             solver_at(id, TRUNK_COMMIT).check(text);
         }
-        assert!(searches() >= before + 2, "one sample per engine search");
+        let after = samples();
+        assert!(after[0] >= before[0] + 2, "one sample per engine rewrite");
+        assert!(after[1] >= before[1] + 2, "one sample per engine search");
     }
 
     #[test]

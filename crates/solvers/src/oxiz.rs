@@ -409,11 +409,13 @@ impl SmtSolver for OxiZ {
             Err(msg) => return SolverResponse::error(msg),
         };
         let fh = analyzed.features.hash;
+        let timer = o4a_obs::metrics::start_timer();
         let assertions: Vec<Term> = analyzed
             .script
             .assertions()
             .map(|t| self.simplify(t, fh))
             .collect();
+        o4a_obs::metrics::record_elapsed("solver.rewrite", timer);
 
         // Fast path: a literally-false assertion after simplification.
         let (mut outcome, mut model, mut stats) = if assertions.iter().any(|a| *a == Term::fls()) {
