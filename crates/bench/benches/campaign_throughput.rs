@@ -11,9 +11,9 @@
 //!   (trace spans + metrics recorded in-memory, ring drained per run);
 //!   the `serial` / `serial_traced` pair is the committed price of
 //!   turning observability on;
-//! * `pipe_spawn_k8` / `pipe_session_k8` — external mock-solver
-//!   processes over stdin/stdout pipes (zero injected latency, so the
-//!   number measures transport overhead, not sleeps);
+//! * `pipe_session_k8` — external mock-solver processes over
+//!   stdin/stdout pipes, 8 queries in flight (zero injected latency, so
+//!   the number measures transport overhead, not sleeps);
 //! * `pipe_dup_uncached` / `pipe_dup_cached` — a duplicate-heavy case
 //!   stream (24 distinct scripts cycled over the whole plan) against a
 //!   mock with injected per-query latency, without and with the verdict
@@ -35,7 +35,6 @@ use o4a_llm::RawTerm;
 use o4a_obs::json::{obj, Json};
 use o4a_smtlib::eval::{no_defs, Dim, DomainConfig, IncrementalEval};
 use o4a_smtlib::{ArenaScript, Symbol, TermArena, Value};
-use o4a_solvers::SolverMode;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::Path;
@@ -72,8 +71,8 @@ fn serial_traced(config: &CampaignConfig) -> CampaignResult {
     result
 }
 
-fn piped(config: &CampaignConfig, k: usize, mode: SolverMode) -> CampaignResult {
-    let backend = PipeBackend::new(format!("{MOCK} --seed 11 --lane {{lane}}")).with_mode(mode);
+fn piped(config: &CampaignConfig, k: usize) -> CampaignResult {
+    let backend = PipeBackend::new(format!("{MOCK} --seed 11 --lane {{lane}}"));
     let mut fuzzer = Once4AllFuzzer::with_defaults();
     run_shard_piped(&mut fuzzer, config, 0, None, k, &backend)
 }
@@ -121,7 +120,7 @@ impl o4a_core::Fuzzer for CyclingFuzzer {
     }
 }
 
-/// The duplicate-heavy pipe scenario: session transport at K = 8, a mock
+/// The duplicate-heavy pipe scenario: K = 8 in flight, a mock
 /// that charges real wall-clock per query, cache on or off. The cache
 /// dir persists across the timed runs, so the cached median measures the
 /// steady warm state a long campaign converges to.
@@ -129,8 +128,7 @@ fn piped_duplicates(
     config: &CampaignConfig,
     cache_dir: Option<&std::path::Path>,
 ) -> CampaignResult {
-    let mut backend = PipeBackend::new(format!("{MOCK} --seed 11 --lane {{lane}} --latency-ms 20"))
-        .with_mode(SolverMode::Session);
+    let mut backend = PipeBackend::new(format!("{MOCK} --seed 11 --lane {{lane}} --latency-ms 20"));
     if let Some(dir) = cache_dir {
         backend = backend.with_cache_dir(dir);
     }
@@ -281,12 +279,8 @@ fn bench(c: &mut Criterion) {
             rate
         }),
         (
-            "pipe_spawn_k8",
-            cases_per_sec(&config, |cfg| piped(cfg, 8, SolverMode::Spawn)),
-        ),
-        (
             "pipe_session_k8",
-            cases_per_sec(&config, |cfg| piped(cfg, 8, SolverMode::Session)),
+            cases_per_sec(&config, |cfg| piped(cfg, 8)),
         ),
         (
             "pipe_dup_uncached",

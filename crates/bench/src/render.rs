@@ -193,7 +193,7 @@ pub fn render_stats(result: &CampaignResult) -> String {
     // Verdict-cache traffic — only campaigns run with `O4A_CACHE` (or a
     // `PipeBackend` cache dir) see any; the counters are transport
     // observables, scrubbed by `sans_transport`.
-    if s.cache_hits > 0 || s.cache_misses > 0 || s.prefix_reuses > 0 {
+    if s.cache_hits > 0 || s.cache_misses > 0 {
         let looked_up = s.cache_hits + s.cache_misses;
         let hit_pct = if looked_up > 0 {
             s.cache_hits as f64 * 100.0 / looked_up as f64
@@ -205,9 +205,6 @@ pub fn render_stats(result: &CampaignResult) -> String {
             "verdict cache            : {} hits / {} misses ({hit_pct:.1}% hit rate)",
             s.cache_hits, s.cache_misses
         );
-        if s.prefix_reuses > 0 {
-            let _ = writeln!(out, "prefix scopes reused     : {}", s.prefix_reuses);
-        }
     }
     // Distribution-layer lease churn — only a distributed coordinator
     // (`o4a-dist`) grants leases.
@@ -300,12 +297,12 @@ pub fn render_dist_stats(stats: &o4a_dist::DistStats) -> String {
         );
     }
     // Fleet-wide cache traffic rides the workers' `done` frames; a
-    // cache-off fleet reports the zero trio and the line is skipped.
+    // cache-off fleet reports the zero pair and the line is skipped.
     if !stats.cache.is_zero() {
         let _ = writeln!(
             out,
-            "verdict cache (fleet)    : {} hits / {} misses, {} prefix reuses",
-            stats.cache.hits, stats.cache.misses, stats.cache.prefix_reuses
+            "verdict cache (fleet)    : {} hits / {} misses",
+            stats.cache.hits, stats.cache.misses
         );
     }
     // Fleet-wide metrics ride the workers' done/progress frames only
@@ -535,7 +532,6 @@ mod tests {
             cache: o4a_dist::CacheCounters {
                 hits: 40,
                 misses: 80,
-                prefix_reuses: 12,
             },
             fleet_metrics,
             coverage: BTreeMap::from([("oxiz".to_string(), 61.5)]),
@@ -564,7 +560,7 @@ mod tests {
             "fleet trace line missing: {s}"
         );
         assert!(
-            s.contains("verdict cache (fleet)    : 40 hits / 80 misses, 12 prefix reuses"),
+            s.contains("verdict cache (fleet)    : 40 hits / 80 misses"),
             "fleet cache line missing: {s}"
         );
         assert!(
@@ -668,13 +664,11 @@ mod tests {
         );
         result.stats.cache_hits = 30;
         result.stats.cache_misses = 10;
-        result.stats.prefix_reuses = 7;
         let s = render_stats(&result);
         assert!(
             s.contains("verdict cache            : 30 hits / 10 misses (75.0% hit rate)"),
             "cache line missing or wrong: {s}"
         );
-        assert!(s.contains("prefix scopes reused     : 7"));
     }
 
     #[test]

@@ -6,26 +6,22 @@
 //! The acceptance criteria this file pins down:
 //!
 //! * the serial-vs-overlapped equivalence law holds over the pipe
-//!   transport for K ∈ {1, 4, 8} — including under crash injection —
-//!   in **both** transport modes: spawn (process per in-flight query)
-//!   and session (K `(push 1)`/`(pop 1)` scopes multiplexed on one
-//!   persistent process per lane);
+//!   transport — K `(push 1)`/`(pop 1)` scopes multiplexed on one
+//!   persistent process per lane — for K ∈ {1, 4, 8}, including under
+//!   crash injection;
 //! * the law holds at its edges: a coarse time scale where one case
 //!   jumps a whole virtual hour, a window wider than the whole campaign
 //!   (speculative cases solved, then discarded), a journaled campaign
 //!   killed and resumed at a different K, and tracing armed at K = 8;
 //! * a crashing solver process becomes a `…::pipe::process-died` crash
-//!   finding (and a respawn), never a hang — and in session mode a
-//!   crash mid-scope costs exactly that one finding: pending sibling
-//!   scopes replay onto the respawned process, never lost, never
-//!   duplicated;
+//!   finding (and a respawn), never a hang — and a crash mid-scope
+//!   costs exactly that one finding: pending sibling scopes replay onto
+//!   the respawned process, never lost, never duplicated;
 //! * a wedged solver process is killed at the per-query deadline and
 //!   becomes a `…::pipe::wedged` crash finding, never a hang;
 //! * `sat` answers fetch and parse real `(model …)` replies off the pipe;
-//! * process churn is observable: a session campaign at K = 8 keeps
-//!   **one process per lane** (plus respawns) where spawn mode pays at
-//!   least K, and a spawn lane reused via `(reset)` answers bit-for-bit
-//!   like a fresh process per query.
+//! * process churn is observable: a campaign at any K keeps **one
+//!   process per lane** (plus respawns).
 
 use o4a_core::{dedup, CampaignConfig, CampaignResult, Fuzzer, Once4AllFuzzer};
 use o4a_exec::{
@@ -33,9 +29,8 @@ use o4a_exec::{
     Parallelism, PipeBackend,
 };
 use o4a_smtlib::Symbol;
-use o4a_solvers::{
-    Outcome, PipeCommand, PipeSolver, SmtSolver, SolverId, SolverMode, TRUNK_COMMIT,
-};
+use o4a_solvers::pipe::{mock, parse_model_reply};
+use o4a_solvers::{Outcome, PipeCommand, PipeSolver, SmtSolver, SolverId, TRUNK_COMMIT};
 use std::time::{Duration, Instant};
 
 /// The mock solver binary, built by cargo before this suite runs.
@@ -62,10 +57,9 @@ fn quick_config() -> CampaignConfig {
 
 /// Everything observable, bit-comparable. Coverage is omitted: external
 /// processes report none, so the maps are empty on every path. Stats are
-/// compared **without** the transport churn counters: in spawn mode how
-/// many children a lane fans out across is a real-time scheduling fact,
-/// not a campaign observable (session-mode tests compare the full stats
-/// separately — there the counters are deterministic too).
+/// compared **without** the transport churn counters: at K > 1 the
+/// engine executes speculative queries past the budget boundary, so
+/// churn is checked per K, not across K.
 type Fingerprint = (
     o4a_core::CampaignStats,
     Vec<(String, SolverId, String, Option<String>, u64)>,
@@ -105,11 +99,13 @@ fn piped_shard(config: &CampaignConfig, inflight: usize, backend: &PipeBackend) 
 /// solver processes is bit-identical whether queries go one at a time or
 /// K ∈ {4, 8} in flight — completions re-sequence by case index before
 /// campaign state sees them, and the mock's answers are pure functions of
-/// the script, so fan-out across child processes cannot leak scheduling.
+/// the script, so which frames share a stream cannot leak scheduling.
+/// No injected latency: replies race the writes, the tightest schedule
+/// the reactor sees.
 #[test]
 fn piped_campaign_is_identical_for_k_1_4_8() {
     let config = quick_config();
-    let backend = PipeBackend::new(mock_cmd("--latency-ms 3"));
+    let backend = PipeBackend::new(mock_cmd(""));
     let reference = fingerprint(&piped_shard(&config, 1, &backend));
     assert!(reference.0.cases > 0, "reference ran no cases");
     assert!(
@@ -129,11 +125,12 @@ fn piped_campaign_is_identical_for_k_1_4_8() {
 /// subset of scripts. Every such query must surface as a
 /// `…::pipe::process-died` crash finding, the lane must respawn, the
 /// shard must run to completion — and the equivalence law must keep
-/// holding, because crashes are per-script deterministic too.
+/// holding, because crashes are per-script deterministic too. One script
+/// in three crashes here, against one in five in the other crash legs.
 #[test]
 fn crash_injection_yields_findings_and_preserves_equivalence() {
     let config = quick_config();
-    let backend = PipeBackend::new(mock_cmd("--crash-mod 5 --latency-ms 2"));
+    let backend = PipeBackend::new(mock_cmd("--crash-mod 3 --latency-ms 2"));
     let started = Instant::now();
     let reference = piped_shard(&config, 1, &backend);
     assert!(
@@ -196,7 +193,7 @@ fn inflight_window_larger_than_campaign_is_still_identical() {
         time_scale: 100_000, // cheap cases: the case cap binds, not hours
         ..quick_config()
     };
-    let backend = session_backend("");
+    let backend = PipeBackend::new(mock_cmd(""));
     let reference = piped_shard(&config, 1, &backend);
     assert_eq!(reference.stats.cases, 5);
     let overlapped = piped_shard(&config, 32, &backend);
@@ -222,9 +219,7 @@ fn sharded_engine_over_pipes_is_deterministic() {
         inflight: 4,
         solver_cmd: Some(mock_cmd("--latency-ms 2")),
         solver_timeout_ms: None,
-        solver_mode: SolverMode::Spawn,
         cache_dir: None,
-        affinity: false,
         checkpoint: None,
     };
     let factory = |_shard: u32| Box::new(Once4AllFuzzer::with_defaults()) as Box<dyn Fuzzer>;
@@ -385,7 +380,7 @@ fn wedged_mock_is_killed_at_deadline_and_lane_recovers() {
 
 /// `sat` replies pull a real `(model …)` s-expression off the pipe and
 /// parse it into the same `Model` type the in-process engines return —
-/// the full two-round-trip protocol, against a live child process.
+/// the model slot of a session frame, against a live child process.
 #[test]
 fn sat_reply_carries_a_parsed_model() {
     let cmd = mock_cmd("--answer sat");
@@ -411,31 +406,22 @@ fn sat_reply_carries_a_parsed_model() {
     // Model values are seeded: the same query yields the same model.
     let again = solver.check("(declare-const x Int)(declare-const p Bool)(assert p)(check-sat)");
     assert_eq!(response.model, again.model);
-    // Process reuse: both queries were served by one child over (reset).
+    // Both queries were frames on one persistent child.
     assert_eq!(solver.processes_spawned(), 1);
     assert_eq!(solver.respawns(), 0);
 }
 
-// ------------------------------------------------------------- session mode
-
-fn session_backend(extra: &str) -> PipeBackend {
-    PipeBackend::new(mock_cmd(extra)).with_mode(SolverMode::Session)
-}
-
-/// The tentpole law on the session transport: a campaign that
-/// multiplexes its queries as `(push 1)`/`(pop 1)` scopes on one
-/// persistent process per lane is bit-identical whether 1, 4, or 8
-/// scopes are in flight — stats, findings, and snapshots. The mock's
-/// answers are pure functions of the reconstructed scope-stack script,
-/// so which scope lands where on the shared stream cannot leak
-/// scheduling into results. (Transport counters measure *executed*
-/// transport work — at K > 1 the engine speculatively executes up to
-/// K − 1 cases past the budget boundary and discards them at apply
-/// time, so churn is compared per-K below, not across K.)
+/// The churn side of the law: a campaign that multiplexes its queries
+/// as `(push 1)`/`(pop 1)` scopes is bit-identical whether 1, 4, or 8
+/// scopes are in flight — stats, findings, and snapshots — and keeps one
+/// persistent process per lane at every K. (Transport counters measure
+/// *executed* transport work — at K > 1 the engine speculatively
+/// executes up to K − 1 cases past the budget boundary and discards them
+/// at apply time, so churn is compared per-K below, not across K.)
 #[test]
 fn session_campaign_is_identical_for_k_1_4_8() {
     let config = quick_config();
-    let backend = session_backend("--latency-ms 3");
+    let backend = PipeBackend::new(mock_cmd("--latency-ms 3"));
     let reference = piped_shard(&config, 1, &backend);
     assert!(reference.stats.cases > 0, "reference ran no cases");
     assert!(
@@ -460,6 +446,7 @@ fn session_campaign_is_identical_for_k_1_4_8() {
             overlapped.stats.processes_spawned, 2,
             "one persistent process per lane at K = {k}"
         );
+        assert_eq!(overlapped.stats.process_respawns, 0);
         assert!(
             overlapped.stats.scopes_pushed >= overlapped.stats.cases * 2,
             "every applied query occupied a scope at K = {k}"
@@ -482,7 +469,7 @@ fn session_campaign_is_identical_for_k_1_4_8() {
 #[test]
 fn session_crash_injection_mid_scope_preserves_equivalence() {
     let config = quick_config();
-    let backend = session_backend("--crash-mod 5 --latency-ms 2");
+    let backend = PipeBackend::new(mock_cmd("--crash-mod 5 --latency-ms 2"));
     let started = Instant::now();
     let reference = piped_shard(&config, 1, &backend);
     assert!(
@@ -528,48 +515,6 @@ fn session_crash_injection_mid_scope_preserves_equivalence() {
     }
 }
 
-/// Session and spawn transports agree bit-for-bit on everything but
-/// process churn: the mock fingerprints the reconstructed scope-stack
-/// script (prologue and framing stripped), so a script checked inside a
-/// `(push 1)` scope answers exactly like the same script on a fresh
-/// process.
-#[test]
-fn session_campaign_matches_spawn_campaign() {
-    let config = quick_config();
-    let spawn = piped_shard(&config, 4, &PipeBackend::new(mock_cmd("--latency-ms 2")));
-    let session = piped_shard(&config, 4, &session_backend("--latency-ms 2"));
-    assert_eq!(
-        fingerprint(&session),
-        fingerprint(&spawn),
-        "transport mode leaked into campaign results"
-    );
-}
-
-/// The churn claim of the refactor, measured end to end: at K = 8 a
-/// session campaign keeps one process per lane where spawn mode pays at
-/// least K across the lanes — the spawn-vs-prologue-vs-reset overhead
-/// this PR removes from the hot path.
-#[test]
-fn session_k8_keeps_one_process_per_lane_where_spawn_fans_out() {
-    let config = quick_config();
-    let session = piped_shard(&config, 8, &session_backend("--latency-ms 2"));
-    assert_eq!(
-        session.stats.processes_spawned, 2,
-        "session mode: one persistent process per lane at K = 8"
-    );
-    assert_eq!(session.stats.process_respawns, 0);
-    let spawn = piped_shard(&config, 8, &PipeBackend::new(mock_cmd("--latency-ms 2")));
-    assert!(
-        spawn.stats.processes_spawned >= 8,
-        "spawn mode at K = 8 fans out across at least K processes, got {}",
-        spawn.stats.processes_spawned
-    );
-    assert_eq!(
-        spawn.stats.scopes_pushed, 0,
-        "spawn mode opens no incremental scopes"
-    );
-}
-
 /// A wedge mid-scope: the per-query deadline kills the persistent
 /// process, blames the scope the child was stuck on, and the lane
 /// recovers — sibling queries land on the respawned session.
@@ -581,7 +526,6 @@ fn session_wedge_mid_scope_is_killed_and_lane_recovers() {
         SolverId::OxiZ,
         TRUNK_COMMIT,
     )
-    .with_mode(SolverMode::Session)
     .with_timeout(Duration::from_millis(200));
 
     let healthy = solver.check("(assert true)\n(check-sat)");
@@ -602,43 +546,32 @@ fn session_wedge_mid_scope_is_killed_and_lane_recovers() {
     assert_eq!(solver.processes_spawned(), 2);
 }
 
-/// `sat` scopes carry models in session mode too — the `(get-model)`
-/// rides inside the frame, and the parsed model matches what the same
-/// query yields over the spawn transport.
+/// A `sat` frame carries exactly the model the mock gives the bare
+/// script — what a freshly spawned process sent only that script would
+/// answer: the `(get-model)` rides inside the frame, and neither the
+/// framing nor the frames served before it reach the answer.
 #[test]
 fn session_sat_scope_carries_the_same_model_as_spawn() {
     let cmd = mock_cmd("--answer sat");
-    let script = "(declare-const x Int)(declare-const p Bool)(assert p)\n(check-sat)";
-    let mut spawn = PipeSolver::standalone(
-        PipeCommand::parse(&cmd).unwrap().for_lane(1),
-        SolverId::Cervo,
-        TRUNK_COMMIT,
-    );
-    let mut session = PipeSolver::standalone(
-        PipeCommand::parse(&cmd).unwrap().for_lane(1),
-        SolverId::Cervo,
-        TRUNK_COMMIT,
-    )
-    .with_mode(SolverMode::Session);
-    let spawn_response = spawn.check(script);
-    let session_response = session.check(script);
-    assert_eq!(spawn_response.outcome, Outcome::Sat);
-    assert_eq!(session_response.outcome, Outcome::Sat);
-    assert!(
-        session_response.model.is_some(),
-        "session sat needs a model"
-    );
+    let lane = PipeCommand::parse(&cmd).unwrap().for_lane(1);
+    let config = mock::config_from_args(lane.args().iter().cloned()).unwrap();
+    let mut session = PipeSolver::standalone(lane, SolverId::Cervo, TRUNK_COMMIT);
+    let _ = session.check("(declare-const y Int)(assert (> y 2))\n(check-sat)");
+    let body = "(declare-const x Int)(declare-const p Bool)(assert p)";
+    let response = session.check(&format!("{body}\n(check-sat)"));
+    assert_eq!(response.outcome, Outcome::Sat);
     assert_eq!(
-        session_response.model, spawn_response.model,
-        "model diverged between transports"
+        response.model,
+        parse_model_reply(&mock::model_for(&config, body)),
+        "the frame's model diverged from the bare script's"
     );
-    let x = Symbol::new("x");
-    assert!(session_response
+    assert!(response
         .model
         .as_ref()
-        .unwrap()
-        .get_const(&x)
+        .expect("sat needs a model")
+        .get_const(&Symbol::new("x"))
         .is_some());
+    assert_eq!(session.processes_spawned(), 1);
 }
 
 // --------------------------------------------------- verdict-cache gauntlet
@@ -657,8 +590,8 @@ fn cache_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// The cache≡fresh law, the full matrix: for **both** transport modes
-/// and K ∈ {1, 4, 8}, a campaign run cold (empty cache), and then again
+/// The cache≡fresh law, the full matrix: for K ∈ {1, 4, 8}, a campaign
+/// run cold (empty cache), and then again
 /// warm off the journal the cold run wrote, is bit-identical to the
 /// uncached serial reference — stats (modulo transport counters),
 /// findings, models, snapshots. Hits reproduce the exact wire reply a
@@ -667,43 +600,41 @@ fn cache_dir(tag: &str) -> std::path::PathBuf {
 #[test]
 fn cached_campaign_matches_uncached_across_modes_and_topologies() {
     let config = quick_config();
-    for mode in [SolverMode::Spawn, SolverMode::Session] {
-        let base = PipeBackend::new(mock_cmd("--latency-ms 2")).with_mode(mode);
-        let reference = piped_shard(&config, 1, &base);
+    let base = PipeBackend::new(mock_cmd("--latency-ms 2"));
+    let reference = piped_shard(&config, 1, &base);
+    assert!(
+        reference.stats.decisive > 0,
+        "reference never exercised the mock"
+    );
+    assert_eq!(
+        reference.stats.cache_misses, 0,
+        "an uncached campaign must report zero cache traffic"
+    );
+    let reference = fingerprint(&reference);
+    for k in [1usize, 4, 8] {
+        let dir = cache_dir(&format!("k{k}"));
+        let cached = base.clone().with_cache_dir(&dir);
+        let cold = piped_shard(&config, k, &cached);
         assert!(
-            reference.stats.decisive > 0,
-            "reference never exercised the mock"
+            cold.stats.cache_misses > 0,
+            "cold K={k} run never consulted the cache"
         );
         assert_eq!(
-            reference.stats.cache_misses, 0,
-            "an uncached campaign must report zero cache traffic"
+            fingerprint(&cold),
+            reference,
+            "cold cache diverged from uncached at K={k}"
         );
-        let reference = fingerprint(&reference);
-        for k in [1usize, 4, 8] {
-            let dir = cache_dir(&format!("{mode:?}-k{k}"));
-            let cached = base.clone().with_cache_dir(&dir);
-            let cold = piped_shard(&config, k, &cached);
-            assert!(
-                cold.stats.cache_misses > 0,
-                "cold {mode:?} K={k} run never consulted the cache"
-            );
-            assert_eq!(
-                fingerprint(&cold),
-                reference,
-                "cold cache diverged from uncached at {mode:?} K={k}"
-            );
-            let warm = piped_shard(&config, k, &cached);
-            assert!(
-                warm.stats.cache_hits > 0,
-                "warm restart {mode:?} K={k} never hit the journal the cold run wrote"
-            );
-            assert_eq!(
-                fingerprint(&warm),
-                reference,
-                "warm restart diverged from uncached at {mode:?} K={k}"
-            );
-            let _ = std::fs::remove_dir_all(&dir);
-        }
+        let warm = piped_shard(&config, k, &cached);
+        assert!(
+            warm.stats.cache_hits > 0,
+            "warm restart K={k} never hit the journal the cold run wrote"
+        );
+        assert_eq!(
+            fingerprint(&warm),
+            reference,
+            "warm restart diverged from uncached at K={k}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -715,7 +646,7 @@ fn cached_campaign_matches_uncached_across_modes_and_topologies() {
 fn fully_warmed_campaign_runs_without_a_single_solver_process() {
     let config = quick_config();
     let dir = cache_dir("full-warm");
-    let backend = session_backend("--latency-ms 2").with_cache_dir(&dir);
+    let backend = PipeBackend::new(mock_cmd("--latency-ms 2")).with_cache_dir(&dir);
     let cold = piped_shard(&config, 1, &backend);
     assert_eq!(cold.stats.cache_hits, 0, "cold serial run cannot self-hit");
     assert_eq!(cold.stats.cache_misses, cold.stats.cases * 2);
@@ -742,7 +673,7 @@ fn fully_warmed_campaign_runs_without_a_single_solver_process() {
 #[test]
 fn cached_crash_campaign_replays_findings_without_respawns() {
     let config = quick_config();
-    let base = session_backend("--crash-mod 5 --latency-ms 2");
+    let base = PipeBackend::new(mock_cmd("--crash-mod 5 --latency-ms 2"));
     let reference = piped_shard(&config, 1, &base);
     let died = |r: &CampaignResult| {
         r.findings
@@ -783,7 +714,7 @@ fn cached_crash_campaign_replays_findings_without_respawns() {
 #[test]
 fn torn_cache_journal_tail_cannot_poison_a_warm_restart() {
     let config = quick_config();
-    let base = session_backend("--latency-ms 2");
+    let base = PipeBackend::new(mock_cmd("--latency-ms 2"));
     let reference = fingerprint(&piped_shard(&config, 1, &base));
     let dir = cache_dir("torn");
     let cached = base.with_cache_dir(&dir);
@@ -816,88 +747,4 @@ fn torn_cache_journal_tail_cannot_poison_a_warm_restart() {
         "reload must truncate the torn tail before appending"
     );
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Prefix-affinity routing obeys the same law as everything else on the
-/// transport: an affine session campaign — with and without the cache,
-/// cold and warm — is bit-identical to the plain spawn campaign.
-#[test]
-fn affine_session_campaign_matches_spawn_campaign() {
-    let config = quick_config();
-    let spawn = fingerprint(&piped_shard(
-        &config,
-        4,
-        &PipeBackend::new(mock_cmd("--latency-ms 2")),
-    ));
-    let affine = session_backend("--latency-ms 2").with_affinity(true);
-    assert_eq!(
-        fingerprint(&piped_shard(&config, 4, &affine)),
-        spawn,
-        "affinity routing leaked into campaign results"
-    );
-    let dir = cache_dir("affine");
-    let affine_cached = affine.with_cache_dir(&dir);
-    assert_eq!(
-        fingerprint(&piped_shard(&config, 4, &affine_cached)),
-        spawn,
-        "affinity + cold cache diverged from spawn"
-    );
-    let warm = piped_shard(&config, 4, &affine_cached);
-    assert!(warm.stats.cache_hits > 0);
-    assert_eq!(
-        fingerprint(&warm),
-        spawn,
-        "affinity + warm cache diverged from spawn"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-// ------------------------------------------------- spawn-mode reuse parity
-
-/// The invariant session mode inherits, pinned where it originates: a
-/// spawn-mode lane that **reuses one child across queries via
-/// `(reset)`** answers bit-identically to a fresh process per query.
-/// (The mock hashes the accumulated-then-reset script text, so reuse is
-/// only sound because `(reset)` really clears the scope state — which is
-/// exactly what session mode relies on `(pop 1)` for.)
-#[test]
-fn spawn_lane_reused_via_reset_matches_fresh_process_per_query() {
-    let cmd = mock_cmd("--latency-ms 1");
-    let scripts: Vec<String> = (0..6)
-        .map(|i| format!("(declare-const x Int)(assert (> x {i}))\n(check-sat)"))
-        .collect();
-    let mut reused = PipeSolver::standalone(
-        PipeCommand::parse(&cmd).unwrap().for_lane(0),
-        SolverId::OxiZ,
-        TRUNK_COMMIT,
-    );
-    let reused_responses: Vec<_> = scripts.iter().map(|s| reused.check(s)).collect();
-    assert_eq!(
-        reused.processes_spawned(),
-        1,
-        "serial queries must reuse one child via (reset)"
-    );
-    let fresh_responses: Vec<_> = scripts
-        .iter()
-        .map(|s| {
-            let mut fresh = PipeSolver::standalone(
-                PipeCommand::parse(&cmd).unwrap().for_lane(0),
-                SolverId::OxiZ,
-                TRUNK_COMMIT,
-            );
-            let response = fresh.check(s);
-            assert_eq!(fresh.processes_spawned(), 1);
-            response
-        })
-        .collect();
-    assert_eq!(
-        reused_responses, fresh_responses,
-        "(reset) reuse leaked state between queries"
-    );
-    assert!(
-        reused_responses
-            .iter()
-            .any(|r| matches!(r.outcome, Outcome::Sat | Outcome::Unsat)),
-        "the parity sweep never exercised a decisive answer"
-    );
 }

@@ -106,18 +106,18 @@ pub struct CampaignStats {
     /// Solver child processes spawned by the pipe transport (including
     /// respawns after crashes/wedges); zero for in-process backends.
     /// A transport-work observable, not a campaign one: it counts what
-    /// was *executed* (spawn-mode fan-out depends on real-time overlap,
-    /// and any mode executes up to K − 1 speculative queries past the
-    /// budget boundary), so equivalence comparisons go through
-    /// [`CampaignStats::sans_transport`]. In session mode the count is
-    /// one persistent process per lane plus respawns, at any K.
+    /// was *executed* (up to K − 1 speculative queries run past the
+    /// budget boundary, and crashes during them respawn too), so
+    /// equivalence comparisons go through
+    /// [`CampaignStats::sans_transport`]. The count is one persistent
+    /// process per lane plus respawns, at any K.
     pub processes_spawned: u64,
     /// Pipe-transport processes lost to crashes or wedges and replaced.
     pub process_respawns: u64,
     /// Incremental `(push 1)`/`(pop 1)` scopes opened on persistent
-    /// solver sessions — one per executed query in session mode
-    /// (speculative overrun included; crash replays are respawn
-    /// bookkeeping and not re-counted), zero in spawn mode.
+    /// solver sessions — one per executed query (speculative overrun
+    /// included; crash replays are respawn bookkeeping and not
+    /// re-counted).
     pub scopes_pushed: u64,
     /// Shard leases granted by a distributed coordinator (`o4a-dist`):
     /// one per `lease` frame sent to a worker process, re-issues
@@ -138,10 +138,6 @@ pub struct CampaignStats {
     /// Verdict-cache lookups that missed and paid a fresh solve. Zero
     /// (with `cache_hits`) when no cache is configured.
     pub cache_misses: u64,
-    /// Session-mode queries that reused a declaration prefix already
-    /// held on the lane's scope stack (`O4A_AFFINITY` routing) instead
-    /// of resending it.
-    pub prefix_reuses: u64,
 }
 
 impl CampaignStats {
@@ -173,19 +169,16 @@ impl CampaignStats {
         self.leases_reissued += other.leases_reissued;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
-        self.prefix_reuses += other.prefix_reuses;
     }
 
     /// This stats block with the solver-transport churn counters zeroed.
     ///
     /// Process churn is an execution-schedule observable, not a campaign
-    /// one: spawn-mode fan-out depends on how queries overlap in real
-    /// time, and at K > 1 either mode executes speculative queries past
+    /// one: at K > 1 the pipe transport executes speculative queries past
     /// the budget boundary that apply-time discards. The serial ≡
     /// K-in-flight equivalence law therefore compares campaigns through
-    /// this view; the churn claims themselves (one process per lane in
-    /// session mode, ≥ K in spawn mode) are pinned per-K by the pipe
-    /// gauntlet.
+    /// this view; the churn claim itself (one process per lane) is pinned
+    /// per-K by the pipe gauntlet.
     pub fn sans_transport(&self) -> CampaignStats {
         CampaignStats {
             processes_spawned: 0,
@@ -195,7 +188,6 @@ impl CampaignStats {
             leases_reissued: 0,
             cache_hits: 0,
             cache_misses: 0,
-            prefix_reuses: 0,
             ..self.clone()
         }
     }
@@ -735,7 +727,6 @@ mod tests {
             leases_reissued: 1,
             cache_hits: 9,
             cache_misses: 3,
-            prefix_reuses: 8,
         };
         let mut b = a.clone();
         b.merge(&a);
@@ -753,7 +744,6 @@ mod tests {
         assert_eq!(b.leases_reissued, 2);
         assert_eq!(b.cache_hits, 18);
         assert_eq!(b.cache_misses, 6);
-        assert_eq!(b.prefix_reuses, 16);
         assert!((b.mean_bytes() - 100.0).abs() < 1e-9);
         let scrubbed = b.sans_transport();
         assert_eq!(scrubbed.cases, b.cases);
@@ -764,7 +754,6 @@ mod tests {
         assert_eq!(scrubbed.leases_reissued, 0);
         assert_eq!(scrubbed.cache_hits, 0);
         assert_eq!(scrubbed.cache_misses, 0);
-        assert_eq!(scrubbed.prefix_reuses, 0);
     }
 
     #[test]

@@ -369,11 +369,11 @@ pub struct DistStats {
     /// process is lossless). Empty unless workers ran with
     /// `O4A_METRICS` on.
     pub fleet_metrics: MetricsSnapshot,
-    /// Fleet-wide verdict-cache/affinity counters, summed off completed
-    /// leases' `done` frames. Informational (the merged
-    /// [`o4a_core::CampaignStats`] carries the same trio, reconstructed
-    /// from the journals); zero when the `O4A_CACHE`/`O4A_AFFINITY`
-    /// knobs are off in the workers.
+    /// Fleet-wide verdict-cache counters, summed off completed leases'
+    /// `done` frames. Informational (the merged
+    /// [`o4a_core::CampaignStats`] carries the same pair, reconstructed
+    /// from the journals); zero when the `O4A_CACHE` knob is off in the
+    /// workers.
     pub cache: CacheCounters,
     /// Running per-solver line-coverage maxima (percent) off completed
     /// leases' `done` frames — the scope plane's live coverage view.
@@ -1612,7 +1612,6 @@ fn drive_fleet(
                         }
                         stats.cache.hits += cache.hits;
                         stats.cache.misses += cache.misses;
-                        stats.cache.prefix_reuses += cache.prefix_reuses;
                         state.done.insert(shard);
                         if let Some(cp) = checkpoint {
                             cp.record_complete(shard, worker.id, cases, findings);

@@ -196,11 +196,10 @@ pub enum Frame {
         /// are cumulative per process — the coordinator keeps the
         /// latest, it does not sum heartbeats.
         metrics: Option<MetricsSnapshot>,
-        /// Verdict-cache and affinity counters for the lease so far
-        /// (hits, misses, prefix reuses) — cumulative per process, like
-        /// the metrics snapshot. All zero (and absent on the wire) when
-        /// neither knob is on; frames from workers predating the
-        /// counters read as zero.
+        /// Verdict-cache counters for the lease so far (hits, misses) —
+        /// cumulative per process, like the metrics snapshot. Both zero
+        /// (and absent on the wire) when the cache is off; frames from
+        /// workers predating the counters read as zero.
         cache: CacheCounters,
         /// A bounded batch of the worker's trace ring, attached only
         /// when the lease asked for it ([`Frame::Lease`] `trace`) and
@@ -221,7 +220,7 @@ pub enum Frame {
         cases_per_sec: f64,
         /// Cumulative worker metrics snapshot (see [`Frame::Progress`]).
         metrics: Option<MetricsSnapshot>,
-        /// The completed lease's verdict-cache and affinity counters
+        /// The completed lease's verdict-cache counters
         /// (from the shard's [`o4a_core::CampaignStats`], so they match
         /// what the journal merge reconstructs).
         cache: CacheCounters,
@@ -281,8 +280,8 @@ pub struct CompletedLease {
     pub findings: u64,
 }
 
-/// The verdict-cache/affinity counter trio that rides `progress` and
-/// `done` frames. A plain struct (not a snapshot) because these counters
+/// The verdict-cache counter pair that rides `progress` and `done`
+/// frames. A plain struct (not a snapshot) because these counters
 /// are part of the campaign stats, not the write-only obs layer.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheCounters {
@@ -290,12 +289,10 @@ pub struct CacheCounters {
     pub hits: u64,
     /// Queries that missed the cache and paid a fresh solve.
     pub misses: u64,
-    /// Session queries that reused a held declaration prefix.
-    pub prefix_reuses: u64,
 }
 
 impl CacheCounters {
-    /// True when every counter is zero (the trio is omitted from the
+    /// True when every counter is zero (the pair is omitted from the
     /// wire encoding, keeping cache-off frames byte-identical to the
     /// pre-cache protocol).
     pub fn is_zero(&self) -> bool {
@@ -306,7 +303,6 @@ impl CacheCounters {
         if !self.is_zero() {
             fields.push(("cache_hits", Json::U64(self.hits)));
             fields.push(("cache_misses", Json::U64(self.misses)));
-            fields.push(("prefix_reuses", Json::U64(self.prefix_reuses)));
         }
     }
 
@@ -314,7 +310,6 @@ impl CacheCounters {
         CacheCounters {
             hits: u64_field_or_zero(json, "cache_hits"),
             misses: u64_field_or_zero(json, "cache_misses"),
-            prefix_reuses: u64_field_or_zero(json, "prefix_reuses"),
         }
     }
 }
@@ -602,7 +597,7 @@ fn f64_field_or_zero(json: &Json, key: &str) -> f64 {
     json.get(key).and_then(Json::as_f64).unwrap_or(0.0)
 }
 
-/// Same tolerance for the cache counter trio: absent reads as zero.
+/// Same tolerance for the cache counter pair: absent reads as zero.
 fn u64_field_or_zero(json: &Json, key: &str) -> u64 {
     json.get(key).and_then(Json::as_u64).unwrap_or(0)
 }
@@ -738,7 +733,6 @@ mod tests {
                 cache: CacheCounters {
                     hits: 30,
                     misses: 18,
-                    prefix_reuses: 0,
                 },
                 trace: Some(sample_trace_batch()),
             },
@@ -751,7 +745,6 @@ mod tests {
                 cache: CacheCounters {
                     hits: 60,
                     misses: 20,
-                    prefix_reuses: 41,
                 },
                 trace: Some(sample_trace_batch()),
                 coverage: BTreeMap::from([("oxiz".to_string(), 61.5), ("cervo".to_string(), 58.0)]),
@@ -890,7 +883,7 @@ mod tests {
         let corrupt = "{\"cases\":40,\"cps\":1.0,\"metrics\":7,\"shard\":3,\"t\":\"progress\"}";
         assert!(Frame::from_line(corrupt).is_err());
 
-        // Cache-off frames omit the counter trio entirely — the wire
+        // Cache-off frames omit the counter pair entirely — the wire
         // stays byte-identical to the pre-cache protocol.
         let off = Frame::Done {
             shard: 3,
@@ -904,7 +897,7 @@ mod tests {
         };
         assert!(
             !off.to_line().contains("cache_"),
-            "zero trio must not encode"
+            "zero pair must not encode"
         );
         assert!(
             !off.to_line().contains("trace") && !off.to_line().contains("coverage"),
@@ -978,7 +971,6 @@ mod tests {
             cache: CacheCounters {
                 hits: u64::MAX,
                 misses: u64::MAX,
-                prefix_reuses: u64::MAX,
             },
             trace: Some(TraceBatch {
                 pid: u64::MAX,

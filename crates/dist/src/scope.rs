@@ -401,7 +401,6 @@ impl ScopeStatus {
                 obj(vec![
                     ("hits", Json::U64(self.cache.hits)),
                     ("misses", Json::U64(self.cache.misses)),
-                    ("prefix_reuses", Json::U64(self.cache.prefix_reuses)),
                 ]),
             ),
             (
@@ -446,7 +445,6 @@ impl ScopeStatus {
             Some(c) => CacheCounters {
                 hits: c.get("hits").and_then(Json::as_u64).unwrap_or(0),
                 misses: c.get("misses").and_then(Json::as_u64).unwrap_or(0),
-                prefix_reuses: c.get("prefix_reuses").and_then(Json::as_u64).unwrap_or(0),
             },
             None => CacheCounters::default(),
         };
@@ -584,7 +582,6 @@ mod tests {
             cache: CacheCounters {
                 hits: 10,
                 misses: 4,
-                prefix_reuses: 2,
             },
             coverage: BTreeMap::from([("oxiz".to_string(), 61.5), ("cervo".to_string(), 58.0)]),
             fleet: vec![

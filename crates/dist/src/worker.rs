@@ -216,7 +216,7 @@ impl<W: Write> Fuzzer for Instrumented<'_, W> {
             // gone — the worker finishes the lease and reconnects.
             // The lease's cache counters live in the shard stats, which
             // only exist once the lease completes — heartbeats carry the
-            // zero trio (omitted on the wire), the `done` frame the real
+            // zero pair (omitted on the wire), the `done` frame the real
             // one.
             let frame = Frame::Progress {
                 shard: self.shard,
@@ -356,7 +356,6 @@ where
             cache: CacheCounters {
                 hits: result.stats.cache_hits,
                 misses: result.stats.cache_misses,
-                prefix_reuses: result.stats.prefix_reuses,
             },
             trace: trace_attachment(
                 trace_requested,

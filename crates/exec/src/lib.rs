@@ -38,14 +38,11 @@
 //!   stay bit-identical to `K = 1`. The in-process engines ignore the
 //!   knob: their checks are CPU-bound on the worker thread, so there is
 //!   nothing to overlap — their parallelism is shards on threads.
-//!   [`ExecConfig::solver_mode`] (the `O4A_SOLVER_MODE` knob) picks the
-//!   transport: `spawn` fans `K` in-flight queries out across up to `K`
-//!   children per lane, `session` multiplexes them as `(push 1)` /
-//!   `(pop 1)` scopes on **one persistent incremental process per
-//!   lane**. The overlap-equivalence law holds over both — proven
-//!   against the deterministic mock solver in
-//!   `crates/bench/tests/pipe_backend.rs`, crash injection included —
-//!   and per-lane process churn surfaces in
+//!   Each lane multiplexes its `K` in-flight queries as `(push 1)` /
+//!   `(pop 1)` scopes on **one persistent incremental process**. The
+//!   overlap-equivalence law holds over it — proven against the
+//!   deterministic mock solver in `crates/bench/tests/pipe_backend.rs`,
+//!   crash injection included — and per-lane process churn surfaces in
 //!   [`o4a_core::CampaignStats`] (`processes_spawned`,
 //!   `process_respawns`, `scopes_pushed`).
 //!

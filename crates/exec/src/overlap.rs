@@ -24,12 +24,10 @@
 //! reproducing the `K = 1` stopping point. `crates/executor/README.md`
 //! spells out the full determinism argument.
 //!
-//! [`PipeBackend::mode`] picks the transport: spawn mode fans `K`
-//! in-flight queries out across up to `K` processes per lane; session
-//! mode multiplexes them as `(push 1)`/`(pop 1)` scopes on **one
-//! persistent process per lane**. Same sequencing, same equivalence law
-//! (`crates/bench/tests/pipe_backend.rs` proves it against the
-//! deterministic mock solver for K ∈ {1, 4, 8} in both modes, including
+//! Each solver lane multiplexes its `K` in-flight queries as
+//! `(push 1)`/`(pop 1)` scopes on **one persistent process**
+//! (`crates/bench/tests/pipe_backend.rs` proves the equivalence law
+//! against the deterministic mock solver for K ∈ {1, 4, 8}, including
 //! under crash injection mid-scope).
 //!
 //! The in-process engines have no asynchronous path: their checks are
@@ -51,7 +49,7 @@ use std::time::Duration;
 
 /// The external-process solver backend configuration: the command line
 /// every lane spawns (with `{lane}` substituted per solver lane), the
-/// per-query wall-clock deadline, and the transport mode.
+/// per-query wall-clock deadline, and the verdict cache.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PipeBackend {
     /// The solver command line (the `O4A_SOLVER_CMD` knob), whitespace
@@ -60,38 +58,25 @@ pub struct PipeBackend {
     /// Per-query deadline: a child with no complete reply by then is
     /// killed and the query becomes a `…::pipe::wedged` crash finding.
     pub timeout: Duration,
-    /// Transport mode (the `O4A_SOLVER_MODE` knob): [`SolverMode::Spawn`]
-    /// fans `K` in-flight queries out across up to `K` processes per
-    /// lane; [`SolverMode::Session`] multiplexes them as `(push 1)` /
-    /// `(pop 1)` scopes on **one persistent process per lane**.
-    pub mode: SolverMode,
     /// Verdict-cache directory (the `O4A_CACHE` knob): when set, every
     /// lane consults the campaign-wide [`o4a_cache::CacheStore`] before
     /// dispatching a query and feeds it after a fresh solve. `None`
     /// (the default) is provably a no-op — no lookup, no store, no
     /// journal I/O.
     pub cache_dir: Option<std::path::PathBuf>,
-    /// Prefix-affinity routing (the `O4A_AFFINITY` knob): session-mode
-    /// lanes retain a query's declaration prefix as a held scope and
-    /// route queries sharing it onto the same stack without resending
-    /// it. Ignored in spawn mode.
-    pub affinity: bool,
 }
 
 impl PipeBackend {
     /// A backend over `command` with the default per-query deadline
-    /// ([`o4a_solvers::pipe::DEFAULT_QUERY_TIMEOUT`]) in spawn mode. The
-    /// sharded engine overrides both from [`crate::ExecConfig`] (the
-    /// `O4A_SOLVER_TIMEOUT_MS` / `O4A_SOLVER_MODE` knobs, via
-    /// `ExecConfig::from_env`); programmatic callers use
-    /// [`PipeBackend::with_timeout`] / [`PipeBackend::with_mode`].
+    /// ([`o4a_solvers::pipe::DEFAULT_QUERY_TIMEOUT`]). The sharded engine
+    /// overrides it from [`crate::ExecConfig`] (the
+    /// `O4A_SOLVER_TIMEOUT_MS` knob); programmatic callers use
+    /// [`PipeBackend::with_timeout`].
     pub fn new(command: impl Into<String>) -> PipeBackend {
         PipeBackend {
             command: command.into(),
             timeout: o4a_solvers::pipe::DEFAULT_QUERY_TIMEOUT,
-            mode: SolverMode::Spawn,
             cache_dir: None,
-            affinity: false,
         }
     }
 
@@ -101,21 +86,17 @@ impl PipeBackend {
         self
     }
 
-    /// Selects the transport mode.
-    pub fn with_mode(mut self, mode: SolverMode) -> PipeBackend {
-        self.mode = mode;
+    /// Returns the backend unchanged: every lane runs the one session
+    /// transport. This and [`SolverMode`] exist only so the frozen
+    /// `perfbench` harness keeps compiling; both go with the next
+    /// benchmark change.
+    pub fn with_mode(self, _: SolverMode) -> PipeBackend {
         self
     }
 
     /// Points the backend at a verdict-cache directory.
     pub fn with_cache_dir(mut self, dir: impl Into<std::path::PathBuf>) -> PipeBackend {
         self.cache_dir = Some(dir.into());
-        self
-    }
-
-    /// Enables prefix-affinity routing on session-mode lanes.
-    pub fn with_affinity(mut self, affinity: bool) -> PipeBackend {
-        self.affinity = affinity;
         self
     }
 
@@ -154,9 +135,7 @@ impl PipeBackend {
             .map(|(lane, &(id, commit))| {
                 let mut solver =
                     PipeSolver::new(command.for_lane(lane), id, commit, Rc::clone(reactor))
-                        .with_timeout(self.timeout)
-                        .with_mode(self.mode)
-                        .with_affinity(self.affinity);
+                        .with_timeout(self.timeout);
                 if let Some(cache) = &cache {
                     solver = solver.with_cache(Rc::clone(cache));
                 }
@@ -199,12 +178,10 @@ async fn case_future(solvers: &[PipeSolver], mut case: TestCase) -> CaseExecutio
 /// becomes a crash finding, never a hang. `inflight = 1` is strict serial
 /// submission through the same plumbing.
 ///
-/// Lane ownership follows [`PipeBackend::mode`]: in spawn mode each lane
-/// fans `inflight` queries out across up to `inflight` children; in
-/// session mode `inflight = K` means **K `(push 1)`/`(pop 1)` scopes on
-/// one persistent process per lane**, multiplexed over a single pipe.
-/// Either way the per-lane transport counters (processes spawned,
-/// respawns, scopes pushed) are folded into the shard's
+/// `inflight = K` means **K `(push 1)`/`(pop 1)` scopes on one
+/// persistent process per lane**, multiplexed over a single pipe. The
+/// per-lane transport counters (processes spawned, respawns, scopes
+/// pushed) are folded into the shard's
 /// [`o4a_core::CampaignStats`] before the sink sees the completed shard,
 /// so process churn is measurable from any campaign summary.
 ///
@@ -236,7 +213,6 @@ pub fn run_shard_piped(
         result.stats.scopes_pushed += lane.scopes_pushed();
         result.stats.cache_hits += lane.cache_hits();
         result.stats.cache_misses += lane.cache_misses();
-        result.stats.prefix_reuses += lane.prefix_reuses();
     }
     if let Some(sink) = sink {
         sink.on_shard_complete(shard, &result);

@@ -28,7 +28,7 @@ use o4a_core::{
     Finding, Fuzzer, HourlySnapshot, StepOutcome,
 };
 use o4a_solvers::coverage::universe;
-use o4a_solvers::{CoverageMap, SolverMode};
+use o4a_solvers::CoverageMap;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
@@ -85,13 +85,6 @@ pub struct ExecConfig {
     /// [`o4a_solvers::pipe::DEFAULT_QUERY_TIMEOUT`]. Ignored without
     /// [`ExecConfig::solver_cmd`].
     pub solver_timeout_ms: Option<u64>,
-    /// Pipe-transport mode (the `O4A_SOLVER_MODE` knob):
-    /// [`SolverMode::Spawn`] (default) fans `inflight` queries out
-    /// across up to `inflight` child processes per lane;
-    /// [`SolverMode::Session`] multiplexes them as `(push 1)`/`(pop 1)`
-    /// scopes on **one persistent incremental process per lane**.
-    /// Ignored without [`ExecConfig::solver_cmd`].
-    pub solver_mode: SolverMode,
     /// Verdict-cache directory (the `O4A_CACHE` knob). When set, pipe
     /// lanes consult the campaign-wide content-addressed cache before
     /// every query and record every fresh wire reply; per-shard journals
@@ -99,11 +92,6 @@ pub struct ExecConfig {
     /// (the default) is a no-op. Ignored without
     /// [`ExecConfig::solver_cmd`].
     pub cache_dir: Option<std::path::PathBuf>,
-    /// Prefix-affinity routing (the `O4A_AFFINITY` knob): session-mode
-    /// pipe lanes keep a query's declaration prefix pushed as a held
-    /// scope and route queries sharing it over it without resending.
-    /// Ignored without [`ExecConfig::solver_cmd`] (and in spawn mode).
-    pub affinity: bool,
     /// Coordinator checkpoint path (the `O4A_CHECKPOINT` knob).
     /// Consumed by the distributed layer (`o4a-dist`): when set, the
     /// coordinator journals lease state there fsync-per-record and a
@@ -121,9 +109,7 @@ impl Default for ExecConfig {
             inflight: 1,
             solver_cmd: None,
             solver_timeout_ms: None,
-            solver_mode: SolverMode::Spawn,
             cache_dir: None,
-            affinity: false,
             checkpoint: None,
         }
     }
@@ -134,15 +120,13 @@ impl ExecConfig {
     /// count, default 1 — the paper's serial protocol), `O4A_WORKERS`
     /// (worker threads; `1` forces [`Parallelism::Serial`], unset means
     /// [`Parallelism::Auto`]), `O4A_INFLIGHT` (overlapped queries per
-    /// worker over the pipe backend, default 1), `O4A_SOLVER_CMD` (external solver command;
-    /// unset or blank keeps the in-process engines), and
-    /// `O4A_SOLVER_MODE` (`spawn` or `session` — process-per-query vs.
-    /// one persistent incremental session per lane), `O4A_CACHE`
-    /// (verdict-cache directory; unset or blank means no cache), and
-    /// `O4A_AFFINITY` (any value except empty, `0`, or `false` enables
-    /// prefix-affinity routing), and `O4A_CHECKPOINT` (coordinator
-    /// checkpoint path, consumed by `o4a-dist`; unset or blank means no
-    /// checkpoint). Invalid or zero values fall back to defaults.
+    /// worker over the pipe backend, default 1), `O4A_SOLVER_CMD`
+    /// (external solver command; unset or blank keeps the in-process
+    /// engines), `O4A_SOLVER_TIMEOUT_MS` (per-query deadline),
+    /// `O4A_CACHE` (verdict-cache directory; unset or blank means no
+    /// cache), and `O4A_CHECKPOINT` (coordinator checkpoint path,
+    /// consumed by `o4a-dist`; unset or blank means no checkpoint).
+    /// Invalid or zero values fall back to defaults.
     pub fn from_env() -> ExecConfig {
         fn parse<T: std::str::FromStr + PartialOrd + From<u8>>(name: &str) -> Option<T> {
             std::env::var(name)
@@ -164,17 +148,11 @@ impl ExecConfig {
                 .map(|v| v.trim().to_string())
                 .filter(|v| !v.is_empty()),
             solver_timeout_ms: parse::<u64>("O4A_SOLVER_TIMEOUT_MS"),
-            solver_mode: std::env::var("O4A_SOLVER_MODE")
-                .ok()
-                .and_then(|v| SolverMode::parse(&v))
-                .unwrap_or_default(),
             cache_dir: std::env::var("O4A_CACHE")
                 .ok()
                 .map(|v| v.trim().to_string())
                 .filter(|v| !v.is_empty())
                 .map(std::path::PathBuf::from),
-            affinity: std::env::var("O4A_AFFINITY")
-                .is_ok_and(|v| !v.trim().is_empty() && v.trim() != "0" && v.trim() != "false"),
             checkpoint: std::env::var("O4A_CHECKPOINT")
                 .ok()
                 .map(|v| v.trim().to_string())
@@ -294,9 +272,7 @@ pub fn run_shard(
 /// The external-process backend `exec` selects, if any.
 fn pipe_backend_of(exec: &ExecConfig) -> Option<crate::overlap::PipeBackend> {
     exec.solver_cmd.as_ref().map(|cmd| {
-        let mut backend = crate::overlap::PipeBackend::new(cmd.clone())
-            .with_mode(exec.solver_mode)
-            .with_affinity(exec.affinity);
+        let mut backend = crate::overlap::PipeBackend::new(cmd.clone());
         if let Some(dir) = &exec.cache_dir {
             backend = backend.with_cache_dir(dir);
         }
@@ -514,22 +490,5 @@ mod tests {
                 raw.parse::<usize>().map_or(1, |k| k.max(1))
             ),
         }
-    }
-
-    /// The `O4A_SOLVER_MODE` knob: unset (or unparseable) means spawn —
-    /// process-per-query stays the default transport — and the CI session
-    /// legs reach the engine through the same string the env carries.
-    #[test]
-    fn exec_config_solver_mode_knob_parses() {
-        match std::env::var("O4A_SOLVER_MODE") {
-            Err(_) => assert_eq!(ExecConfig::from_env().solver_mode, SolverMode::Spawn),
-            Ok(raw) => assert_eq!(
-                ExecConfig::from_env().solver_mode,
-                SolverMode::parse(&raw).unwrap_or_default()
-            ),
-        }
-        assert_eq!(SolverMode::parse("session"), Some(SolverMode::Session));
-        assert_eq!(SolverMode::parse(" SPAWN "), Some(SolverMode::Spawn));
-        assert_eq!(SolverMode::parse("both"), None);
     }
 }

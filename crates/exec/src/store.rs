@@ -285,7 +285,6 @@ fn stats_record(stats: &CampaignStats) -> Json {
         ("leases_reissued", Json::U64(stats.leases_reissued)),
         ("cache_hits", Json::U64(stats.cache_hits)),
         ("cache_misses", Json::U64(stats.cache_misses)),
-        ("prefix_reuses", Json::U64(stats.prefix_reuses)),
     ])
 }
 
@@ -461,7 +460,6 @@ fn decode_stats(record: &Json) -> io::Result<CampaignStats> {
         leases_reissued: opt_u64_field(record, "leases_reissued"),
         cache_hits: opt_u64_field(record, "cache_hits"),
         cache_misses: opt_u64_field(record, "cache_misses"),
-        prefix_reuses: opt_u64_field(record, "prefix_reuses"),
     })
 }
 

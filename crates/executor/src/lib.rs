@@ -10,9 +10,9 @@
 //!   detector: on a single thread with no external event sources, a
 //!   `Pending` future that scheduled no wake can never progress);
 //! * [`InFlightPool`], a **bounded in-flight queue** of futures polled
-//!   round-robin in submission order. Each full poll round is one *tick*
-//!   of virtual time, which is what makes latency simulation (and
-//!   therefore completion order) deterministic;
+//!   round-robin in submission order, one poll per runnable task per
+//!   round, so futures that need a fixed number of polls complete in a
+//!   deterministic order;
 //! * [`Sequencer`], the re-ordering buffer that turns out-of-order
 //!   completions back into index order — the determinism keystone of the
 //!   overlapped campaign engine in `o4a-exec`;
@@ -24,15 +24,25 @@
 //!   passes.
 //!
 //! ```
-//! use o4a_executor::{block_on, ticks, InFlightPool, Sequencer};
+//! use o4a_executor::{InFlightPool, Sequencer};
+//! use std::task::Poll;
 //!
-//! // Three tasks with inverted latencies complete out of order...
+//! // Three tasks with inverted latencies (task i needs 10 - i polls)
+//! // complete out of order...
 //! let mut pool: InFlightPool<u64> = InFlightPool::new(3);
 //! for i in 0..3u64 {
-//!     pool.submit(i, async move {
-//!         ticks(10 - i).await;
-//!         i * 100
-//!     });
+//!     let mut polls = 0;
+//!     pool.submit(
+//!         i,
+//!         std::future::poll_fn(move |cx| {
+//!             polls += 1;
+//!             if polls > 10 - i {
+//!                 return Poll::Ready(i * 100);
+//!             }
+//!             cx.waker().wake_by_ref();
+//!             Poll::Pending
+//!         }),
+//!     );
 //! }
 //! // ...and the sequencer hands them back in index order.
 //! let mut seq = Sequencer::new();
@@ -47,12 +57,10 @@
 
 #![warn(missing_docs)]
 
-mod future;
 mod pool;
 mod reactor;
 mod waker;
 
-pub use future::{ticks, yield_now, Ticks};
 pub use pool::{InFlightPool, Sequencer};
 pub use reactor::{
     flush_outbuf, read_available, readable, set_nonblocking, writable, write_available, FdReactor,

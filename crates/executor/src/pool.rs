@@ -19,9 +19,8 @@ struct Slot<'a, T> {
 /// tags each with a caller-chosen index that is handed back on completion
 /// (feed it to a [`Sequencer`] to restore submission order). One
 /// [`InFlightPool::poll_round`] polls every *runnable* task once, in
-/// submission order — a full round is one tick of virtual time, so
-/// [`crate::ticks`]-based latencies resolve deterministically regardless
-/// of how work interleaves.
+/// submission order, so a future that needs `n` polls completes on the
+/// same round however work interleaves.
 pub struct InFlightPool<'a, T> {
     capacity: usize,
     slots: Vec<Slot<'a, T>>,
@@ -75,7 +74,7 @@ impl<'a, T> InFlightPool<'a, T> {
         self.slots.len() < self.capacity
     }
 
-    /// Poll rounds driven so far — the pool's virtual clock.
+    /// Poll rounds driven so far.
     pub fn rounds(&self) -> u64 {
         self.rounds
     }
@@ -169,8 +168,8 @@ impl<'a, T> InFlightPool<'a, T> {
         }
     }
 
-    /// The deadlock post-mortem: which indices are stuck, how far the
-    /// pool's virtual clock got, and whatever the attached diagnostics
+    /// The deadlock post-mortem: which indices are stuck, how many rounds
+    /// the pool drove, and whatever the attached diagnostics
     /// source (normally the fd reactor) knows about pending wake sources.
     fn deadlock_report(&self) -> String {
         let stuck: Vec<u64> = self.slots.iter().map(|s| s.index).collect();
@@ -268,7 +267,20 @@ impl<T> Sequencer<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::future::ticks;
+
+    /// Completes after `n` more polls, waking itself each time: a
+    /// deterministic latency of `n` poll rounds.
+    fn latency(n: u64) -> impl Future<Output = ()> {
+        let mut left = n;
+        std::future::poll_fn(move |cx| {
+            if left == 0 {
+                return Poll::Ready(());
+            }
+            left -= 1;
+            cx.waker().wake_by_ref();
+            Poll::Pending
+        })
+    }
 
     /// Drains a pool through a sequencer, recording both completion order
     /// and released order.
@@ -294,7 +306,7 @@ mod tests {
         // Inverted latencies: index 0 is slowest, index 3 fastest.
         for i in 0..4u64 {
             pool.submit(i, async move {
-                ticks(20 - 5 * i).await;
+                latency(20 - 5 * i).await;
                 i
             });
         }
@@ -308,7 +320,7 @@ mod tests {
         let mut pool = InFlightPool::new(3);
         for i in 0..3u64 {
             pool.submit(i, async move {
-                ticks(7).await;
+                latency(7).await;
                 i
             });
         }
@@ -320,19 +332,19 @@ mod tests {
     #[test]
     fn rounds_advance_with_latency() {
         let mut pool: InFlightPool<()> = InFlightPool::new(1);
-        pool.submit(0, ticks(9));
+        pool.submit(0, latency(9));
         let done = pool.wait_any();
         assert_eq!(done.len(), 1);
-        assert_eq!(pool.rounds(), 10, "ticks(9) resolves on round 10");
+        assert_eq!(pool.rounds(), 10, "latency(9) resolves on round 10");
     }
 
     #[test]
     #[should_panic(expected = "over capacity")]
     fn capacity_is_a_hard_bound() {
         let mut pool: InFlightPool<()> = InFlightPool::new(2);
-        pool.submit(0, ticks(1));
-        pool.submit(1, ticks(1));
-        pool.submit(2, ticks(1));
+        pool.submit(0, latency(1));
+        pool.submit(1, latency(1));
+        pool.submit(2, latency(1));
     }
 
     #[test]

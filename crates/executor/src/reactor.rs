@@ -1,9 +1,9 @@
 //! The fd-readiness reactor: `poll(2)` over child-process pipes and
 //! sockets.
 //!
-//! The executor's only event sources so far were self-waking futures
-//! ([`crate::ticks`]); external solver processes add a second kind: a
-//! future that cannot progress until a child's stdout has bytes. Busy-wait
+//! Besides self-waking futures, external solver processes need a second
+//! kind of event source: a future that cannot progress until a child's
+//! stdout has bytes. Busy-wait
 //! polling would burn a core per shard worker, so the reactor turns fd
 //! readiness into wakes:
 //!

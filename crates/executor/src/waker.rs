@@ -132,7 +132,6 @@ pub fn block_on_with<F: Future>(future: F, mut idle: impl FnMut()) -> F::Output 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::future::{ticks, yield_now};
     use std::pin::Pin;
 
     #[test]
@@ -142,14 +141,17 @@ mod tests {
 
     #[test]
     fn block_on_self_waking_future() {
-        assert_eq!(
-            block_on(async {
-                ticks(17).await;
-                yield_now().await;
-                "done"
-            }),
-            "done"
-        );
+        let mut polls = 0;
+        let future = std::future::poll_fn(|cx| {
+            polls += 1;
+            if polls > 17 {
+                return Poll::Ready("done");
+            }
+            cx.waker().wake_by_ref();
+            Poll::Pending
+        });
+        assert_eq!(block_on(future), "done");
+        assert_eq!(polls, 18, "17 self-wakes, then ready");
     }
 
     #[test]

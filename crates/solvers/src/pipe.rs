@@ -15,19 +15,13 @@
 //! consumes bytes in whatever chunks the pipe delivers and only releases
 //! complete lines / balanced s-expressions.
 //!
-//! Two transports share the lane ([`SolverMode`]):
-//!
-//! * **spawn** — one child per concurrently outstanding query, reused
-//!   via `(reset)` between queries; `K` overlapped checks fan out across
-//!   up to `K` processes per lane.
-//! * **session** — one **persistent incremental session** per lane:
-//!   every query becomes a `(push 1)` / script / `(get-model)` /
-//!   `(pop 1)` frame on a single child, `K` frames in flight on one
-//!   stream. The child answers frames in wire order, so a FIFO of
-//!   pending query ids maps the shared reply stream back to the query
-//!   futures (an id → completion map hands results over out of poll
-//!   order); spawn + prologue + `(reset)` costs are paid once per lane
-//!   instead of once per query.
+//! Every lane drives **one persistent incremental session**: each query
+//! becomes a `(push 1)` / script / `(get-model)` / `(pop 1)` frame on a
+//! single child, `K` frames in flight on one stream. The child answers
+//! frames in wire order, so a FIFO of pending query ids maps the shared
+//! reply stream back to the query futures (an id → completion map hands
+//! results over out of poll order); spawn and prologue costs are paid
+//! once per lane instead of once per query.
 //!
 //! Failure containment is the point of the backend:
 //!
@@ -39,6 +33,11 @@
 //!   finding, never a hung shard worker. (This wall-clock wedge is
 //!   distinct from the solver *answering* `timeout` from its own internal
 //!   budget, which maps to [`Outcome::Timeout`] as usual.)
+//! * a reply stream that can never complete — a model slot that does not
+//!   open with `(`, or more than [`MAX_REPLY_BYTES`] of unconsumed reply
+//!   — retires the child at once with the response the deadline would
+//!   have given, so a babbling child costs neither the deadline's wait
+//!   nor unbounded memory.
 //!
 //! The wire protocol shared by the mock solver and real solvers is
 //! documented in `crates/solvers/README.md`; the [`mock`] module holds
@@ -49,8 +48,7 @@ use crate::response::{CrashInfo, CrashKind, Outcome, SolveStats, SolverId, Solve
 use crate::versions::CommitIdx;
 use crate::{CoverageMap, SmtSolver};
 use o4a_executor::{
-    block_on_with, read_available, readable, set_nonblocking, writable, write_available, FdReactor,
-    Interest,
+    block_on_with, read_available, set_nonblocking, write_available, FdReactor, Interest,
 };
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
@@ -177,6 +175,11 @@ impl Drop for SolverProcess {
 
 // ------------------------------------------------------------- ReplyParser
 
+/// The most reply bytes a lane buffers unconsumed: the same 32 MiB as the
+/// distributed fleet's frame cap. A child whose pending reply outgrows it
+/// is retired instead of being read further.
+pub const MAX_REPLY_BYTES: usize = 32 << 20;
+
 /// Incremental parser for solver replies arriving over a pipe.
 ///
 /// Pipes deliver bytes at arbitrary boundaries — mid-token, mid-line,
@@ -186,9 +189,30 @@ impl Drop for SolverProcess {
 /// needs the balancing close paren (string literals, with SMT-LIB's `""`
 /// escape, are skipped opaquely). Parsing is therefore invariant under
 /// how reads tear — the property `torn_reads_parse_identically` proves.
+/// An unfinished scan resumes where it stopped, so a unit arriving over
+/// many reads costs one pass over its bytes, not one per read.
 #[derive(Debug, Default)]
 pub struct ReplyParser {
     buf: Vec<u8>,
+    scan: Scan,
+}
+
+/// Where the last unfinished scan of [`ReplyParser`] stopped. Consuming
+/// bytes from the buffer resets it.
+#[derive(Clone, Copy, Debug, Default)]
+enum Scan {
+    /// Nothing scanned yet.
+    #[default]
+    Fresh,
+    /// The first `n` buffered bytes hold no newline.
+    Line(usize),
+    /// `buf[..pos]` opens an s-expression at `buf[0]` that is still
+    /// `depth` parens deep (inside a string literal when `in_string`).
+    Sexp {
+        pos: usize,
+        depth: usize,
+        in_string: bool,
+    },
 }
 
 impl ReplyParser {
@@ -202,30 +226,55 @@ impl ReplyParser {
         self.buf.extend_from_slice(bytes);
     }
 
+    /// Reads what `reader` has available straight into the buffer, never
+    /// past one byte over [`MAX_REPLY_BYTES`] — the same contract as
+    /// [`read_available`], and `Ok(None)` once the buffer is full.
+    pub fn fill(&mut self, reader: impl io::Read) -> io::Result<Option<usize>> {
+        let room = (MAX_REPLY_BYTES + 1).saturating_sub(self.buf.len());
+        if room == 0 {
+            return Ok(None);
+        }
+        read_available(&mut reader.take(room as u64), &mut self.buf)
+    }
+
     /// Bytes buffered but not yet consumed.
     pub fn buffered(&self) -> usize {
         self.buf.len()
     }
 
-    /// Drops leading whitespace (reply terminators leave a newline
-    /// behind) and reports whether the buffer is now empty — i.e. the
-    /// stream is positioned on a clean reply boundary.
-    pub fn at_boundary(&mut self) -> bool {
-        let skip = self
-            .buf
+    /// True once the unconsumed bytes pass [`MAX_REPLY_BYTES`].
+    pub fn overflowed(&self) -> bool {
+        self.buf.len() > MAX_REPLY_BYTES
+    }
+
+    /// True when the next unit can never be an s-expression: its first
+    /// non-whitespace byte has arrived and is not `(`.
+    pub fn sexp_impossible(&self) -> bool {
+        self.buf
             .iter()
-            .take_while(|b| b.is_ascii_whitespace())
-            .count();
-        self.buf.drain(..skip);
-        self.buf.is_empty()
+            .find(|b| !b.is_ascii_whitespace())
+            .is_some_and(|&b| b != b'(')
+    }
+
+    /// Drops the first `n` bytes, which invalidates any resumable scan.
+    fn consume(&mut self, n: usize) -> Vec<u8> {
+        self.scan = Scan::Fresh;
+        self.buf.drain(..n).collect()
     }
 
     /// Releases the next complete **non-empty** line, without its
     /// terminator, or `None` until one is fully buffered.
     pub fn take_line(&mut self) -> Option<String> {
         loop {
-            let nl = self.buf.iter().position(|&b| b == b'\n')?;
-            let line: Vec<u8> = self.buf.drain(..=nl).collect();
+            let from = match self.scan {
+                Scan::Line(n) => n,
+                _ => 0,
+            };
+            let Some(nl) = self.buf[from..].iter().position(|&b| b == b'\n') else {
+                self.scan = Scan::Line(self.buf.len());
+                return None;
+            };
+            let line = self.consume(from + nl + 1);
             let text = String::from_utf8_lossy(&line).trim().to_string();
             if !text.is_empty() {
                 return Some(text);
@@ -237,18 +286,37 @@ impl ReplyParser {
     /// whitespace skipped), or `None` until one is fully buffered. The
     /// buffer's first non-whitespace byte must be `(`.
     pub fn take_sexp(&mut self) -> Option<String> {
-        let start = self.buf.iter().position(|&b| !b.is_ascii_whitespace())?;
-        if self.buf[start] != b'(' {
-            return None;
-        }
-        let mut depth = 0usize;
-        let mut in_string = false;
-        let mut i = start;
+        let (mut i, mut depth, mut in_string) = match self.scan {
+            Scan::Sexp {
+                pos,
+                depth,
+                in_string,
+            } => (pos, depth, in_string),
+            _ => {
+                // Leading whitespace never belongs to a unit: drop it, so
+                // the scan below can resume from a fixed start.
+                let start = self
+                    .buf
+                    .iter()
+                    .take_while(|b| b.is_ascii_whitespace())
+                    .count();
+                if start > 0 {
+                    self.consume(start);
+                }
+                if self.buf.first() != Some(&b'(') {
+                    return None;
+                }
+                (0, 0, false)
+            }
+        };
         while i < self.buf.len() {
             let b = self.buf[i];
             if in_string {
                 if b == b'"' {
-                    // `""` escapes a quote inside SMT-LIB strings.
+                    // `""` escapes a quote inside SMT-LIB strings. A quote
+                    // that ends the buffer closes the string; should the
+                    // next read open with `"`, that reopens it — the same
+                    // state the escape leaves.
                     if self.buf.get(i + 1) == Some(&b'"') {
                         i += 1;
                     } else {
@@ -262,8 +330,8 @@ impl ReplyParser {
                     b')' => {
                         depth -= 1;
                         if depth == 0 {
-                            let sexp: Vec<u8> = self.buf.drain(..=i).collect();
-                            return Some(String::from_utf8_lossy(&sexp[start..]).into_owned());
+                            let sexp = self.consume(i + 1);
+                            return Some(String::from_utf8_lossy(&sexp).into_owned());
                         }
                     }
                     _ => {}
@@ -271,13 +339,16 @@ impl ReplyParser {
             }
             i += 1;
         }
+        self.scan = Scan::Sexp {
+            pos: i,
+            depth,
+            in_string,
+        };
         None
     }
 }
 
-/// Extracts the quoted message from an `(error "msg")` reply line, used
-/// identically by both transports so they report the same text for the
-/// same solver error.
+/// Extracts the quoted message from an `(error "msg")` reply line.
 fn error_message(reply: &str) -> String {
     reply
         .split('"')
@@ -327,10 +398,10 @@ pub fn parse_model_reply(text: &str) -> Option<o4a_smtlib::Model> {
 /// empty ones, join with `\n`.
 ///
 /// This is the **reconstructed scope-stack script** seen through the
-/// solver's eyes: the session transport's `(push 1)`/`(pop 1)` framing,
-/// a held affinity prefix, whitespace placement, and the spawn prologue
-/// all normalize away, so one semantic query has exactly one normalized
-/// form no matter which transport (or scope layout) carried it.
+/// solver's eyes: the session's `(push 1)`/`(pop 1)` framing, whitespace
+/// placement and the `(set-option …)` prologue all normalize away, so one
+/// semantic query has exactly one normalized form however the frame that
+/// carried it was laid out.
 pub fn normalized_script(text: &str) -> String {
     text.lines()
         .map(str::trim)
@@ -423,31 +494,16 @@ pub trait VerdictCache {
 
 // -------------------------------------------------------------- SolverMode
 
-/// How a [`PipeSolver`] lane drives its child process(es).
+/// The transport a [`PipeSolver`] lane uses. There is one: the persistent
+/// session. The enum exists only so the frozen benchmark harness, which
+/// names `SolverMode::Session`, keeps compiling; it goes with the next
+/// benchmark change.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SolverMode {
-    /// One child per concurrently outstanding query, reused via
-    /// `(reset)` between queries — `K` overlapped checks fan out across
-    /// up to `K` processes per lane (the classic transport).
+    /// One persistent incremental session per lane: every query is a
+    /// `(push 1)` … `(pop 1)` scope on a single long-lived child.
     #[default]
-    Spawn,
-    /// One **persistent incremental session** per lane: every query is a
-    /// `(push 1)` … `(pop 1)` scope on a single long-lived child, `K`
-    /// scopes in flight on one stream (the `O4A_SOLVER_MODE=session`
-    /// knob; `z3 -in` and `cvc5 --incremental` both speak this).
     Session,
-}
-
-impl SolverMode {
-    /// Parses the `O4A_SOLVER_MODE` knob value (`spawn` / `session`,
-    /// case-insensitive); `None` for anything else.
-    pub fn parse(text: &str) -> Option<SolverMode> {
-        match text.trim().to_ascii_lowercase().as_str() {
-            "spawn" => Some(SolverMode::Spawn),
-            "session" => Some(SolverMode::Session),
-            _ => None,
-        }
-    }
 }
 
 // ----------------------------------------------------------------- Session
@@ -474,7 +530,7 @@ enum SessionReply {
     Died(PipeDeath),
     /// An `(error …)` verdict: the stream can no longer be trusted to
     /// sit on a frame boundary, so the session was retired around this
-    /// query (parity with spawn mode, which retires the child).
+    /// query.
     Error(String),
     /// The session process could not be (re)spawned.
     SpawnFailed(String),
@@ -506,13 +562,6 @@ struct Session {
     /// frames queued behind slow-but-progressing siblings are never
     /// spuriously blamed as wedged.
     head_since: Option<Instant>,
-    /// The declaration prefix currently held as a **retained scope** on
-    /// the child (prefix-affinity routing): queries whose scripts open
-    /// with the same declarations reuse it instead of re-sending it
-    /// inside their own frame. `None` when no prefix scope is open —
-    /// always the case with affinity off, and after any respawn (the
-    /// fresh child starts scope-free; replays carry full scripts).
-    held_prefix: Option<String>,
     next_id: u64,
 }
 
@@ -526,27 +575,23 @@ fn splitmix64(mut x: u64) -> u64 {
 
 // -------------------------------------------------------------- PipeSolver
 
-/// An external solver process bank behind the [`SmtSolver`] interface
+/// An external solver lane behind the [`SmtSolver`] interface
 /// and the asynchronous [`PipeSolver::check_async`].
 ///
 /// One `PipeSolver` plays one solver lane of a differential campaign: it
-/// reports the [`SolverId`] it stands in for and drives child processes
-/// spawned from its [`PipeCommand`] per its [`SolverMode`] — a pool of
-/// `(reset)`-reused children in spawn mode, one persistent `(push 1)` /
-/// `(pop 1)` incremental session in session mode — killing/respawning
-/// them on crash or wedge. External processes report no coverage, so
-/// coverage maps stay empty and per-query deltas are empty maps.
+/// reports the [`SolverId`] it stands in for and drives one persistent
+/// `(push 1)` / `(pop 1)` incremental session on a child spawned from its
+/// [`PipeCommand`], killing and respawning the child on crash or wedge.
+/// External processes report no coverage, so coverage maps stay empty
+/// and per-query deltas are empty maps.
 pub struct PipeSolver {
     id: SolverId,
     commit: CommitIdx,
     command: PipeCommand,
     reactor: Rc<FdReactor>,
     timeout: Duration,
-    mode: SolverMode,
-    idle: RefCell<Vec<SolverProcess>>,
     session: RefCell<Session>,
     cache: Option<Rc<dyn VerdictCache>>,
-    affinity: bool,
     empty_coverage: CoverageMap,
     universe: &'static Universe,
     spawned: Cell<u64>,
@@ -554,7 +599,6 @@ pub struct PipeSolver {
     scopes: Cell<u64>,
     hits: Cell<u64>,
     misses: Cell<u64>,
-    reuses: Cell<u64>,
 }
 
 /// How a child became unusable mid-query.
@@ -580,11 +624,8 @@ impl PipeSolver {
             command,
             reactor,
             timeout: DEFAULT_QUERY_TIMEOUT,
-            mode: SolverMode::Spawn,
-            idle: RefCell::new(Vec::new()),
             session: RefCell::new(Session::default()),
             cache: None,
-            affinity: false,
             empty_coverage: CoverageMap::new(),
             universe: universe(id),
             spawned: Cell::new(0),
@@ -592,7 +633,6 @@ impl PipeSolver {
             scopes: Cell::new(0),
             hits: Cell::new(0),
             misses: Cell::new(0),
-            reuses: Cell::new(0),
         }
     }
 
@@ -608,12 +648,6 @@ impl PipeSolver {
         self
     }
 
-    /// Selects the transport mode (default [`SolverMode::Spawn`]).
-    pub fn with_mode(mut self, mode: SolverMode) -> PipeSolver {
-        self.mode = mode;
-        self
-    }
-
     /// Attaches a verdict cache: every query is looked up before
     /// dispatch (a hit replays the cached wire reply through the normal
     /// decode path, touching no process) and every fresh wire reply is
@@ -622,22 +656,6 @@ impl PipeSolver {
     pub fn with_cache(mut self, cache: Rc<dyn VerdictCache>) -> PipeSolver {
         self.cache = Some(cache);
         self
-    }
-
-    /// Enables prefix-affinity routing (session mode only): a query
-    /// whose script opens with the declaration prefix already held on
-    /// the session's scope stack sends only its suffix, reusing the held
-    /// scope instead of re-pushing the prefix. Off by default — with
-    /// affinity off the wire framing is byte-identical to before the
-    /// knob existed.
-    pub fn with_affinity(mut self, affinity: bool) -> PipeSolver {
-        self.affinity = affinity;
-        self
-    }
-
-    /// The transport mode in force.
-    pub fn mode(&self) -> SolverMode {
-        self.mode
     }
 
     /// The per-query deadline in force.
@@ -655,19 +673,17 @@ impl PipeSolver {
         self.spawned.get()
     }
 
-    /// Processes retired and replaced. In spawn mode: children lost to
-    /// crashes or wedges (each triggers a respawn on the next query that
-    /// needs a child). In session mode: **every** retirement — death,
-    /// wedge, error-desync, or an idle exit — so that
-    /// `processes_spawned ≤ lanes + respawns` holds for any solver.
+    /// Processes retired and replaced: **every** retirement — death,
+    /// wedge, error-desync, an unparseable or oversized reply, or an idle
+    /// exit — so that `processes_spawned ≤ lanes + respawns` holds for
+    /// any solver.
     pub fn respawns(&self) -> u64 {
         self.respawns.get()
     }
 
     /// Incremental `(push 1)` scopes opened on the persistent session —
-    /// one per query in session mode (crash replays are not re-counted,
-    /// so the counter is a pure function of the query stream), zero in
-    /// spawn mode.
+    /// one per query (crash replays are not re-counted, so the counter
+    /// is a pure function of the query stream).
     pub fn scopes_pushed(&self) -> u64 {
         self.scopes.get()
     }
@@ -681,12 +697,6 @@ impl PipeSolver {
     /// when no cache is attached — uncached queries are not misses).
     pub fn cache_misses(&self) -> u64 {
         self.misses.get()
-    }
-
-    /// Session queries that reused the held declaration-prefix scope
-    /// instead of re-sending their prefix (prefix-affinity routing).
-    pub fn prefix_reuses(&self) -> u64 {
-        self.reuses.get()
     }
 
     /// The content address of one query on this lane.
@@ -730,57 +740,6 @@ impl PipeSolver {
         model
     }
 
-    fn acquire(&self) -> io::Result<SolverProcess> {
-        if let Some(proc) = self.idle.borrow_mut().pop() {
-            return Ok(proc);
-        }
-        self.spawn_counted()
-    }
-
-    /// Returns a healthy child to the idle pool for the next query; a
-    /// child we cannot `(reset)`, or one with stray buffered bytes (a
-    /// protocol desync), is retired instead.
-    fn release(&self, mut proc: SolverProcess) {
-        // The reset must land whole (a healthy child's pipe has room for
-        // these 8 bytes; a full pipe means it stopped reading — retire).
-        let reset = b"(reset)\n";
-        let clean = proc.parser.at_boundary()
-            && matches!(write_available(&mut proc.stdin, reset), Ok(n) if n == reset.len());
-        if clean {
-            self.idle.borrow_mut().push(proc);
-        }
-    }
-
-    /// Streams `bytes` to the child's stdin, suspending on write
-    /// readiness when the pipe is full — a child that stops reading
-    /// cannot hang the worker past the per-query deadline.
-    async fn send(
-        &self,
-        proc: &mut SolverProcess,
-        bytes: &[u8],
-        deadline: Instant,
-    ) -> Result<(), PipeDeath> {
-        let mut offset = 0usize;
-        while offset < bytes.len() {
-            match write_available(&mut proc.stdin, &bytes[offset..]) {
-                Ok(n) => {
-                    offset += n;
-                    if offset < bytes.len() {
-                        if Instant::now() >= deadline {
-                            return Err(PipeDeath::Wedged);
-                        }
-                        writable(&self.reactor, proc.stdin_fd, Some(deadline)).await;
-                    }
-                }
-                // EPIPE: the child died — but its reply (or part of one)
-                // may already sit in our read buffer, so let the read
-                // path be the judge of death.
-                Err(_) => return Err(PipeDeath::Eof),
-            }
-        }
-        Ok(())
-    }
-
     /// The crash-finding response for a dead or wedged child (no counter
     /// side effects — the caller decides when a respawn is charged).
     fn death_response(&self, death: &PipeDeath) -> SolverResponse {
@@ -798,84 +757,19 @@ impl PipeSolver {
         }
     }
 
-    fn lost_process(&self, death: &PipeDeath) -> SolverResponse {
-        self.note_respawn();
-        self.death_response(death)
-    }
-
-    /// Reads the next complete reply line, waking on fd readiness.
-    async fn read_line(
-        &self,
-        proc: &mut SolverProcess,
-        deadline: Instant,
-    ) -> Result<String, PipeDeath> {
-        loop {
-            if let Some(line) = proc.parser.take_line() {
-                return Ok(line);
-            }
-            self.pump(proc, deadline).await?;
-        }
-    }
-
-    /// Reads the next complete s-expression reply.
-    async fn read_sexp(
-        &self,
-        proc: &mut SolverProcess,
-        deadline: Instant,
-    ) -> Result<String, PipeDeath> {
-        loop {
-            if let Some(sexp) = proc.parser.take_sexp() {
-                return Ok(sexp);
-            }
-            self.pump(proc, deadline).await?;
-        }
-    }
-
-    /// One read attempt: drains available bytes into the parser or
-    /// suspends on the reactor until readable / deadline.
-    async fn pump(&self, proc: &mut SolverProcess, deadline: Instant) -> Result<(), PipeDeath> {
-        let mut chunk = Vec::new();
-        match read_available(&mut proc.stdout, &mut chunk) {
-            Ok(Some(0)) => Err(PipeDeath::Eof),
-            Ok(Some(_)) => {
-                proc.parser.feed(&chunk);
-                Ok(())
-            }
-            Ok(None) => {
-                if Instant::now() >= deadline {
-                    return Err(PipeDeath::Wedged);
-                }
-                // No deadline re-check after the wake: the next loop
-                // iteration reads first, so a reply that raced the
-                // deadline onto the pipe is still consumed rather than
-                // misreported as a wedge.
-                readable(&self.reactor, proc.fd, Some(deadline)).await;
-                Ok(())
-            }
-            Err(_) => Err(PipeDeath::Eof),
-        }
-    }
-
     /// Answers one script asynchronously — the response is identical to
     /// what [`SmtSolver::check`] returns. Many checks against one lane may
     /// be in flight at once: `&self` suffices, because the lane's state
     /// sits behind interior mutability on the single-threaded executor.
     pub async fn check_async(&self, text: &str) -> SolverResponse {
         let timer = o4a_obs::metrics::start_timer();
-        let _span = o4a_obs::trace::span(
-            "pipe",
-            match self.mode {
-                SolverMode::Spawn => "query.spawn",
-                SolverMode::Session => "query.session",
-            },
-        )
-        .arg("bytes", text.len() as u64);
+        let _span = o4a_obs::trace::span("pipe", "query.session").arg("bytes", text.len() as u64);
         let response = match &self.cache {
             Some(cache) => {
                 let cache = Rc::clone(cache);
                 self.run_query_caching(&cache, text).await
             }
-            None => self.dispatch_query(text).await.0,
+            None => self.run_query_session(text).await.0,
         };
         o4a_obs::metrics::record_elapsed("pipe.query_micros", timer);
         response
@@ -905,21 +799,11 @@ impl PipeSolver {
         if o4a_obs::metrics_enabled() {
             o4a_obs::metrics::counter("cache.misses").inc();
         }
-        let (response, wire) = self.dispatch_query(text).await;
+        let (response, wire) = self.run_query_session(text).await;
         if let Some(reply) = wire {
             cache.record(&key, &reply);
         }
         response
-    }
-
-    /// Dispatches one fresh solve per the transport mode. Besides the
-    /// response, returns the **wire reply** the cache records — `None`
-    /// when the query never produced one (spawn failure).
-    async fn dispatch_query(&self, text: &str) -> (SolverResponse, Option<CachedReply>) {
-        match self.mode {
-            SolverMode::Spawn => self.run_query_spawn(text).await,
-            SolverMode::Session => self.run_query_session(text).await,
-        }
     }
 
     /// Replays a cached wire reply through the same decode logic a live
@@ -943,8 +827,8 @@ impl PipeSolver {
     }
 
     /// Decodes a verdict line plus its model-slot text into the
-    /// response — the single mapping both transports and the cache-hit
-    /// path share, so one wire reply can only ever mean one response.
+    /// response — the single mapping the live and the cache-hit paths
+    /// share, so one wire reply can only ever mean one response.
     fn decode_verdict(verdict: &str, model_sexp: &str) -> SolverResponse {
         let outcome = match verdict {
             "sat" => {
@@ -970,108 +854,6 @@ impl PipeSolver {
         }
     }
 
-    async fn run_query_spawn(&self, text: &str) -> (SolverResponse, Option<CachedReply>) {
-        let mut proc = match self.acquire() {
-            Ok(proc) => proc,
-            Err(e) => {
-                // Environmental, not a property of the query: never cached.
-                return (
-                    SolverResponse::error(format!(
-                        "failed to spawn solver process '{}': {e}",
-                        self.command.program()
-                    )),
-                    None,
-                );
-            }
-        };
-        let deadline = Instant::now() + self.timeout;
-
-        let mut request = Vec::with_capacity(text.len() + 1);
-        request.extend_from_slice(text.as_bytes());
-        request.push(b'\n');
-        match self.send(&mut proc, &request, deadline).await {
-            // EOF: fall through — the read path judges death, because the
-            // reply may already be buffered.
-            Ok(()) | Err(PipeDeath::Eof) => {}
-            Err(PipeDeath::Wedged) => {
-                return (
-                    self.lost_process(&PipeDeath::Wedged),
-                    Some(CachedReply::Died { wedged: true }),
-                )
-            }
-        }
-
-        let line = match self.read_line(&mut proc, deadline).await {
-            Ok(line) => line,
-            Err(death) => {
-                let wedged = matches!(death, PipeDeath::Wedged);
-                return (
-                    self.lost_process(&death),
-                    Some(CachedReply::Died { wedged }),
-                );
-            }
-        };
-
-        let wire = match line.as_str() {
-            "sat" => {
-                // Second round trip: fetch the model while the child is
-                // still positioned after its answer. The verdict is
-                // already decided at this point, so a child lost during
-                // the model fetch (died or wedged) costs the model —
-                // never the verdict: the lane retires it (respawning on
-                // the next query) and reports `sat` without a model.
-                let mut model_sexp = String::new();
-                let lost = match self.send(&mut proc, b"(get-model)\n", deadline).await {
-                    Ok(()) => match self.read_sexp(&mut proc, deadline).await {
-                        Ok(sexp) => {
-                            model_sexp = sexp;
-                            None
-                        }
-                        Err(death) => Some(death),
-                    },
-                    Err(death) => Some(death),
-                };
-                if lost.is_some() {
-                    self.note_respawn();
-                    drop(proc); // kill (if wedged) + reap
-                } else {
-                    self.release(proc);
-                }
-                CachedReply::Answered {
-                    verdict: line.clone(),
-                    model_sexp,
-                }
-            }
-            "unsat" | "unknown" | "timeout" => {
-                // `timeout` is the solver's own in-engine budget answer
-                // (mock `timeout` token) — not the wall-clock wedge,
-                // which kills the child.
-                self.release(proc);
-                CachedReply::Answered {
-                    verdict: line.clone(),
-                    model_sexp: String::new(),
-                }
-            }
-            other if other.starts_with("(error") => {
-                // Keep the message, retire the child: after an error we
-                // cannot trust the stream to be positioned on a reply
-                // boundary. (Dropping `proc` kills + reaps it.)
-                CachedReply::Error(error_message(other))
-            }
-            _ => {
-                // Unrecognized verdicts decode to the same parse error a
-                // fresh solve reports; the desynced child is retired.
-                CachedReply::Answered {
-                    verdict: line.clone(),
-                    model_sexp: String::new(),
-                }
-            }
-        };
-        (self.decode_cached_reply(wire.clone()), Some(wire))
-    }
-
-    // ------------------------------------------------------ session mode
-
     /// The incremental frame one query occupies on the session stream.
     /// `(get-model)` rides in every frame — the verdict is not known when
     /// the frame is written, and a fixed verdict-line + model-sexp shape
@@ -1084,72 +866,6 @@ impl PipeSolver {
         frame.extend_from_slice(text.as_bytes());
         frame.extend_from_slice(b"\n(get-model)\n(pop 1)\n");
         frame
-    }
-
-    /// The byte length of a script's leading **declaration prefix**: the
-    /// maximal run of whole leading lines that are blank or open with
-    /// `(set-logic`, `(declare-`, or `(define-` — the commands that set
-    /// up a query's vocabulary and are the part near-duplicate scripts
-    /// share. Splitting at line boundaries keeps both halves verbatim,
-    /// and since answers are functions of the *normalized* script (line
-    /// oriented), where the split falls can never change an answer.
-    fn decl_prefix_len(text: &str) -> usize {
-        let mut end = 0;
-        for line in text.split_inclusive('\n') {
-            let t = line.trim();
-            let is_decl = t.is_empty()
-                || t.starts_with("(set-logic")
-                || t.starts_with("(declare-")
-                || t.starts_with("(define-");
-            if !is_decl {
-                break;
-            }
-            end += line.len();
-        }
-        end
-    }
-
-    /// Emits one query's wire bytes with prefix-affinity routing: a
-    /// query whose declaration prefix matches the one already **held as
-    /// a retained scope** on the child sends only its suffix frame
-    /// (genuine incremental reuse); a different prefix pops the held
-    /// scope and pushes the new one below the query frames. Held-scope
-    /// pushes are transport bookkeeping, not query scopes — they are not
-    /// counted in `scopes_pushed`, and `prefix_reuses` counts the reuse
-    /// events. Correctness leans on the same purity the session
-    /// transport already stands on: the solver answers the reconstructed
-    /// scope-stack script, and `base + prefix + suffix` normalizes to
-    /// exactly the full script.
-    fn enqueue_affine(&self, s: &mut Session, text: &str) {
-        let (prefix, suffix) = text.split_at(Self::decl_prefix_len(text));
-        if prefix.trim().is_empty() || suffix.trim().is_empty() {
-            // No usable split: drop any held scope (the frame must see
-            // only the base) and send the classic self-contained frame.
-            if s.held_prefix.take().is_some() {
-                s.outbuf.extend_from_slice(b"(pop 1)\n");
-            }
-            s.outbuf.extend_from_slice(&Self::frame(text));
-            return;
-        }
-        let normalized = normalized_script(prefix);
-        if s.held_prefix.as_ref() == Some(&normalized) {
-            self.reuses.set(self.reuses.get() + 1);
-            o4a_obs::trace::event("pipe", "session.prefix_reuse", &[]);
-            if o4a_obs::metrics_enabled() {
-                o4a_obs::metrics::counter("pipe.prefix_reuses").inc();
-            }
-        } else {
-            if s.held_prefix.take().is_some() {
-                s.outbuf.extend_from_slice(b"(pop 1)\n");
-            }
-            s.outbuf.extend_from_slice(b"(push 1)\n");
-            s.outbuf.extend_from_slice(prefix.as_bytes());
-            if !prefix.ends_with('\n') {
-                s.outbuf.push(b'\n');
-            }
-            s.held_prefix = Some(normalized);
-        }
-        s.outbuf.extend_from_slice(&Self::frame(suffix));
     }
 
     /// Admits one query to the session: assigns its id, appends its
@@ -1176,11 +892,7 @@ impl PipeSolver {
                 }
             }
         }
-        if self.affinity {
-            self.enqueue_affine(s, text);
-        } else {
-            s.outbuf.extend_from_slice(&Self::frame(text));
-        }
+        s.outbuf.extend_from_slice(&Self::frame(text));
         if s.pending.is_empty() {
             // This frame is the head: its service clock starts now.
             s.head_since = Some(Instant::now());
@@ -1238,18 +950,9 @@ impl PipeSolver {
                 s.outbuf.drain(..n);
             }
         }
-        let mut chunk = Vec::new();
         let eof = {
             let proc = s.proc.as_mut().expect("checked above");
-            match read_available(&mut proc.stdout, &mut chunk) {
-                Ok(Some(0)) => true,
-                Ok(Some(_)) => {
-                    proc.parser.feed(&chunk);
-                    false
-                }
-                Ok(None) => false,
-                Err(_) => true,
-            }
+            matches!(proc.parser.fill(&mut proc.stdout), Ok(Some(0)) | Err(_))
         };
         let mut fail: Option<SessionReply> = None;
         while !s.pending.is_empty() {
@@ -1288,6 +991,15 @@ impl PipeSolver {
                 None => break,
             }
         }
+        if fail.is_none() && !s.pending.is_empty() {
+            // A model slot that cannot open, or a reply past the cap, can
+            // never complete: retire the child now with the response the
+            // deadline would give later (a verdict already read survives).
+            let parser = &s.proc.as_ref().expect("checked above").parser;
+            if parser.overflowed() || (s.head_verdict.is_some() && parser.sexp_impossible()) {
+                fail = Some(SessionReply::Died(PipeDeath::Wedged));
+            }
+        }
         if fail.is_none() && eof {
             if s.pending.is_empty() {
                 // The child exited while idle: nothing to blame it on —
@@ -1297,7 +1009,6 @@ impl PipeSolver {
                 s.proc = None;
                 s.outbuf.clear();
                 s.head_verdict = None;
-                s.held_prefix = None;
             } else {
                 fail = Some(SessionReply::Died(PipeDeath::Eof));
             }
@@ -1316,10 +1027,9 @@ impl PipeSolver {
     /// replayed frames.
     ///
     /// A verdict line that already crossed the pipe survives the death:
-    /// losing the child mid-frame costs the **model, never the verdict**
-    /// — the same contract the spawn transport's model round trip keeps
-    /// — so the head reports its verdict (model-less) and only a frame
-    /// with no verdict yet becomes the crash finding.
+    /// losing the child mid-frame costs the **model, never the verdict**,
+    /// so the head reports its verdict (model-less) and only a frame with
+    /// no verdict yet becomes the crash finding.
     fn session_fail_head(&self, s: &mut Session, reply: SessionReply) {
         // Every retirement counts as a respawn — death, wedge, or an
         // error-desync retire alike — so the churn invariant
@@ -1336,10 +1046,6 @@ impl PipeSolver {
         s.proc = None; // Drop kills (if needed) and reaps
         s.outbuf.clear();
         s.head_since = None;
-        // The held affinity scope died with the child: replays carry
-        // their full scripts, and the next affine enqueue re-establishes
-        // a prefix scope from scratch.
-        s.held_prefix = None;
         if let Some(head) = s.pending.pop_front() {
             Self::session_complete(s, head, head_reply);
         }
@@ -1565,9 +1271,10 @@ impl SmtSolver for PipeSolver {
 /// injection — is a **pure hash of the script text** (plus the seeded
 /// configuration), never of per-process state like a query counter. That
 /// purity is what makes the serial ≡ K-in-flight equivalence law hold
-/// over the pipe transport: with `K` queries fanned out across child
-/// processes, which process serves which script depends on completion
-/// order, so any process-local state would leak scheduling into answers.
+/// over the pipe transport: which frames share a process, and which are
+/// replayed onto a respawned one after a sibling's crash, depends on the
+/// overlap width `K`, so any process-local state would leak scheduling
+/// into answers.
 pub mod mock {
     use super::splitmix64;
     use std::io::{BufRead, Write};
@@ -1615,12 +1322,11 @@ pub mod mock {
     /// per-script fingerprint every decision derives from.
     ///
     /// Normalization strips `(set-option …)` lines (the pipe backend's
-    /// spawn prologue lands in the **first** request segment a fresh
-    /// process sees) and surrounding whitespace, so a freshly spawned
-    /// process answers a script exactly like a reused one — without
-    /// this, which queries land on fresh processes (a function of the
-    /// overlap width K) would leak into answers and break the
-    /// equivalence law.
+    /// prologue sits in the base scope below every frame) and surrounding
+    /// whitespace, so a script answers the same on a fresh process as on
+    /// one that has served many frames — without this, which frames land
+    /// on a respawned process (a function of crashes and the overlap
+    /// width K) would leak into answers and break the equivalence law.
     pub fn fingerprint(seed: u64, script: &str) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64 ^ seed.wrapping_mul(0x0100_0000_01b3);
         for line in script
@@ -1719,10 +1425,10 @@ pub mod mock {
     /// The mock's request loop: reads SMT-LIB requests from `input`,
     /// writes protocol replies to `output`. Requests are delimited by the
     /// commands the pipe backend sends — `(check-sat)` (answers the
-    /// current scope stack), `(get-model)`, `(reset)`, and the **strict
-    /// incremental pair `(push 1)` / `(pop 1)`** the session transport
-    /// frames every query with; anything else (options, prologue,
-    /// assertions) is absorbed into the current scope's text.
+    /// current scope stack), `(get-model)`, and the **strict incremental
+    /// pair `(push 1)` / `(pop 1)`** the session frames every query with;
+    /// anything else (options, prologue, assertions) is absorbed into the
+    /// current scope's text.
     ///
     /// Scope semantics: the mock keeps a stack of script segments.
     /// `(push 1)` opens a scope, `(pop 1)` discards the top one, and a
@@ -1733,9 +1439,8 @@ pub mod mock {
     /// session siblings cannot leak into its answer — the purity the
     /// serial ≡ K-in-flight law stands on. Since [`fingerprint`] strips
     /// `(set-option …)` lines, a script checked inside one pushed scope
-    /// on a prologue-only base answers exactly like the same script on a
-    /// fresh spawn-mode process: session and spawn transports are
-    /// bit-identical.
+    /// on a prologue-only base answers exactly like the bare script
+    /// ([`reply_for`] and [`model_for`] of its text).
     ///
     /// # Errors
     ///
@@ -1801,11 +1506,6 @@ pub mod mock {
                         writeln!(output, "{}", model_for(config, &last_script))?;
                         output.flush()?;
                     }
-                    Marker::Reset => {
-                        scopes.clear();
-                        scopes.push(String::new());
-                        last_script.clear();
-                    }
                 }
             }
             let chunk = reader.fill_buf()?;
@@ -1822,7 +1522,6 @@ pub mod mock {
     enum Marker {
         CheckSat,
         GetModel,
-        Reset,
         Push,
         Pop,
     }
@@ -1832,7 +1531,6 @@ pub mod mock {
             match self {
                 Marker::CheckSat => b"(check-sat)",
                 Marker::GetModel => b"(get-model)",
-                Marker::Reset => b"(reset)",
                 Marker::Push => b"(push 1)",
                 Marker::Pop => b"(pop 1)",
             }
@@ -1850,7 +1548,6 @@ pub mod mock {
         [
             Marker::CheckSat,
             Marker::GetModel,
-            Marker::Reset,
             Marker::Push,
             Marker::Pop,
         ]
@@ -2109,7 +1806,7 @@ mod tests {
             force: Some("sat".into()),
             ..MockConfig::default()
         };
-        let request = "(declare-const x Int)(assert (> x 1))(check-sat)\n(get-model)\n(reset)\n";
+        let request = "(declare-const x Int)(assert (> x 1))(check-sat)\n(get-model)\n";
         let mut output = Vec::new();
         let exit = serve(&config, request.as_bytes(), &mut output).unwrap();
         assert_eq!(exit, MockExit::Eof);
@@ -2192,8 +1889,8 @@ mod tests {
     fn child_that_stops_reading_stdin_cannot_hang_the_worker() {
         // `sleep` never reads its stdin. With a script larger than the
         // pipe's capacity, a blocking writer would stall in write(2)
-        // forever; the non-blocking send path must hit the per-query
-        // deadline instead and report a wedge.
+        // forever; the session's frame stays queued behind non-blocking
+        // writes, so the per-query deadline fires and reports a wedge.
         let mut solver = lane("sleep 30").with_timeout(Duration::from_millis(250));
         let huge = format!(
             "(assert (= 1 1)) ; {}\n(check-sat)",
@@ -2319,54 +2016,52 @@ mod tests {
     // ------------------------------------------------- mock scope stack
 
     /// The mock answers a session frame (`(push 1)` script `(get-model)`
-    /// `(pop 1)` on a prologue-only base) exactly like the same script
-    /// sent spawn-style on a fresh process — the reconstructed
-    /// scope-stack script is what gets fingerprinted, and the prologue
-    /// and framing commands never reach the hash.
+    /// `(pop 1)` on a prologue-only base) exactly as [`reply_for`] and
+    /// [`model_for`] answer the bare script — what a freshly spawned
+    /// process sent only that script would say. The reconstructed
+    /// scope-stack script is what gets fingerprinted (the text up to the
+    /// `(check-sat)`), and the prologue and framing commands never reach
+    /// the hash.
     #[test]
     fn mock_session_frames_answer_like_spawn_requests() {
         let config = MockConfig {
             seed: 23,
             ..MockConfig::default()
         };
-        let scripts = [
-            "(declare-const x Int)\n(assert (> x 3))\n(check-sat)",
-            "(declare-const p Bool)\n(assert p)\n(check-sat)",
-            "(assert (= 1 2))\n(check-sat)",
+        let bodies = [
+            "(declare-const x Int)\n(assert (> x 3))",
+            "(declare-const p Bool)\n(assert p)",
+            "(assert (= 1 2))",
+            "(declare-const y Int)\n(assert (< y 0))",
         ];
-        // Spawn-style: fresh serve per script, prologue first, reset
-        // between (mirrors PipeCommand::spawn + release).
-        let mut spawn_outputs = Vec::new();
-        for script in &scripts {
-            let request =
-                format!("(set-option :produce-models true)\n{script}\n(get-model)\n(reset)\n");
-            let mut output = Vec::new();
-            serve(&config, request.as_bytes(), &mut output).unwrap();
-            spawn_outputs.push(output);
+        let mut request = String::from("(set-option :produce-models true)\n");
+        for body in &bodies {
+            let frame = PipeSolver::frame(&format!("{body}\n(check-sat)"));
+            request.push_str(std::str::from_utf8(&frame).unwrap());
         }
-        // Session-style: ONE serve, every script a push/pop frame.
-        let mut session_request = String::from("(set-option :produce-models true)\n");
-        for script in &scripts {
-            session_request.push_str(&format!("(push 1)\n{script}\n(get-model)\n(pop 1)\n"));
-        }
-        let mut session_output = Vec::new();
-        serve(&config, session_request.as_bytes(), &mut session_output).unwrap();
-        let mut session_parser = ReplyParser::new();
-        session_parser.feed(&session_output);
-        for (i, spawn_output) in spawn_outputs.iter().enumerate() {
-            let mut spawn_parser = ReplyParser::new();
-            spawn_parser.feed(spawn_output);
+        let mut output = Vec::new();
+        serve(&config, request.as_bytes(), &mut output).unwrap();
+        let mut parser = ReplyParser::new();
+        parser.feed(&output);
+        let mut verdicts = std::collections::BTreeSet::new();
+        for (i, body) in bodies.iter().enumerate() {
+            let MockReply::Answer { token, .. } = reply_for(&config, body) else {
+                panic!("script {i} must be answered");
+            };
             assert_eq!(
-                session_parser.take_line(),
-                spawn_parser.take_line(),
-                "verdict diverged between transports for script {i}"
+                parser.take_line().as_ref(),
+                Some(&token),
+                "verdict of script {i}"
             );
             assert_eq!(
-                session_parser.take_sexp(),
-                spawn_parser.take_sexp(),
-                "model diverged between transports for script {i}"
+                parser.take_sexp(),
+                Some(model_for(&config, body)),
+                "model of script {i}"
             );
+            verdicts.insert(token);
         }
+        assert_eq!(parser.take_line(), None, "one reply per frame");
+        assert!(verdicts.len() > 1, "the sweep drew one verdict only");
     }
 
     /// Scope reconstruction is a stack: a check-sat inside a pushed
@@ -2404,15 +2099,6 @@ mod tests {
 
     // --------------------------------------------- live session lanes
 
-    fn session_lane(cmdline: &str) -> PipeSolver {
-        PipeSolver::standalone(
-            PipeCommand::parse(cmdline).unwrap(),
-            SolverId::OxiZ,
-            crate::TRUNK_COMMIT,
-        )
-        .with_mode(SolverMode::Session)
-    }
-
     /// A POSIX-sh responder that speaks the session protocol: `sat` for
     /// every `(check-sat)` line, an empty model for every `(get-model)`.
     /// Commands must arrive on their own lines (the tests' scripts put
@@ -2433,7 +2119,6 @@ mod tests {
             SolverId::OxiZ,
             crate::TRUNK_COMMIT,
         )
-        .with_mode(SolverMode::Session)
     }
 
     #[test]
@@ -2505,7 +2190,6 @@ mod tests {
             SolverId::OxiZ,
             crate::TRUNK_COMMIT,
         )
-        .with_mode(SolverMode::Session)
         .with_timeout(Duration::from_millis(600));
         let reactor = Rc::clone(solver.reactor());
         let texts: Vec<String> = (0..4)
@@ -2551,8 +2235,7 @@ mod tests {
             },
             SolverId::OxiZ,
             crate::TRUNK_COMMIT,
-        )
-        .with_mode(SolverMode::Session);
+        );
         let response = solver.check("(assert true)\n(check-sat)");
         assert_eq!(
             response.outcome,
@@ -2572,7 +2255,7 @@ mod tests {
         // `true` exits immediately: the first query dies, the next one
         // respawns the session (against `true` again, so it dies too —
         // what recovers is the *lane*, not the binary).
-        let mut solver = session_lane("true");
+        let mut solver = lane("true");
         let response = solver.check("(assert true)\n(check-sat)");
         match response.outcome {
             Outcome::Crash(info) => {
@@ -2593,7 +2276,7 @@ mod tests {
 
     #[test]
     fn session_wedge_fires_at_the_deadline() {
-        let mut solver = session_lane("sleep 30").with_timeout(Duration::from_millis(150));
+        let mut solver = lane("sleep 30").with_timeout(Duration::from_millis(150));
         let started = Instant::now();
         let response = solver.check("(check-sat)");
         assert!(
@@ -2619,20 +2302,83 @@ mod tests {
             },
             SolverId::Cervo,
             crate::TRUNK_COMMIT,
-        )
-        .with_mode(SolverMode::Session);
+        );
         let response = solver.check("(check-sat)");
         assert_eq!(
             response.outcome,
             Outcome::ParseError("out of memory".into())
         );
+        assert_eq!(solver.respawns(), 1, "an error desyncs the stream");
     }
 
     #[test]
     fn session_spawn_failure_is_an_error_response() {
-        let mut solver = session_lane("/nonexistent/solver-binary");
+        let mut solver = lane("/nonexistent/solver-binary");
+        for _ in 0..2 {
+            let response = solver.check("(check-sat)");
+            assert!(matches!(response.outcome, Outcome::ParseError(_)));
+        }
+        assert_eq!(
+            solver.processes_spawned(),
+            0,
+            "each query retries the spawn"
+        );
+    }
+
+    /// A child that answers a verdict and then babbles — `yes` prints `y`
+    /// forever — can never fill the model slot. The lane retires it as
+    /// soon as the slot opens with anything but `(`, with the response
+    /// the deadline would give, instead of buffering the stream until the
+    /// deadline.
+    #[test]
+    fn babbling_child_is_retired_without_waiting_for_the_deadline() {
+        let mut solver = lane("yes").with_timeout(Duration::from_secs(30));
+        let started = Instant::now();
         let response = solver.check("(check-sat)");
-        assert!(matches!(response.outcome, Outcome::ParseError(_)));
+        assert!(
+            started.elapsed() < Duration::from_secs(10),
+            "a babbling child held the query for {:?}",
+            started.elapsed()
+        );
+        assert_eq!(
+            response.outcome,
+            Outcome::ParseError("unrecognized solver reply 'y'".into())
+        );
+        assert_eq!(solver.respawns(), 1);
+    }
+
+    /// A model slot that opens and never closes — `yes (` prints `(`
+    /// forever — is cut off at [`MAX_REPLY_BYTES`]: bounded memory, and
+    /// the query returns long before its deadline.
+    #[test]
+    fn unclosed_model_slot_is_retired_at_the_reply_cap() {
+        let mut solver = lane("yes (").with_timeout(Duration::from_secs(30));
+        let started = Instant::now();
+        let response = solver.check("(check-sat)");
+        assert!(
+            started.elapsed() < Duration::from_secs(10),
+            "an unclosed model slot held the query for {:?}",
+            started.elapsed()
+        );
+        assert_eq!(
+            response.outcome,
+            Outcome::ParseError("unrecognized solver reply '('".into())
+        );
+        assert_eq!(solver.respawns(), 1);
+    }
+
+    #[test]
+    fn fill_stops_one_byte_past_the_reply_cap() {
+        let mut parser = ReplyParser::new();
+        let mut flood = std::io::repeat(b'(');
+        assert_eq!(parser.fill(&mut flood).unwrap(), Some(MAX_REPLY_BYTES + 1));
+        assert!(parser.overflowed());
+        assert_eq!(
+            parser.fill(&mut flood).unwrap(),
+            None,
+            "a full buffer reads nothing"
+        );
+        assert_eq!(parser.take_sexp(), None);
     }
 
     // ------------------------------------------ verdict cache: key purity
@@ -2786,47 +2532,29 @@ mod tests {
     }
 
     #[test]
-    fn spawn_cache_hit_reproduces_the_fresh_response_without_a_process() {
-        let cache = Rc::new(MemCache::default());
-        let mut solver = lane("echo unsat").with_cache(Rc::clone(&cache) as Rc<dyn VerdictCache>);
-        let script = "(assert false)\n(check-sat)";
-        let fresh = solver.check(script);
-        assert_eq!(fresh.outcome, Outcome::Unsat);
-        assert_eq!((solver.cache_hits(), solver.cache_misses()), (0, 1));
-        assert_eq!(cache.recorded.get(), 1);
-        let spawned = solver.processes_spawned();
-        let hit = solver.check(script);
-        assert_eq!(hit, fresh, "a hit must be bit-identical to the fresh solve");
-        assert_eq!(
-            solver.processes_spawned(),
-            spawned,
-            "a hit must not touch a process"
-        );
-        assert_eq!((solver.cache_hits(), solver.cache_misses()), (1, 1));
-        assert_eq!(cache.recorded.get(), 1, "hits are not re-recorded");
-        // Padding the script re-hits the same entry: the key is the
-        // normalized script, not the raw text.
-        let padded = solver.check("\n  (assert false)\n\n(check-sat)  \n");
-        assert_eq!(padded, fresh);
-        assert_eq!(solver.cache_hits(), 2);
-    }
-
-    #[test]
     fn session_cache_hit_reproduces_the_fresh_response() {
         let cache = Rc::new(MemCache::default());
         let mut solver = sh_session_lane().with_cache(Rc::clone(&cache) as Rc<dyn VerdictCache>);
         let script = "(assert (> x 1))\n(check-sat)";
         let fresh = solver.check(script);
         assert_eq!(fresh.outcome, Outcome::Sat);
-        let pushed = solver.scopes_pushed();
+        assert_eq!((solver.cache_hits(), solver.cache_misses()), (0, 1));
+        assert_eq!(cache.recorded.get(), 1);
+        let (pushed, spawned) = (solver.scopes_pushed(), solver.processes_spawned());
         let hit = solver.check(script);
-        assert_eq!(hit, fresh);
+        assert_eq!(hit, fresh, "a hit must be bit-identical to the fresh solve");
         assert_eq!(
-            solver.scopes_pushed(),
-            pushed,
-            "a hit must not occupy a session frame"
+            (solver.scopes_pushed(), solver.processes_spawned()),
+            (pushed, spawned),
+            "a hit must not touch a process or occupy a session frame"
         );
         assert_eq!((solver.cache_hits(), solver.cache_misses()), (1, 1));
+        assert_eq!(cache.recorded.get(), 1, "hits are not re-recorded");
+        // Padding the script re-hits the same entry: the key is the
+        // normalized script, not the raw text.
+        let padded = solver.check("\n  (assert (> x 1))\n\n(check-sat)  \n");
+        assert_eq!(padded, fresh);
+        assert_eq!(solver.cache_hits(), 2);
     }
 
     #[test]
@@ -2863,102 +2591,5 @@ mod tests {
         let _ = solver.check("(check-sat)");
         assert_eq!(solver.cache_misses(), 2);
         assert_eq!(solver.cache_hits(), 0);
-    }
-
-    // -------------------------------------------------- prefix affinity
-
-    #[test]
-    fn affinity_reuses_a_held_prefix_scope() {
-        let mut solver = sh_session_lane().with_affinity(true);
-        let queries = [
-            "(declare-const x Int)\n(assert (> x 1))\n(check-sat)",
-            "(declare-const x Int)\n(assert (> x 2))\n(check-sat)",
-            "(declare-const x Int)\n(assert (> x 3))\n(check-sat)",
-        ];
-        for (i, q) in queries.iter().enumerate() {
-            let response = solver.check(q);
-            assert_eq!(response.outcome, Outcome::Sat, "query {i}");
-        }
-        assert_eq!(
-            solver.prefix_reuses(),
-            2,
-            "queries 2 and 3 ride the held prefix"
-        );
-        assert_eq!(
-            solver.scopes_pushed(),
-            3,
-            "held-prefix pushes are transport bookkeeping, not query scopes"
-        );
-        assert_eq!(solver.processes_spawned(), 1);
-    }
-
-    #[test]
-    fn affinity_prefix_switch_pops_and_repushes() {
-        let mut solver = sh_session_lane().with_affinity(true);
-        let queries = [
-            "(declare-const x Int)\n(assert (> x 1))\n(check-sat)",
-            "(declare-const y Int)\n(assert (> y 1))\n(check-sat)", // switch
-            "(declare-const y Int)\n(assert (> y 2))\n(check-sat)", // reuse
-            "(assert true)\n(check-sat)",                           // no prefix: drop held
-            "(declare-const y Int)\n(assert (> y 3))\n(check-sat)", // re-establish
-        ];
-        for (i, q) in queries.iter().enumerate() {
-            let response = solver.check(q);
-            assert_eq!(response.outcome, Outcome::Sat, "query {i}");
-        }
-        assert_eq!(solver.prefix_reuses(), 1, "only query 3 reuses");
-        assert_eq!(solver.respawns(), 0);
-    }
-
-    /// The affinity layout answers exactly like the classic layout: the
-    /// same scripts sent as (held prefix scope + suffix frames) and as
-    /// self-contained frames produce byte-identical reply streams from
-    /// the mock — the solver answers the reconstructed stack, and both
-    /// layouts reconstruct the same stack.
-    #[test]
-    fn affine_wire_layout_answers_like_classic_frames() {
-        let config = MockConfig {
-            seed: 31,
-            ..MockConfig::default()
-        };
-        let prefix = "(declare-const x Int)\n(declare-const y Int)";
-        let suffixes = [
-            "(assert (> x 0))\n(check-sat)",
-            "(assert (< y 5))\n(check-sat)",
-            "(assert (= (+ x y) 3))\n(check-sat)",
-        ];
-        let mut classic = String::from("(set-option :produce-models true)\n");
-        for s in &suffixes {
-            classic.push_str(&format!("(push 1)\n{prefix}\n{s}\n(get-model)\n(pop 1)\n"));
-        }
-        let mut affine = format!("(set-option :produce-models true)\n(push 1)\n{prefix}\n");
-        for s in &suffixes {
-            affine.push_str(&format!("(push 1)\n{s}\n(get-model)\n(pop 1)\n"));
-        }
-        let mut classic_out = Vec::new();
-        serve(&config, classic.as_bytes(), &mut classic_out).unwrap();
-        let mut affine_out = Vec::new();
-        serve(&config, affine.as_bytes(), &mut affine_out).unwrap();
-        assert_eq!(
-            classic_out, affine_out,
-            "held-prefix layout changed an answer"
-        );
-    }
-
-    #[test]
-    fn decl_prefix_splits_at_the_first_non_declaration_line() {
-        let text = "(set-logic QF_LIA)\n(declare-const x Int)\n(define-fun f () Int 1)\n\
-                    (assert (> x 0))\n(check-sat)";
-        let n = PipeSolver::decl_prefix_len(text);
-        assert_eq!(
-            &text[..n],
-            "(set-logic QF_LIA)\n(declare-const x Int)\n(define-fun f () Int 1)\n"
-        );
-        // All-declaration and no-declaration scripts do not split.
-        assert_eq!(
-            PipeSolver::decl_prefix_len("(declare-const x Int)"),
-            "(declare-const x Int)".len()
-        );
-        assert_eq!(PipeSolver::decl_prefix_len("(assert p)\n(check-sat)"), 0);
     }
 }

@@ -3,10 +3,9 @@
 //! serial (K = 1) vs. 8 queries in flight, is bit-identical.
 //!
 //! The solver command comes from `O4A_SOLVER_CMD` (whitespace-split;
-//! `{lane}` becomes the solver-lane index) and the transport from
-//! `O4A_SOLVER_MODE` (`spawn`: one child per in-flight query; `session`:
-//! K `(push 1)`/`(pop 1)` scopes multiplexed on one persistent process
-//! per lane). Typical invocations:
+//! `{lane}` becomes the solver-lane index). Each lane runs one persistent
+//! process and multiplexes its K in-flight queries as `(push 1)`/`(pop 1)`
+//! scopes on it. Typical invocations:
 //!
 //! ```text
 //! # the deterministic mock (build it first):
@@ -18,24 +17,17 @@
 //! O4A_SOLVER_CMD="target/debug/mock_solver --seed 13 --lane {lane} --crash-mod 5" \
 //!     cargo run --release --example pipe_campaign
 //!
-//! # one persistent incremental session per lane:
-//! O4A_SOLVER_MODE=session \
-//! O4A_SOLVER_CMD="target/debug/mock_solver --seed 13 --lane {lane}" \
-//!     cargo run --release --example pipe_campaign
-//!
 //! # real Z3, when installed (z3 -in speaks incremental mode natively):
-//! O4A_SOLVER_MODE=session O4A_SOLVER_CMD="z3 -in" \
-//!     cargo run --release --example pipe_campaign
+//! O4A_SOLVER_CMD="z3 -in" cargo run --release --example pipe_campaign
 //!
-//! # verdict cache (warm-restartable) + prefix-affinity routing:
-//! O4A_CACHE=/tmp/o4a-cache O4A_AFFINITY=1 O4A_SOLVER_MODE=session \
+//! # verdict cache (warm-restartable):
+//! O4A_CACHE=/tmp/o4a-cache \
 //! O4A_SOLVER_CMD="target/debug/mock_solver --seed 13 --lane {lane}" \
 //!     cargo run --release --example pipe_campaign
 //! ```
 
 use once4all::core::{dedup, CampaignConfig, Once4AllFuzzer};
 use once4all::exec::{run_shard_piped, ExecConfig, PipeBackend};
-use once4all::solvers::SolverMode;
 
 fn main() {
     let Some(cmd) = std::env::var("O4A_SOLVER_CMD")
@@ -50,9 +42,7 @@ fn main() {
         return;
     };
     let knob = ExecConfig::from_env();
-    let mut backend = PipeBackend::new(cmd.clone())
-        .with_mode(knob.solver_mode)
-        .with_affinity(knob.affinity);
+    let mut backend = PipeBackend::new(cmd.clone());
     if let Some(ms) = knob.solver_timeout_ms {
         backend = backend.with_timeout(std::time::Duration::from_millis(ms));
     }
@@ -60,10 +50,6 @@ fn main() {
         println!("verdict cache: {}", dir.display());
         backend = backend.with_cache_dir(dir);
     }
-    let mode = match knob.solver_mode {
-        SolverMode::Spawn => "spawn (process per in-flight query)",
-        SolverMode::Session => "session (one persistent process per lane)",
-    };
     let config = CampaignConfig {
         virtual_hours: 2,
         time_scale: 100_000, // demo scale: ~a hundred cases
@@ -71,11 +57,11 @@ fn main() {
         ..CampaignConfig::default()
     };
 
-    println!("driving '{cmd}' over pipes in {mode} mode, serial (K=1)...");
+    println!("driving '{cmd}' over pipes, serial (K=1)...");
     let mut fuzzer = Once4AllFuzzer::with_defaults();
     let serial = run_shard_piped(&mut fuzzer, &config, 0, None, 1, &backend);
 
-    println!("driving '{cmd}' over pipes in {mode} mode, 8 queries in flight...");
+    println!("driving '{cmd}' over pipes, 8 queries in flight...");
     let mut fuzzer = Once4AllFuzzer::with_defaults();
     let overlapped = run_shard_piped(&mut fuzzer, &config, 0, None, 8, &backend);
 
@@ -103,9 +89,8 @@ fn main() {
     // re-sequenced by case index, and (for deterministic solvers) every
     // answer is a pure function of the script — so overlap changes the
     // schedule and nothing else. Transport churn is the one quantity
-    // overlap IS allowed to change (spawn mode fans out across more
-    // children at K=8; both modes execute speculative queries at K>1),
-    // hence the sans_transport view.
+    // overlap IS allowed to change (K>1 executes speculative queries past
+    // the budget boundary), hence the sans_transport view.
     assert_eq!(
         serial.stats.sans_transport(),
         overlapped.stats.sans_transport()
@@ -115,25 +100,22 @@ fn main() {
         dedup(&serial.findings).len(),
         dedup(&overlapped.findings).len()
     );
-    if knob.solver_mode == SolverMode::Session {
-        // The refactor's point, observable end to end: one persistent
-        // process per lane regardless of K (plus crash respawns).
-        let lanes = config.solvers.len() as u64;
-        for (name, stats) in [("serial", &serial.stats), ("K=8", &overlapped.stats)] {
-            // Cache hits never touch a process, so a (partially) warm
-            // run can stay under the one-process-per-lane floor — all
-            // the way to zero when every query is served off the
-            // journal.
-            let floor = if stats.cache_hits > 0 { 0 } else { lanes };
-            assert!(
-                stats.processes_spawned >= floor
-                    && stats.processes_spawned <= lanes + stats.process_respawns,
-                "session {name} run spawned {} processes for {} lanes + {} respawns",
-                stats.processes_spawned,
-                lanes,
-                stats.process_respawns
-            );
-        }
+    // One persistent process per lane regardless of K (plus crash
+    // respawns), observable end to end.
+    let lanes = config.solvers.len() as u64;
+    for (name, stats) in [("serial", &serial.stats), ("K=8", &overlapped.stats)] {
+        // Cache hits never touch a process, so a (partially) warm run
+        // can stay under the one-process-per-lane floor — all the way to
+        // zero when every query is served off the journal.
+        let floor = if stats.cache_hits > 0 { 0 } else { lanes };
+        assert!(
+            stats.processes_spawned >= floor
+                && stats.processes_spawned <= lanes + stats.process_respawns,
+            "{name} run spawned {} processes for {} lanes + {} respawns",
+            stats.processes_spawned,
+            lanes,
+            stats.process_respawns
+        );
     }
     println!("serial and K=8 piped campaigns are bit-identical");
 }
