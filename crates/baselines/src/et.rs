@@ -6,10 +6,10 @@
 //! generation-based approaches.
 
 use o4a_core::{Fuzzer, TestCase};
-use o4a_grammar::{Deriver, Grammar, Hooks};
+use o4a_grammar::{Deriver, Grammar, HookTable};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::cell::RefCell;
+use rand::{Rng, SeedableRng};
+use std::fmt::Write;
 
 /// The expert-crafted enumeration grammar (standard theories only).
 const ET_GRAMMAR: &str = "\
@@ -82,48 +82,88 @@ impl Fuzzer for Et {
         // first, as grammar enumeration does).
         let depth = 3 + (self.index / 500).min(5) as usize;
         let mut case_rng = StdRng::seed_from_u64(0xe7 ^ self.index);
-        let decls = RefCell::new(Vec::<String>::new());
-        let var = |prefix: &str, sort: &str, decls: &RefCell<Vec<String>>, n: u32| {
-            let k = n % 3;
-            let name = format!("{prefix}{k}");
-            let line = format!("(declare-const {name} {sort})");
-            let mut d = decls.borrow_mut();
-            if !d.contains(&line) {
-                d.push(line);
-            }
-            name
-        };
-        let mut hooks = Hooks::new();
-        hooks.register("ic", |r| (r.next_u32() % 9).to_string());
-        hooks.register("iv", |r| var("ei", "Int", &decls, r.next_u32()));
-        hooks.register("rc", |r| {
-            format!("{}.{}", r.next_u32() % 4, r.next_u32() % 10)
-        });
-        hooks.register("rv", |r| var("er", "Real", &decls, r.next_u32()));
-        hooks.register("sc", |r| {
-            let n = r.next_u32() % 3;
-            let body: String = (0..n)
-                .map(|_| (b'a' + (r.next_u32() % 2) as u8) as char)
-                .collect();
-            format!("\"{body}\"")
-        });
-        hooks.register("sv", |r| var("es", "String", &decls, r.next_u32()));
-        hooks.register("bc", |r| format!("(_ bv{} 8)", r.next_u32() % 256));
-        hooks.register("bv", |r| var("eb", "(_ BitVec 8)", &decls, r.next_u32()));
+        let mut leaves = EtLeaves::default();
         let term = Deriver::new(&self.grammar)
             .max_depth(depth)
-            .derive(&mut case_rng, &mut hooks)
+            .derive(&mut case_rng, &mut leaves)
             .unwrap_or_else(|_| "true".to_string());
-        let mut text = decls.borrow().join("\n");
-        if !text.is_empty() {
-            text.push('\n');
+        let mut text = String::new();
+        for (prefix, sort, k) in &leaves.declared {
+            let _ = writeln!(text, "(declare-const {prefix}{k} {sort})");
         }
-        text.push_str(&format!("(assert {term})\n(check-sat)"));
+        let _ = write!(text, "(assert {term})\n(check-sat)");
         let gen_micros = 40 + text.len() as u64 / 2;
         TestCase {
             text,
             gen_micros,
             parsed: None,
+        }
+    }
+}
+
+/// ET's leaf hooks.
+#[derive(Clone, Copy)]
+enum EtLeaf {
+    IntConst,
+    RealConst,
+    StrConst,
+    BvConst,
+    /// A variable of a fixed sort: name prefix and sort text.
+    Var(&'static str, &'static str),
+}
+
+/// ET's hook table: three variables per sort, each declared the first
+/// time a case uses it.
+#[derive(Default)]
+struct EtLeaves {
+    /// `(prefix, sort, k)` of every variable used, in first-use order.
+    declared: Vec<(&'static str, &'static str, u32)>,
+}
+
+impl HookTable for EtLeaves {
+    type Id = EtLeaf;
+
+    fn resolve(&self, name: &str) -> Option<EtLeaf> {
+        Some(match name {
+            "ic" => EtLeaf::IntConst,
+            "iv" => EtLeaf::Var("ei", "Int"),
+            "rc" => EtLeaf::RealConst,
+            "rv" => EtLeaf::Var("er", "Real"),
+            "sc" => EtLeaf::StrConst,
+            "sv" => EtLeaf::Var("es", "String"),
+            "bc" => EtLeaf::BvConst,
+            "bv" => EtLeaf::Var("eb", "(_ BitVec 8)"),
+            _ => return None,
+        })
+    }
+
+    fn write<R: Rng + ?Sized>(&mut self, leaf: EtLeaf, r: &mut R, out: &mut String) {
+        match leaf {
+            EtLeaf::IntConst => {
+                let _ = write!(out, "{}", r.next_u32() % 9);
+            }
+            EtLeaf::RealConst => {
+                let whole = r.next_u32() % 4;
+                let _ = write!(out, "{whole}.{}", r.next_u32() % 10);
+            }
+            EtLeaf::StrConst => {
+                let n = r.next_u32() % 3;
+                out.push('"');
+                for _ in 0..n {
+                    out.push((b'a' + (r.next_u32() % 2) as u8) as char);
+                }
+                out.push('"');
+            }
+            EtLeaf::BvConst => {
+                let _ = write!(out, "(_ bv{} 8)", r.next_u32() % 256);
+            }
+            EtLeaf::Var(prefix, sort) => {
+                let var = (prefix, sort, r.next_u32() % 3);
+                if !self.declared.contains(&var) {
+                    self.declared.push(var);
+                }
+                let _ = write!(out, "{prefix}{}", var.2);
+            }
         }
     }
 }

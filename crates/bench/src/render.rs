@@ -215,12 +215,15 @@ pub fn render_stats(result: &CampaignResult) -> String {
             s.leases_granted, s.leases_reissued
         );
     }
-    // Engine rewrite, search and shard merge times are process metrics,
-    // recorded only while metrics are on (`O4A_METRICS`); a metrics-off
-    // run prints none of these lines.
+    // Generation stages, engine rewrite, search and shard merge times are
+    // process metrics, recorded only while metrics are on (`O4A_METRICS`);
+    // a metrics-off run prints none of these lines.
     if o4a_obs::metrics_enabled() {
         let histograms = o4a_obs::metrics::snapshot().histograms;
         for (name, label) in [
+            ("fuzzer.derive", "fuzzer.derive µs/call    "),
+            ("fuzzer.fill", "fuzzer.fill µs/call      "),
+            ("frontend.pass", "frontend.pass µs/call    "),
             ("solver.rewrite", "solver.rewrite µs/call   "),
             ("solver.search", "solver.search µs/call    "),
             ("exec.merge_micros", "exec.merge µs/campaign   "),
@@ -687,10 +690,16 @@ mod tests {
             metrics: true,
             ..o4a_obs::ObsConfig::default()
         });
+        o4a_obs::metrics::histogram("fuzzer.derive").record(15);
+        o4a_obs::metrics::histogram("fuzzer.fill").record(45);
+        o4a_obs::metrics::histogram("frontend.pass").record(100);
         o4a_obs::metrics::histogram("solver.rewrite").record(30);
         o4a_obs::metrics::histogram("solver.search").record(40);
         o4a_obs::metrics::histogram("exec.merge_micros").record(900);
         let s = render_stats(&result);
+        assert!(s.contains("fuzzer.derive µs/call    : n="), "{s}");
+        assert!(s.contains("fuzzer.fill µs/call      : n="), "{s}");
+        assert!(s.contains("frontend.pass µs/call    : n="), "{s}");
         assert!(s.contains("solver.rewrite µs/call   : n="), "{s}");
         assert!(s.contains("solver.search µs/call    : n="), "{s}");
         assert!(s.contains("exec.merge µs/campaign   : n="), "{s}");

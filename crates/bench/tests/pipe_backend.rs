@@ -598,7 +598,7 @@ fn cache_dir(tag: &str) -> std::path::PathBuf {
 /// fresh solve would have produced, so caching can never show in
 /// campaign observables.
 #[test]
-fn cached_campaign_matches_uncached_across_modes_and_topologies() {
+fn cached_campaign_matches_uncached_across_topologies() {
     let config = quick_config();
     let base = PipeBackend::new(mock_cmd("--latency-ms 2"));
     let reference = piped_shard(&config, 1, &base);

@@ -174,11 +174,14 @@ impl Once4AllFuzzer {
         };
         let mut sample_rng = StdRng::from_rng_seed(rng.gen());
         self.total_fills += 1;
-        let raw = self.generators[gi]
-            .program
-            .generate(&mut sample_rng)
-            .map_err(|e| e.to_string())?;
-        match parse_fill_into(&raw, &mut self.arena) {
+        let timer = o4a_obs::metrics::start_timer();
+        let raw = self.generators[gi].program.generate(&mut sample_rng);
+        o4a_obs::metrics::record_elapsed("fuzzer.derive", timer);
+        let raw = raw.map_err(|e| e.to_string())?;
+        let timer = o4a_obs::metrics::start_timer();
+        let fill = parse_fill_into(&raw, &mut self.arena);
+        o4a_obs::metrics::record_elapsed("fuzzer.fill", timer);
+        match fill {
             Ok(f) => Ok(f),
             Err(e) => {
                 self.invalid_fills += 1;
@@ -193,7 +196,9 @@ impl Once4AllFuzzer {
         self.print_buf.clear();
         script.print_into(&self.arena, &mut self.print_buf);
         let text = self.print_buf.clone();
+        let timer = o4a_obs::metrics::start_timer();
         let parsed = Parsed::from_arena(script, &self.arena, &text);
+        o4a_obs::metrics::record_elapsed("frontend.pass", timer);
         TestCase {
             gen_micros: 150 + text.len() as u64,
             text,

@@ -6,22 +6,48 @@
 //!
 //! The Once4All pipeline stores each theory's grammar as BNF text (the
 //! artifact the LLM "summarizes" from documentation, Figure 3a of the
-//! paper), compiles it with [`Grammar::parse_bnf`], and derives random
-//! Boolean terms from it. Data-generating leaves (`<int-const>`,
-//! `<declare-int-var>`, ...) are *hook* nonterminals resolved by the caller
-//! through [`Hooks`], which is how generated terms acquire fresh constants
-//! and declared variables.
+//! paper) and compiles it with [`Grammar::parse_bnf`]. A [`Grammar`] keeps
+//! its rules twice: as editable [`Production`]s, and as an index compiled
+//! for derivation, in which rules are numbered, terminals interned, `(` and
+//! `)` are their own items, hook leaves are numbered, and every rule carries
+//! its weight total and its least-branching productions. Every method that
+//! edits the rules recompiles the index before it returns, so a grammar is
+//! compiled once per revision and a derivation never looks a name up or
+//! clones a token: [`Deriver`] writes its tokens straight into one output
+//! `String`.
+//!
+//! Data-generating leaves (`<int-const>`, `<declare-int-var>`, ...) are
+//! *hook* nonterminals, referenced but never defined. The caller's
+//! [`HookTable`] resolves each hook name once per derivation and writes the
+//! leaf text into the output, which is how generated terms acquire fresh
+//! constants and declared variables.
 //!
 //! ```
-//! use o4a_grammar::{Grammar, Deriver, Hooks};
-//! use rand::SeedableRng;
+//! use o4a_grammar::{Deriver, Grammar, HookTable};
+//! use rand::{Rng, SeedableRng};
+//!
+//! /// Expands `<digit>` leaves.
+//! struct Digits;
+//!
+//! impl HookTable for Digits {
+//!     type Id = ();
+//!
+//!     fn resolve(&self, name: &str) -> Option<()> {
+//!         (name == "digit").then_some(())
+//!     }
+//!
+//!     fn write<R: Rng + ?Sized>(&mut self, _id: (), rng: &mut R, out: &mut String) {
+//!         out.push(char::from(b'0' + (rng.next_u32() % 10) as u8));
+//!     }
+//! }
 //!
 //! let g = Grammar::parse_bnf(
-//!     "<BoolTerm> ::= true | false | (not <BoolTerm>) | (and <BoolTerm> <BoolTerm>)",
+//!     "<BoolTerm> ::= true | (not <BoolTerm>) | (and <BoolTerm> <BoolTerm>) \
+//!      | (= <digit> <digit>)",
 //! )?;
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-//! let out = Deriver::new(&g).max_depth(6).derive(&mut rng, &mut Hooks::new())?;
-//! assert!(out.starts_with('(') || out == "true" || out == "false");
+//! let out = Deriver::new(&g).max_depth(6).derive(&mut rng, &mut Digits)?;
+//! assert!(out.starts_with('(') || out == "true");
 //! # Ok::<(), o4a_grammar::GrammarError>(())
 //! ```
 
@@ -31,6 +57,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::ops::Range;
 
 /// An element of a production's right-hand side.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -97,11 +124,13 @@ impl fmt::Display for GrammarError {
 
 impl std::error::Error for GrammarError {}
 
-/// A context-free grammar.
+/// A context-free grammar: its rules, and the index compiled from them for
+/// [`Deriver`].
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Grammar {
     start: String,
     rules: BTreeMap<String, Vec<Production>>,
+    index: Index,
 }
 
 impl Grammar {
@@ -211,7 +240,12 @@ impl Grammar {
         if rules.values().all(|ps| ps.is_empty()) {
             return Err(GrammarError::Empty);
         }
-        Ok(Grammar { start, rules })
+        let index = Index::compile(&start, &rules);
+        Ok(Grammar {
+            start,
+            rules,
+            index,
+        })
     }
 
     /// The start symbol.
@@ -266,6 +300,9 @@ impl Grammar {
             });
             removed += before - ps.len();
         }
+        if removed > 0 {
+            self.recompile();
+        }
         removed
     }
 
@@ -284,7 +321,12 @@ impl Grammar {
             .entry(rule.to_string())
             .or_default()
             .push(production);
+        self.recompile();
         Ok(())
+    }
+
+    fn recompile(&mut self) {
+        self.index = Index::compile(&self.start, &self.rules);
     }
 
     /// Serializes back to BNF text (normal form; one rule per line).
@@ -385,61 +427,64 @@ fn render_production(p: &Production) -> String {
 /// Joins tokens with SMT-LIB-style spacing: no space after `(`, none before
 /// `)`.
 pub fn join_tokens(tokens: &[String]) -> String {
-    // Sized for the common case (token + separator); grows at most once or
-    // twice on outliers. Trailing whitespace is popped in place rather than
-    // re-allocating via `trim_end().to_string()` at every `)` — on deeply
-    // parenthesised derivations that rebuild was quadratic in output size.
     let mut out = String::with_capacity(tokens.iter().map(|t| t.len() + 1).sum());
     for t in tokens {
-        if t == ")" {
-            while out.ends_with(char::is_whitespace) {
-                out.pop();
+        match t.as_str() {
+            "(" => out.push('('),
+            ")" => close_paren(&mut out),
+            _ => {
+                out.push_str(t);
+                out.push(' ');
             }
-            out.push(')');
-            out.push(' ');
-        } else if t == "(" {
-            out.push('(');
-        } else {
-            out.push_str(t);
-            out.push(' ');
         }
     }
-    while out.ends_with(char::is_whitespace) {
-        out.pop();
-    }
+    trim_trailing_whitespace(&mut out);
     out
 }
 
-/// Caller-supplied resolvers for hook nonterminals (data-generating leaves).
-#[derive(Default)]
-pub struct Hooks<'a> {
-    #[allow(clippy::type_complexity)]
-    map: BTreeMap<String, Box<dyn FnMut(&mut dyn rand::RngCore) -> String + 'a>>,
+/// Writes `)` over any whitespace the previous token left behind.
+fn close_paren(out: &mut String) {
+    trim_trailing_whitespace(out);
+    out.push_str(") ");
 }
 
-impl<'a> Hooks<'a> {
-    /// Creates an empty hook set.
-    pub fn new() -> Hooks<'a> {
-        Hooks::default()
+fn trim_trailing_whitespace(out: &mut String) {
+    let kept = out.trim_end().len();
+    out.truncate(kept);
+}
+
+/// Caller-supplied resolvers for hook nonterminals (data-generating
+/// leaves such as `<int-const>` or `<bv-var>`).
+///
+/// A derivation resolves each hook name of the grammar to an [`Id`] once,
+/// when it starts, and then dispatches every leaf through
+/// [`HookTable::write`]. A name the table does not resolve is an error
+/// only if the derivation reaches it.
+///
+/// `()` is the empty table, for grammars without hooks.
+///
+/// [`Id`]: HookTable::Id
+pub trait HookTable {
+    /// Identifies one hook of the table.
+    type Id: Copy;
+
+    /// The hook that expands leaf `<name>`, if the table has one.
+    fn resolve(&self, name: &str) -> Option<Self::Id>;
+
+    /// Appends one expansion of hook `id` to `out`. The text is one token:
+    /// the deriver adds the separator after it.
+    fn write<R: Rng + ?Sized>(&mut self, id: Self::Id, rng: &mut R, out: &mut String);
+}
+
+impl HookTable for () {
+    type Id = std::convert::Infallible;
+
+    fn resolve(&self, _name: &str) -> Option<Self::Id> {
+        None
     }
 
-    /// Registers a hook for nonterminal `name`.
-    pub fn register(
-        &mut self,
-        name: impl Into<String>,
-        f: impl FnMut(&mut dyn rand::RngCore) -> String + 'a,
-    ) -> &mut Self {
-        self.map.insert(name.into(), Box::new(f));
-        self
-    }
-
-    /// True when a hook exists for `name`.
-    pub fn contains(&self, name: &str) -> bool {
-        self.map.contains_key(name)
-    }
-
-    fn call(&mut self, name: &str, rng: &mut dyn rand::RngCore) -> Option<String> {
-        self.map.get_mut(name).map(|f| f(rng))
+    fn write<R: Rng + ?Sized>(&mut self, id: Self::Id, _rng: &mut R, _out: &mut String) {
+        match id {}
     }
 }
 
@@ -474,89 +519,100 @@ impl<'g> Deriver<'g> {
         self
     }
 
-    /// Derives one string from the start symbol.
+    /// Derives one string from the start symbol, written token by token
+    /// into one buffer with [`join_tokens`] spacing.
     ///
     /// # Errors
     ///
-    /// [`GrammarError::UndefinedNonTerminal`] when a referenced nonterminal
-    /// has neither rule nor hook; [`GrammarError::StepLimit`] when the
-    /// grammar cannot terminate within the step budget.
-    pub fn derive(
+    /// [`GrammarError::UndefinedNonTerminal`] when the derivation reaches a
+    /// nonterminal that has neither a production nor a hook;
+    /// [`GrammarError::StepLimit`] when the grammar cannot terminate within
+    /// the step budget.
+    pub fn derive<H: HookTable>(
         &self,
         rng: &mut impl Rng,
-        hooks: &mut Hooks<'_>,
+        hooks: &mut H,
     ) -> Result<String, GrammarError> {
-        let mut tokens = Vec::new();
-        let mut steps = 0usize;
-        self.expand(self.grammar.start(), 0, rng, hooks, &mut tokens, &mut steps)?;
-        Ok(join_tokens(&tokens))
+        let index = &self.grammar.index;
+        let hook_ids: Vec<Option<H::Id>> = index.hooks.iter().map(|n| hooks.resolve(n)).collect();
+        let mut run = Run {
+            index,
+            max_depth: self.max_depth,
+            step_limit: self.step_limit,
+            steps: 0,
+            hook_ids: &hook_ids,
+            hooks,
+            out: String::with_capacity(256),
+        };
+        run.step()?;
+        run.expand(index.start, 0, rng)?;
+        let mut out = run.out;
+        trim_trailing_whitespace(&mut out);
+        Ok(out)
     }
+}
 
-    /// Derives from an explicit nonterminal (used by generators that expose
-    /// several entry points, e.g. `<BoolTerm>` vs `<IntTerm>`).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Deriver::derive`].
-    pub fn derive_from(
-        &self,
-        symbol: &str,
-        rng: &mut impl Rng,
-        hooks: &mut Hooks<'_>,
-    ) -> Result<String, GrammarError> {
-        let mut tokens = Vec::new();
-        let mut steps = 0usize;
-        self.expand(symbol, 0, rng, hooks, &mut tokens, &mut steps)?;
-        Ok(join_tokens(&tokens))
-    }
+/// One derivation in progress.
+struct Run<'a, H: HookTable> {
+    index: &'a Index,
+    max_depth: usize,
+    step_limit: usize,
+    steps: usize,
+    hook_ids: &'a [Option<H::Id>],
+    hooks: &'a mut H,
+    out: String,
+}
 
-    fn expand(
-        &self,
-        symbol: &str,
-        depth: usize,
-        rng: &mut impl Rng,
-        hooks: &mut Hooks<'_>,
-        out: &mut Vec<String>,
-        steps: &mut usize,
-    ) -> Result<(), GrammarError> {
-        *steps += 1;
-        if *steps > self.step_limit {
+impl<H: HookTable> Run<'_, H> {
+    /// Counts one nonterminal expansion against the step limit.
+    fn step(&mut self) -> Result<(), GrammarError> {
+        self.steps += 1;
+        if self.steps > self.step_limit {
             return Err(GrammarError::StepLimit);
         }
-        let Some(productions) = self.grammar.productions(symbol) else {
-            // Hook nonterminal.
-            let mut r = rng as &mut dyn rand::RngCore;
-            match hooks.call(symbol, &mut r) {
-                Some(text) => {
-                    out.push(text);
-                    return Ok(());
-                }
-                None => return Err(GrammarError::UndefinedNonTerminal(symbol.to_string())),
-            }
-        };
-        if productions.is_empty() {
-            return Err(GrammarError::UndefinedNonTerminal(symbol.to_string()));
+        Ok(())
+    }
+
+    fn expand<R: Rng + ?Sized>(
+        &mut self,
+        rule: u32,
+        depth: usize,
+        rng: &mut R,
+    ) -> Result<(), GrammarError> {
+        let index = self.index;
+        let rule = &index.rules[rule as usize];
+        if rule.productions.is_empty() {
+            return Err(GrammarError::UndefinedNonTerminal(rule.name.clone()));
         }
         let production = if depth >= self.max_depth {
             // Force termination: pick among the least-branching productions.
-            let min = productions
-                .iter()
-                .map(Production::branching)
-                .min()
-                .expect("non-empty");
-            let candidates: Vec<&Production> = productions
-                .iter()
-                .filter(|p| p.branching() == min)
-                .collect();
-            *candidates.choose(rng).expect("non-empty")
+            *index.least[rule.least.clone()]
+                .choose(rng)
+                .expect("a rule with productions has least-branching ones")
         } else {
-            weighted_choice(productions, rng)
+            rule.pick_weighted(&index.productions, rng)
         };
-        for item in &production.items {
-            match item {
-                Item::Terminal(t) => out.push(t.clone()),
-                Item::NonTerminal(n) => {
-                    self.expand(n, depth + 1, rng, hooks, out, steps)?;
+        let production = &index.productions[production as usize];
+        for &symbol in &index.symbols[production.symbols.clone()] {
+            match symbol {
+                Symbol::Open => self.out.push('('),
+                Symbol::Close => close_paren(&mut self.out),
+                Symbol::Terminal(t) => {
+                    self.out.push_str(&index.terminals[t as usize]);
+                    self.out.push(' ');
+                }
+                Symbol::Rule(r) => {
+                    self.step()?;
+                    self.expand(r, depth + 1, rng)?;
+                }
+                Symbol::Hook(h) => {
+                    self.step()?;
+                    let Some(id) = self.hook_ids[h as usize] else {
+                        let name = index.hooks[h as usize].clone();
+                        return Err(GrammarError::UndefinedNonTerminal(name));
+                    };
+                    self.hooks.write(id, rng, &mut self.out);
+                    self.out.push(' ');
                 }
             }
         }
@@ -564,17 +620,137 @@ impl<'g> Deriver<'g> {
     }
 }
 
-fn weighted_choice<'p>(productions: &'p [Production], rng: &mut impl Rng) -> &'p Production {
-    let total: u32 = productions.iter().map(|p| p.weight.max(1)).sum();
-    let mut pick = rng.gen_range(0..total);
-    for p in productions {
-        let w = p.weight.max(1);
-        if pick < w {
-            return p;
+/// One right-hand-side item of the compiled index.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Symbol {
+    /// `(`.
+    Open,
+    /// `)`.
+    Close,
+    /// An interned terminal.
+    Terminal(u32),
+    /// A rule, by index.
+    Rule(u32),
+    /// A hook leaf (a nonterminal with no rule), by index.
+    Hook(u32),
+}
+
+/// A rule of the compiled index.
+#[derive(Clone, PartialEq, Eq, Debug)]
+struct CompiledRule {
+    name: String,
+    /// This rule's span of [`Index::productions`].
+    productions: Range<usize>,
+    /// Sum of the productions' weights.
+    total_weight: u32,
+    /// This rule's span of [`Index::least`]: its least-branching
+    /// productions, in order.
+    least: Range<usize>,
+}
+
+impl CompiledRule {
+    fn pick_weighted<R: Rng + ?Sized>(
+        &self,
+        productions: &[CompiledProduction],
+        rng: &mut R,
+    ) -> u32 {
+        let mut pick = rng.gen_range(0..self.total_weight);
+        for p in self.productions.clone() {
+            let w = productions[p].weight;
+            if pick < w {
+                return p as u32;
+            }
+            pick -= w;
         }
-        pick -= w;
+        (self.productions.end - 1) as u32
     }
-    productions.last().expect("non-empty")
+}
+
+/// A production of the compiled index.
+#[derive(Clone, PartialEq, Eq, Debug)]
+struct CompiledProduction {
+    /// Selection weight, at least 1.
+    weight: u32,
+    /// This production's span of [`Index::symbols`].
+    symbols: Range<usize>,
+}
+
+/// The grammar compiled for derivation: rules numbered, terminals and hook
+/// names interned, and every lookup a derivation makes done up front.
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
+struct Index {
+    start: u32,
+    rules: Vec<CompiledRule>,
+    productions: Vec<CompiledProduction>,
+    symbols: Vec<Symbol>,
+    /// Least-branching production ids, one span per rule.
+    least: Vec<u32>,
+    terminals: Vec<String>,
+    hooks: Vec<String>,
+}
+
+impl Index {
+    fn compile(start: &str, rules: &BTreeMap<String, Vec<Production>>) -> Index {
+        let rule_ids: BTreeMap<&str, u32> = rules
+            .keys()
+            .enumerate()
+            .map(|(i, name)| (name.as_str(), i as u32))
+            .collect();
+        let mut index = Index {
+            start: rule_ids[start],
+            ..Index::default()
+        };
+        let mut terminal_ids: BTreeMap<&str, u32> = BTreeMap::new();
+        let mut hook_ids: BTreeMap<&str, u32> = BTreeMap::new();
+        for (name, productions) in rules {
+            let first = index.productions.len();
+            for p in productions {
+                let symbols_start = index.symbols.len();
+                for item in &p.items {
+                    let symbol = match item {
+                        Item::Terminal(t) if t == "(" => Symbol::Open,
+                        Item::Terminal(t) if t == ")" => Symbol::Close,
+                        Item::Terminal(t) => {
+                            Symbol::Terminal(intern(t, &mut terminal_ids, &mut index.terminals))
+                        }
+                        Item::NonTerminal(n) => match rule_ids.get(n.as_str()) {
+                            Some(&r) => Symbol::Rule(r),
+                            None => Symbol::Hook(intern(n, &mut hook_ids, &mut index.hooks)),
+                        },
+                    };
+                    index.symbols.push(symbol);
+                }
+                index.productions.push(CompiledProduction {
+                    weight: p.weight.max(1),
+                    symbols: symbols_start..index.symbols.len(),
+                });
+            }
+            let least_start = index.least.len();
+            if let Some(min) = productions.iter().map(Production::branching).min() {
+                index.least.extend(
+                    (first..)
+                        .zip(productions)
+                        .filter(|(_, p)| p.branching() == min)
+                        .map(|(id, _)| id as u32),
+                );
+            }
+            index.rules.push(CompiledRule {
+                name: name.clone(),
+                productions: first..index.productions.len(),
+                total_weight: index.productions[first..].iter().map(|p| p.weight).sum(),
+                least: least_start..index.least.len(),
+            });
+        }
+        index
+    }
+}
+
+/// The id of `text` in `table`, adding it on first sight.
+fn intern<'t>(text: &'t str, ids: &mut BTreeMap<&'t str, u32>, table: &mut Vec<String>) -> u32 {
+    *ids.entry(text).or_insert_with(|| {
+        table.push(text.to_string());
+        (table.len() - 1) as u32
+    })
 }
 
 #[cfg(test)]
@@ -638,8 +814,8 @@ mod tests {
         let d = Deriver::new(&g).max_depth(5);
         let mut r1 = StdRng::seed_from_u64(42);
         let mut r2 = StdRng::seed_from_u64(42);
-        let a = d.derive(&mut r1, &mut Hooks::new()).unwrap();
-        let b = d.derive(&mut r2, &mut Hooks::new()).unwrap();
+        let a = d.derive(&mut r1, &mut ()).unwrap();
+        let b = d.derive(&mut r2, &mut ()).unwrap();
         assert_eq!(a, b);
         assert!(!a.is_empty());
     }
@@ -650,7 +826,7 @@ mod tests {
         let d = Deriver::new(&g).max_depth(6);
         let mut rng = StdRng::seed_from_u64(7);
         for _ in 0..50 {
-            let text = d.derive(&mut rng, &mut Hooks::new()).unwrap();
+            let text = d.derive(&mut rng, &mut ()).unwrap();
             assert!(balanced(&text), "derived text not balanced: {text}");
         }
     }
@@ -672,27 +848,58 @@ mod tests {
         depth == 0 && !s.trim().is_empty()
     }
 
+    /// Expands `<c>` to a running count.
+    struct Counter(u32);
+
+    impl HookTable for Counter {
+        type Id = ();
+
+        fn resolve(&self, name: &str) -> Option<()> {
+            (name == "c").then_some(())
+        }
+
+        fn write<R: Rng + ?Sized>(&mut self, _id: (), _rng: &mut R, out: &mut String) {
+            self.0 += 1;
+            out.push_str(&self.0.to_string());
+        }
+    }
+
     #[test]
     fn hooks_resolve_leaves() {
         let g = Grammar::parse_bnf("<S> ::= (= <c> <c>)").unwrap();
-        let mut hooks = Hooks::new();
-        let mut counter = 0;
-        hooks.register("c", move |_rng| {
-            counter += 1;
-            counter.to_string()
-        });
         let mut rng = StdRng::seed_from_u64(0);
-        let out = Deriver::new(&g).derive(&mut rng, &mut hooks).unwrap();
+        let out = Deriver::new(&g).derive(&mut rng, &mut Counter(0)).unwrap();
         assert_eq!(out, "(= 1 2)");
+    }
+
+    #[test]
+    fn derivation_starts_at_the_first_rule() {
+        // Rules are numbered alphabetically; the start is still the first
+        // rule of the text.
+        let g = Grammar::parse_bnf("<B> ::= b <A>\n<A> ::= a").unwrap();
+        let mut rng = StdRng::seed_from_u64(0);
+        assert_eq!(Deriver::new(&g).derive(&mut rng, &mut ()).unwrap(), "b a");
+    }
+
+    #[test]
+    fn edits_recompile_the_index() {
+        let mut g = Grammar::parse_bnf("<S> ::= (f <leaf>)").unwrap();
+        let mut rng = StdRng::seed_from_u64(3);
+        let undefined = Err(GrammarError::UndefinedNonTerminal("leaf".into()));
+        assert_eq!(Deriver::new(&g).derive(&mut rng, &mut ()), undefined);
+        // Defining the hook name turns the leaf into a rule.
+        g.add_production("leaf", "x").unwrap();
+        assert_eq!(Deriver::new(&g).derive(&mut rng, &mut ()).unwrap(), "(f x)");
+        // Removing its only production leaves an empty rule, not a hook.
+        assert_eq!(g.remove_productions_with_terminal("x"), 1);
+        assert_eq!(Deriver::new(&g).derive(&mut rng, &mut ()), undefined);
     }
 
     #[test]
     fn undefined_nonterminal_without_hook_errors() {
         let g = Grammar::parse_bnf("<S> ::= <missing>").unwrap();
         let mut rng = StdRng::seed_from_u64(0);
-        let err = Deriver::new(&g)
-            .derive(&mut rng, &mut Hooks::new())
-            .unwrap_err();
+        let err = Deriver::new(&g).derive(&mut rng, &mut ()).unwrap_err();
         assert_eq!(err, GrammarError::UndefinedNonTerminal("missing".into()));
     }
 
@@ -703,7 +910,7 @@ mod tests {
         let d = Deriver::new(&g).max_depth(3);
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..20 {
-            let s = d.derive(&mut rng, &mut Hooks::new()).unwrap();
+            let s = d.derive(&mut rng, &mut ()).unwrap();
             assert!(s.matches("(f").count() <= 4);
         }
     }
@@ -713,10 +920,7 @@ mod tests {
         let g = Grammar::parse_bnf("<S> ::= (f <S> <S>)").unwrap();
         let d = Deriver::new(&g).max_depth(100).step_limit(50);
         let mut rng = StdRng::seed_from_u64(1);
-        assert_eq!(
-            d.derive(&mut rng, &mut Hooks::new()),
-            Err(GrammarError::StepLimit)
-        );
+        assert_eq!(d.derive(&mut rng, &mut ()), Err(GrammarError::StepLimit));
     }
 
     #[test]
@@ -742,15 +946,5 @@ mod tests {
             .map(|s| s.to_string())
             .collect();
         assert_eq!(join_tokens(&toks), "(and (not x) y)");
-    }
-
-    #[test]
-    fn derive_from_alternate_entry() {
-        let g = Grammar::parse_bnf("<A> ::= a\n<B> ::= b").unwrap();
-        let mut rng = StdRng::seed_from_u64(0);
-        let out = Deriver::new(&g)
-            .derive_from("B", &mut rng, &mut Hooks::new())
-            .unwrap();
-        assert_eq!(out, "b");
     }
 }

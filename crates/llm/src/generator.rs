@@ -4,15 +4,22 @@
 //! GPT-4 writes in the paper: it owns the theory grammar, a set of residual
 //! [`Flaw`]s (the mistakes self-correction exists to repair), and a
 //! `generate` entry point returning declarations plus one Boolean term —
-//! the paper's `generate_<THEORY>_formula_with_decls()` contract.
+//! the paper's `generate_<THEORY>_formula_with_decls()` contract. The
+//! contract stays SMT-LIB text ([`RawTerm`]).
+//!
+//! The grammar is compiled once per revision (see `o4a_grammar`), so a
+//! sample costs one derivation over indexed rules. The data leaves
+//! (`<int-const>`, `<bv-var>`, ...) dispatch through a fixed [`HookTable`]
+//! of `Leaf` kinds, which writes constants and variable names straight
+//! into the derivation's output and records the declarations.
 
 use crate::sig::SortToken;
-use o4a_grammar::{Deriver, Grammar, GrammarError, Hooks};
+use o4a_grammar::{Deriver, Grammar, GrammarError, HookTable};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::fmt;
+use std::fmt::Write;
 
 use o4a_smtlib::Theory;
 
@@ -134,13 +141,14 @@ impl GeneratorProgram {
     /// leaf or cannot terminate — both are "the generator script crashed"
     /// events the construction loop must handle.
     pub fn generate(&self, rng: &mut StdRng) -> Result<RawTerm, GrammarError> {
-        let state = GenState::new(self, rng.gen());
-        let term = {
-            let mut hooks = Hooks::new();
-            state.install_hooks(&mut hooks);
-            let deriver = Deriver::new(&self.grammar).max_depth(self.max_depth);
-            deriver.derive(rng, &mut hooks)?
+        let mut state = GenState {
+            program: self,
+            vars: Vec::with_capacity(8),
+            salt: rng.gen(),
         };
+        let term = Deriver::new(&self.grammar)
+            .max_depth(self.max_depth)
+            .derive(rng, &mut state)?;
         Ok(RawTerm {
             decls: state.decl_lines(),
             term,
@@ -174,146 +182,201 @@ impl GeneratorProgram {
     }
 }
 
-/// Per-sample generation state: variable pools and declaration recording.
+/// The leaf hooks every generator understands, by kind.
+#[derive(Clone, Copy, Debug)]
+enum Leaf {
+    IntConst,
+    RealConst,
+    StrConst,
+    BvConst,
+    BvVar,
+    FfConst,
+    FfVar,
+    /// A variable of a fixed sort: name prefix and sort text.
+    Var(&'static str, &'static str),
+}
+
+impl Leaf {
+    fn from_name(name: &str) -> Option<Leaf> {
+        Some(match name {
+            "int-const" => Leaf::IntConst,
+            "int-var" => Leaf::Var("i", "Int"),
+            "real-const" => Leaf::RealConst,
+            "real-var" => Leaf::Var("r", "Real"),
+            "bool-var" => Leaf::Var("p", "Bool"),
+            "str-const" => Leaf::StrConst,
+            "str-var" => Leaf::Var("s", "String"),
+            "bv-const" => Leaf::BvConst,
+            "bv-var" => Leaf::BvVar,
+            "ff-const" => Leaf::FfConst,
+            "ff-var" => Leaf::FfVar,
+            "seq-var" => Leaf::Var("sq", "(Seq Int)"),
+            "set-var" => Leaf::Var("st", "(Set Int)"),
+            "bag-var" => Leaf::Var("bg", "(Bag Int)"),
+            "rel-var" => Leaf::Var("rl", "(Relation Int Int)"),
+            "arr-var" => Leaf::Var("ar", "(Array Int Int)"),
+            _ => return None,
+        })
+    }
+}
+
+/// Bit-vector widths with their sort texts; a sample uses `BV_WIDTHS[1]`
+/// unless the generator mixes widths.
+const BV_WIDTHS: [(u32, &str); 3] = [
+    (4, "(_ BitVec 4)"),
+    (8, "(_ BitVec 8)"),
+    (16, "(_ BitVec 16)"),
+];
+
+/// Finite-field moduli with their sort texts; a sample uses `FIELDS[0]`
+/// unless the generator mixes fields.
+const FIELDS: [(u64, &str); 3] = [
+    (3, "(_ FiniteField 3)"),
+    (5, "(_ FiniteField 5)"),
+    (7, "(_ FiniteField 7)"),
+];
+
+/// A created variable. Its name is its prefix followed by its position in
+/// [`GenState::vars`].
+struct Var {
+    prefix: &'static str,
+    sort: &'static str,
+    declared: bool,
+}
+
+/// Per-sample generation state: the variable pool and declaration
+/// recording, and the hook table the deriver writes leaves through.
 struct GenState<'p> {
     program: &'p GeneratorProgram,
-    /// (name, sort text, declared?) per created variable.
-    vars: RefCell<Vec<(String, String, bool)>>,
-    /// The field modulus for this sample (FF theory).
-    field: u64,
-    /// The bit-vector width for this sample.
-    bv_width: u32,
+    vars: Vec<Var>,
     /// Extra seed that decorrelates flaw manifestation from derivation.
     salt: u64,
 }
 
-impl<'p> GenState<'p> {
-    fn new(program: &'p GeneratorProgram, salt: u64) -> GenState<'p> {
-        GenState {
-            program,
-            vars: RefCell::new(Vec::new()),
-            field: 3,
-            bv_width: 8,
-            salt,
-        }
-    }
-
+impl GenState<'_> {
     fn decl_lines(&self) -> Vec<String> {
-        self.vars
-            .borrow()
-            .iter()
-            .filter(|(_, _, declared)| *declared)
-            .map(|(name, sort, _)| format!("(declare-const {name} {sort})"))
-            .collect()
+        let mut lines = Vec::with_capacity(self.vars.iter().filter(|v| v.declared).count());
+        for (i, v) in self.vars.iter().enumerate().filter(|(_, v)| v.declared) {
+            // `(declare-const ` and `)` plus an index of up to seven digits.
+            let mut line = String::with_capacity(24 + v.prefix.len() + v.sort.len());
+            let _ = write!(line, "(declare-const {}{i} {})", v.prefix, v.sort);
+            lines.push(line);
+        }
+        lines
     }
 
-    /// Gets or creates a variable of the given sort text. Respects the
-    /// `MissingDeclarations` flaw.
-    fn var(&self, prefix: &str, sort_text: String, rng: &mut dyn rand::RngCore) -> String {
-        let mut vars = self.vars.borrow_mut();
-        let existing: Vec<usize> = vars
-            .iter()
-            .enumerate()
-            .filter(|(_, (n, s, _))| n.starts_with(prefix) && *s == sort_text)
-            .map(|(i, _)| i)
-            .collect();
-        let reuse = !existing.is_empty() && rng.next_u32().is_multiple_of(2);
-        if reuse {
-            let pick = existing[rng.next_u32() as usize % existing.len()];
-            return vars[pick].0.clone();
-        }
-        let name = format!("{prefix}{}", vars.len());
-        let declared = if self.program.has_flaw(Flaw::MissingDeclarations) {
-            rng.next_u32() % 10 >= 4 // 40% of new vars go undeclared
+    /// Writes a variable of the given sort: an existing one half the time,
+    /// else a new one. Respects the `MissingDeclarations` flaw.
+    fn var<R: Rng + ?Sized>(
+        &mut self,
+        prefix: &'static str,
+        sort: &'static str,
+        rng: &mut R,
+        out: &mut String,
+    ) {
+        // Each sort has one prefix, so this matches exactly the variables
+        // whose name starts with `prefix` and whose sort is `sort`.
+        let same = |v: &Var| v.prefix == prefix && v.sort == sort;
+        let existing = self.vars.iter().filter(|v| same(v)).count();
+        let index = if existing > 0 && rng.next_u32().is_multiple_of(2) {
+            let pick = rng.next_u32() as usize % existing;
+            let mut matching = self.vars.iter().enumerate().filter(|(_, v)| same(v));
+            matching.nth(pick).expect("pick < existing").0
         } else {
-            true
+            let declared = if self.program.has_flaw(Flaw::MissingDeclarations) {
+                rng.next_u32() % 10 >= 4 // 40% of new vars go undeclared
+            } else {
+                true
+            };
+            self.vars.push(Var {
+                prefix,
+                sort,
+                declared,
+            });
+            self.vars.len() - 1
         };
-        vars.push((name.clone(), sort_text, declared));
-        name
+        out.push_str(prefix);
+        let _ = write!(out, "{index}");
     }
 
-    fn install_hooks<'h>(&'h self, hooks: &mut Hooks<'h>) {
-        let p = self.program;
-        hooks.register("int-const", move |rng| {
-            let v = (rng.next_u32() % 17) as i64 - 8;
-            if v < 0 {
-                format!("(- {})", -v)
-            } else {
-                v.to_string()
-            }
-        });
-        hooks.register("int-var", move |rng| self.var("i", "Int".into(), rng));
-        hooks.register("real-const", move |rng| {
-            let whole = rng.next_u32() % 5;
-            let frac = rng.next_u32() % 10;
-            format!("{whole}.{frac}")
-        });
-        hooks.register("real-var", move |rng| self.var("r", "Real".into(), rng));
-        hooks.register("bool-var", move |rng| self.var("p", "Bool".into(), rng));
-        hooks.register("str-const", move |rng| {
-            let n = rng.next_u32() % 3;
-            let body: String = (0..n)
-                .map(|_| (b'a' + (rng.next_u32() % 3) as u8) as char)
-                .collect();
-            if p.has_flaw(Flaw::UnquotedStrings) && rng.next_u32() % 10 < 5 && !body.is_empty() {
-                body
-            } else {
-                format!("\"{body}\"")
-            }
-        });
-        hooks.register("str-var", move |rng| self.var("s", "String".into(), rng));
-        hooks.register("bv-const", move |rng| {
-            let w = self.pick_bv_width(rng);
-            let v = rng.next_u64() as u128 & ((1u128 << w) - 1);
-            format!("(_ bv{v} {w})")
-        });
-        hooks.register("bv-var", move |rng| {
-            let w = self.pick_bv_width(rng);
-            self.var("bv", format!("(_ BitVec {w})"), rng)
-        });
-        hooks.register("ff-const", move |rng| {
-            let m = self.pick_field(rng);
-            let k = (rng.next_u32() % (2 * m as u32 + 1)) as i64 - m as i64;
-            if p.has_flaw(Flaw::BareFfLiterals) && rng.next_u32() % 10 < 7 {
-                format!("ff{k}")
-            } else {
-                format!("(as ff{k} (_ FiniteField {m}))")
-            }
-        });
-        hooks.register("ff-var", move |rng| {
-            let m = self.pick_field(rng);
-            self.var("ff", format!("(_ FiniteField {m})"), rng)
-        });
-        hooks.register("seq-var", move |rng| {
-            self.var("sq", "(Seq Int)".into(), rng)
-        });
-        hooks.register("set-var", move |rng| {
-            self.var("st", "(Set Int)".into(), rng)
-        });
-        hooks.register("bag-var", move |rng| {
-            self.var("bg", "(Bag Int)".into(), rng)
-        });
-        hooks.register("rel-var", move |rng| {
-            self.var("rl", "(Relation Int Int)".into(), rng)
-        });
-        hooks.register("arr-var", move |rng| {
-            self.var("ar", "(Array Int Int)".into(), rng)
-        });
-    }
-
-    fn pick_bv_width(&self, rng: &mut dyn rand::RngCore) -> u32 {
+    fn pick_bv_width<R: Rng + ?Sized>(&self, rng: &mut R) -> (u32, &'static str) {
         if self.program.has_flaw(Flaw::MixedBvWidths) {
-            [4u32, 8, 16][(rng.next_u32() ^ self.salt as u32) as usize % 3]
+            BV_WIDTHS[(rng.next_u32() ^ self.salt as u32) as usize % 3]
         } else {
-            self.bv_width
+            BV_WIDTHS[1]
         }
     }
 
-    fn pick_field(&self, rng: &mut dyn rand::RngCore) -> u64 {
+    fn pick_field<R: Rng + ?Sized>(&self, rng: &mut R) -> (u64, &'static str) {
         if self.program.has_flaw(Flaw::MixedFfModuli) {
-            [3u64, 5, 7][(rng.next_u32() ^ (self.salt >> 32) as u32) as usize % 3]
+            FIELDS[(rng.next_u32() ^ (self.salt >> 32) as u32) as usize % 3]
         } else {
-            self.field
+            FIELDS[0]
+        }
+    }
+}
+
+impl HookTable for GenState<'_> {
+    type Id = Leaf;
+
+    fn resolve(&self, name: &str) -> Option<Leaf> {
+        Leaf::from_name(name)
+    }
+
+    fn write<R: Rng + ?Sized>(&mut self, leaf: Leaf, rng: &mut R, out: &mut String) {
+        let p = self.program;
+        match leaf {
+            Leaf::IntConst => {
+                let v = (rng.next_u32() % 17) as i64 - 8;
+                let _ = if v < 0 {
+                    write!(out, "(- {})", -v)
+                } else {
+                    write!(out, "{v}")
+                };
+            }
+            Leaf::RealConst => {
+                let whole = rng.next_u32() % 5;
+                let frac = rng.next_u32() % 10;
+                let _ = write!(out, "{whole}.{frac}");
+            }
+            Leaf::StrConst => {
+                let n = rng.next_u32() % 3;
+                let mut body = [0u8; 2];
+                for b in &mut body[..n as usize] {
+                    *b = b'a' + (rng.next_u32() % 3) as u8;
+                }
+                let body = std::str::from_utf8(&body[..n as usize]).expect("ASCII");
+                if p.has_flaw(Flaw::UnquotedStrings) && rng.next_u32() % 10 < 5 && n > 0 {
+                    out.push_str(body);
+                } else {
+                    out.push('"');
+                    out.push_str(body);
+                    out.push('"');
+                }
+            }
+            Leaf::BvConst => {
+                let (w, _) = self.pick_bv_width(rng);
+                let v = rng.next_u64() & ((1u64 << w) - 1);
+                let _ = write!(out, "(_ bv{v} {w})");
+            }
+            Leaf::BvVar => {
+                let (_, sort) = self.pick_bv_width(rng);
+                self.var("bv", sort, rng, out);
+            }
+            Leaf::FfConst => {
+                let (m, sort) = self.pick_field(rng);
+                let k = (rng.next_u32() % (2 * m as u32 + 1)) as i64 - m as i64;
+                let _ = if p.has_flaw(Flaw::BareFfLiterals) && rng.next_u32() % 10 < 7 {
+                    write!(out, "ff{k}")
+                } else {
+                    write!(out, "(as ff{k} {sort})")
+                };
+            }
+            Leaf::FfVar => {
+                let (_, sort) = self.pick_field(rng);
+                self.var("ff", sort, rng, out);
+            }
+            Leaf::Var(prefix, sort) => self.var(prefix, sort, rng, out),
         }
     }
 }
@@ -450,6 +513,18 @@ mod tests {
         let mut g = GeneratorProgram::new(Theory::Ints, grammar, BTreeSet::new());
         assert_eq!(g.drop_operator("int.log"), 1);
         assert_eq!(g.revision, 1);
+    }
+
+    #[test]
+    fn every_leaf_hook_has_a_table_entry() {
+        use SortToken::*;
+        for token in [
+            Bool, Int, Elem, Real, Str, Bv, Ff, Seq, Set, Bag, Rel, Array,
+        ] {
+            for name in leaf_hooks_for(token) {
+                assert!(Leaf::from_name(name).is_some(), "<{name}> has no hook");
+            }
+        }
     }
 
     #[test]
