@@ -21,14 +21,11 @@
 //! Shards never write to one another's journals: a shard's
 //! [`CacheSession`] loads **every** journal in the directory at open
 //! (the merge — first-wins per key, like findings journals merge) and
-//! appends only to its own. A process killed mid-append can tear its
-//! journal's *final* line; reload tolerates the torn tail (the entry is
-//! simply lost, and re-solving regenerates it — [`CachedReply`]s are
-//! pure functions of the key), truncates it away before appending
-//! again, and treats corruption anywhere earlier as real damage that
-//! stays fatal. Byte-identical repeated lines (possible when a crash
-//! falls between write and flush boundaries across shards) deduplicate
-//! on load.
+//! appends only to its own. Each is an [`o4a_obs::journal`], whose
+//! framing rules (commit, torn tail, cut) are in the "Journal" section
+//! of the `o4a-obs` README: a torn tail loses only its entry, which
+//! re-solving regenerates — [`CachedReply`]s are pure functions of the
+//! key. Other shards' journals are only read, never cut.
 //!
 //! The determinism law this store serves — cache hit ≡ fresh solve,
 //! bit-for-bit — is enforced on the other side of the [`VerdictCache`]
@@ -38,12 +35,12 @@
 
 #![warn(missing_docs)]
 
-use o4a_obs::json::{obj, parse, Json};
+use o4a_obs::journal::{self, Journal};
+use o4a_obs::json::{obj, Json};
 use o4a_solvers::{CacheKey, CachedReply, VerdictCache};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 
 /// The journal header line every cache file starts with.
@@ -81,9 +78,9 @@ impl CacheStore {
     }
 
     /// Opens the cache for one shard: loads every journal in the
-    /// directory (first-wins per key, torn final lines tolerated,
-    /// duplicate lines dropped), truncates any torn tail off this
-    /// shard's own journal, and returns a session that appends to it.
+    /// directory (first-wins per key, torn final lines tolerated), cuts
+    /// any torn tail off this shard's own journal, and returns a session
+    /// that appends to it.
     ///
     /// # Errors
     ///
@@ -92,42 +89,39 @@ impl CacheStore {
     pub fn open_shard(&self, shard: u32) -> io::Result<CacheSession> {
         std::fs::create_dir_all(&self.dir)?;
         let own = self.shard_journal(shard);
+        let header = header_record();
         let mut entries: BTreeMap<CacheKey, CachedReply> = BTreeMap::new();
-        let mut own_clean_len = None;
+        let mut fold = |record: Json| -> io::Result<()> {
+            match str_field(&record, "t")?.as_str() {
+                "verdict" => {
+                    let (key, reply) = decode_verdict_line(&record)?;
+                    entries.entry(key).or_insert(reply);
+                    Ok(())
+                }
+                other => Err(bad(format!("unknown record type '{other}'"))),
+            }
+        };
         let mut journals: Vec<PathBuf> = std::fs::read_dir(&self.dir)?
             .filter_map(|e| e.ok().map(|e| e.path()))
             .filter(|p| p.extension().is_some_and(|x| x == "jsonl"))
             .collect();
         // Deterministic merge order (first-wins ties break by name).
         journals.sort();
+        let mut own_journal = None;
         for path in &journals {
-            let loaded = load_journal(path)?;
             if *path == own {
-                own_clean_len = Some(loaded.clean_len);
-            }
-            for (key, reply) in loaded.entries {
-                entries.entry(key).or_insert(reply);
-            }
-        }
-
-        let fresh = own_clean_len.is_none_or(|len| len == 0);
-        if let Some(len) = own_clean_len {
-            let existing = std::fs::metadata(&own)?.len();
-            if len < existing {
-                // A predecessor died mid-append: cut the torn tail so the
-                // file never carries mid-journal corruption.
-                OpenOptions::new().write(true).open(&own)?.set_len(len)?;
+                own_journal = Some(journal::open(path, &header, &mut fold)?.0);
+            } else {
+                journal::replay(path, &header, &mut fold)?;
             }
         }
-        let file = OpenOptions::new().create(true).append(true).open(&own)?;
-        let mut writer = BufWriter::new(file);
-        if fresh {
-            writeln!(writer, "{}", header_record().to_line())?;
-            writer.flush()?;
-        }
+        let journal = match own_journal {
+            Some(journal) => journal,
+            None => journal::open(&own, &header, &mut fold)?.0,
+        };
         Ok(CacheSession {
             entries: RefCell::new(entries),
-            writer: RefCell::new(writer),
+            journal,
         })
     }
 }
@@ -137,7 +131,7 @@ impl CacheStore {
 /// [`VerdictCache`] implementation.
 pub struct CacheSession {
     entries: RefCell<BTreeMap<CacheKey, CachedReply>>,
-    writer: RefCell<BufWriter<File>>,
+    journal: Journal,
 }
 
 impl CacheSession {
@@ -163,14 +157,8 @@ impl VerdictCache for CacheSession {
             return;
         }
         entries.insert(key.clone(), reply.clone());
-        // Crash-durable append, findings-store style: line, flush, fsync.
-        // Persistence failures must never fail the campaign — the entry
-        // just re-solves next run (the journal ends early, which reload
-        // tolerates).
-        let mut writer = self.writer.borrow_mut();
-        let _ = writeln!(writer, "{}", verdict_record(key, reply).to_line());
-        let _ = writer.flush();
-        let _ = writer.get_ref().sync_data();
+        // Best-effort: a lost entry just re-solves next run.
+        self.journal.append(&verdict_record(key, reply));
     }
 }
 
@@ -256,84 +244,11 @@ fn decode_verdict_line(record: &Json) -> io::Result<(CacheKey, CachedReply)> {
     Ok((key, decode_reply(record)?))
 }
 
-struct LoadedJournal {
-    /// First-wins entries, in journal order.
-    entries: Vec<(CacheKey, CachedReply)>,
-    /// Byte length of the valid prefix (header + intact records): the
-    /// length to truncate to before appending when the tail is torn.
-    clean_len: u64,
-}
-
-fn load_journal(path: &Path) -> io::Result<LoadedJournal> {
-    let reader = BufReader::new(File::open(path)?);
-    let mut lines: Vec<String> = Vec::new();
-    for line in reader.lines() {
-        lines.push(line?);
-    }
-    let total: u64 = std::fs::metadata(path)?.len();
-    if lines.iter().all(|l| l.trim().is_empty()) {
-        // A worker can die after create but before the header lands.
-        return Ok(LoadedJournal {
-            entries: Vec::new(),
-            clean_len: 0,
-        });
-    }
-    let expected = header_record();
-    let header = parse(&lines[0]).map_err(|e| bad(format!("corrupt header: {e}")))?;
-    if header != expected {
-        return Err(bad(format!(
-            "cache journal at {} has a foreign header ({} != {})",
-            path.display(),
-            header.to_line(),
-            expected.to_line()
-        )));
-    }
-
-    let mut seen: std::collections::BTreeSet<&str> = std::collections::BTreeSet::new();
-    let mut entries = Vec::new();
-    let mut clean_len: u64 = lines[0].len() as u64 + 1;
-    for (lineno, line) in lines.iter().enumerate().skip(1) {
-        if line.trim().is_empty() {
-            clean_len += line.len() as u64 + 1;
-            continue;
-        }
-        let decoded: io::Result<()> = (|| {
-            let record = parse(line)
-                .map_err(|e| bad(format!("corrupt record on line {}: {e}", lineno + 1)))?;
-            match str_field(&record, "t")?.as_str() {
-                "verdict" => {
-                    if seen.insert(line) {
-                        entries.push(decode_verdict_line(&record)?);
-                    }
-                    Ok(())
-                }
-                other => Err(bad(format!("unknown record type '{other}'"))),
-            }
-        })();
-        match decoded {
-            Ok(()) => clean_len += line.len() as u64 + 1,
-            Err(e) => {
-                // A kill can tear the final line mid-write; losing that
-                // entry costs one re-solve. Earlier corruption is fatal.
-                if lineno + 1 == lines.len() {
-                    return Ok(LoadedJournal {
-                        entries,
-                        clean_len: clean_len.min(total),
-                    });
-                }
-                return Err(e);
-            }
-        }
-    }
-    Ok(LoadedJournal {
-        entries,
-        clean_len: clean_len.min(total),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs::OpenOptions;
+    use std::io::Write;
     use std::sync::atomic::{AtomicU32, Ordering};
 
     fn cache_dir(tag: &str) -> PathBuf {
@@ -438,24 +353,47 @@ mod tests {
 
     #[test]
     fn torn_final_line_is_tolerated_and_truncated() {
-        let dir = cache_dir("torn");
-        let store = CacheStore::new(&dir);
         let k = key("(assert a)\n(check-sat)");
-        store
-            .open_shard(0)
-            .expect("open")
-            .record(&k, &answered("sat"));
-        let path = store.shard_journal(0);
-        let clean = std::fs::metadata(&path).unwrap().len();
-        let mut file = OpenOptions::new().append(true).open(&path).unwrap();
-        write!(file, "{{\"t\":\"verdict\",\"solver\":\"ox").unwrap();
-        drop(file);
-        // Reload: the intact entry survives, the torn tail is gone from
-        // both the map and the file.
-        let session = store.open_shard(0).expect("reopen with torn tail");
-        assert_eq!(session.lookup(&k), Some(answered("sat")));
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), clean);
-        let _ = std::fs::remove_dir_all(&dir);
+        // One tail torn in ASCII, one mid-way through the two bytes of
+        // the `è` in an error reply's message.
+        let error = CachedReply::Error("accès mémoire refusé".into());
+        let error_line = verdict_record(&key("(assert e)"), &error).to_line();
+        let cut = error_line.find('è').unwrap() + 1;
+        let tears: [&[u8]; 2] = [
+            b"{\"t\":\"verdict\",\"solver\":\"ox",
+            &error_line.as_bytes()[..cut],
+        ];
+        for (i, tear) in tears.into_iter().enumerate() {
+            let dir = cache_dir(&format!("torn-{i}"));
+            let store = CacheStore::new(&dir);
+            store
+                .open_shard(0)
+                .expect("open")
+                .record(&k, &answered("sat"));
+            let path = store.shard_journal(0);
+            let clean = std::fs::metadata(&path).unwrap().len();
+            let mut file = OpenOptions::new().append(true).open(&path).unwrap();
+            file.write_all(tear).unwrap();
+            drop(file);
+            // Reload: the intact entry survives, the torn tail is gone
+            // from both the map and the file — so an entry recorded after
+            // the reload lands on a clean line and reloads too.
+            let k2 = key("(assert b)\n(check-sat)");
+            for round in 1..=3 {
+                let session = store
+                    .open_shard(0)
+                    .unwrap_or_else(|e| panic!("reopen round {round}: {e}"));
+                assert_eq!(session.lookup(&k), Some(answered("sat")));
+                if round == 1 {
+                    assert_eq!(std::fs::metadata(&path).unwrap().len(), clean);
+                    session.record(&k2, &answered("unsat"));
+                } else {
+                    assert_eq!(session.lookup(&k2), Some(answered("unsat")));
+                }
+                assert_eq!(session.len(), 2, "round {round}");
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -1,6 +1,8 @@
-//! The coordinator's resumable lease checkpoint: an append-only JSONL
-//! journal of fleet state, in the `FindingsStore` idiom (fsync per
-//! record, header fingerprint, torn final line tolerated).
+//! The coordinator's resumable lease checkpoint: an append-only
+//! [`o4a_obs::journal`] of fleet state. The framing (fsync per record,
+//! header fingerprint, torn final line cut) is the journal's — see the
+//! "Journal" section of the `o4a-obs` README; this module owns the
+//! record codecs and the fold.
 //!
 //! ## File format
 //!
@@ -34,12 +36,11 @@
 //! a *lost* record can only cause re-derivation, never wrong results.
 
 use crate::protocol::CampaignPlan;
-use o4a_exec::json::{obj, parse, Json};
+use o4a_exec::json::{obj, Json};
+use o4a_obs::journal::{self, Journal};
 use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
 fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
@@ -97,29 +98,11 @@ impl CheckpointStore {
         &self,
         plan: &CampaignPlan,
     ) -> io::Result<(CheckpointSession, CheckpointState)> {
-        let header = header_record(plan);
-        let exists = self.path.exists() && std::fs::metadata(&self.path)?.len() > 0;
         let mut state = CheckpointState::default();
-        if exists {
-            state = replay(&self.path, &header)?;
-            state.resumed = true;
-        }
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&self.path)?;
-        let mut writer = BufWriter::new(file);
-        if !exists {
-            writeln!(writer, "{}", header.to_line())?;
-            writer.flush()?;
-            writer.get_ref().sync_data()?;
-        }
-        Ok((
-            CheckpointSession {
-                writer: Mutex::new(writer),
-            },
-            state,
-        ))
+        let (journal, replay) =
+            journal::open(&self.path, &header_record(plan), |r| fold(&mut state, &r))?;
+        state.resumed = replay.resumed;
+        Ok((CheckpointSession { journal }, state))
     }
 }
 
@@ -127,20 +110,13 @@ impl CheckpointStore {
 /// best-effort (see the module docs for why a lost record is safe).
 #[derive(Debug)]
 pub struct CheckpointSession {
-    writer: Mutex<BufWriter<File>>,
+    journal: Journal,
 }
 
 impl CheckpointSession {
-    fn append(&self, record: Json) {
-        let mut writer = self.writer.lock().expect("checkpoint writer poisoned");
-        let _ = writeln!(writer, "{}", record.to_line());
-        let _ = writer.flush();
-        let _ = writer.get_ref().sync_data();
-    }
-
     /// Records the actual bound listen address.
     pub fn record_listen(&self, addr: &str) {
-        self.append(obj(vec![
+        self.journal.append(&obj(vec![
             ("t", Json::Str("listen".into())),
             ("addr", Json::Str(addr.to_string())),
         ]));
@@ -148,7 +124,7 @@ impl CheckpointSession {
 
     /// Records a worker's findings journal.
     pub fn record_journal(&self, worker: u32, path: &Path) {
-        self.append(obj(vec![
+        self.journal.append(&obj(vec![
             ("t", Json::Str("journal".into())),
             ("worker", Json::U64(worker as u64)),
             ("path", Json::Str(path.display().to_string())),
@@ -157,7 +133,7 @@ impl CheckpointSession {
 
     /// Records a lease grant. Call **before** sending the lease frame.
     pub fn record_grant(&self, shard: u32, worker: u32) {
-        self.append(obj(vec![
+        self.journal.append(&obj(vec![
             ("t", Json::Str("grant".into())),
             ("shard", Json::U64(shard as u64)),
             ("worker", Json::U64(worker as u64)),
@@ -166,7 +142,7 @@ impl CheckpointSession {
 
     /// Records a shard completion.
     pub fn record_complete(&self, shard: u32, worker: u32, cases: u64, findings: u64) {
-        self.append(obj(vec![
+        self.journal.append(&obj(vec![
             ("t", Json::Str("complete".into())),
             ("shard", Json::U64(shard as u64)),
             ("worker", Json::U64(worker as u64)),
@@ -201,93 +177,52 @@ fn saw_worker(state: &mut CheckpointState, worker: u32) {
     state.next_worker_id = state.next_worker_id.max(u64::from(worker) + 1);
 }
 
-fn replay(path: &Path, header: &Json) -> io::Result<CheckpointState> {
-    let reader = BufReader::new(File::open(path)?);
-    let lines: Vec<String> = reader.lines().collect::<Result<_, _>>()?;
-    let mut state = CheckpointState::default();
-    let mut seen_header = false;
-    for (idx, line) in lines.iter().enumerate() {
-        let last = idx + 1 == lines.len();
-        if line.trim().is_empty() {
-            continue;
+/// Folds one replayed record into `state`: `complete` beats `grant`.
+fn fold(state: &mut CheckpointState, json: &Json) -> io::Result<()> {
+    match json.get("t").and_then(Json::as_str).unwrap_or("") {
+        "listen" => {
+            if let Some(addr) = json.get("addr").and_then(Json::as_str) {
+                state.listen = Some(addr.to_string());
+            }
         }
-        // A torn final line is the crash-window artifact the JSONL
-        // format exists to tolerate; a torn middle line is corruption.
-        let json = match parse(line) {
-            Ok(json) => json,
-            Err(e) if last => {
-                let _ = e;
-                break;
+        "journal" => {
+            saw_worker(state, u32_field(json, "worker")?);
+            let journal = PathBuf::from(
+                json.get("path")
+                    .and_then(Json::as_str)
+                    .ok_or_else(|| bad("journal record missing 'path'"))?,
+            );
+            if !state.journals.contains(&journal) {
+                state.journals.push(journal);
             }
-            Err(e) => return Err(bad(format!("corrupt checkpoint line {}: {e}", idx + 1))),
-        };
-        let tag = json.get("t").and_then(Json::as_str).unwrap_or("");
-        if !seen_header {
-            if tag != "coordinator" {
-                return Err(bad("checkpoint does not start with a coordinator header"));
-            }
-            if json != *header {
-                return Err(bad(
-                    "checkpoint belongs to a different campaign plan — refusing to resume",
-                ));
-            }
-            seen_header = true;
-            continue;
         }
-        match tag {
-            "listen" => {
-                if let Some(addr) = json.get("addr").and_then(Json::as_str) {
-                    state.listen = Some(addr.to_string());
-                }
+        "grant" => {
+            let shard = u32_field(json, "shard")?;
+            let worker = u32_field(json, "worker")?;
+            saw_worker(state, worker);
+            if !state.completed.contains_key(&shard) {
+                state.granted.insert(shard, worker);
             }
-            "journal" => {
-                saw_worker(&mut state, u32_field(&json, "worker")?);
-                let journal = PathBuf::from(
-                    json.get("path")
-                        .and_then(Json::as_str)
-                        .ok_or_else(|| bad("journal record missing 'path'"))?,
-                );
-                if !state.journals.contains(&journal) {
-                    state.journals.push(journal);
-                }
-            }
-            "grant" => {
-                let shard = u32_field(&json, "shard")?;
-                let worker = u32_field(&json, "worker")?;
-                saw_worker(&mut state, worker);
-                if !state.completed.contains_key(&shard) {
-                    state.granted.insert(shard, worker);
-                }
-            }
-            "complete" => {
-                let shard = u32_field(&json, "shard")?;
-                saw_worker(&mut state, u32_field(&json, "worker")?);
-                state.completed.insert(
-                    shard,
-                    (u64_field(&json, "cases")?, u64_field(&json, "findings")?),
-                );
-                state.granted.remove(&shard);
-            }
-            other if last => {
-                // A complete-but-unknown final record from a newer
-                // incarnation mid-write is indistinguishable from a torn
-                // line for our purposes; everything before it replayed.
-                let _ = other;
-                break;
-            }
-            other => return Err(bad(format!("unknown checkpoint record '{other}'"))),
         }
+        "complete" => {
+            let shard = u32_field(json, "shard")?;
+            saw_worker(state, u32_field(json, "worker")?);
+            state.completed.insert(
+                shard,
+                (u64_field(json, "cases")?, u64_field(json, "findings")?),
+            );
+            state.granted.remove(&shard);
+        }
+        other => return Err(bad(format!("unknown checkpoint record '{other}'"))),
     }
-    if !seen_header {
-        return Err(bad("checkpoint has no header"));
-    }
-    Ok(state)
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use o4a_core::CampaignConfig;
+    use std::io::Write;
 
     fn plan() -> CampaignPlan {
         CampaignPlan {
@@ -357,8 +292,18 @@ mod tests {
             .unwrap();
         write!(raw, "{{\"t\":\"comp").unwrap();
         drop(raw);
-        let (_s, state) = store.resume_or_create(&plan()).unwrap();
+        let (session, state) = store.resume_or_create(&plan()).unwrap();
         assert_eq!(state.granted.get(&3), Some(&0), "replay stops at the tear");
+        // The resume cut the tear, so a grant recorded now lands on its
+        // own line and replays.
+        session.record_grant(2, 1);
+        drop(session);
+        let (_s, state) = store.resume_or_create(&plan()).unwrap();
+        assert_eq!(
+            state.granted.keys().copied().collect::<Vec<_>>(),
+            vec![2, 3],
+            "the grant glued onto the tear"
+        );
 
         // Now corrupt a middle line.
         let garbled = std::fs::read_to_string(&path)

@@ -27,7 +27,9 @@
 //! finds the token and runs to completion, which is exactly the
 //! kill-mid-lease scenario the merge must absorb losslessly.
 
-use crate::protocol::{CacheCounters, CompletedLease, Frame, TraceBatch, FLEET_SECRET_ENV};
+use crate::protocol::{
+    CacheCounters, CompletedLease, Frame, TraceBatch, FLEET_SECRET_ENV, MAX_FRAME_BYTES,
+};
 use crate::transport::connect_with_retry;
 use o4a_core::{Fuzzer, TestCase};
 use o4a_exec::json::Json;
@@ -36,7 +38,7 @@ use o4a_obs::metrics::MetricsSnapshot;
 use o4a_obs::trace::TraceEvent;
 use rand::rngs::StdRng;
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -473,15 +475,13 @@ where
             &[("worker", u64::from(cfg.worker_id))],
         );
 
-        let reader = BufReader::new(stream);
-        for line in reader.lines() {
-            let Ok(line) = line else {
-                break; // connection error → reconnect
-            };
+        let mut reader = BufReader::new(stream);
+        // `None` is a lost connection: reconnect.
+        while let Some(line) = read_frame(&mut reader).map_err(rejected)? {
             if line.trim().is_empty() {
                 continue;
             }
-            match Frame::from_line(&line)? {
+            match Frame::from_line(&line).map_err(rejected)? {
                 Frame::Lease { shard, plan, trace } => {
                     let done = server.serve(shard, &plan, trace, &mut out)?;
                     let sent = writeln!(out, "{}", done.to_line())
@@ -503,15 +503,124 @@ where
                     return Ok(());
                 }
                 _ => {
-                    return Err(io::Error::new(
+                    return Err(rejected(io::Error::new(
                         io::ErrorKind::InvalidData,
                         "worker expects only lease/goodbye frames from the coordinator",
-                    ));
+                    )));
                 }
             }
         }
         // EOF without goodbye: the coordinator died — reconnect and
         // re-adopt (the checkpoint will have it back, or the campaign is
         // truly gone and the window expires above).
+    }
+}
+
+/// Reads one frame line from the coordinator, at most
+/// [`MAX_FRAME_BYTES`] of it, so a peer cannot grow this buffer without
+/// bound. `Ok(None)` is a lost connection: end of stream, a read error,
+/// or a frame cut off mid-line by the coordinator dying.
+///
+/// # Errors
+///
+/// `InvalidData` for a frame over the cap or not UTF-8 — a malformed
+/// frame, which reconnecting to the same peer would only read again.
+fn read_frame(reader: &mut impl BufRead) -> io::Result<Option<String>> {
+    let mut buf = Vec::new();
+    let limit = MAX_FRAME_BYTES as u64 + 1;
+    match Read::take(&mut *reader, limit).read_until(b'\n', &mut buf) {
+        Ok(0) | Err(_) => return Ok(None),
+        Ok(_) => {}
+    }
+    if buf.last() != Some(&b'\n') {
+        if buf.len() <= MAX_FRAME_BYTES {
+            return Ok(None);
+        }
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("coordinator frame longer than {MAX_FRAME_BYTES} bytes"),
+        ));
+    }
+    buf.pop();
+    String::from_utf8(buf)
+        .map(Some)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+}
+
+/// Counts a malformed coordinator frame in `dist.rejected_frames`, as
+/// the coordinator counts a worker's.
+fn rejected(e: io::Error) -> io::Error {
+    if o4a_obs::metrics_enabled() {
+        o4a_obs::metrics::counter("dist.rejected_frames").inc();
+    }
+    e
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Cursor;
+    use std::net::{TcpListener, TcpStream};
+
+    #[test]
+    fn frames_are_bounded_and_utf8() {
+        let mut ok = Cursor::new(b"{\"t\":\"goodbye\"}\n{\"t\":\"le".to_vec());
+        assert_eq!(
+            read_frame(&mut ok).unwrap().as_deref(),
+            Some("{\"t\":\"goodbye\"}")
+        );
+        assert_eq!(read_frame(&mut ok).unwrap(), None, "a cut frame is EOF");
+
+        let mut latin1 = Cursor::new(b"{\"t\":\"caf\xe9\"}\n".to_vec());
+        let err = read_frame(&mut latin1).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+
+        // The read stops one byte past the cap, whatever the peer sends.
+        let mut flood = BufReader::new(io::repeat(b'x').take(MAX_FRAME_BYTES as u64 + 4096));
+        let err = read_frame(&mut flood).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let unread = flood.buffer().len() as u64 + flood.get_ref().limit();
+        assert_eq!(unread, 4095, "read past the cap");
+    }
+
+    /// A non-UTF-8 frame ends the worker with `InvalidData` instead of
+    /// sending it back to reconnect to the same peer: the fake coordinator
+    /// says `goodbye` to a second connection, which must never come.
+    #[test]
+    fn malformed_frame_is_refused_not_reconnected() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            let mut hellos = 0;
+            for stream in listener.incoming() {
+                let mut stream = stream.unwrap();
+                let mut hello = String::new();
+                if BufReader::new(&stream).read_line(&mut hello).is_err() || hello.is_empty() {
+                    break; // the test's unblocking connect
+                }
+                hellos += 1;
+                let reply = if hellos == 1 {
+                    b"\xff\xfe\n".to_vec()
+                } else {
+                    format!("{}\n", Frame::Goodbye { worker: 0 }.to_line()).into_bytes()
+                };
+                stream.write_all(&reply).unwrap();
+            }
+            hellos
+        });
+        let journal =
+            std::env::temp_dir().join(format!("o4a-worker-malformed-{}.jsonl", std::process::id()));
+        let factory = |_shard: u32| -> Box<dyn Fuzzer> { unreachable!("no lease is sent") };
+        let result = run_worker(
+            factory,
+            &WorkerConfig::new(&journal, 0),
+            &addr,
+            Duration::from_secs(5),
+        );
+        drop(TcpStream::connect(&addr));
+        assert_eq!(server.join().unwrap(), 1, "the worker reconnected");
+        let err = result.expect_err("a malformed frame must end the worker");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let _ = std::fs::remove_file(&journal);
     }
 }

@@ -18,6 +18,10 @@
 //!   each hour boundary), from which the cumulative hourly maps — and
 //!   therefore an *exact* merged hourly snapshot series — reconstruct.
 //!
+//! The framing — header check, fsync'd appends, the torn-tail rule — is
+//! [`o4a_obs::journal`]'s (see the "Journal" section of the `o4a-obs`
+//! README); this module owns the record codecs and the fold.
+//!
 //! ## Resume semantics
 //!
 //! On load, a shard counts as **complete** iff its `shard_done` record is
@@ -26,24 +30,23 @@
 //! and the shard re-runs from scratch — shard execution is deterministic,
 //! so the re-run regenerates exactly the findings the kill lost, and a
 //! resumed campaign reports the same deduplicated issue set as an
-//! uninterrupted one. Exact-duplicate lines (possible when a crash falls
-//! between write and flush boundaries) are dropped on load.
+//! uninterrupted one. Exact-duplicate finding records (a re-run shard
+//! journals its findings again) are dropped on load.
 
-use crate::json::{obj, parse, Json};
+use crate::json::{obj, Json};
 use crate::shard::FindingSink;
 use o4a_core::{
     CampaignConfig, CampaignResult, CampaignStats, CoveragePoint, Finding, FoundKind,
     HourlySnapshot,
 };
+use o4a_obs::journal::{self, Journal};
 use o4a_smtlib::Theory;
 use o4a_solvers::bugs::registry;
 use o4a_solvers::coverage::universe;
 use o4a_solvers::{CoverageMap, SolverId};
 use std::collections::{BTreeMap, BTreeSet};
-use std::fs::{File, OpenOptions};
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
 /// A findings store bound to one JSONL file path.
 #[derive(Clone, Debug)]
@@ -64,7 +67,8 @@ impl FindingsStore {
 
     /// Opens the journal for a campaign: creates it (writing the header)
     /// when absent, or loads it and returns the shards that already ran to
-    /// completion. The returned session appends to the same file.
+    /// completion. The returned session appends to the same file, after
+    /// any torn final line is cut.
     ///
     /// # Errors
     ///
@@ -75,27 +79,11 @@ impl FindingsStore {
         config: &CampaignConfig,
         shards: u32,
     ) -> io::Result<(StoreSession, BTreeMap<u32, CampaignResult>)> {
-        let fingerprint = header_record(config, shards);
-        let mut completed = BTreeMap::new();
-        let exists = self.path.exists() && std::fs::metadata(&self.path)?.len() > 0;
-        if exists {
-            completed = load_journal(&self.path, &fingerprint)?;
-        }
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&self.path)?;
-        let mut writer = BufWriter::new(file);
-        if !exists {
-            writeln!(writer, "{}", fingerprint.to_line())?;
-            writer.flush()?;
-        }
-        Ok((
-            StoreSession {
-                writer: Mutex::new(writer),
-            },
-            completed,
-        ))
+        let mut fold = Fold::default();
+        let (journal, _) = journal::open(&self.path, &header_record(config, shards), |r| {
+            fold.record(r)
+        })?;
+        Ok((StoreSession { journal }, fold.completed()?))
     }
 
     /// Loads and unions the completed shards of **several journals of the
@@ -117,7 +105,8 @@ impl FindingsStore {
     ///   shard execution is deterministic — and the first journal's copy
     ///   is kept;
     /// * missing or empty files are skipped (a worker may die before its
-    ///   journal gains a header).
+    ///   journal gains a header), and a journal is only read, never cut:
+    ///   its writer may still be live.
     ///
     /// # Errors
     ///
@@ -129,13 +118,12 @@ impl FindingsStore {
         shards: u32,
         paths: &[PathBuf],
     ) -> io::Result<BTreeMap<u32, CampaignResult>> {
-        let fingerprint = header_record(config, shards);
+        let header = header_record(config, shards);
         let mut completed: BTreeMap<u32, CampaignResult> = BTreeMap::new();
         for path in paths {
-            if !path.exists() || std::fs::metadata(path)?.len() == 0 {
-                continue;
-            }
-            for (shard, result) in load_journal(path, &fingerprint)? {
+            let mut fold = Fold::default();
+            journal::replay(path, &header, |r| fold.record(r))?;
+            for (shard, result) in fold.completed()? {
                 completed.entry(shard).or_insert(result);
             }
         }
@@ -144,38 +132,27 @@ impl FindingsStore {
 }
 
 /// An open, appendable journal. Implements [`FindingSink`], so it plugs
-/// directly into the sharded engine; every record is flushed on write.
+/// directly into the sharded engine.
+///
+/// Every record is appended **crash-safely** ([`Journal::append`]:
+/// written, flushed and fsync'd), and the sink callbacks only return
+/// after it. The engine therefore never reports a case complete (or
+/// moves past it) while its finding could still be lost to a crash of
+/// *this* process or the machine. That ordering is what makes "solver
+/// process died" findings from the pipe backend durable: the external
+/// solver is already gone when the finding is recorded, so the journal
+/// line is the only evidence the crash ever happened.
 pub struct StoreSession {
-    writer: Mutex<BufWriter<File>>,
-}
-
-impl StoreSession {
-    /// Appends one record **crash-safely**: the line is written, flushed
-    /// to the kernel, and fsync'd to stable storage before this returns —
-    /// and the sink callbacks only return after `append`. The engine
-    /// therefore never reports a case complete (or moves past it) while
-    /// its finding could still be lost to a crash of *this* process or
-    /// the machine. That ordering is what makes "solver process died"
-    /// findings from the pipe backend durable: the external solver is
-    /// already gone when the finding is recorded, so the journal line is
-    /// the only evidence the crash ever happened.
-    fn append(&self, record: Json) {
-        let mut writer = self.writer.lock().expect("store writer poisoned");
-        // Persistence failures must not corrupt campaign results; they
-        // surface on resume instead (the journal just ends early).
-        let _ = writeln!(writer, "{}", record.to_line());
-        let _ = writer.flush();
-        let _ = writer.get_ref().sync_data();
-    }
+    journal: Journal,
 }
 
 impl FindingSink for StoreSession {
     fn on_finding(&self, shard: u32, finding: &Finding) {
-        self.append(finding_record(shard, finding));
+        self.journal.append(&finding_record(shard, finding));
     }
 
     fn on_shard_complete(&self, shard: u32, result: &CampaignResult) {
-        self.append(shard_done_record(shard, result));
+        self.journal.append(&shard_done_record(shard, result));
     }
 }
 
@@ -580,74 +557,43 @@ fn decode_shard_done(record: &Json, findings: Vec<Finding>) -> io::Result<Campai
     })
 }
 
-fn load_journal(path: &Path, fingerprint: &Json) -> io::Result<BTreeMap<u32, CampaignResult>> {
-    let reader = BufReader::new(File::open(path)?);
-    let mut lines = Vec::new();
-    for line in reader.lines() {
-        let line = line?;
-        if !line.trim().is_empty() {
-            lines.push(line);
+/// Replays one journal's records: findings grouped by shard, and the
+/// latest completion record per shard.
+#[derive(Default)]
+struct Fold {
+    /// Every finding record seen, canonically encoded, for dedup.
+    seen_findings: BTreeSet<String>,
+    findings: BTreeMap<u32, Vec<Finding>>,
+    done: BTreeMap<u32, Json>,
+}
+
+impl Fold {
+    fn record(&mut self, record: Json) -> io::Result<()> {
+        let shard = u64_field(&record, "shard")? as u32;
+        match str_field(&record, "t")? {
+            "finding" => {
+                if self.seen_findings.insert(record.to_line()) {
+                    let finding = decode_finding(&record)?;
+                    self.findings.entry(shard).or_default().push(finding);
+                }
+            }
+            "shard_done" => {
+                self.done.insert(shard, record);
+            }
+            other => return Err(bad(format!("unknown record type '{other}'"))),
         }
-    }
-    if lines.is_empty() {
-        return Ok(BTreeMap::new());
-    }
-    let header = parse(&lines[0]).map_err(|e| bad(format!("corrupt header: {e}")))?;
-    if &header != fingerprint {
-        return Err(bad(format!(
-            "findings store at {} belongs to a different campaign \
-             (header {} != expected {})",
-            path.display(),
-            header.to_line(),
-            fingerprint.to_line()
-        )));
+        Ok(())
     }
 
-    // Dedup-on-load: drop byte-identical repeats of a shard's lines.
-    let mut seen: BTreeSet<String> = BTreeSet::new();
-    let mut findings_by_shard: BTreeMap<u32, Vec<Finding>> = BTreeMap::new();
-    let mut done_by_shard: BTreeMap<u32, Json> = BTreeMap::new();
-    for (lineno, line) in lines.iter().enumerate().skip(1) {
-        if !seen.insert(line.clone()) {
-            continue;
+    /// The shards that ran to completion. Findings of shards without a
+    /// `shard_done` record are dropped here: those shards re-run
+    /// deterministically on resume.
+    fn completed(mut self) -> io::Result<BTreeMap<u32, CampaignResult>> {
+        let mut completed = BTreeMap::new();
+        for (shard, record) in self.done {
+            let findings = self.findings.remove(&shard).unwrap_or_default();
+            completed.insert(shard, decode_shard_done(&record, findings)?);
         }
-        let decoded: io::Result<()> = (|| {
-            let record = parse(line)
-                .map_err(|e| bad(format!("corrupt record on line {}: {e}", lineno + 1)))?;
-            let tag = str_field(&record, "t")?;
-            let shard = u64_field(&record, "shard")? as u32;
-            match tag {
-                "finding" => {
-                    findings_by_shard
-                        .entry(shard)
-                        .or_default()
-                        .push(decode_finding(&record)?);
-                }
-                "shard_done" => {
-                    done_by_shard.insert(shard, record);
-                }
-                other => return Err(bad(format!("unknown record type '{other}'"))),
-            }
-            Ok(())
-        })();
-        if let Err(e) = decoded {
-            // A kill can tear the *final* line mid-write; the shard it
-            // belongs to has no completion record, so dropping the torn
-            // tail loses nothing — the shard re-runs deterministically.
-            // Corruption anywhere earlier is real damage and stays fatal.
-            if lineno + 1 == lines.len() {
-                break;
-            }
-            return Err(e);
-        }
+        Ok(completed)
     }
-
-    let mut completed = BTreeMap::new();
-    for (shard, record) in done_by_shard {
-        let findings = findings_by_shard.remove(&shard).unwrap_or_default();
-        completed.insert(shard, decode_shard_done(&record, findings)?);
-    }
-    // Findings of shards without a shard_done record are dropped here:
-    // those shards re-run deterministically on resume.
-    Ok(completed)
 }

@@ -143,23 +143,55 @@ fn torn_trailing_line_does_not_block_resume() {
 
     // A SIGKILL mid-write leaves the journal ending in half a record.
     // Simulate on two prefixes: after shard 0 completed, and mid-journal
-    // with shard 1's records partially present.
+    // with shard 1's records partially present; tear once in ASCII and
+    // once inside a non-ASCII case text, mid-way through the two bytes
+    // of an `è`.
     let journal = std::fs::read_to_string(&full_path).unwrap();
     let lines: Vec<&str> = journal.lines().collect();
     let first_done = lines
         .iter()
         .position(|l| l.contains("\"shard_done\""))
         .expect("shard 0 completion present");
+    let ascii_tear: &[u8] = b"{\"t\":\"finding\",\"case\":\"(asse";
+    let utf8_tear: &[u8] = &"{\"t\":\"finding\",\"case\":\"(assert |caf\u{e8}|)".as_bytes()[..36];
+    assert!(
+        std::str::from_utf8(utf8_tear).is_err(),
+        "tear must split the è"
+    );
     for keep in [first_done + 1, lines.len() - 1] {
-        let mut torn = lines[..keep].join("\n");
-        torn.push_str("\n{\"t\":\"finding\",\"case\":\"(asse");
-        let torn_path = journal_path("torn");
-        std::fs::write(&torn_path, torn).unwrap();
-        let resumed =
-            run_campaign_resumable(factory, &config, &exec, &FindingsStore::new(&torn_path))
-                .expect("torn trailing line must not block resume");
-        assert_eq!(fingerprint(&uninterrupted), fingerprint(&resumed));
-        let _ = std::fs::remove_file(&torn_path);
+        for tear in [ascii_tear, utf8_tear] {
+            let mut torn = lines[..keep].join("\n").into_bytes();
+            torn.push(b'\n');
+            torn.extend_from_slice(tear);
+            let torn_path = journal_path("torn");
+            std::fs::write(&torn_path, torn).unwrap();
+            // Resume repeatedly: the first resume must cut the tail before
+            // it appends, so no later one finds a record glued onto it.
+            for round in 1..=3 {
+                let resumed = run_campaign_resumable(
+                    factory,
+                    &config,
+                    &exec,
+                    &FindingsStore::new(&torn_path),
+                )
+                .unwrap_or_else(|e| panic!("resume round {round} refused: {e}"));
+                assert_eq!(
+                    fingerprint(&uninterrupted),
+                    fingerprint(&resumed),
+                    "resume round {round} diverged"
+                );
+                let healed = std::fs::read(&torn_path).unwrap();
+                let healed = String::from_utf8(healed).expect("the torn è must be cut");
+                for line in healed.lines() {
+                    assert!(
+                        o4a_exec::json::parse(line).is_ok(),
+                        "round {round} left a glued line: {}",
+                        line.chars().take(120).collect::<String>()
+                    );
+                }
+            }
+            let _ = std::fs::remove_file(&torn_path);
+        }
     }
 
     // Corruption that is *not* the trailing line stays fatal.

@@ -9,7 +9,7 @@
 //! thread on I/O), and defers all file writes to explicit [`drain`]
 //! points at campaign/worker shutdown.
 //!
-//! Three layers:
+//! Four layers:
 //!
 //! - [`trace`] — spans and instant events into thread-local ring
 //!   buffers, drained to per-process JSONL files and mergeable into one
@@ -20,12 +20,16 @@
 //! - [`json`] — the workspace's serde-free line-JSON codec (also used
 //!   by the findings store and the dist wire protocol; re-exported by
 //!   `o4a-exec` for compatibility).
+//! - [`journal`] — the durable JSONL journal framing (header check,
+//!   fsync'd appends, torn-tail replay) under the findings store, the
+//!   verdict cache and the coordinator checkpoint.
 //!
 //! Both tracing and metrics are off by default; when off, every entry
 //! point is one relaxed atomic load. Enable programmatically with
 //! [`install`] (tests, embedding) or from `O4A_TRACE` / `O4A_METRICS`
 //! with [`init_from_env`] (binaries).
 
+pub mod journal;
 pub mod json;
 pub mod metrics;
 pub mod serve;

@@ -91,12 +91,20 @@ impl Histogram {
 }
 
 /// Records the elapsed micros of a timer from [`start_timer`] into the
-/// named histogram. A `None` timer (metrics were disabled at the start)
-/// records nothing — and skips the name lookup entirely.
+/// named histogram, rounded to the nearest microsecond. A `None` timer
+/// (metrics were disabled at the start) records nothing — and skips the
+/// name lookup entirely.
 pub fn record_elapsed(name: &'static str, timer: Option<std::time::Instant>) {
     if let Some(t0) = timer {
-        histogram(name).record(t0.elapsed().as_micros() as u64);
+        histogram(name).record(rounded_micros(t0.elapsed()));
     }
+}
+
+/// `d` in whole microseconds, rounded to nearest: truncating would read
+/// every sample up to 1 µs low, a bias that matters for stages averaging
+/// ten-odd microseconds.
+fn rounded_micros(d: std::time::Duration) -> u64 {
+    u64::try_from(d.as_nanos().saturating_add(500) / 1000).unwrap_or(u64::MAX)
 }
 
 /// `Some(now)` when metrics are enabled — the guard that keeps
@@ -390,6 +398,16 @@ pub fn read_metrics_file(path: &Path) -> std::io::Result<(u64, MetricsSnapshot)>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
+
+    /// A 1.6 µs stage reads 2 µs, not the truncated 1 µs.
+    #[test]
+    fn elapsed_rounds_to_the_nearest_micro() {
+        assert_eq!(rounded_micros(Duration::from_nanos(1_600)), 2);
+        assert_eq!(rounded_micros(Duration::from_nanos(1_499)), 1);
+        assert_eq!(rounded_micros(Duration::from_nanos(499)), 0);
+        assert_eq!(rounded_micros(Duration::MAX), u64::MAX);
+    }
 
     #[test]
     fn bucket_boundaries() {
