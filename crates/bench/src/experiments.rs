@@ -2,7 +2,7 @@
 
 use o4a_core::{
     correcting_commit, dedup, run_campaign, CampaignConfig, CampaignResult, Fuzzer, Issue,
-    LifespanPoint, Once4AllConfig, Once4AllFuzzer,
+    LifespanPoint, Once4AllConfig, Once4AllFuzzer, SkeletonConfig,
 };
 use o4a_exec::{parallel_map, run_campaign_sharded, ExecConfig, Parallelism};
 use o4a_llm::{
@@ -23,7 +23,7 @@ pub struct Scale {
     pub hours: u32,
 }
 
-/// Bench scale: seconds per campaign — used by `cargo bench`.
+/// Quick scale: seconds per campaign — `experiments --quick`.
 pub const QUICK: Scale = Scale {
     time_scale: 600,
     max_cases: 8_000,
@@ -285,29 +285,10 @@ pub fn unique_known_bugs(
     out
 }
 
-/// Runs the known-bug comparison for a set of fuzzers: campaign on the
-/// latest releases, then bisection. Returns per-fuzzer unique-bug sets.
-pub fn known_bug_comparison(
-    mut fuzzers: Vec<Box<dyn Fuzzer>>,
-    scale: Scale,
-) -> Vec<(String, BTreeSet<(SolverId, CommitIdx)>)> {
-    let engine = EngineConfig::default();
-    fuzzers
-        .iter_mut()
-        .enumerate()
-        .map(|(i, f)| {
-            let result = run_campaign(
-                f.as_mut(),
-                &scale.config(release_solvers(), 0xf177 ^ (i as u64) << 8),
-            );
-            (f.name(), unique_known_bugs(&result, &engine))
-        })
-        .collect()
-}
-
-/// [`known_bug_comparison`] on the worker pool: release campaigns plus
-/// bisection, one roster fuzzer per worker (see
-/// [`coverage_comparison_parallel`] for the pool model).
+/// Runs the known-bug comparison for a roster (Figures 7 and 9): one
+/// campaign per fuzzer on the latest releases, then bisection, one roster
+/// fuzzer per worker (see [`coverage_comparison_parallel`] for the pool
+/// model). Returns per-fuzzer unique-bug sets.
 pub fn known_bug_comparison_parallel(
     roster: &Roster,
     scale: Scale,
@@ -329,6 +310,61 @@ pub fn known_bug_comparison_parallel(
         );
         (result.fuzzer.clone(), unique_known_bugs(&result, &engine))
     })
+}
+
+/// The design-choice sweep of the ablation: bug-triggering cases out of
+/// `cases` for each variation of skeleton replacement probability, fills
+/// per skeleton and mutations per seed, in display order.
+pub fn ablation(cases: usize) -> Vec<(&'static str, u64)> {
+    let replace = |p| Once4AllConfig {
+        skeleton: SkeletonConfig {
+            replace_probability: p,
+            max_placeholders: 4,
+        },
+        ..Once4AllConfig::default()
+    };
+    let sweep = [
+        ("replace_p=0.3", replace(0.3)),
+        ("replace_p=0.6 (paper)", Once4AllConfig::default()),
+        ("replace_p=0.9", replace(0.9)),
+        (
+            "max_fills=1",
+            Once4AllConfig {
+                max_fills: 1,
+                ..Once4AllConfig::default()
+            },
+        ),
+        (
+            "max_fills=4",
+            Once4AllConfig {
+                max_fills: 4,
+                ..Once4AllConfig::default()
+            },
+        ),
+        (
+            "mutations_per_seed=1",
+            Once4AllConfig {
+                mutations_per_seed: 1,
+                ..Once4AllConfig::default()
+            },
+        ),
+        ("mutations_per_seed=10 (paper)", Once4AllConfig::default()),
+    ];
+    let campaign = CampaignConfig {
+        virtual_hours: 24,
+        time_scale: 1_000_000,
+        solvers: trunk_solvers(),
+        engine: EngineConfig::default(),
+        seed: 0xab1a,
+        max_cases: cases,
+    };
+    sweep
+        .into_iter()
+        .map(|(label, config)| {
+            let result = run_campaign(&mut Once4AllFuzzer::new(config), &campaign);
+            (label, result.stats.bug_triggering)
+        })
+        .collect()
 }
 
 /// The coverage-complementarity analysis (§4.3): function names covered by

@@ -1,9 +1,9 @@
 //! # o4a-bench
 //!
 //! The experiment harness: one function per table/figure of the paper's
-//! evaluation, shared by the Criterion benches (scaled-down) and the
-//! `experiments` binary (full scale). See `EXPERIMENTS.md` for the
-//! paper-vs-measured record.
+//! evaluation, driven by the `experiments` binary at quick or full
+//! scale. See `DESIGN.md` for the paper-vs-measured record and what
+//! `time_scale` trades.
 
 #![warn(missing_docs)]
 

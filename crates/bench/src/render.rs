@@ -344,102 +344,6 @@ pub fn render_histogram_line(h: &o4a_obs::metrics::HistogramSnapshot) -> String 
     )
 }
 
-/// The outcome of comparing two `BENCH_throughput.json` snapshots: a
-/// human-readable table plus the scenarios that regressed past the
-/// threshold — CI fails iff `regressions` is non-empty.
-#[derive(Debug)]
-pub struct BenchDiff {
-    /// Per-scenario comparison table.
-    pub report: String,
-    /// Scenarios slower than `baseline * (1 - max_regress_pct/100)`,
-    /// or present in the baseline but missing from the regenerated run.
-    pub regressions: Vec<String>,
-}
-
-/// Diffs a regenerated `BENCH_throughput.json` against the committed
-/// baseline (the bench-trend CI gate). Both arguments are the raw file
-/// contents. A scenario regresses when its fresh cases/sec falls more
-/// than `max_regress_pct` percent below the baseline, or when it
-/// disappears entirely; new scenarios are reported but never fail the
-/// gate (the baseline simply hasn't learned them yet).
-///
-/// # Errors
-///
-/// Either file failing to parse as the bench's flat
-/// `{"scenarios": {name: cases_per_sec}}` layout.
-pub fn render_bench_diff(
-    baseline: &str,
-    fresh: &str,
-    max_regress_pct: f64,
-) -> std::io::Result<BenchDiff> {
-    use o4a_exec::json::{parse, Json};
-    fn scenarios(raw: &str, which: &str) -> std::io::Result<BTreeMap<String, f64>> {
-        let bad = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
-        let json = parse(raw.trim())
-            .map_err(|e| bad(format!("{which} BENCH_throughput.json does not parse: {e}")))?;
-        let Some(Json::Obj(map)) = json.get("scenarios").cloned() else {
-            return Err(bad(format!(
-                "{which} BENCH_throughput.json has no scenarios object"
-            )));
-        };
-        map.into_iter()
-            .map(|(name, v)| {
-                v.as_f64()
-                    .map(|rate| (name.clone(), rate))
-                    .ok_or_else(|| bad(format!("{which} scenario '{name}' is not a number")))
-            })
-            .collect()
-    }
-    let old = scenarios(baseline, "baseline")?;
-    let new = scenarios(fresh, "fresh")?;
-    let mut report = header(&format!(
-        "Bench trend: cases/sec vs committed baseline (gate: -{max_regress_pct:.0}%)"
-    ));
-    let _ = writeln!(
-        report,
-        "{:<22} {:>10} {:>10} {:>8}",
-        "scenario", "baseline", "fresh", "delta"
-    );
-    let mut regressions = Vec::new();
-    for (name, &was) in &old {
-        match new.get(name) {
-            None => {
-                let _ = writeln!(report, "{name:<22} {was:>10.1} {:>10} {:>8}", "gone", "—");
-                regressions.push(format!("{name}: dropped from the bench"));
-            }
-            Some(&now) => {
-                let delta_pct = if was > 0.0 {
-                    (now - was) * 100.0 / was
-                } else {
-                    0.0
-                };
-                let regressed = now < was * (1.0 - max_regress_pct / 100.0);
-                let _ = writeln!(
-                    report,
-                    "{name:<22} {was:>10.1} {now:>10.1} {delta_pct:>+7.1}%{}",
-                    if regressed { "  << REGRESSION" } else { "" }
-                );
-                if regressed {
-                    regressions.push(format!(
-                        "{name}: {was:.1} -> {now:.1} cases/sec ({delta_pct:+.1}%)"
-                    ));
-                }
-            }
-        }
-    }
-    for name in new.keys().filter(|n| !old.contains_key(*n)) {
-        let _ = writeln!(
-            report,
-            "{name:<22} {:>10} {:>10.1} {:>8}  (new scenario)",
-            "—", new[name], "—"
-        );
-    }
-    Ok(BenchDiff {
-        report,
-        regressions,
-    })
-}
-
 /// Renders the exclusive-coverage analysis (which modules only Once4All
 /// reaches).
 pub fn render_exclusive(once4all: &CampaignResult, others: &[&CampaignResult]) -> String {
@@ -589,64 +493,6 @@ mod tests {
             "spawned fleets never join: {s}"
         );
         assert!(!s.contains("resumed"), "unchecked fleets never resume: {s}");
-    }
-
-    fn bench_json(scenarios: &[(&str, f64)]) -> String {
-        let body: Vec<String> = scenarios
-            .iter()
-            .map(|(n, v)| format!("\"{n}\":{v:?}"))
-            .collect();
-        format!(
-            "{{\"bench\":\"campaign_throughput\",\"scenarios\":{{{}}},\"unit\":\"cases_per_sec\"}}",
-            body.join(",")
-        )
-    }
-
-    #[test]
-    fn bench_diff_passes_within_threshold_and_reports_new_scenarios() {
-        let baseline = bench_json(&[("serial", 30.0), ("pipe_k8", 150.0)]);
-        // -10% and +5%: both inside a 20% gate; a new scenario is noted.
-        let fresh = bench_json(&[("serial", 27.0), ("pipe_k8", 157.5), ("tcp_fleet", 90.0)]);
-        let diff = render_bench_diff(&baseline, &fresh, 20.0).expect("parse");
-        assert!(diff.regressions.is_empty(), "{:?}", diff.regressions);
-        assert!(diff.report.contains("serial"));
-        assert!(diff.report.contains("-10.0%"), "{}", diff.report);
-        assert!(diff.report.contains("(new scenario)"), "{}", diff.report);
-        assert!(!diff.report.contains("REGRESSION"), "{}", diff.report);
-    }
-
-    #[test]
-    fn bench_diff_flags_regressions_and_dropped_scenarios() {
-        let baseline = bench_json(&[("serial", 30.0), ("pipe_k8", 150.0), ("cached", 100.0)]);
-        // serial fell 50% (past the 20% gate), cached vanished.
-        let fresh = bench_json(&[("serial", 15.0), ("pipe_k8", 149.0)]);
-        let diff = render_bench_diff(&baseline, &fresh, 20.0).expect("parse");
-        assert_eq!(diff.regressions.len(), 2, "{:?}", diff.regressions);
-        assert!(diff.regressions.iter().any(|r| r.starts_with("serial:")));
-        assert!(diff
-            .regressions
-            .iter()
-            .any(|r| r.contains("dropped from the bench")));
-        assert!(diff.report.contains("REGRESSION"), "{}", diff.report);
-        // The boundary case: exactly -20% is NOT a regression (strict <).
-        let at_gate = bench_json(&[("serial", 24.0), ("pipe_k8", 150.0), ("cached", 100.0)]);
-        let diff = render_bench_diff(&baseline, &at_gate, 20.0).expect("parse");
-        assert!(
-            diff.regressions.is_empty(),
-            "exactly at the gate must pass: {:?}",
-            diff.regressions
-        );
-    }
-
-    #[test]
-    fn bench_diff_refuses_malformed_snapshots() {
-        let good = bench_json(&[("serial", 30.0)]);
-        assert!(render_bench_diff("not json", &good, 20.0).is_err());
-        assert!(render_bench_diff(&good, "{\"scenarios\":[]}", 20.0).is_err());
-        assert!(
-            render_bench_diff(&good, "{\"scenarios\":{\"serial\":\"fast\"}}", 20.0).is_err(),
-            "non-numeric scenario must be refused"
-        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Correcting-commit identification (paper §4.3): given a bug-triggering
 //! formula that reproduces on an old version but not on trunk, binary
 //! search the commit history for the fix commit. Distinct correcting
-//! commits ⇒ distinct bugs — the uniqueness criterion of the RQ2
+//! commits ⇒ distinct bugs — the uniqueness rule of the RQ2
 //! comparison.
 
 use crate::oracle::model_satisfies;

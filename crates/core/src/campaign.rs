@@ -24,7 +24,7 @@ pub struct CampaignConfig {
     /// Multiplier applied to all virtual costs. Scaling up makes each case
     /// "cost more" virtual time, shrinking the number of real cases a
     /// campaign executes while preserving every relative comparison
-    /// (documented in EXPERIMENTS.md).
+    /// (documented in DESIGN.md).
     pub time_scale: u64,
     /// Solvers under test and the commits they are built from.
     pub solvers: Vec<(SolverId, CommitIdx)>,

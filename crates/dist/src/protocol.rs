@@ -704,9 +704,10 @@ mod tests {
         );
     }
 
-    #[test]
-    fn every_frame_kind_round_trips() {
-        let frames = vec![
+    /// One canonical value of every frame kind, optional fields both
+    /// absent and present.
+    fn every_frame_kind() -> Vec<Frame> {
+        vec![
             Frame::Lease {
                 shard: 3,
                 plan: plan(),
@@ -779,13 +780,74 @@ mod tests {
                 ],
             },
             Frame::Goodbye { worker: 7 },
-        ];
-        for frame in frames {
+        ]
+    }
+
+    #[test]
+    fn every_frame_kind_round_trips() {
+        for frame in every_frame_kind() {
             let line = frame.to_line();
             assert!(!line.contains('\n'), "frames must be single lines");
             let back = Frame::from_line(&line).unwrap();
             assert_eq!(back.to_line(), line, "frame re-encode diverged");
         }
+    }
+
+    /// Hostile bytes at the frame decoder (and the JSON parser under it):
+    /// every frame kind's canonical line cut at every offset, seeded bit
+    /// flips of it, and nesting at and one past the parser's cap. Each
+    /// input decodes or is `InvalidData`; none panics.
+    #[test]
+    fn hostile_frame_lines_decode_or_are_invalid_data() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        fn check(bytes: &[u8]) -> bool {
+            let line = String::from_utf8_lossy(bytes);
+            match catch_unwind(AssertUnwindSafe(|| Frame::from_line(&line))) {
+                Ok(Ok(_)) => true,
+                Ok(Err(e)) => {
+                    assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e} for {line:?}");
+                    false
+                }
+                Err(_) => panic!("from_line panicked on {line:?}"),
+            }
+        }
+
+        let mut rng = StdRng::seed_from_u64(0xf8a3e);
+        let (mut inputs, mut decoded) = (0usize, 0usize);
+        for frame in every_frame_kind() {
+            let line = frame.to_line().into_bytes();
+            for cut in 0..line.len() {
+                inputs += 1;
+                decoded += usize::from(check(&line[..cut]));
+            }
+            for _ in 0..200 {
+                let mut flipped = line.clone();
+                for _ in 0..rng.gen_range(1..=3usize) {
+                    let at = rng.gen_range(0..flipped.len());
+                    flipped[at] ^= 1 << rng.gen_range(0..8u32);
+                }
+                inputs += 1;
+                decoded += usize::from(check(&flipped));
+            }
+        }
+        assert!(decoded < inputs, "no hostile input was refused");
+
+        // An ignored field nested to the cap decodes; one level more is
+        // refused by the parser.
+        let nested = |depth: usize| {
+            let inner = depth - 1; // the frame's own object is one level
+            format!(
+                "{{\"t\":\"goodbye\",\"worker\":7,\"x\":{}{}}}",
+                "[".repeat(inner),
+                "]".repeat(inner)
+            )
+        };
+        let max = o4a_obs::json::MAX_DEPTH;
+        assert!(check(nested(max).as_bytes()), "nesting at the cap");
+        assert!(!check(nested(max + 1).as_bytes()), "nesting past the cap");
     }
 
     #[test]

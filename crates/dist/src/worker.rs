@@ -34,6 +34,7 @@ use crate::transport::connect_with_retry;
 use o4a_core::{Fuzzer, TestCase};
 use o4a_exec::json::Json;
 use o4a_exec::{run_shard_lease, ExecConfig, FindingsStore, StoreSession};
+use o4a_obs::journal::read_line;
 use o4a_obs::metrics::MetricsSnapshot;
 use o4a_obs::trace::TraceEvent;
 use rand::rngs::StdRng;
@@ -528,11 +529,11 @@ where
 fn read_frame(reader: &mut impl BufRead) -> io::Result<Option<String>> {
     let mut buf = Vec::new();
     let limit = MAX_FRAME_BYTES as u64 + 1;
-    match Read::take(&mut *reader, limit).read_until(b'\n', &mut buf) {
-        Ok(0) | Err(_) => return Ok(None),
-        Ok(_) => {}
-    }
-    if buf.last() != Some(&b'\n') {
+    let terminated = match read_line(&mut Read::take(reader, limit), &mut buf, MAX_FRAME_BYTES) {
+        Ok((0, _)) | Err(_) => return Ok(None),
+        Ok((_, terminated)) => terminated,
+    };
+    if !terminated {
         if buf.len() <= MAX_FRAME_BYTES {
             return Ok(None);
         }
@@ -541,7 +542,6 @@ fn read_frame(reader: &mut impl BufRead) -> io::Result<Option<String>> {
             format!("coordinator frame longer than {MAX_FRAME_BYTES} bytes"),
         ));
     }
-    buf.pop();
     String::from_utf8(buf)
         .map(Some)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
@@ -581,6 +581,30 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         let unread = flood.buffer().len() as u64 + flood.get_ref().limit();
         assert_eq!(unread, 4095, "read past the cap");
+    }
+
+    /// A frame one byte over the cap is refused; a frame at the cap,
+    /// read in socket-sized chunks, comes back in a buffer that never grew
+    /// past one byte more than the cap.
+    #[test]
+    fn frame_buffer_grows_no_further_than_the_cap() {
+        let frame = |len: usize| {
+            let mut bytes = vec![b'x'; len];
+            bytes.push(b'\n');
+            BufReader::new(Cursor::new(bytes))
+        };
+        let err = read_frame(&mut frame(MAX_FRAME_BYTES + 1)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+
+        let line = read_frame(&mut frame(MAX_FRAME_BYTES))
+            .unwrap()
+            .expect("a frame at the cap");
+        assert_eq!(line.len(), MAX_FRAME_BYTES);
+        assert!(
+            line.capacity() <= MAX_FRAME_BYTES + 1,
+            "capacity {} for a {MAX_FRAME_BYTES}-byte frame",
+            line.capacity()
+        );
     }
 
     /// A non-UTF-8 frame ends the worker with `InvalidData` instead of

@@ -108,21 +108,35 @@ fn bad(msg: String) -> io::Error {
 }
 
 /// Reads one line through its newline, copying at most one byte more
-/// than [`MAX_LINE_BYTES`] of it into `buf` (so a longer line shows as
-/// one) and growing `buf` by doubling no further than that. Returns the
-/// bytes consumed — 0 at end of file — and whether a newline ended it.
-fn read_line(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> io::Result<(u64, bool)> {
+/// than `cap` of it into `buf` (so a longer line shows as one) and
+/// growing `buf` by doubling no further than that. Returns the bytes
+/// consumed — 0 at end of file — and whether a newline ended it.
+///
+/// The rest of an over-cap line is consumed, not kept; a reader that must
+/// stop reading at the cap passes a [`std::io::Read::take`] of itself.
+///
+/// # Errors
+///
+/// Any error of `reader` but `Interrupted`, which is retried.
+pub fn read_line(
+    reader: &mut impl BufRead,
+    buf: &mut Vec<u8>,
+    cap: usize,
+) -> io::Result<(u64, bool)> {
     let mut consumed = 0u64;
     loop {
-        let chunk = reader.fill_buf()?;
+        let chunk = match reader.fill_buf() {
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            chunk => chunk?,
+        };
         if chunk.is_empty() {
             return Ok((consumed, false));
         }
         let newline = chunk.iter().position(|&b| b == b'\n');
         let content = newline.unwrap_or(chunk.len());
-        let copy = content.min(MAX_LINE_BYTES + 1 - buf.len());
+        let copy = content.min(cap + 1 - buf.len());
         if buf.capacity() - buf.len() < copy {
-            let grown = (buf.capacity() * 2).clamp(buf.len() + copy, MAX_LINE_BYTES + 1);
+            let grown = (buf.capacity() * 2).clamp(buf.len() + copy, cap + 1);
             buf.reserve_exact(grown - buf.len());
         }
         buf.extend_from_slice(&chunk[..copy]);
@@ -152,7 +166,7 @@ fn scan(
     let mut failed: Option<String> = None;
     loop {
         buf.clear();
-        let (len, terminated) = read_line(&mut reader, &mut buf)?;
+        let (len, terminated) = read_line(&mut reader, &mut buf, MAX_LINE_BYTES)?;
         if len == 0 {
             replay.torn_bytes = end - committed;
             return Ok((replay, committed));
