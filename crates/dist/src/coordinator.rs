@@ -564,7 +564,8 @@ fn mint_secret() -> io::Result<String> {
 enum Drained {
     /// Still connected; any torn frame tail stays buffered.
     Open,
-    /// End of stream: the peer closed or died.
+    /// End of stream: the peer closed or died, or its connection failed
+    /// (a reset). Frames read before the failure are still returned.
     Closed,
     /// The peer's unterminated frame outgrew [`MAX_FRAME_BYTES`]; its
     /// buffer has been freed.
@@ -575,20 +576,24 @@ enum Drained {
 /// stops once `buf` holds one byte more than [`MAX_FRAME_BYTES`], so a
 /// peer flooding bytes cannot grow it further before its frames are split
 /// off and its torn tail is checked against the cap.
-fn drain_frames(link: &mut Link, buf: &mut Vec<u8>) -> io::Result<(Vec<String>, Drained)> {
+///
+/// A read error loses this one peer, never the campaign: a worker that
+/// sends `done` and `goodbye` and exits with a lease still unread resets
+/// its connection, and its last frames must still count.
+fn drain_frames(link: &mut Link, buf: &mut Vec<u8>) -> (Vec<String>, Drained) {
     let mut drained = Drained::Open;
     loop {
         let room = (MAX_FRAME_BYTES + 1).saturating_sub(buf.len());
         if room == 0 {
             break;
         }
-        match link.read_available(buf, room)? {
-            Some(0) => {
+        match link.read_available(buf, room) {
+            Ok(Some(0)) | Err(_) => {
                 drained = Drained::Closed;
                 break;
             }
-            Some(_) => continue,
-            None => break,
+            Ok(Some(_)) => continue,
+            Ok(None) => break,
         }
     }
     let lines = take_lines(buf);
@@ -596,7 +601,7 @@ fn drain_frames(link: &mut Link, buf: &mut Vec<u8>) -> io::Result<(Vec<String>, 
         *buf = Vec::new();
         drained = Drained::Oversized;
     }
-    Ok((lines, drained))
+    (lines, drained)
 }
 
 /// Pops complete lines off the front of `buf`, leaving a partial
@@ -1438,7 +1443,7 @@ fn drive_fleet(
             if worker.eof {
                 continue;
             }
-            let (lines, drained) = drain_frames(&mut worker.link, &mut worker.buf)?;
+            let (lines, drained) = drain_frames(&mut worker.link, &mut worker.buf);
             match drained {
                 Drained::Open => {}
                 Drained::Closed => worker.eof = true,
@@ -1745,7 +1750,7 @@ mod tests {
         let mut buf = Vec::new();
         let mut lines = Vec::new();
         loop {
-            let (got, drained) = drain_frames(&mut link, &mut buf).unwrap();
+            let (got, drained) = drain_frames(&mut link, &mut buf);
             lines.extend(got);
             match drained {
                 Drained::Open => {
@@ -1761,6 +1766,51 @@ mod tests {
         assert_eq!(buf.capacity(), 0, "the oversized tail is freed");
         drop(link);
         flood.join().unwrap();
+    }
+
+    /// A worker that says `goodbye` and exits with a lease still unread
+    /// resets its connection. Its `goodbye` is read, and the reset closes
+    /// this one peer instead of failing the campaign.
+    #[test]
+    fn reset_after_goodbye_keeps_the_goodbye() {
+        use crate::transport::{connect_with_retry, Listener};
+        use std::io::Write;
+
+        let listener = Listener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().to_string();
+        let peer =
+            std::thread::spawn(move || connect_with_retry(&addr, Duration::from_secs(5)).unwrap());
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let accepted = loop {
+            if let Some(stream) = listener.accept().unwrap() {
+                break stream;
+            }
+            assert!(Instant::now() < deadline, "peer never connected");
+            std::thread::sleep(Duration::from_millis(5));
+        };
+        let mut peer = peer.join().unwrap();
+        let mut link = Link::new(accepted).unwrap();
+        link.send_line("{\"t\":\"lease\"}").unwrap();
+        peer.write_all(b"{\"t\":\"goodbye\",\"worker\":0}\n")
+            .unwrap();
+        // Closing with the lease unread sends a reset, not a FIN.
+        drop(peer);
+
+        let mut buf = Vec::new();
+        let mut lines = Vec::new();
+        loop {
+            let (got, drained) = drain_frames(&mut link, &mut buf);
+            lines.extend(got);
+            match drained {
+                Drained::Open => {
+                    assert!(Instant::now() < deadline, "the reset never arrived");
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                Drained::Closed => break,
+                Drained::Oversized => panic!("a one-frame peer is not oversized"),
+            }
+        }
+        assert_eq!(lines, vec!["{\"t\":\"goodbye\",\"worker\":0}".to_string()]);
     }
 
     fn base() -> DistConfig {

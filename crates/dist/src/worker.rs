@@ -485,15 +485,26 @@ where
             match Frame::from_line(&line).map_err(rejected)? {
                 Frame::Lease { shard, plan, trace } => {
                     let done = server.serve(shard, &plan, trace, &mut out)?;
-                    let sent = writeln!(out, "{}", done.to_line())
+                    let mut reply = done.to_line();
+                    reply.push('\n');
+                    let leaving = server.leave_due();
+                    if leaving {
+                        // One write, so the goodbye lands with the `done`:
+                        // a coordinator that read the `done` alone could end
+                        // the campaign on it, or lease this worker again.
+                        reply.push_str(
+                            &Frame::Goodbye {
+                                worker: cfg.worker_id,
+                            }
+                            .to_line(),
+                        );
+                        reply.push('\n');
+                    }
+                    let sent = out
+                        .write_all(reply.as_bytes())
                         .and_then(|()| out.flush())
                         .is_ok();
-                    if server.leave_due() {
-                        let farewell = Frame::Goodbye {
-                            worker: cfg.worker_id,
-                        };
-                        let _ = writeln!(out, "{}", farewell.to_line());
-                        let _ = out.flush();
+                    if leaving {
                         return Ok(());
                     }
                     if !sent {
