@@ -215,7 +215,8 @@ pub fn render_stats(result: &CampaignResult) -> String {
             s.leases_granted, s.leases_reissued
         );
     }
-    // Generation stages, engine rewrite, search and shard merge times are
+    // Generation stages, engine rewrite, compile, search and shard merge
+    // times are
     // process metrics, recorded only while metrics are on (`O4A_METRICS`);
     // a metrics-off run prints none of these lines.
     if o4a_obs::metrics_enabled() {
@@ -225,6 +226,7 @@ pub fn render_stats(result: &CampaignResult) -> String {
             ("fuzzer.fill", "fuzzer.fill µs/call      "),
             ("frontend.pass", "frontend.pass µs/call    "),
             ("solver.rewrite", "solver.rewrite µs/call   "),
+            ("solver.compile", "solver.compile µs/call   "),
             ("solver.search", "solver.search µs/call    "),
             ("exec.merge_micros", "exec.merge µs/campaign   "),
         ] {
@@ -540,6 +542,7 @@ mod tests {
         o4a_obs::metrics::histogram("fuzzer.fill").record(45);
         o4a_obs::metrics::histogram("frontend.pass").record(100);
         o4a_obs::metrics::histogram("solver.rewrite").record(30);
+        o4a_obs::metrics::histogram("solver.compile").record(20);
         o4a_obs::metrics::histogram("solver.search").record(40);
         o4a_obs::metrics::histogram("exec.merge_micros").record(900);
         let s = render_stats(&result);
@@ -547,6 +550,7 @@ mod tests {
         assert!(s.contains("fuzzer.fill µs/call      : n="), "{s}");
         assert!(s.contains("frontend.pass µs/call    : n="), "{s}");
         assert!(s.contains("solver.rewrite µs/call   : n="), "{s}");
+        assert!(s.contains("solver.compile µs/call   : n="), "{s}");
         assert!(s.contains("solver.search µs/call    : n="), "{s}");
         assert!(s.contains("exec.merge µs/campaign   : n="), "{s}");
     }

@@ -4,12 +4,12 @@
 //! 6–9, Tables 1–2) are campaigns with different fuzzers/solver versions.
 
 use crate::fuzzer::{Fuzzer, TestCase};
-use crate::oracle::{judge, judge_script, Verdict};
+use crate::oracle::{judge, judge_parsed, Verdict};
 use crate::triage::Finding;
 use o4a_solvers::coverage::universe;
 use o4a_solvers::{
-    solver_with_config, CommitIdx, CoverageMap, EngineConfig, FormulaFeatures, Outcome, Parsed,
-    SmtSolver, SolverId, SolverResponse, TRUNK_COMMIT,
+    solver_with_config, CommitIdx, CoverageMap, EngineConfig, Outcome, Parsed, SmtSolver, SolverId,
+    SolverResponse, TRUNK_COMMIT,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -486,16 +486,14 @@ impl CampaignStepper {
 
         let mut recorded_finding = false;
         let verdict = match &parsed {
-            Some(p) => judge_script(p.script(), &responses),
+            Some(p) => judge_parsed(p, &responses),
             None => judge(&text, &responses),
         };
         if verdict.is_bug() {
             self.stats.bug_triggering += 1;
             let features = match &parsed {
                 Some(p) => Cow::Borrowed(p.features()),
-                None => Cow::Owned(FormulaFeatures::of(
-                    &o4a_smtlib::parse_script(&text).unwrap_or_default(),
-                )),
+                None => Cow::Owned(Parsed::new(&text).features().clone()),
             };
             if let Some(finding) =
                 Finding::from_verdict(&text, &verdict, &features, &self.commits, vhour)

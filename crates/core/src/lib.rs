@@ -35,7 +35,7 @@ pub use campaign::{
 pub use fill::{adapt_fill_arena, parse_fill_into, synthesize_arena, ArenaFill, ADAPT_PROBABILITY};
 pub use fuzzer::{FrontendValidator, Fuzzer, Once4AllConfig, Once4AllFuzzer, TestCase};
 pub use lifespan::{lifespan_series, long_latent_count, LifespanPoint};
-pub use oracle::{judge, judge_script, model_satisfies, Verdict};
+pub use oracle::{judge, judge_parsed, model_satisfies, Verdict};
 pub use seeds::{parsed_seeds, SEED_TEXTS};
 pub use skeleton::{skeletonize_arena, ArenaSkeleton, SkeletonConfig};
 pub use triage::{

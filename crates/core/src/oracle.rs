@@ -3,8 +3,9 @@
 //! into the three bug classes.
 
 use o4a_smtlib::eval::{DomainConfig, Evaluator};
-use o4a_smtlib::{parse_script, Command, Script, Sort, Symbol, Term, Value};
-use o4a_solvers::{Outcome, SolverId, SolverResponse};
+use o4a_smtlib::{parse_script_arena, Command, Script, Sort, Symbol, Term, TermArena, Value};
+use o4a_solvers::{Outcome, Parsed, SolverId, SolverResponse};
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 
 /// The oracle's judgement of one test case.
@@ -90,17 +91,33 @@ pub fn judge(case_text: &str, responses: &[(SolverId, SolverResponse)]) -> Verdi
     let crashed = responses
         .iter()
         .any(|(_, r)| matches!(r.outcome, Outcome::Crash(_)));
+    let mut arena = TermArena::new();
     let script = if crashed {
         None
     } else {
-        parse_script(case_text).ok()
+        parse_script_arena(case_text, &mut arena).ok()
     };
-    judge_script(script.as_ref(), responses)
+    // Boxed only when a `sat` model must be re-evaluated.
+    let boxed = OnceCell::new();
+    let script = script
+        .as_ref()
+        .map(|s| || boxed.get_or_init(|| s.to_script(&arena)));
+    judge_with(script, responses)
 }
 
-/// [`judge`] on an already parsed case: `script` is the parse of the case
-/// text, `None` when it did not parse (then only a crash is reportable).
-pub fn judge_script(script: Option<&Script>, responses: &[(SolverId, SolverResponse)]) -> Verdict {
+/// [`judge`] on an already parsed case. The script is boxed only when a
+/// `sat` model must be re-evaluated against it.
+pub fn judge_parsed(parsed: &Parsed, responses: &[(SolverId, SolverResponse)]) -> Verdict {
+    let script = || parsed.script().expect("a case that parses has a script");
+    judge_with(parsed.parses().then_some(script), responses)
+}
+
+/// The judgement, with `script` the parse of the case text read on demand,
+/// `None` when it did not parse (then only a crash is reportable).
+fn judge_with<'s>(
+    script: Option<impl Fn() -> &'s Script>,
+    responses: &[(SolverId, SolverResponse)],
+) -> Verdict {
     for (solver, r) in responses {
         if let Outcome::Crash(info) = &r.outcome {
             return Verdict::Crash {
@@ -116,7 +133,7 @@ pub fn judge_script(script: Option<&Script>, responses: &[(SolverId, SolverRespo
     for (solver, r) in responses {
         if r.outcome == Outcome::Sat {
             if let Some(model) = &r.model {
-                if model_satisfies(script, model) == Some(false) {
+                if model_satisfies(script(), model) == Some(false) {
                     return Verdict::InvalidModel { solver: *solver };
                 }
             }
@@ -126,7 +143,7 @@ pub fn judge_script(script: Option<&Script>, responses: &[(SolverId, SolverRespo
     let sat = responses.iter().find(|(_, r)| r.outcome == Outcome::Sat);
     let unsat = responses.iter().find(|(_, r)| r.outcome == Outcome::Unsat);
     if let (Some((ss, sr)), Some((us, _))) = (sat, unsat) {
-        let model_confirms_sat = sr.model.as_ref().and_then(|m| model_satisfies(script, m));
+        let model_confirms_sat = sr.model.as_ref().and_then(|m| model_satisfies(script(), m));
         return Verdict::Soundness {
             sat_solver: *ss,
             unsat_solver: *us,
@@ -140,7 +157,7 @@ pub fn judge_script(script: Option<&Script>, responses: &[(SolverId, SolverRespo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use o4a_smtlib::Model;
+    use o4a_smtlib::{parse_script, Model};
     use o4a_solvers::{CrashInfo, CrashKind, SolveStats};
 
     fn resp(outcome: Outcome, model: Option<Model>) -> SolverResponse {

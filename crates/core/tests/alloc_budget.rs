@@ -1,14 +1,14 @@
 //! Allocation-count regression gate for the arena hot loop: after warmup,
-//! one fill→print→extract→compile→eval case must stay under a pinned
-//! allocation budget.
+//! one fill→print→compile→eval case must stay under a pinned allocation
+//! budget.
 //! The arena substrate exists precisely so the steady state recycles its
 //! buffers — a regression here means boxed-term cloning crept back in.
 
 use o4a_core::SkeletonConfig;
 use o4a_core::{adapt_fill_arena, parse_fill_into, skeletonize_arena, synthesize_arena};
 use o4a_llm::RawTerm;
-use o4a_smtlib::eval::{no_defs, Dim, DomainConfig, IncrementalEval};
-use o4a_smtlib::{ArenaScript, Script, Symbol, Term, TermArena, Value};
+use o4a_smtlib::eval::{no_defs, Dim, DomainConfig, Domains, IncrementalEval};
+use o4a_smtlib::{ArenaScript, Script, Symbol, TermArena, TermId, Value};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -73,9 +73,10 @@ fn one_case(
     assert!(buf.ends_with("(check-sat)"));
     // Compile the case's assertions onto slots and evaluate them under
     // the model, as an engine's search does for its first assignment.
-    let roots: Vec<Term> = out.assertions().map(|t| arena.extract_term(t)).collect();
+    let roots: Vec<TermId> = out.assertions().collect();
     let dims: Vec<Dim> = model.iter().map(|(d, _)| d.clone()).collect();
-    let mut ev = IncrementalEval::compile(&roots, &dims, no_defs(), cfg);
+    let domains = Domains::new(arena.sorts(), cfg);
+    let mut ev = IncrementalEval::compile(arena, &roots, &dims, no_defs(), cfg, &domains);
     for (k, (_, v)) in model.iter().enumerate() {
         ev.set(k, v.clone());
     }

@@ -13,9 +13,9 @@
 use crate::metrics::{bucket_upper_bound, MetricsSnapshot};
 use std::fmt::Write as _;
 
-/// Longest request head (request line + headers) we accept before
-/// answering 400 — scope requests are a short GET line plus a handful
-/// of headers.
+/// Longest request head (request line + headers + the blank line) we
+/// accept before answering 400 — scope requests are a short GET line
+/// plus a handful of headers.
 pub const MAX_REQUEST_BYTES: usize = 8 * 1024;
 
 /// One parsed HTTP request head (the scope plane ignores bodies).
@@ -30,30 +30,43 @@ pub struct HttpRequest {
 /// Incrementally parses a request head from `buf`.
 ///
 /// Returns `None` while the head is still incomplete (no blank line
-/// yet and the buffer is under [`MAX_REQUEST_BYTES`]), `Some(Ok(..))`
+/// yet and the buffer is at most [`MAX_REQUEST_BYTES`]), `Some(Ok(..))`
 /// once the request line is readable, and `Some(Err(..))` for input
-/// that can never become a valid request (oversized or malformed) —
-/// the caller should answer 400 and close.
+/// that can never become a valid request (a head longer than the cap,
+/// complete or not, or a malformed one) — the caller should answer 400
+/// and close. So a caller that reads only while this returns `None`
+/// never buffers more than one read past the cap.
 pub fn parse_request(buf: &[u8]) -> Option<Result<HttpRequest, String>> {
     let head_end = buf.windows(4).position(|w| w == b"\r\n\r\n");
+    let oversized = || {
+        Some(Err(format!(
+            "request head exceeds {MAX_REQUEST_BYTES} bytes"
+        )))
+    };
     let Some(end) = head_end else {
         if buf.len() > MAX_REQUEST_BYTES {
-            return Some(Err(format!(
-                "request head exceeds {MAX_REQUEST_BYTES} bytes"
-            )));
+            return oversized();
         }
         return None;
     };
+    if end + 4 > MAX_REQUEST_BYTES {
+        return oversized();
+    }
     let head = match std::str::from_utf8(&buf[..end]) {
         Ok(s) => s,
         Err(_) => return Some(Err("request head is not UTF-8".into())),
     };
     let request_line = head.lines().next().unwrap_or("");
     let mut parts = request_line.split_whitespace();
-    let (Some(method), Some(target)) = (parts.next(), parts.next()) else {
+    let method = parts.next();
+    // The target without its query string; an empty path is malformed.
+    let path = parts
+        .next()
+        .and_then(|target| target.split('?').next())
+        .filter(|path| !path.is_empty());
+    let (Some(method), Some(path)) = (method, path) else {
         return Some(Err(format!("malformed request line: {request_line:?}")));
     };
-    let path = target.split('?').next().unwrap_or(target);
     Some(Ok(HttpRequest {
         method: method.to_string(),
         path: path.to_string(),
@@ -178,6 +191,103 @@ mod tests {
         let huge = vec![b'a'; MAX_REQUEST_BYTES + 1];
         assert!(parse_request(&huge).unwrap().is_err());
         assert!(parse_request(b"garbage\r\n\r\n").unwrap().is_err());
+    }
+
+    /// A splitmix64 stream: the sweeps' seeded source of flips.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    const REQUESTS: [&str; 3] = [
+        "GET /status HTTP/1.1\r\nHost: x\r\n\r\n",
+        "GET /events?since=3 HTTP/1.1\r\nAccept: text/event-stream\r\n\r\n",
+        "GET /metrics HTTP/1.0\r\n\r\n",
+    ];
+
+    /// The documented verdicts: waiting (only under the cap, with no
+    /// blank line yet), a request whose method and path are single
+    /// words, or one of the three documented errors.
+    fn check_verdict(buf: &[u8]) {
+        match parse_request(buf) {
+            None => {
+                assert!(buf.len() <= MAX_REQUEST_BYTES, "waits past the cap");
+                assert_eq!(request_head_len(buf), buf.len(), "waits on a full head");
+            }
+            Some(Ok(req)) => {
+                for word in [&req.method, &req.path] {
+                    assert!(!word.is_empty() && !word.contains(char::is_whitespace));
+                }
+                assert!(!req.path.contains('?'));
+            }
+            Some(Err(e)) => assert!(
+                e.starts_with("request head exceeds")
+                    || e == "request head is not UTF-8"
+                    || e.starts_with("malformed request line"),
+                "undocumented error: {e}"
+            ),
+        }
+    }
+
+    #[test]
+    fn hostile_requests_truncated_at_every_offset_wait() {
+        for request in REQUESTS {
+            let bytes = request.as_bytes();
+            for cut in 0..bytes.len() {
+                assert_eq!(
+                    parse_request(&bytes[..cut]),
+                    None,
+                    "{request:?} cut at {cut}"
+                );
+            }
+            assert!(matches!(parse_request(bytes), Some(Ok(_))));
+        }
+    }
+
+    #[test]
+    fn hostile_requests_with_seeded_bit_flips_degrade_as_documented() {
+        let mut state = 0x5eed_f11b;
+        for round in 0..3000 {
+            let mut bytes = REQUESTS[round % REQUESTS.len()].as_bytes().to_vec();
+            for _ in 0..1 + splitmix(&mut state) % 4 {
+                let at = (splitmix(&mut state) % bytes.len() as u64) as usize;
+                bytes[at] ^= 1 << (splitmix(&mut state) % 8);
+            }
+            // Delivered a few bytes at a time, as a socket would: the
+            // buffer stops growing at the first verdict.
+            let mut buf = Vec::new();
+            for chunk in bytes.chunks(1 + (splitmix(&mut state) % 7) as usize) {
+                buf.extend_from_slice(chunk);
+                check_verdict(&buf);
+                if parse_request(&buf).is_some() {
+                    break;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_requests_one_byte_past_the_cap_are_refused() {
+        let padded = |len: usize| {
+            let head = "GET /status HTTP/1.1\r\nX-Pad: ";
+            let mut bytes = head.as_bytes().to_vec();
+            bytes.resize(len - 4, b'a');
+            bytes.extend_from_slice(b"\r\n\r\n");
+            bytes
+        };
+        let at_cap = padded(MAX_REQUEST_BYTES);
+        assert!(matches!(parse_request(&at_cap), Some(Ok(_))));
+        let over = padded(MAX_REQUEST_BYTES + 1);
+        let refusal = Some(Err(format!(
+            "request head exceeds {MAX_REQUEST_BYTES} bytes"
+        )));
+        assert_eq!(parse_request(&over), refusal);
+        assert_eq!(parse_request(&over[..MAX_REQUEST_BYTES]), None);
+        assert_eq!(parse_request(&over[..MAX_REQUEST_BYTES + 1]), refusal);
+        check_verdict(&over);
     }
 
     #[test]

@@ -44,6 +44,13 @@ pub struct SortId(u32);
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct OpId(u32);
 
+impl OpId {
+    /// The raw index.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
 /// One arena term node. Child collections are `(start, len)` spans into the
 /// arena's side tables, so the node itself stays `Copy` and 16 bytes.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -77,7 +84,7 @@ pub enum ANode {
 /// assert_eq!(buf, "(= x 1)");
 /// assert_eq!(arena.term_size(eq), 3);
 /// ```
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct TermArena {
     nodes: Vec<ANode>,
     children: Vec<TermId>,
@@ -92,6 +99,35 @@ pub struct TermArena {
     sort_ids: HashMap<Sort, SortId>,
     ops: Vec<Op>,
     op_ids: HashMap<Op, OpId>,
+    /// True when the tables were copied without their maps
+    /// ([`TermArena::compact`], [`TermArena::load`]): the next interning
+    /// call rebuilds the maps first.
+    maps_stale: bool,
+}
+
+impl std::fmt::Debug for TermArena {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TermArena")
+            .field("nodes", &self.nodes.len())
+            .field("symbols", &self.symbols.len())
+            .field("ops", &self.ops.len())
+            .finish_non_exhaustive()
+    }
+}
+
+/// Arenas are equal when their node and interned tables are: the interner
+/// maps only index those tables.
+impl PartialEq for TermArena {
+    fn eq(&self, other: &TermArena) -> bool {
+        self.nodes == other.nodes
+            && self.children == other.children
+            && self.binds == other.binds
+            && self.qvars == other.qvars
+            && self.values == other.values
+            && self.symbols == other.symbols
+            && self.sorts == other.sorts
+            && self.ops == other.ops
+    }
 }
 
 impl TermArena {
@@ -124,6 +160,7 @@ impl TermArena {
 
     /// Interns a symbol by name.
     pub fn sym(&mut self, name: &str) -> SymbolId {
+        self.ensure_maps();
         if let Some(&id) = self.symbol_ids.get(name) {
             return id;
         }
@@ -132,10 +169,31 @@ impl TermArena {
 
     /// Interns an existing symbol.
     pub fn sym_of(&mut self, s: &Symbol) -> SymbolId {
+        self.ensure_maps();
         if let Some(&id) = self.symbol_ids.get(s.as_str()) {
             return id;
         }
         self.intern_symbol(s.clone())
+    }
+
+    /// Rebuilds the interner maps of copied tables.
+    fn ensure_maps(&mut self) {
+        if !self.maps_stale {
+            return;
+        }
+        self.maps_stale = false;
+        self.symbol_ids.clear();
+        self.sort_ids.clear();
+        self.op_ids.clear();
+        for (k, s) in self.symbols.iter().enumerate() {
+            self.symbol_ids.insert(s.clone(), SymbolId(k as u32));
+        }
+        for (k, s) in self.sorts.iter().enumerate() {
+            self.sort_ids.insert(s.clone(), SortId(k as u32));
+        }
+        for (k, op) in self.ops.iter().enumerate() {
+            self.op_ids.insert(op.clone(), OpId(k as u32));
+        }
     }
 
     fn intern_symbol(&mut self, s: Symbol) -> SymbolId {
@@ -152,6 +210,7 @@ impl TermArena {
 
     /// Interns a sort (cloning it on first sight).
     pub fn sort_id(&mut self, s: &Sort) -> SortId {
+        self.ensure_maps();
         if let Some(&id) = self.sort_ids.get(s) {
             return id;
         }
@@ -166,8 +225,14 @@ impl TermArena {
         &self.sorts[id.0 as usize]
     }
 
+    /// Every interned sort, in id order.
+    pub fn sorts(&self) -> &[Sort] {
+        &self.sorts
+    }
+
     /// Interns an operator (cloning it on first sight).
     pub fn op_id(&mut self, op: &Op) -> OpId {
+        self.ensure_maps();
         if let Some(&id) = self.op_ids.get(op) {
             return id;
         }
@@ -180,6 +245,11 @@ impl TermArena {
     /// The operator behind an id.
     pub fn op(&self, id: OpId) -> &Op {
         &self.ops[id.0 as usize]
+    }
+
+    /// Every interned operator, in id order.
+    pub fn ops(&self) -> &[Op] {
+        &self.ops
     }
 
     // ---- construction ----
@@ -235,6 +305,19 @@ impl TermArena {
         self.push(ANode::Quant(q, start, vars.len() as u32, body))
     }
 
+    /// A quantifier node over the variables of quantifier node `like`,
+    /// sharing its variable span.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `like` is not a quantifier node.
+    pub fn requant(&mut self, like: TermId, q: Quantifier, body: TermId) -> TermId {
+        let ANode::Quant(_, start, len, _) = self.node(like) else {
+            panic!("requant of a non-quantifier node");
+        };
+        self.push(ANode::Quant(q, start, len, body))
+    }
+
     /// A placeholder node.
     pub fn mk_placeholder(&mut self, idx: u32) -> TermId {
         self.push(ANode::Placeholder(idx))
@@ -272,38 +355,72 @@ impl TermArena {
     /// Number of AST nodes, matching [`Term::size`].
     pub fn term_size(&self, id: TermId) -> usize {
         let mut n = 0usize;
+        self.visit(id, |_| n += 1);
+        n
+    }
+
+    /// Calls `f` on every node of the term at `id`, pre-order. A subterm
+    /// shared by several parents is visited once per parent, as in the
+    /// boxed tree.
+    pub fn visit(&self, id: TermId, mut f: impl FnMut(ANode)) {
         let mut stack = vec![id];
         while let Some(id) = stack.pop() {
-            n += 1;
-            match self.node(id) {
-                ANode::App(_, s, l) => stack.extend_from_slice(self.args(s, l)),
+            let node = self.node(id);
+            f(node);
+            match node {
+                ANode::App(_, s, l) => stack.extend(self.args(s, l).iter().rev()),
                 ANode::Let(s, l, body) => {
                     stack.push(body);
-                    stack.extend(self.let_binds(s, l).iter().map(|&(_, t)| t));
+                    stack.extend(self.let_binds(s, l).iter().rev().map(|&(_, t)| t));
                 }
                 ANode::Quant(_, _, _, body) => stack.push(body),
                 _ => {}
             }
         }
-        n
+    }
+
+    /// Whether the terms at `a` and `b` are equal as boxed [`Term`]s: the
+    /// same shape, operators, symbols and sorts, and equal [`Value`]s.
+    pub fn same_term(&self, a: TermId, b: TermId) -> bool {
+        let same = |x: &[TermId], y: &[TermId]| {
+            x.len() == y.len() && x.iter().zip(y).all(|(&x, &y)| self.same_term(x, y))
+        };
+        let same_symbol = |x, y| self.symbol(x) == self.symbol(y);
+        match (self.node(a), self.node(b)) {
+            _ if a == b => true,
+            (ANode::Const(x), ANode::Const(y)) => self.value(x) == self.value(y),
+            (ANode::Var(x), ANode::Var(y)) => same_symbol(x, y),
+            (ANode::Placeholder(i), ANode::Placeholder(j)) => i == j,
+            (ANode::App(o, s, l), ANode::App(p, t, m)) => {
+                self.op(o) == self.op(p) && same(self.args(s, l), self.args(t, m))
+            }
+            (ANode::Let(s, l, x), ANode::Let(t, m, y)) => {
+                let (u, v) = (self.let_binds(s, l), self.let_binds(t, m));
+                l == m
+                    && u.iter()
+                        .zip(v)
+                        .all(|(&(p, x), &(q, y))| same_symbol(p, q) && self.same_term(x, y))
+                    && self.same_term(x, y)
+            }
+            (ANode::Quant(q, s, l, x), ANode::Quant(r, t, m, y)) => {
+                let (u, v) = (self.quant_vars(s, l), self.quant_vars(t, m));
+                q == r
+                    && l == m
+                    && u.iter()
+                        .zip(v)
+                        .all(|(&(p, i), &(q, j))| same_symbol(p, q) && self.sort(i) == self.sort(j))
+                    && self.same_term(x, y)
+            }
+            _ => false,
+        }
     }
 
     /// Number of placeholder nodes.
     pub fn placeholder_count(&self, id: TermId) -> usize {
         let mut n = 0usize;
-        let mut stack = vec![id];
-        while let Some(id) = stack.pop() {
-            match self.node(id) {
-                ANode::Placeholder(_) => n += 1,
-                ANode::App(_, s, l) => stack.extend_from_slice(self.args(s, l)),
-                ANode::Let(s, l, body) => {
-                    stack.push(body);
-                    stack.extend(self.let_binds(s, l).iter().map(|&(_, t)| t));
-                }
-                ANode::Quant(_, _, _, body) => stack.push(body),
-                _ => {}
-            }
-        }
+        self.visit(id, |node| {
+            n += usize::from(matches!(node, ANode::Placeholder(_)))
+        });
         n
     }
 
@@ -520,6 +637,61 @@ impl TermArena {
         }
     }
 
+    // ---- copies ----
+
+    /// An owned, compact copy of `script`'s terms: only the nodes its
+    /// commands reach, a shared subterm copied once per occurrence (so
+    /// the copy is a tree, like the boxed script), and symbol, sort and
+    /// operator tables holding only what those nodes name, each once, in
+    /// first-use order. Scripts whose boxed forms are equal compact to
+    /// equal arenas. The copy is built without interner maps; interning
+    /// into it builds them first.
+    pub fn compact(&self, script: &ArenaScript) -> (TermArena, ArenaScript) {
+        let mut c = Compactor {
+            src: self,
+            out: TermArena::new(),
+            symbols: vec![UNMAPPED; self.symbols.len()],
+            sorts: vec![UNMAPPED; self.sorts.len()],
+            ops: vec![UNMAPPED; self.ops.len()],
+            kids: Vec::new(),
+            binds: Vec::new(),
+            vars: Vec::new(),
+        };
+        let commands = script
+            .commands
+            .iter()
+            .map(|cmd| match cmd {
+                ArenaCommand::DefineFun(s, params, ret, body) => {
+                    ArenaCommand::DefineFun(s.clone(), params.clone(), ret.clone(), c.term(*body))
+                }
+                ArenaCommand::Assert(t) => ArenaCommand::Assert(c.term(*t)),
+                ArenaCommand::GetValue(ts) => {
+                    ArenaCommand::GetValue(ts.iter().map(|&t| c.term(t)).collect())
+                }
+                other => other.clone(),
+            })
+            .collect();
+        let mut out = c.out;
+        out.maps_stale = true;
+        (out, ArenaScript { commands })
+    }
+
+    /// Replaces this arena's nodes and tables with copies of `other`'s,
+    /// reusing this arena's buffers, so every id of `other` names the same
+    /// term here and new nodes can share `other`'s subterms by id.
+    /// Interning afterwards rebuilds the interner maps first.
+    pub fn load(&mut self, other: &TermArena) {
+        self.nodes.clone_from(&other.nodes);
+        self.children.clone_from(&other.children);
+        self.binds.clone_from(&other.binds);
+        self.qvars.clone_from(&other.qvars);
+        self.values.clone_from(&other.values);
+        self.symbols.clone_from(&other.symbols);
+        self.sorts.clone_from(&other.sorts);
+        self.ops.clone_from(&other.ops);
+        self.maps_stale = true;
+    }
+
     // ---- conversions ----
 
     /// Builds an arena term from a boxed [`Term`].
@@ -592,10 +764,113 @@ impl TermArena {
     }
 }
 
+/// A source id [`TermArena::compact`] has not mapped yet.
+const UNMAPPED: u32 = u32::MAX;
+
+/// The state of one [`TermArena::compact`]: the source, the copy, and
+/// per interned table of the source, each id's index in the copy (or
+/// [`UNMAPPED`]).
+struct Compactor<'a> {
+    src: &'a TermArena,
+    out: TermArena,
+    symbols: Vec<u32>,
+    sorts: Vec<u32>,
+    ops: Vec<u32>,
+    /// Scratch stacks for child lists under construction.
+    kids: Vec<TermId>,
+    binds: Vec<(SymbolId, TermId)>,
+    vars: Vec<(SymbolId, SortId)>,
+}
+
+impl Compactor<'_> {
+    /// Copies the term at `id`, children first.
+    fn term(&mut self, id: TermId) -> TermId {
+        let src = self.src;
+        match src.node(id) {
+            ANode::Const(vi) => self.out.mk_const(src.value(vi).clone()),
+            ANode::Var(s) => {
+                let s = self.symbol(s);
+                self.out.mk_var(s)
+            }
+            ANode::Placeholder(i) => self.out.mk_placeholder(i),
+            ANode::App(op, start, len) => {
+                let op = self.op(op);
+                let mark = self.kids.len();
+                for &a in src.args(start, len) {
+                    let a = self.term(a);
+                    self.kids.push(a);
+                }
+                let id = self.out.mk_app(op, &self.kids[mark..]);
+                self.kids.truncate(mark);
+                id
+            }
+            ANode::Let(start, len, body) => {
+                let mark = self.binds.len();
+                for &(s, t) in src.let_binds(start, len) {
+                    let t = self.term(t);
+                    let s = self.symbol(s);
+                    self.binds.push((s, t));
+                }
+                let body = self.term(body);
+                let id = self.out.mk_let(&self.binds[mark..], body);
+                self.binds.truncate(mark);
+                id
+            }
+            ANode::Quant(q, start, len, body) => {
+                let mark = self.vars.len();
+                for &(s, sort) in src.quant_vars(start, len) {
+                    let s = self.symbol(s);
+                    let sort = self.sort(sort);
+                    self.vars.push((s, sort));
+                }
+                let body = self.term(body);
+                let id = self.out.mk_quant(q, &self.vars[mark..], body);
+                self.vars.truncate(mark);
+                id
+            }
+        }
+    }
+
+    fn symbol(&mut self, s: SymbolId) -> SymbolId {
+        let item = self.src.symbol(s);
+        SymbolId(remap(
+            &mut self.symbols[s.0 as usize],
+            &mut self.out.symbols,
+            item,
+        ))
+    }
+
+    fn sort(&mut self, s: SortId) -> SortId {
+        let item = self.src.sort(s);
+        SortId(remap(
+            &mut self.sorts[s.0 as usize],
+            &mut self.out.sorts,
+            item,
+        ))
+    }
+
+    fn op(&mut self, op: OpId) -> OpId {
+        let item = self.src.op(op);
+        OpId(remap(&mut self.ops[op.0 as usize], &mut self.out.ops, item))
+    }
+}
+
+/// The index in `table` of `item`, whose source id maps to `*mapped`,
+/// appending it on first use. Interning keeps one id per symbol, sort and
+/// operator in every arena, so the copy's tables have no duplicates
+/// either.
+fn remap<T: Clone>(mapped: &mut u32, table: &mut Vec<T>, item: &T) -> u32 {
+    if *mapped == UNMAPPED {
+        table.push(item.clone());
+        *mapped = table.len() as u32 - 1;
+    }
+    *mapped
+}
+
 /// A single command of an [`ArenaScript`]: the [`Command`] shape with terms
 /// as [`TermId`]s. Declarations keep boxed symbols/sorts — there are a
 /// handful per script against hundreds of term nodes.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum ArenaCommand {
     /// `(set-logic L)`.
     SetLogic(String),
@@ -628,7 +903,7 @@ pub enum ArenaCommand {
 }
 
 /// A script whose terms live in a [`TermArena`].
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ArenaScript {
     /// The commands in file order.
     pub commands: Vec<ArenaCommand>,
@@ -813,7 +1088,7 @@ impl ArenaScript {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse_script;
+    use crate::{parse_script, parse_script_arena, parse_term_arena};
 
     fn round_trip_text(text: &str) {
         let boxed = parse_script(text).expect("parse");
@@ -910,6 +1185,110 @@ mod tests {
             // Rebuild-if-changed: a no-op rename keeps the id.
             let noop = arena.rename_free_var(id, &Symbol::new("zz"), &to);
             assert_eq!(noop, id, "on {src}");
+        }
+    }
+
+    #[test]
+    fn compact_copies_the_reachable_tree_canonically() {
+        let text = "(declare-const x Int)(define-fun d ((a Int)) Int (+ a 1))\
+                    (assert (let ((y (d x))) (or (= y 2) (exists ((z Int)) (> z y)))))\
+                    (get-value (x (+ x 1)))(check-sat)";
+        // A warm arena: unrelated symbols and nodes before and after.
+        let mut arena = TermArena::new();
+        parse_script_arena("(assert (bvult u (_ bv3 8)))", &mut arena).unwrap();
+        let script = parse_script_arena(text, &mut arena).unwrap();
+        arena.mk_var_named("junk");
+        let (copy, copied) = arena.compact(&script);
+        assert_eq!(copied.to_script(&copy), script.to_script(&arena));
+        let mut printed = String::new();
+        copied.print_into(&copy, &mut printed);
+        assert_eq!(printed, parse_script(text).unwrap().to_string());
+        assert!(!copy
+            .symbols
+            .iter()
+            .any(|s| s.as_str() == "junk" || s.as_str() == "u"));
+        // A fresh parse of the same text compacts to an equal copy.
+        let mut fresh = TermArena::new();
+        let reparsed = parse_script_arena(text, &mut fresh).unwrap();
+        assert!(fresh.compact(&reparsed) == (copy, copied));
+    }
+
+    #[test]
+    fn compact_expands_shared_subterms() {
+        let mut arena = TermArena::new();
+        let fill = parse_term_arena("(> a 0)", &mut arena).unwrap();
+        let p = [arena.mk_placeholder(0), arena.mk_placeholder(1)];
+        let and = arena.mk_app_op(&Op::And, &p);
+        let shared = arena.fill_placeholders(and, &[fill], &mut 0);
+        let script = ArenaScript {
+            commands: vec![ArenaCommand::Assert(shared)],
+        };
+        let (copy, copied) = arena.compact(&script);
+        assert_eq!(copy.len(), arena.term_size(shared));
+        let mut tree = TermArena::new();
+        let t = parse_term_arena("(and (> a 0) (> a 0))", &mut tree).unwrap();
+        let tree_script = ArenaScript {
+            commands: vec![ArenaCommand::Assert(t)],
+        };
+        assert!(tree.compact(&tree_script) == (copy, copied));
+    }
+
+    #[test]
+    fn load_shares_ids_and_interns_without_duplicates() {
+        let mut arena = TermArena::new();
+        let script = parse_script_arena("(assert (or p (not q)))", &mut arena).unwrap();
+        let (copy, copied) = arena.compact(&script);
+        let mut scratch = TermArena::new();
+        scratch.mk_var_named("stale");
+        scratch.load(&copy);
+        let root = copied.assertions().next().unwrap();
+        let mut out = String::new();
+        scratch.print_term_into(root, &mut out);
+        assert_eq!(out, "(or p (not q))");
+        // Interning finds the loaded tables' entries.
+        let ops = scratch.ops().len();
+        let or = scratch.op_id(&Op::Or);
+        assert_eq!(scratch.ops().len(), ops);
+        assert!(matches!(scratch.node(root), ANode::App(o, _, 2) if o == or));
+        let and = scratch.op_id(&Op::And);
+        assert_eq!(scratch.op(and), &Op::And);
+        assert_eq!(scratch.sym("p"), scratch.sym_of(&Symbol::new("p")));
+        assert_eq!(scratch.symbols.len(), 2);
+    }
+
+    #[test]
+    fn same_term_is_boxed_equality() {
+        let mut arena = TermArena::new();
+        let pairs = [
+            ("(+ x 1)", "(+ x 1)", true),
+            ("(+ x 1)", "(+ x 2)", false),
+            ("(+ x 1)", "(- x 1)", false),
+            ("(+ x 1 2)", "(+ x 1)", false),
+            ("2.0", "2.0", true),
+            ("(let ((a 1)) a)", "(let ((a 1)) a)", true),
+            ("(let ((a 1)) a)", "(let ((b 1)) b)", false),
+            (
+                "(forall ((a Int)) (> a 0))",
+                "(forall ((a Int)) (> a 0))",
+                true,
+            ),
+            (
+                "(forall ((a Int)) (> a 0))",
+                "(exists ((a Int)) (> a 0))",
+                false,
+            ),
+            (
+                "(forall ((a Int)) (> a 0))",
+                "(forall ((a Real)) (> a 0))",
+                false,
+            ),
+        ];
+        for (a, b, equal) in pairs {
+            let x = parse_term_arena(a, &mut arena).unwrap();
+            let y = parse_term_arena(b, &mut arena).unwrap();
+            assert_ne!(x, y);
+            assert_eq!(arena.same_term(x, y), equal, "{a} vs {b}");
+            assert_eq!(arena.extract_term(x) == arena.extract_term(y), equal);
         }
     }
 

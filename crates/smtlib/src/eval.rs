@@ -341,6 +341,39 @@ pub fn candidates(sort: &Sort, cfg: &DomainConfig) -> Candidates {
     }
 }
 
+/// Candidate domains computed once per distinct sort, for one case: read
+/// by the search over its declared symbols and by the quantifiers
+/// [`IncrementalEval`] compiles.
+#[derive(Clone, Debug, Default)]
+pub struct Domains {
+    sorts: Vec<Sort>,
+    candidates: Vec<Candidates>,
+}
+
+impl Domains {
+    /// The candidate domain of each distinct sort in `sorts` under `cfg`.
+    pub fn new<'s>(sorts: impl IntoIterator<Item = &'s Sort>, cfg: &DomainConfig) -> Domains {
+        let mut out = Domains::default();
+        for sort in sorts {
+            if out.index(sort).is_none() {
+                out.candidates.push(candidates(sort, cfg));
+                out.sorts.push(sort.clone());
+            }
+        }
+        out
+    }
+
+    /// The index of `sort`'s domain, if the table has one.
+    pub fn index(&self, sort: &Sort) -> Option<usize> {
+        self.sorts.iter().position(|s| s == sort)
+    }
+
+    /// The domain at `index`.
+    pub fn get(&self, index: usize) -> &Candidates {
+        &self.candidates[index]
+    }
+}
+
 /// Defined functions from `define-fun`: name → (parameters, body).
 pub type FunDefs = BTreeMap<Symbol, (Vec<(Symbol, Sort)>, Term)>;
 

@@ -7,13 +7,15 @@
 //!
 //! ## Slots
 //!
-//! Compiling resolves every symbol occurrence ahead of time. Each search
+//! Compiling reads the assertions as [`TermId`]s on a [`TermArena`] and
+//! resolves every symbol occurrence ahead of time; compiled nodes borrow
+//! their values, operators and symbols from the arena's tables. Each search
 //! [`Dim`] (a declared constant, or a declared function interpreted as a
 //! constant function) gets a *dimension slot*; every quantifier and `let`
 //! binder gets a *binder slot* of its own. The model is the slot vector: a
 //! move writes one slot, and no `Model`, `BTreeMap` or `Symbol` is built
-//! per assignment. Each quantifier's candidate domains are computed once,
-//! at compile time.
+//! per assignment. Quantifiers read their candidate domains from the
+//! case's [`Domains`] table, computed once per case.
 //!
 //! ## The node cache
 //!
@@ -39,16 +41,18 @@
 //!   budget of at least `t`; under a smaller budget it stops with
 //!   [`EvalError::BudgetExhausted`] and leaves the budget at 0, which is
 //!   what the replay answers. `BudgetExhausted` itself is never cached.
-//! * A reference to a `define-fun` is compiled to a node the plain
-//!   evaluator runs in the same scope, so the body sees exactly the
-//!   binders the plain evaluator's dynamic scope shows it. Such nodes are
-//!   never cached; they read every dimension and every binder in scope.
+//! * A reference to a `define-fun` (or a malformed `ite`) is compiled to a
+//!   node the plain evaluator runs in the same scope, on that subterm
+//!   boxed at compile time, so the body sees exactly the binders the plain
+//!   evaluator's dynamic scope shows it. Such nodes are never cached; they
+//!   read every dimension and every binder in scope.
 //!
-//! Debug builds check every root evaluation against the plain evaluator:
-//! same result, same remaining budget.
+//! Debug builds check every root evaluation against the plain evaluator on
+//! the boxed roots: same result, same remaining budget.
 
-use super::{apply_evaluated, candidates, Candidates, DomainConfig, Evaluator, FunDefs};
-use crate::{EvalError, Model, Op, Quantifier, Sort, Symbol, Term, Value};
+use super::{apply_evaluated, DomainConfig, Domains, Evaluator, FunDefs};
+use crate::{ANode, EvalError, Model, Op, Quantifier, Sort, Symbol, SymbolId, Term, TermArena};
+use crate::{TermId, Value};
 use std::collections::BTreeMap;
 
 /// One search dimension: a free symbol the engine assigns.
@@ -122,9 +126,9 @@ enum Node<'a> {
     },
     /// Any other operator over `kids`.
     App(&'a Op, Span),
-    /// A term the plain evaluator runs, in the scope the compiler saw
-    /// (`(name, slot)` pairs in `opaque_scope`).
-    Opaque(&'a Term, Span),
+    /// A term the plain evaluator runs (an index into `opaque`), in the
+    /// scope the compiler saw (`(name, slot)` pairs in `opaque_scope`).
+    Opaque(u32, Span),
 }
 
 /// A case's assertions compiled onto slots, with the per-node cache.
@@ -132,12 +136,14 @@ enum Node<'a> {
 /// # Examples
 ///
 /// ```
-/// use o4a_smtlib::eval::{DomainConfig, Dim, IncrementalEval, FunDefs};
-/// use o4a_smtlib::{parse_term, Symbol, Value};
-/// let roots = [parse_term("(forall ((b Bool)) (or b (> x 0)))").unwrap()];
+/// use o4a_smtlib::eval::{DomainConfig, Dim, Domains, IncrementalEval, FunDefs};
+/// use o4a_smtlib::{parse_term_arena, Symbol, TermArena, Value};
+/// let mut arena = TermArena::new();
+/// let root = parse_term_arena("(forall ((b Bool)) (or b (> x 0)))", &mut arena).unwrap();
 /// let (defs, cfg) = (FunDefs::new(), DomainConfig::default());
+/// let domains = Domains::new(arena.sorts(), &cfg);
 /// let dims = [Dim::Const(Symbol::new("x"))];
-/// let mut ev = IncrementalEval::compile(&roots, &dims, &defs, &cfg);
+/// let mut ev = IncrementalEval::compile(&arena, &[root], &dims, &defs, &cfg, &domains);
 /// ev.set(0, Value::Int(0));
 /// let mut budget = 1_000;
 /// assert_eq!(ev.eval(0, &mut budget), Ok(Value::Bool(false)));
@@ -154,9 +160,12 @@ struct Program<'a> {
     nodes: Vec<Node<'a>>,
     kids: Vec<u32>,
     binds: Vec<(u32, u32)>,
+    /// `(slot, index into domains)` per quantified variable.
     qvars: Vec<(u32, u32)>,
+    /// The boxed subterms of `Opaque` nodes.
+    opaque: Vec<Term>,
     opaque_scope: Vec<(&'a Symbol, u32)>,
-    domains: Vec<Candidates>,
+    domains: &'a Domains,
     roots: Vec<u32>,
     /// Each node's parent (`NO_PARENT` for a root).
     parent: Vec<u32>,
@@ -174,9 +183,9 @@ struct Program<'a> {
     dims: &'a [Dim],
     defs: &'a FunDefs,
     cfg: &'a DomainConfig,
-    /// The roots, for the debug-build cross-check.
+    /// The boxed roots, for the debug-build cross-check.
     #[cfg(debug_assertions)]
-    shadow: &'a [Term],
+    shadow: Vec<Term>,
 }
 
 /// The mutable half: slot values and the cache.
@@ -190,26 +199,39 @@ struct State {
 }
 
 impl<'a> IncrementalEval<'a> {
-    /// Compiles `roots` over the search dimensions `dims`. Every
-    /// dimension must be [`set`](Self::set) before the first evaluation.
+    /// Compiles the terms `roots` of `arena` over the search dimensions
+    /// `dims`. `domains` must hold the domain of every quantified sort.
+    /// Every dimension must be [`set`](Self::set) before the first
+    /// evaluation.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `domains` lacks a quantified sort.
     pub fn compile(
-        roots: &'a [Term],
+        arena: &'a TermArena,
+        roots: &[TermId],
         dims: &'a [Dim],
         defs: &'a FunDefs,
         cfg: &'a DomainConfig,
+        domains: &'a Domains,
     ) -> IncrementalEval<'a> {
+        // The arena's node count bounds the compiled node count of
+        // anything but shared subterms; it sizes the per-node tables.
+        let n = arena.len();
         let mut c = Compiler {
+            arena,
             prog: Program {
-                nodes: Vec::new(),
-                kids: Vec::new(),
+                nodes: Vec::with_capacity(n),
+                kids: Vec::with_capacity(n),
                 binds: Vec::new(),
                 qvars: Vec::new(),
+                opaque: Vec::new(),
                 opaque_scope: Vec::new(),
-                domains: Vec::new(),
+                domains,
                 roots: Vec::with_capacity(roots.len()),
-                parent: Vec::new(),
-                cached: Vec::new(),
-                size: Vec::new(),
+                parent: Vec::with_capacity(n),
+                cached: Vec::with_capacity(n),
+                size: Vec::with_capacity(n),
                 quant_above: Vec::new(),
                 reader_start: Vec::new(),
                 readers: Vec::new(),
@@ -217,15 +239,14 @@ impl<'a> IncrementalEval<'a> {
                 defs,
                 cfg,
                 #[cfg(debug_assertions)]
-                shadow: roots,
+                shadow: roots.iter().map(|&r| arena.extract_term(r)).collect(),
             },
             slots: dims.len() as u32,
             scope: Vec::new(),
             stack: Vec::new(),
-            sorts: Vec::new(),
-            reads: Vec::new(),
+            reads: Vec::with_capacity(n),
         };
-        for r in roots {
+        for &r in roots {
             let n = c.term(r);
             c.prog.roots.push(n);
         }
@@ -364,6 +385,7 @@ fn eval(p: &Program, s: &mut State, n: u32, budget: &mut u64) -> Result<Value, E
 fn compute(p: &Program, s: &mut State, n: u32, budget: &mut u64) -> Result<Value, EvalError> {
     let node = &p.nodes[n as usize];
     if let Node::Opaque(term, scope) = node {
+        let term = &p.opaque[*term as usize];
         // The plain evaluator ticks for the node itself.
         let model = model_of(p.dims, &s.slots[..p.dims.len()]);
         let plain = Evaluator::new(&model, p.defs, p.cfg, *budget);
@@ -405,7 +427,7 @@ fn compute(p: &Program, s: &mut State, n: u32, budget: &mut u64) -> Result<Value
                 if s.qidx[e] != 0 {
                     s.qidx[e] = 0;
                     let (slot, dom) = p.qvars[e];
-                    s.assign(p, slot, p.domains[dom as usize].values[0].clone());
+                    s.assign(p, slot, p.domains.get(dom as usize).values[0].clone());
                 }
             }
             let mut saw_incomplete = false;
@@ -433,7 +455,7 @@ fn compute(p: &Program, s: &mut State, n: u32, budget: &mut u64) -> Result<Value
                 // The odometer: the first digit that can still count up
                 // does, and the digits before it wrap to 0. Past the last
                 // instance nothing is written.
-                let len = |e: usize| p.domains[p.qvars[e].1 as usize].values.len();
+                let len = |e: usize| p.domains.get(p.qvars[e].1 as usize).values.len();
                 let Some(up) = entries.clone().find(|&e| s.qidx[e] as usize + 1 < len(e)) else {
                     break;
                 };
@@ -445,7 +467,7 @@ fn compute(p: &Program, s: &mut State, n: u32, budget: &mut u64) -> Result<Value
                         s.assign(
                             p,
                             slot,
-                            p.domains[dom as usize].values[next as usize].clone(),
+                            p.domains.get(dom as usize).values[next as usize].clone(),
                         );
                     }
                 }
@@ -499,16 +521,15 @@ fn compute(p: &Program, s: &mut State, n: u32, budget: &mut u64) -> Result<Value
 }
 
 struct Compiler<'a> {
+    arena: &'a TermArena,
     prog: Program<'a>,
     /// Slots allocated so far (dimensions first).
     slots: u32,
     /// The binders in scope, innermost last, as the plain evaluator's
-    /// scope stack would hold them.
-    scope: Vec<(&'a Symbol, u32)>,
+    /// scope stack would hold them (an arena has one id per symbol).
+    scope: Vec<(SymbolId, u32)>,
     /// Scratch for child node lists.
     stack: Vec<u32>,
-    /// Candidate domains computed so far, by sort.
-    sorts: Vec<&'a Sort>,
     /// `(slot, node)` for every node that reads a slot directly.
     reads: Vec<(u32, u32)>,
 }
@@ -581,9 +602,9 @@ impl<'a> Compiler<'a> {
     }
 
     /// Compiles children onto the end of `kids`, returning their span.
-    fn children(&mut self, terms: &'a [Term]) -> Span {
+    fn children(&mut self, terms: &'a [TermId]) -> Span {
         let mark = self.stack.len();
-        for t in terms {
+        for &t in terms {
             let n = self.term(t);
             self.stack.push(n);
         }
@@ -592,13 +613,11 @@ impl<'a> Compiler<'a> {
         Span(start, terms.len() as u32)
     }
 
-    fn domain(&mut self, sort: &'a Sort) -> u32 {
-        if let Some(i) = self.sorts.iter().position(|&s| s == sort) {
-            return i as u32;
+    fn domain(&self, sort: &Sort) -> u32 {
+        match self.prog.domains.index(sort) {
+            Some(i) => i as u32,
+            None => panic!("no candidate domain for the quantified sort {sort}"),
         }
-        self.sorts.push(sort);
-        self.prog.domains.push(candidates(sort, self.prog.cfg));
-        (self.sorts.len() - 1) as u32
     }
 
     fn dim_of(&self, name: &Symbol) -> Option<(u32, &'a Dim)> {
@@ -609,38 +628,49 @@ impl<'a> Compiler<'a> {
             .map(|(k, d)| (k as u32, d))
     }
 
-    fn opaque(&mut self, term: &'a Term) -> u32 {
+    /// A node the plain evaluator runs on the boxed term at `id`.
+    fn opaque(&mut self, id: TermId) -> u32 {
+        let arena = self.arena;
         let start = self.prog.opaque_scope.len() as u32;
-        self.prog.opaque_scope.extend_from_slice(&self.scope);
+        let scope = self
+            .scope
+            .iter()
+            .map(|&(name, slot)| (arena.symbol(name), slot));
+        self.prog.opaque_scope.extend(scope);
+        let term = self.prog.opaque.len() as u32;
+        self.prog.opaque.push(arena.extract_term(id));
         self.push(Node::Opaque(term, Span(start, self.scope.len() as u32)))
     }
 
-    fn term(&mut self, term: &'a Term) -> u32 {
+    fn term(&mut self, id: TermId) -> u32 {
+        let arena = self.arena;
         let defs: &'a FunDefs = self.prog.defs;
-        match term {
-            Term::Const(v) => self.push(Node::Const(v)),
-            Term::Placeholder(_) => self.push(Node::Placeholder),
-            Term::Var(name) => {
-                if let Some(&(_, slot)) = self.scope.iter().rev().find(|(n, _)| *n == name) {
+        match arena.node(id) {
+            ANode::Const(v) => self.push(Node::Const(arena.value(v))),
+            ANode::Placeholder(_) => self.push(Node::Placeholder),
+            ANode::Var(sym) => {
+                if let Some(&(_, slot)) = self.scope.iter().rev().find(|(n, _)| *n == sym) {
                     return self.push(Node::Read(slot));
                 }
+                let name = arena.symbol(sym);
                 if let Some((k, Dim::Const(_))) = self.dim_of(name) {
                     return self.push(Node::Read(k));
                 }
                 match defs.get(name) {
-                    Some((params, _)) if params.is_empty() => self.opaque(term),
+                    Some((params, _)) if params.is_empty() => self.opaque(id),
                     _ => self.push(Node::Unassigned(name)),
                 }
             }
-            Term::Let(binds, body) => {
+            ANode::Let(start, len, body) => {
+                let binds = arena.let_binds(start, len);
                 let mark = self.stack.len();
-                for (_, value) in binds {
+                for &(_, value) in binds {
                     let n = self.term(value);
                     self.stack.push(n);
                 }
                 let first = self.prog.binds.len() as u32;
                 let scope = self.scope.len();
-                for (k, (name, _)) in binds.iter().enumerate() {
+                for (k, &(name, _)) in binds.iter().enumerate() {
                     let slot = self.slot();
                     let value = self.stack[mark + k];
                     self.prog.binds.push((slot, value));
@@ -649,15 +679,15 @@ impl<'a> Compiler<'a> {
                 self.stack.truncate(mark);
                 let body = self.term(body);
                 self.scope.truncate(scope);
-                self.push(Node::Let(Span(first, binds.len() as u32), body))
+                self.push(Node::Let(Span(first, len), body))
             }
-            Term::Quant(q, vars, body) => {
+            ANode::Quant(q, start, len, body) => {
                 let first = self.prog.qvars.len() as u32;
                 let scope = self.scope.len();
                 let (mut complete, mut total) = (true, 1usize);
-                for (name, sort) in vars {
-                    let dom = self.domain(sort);
-                    let cands = &self.prog.domains[dom as usize];
+                for &(name, sort) in arena.quant_vars(start, len) {
+                    let dom = self.domain(arena.sort(sort));
+                    let cands = self.prog.domains.get(dom as usize);
                     complete &= cands.complete;
                     total = total.saturating_mul(cands.values.len().max(1));
                     let slot = self.slot();
@@ -669,49 +699,52 @@ impl<'a> Compiler<'a> {
                 let budget = self.prog.cfg.quant_budget;
                 self.push(Node::Quant {
                     // A false instance decides forall, a true one exists.
-                    decisive: *q == Quantifier::Exists,
-                    vars: Span(first, vars.len() as u32),
+                    decisive: q == Quantifier::Exists,
+                    vars: Span(first, len),
                     body,
                     complete,
                     capped: total > budget,
                 })
             }
-            Term::App(op, args) => match op {
-                Op::And => {
-                    let kids = self.children(args);
-                    self.push(Node::Conn(false, kids))
+            ANode::App(op, start, len) => {
+                let args = arena.args(start, len);
+                match arena.op(op) {
+                    Op::And => {
+                        let kids = self.children(args);
+                        self.push(Node::Conn(false, kids))
+                    }
+                    Op::Or => {
+                        let kids = self.children(args);
+                        self.push(Node::Conn(true, kids))
+                    }
+                    Op::Ite if args.len() == 3 => {
+                        let c = self.term(args[0]);
+                        let t = self.term(args[1]);
+                        let e = self.term(args[2]);
+                        self.push(Node::Ite(c, t, e))
+                    }
+                    // A malformed `ite` keeps the plain evaluator's
+                    // behaviour, whatever it is.
+                    Op::Ite => self.opaque(id),
+                    Op::Uf(name) if defs.contains_key(name) => self.opaque(id),
+                    Op::Uf(name) => {
+                        // `Model::apply_fun`: a function answers its
+                        // constant value, a constant only when applied to
+                        // nothing.
+                        let target = match self.dim_of(name) {
+                            Some((k, Dim::Fun(..))) => Ok(k),
+                            Some((k, Dim::Const(_))) if args.is_empty() => Ok(k),
+                            _ => Err(name),
+                        };
+                        let kids = self.children(args);
+                        self.push(Node::Fun { args: kids, target })
+                    }
+                    op => {
+                        let kids = self.children(args);
+                        self.push(Node::App(op, kids))
+                    }
                 }
-                Op::Or => {
-                    let kids = self.children(args);
-                    self.push(Node::Conn(true, kids))
-                }
-                Op::Ite if args.len() == 3 => {
-                    let c = self.term(&args[0]);
-                    let t = self.term(&args[1]);
-                    let e = self.term(&args[2]);
-                    self.push(Node::Ite(c, t, e))
-                }
-                // A malformed `ite` keeps the plain evaluator's behaviour,
-                // whatever it is.
-                Op::Ite => self.opaque(term),
-                Op::Uf(name) if defs.contains_key(name) => self.opaque(term),
-                Op::Uf(name) => {
-                    // `Model::apply_fun`: a function answers its
-                    // constant value, a constant only when applied to
-                    // nothing.
-                    let target = match self.dim_of(name) {
-                        Some((k, Dim::Fun(..))) => Ok(k),
-                        Some((k, Dim::Const(_))) if args.is_empty() => Ok(k),
-                        _ => Err(name),
-                    };
-                    let kids = self.children(args);
-                    self.push(Node::Fun { args: kids, target })
-                }
-                op => {
-                    let kids = self.children(args);
-                    self.push(Node::App(op, kids))
-                }
-            },
+            }
         }
     }
 
@@ -750,44 +783,80 @@ impl<'a> Compiler<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{parse_script, Command};
+    use crate::{parse_script_arena, ArenaCommand};
 
-    /// Compiles a script's assertions with its `define-fun`s over its
-    /// declared constants, returning the evaluator inputs.
-    fn setup(text: &str) -> (Vec<Term>, Vec<Dim>, FunDefs) {
-        let script = parse_script(text).expect("parse");
+    /// A script's assertions on an arena, with its `define-fun`s and its
+    /// declared constants: the evaluator inputs, and the boxed roots the
+    /// plain evaluator reads.
+    struct Setup {
+        arena: TermArena,
+        roots: Vec<TermId>,
+        boxed: Vec<Term>,
+        dims: Vec<Dim>,
+        defs: FunDefs,
+        domains: Domains,
+    }
+
+    fn setup(text: &str, cfg: &DomainConfig) -> Setup {
+        let mut arena = TermArena::new();
+        let script = parse_script_arena(text, &mut arena).expect("parse");
         let mut roots = Vec::new();
         let mut dims = Vec::new();
         let mut defs = FunDefs::new();
         for c in &script.commands {
             match c {
-                Command::DeclareConst(n, _) => dims.push(Dim::Const(n.clone())),
-                Command::DeclareFun(n, ps, _) if ps.is_empty() => dims.push(Dim::Const(n.clone())),
-                Command::DeclareFun(n, ps, _) => dims.push(Dim::Fun(n.clone(), ps.clone())),
-                Command::DefineFun(n, ps, _, body) => {
-                    defs.insert(n.clone(), (ps.clone(), body.clone()));
+                ArenaCommand::DeclareConst(n, _) => dims.push(Dim::Const(n.clone())),
+                ArenaCommand::DeclareFun(n, ps, _) if ps.is_empty() => {
+                    dims.push(Dim::Const(n.clone()))
                 }
-                Command::Assert(t) => roots.push(t.clone()),
+                ArenaCommand::DeclareFun(n, ps, _) => dims.push(Dim::Fun(n.clone(), ps.clone())),
+                ArenaCommand::DefineFun(n, ps, _, body) => {
+                    defs.insert(n.clone(), (ps.clone(), arena.extract_term(*body)));
+                }
+                ArenaCommand::Assert(t) => roots.push(*t),
                 _ => {}
             }
         }
-        (roots, dims, defs)
+        let boxed = roots.iter().map(|&r| arena.extract_term(r)).collect();
+        let domains = Domains::new(arena.sorts(), cfg);
+        Setup {
+            arena,
+            roots,
+            boxed,
+            dims,
+            defs,
+            domains,
+        }
+    }
+
+    impl Setup {
+        fn compile<'a>(&'a self, cfg: &'a DomainConfig) -> IncrementalEval<'a> {
+            IncrementalEval::compile(
+                &self.arena,
+                &self.roots,
+                &self.dims,
+                &self.defs,
+                cfg,
+                &self.domains,
+            )
+        }
     }
 
     /// Walks every assignment of `values` to every dimension (an
     /// odometer, one slot per move) under `budget`, comparing each root
     /// with the plain evaluator on result and budget left.
     fn agree_everywhere(text: &str, values: &[Value], budget: u64) {
-        let (roots, dims, defs) = setup(text);
         let cfg = DomainConfig::default();
-        let mut inc = IncrementalEval::compile(&roots, &dims, &defs, &cfg);
+        let setup = setup(text, &cfg);
+        let (roots, dims, defs) = (&setup.boxed, &setup.dims, &setup.defs);
+        let mut inc = setup.compile(&cfg);
         let mut idx = vec![0usize; dims.len()];
         for k in 0..dims.len() {
             inc.set(k, values[0].clone());
         }
         loop {
             let model = inc.model();
-            let plain = Evaluator::new(&model, &defs, &cfg, budget);
+            let plain = Evaluator::new(&model, defs, &cfg, budget);
             let mut left = budget;
             for (i, t) in roots.iter().enumerate() {
                 let got = inc.eval(i, &mut left);
@@ -836,9 +905,10 @@ mod tests {
     /// Random single-slot moves, each followed by evaluating every root
     /// under one shared budget, compared with the plain evaluator.
     fn agree_under_random_moves(text: &str, domains: &[Vec<Value>], budget: u64, moves: usize) {
-        let (roots, dims, defs) = setup(text);
         let cfg = DomainConfig::default();
-        let mut inc = IncrementalEval::compile(&roots, &dims, &defs, &cfg);
+        let setup = setup(text, &cfg);
+        let (roots, defs) = (&setup.boxed, &setup.defs);
+        let mut inc = setup.compile(&cfg);
         for (k, d) in domains.iter().enumerate() {
             inc.set(k, d[0].clone());
         }
@@ -852,7 +922,7 @@ mod tests {
             inc.set(k, domains[k][v].clone());
             audit(&inc);
             let model = inc.model();
-            let plain = Evaluator::new(&model, &defs, &cfg, budget);
+            let plain = Evaluator::new(&model, defs, &cfg, budget);
             let mut left = budget;
             for (i, t) in roots.iter().enumerate() {
                 let got = inc.eval(i, &mut left);

@@ -59,11 +59,6 @@ impl Term {
         Term::Const(Value::Bool(true))
     }
 
-    /// The constant `false`.
-    pub fn fls() -> Term {
-        Term::Const(Value::Bool(false))
-    }
-
     /// An integer literal.
     pub fn int(i: i128) -> Term {
         Term::Const(Value::Int(i))
@@ -235,16 +230,6 @@ impl Term {
             }
         });
         found
-    }
-
-    /// True when the term contains a `let` anywhere.
-    pub fn has_let(&self) -> bool {
-        match self {
-            Term::Let(_, _) => true,
-            Term::App(_, args) => args.iter().any(Term::has_let),
-            Term::Quant(_, _, body) => body.has_let(),
-            Term::Const(_) | Term::Var(_) | Term::Placeholder(_) => false,
-        }
     }
 
     /// An *atomic* sub-formula in the paper's sense: a Boolean-valued term

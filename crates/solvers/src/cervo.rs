@@ -7,6 +7,9 @@
 //! Bags, FiniteFields) that OxiZ rejects — mirroring cvc5's richer theory
 //! surface, which is where Once4All finds most of its extended-theory bugs.
 //!
+//! The rewrites and the search read the case's terms as [`TermId`]s on a
+//! scratch arena the engine reloads for every check.
+//!
 //! Like OxiZ, Cervo never answers `sat` without a golden-evaluator-verified
 //! model and never answers `unsat` without a complete exhaustive search, so
 //! with seeded bugs disabled the two solvers cannot produce a sat/unsat
@@ -16,12 +19,12 @@ use crate::bugs::apply_bug_effects;
 use crate::coverage::{universe, CoverageMap, Universe};
 use crate::features::fnv1a;
 use crate::frontend::{Analyzed, Frontend, Parsed};
-use crate::oxiz::{domain_config, search_space, verified, virtual_cost, EngineConfig};
+use crate::oxiz::{verified, virtual_cost, EngineConfig, OpHits, Scratch};
 use crate::response::{Outcome, SolveStats, SolverId, SolverResponse};
 use crate::versions::{commit_of, CommitIdx, TRUNK_COMMIT};
 use crate::SmtSolver;
 use o4a_smtlib::eval::{Evaluator, IncrementalEval};
-use o4a_smtlib::{EvalError, Model, Op, Quantifier, Symbol, Term, Value};
+use o4a_smtlib::{ANode, EvalError, Model, Op, Quantifier, SymbolId, TermArena, TermId, Value};
 
 /// The Cervo solver.
 #[derive(Debug)]
@@ -30,6 +33,7 @@ pub struct Cervo {
     config: EngineConfig,
     universe: &'static Universe,
     coverage: CoverageMap,
+    scratch: Scratch,
 }
 
 impl Cervo {
@@ -40,6 +44,7 @@ impl Cervo {
             config: EngineConfig::default(),
             universe: universe(SolverId::Cervo),
             coverage: CoverageMap::new(),
+            scratch: Scratch::default(),
         }
     }
 
@@ -64,64 +69,73 @@ impl Cervo {
         self
     }
 
-    /// Cervo's preprocessing: inline `let` bindings, then push negations to
-    /// the leaves (stopping at non-connective atoms and quantifiers, which
-    /// flip quantifier kind).
-    fn normalize(&mut self, term: &Term, features_hash: u64) -> Term {
+    /// Cervo's preprocessing of the assertion at `id` on the scratch
+    /// arena: inline `let` bindings, then push negations to the leaves
+    /// (stopping at non-connective atoms and quantifiers, which flip
+    /// quantifier kind). Rewritten nodes share untouched subterms by id.
+    /// Pushes the result onto the roots with its size, and returns its
+    /// atom count and whether it has a quantifier.
+    fn normalize(&mut self, scratch: &mut Scratch, id: TermId) -> (usize, bool) {
+        let Scratch {
+            arena,
+            roots,
+            sizes,
+            op_hits,
+            kids,
+            scope,
+            ..
+        } = scratch;
         self.coverage.hit(self.universe, "core::let_inline", 0);
         // Inlining changes a term exactly when the term contains a `let`.
-        let inlined;
-        let term = if term.has_let() {
+        let mut has_let = false;
+        arena.visit(id, |n| has_let |= matches!(n, ANode::Let(..)));
+        let id = if has_let {
             self.coverage.hit(self.universe, "core::let_inline", 1);
-            inlined = inline_lets(term, &mut Vec::new());
-            &inlined
+            inline_lets(arena, id, scope, kids)
         } else {
-            term
+            id
         };
         self.coverage.hit(self.universe, "core::nnf", 0);
-        let nnf = to_nnf(term, false, &mut |negated_quant| {
+        let nnf = to_nnf(arena, id, false, kids, &mut |negated_quant| {
             if negated_quant {
                 self.coverage.hit(self.universe, "core::nnf", 1);
             }
         });
-        // Per-operator rewrite/eval coverage, with content-dependent branch
-        // selection (same scheme as OxiZ but over Cervo's own universe).
-        nnf.visit(&mut |t| {
-            if let Term::App(op, args) = t {
-                // Pre-resolved per-family point row; `None` (Uf) makes
-                // every hit a no-op, just as the name lookup would.
-                if let Some(r) = self.universe.op_row(op) {
-                    self.coverage.hit_idx(self.universe, r.rewrite, 0);
-                    if args.len() > 2 {
-                        self.coverage.hit_idx(self.universe, r.rewrite, 1);
-                    }
-                    self.coverage.hit_idx(self.universe, r.eval, 0);
-                    // Deep arms are rare value shapes; see the OxiZ twin note.
-                    let roll = (features_hash ^ r.name_fnv) % 53;
-                    if roll < 2 {
-                        self.coverage
-                            .hit_idx(self.universe, r.eval, 1 + (roll % 2) as usize);
-                    }
+        // One walk for the size, the atoms and the per-operator
+        // rewrite/eval coverage (same scheme as OxiZ but over Cervo's own
+        // universe).
+        let (mut size, mut atoms, mut quantified) = (0, 0, false);
+        arena.visit(nnf, |n| {
+            size += 1;
+            match n {
+                ANode::App(op, _, len) => {
+                    let wide = if len > 2 { OpHits::REWRITE_DEEP } else { 0 };
+                    op_hits.mark(op, OpHits::REWRITE | OpHits::EVAL | wide);
+                    atoms += usize::from(!arena.op(op).is_connective());
                 }
-            }
-            if matches!(t, Term::Quant(_, _, _)) {
-                self.coverage.hit(self.universe, "quant::binder_scope", 0);
+                ANode::Quant(..) => quantified = true,
+                _ => {}
             }
         });
-        nnf
+        roots.push(nnf);
+        sizes.push(size);
+        (atoms, quantified)
     }
 
-    /// Greedy model repair followed by exhaustive fallback.
+    /// Greedy model repair followed by exhaustive fallback, on the
+    /// rewritten roots in `scratch`.
     fn solve(
         &mut self,
         analyzed: &Analyzed,
-        assertions: &[Term],
+        scratch: &Scratch,
+        atom_count: usize,
     ) -> (Outcome, Option<Model>, SolveStats) {
+        let timer = o4a_obs::metrics::start_timer();
         let mut stats = SolveStats::default();
-        let cfg = domain_config(analyzed);
+        let space = analyzed.space();
+        let (arena, roots) = (&scratch.arena, &scratch.roots);
 
         self.coverage.hit(self.universe, "core::atom_abstract", 0);
-        let atom_count: usize = assertions.iter().map(count_atoms).sum();
         if atom_count > 4 {
             self.coverage.hit(self.universe, "core::atom_abstract", 1);
         }
@@ -131,36 +145,61 @@ impl Cervo {
 
         // Candidate domains, ordered by a Cervo-specific deterministic
         // shuffle so the two engines explore the space differently.
-        let (dims, mut domains, complete) = search_space(analyzed, &cfg);
-        for ((name, _), c) in analyzed.consts.iter().zip(&mut domains) {
+        let dims = &space.dims;
+        let mut domains: Vec<Vec<Value>> = (0..dims.len())
+            .map(|k| space.domain(k).values.clone())
+            .collect();
+        for ((name, _), values) in analyzed.consts.iter().zip(&mut domains) {
             cervo_order(
-                &mut c.values,
+                values,
                 analyzed.features.hash ^ fnv1a(name.as_str().as_bytes()),
             );
         }
 
-        // Every evaluation charges each evaluated assertion's full size.
-        let sizes: Vec<u64> = assertions.iter().map(|a| a.size() as u64).collect();
-        let budget = self.config.eval_budget;
-        let mut ev = IncrementalEval::compile(assertions, &dims, &analyzed.defs, &cfg);
+        let mut ev = space.compile(arena, roots, &analyzed.defs);
         for (k, d) in domains.iter().enumerate() {
-            ev.set(k, d.values[0].clone());
+            ev.set(k, d[0].clone());
         }
+        o4a_obs::metrics::record_elapsed("solver.compile", timer);
+        let timer = o4a_obs::metrics::start_timer();
+        // Every evaluation charges each evaluated assertion's full size.
+        let sizes = &scratch.sizes;
+        let out = self.search(analyzed, scratch, &mut ev, &domains, sizes, &mut stats);
+        o4a_obs::metrics::record_elapsed("solver.search", timer);
+        (out.0, out.1, stats)
+    }
+
+    /// The search proper: phase 1 from the first candidate of every
+    /// domain, then phase 2 when it applies.
+    fn search(
+        &mut self,
+        analyzed: &Analyzed,
+        scratch: &Scratch,
+        ev: &mut IncrementalEval,
+        domains: &[Vec<Value>],
+        sizes: &[u64],
+        stats: &mut SolveStats,
+    ) -> (Outcome, Option<Model>) {
+        let space = analyzed.space();
+        let dims = &space.dims;
+        let assertions = sizes.len();
+        let budget = self.config.eval_budget;
         // One assignment, one shared budget; `idx` mirrors the slots.
         let mut idx = vec![0usize; dims.len()];
         let assess = |ev: &mut IncrementalEval, stats: &mut SolveStats| {
             let mut left = budget;
-            tally(&sizes, stats, |i| ev.eval(i, &mut left))
+            tally(sizes, stats, |i| ev.eval(i, &mut left))
         };
         let move_to = |ev: &mut IncrementalEval, idx: &mut [usize], d: usize, v: usize| {
             idx[d] = v;
-            ev.set(d, domains[d].values[v].clone());
+            ev.set(d, domains[d][v].clone());
         };
+        let mut boxed = None;
 
         // Phase 1: hill-climbing repair from the default assignment.
         self.coverage.hit(self.universe, "core::repair_climb", 0);
         let mut saw_eval_trouble = false;
-        let mut best = match assess(&mut ev, &mut stats) {
+        let mut best = match assess(ev, stats) {
             Ok(n) => n,
             Err(_) => {
                 saw_eval_trouble = true;
@@ -170,11 +209,11 @@ impl Cervo {
         stats.assignments_tried += 1;
         let repair_budget = self.config.max_assignments / 2;
         let mut moves = 0usize;
-        'climb: while best < assertions.len() && moves < repair_budget {
+        'climb: while best < assertions && moves < repair_budget {
             let mut improved = false;
             for d in 0..dims.len() {
                 let original = idx[d];
-                for v in 0..domains[d].values.len() {
+                for v in 0..domains[d].len() {
                     if v == original {
                         continue;
                     }
@@ -182,23 +221,23 @@ impl Cervo {
                     if moves >= repair_budget {
                         break 'climb;
                     }
-                    move_to(&mut ev, &mut idx, d, v);
+                    move_to(ev, &mut idx, d, v);
                     stats.assignments_tried += 1;
-                    match assess(&mut ev, &mut stats) {
+                    match assess(ev, stats) {
                         Ok(n) if n > best => {
                             best = n;
                             improved = true;
                             self.coverage.hit(self.universe, "core::repair_climb", 1);
                             break;
                         }
-                        Ok(_) => move_to(&mut ev, &mut idx, d, original),
+                        Ok(_) => move_to(ev, &mut idx, d, original),
                         Err(_) => {
                             saw_eval_trouble = true;
-                            move_to(&mut ev, &mut idx, d, original);
+                            move_to(ev, &mut idx, d, original);
                         }
                     }
                 }
-                if best == assertions.len() {
+                if best == assertions {
                     break;
                 }
             }
@@ -207,41 +246,43 @@ impl Cervo {
                 break;
             }
         }
-        if best == assertions.len() {
+        if best == assertions {
             let model = ev.model();
             // Final verification before answering sat, by the plain
-            // evaluator.
+            // evaluator on the boxed rewrites.
             self.coverage.hit(self.universe, "core::model_build", 0);
             self.coverage.hit(self.universe, "core::model_check", 0);
-            let plain = Evaluator::new(&model, &analyzed.defs, &cfg, budget);
-            if tally(&sizes, &mut stats, |i| plain.eval(&assertions[i])) == Ok(assertions.len()) {
-                return (Outcome::Sat, Some(model), stats);
+            let plain = Evaluator::new(&model, &analyzed.defs, &space.cfg, budget);
+            let roots: &[_] = boxed.get_or_insert_with(|| scratch.boxed_roots());
+            if tally(sizes, stats, |i| plain.eval(&roots[i])) == Ok(assertions) {
+                return (Outcome::Sat, Some(model));
             }
         }
 
         // Phase 2: exhaustive enumeration when the whole space is finite
         // and small; this is the only path that can answer unsat.
-        let space: usize = domains
+        let size: usize = domains
             .iter()
-            .map(|c| c.values.len().max(1))
+            .map(|c| c.len().max(1))
             .fold(1usize, |acc, n| acc.saturating_mul(n));
-        if complete && space <= self.config.max_assignments * 4 {
+        if space.complete && size <= self.config.max_assignments * 4 {
             self.coverage
                 .hit(self.universe, "core::enumerate_exhaustive", 0);
             for d in 0..dims.len() {
                 if idx[d] != 0 {
-                    move_to(&mut ev, &mut idx, d, 0);
+                    move_to(ev, &mut idx, d, 0);
                 }
             }
             let mut any_trouble = false;
             loop {
                 stats.assignments_tried += 1;
-                match assess(&mut ev, &mut stats) {
-                    Ok(n) if n == assertions.len() => {
+                match assess(ev, stats) {
+                    Ok(n) if n == assertions => {
                         let model = ev.model();
-                        if verified(&model, analyzed, assertions, &cfg, budget) {
+                        let roots = boxed.get_or_insert_with(|| scratch.boxed_roots());
+                        if verified(&model, analyzed, roots, &space.cfg, budget) {
                             self.coverage.hit(self.universe, "core::model_build", 0);
-                            return (Outcome::Sat, Some(model), stats);
+                            return (Outcome::Sat, Some(model));
                         }
                         any_trouble = true;
                     }
@@ -255,33 +296,33 @@ impl Cervo {
                 loop {
                     if k == dims.len() {
                         if any_trouble {
-                            return (Outcome::Unknown, None, stats);
+                            return (Outcome::Unknown, None);
                         }
                         self.coverage
                             .hit(self.universe, "core::enumerate_exhaustive", 1);
-                        return (Outcome::Unsat, None, stats);
+                        return (Outcome::Unsat, None);
                     }
                     let next = idx[k] + 1;
-                    if next < domains[k].values.len() {
-                        move_to(&mut ev, &mut idx, k, next);
+                    if next < domains[k].len() {
+                        move_to(ev, &mut idx, k, next);
                         break;
                     }
                     if idx[k] != 0 {
-                        move_to(&mut ev, &mut idx, k, 0);
+                        move_to(ev, &mut idx, k, 0);
                     }
                     k += 1;
                 }
             }
             // No dims at all: the assertions are ground.
             return if any_trouble || saw_eval_trouble {
-                (Outcome::Unknown, None, stats)
+                (Outcome::Unknown, None)
             } else {
-                (Outcome::Unsat, None, stats)
+                (Outcome::Unsat, None)
             };
         }
 
         let _ = saw_eval_trouble;
-        (Outcome::Unknown, None, stats)
+        (Outcome::Unknown, None)
     }
 }
 
@@ -336,102 +377,144 @@ fn cervo_order(values: &mut [Value], key: u64) {
     }
 }
 
-fn count_atoms(t: &Term) -> usize {
-    let mut n = 0;
-    t.visit(&mut |node| {
-        if !node.is_logical_connective() && matches!(node, Term::App(_, _)) {
-            n += 1;
-        }
-    });
-    n
-}
-
-/// Capture-safe `let` inlining: bindings are substituted bottom-up; since
-/// SMT-LIB `let` is parallel, bindings are resolved against the outer
-/// scope.
-fn inline_lets(term: &Term, scope: &mut Vec<(Symbol, Term)>) -> Term {
-    match term {
-        Term::Var(name) => scope
-            .iter()
-            .rev()
-            .find(|(n, _)| n == name)
-            .map(|(_, t)| t.clone())
-            .unwrap_or_else(|| term.clone()),
-        Term::Const(_) | Term::Placeholder(_) => term.clone(),
-        Term::Let(binds, body) => {
-            let resolved: Vec<(Symbol, Term)> = binds
-                .iter()
-                .map(|(n, t)| (n.clone(), inline_lets(t, scope)))
-                .collect();
-            let len = scope.len();
-            scope.extend(resolved);
-            let out = inline_lets(body, scope);
-            scope.truncate(len);
+/// Capture-safe `let` inlining of the term at `id`: bindings are
+/// substituted bottom-up, sharing the bound term by id at every
+/// occurrence; since SMT-LIB `let` is parallel, bindings are resolved
+/// against the outer scope. `scope` holds the `let` bindings in scope,
+/// with no value for a quantifier's bound variable; `kids` is scratch.
+fn inline_lets(
+    arena: &mut TermArena,
+    id: TermId,
+    scope: &mut Vec<(SymbolId, Option<TermId>)>,
+    kids: &mut Vec<TermId>,
+) -> TermId {
+    match arena.node(id) {
+        ANode::Var(name) => match scope.iter().rev().find(|(n, _)| *n == name) {
+            Some(&(_, Some(value))) => value,
+            _ => id,
+        },
+        ANode::Const(_) | ANode::Placeholder(_) => id,
+        ANode::Let(start, len, body) => {
+            // Resolve every binding against the outer scope first.
+            let values = kids.len();
+            for k in 0..len as usize {
+                let value = arena.let_binds(start, len)[k].1;
+                let value = inline_lets(arena, value, scope, kids);
+                kids.push(value);
+            }
+            let mark = scope.len();
+            for k in 0..len as usize {
+                let name = arena.let_binds(start, len)[k].0;
+                scope.push((name, Some(kids[values + k])));
+            }
+            kids.truncate(values);
+            let out = inline_lets(arena, body, scope, kids);
+            scope.truncate(mark);
             out
         }
-        Term::App(op, args) => Term::App(
-            op.clone(),
-            args.iter().map(|a| inline_lets(a, scope)).collect(),
-        ),
-        Term::Quant(q, vars, body) => {
+        ANode::App(op, start, len) => {
+            let mark = kids.len();
+            for k in 0..len as usize {
+                let child = arena.args(start, len)[k];
+                let child = inline_lets(arena, child, scope, kids);
+                kids.push(child);
+            }
+            let out = if *arena.args(start, len) == kids[mark..] {
+                id
+            } else {
+                arena.mk_app(op, &kids[mark..])
+            };
+            kids.truncate(mark);
+            out
+        }
+        ANode::Quant(q, start, len, body) => {
             // Bound variables shadow outer let bindings.
-            let len = scope.len();
-            let shadow: Vec<(Symbol, Term)> = vars
-                .iter()
-                .map(|(n, _)| (n.clone(), Term::Var(n.clone())))
-                .collect();
-            scope.extend(shadow);
-            let out = Term::Quant(*q, vars.clone(), Box::new(inline_lets(body, scope)));
-            scope.truncate(len);
-            out
+            let mark = scope.len();
+            for k in 0..len as usize {
+                scope.push((arena.quant_vars(start, len)[k].0, None));
+            }
+            let new_body = inline_lets(arena, body, scope, kids);
+            scope.truncate(mark);
+            if new_body == body {
+                id
+            } else {
+                arena.requant(id, q, new_body)
+            }
         }
     }
 }
 
-/// Negation normal form for the Boolean skeleton: `not` is pushed through
-/// `and`/`or`/`not`/`=>` and quantifiers; other operators are atoms.
-fn to_nnf(term: &Term, negate: bool, on_negated_quant: &mut impl FnMut(bool)) -> Term {
-    match term {
-        Term::App(Op::Not, args) if args.len() == 1 => to_nnf(&args[0], !negate, on_negated_quant),
-        Term::App(Op::And, args) => {
-            let children: Vec<Term> = args
-                .iter()
-                .map(|a| to_nnf(a, negate, on_negated_quant))
-                .collect();
-            Term::App(if negate { Op::Or } else { Op::And }, children)
-        }
-        Term::App(Op::Or, args) => {
-            let children: Vec<Term> = args
-                .iter()
-                .map(|a| to_nnf(a, negate, on_negated_quant))
-                .collect();
-            Term::App(if negate { Op::And } else { Op::Or }, children)
-        }
-        Term::App(Op::Implies, args) if args.len() == 2 => {
-            // a => b  ≡  ¬a ∨ b.
-            let a = to_nnf(&args[0], !negate, on_negated_quant);
-            let b = to_nnf(&args[1], negate, on_negated_quant);
-            Term::App(if negate { Op::And } else { Op::Or }, vec![a, b])
-        }
-        Term::Quant(q, vars, body) => {
+/// Negation normal form of the term at `id` for the Boolean skeleton:
+/// `not` is pushed through `and`/`or`/`not`/`=>` and quantifiers; other
+/// operators are atoms. `kids` is scratch.
+fn to_nnf(
+    arena: &mut TermArena,
+    id: TermId,
+    negate: bool,
+    kids: &mut Vec<TermId>,
+    on_negated_quant: &mut impl FnMut(bool),
+) -> TermId {
+    match arena.node(id) {
+        ANode::App(op, start, len) => match arena.op(op) {
+            Op::Not if len == 1 => {
+                let a = arena.args(start, len)[0];
+                to_nnf(arena, a, !negate, kids, on_negated_quant)
+            }
+            connective @ (Op::And | Op::Or) => {
+                let is_and = *connective == Op::And;
+                let mark = kids.len();
+                for k in 0..len as usize {
+                    let a = arena.args(start, len)[k];
+                    let a = to_nnf(arena, a, negate, kids, on_negated_quant);
+                    kids.push(a);
+                }
+                let out = if !negate && *arena.args(start, len) == kids[mark..] {
+                    id
+                } else {
+                    let op = if negate {
+                        arena.op_id(if is_and { &Op::Or } else { &Op::And })
+                    } else {
+                        op
+                    };
+                    arena.mk_app(op, &kids[mark..])
+                };
+                kids.truncate(mark);
+                out
+            }
+            Op::Implies if len == 2 => {
+                // a => b  ≡  ¬a ∨ b.
+                let [a, b] = [0, 1].map(|k| arena.args(start, len)[k]);
+                let a = to_nnf(arena, a, !negate, kids, on_negated_quant);
+                let b = to_nnf(arena, b, negate, kids, on_negated_quant);
+                let op = arena.op_id(if negate { &Op::And } else { &Op::Or });
+                arena.mk_app(op, &[a, b])
+            }
+            _ => negated(arena, id, negate),
+        },
+        ANode::Quant(q, _, _, body) => {
             on_negated_quant(negate);
             let q2 = match (q, negate) {
                 (Quantifier::Forall, false) | (Quantifier::Exists, true) => Quantifier::Forall,
                 _ => Quantifier::Exists,
             };
-            Term::Quant(
-                q2,
-                vars.clone(),
-                Box::new(to_nnf(body, negate, on_negated_quant)),
-            )
-        }
-        other => {
-            if negate {
-                Term::App(Op::Not, vec![other.clone()])
+            let new_body = to_nnf(arena, body, negate, kids, on_negated_quant);
+            if q2 == q && new_body == body {
+                id
             } else {
-                other.clone()
+                arena.requant(id, q2, new_body)
             }
         }
+        _ => negated(arena, id, negate),
+    }
+}
+
+/// `(not id)` when `negate`, else `id`.
+fn negated(arena: &mut TermArena, id: TermId, negate: bool) -> TermId {
+    if negate {
+        let not = arena.op_id(&Op::Not);
+        arena.mk_app(not, &[id])
+    } else {
+        id
     }
 }
 
@@ -454,18 +537,27 @@ impl SmtSolver for Cervo {
             Ok(a) => a,
             Err(msg) => return SolverResponse::error(msg),
         };
-        let fh = analyzed.features.hash;
         let timer = o4a_obs::metrics::start_timer();
-        let assertions: Vec<Term> = analyzed
-            .script
-            .assertions()
-            .map(|t| self.normalize(t, fh))
-            .collect();
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.load(analyzed);
+        let (mut atoms, mut quantified) = (0, false);
+        for t in analyzed.assertions() {
+            let (a, q) = self.normalize(&mut scratch, t);
+            atoms += a;
+            quantified |= q;
+        }
+        if quantified {
+            self.coverage.hit(self.universe, "quant::binder_scope", 0);
+        }
+        let hash = analyzed.features.hash;
+        let (arena, universe) = (&scratch.arena, self.universe);
+        scratch
+            .op_hits
+            .record(arena, universe, &mut self.coverage, hash);
         o4a_obs::metrics::record_elapsed("solver.rewrite", timer);
 
-        let timer = o4a_obs::metrics::start_timer();
-        let (mut outcome, mut model, mut stats) = self.solve(analyzed, &assertions);
-        o4a_obs::metrics::record_elapsed("solver.search", timer);
+        let (mut outcome, mut model, mut stats) = self.solve(analyzed, &scratch, atoms);
+        self.scratch = scratch;
         stats.virtual_micros = virtual_cost(analyzed.input_bytes, &stats);
         if stats.virtual_micros > self.config.timeout_micros {
             outcome = Outcome::Timeout;
@@ -500,7 +592,27 @@ impl SmtSolver for Cervo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use o4a_smtlib::parse_term;
+    use o4a_smtlib::{parse_term_arena, Symbol};
+
+    /// The NNF of `text`, printed.
+    fn nnf(text: &str) -> String {
+        let mut arena = TermArena::new();
+        let t = parse_term_arena(text, &mut arena).unwrap();
+        let nnf = to_nnf(&mut arena, t, false, &mut Vec::new(), &mut |_| {});
+        let mut out = String::new();
+        arena.print_term_into(nnf, &mut out);
+        out
+    }
+
+    /// `text` with its `let`s inlined, printed.
+    fn inlined(text: &str) -> String {
+        let mut arena = TermArena::new();
+        let t = parse_term_arena(text, &mut arena).unwrap();
+        let inlined = inline_lets(&mut arena, t, &mut Vec::new(), &mut Vec::new());
+        let mut out = String::new();
+        arena.print_term_into(inlined, &mut out);
+        out
+    }
 
     fn no_bugs() -> EngineConfig {
         EngineConfig {
@@ -511,38 +623,31 @@ mod tests {
 
     #[test]
     fn nnf_pushes_negation() {
-        let t = parse_term("(not (and p (not q)))").unwrap();
-        let nnf = to_nnf(&t, false, &mut |_| {});
-        assert_eq!(nnf.to_string(), "(or (not p) q)");
+        assert_eq!(nnf("(not (and p (not q)))"), "(or (not p) q)");
     }
 
     #[test]
     fn nnf_flips_quantifiers() {
-        let t = parse_term("(not (forall ((x Int)) (> x 0)))").unwrap();
-        let nnf = to_nnf(&t, false, &mut |_| {});
-        assert!(nnf.to_string().starts_with("(exists ((x Int))"));
+        assert!(nnf("(not (forall ((x Int)) (> x 0)))").starts_with("(exists ((x Int))"));
     }
 
     #[test]
     fn nnf_implication() {
-        let t = parse_term("(=> p q)").unwrap();
-        let nnf = to_nnf(&t, false, &mut |_| {});
-        assert_eq!(nnf.to_string(), "(or (not p) q)");
+        assert_eq!(nnf("(=> p q)"), "(or (not p) q)");
     }
 
     #[test]
     fn let_inlining_parallel_semantics() {
         // (let ((a 1) (b a)) (+ a b)) with outer a=10 → 1 + 10.
-        let t = parse_term("(let ((a 1) (b a)) (+ a b))").unwrap();
-        let inlined = inline_lets(&t, &mut vec![]);
-        assert_eq!(inlined.to_string(), "(+ 1 a)");
+        assert_eq!(inlined("(let ((a 1) (b a)) (+ a b))"), "(+ 1 a)");
     }
 
     #[test]
     fn let_inlining_respects_quantifier_shadowing() {
-        let t = parse_term("(let ((x 1)) (exists ((x Int)) (= x 0)))").unwrap();
-        let inlined = inline_lets(&t, &mut vec![]);
-        assert_eq!(inlined.to_string(), "(exists ((x Int)) (= x 0))");
+        assert_eq!(
+            inlined("(let ((x 1)) (exists ((x Int)) (= x 0)))"),
+            "(exists ((x Int)) (= x 0))"
+        );
     }
 
     #[test]

@@ -13,16 +13,24 @@
 //! theory-gate verdicts, the [`FormulaFeatures`], and solver-independent
 //! coverage facts, which `analyze_parsed` replays through the solver's
 //! [`Universe`]. The sort checker runs on the same arena.
+//!
+//! A [`Parsed`] keeps the case in arena form: an owned, compact copy of
+//! the terms its commands reach ([`TermArena::compact`]), which survives
+//! the fuzzer's arena reset and crosses threads. The engines rewrite and
+//! search on [`TermId`]s; the boxed [`Script`] is built at most once, on
+//! demand, for the golden evaluator and the oracle's model check.
 
 use crate::coverage::{supported_theories, CoverageMap, Universe};
 use crate::features::{fnv1a, FormulaFeatures};
+use crate::oxiz::SearchSpace;
 use crate::SolverId;
 use o4a_smtlib::{
-    parse_script_arena, typeck, ANode, ArenaCommand, ArenaScript, Command, Op, OpId, Script, Sort,
-    Symbol, Term, TermArena, TermId, Theory,
+    parse_script_arena, typeck, ANode, ArenaCommand, ArenaScript, Op, OpId, Script, Sort, Symbol,
+    Term, TermArena, TermId, Theory,
 };
-use std::cell::RefCell;
+use std::cell::{OnceCell, RefCell};
 use std::collections::BTreeMap;
+use std::fmt;
 
 thread_local! {
     /// Scratch arena for [`Parsed::new`], [`Frontend::validate`] and
@@ -33,49 +41,140 @@ thread_local! {
     static PRINT_BUFFER: RefCell<String> = const { RefCell::new(String::new()) };
 }
 
+/// A case's script in arena form: an owned, compact copy of its terms
+/// and the script over them, boxed at most once, on demand.
+#[derive(Clone)]
+struct CaseScript {
+    arena: TermArena,
+    script: ArenaScript,
+    boxed: OnceCell<Script>,
+}
+
+impl CaseScript {
+    fn new(script: &ArenaScript, arena: &TermArena) -> CaseScript {
+        let (arena, script) = arena.compact(script);
+        CaseScript {
+            arena,
+            script,
+            boxed: OnceCell::new(),
+        }
+    }
+
+    /// The boxed script, built on the first call.
+    fn boxed(&self) -> &Script {
+        self.boxed
+            .get_or_init(|| self.script.to_script(&self.arena))
+    }
+}
+
+/// Equal scripts compact to equal copies; the box is a cache.
+impl PartialEq for CaseScript {
+    fn eq(&self, other: &CaseScript) -> bool {
+        self.arena == other.arena && self.script == other.script
+    }
+}
+
+/// Prints the boxed script.
+impl fmt::Debug for CaseScript {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.boxed().fmt(f)
+    }
+}
+
 /// The result of frontend analysis: everything an engine needs to solve.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone)]
 pub struct Analyzed {
-    /// The parsed script.
-    pub script: Script,
+    case: CaseScript,
     /// Declared 0-ary symbols and their sorts.
     pub consts: Vec<(Symbol, Sort)>,
     /// Declared n-ary (n ≥ 1) uninterpreted functions.
     pub funs: Vec<(Symbol, Vec<Sort>, Sort)>,
-    /// Defined functions (`define-fun`), for evaluator expansion.
+    /// Defined functions (`define-fun`), boxed for evaluator expansion.
     pub defs: BTreeMap<Symbol, (Vec<(Symbol, Sort)>, Term)>,
     /// Structural features (trigger matching, coverage, statistics).
     pub features: FormulaFeatures,
     /// Input length in bytes (virtual cost model input).
     pub input_bytes: usize,
+    /// The search space, computed for the first engine that searches.
+    space: OnceCell<SearchSpace>,
 }
 
 impl Analyzed {
     /// Collects the declaration tables of a sort-checked script.
-    fn of(script: Script, features: FormulaFeatures, input_bytes: usize) -> Analyzed {
+    fn of(case: CaseScript, features: FormulaFeatures, input_bytes: usize) -> Analyzed {
         let mut consts = Vec::new();
         let mut funs = Vec::new();
         let mut defs = BTreeMap::new();
-        for cmd in &script.commands {
+        for cmd in &case.script.commands {
             match cmd {
-                Command::DeclareConst(name, sort) => consts.push((name.clone(), sort.clone())),
-                Command::DeclareFun(name, args, ret) => {
+                ArenaCommand::DeclareConst(name, sort) => consts.push((name.clone(), sort.clone())),
+                ArenaCommand::DeclareFun(name, args, ret) => {
                     funs.push((name.clone(), args.clone(), ret.clone()))
                 }
-                Command::DefineFun(name, params, _, body) => {
-                    defs.insert(name.clone(), (params.clone(), body.clone()));
+                ArenaCommand::DefineFun(name, params, _, body) => {
+                    defs.insert(
+                        name.clone(),
+                        (params.clone(), case.arena.extract_term(*body)),
+                    );
                 }
                 _ => {}
             }
         }
         Analyzed {
+            case,
             consts,
             funs,
             defs,
             features,
             input_bytes,
-            script,
+            space: OnceCell::new(),
         }
+    }
+
+    /// The boxed script, built on the first call.
+    pub fn script(&self) -> &Script {
+        self.case.boxed()
+    }
+
+    /// The arena holding the script's terms.
+    pub fn arena(&self) -> &TermArena {
+        &self.case.arena
+    }
+
+    /// The asserted terms, on [`Analyzed::arena`].
+    pub fn assertions(&self) -> impl Iterator<Item = TermId> + '_ {
+        self.case.script.assertions()
+    }
+
+    /// The search space both engines enumerate, computed once per case.
+    pub(crate) fn space(&self) -> &SearchSpace {
+        self.space.get_or_init(|| SearchSpace::new(self))
+    }
+}
+
+/// Equality ignores the cached box and search space.
+impl PartialEq for Analyzed {
+    fn eq(&self, other: &Analyzed) -> bool {
+        self.case == other.case
+            && self.consts == other.consts
+            && self.funs == other.funs
+            && self.defs == other.defs
+            && self.features == other.features
+            && self.input_bytes == other.input_bytes
+    }
+}
+
+/// The layout of the boxed form: the script first, then the tables.
+impl fmt::Debug for Analyzed {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Analyzed")
+            .field("script", self.script())
+            .field("consts", &self.consts)
+            .field("funs", &self.funs)
+            .field("defs", &self.defs)
+            .field("features", &self.features)
+            .field("input_bytes", &self.input_bytes)
+            .finish()
     }
 }
 
@@ -101,16 +200,16 @@ enum Stage {
     /// The parser's message.
     ParseError(String),
     /// The script parsed but failed the sort check (with its message).
-    TypeError(Script, String, FormulaFeatures),
+    TypeError(Box<CaseScript>, String, FormulaFeatures),
     /// The script parsed and sort-checked.
-    Checked(Analyzed),
+    Checked(Box<Analyzed>),
 }
 
 impl Parsed {
     /// Parses `text` on the frontend's thread-local arena, walks its
     /// assertions once (theory gates, features, coverage facts) and
     /// sort-checks it, collecting declarations when the check succeeds.
-    /// The script is boxed once, at the end.
+    /// The script stays in arena form.
     pub fn new(text: &str) -> Parsed {
         FRONTEND_ARENA.with(|cell| {
             let arena = &mut *cell.borrow_mut();
@@ -129,7 +228,7 @@ impl Parsed {
     /// [`Parsed::new`] of `text` for a case that already exists as
     /// `script` on `arena`, with `text` the printer's output for it
     /// ([`ArenaScript::print_into`]): the same walk, gates, sort check and
-    /// boxing, without parsing `text` or printing the script again. The
+    /// compact copy, without parsing `text` or printing the script again. The
     /// printed text is its own re-print, so the feature hash is the hash
     /// of `text`; debug builds check that `text` is the script's print and
     /// that it parses and re-prints to itself.
@@ -142,8 +241,8 @@ impl Parsed {
     }
 
     /// The body both constructors share: one walk over `script` (theory
-    /// gates, features, coverage facts), the sort check, and the boxed
-    /// script with its declaration tables. `input_bytes` is the length of
+    /// gates, features, coverage facts), the sort check, and the compact
+    /// copy of the script with its declaration tables. `input_bytes` is the length of
     /// the script's text and `hash` the FNV-1a hash of its print.
     fn of(script: &ArenaScript, arena: &TermArena, input_bytes: usize, hash: u64) -> Parsed {
         let Walk {
@@ -154,10 +253,10 @@ impl Parsed {
         features.hash = hash;
         let gates = SolverId::ALL.map(|id| gate_verdict(id, unsupported[id as usize], script));
         let checked = typeck::check_script_arena(script, arena);
-        let boxed = script.to_script(arena);
+        let case = CaseScript::new(script, arena);
         let stage = match checked {
-            Ok(_) => Stage::Checked(Analyzed::of(boxed, features, input_bytes)),
-            Err(e) => Stage::TypeError(boxed, format!("{e}"), features),
+            Ok(_) => Stage::Checked(Box::new(Analyzed::of(case, features, input_bytes))),
+            Err(e) => Stage::TypeError(Box::new(case), format!("{e}"), features),
         };
         Parsed {
             stage,
@@ -166,12 +265,29 @@ impl Parsed {
         }
     }
 
-    /// The parsed script, or `None` when the text did not parse.
+    /// Whether the text parsed.
+    pub fn parses(&self) -> bool {
+        !matches!(self.stage, Stage::ParseError(_))
+    }
+
+    /// The parsed script, or `None` when the text did not parse. The
+    /// script is boxed on the first call.
     pub fn script(&self) -> Option<&Script> {
+        self.case().map(CaseScript::boxed)
+    }
+
+    /// Whether the boxed script has been built: a probe for tests that
+    /// pin when boxing happens.
+    #[doc(hidden)]
+    pub fn is_boxed(&self) -> bool {
+        self.case().is_some_and(|c| c.boxed.get().is_some())
+    }
+
+    fn case(&self) -> Option<&CaseScript> {
         match &self.stage {
             Stage::ParseError(_) => None,
-            Stage::TypeError(script, _, _) => Some(script),
-            Stage::Checked(a) => Some(&a.script),
+            Stage::TypeError(case, _, _) => Some(case),
+            Stage::Checked(a) => Some(&a.case),
         }
     }
 
@@ -543,7 +659,7 @@ impl Frontend {
                 return Err(msg.clone());
             }
             Stage::TypeError(_, msg, _) => Err(msg),
-            Stage::Checked(a) => Ok(a),
+            Stage::Checked(a) => Ok(&**a),
         };
         parsed.coverage.replay(universe, cov);
         // `SolverId::ALL` lists the solvers in declaration order.
@@ -611,6 +727,7 @@ mod tests {
     use super::*;
     use crate::coverage::universe;
     use o4a_core::{Fuzzer, Once4AllConfig, Once4AllFuzzer};
+    use o4a_smtlib::Command;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::collections::BTreeSet;
@@ -819,6 +936,25 @@ mod tests {
         }
     }
 
+    /// The boxed `Analyzed` this crate shipped before `Parsed` kept the
+    /// case in arena form: its derived `Debug` is what the arena form's
+    /// `Debug` must print.
+    mod boxed {
+        use super::*;
+
+        /// Read through `Debug` only.
+        #[allow(dead_code)]
+        #[derive(Debug)]
+        pub struct Analyzed {
+            pub script: Script,
+            pub consts: Vec<(Symbol, Sort)>,
+            pub funs: Vec<(Symbol, Vec<Sort>, Sort)>,
+            pub defs: BTreeMap<Symbol, (Vec<(Symbol, Sort)>, Term)>,
+            pub features: FormulaFeatures,
+            pub input_bytes: usize,
+        }
+    }
+
     /// The single-pass `analyze` this crate shipped before the frontend
     /// was split into [`Parsed`] and [`Frontend::analyze_parsed`], kept as
     /// the reference the split must reproduce — boxed theory gate, boxed
@@ -828,7 +964,7 @@ mod tests {
         text: &str,
         universe: &Universe,
         cov: &mut CoverageMap,
-    ) -> Result<Analyzed, String> {
+    ) -> Result<boxed::Analyzed, String> {
         fn gate_theories(solver: SolverId, script: &Script) -> Result<(), String> {
             let supported = supported_theories(solver);
             for t in script.assertions() {
@@ -885,7 +1021,7 @@ mod tests {
             }
         }
         let features = boxed_features(&script);
-        Ok(Analyzed {
+        Ok(boxed::Analyzed {
             consts,
             funs,
             defs,

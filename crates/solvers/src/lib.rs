@@ -105,10 +105,10 @@ mod tests {
 
     #[test]
     fn search_time_is_recorded_only_with_metrics_on() {
-        // Samples in the rewrite and the search histogram.
+        // Samples in the rewrite, compile and search histograms.
         let samples = || {
             let histograms = o4a_obs::metrics::snapshot().histograms;
-            ["solver.rewrite", "solver.search"]
+            ["solver.rewrite", "solver.compile", "solver.search"]
                 .map(|name| histograms.get(name).map_or(0, |h| h.count))
         };
         let text = "(declare-const x Int)(assert (> x 1))(check-sat)";
@@ -129,7 +129,8 @@ mod tests {
         }
         let after = samples();
         assert!(after[0] >= before[0] + 2, "one sample per engine rewrite");
-        assert!(after[1] >= before[1] + 2, "one sample per engine search");
+        assert!(after[1] >= before[1] + 2, "one sample per engine compile");
+        assert!(after[2] >= before[2] + 2, "one sample per engine search");
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! OxiZ — the Z3 stand-in.
 //!
 //! Pipeline: frontend → simplification rewrites → candidate-domain
-//! enumeration. `sat` answers are always model-verified against the golden
+//! enumeration. The rewrites and the search read the case's terms as
+//! [`TermId`]s on a scratch arena the engine reloads for every check. `sat` answers are always model-verified against the golden
 //! evaluator before being returned; `unsat` is answered only after
 //! exhausting provably-complete domains. All other cases answer `unknown`.
 //! Seeded defects from [`crate::bugs`] are applied at the end of `check`,
@@ -13,8 +14,8 @@ use crate::frontend::{Analyzed, Frontend, Parsed};
 use crate::response::{Outcome, SolveStats, SolverId, SolverResponse};
 use crate::versions::{commit_of, CommitIdx, TRUNK_COMMIT};
 use crate::SmtSolver;
-use o4a_smtlib::eval::{candidates, Candidates, Dim, DomainConfig, Evaluator, IncrementalEval};
-use o4a_smtlib::{EvalError, Model, Op, Sort, Term, Value};
+use o4a_smtlib::eval::{Candidates, Dim, DomainConfig, Domains, Evaluator, IncrementalEval};
+use o4a_smtlib::{ANode, EvalError, Model, Op, OpId, SymbolId, Term, TermArena, TermId, Value};
 
 /// Engine tuning knobs shared by both solvers.
 #[derive(Clone, Debug)]
@@ -49,6 +50,42 @@ pub struct OxiZ {
     config: EngineConfig,
     universe: &'static Universe,
     coverage: CoverageMap,
+    scratch: Scratch,
+}
+
+/// An engine's scratch space, reused by every check: the arena each case's
+/// terms are loaded into and rewritten on, the rewritten roots with their
+/// sizes, the operator hits of the rewrites, and the rewrites' stacks.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    pub(crate) arena: TermArena,
+    pub(crate) roots: Vec<TermId>,
+    /// Each rewritten root's size: what evaluating it charges.
+    pub(crate) sizes: Vec<u64>,
+    pub(crate) op_hits: OpHits,
+    pub(crate) kids: Vec<TermId>,
+    pub(crate) binds: Vec<(SymbolId, TermId)>,
+    pub(crate) scope: Vec<(SymbolId, Option<TermId>)>,
+    pub(crate) values: Vec<Value>,
+}
+
+impl Scratch {
+    /// Loads the case's terms into the arena and clears the per-case
+    /// tables.
+    pub(crate) fn load(&mut self, analyzed: &Analyzed) {
+        self.arena.load(analyzed.arena());
+        self.roots.clear();
+        self.sizes.clear();
+        self.op_hits.0.clear();
+    }
+
+    /// The rewritten roots, boxed for the golden evaluator.
+    pub(crate) fn boxed_roots(&self) -> Vec<Term> {
+        self.roots
+            .iter()
+            .map(|&r| self.arena.extract_term(r))
+            .collect()
+    }
 }
 
 impl OxiZ {
@@ -59,6 +96,7 @@ impl OxiZ {
             config: EngineConfig::default(),
             universe: universe(SolverId::OxiZ),
             coverage: CoverageMap::new(),
+            scratch: Scratch::default(),
         }
     }
 
@@ -83,116 +121,21 @@ impl OxiZ {
         self
     }
 
-    /// OxiZ's simplification pass: constant folding, double-negation and
-    /// `and`/`or` flattening, reflexive-equality elimination. Records
-    /// per-rule coverage.
-    fn simplify(&mut self, term: &Term, features_hash: u64) -> Term {
-        self.coverage.hit(self.universe, "core::simplify_pass", 0);
-        term.map_bottom_up(&mut |node| {
-            match &node {
-                Term::App(op, args) => {
-                    // Pre-resolved per-family point row; `None` (Uf,
-                    // unsupported theories) makes every hit a no-op, just
-                    // as the name lookup would.
-                    let row = self.universe.op_row(op);
-                    if let Some(r) = row {
-                        self.coverage.hit_idx(self.universe, r.rewrite, 0);
-                    }
-                    // Rule 1: constant folding.
-                    if !matches!(op, Op::Uf(_))
-                        && !args.is_empty()
-                        && args.iter().all(|a| matches!(a, Term::Const(_)))
-                    {
-                        let vals: Vec<Value> = args
-                            .iter()
-                            .map(|a| match a {
-                                Term::Const(v) => v.clone(),
-                                _ => unreachable!("checked above"),
-                            })
-                            .collect();
-                        if let Ok(v) = o4a_smtlib::eval::apply_op(op, &vals) {
-                            if let Some(r) = row {
-                                self.coverage.hit_idx(self.universe, r.rewrite, 2);
-                            }
-                            self.coverage.hit(self.universe, "core::const_fold", 0);
-                            return Term::Const(v);
-                        }
-                    }
-                    // Rule 2: structural simplifications.
-                    match (op, args.as_slice()) {
-                        (Op::Not, [Term::App(Op::Not, inner)]) if inner.len() == 1 => {
-                            if let Some(r) = row {
-                                self.coverage.hit_idx(self.universe, r.rewrite, 1);
-                            }
-                            return inner[0].clone();
-                        }
-                        (Op::Eq, [a, b]) if a == b => {
-                            if let Some(r) = row {
-                                self.coverage.hit_idx(self.universe, r.rewrite, 1);
-                            }
-                            return Term::tru();
-                        }
-                        (Op::And | Op::Or, _)
-                            if args.iter().any(|a| matches!(a, Term::App(o, _) if o == op)) =>
-                        {
-                            // Flatten nested same-op children.
-                            self.coverage.hit(self.universe, "core::flatten", 0);
-                            if let Some(r) = row {
-                                self.coverage.hit_idx(self.universe, r.rewrite, 1);
-                            }
-                            let mut flat = Vec::new();
-                            for a in args {
-                                match a {
-                                    Term::App(o, inner) if o == op => {
-                                        flat.extend(inner.iter().cloned())
-                                    }
-                                    other => flat.push(other.clone()),
-                                }
-                            }
-                            return Term::App(op.clone(), flat);
-                        }
-                        _ => {}
-                    }
-                    // Evaluation-arm coverage: which branch fires depends on
-                    // formula content, so input diversity grows line
-                    // coverage like real basic blocks do.
-                    if let Some(r) = row {
-                        self.coverage.hit_idx(self.universe, r.eval, 0);
-                        // Deep evaluation arms correspond to rare value
-                        // shapes: only ~4% of formulas take each one, so line
-                        // coverage keeps growing for hours like real gcov
-                        // curves.
-                        let roll = (features_hash ^ r.name_fnv) % 53;
-                        if roll < 2 {
-                            self.coverage
-                                .hit_idx(self.universe, r.eval, 1 + (roll % 2) as usize);
-                        }
-                    }
-                }
-                Term::Quant(_, _, _) => {
-                    self.coverage.hit(self.universe, "quant::binder_scope", 0);
-                }
-                _ => {}
-            }
-            node
-        })
-    }
-
-    /// Core bounded-model search over candidate domains.
+    /// Core bounded-model search over candidate domains, on the rewritten
+    /// roots in `scratch`.
     fn search(
         &mut self,
         analyzed: &Analyzed,
-        assertions: &[Term],
+        scratch: &Scratch,
     ) -> (Outcome, Option<Model>, SolveStats) {
+        let timer = o4a_obs::metrics::start_timer();
         let mut stats = SolveStats::default();
-        let cfg = domain_config(analyzed);
+        let space = analyzed.space();
         self.coverage.hit(self.universe, "core::domain_build", 0);
-
-        let (dims, domains, complete) = search_space(analyzed, &cfg);
         if !analyzed.funs.is_empty() {
             self.coverage.hit(self.universe, "core::uf_assign", 0);
         }
-        if !complete {
+        if !space.complete {
             self.coverage.hit(self.universe, "core::domain_build", 1);
         }
         let has_quant = analyzed.features.has_quantifier;
@@ -202,17 +145,23 @@ impl OxiZ {
         }
 
         // Every assignment charges each evaluated assertion's full size.
-        let sizes: Vec<u64> = assertions.iter().map(|a| a.size() as u64).collect();
-        let mut ev = IncrementalEval::compile(assertions, &dims, &analyzed.defs, &cfg);
-        for (k, d) in domains.iter().enumerate() {
-            ev.set(k, d.values[0].clone());
+        let arena = &scratch.arena;
+        let sizes = &scratch.sizes;
+        let mut ev = space.compile(arena, &scratch.roots, &analyzed.defs);
+        let dims = &space.dims;
+        for k in 0..dims.len() {
+            ev.set(k, space.domain(k).values[0].clone());
         }
+        o4a_obs::metrics::record_elapsed("solver.compile", timer);
+
+        let timer = o4a_obs::metrics::start_timer();
         let mut idx = vec![0usize; dims.len()];
         let mut tried = 0usize;
         let mut capped = false;
         let mut saw_incomplete = false;
         let mut saw_budget = false;
         let mut saw_error = false;
+        let mut boxed = None;
         self.coverage.hit(self.universe, "core::enumerate", 0);
         'outer: loop {
             if tried >= self.config.max_assignments {
@@ -259,9 +208,11 @@ impl OxiZ {
             stats.assignments_tried += 1;
             if all_true {
                 let model = ev.model();
-                if verified(&model, analyzed, assertions, &cfg, self.config.eval_budget) {
+                let roots = boxed.get_or_insert_with(|| scratch.boxed_roots());
+                if verified(&model, analyzed, roots, &space.cfg, self.config.eval_budget) {
                     self.coverage.hit(self.universe, "core::model_build", 0);
                     self.coverage.hit(self.universe, "core::model_eval", 0);
+                    o4a_obs::metrics::record_elapsed("solver.search", timer);
                     return (Outcome::Sat, Some(model), stats);
                 }
                 saw_error = true;
@@ -272,7 +223,7 @@ impl OxiZ {
                 if k == dims.len() {
                     break 'outer;
                 }
-                let values = &domains[k].values;
+                let values = &space.domain(k).values;
                 if idx[k] + 1 < values.len() {
                     idx[k] += 1;
                     ev.set(k, values[idx[k]].clone());
@@ -285,13 +236,231 @@ impl OxiZ {
                 k += 1;
             }
         }
+        o4a_obs::metrics::record_elapsed("solver.search", timer);
 
-        let outcome = if complete && !capped && !saw_incomplete && !saw_budget && !saw_error {
+        let outcome = if space.complete && !capped && !saw_incomplete && !saw_budget && !saw_error {
             Outcome::Unsat
         } else {
             Outcome::Unknown
         };
         (outcome, None, stats)
+    }
+}
+
+/// OxiZ's simplification pass: constant folding, double-negation and
+/// `and`/`or` flattening, reflexive-equality elimination, bottom-up.
+/// Rewritten nodes go onto the scratch arena and share untouched subterms
+/// by id. Collects per-rule coverage: operator hits in `op_hits`, the
+/// rest as flags.
+struct Simplify<'s> {
+    arena: &'s mut TermArena,
+    kids: &'s mut Vec<TermId>,
+    binds: &'s mut Vec<(SymbolId, TermId)>,
+    values: &'s mut Vec<Value>,
+    op_hits: &'s mut OpHits,
+    folded: bool,
+    flattened: bool,
+    quantified: bool,
+}
+
+impl Simplify<'_> {
+    /// The rewrite of the term at `id`: its children's rewrites, then the
+    /// node's own rule.
+    fn term(&mut self, id: TermId) -> TermId {
+        match self.arena.node(id) {
+            ANode::App(op, start, len) => {
+                let mark = self.kids.len();
+                for k in 0..len as usize {
+                    let child = self.arena.args(start, len)[k];
+                    let child = self.term(child);
+                    self.kids.push(child);
+                }
+                let out = self.app(id, op, mark);
+                self.kids.truncate(mark);
+                out
+            }
+            ANode::Let(start, len, body) => {
+                let mark = self.binds.len();
+                for k in 0..len as usize {
+                    let (name, value) = self.arena.let_binds(start, len)[k];
+                    let value = self.term(value);
+                    self.binds.push((name, value));
+                }
+                let new_body = self.term(body);
+                let out = if new_body == body
+                    && self.binds[mark..] == *self.arena.let_binds(start, len)
+                {
+                    id
+                } else {
+                    self.arena.mk_let(&self.binds[mark..], new_body)
+                };
+                self.binds.truncate(mark);
+                out
+            }
+            ANode::Quant(q, _, _, body) => {
+                let new_body = self.term(body);
+                self.quantified = true;
+                if new_body == body {
+                    id
+                } else {
+                    self.arena.requant(id, q, new_body)
+                }
+            }
+            ANode::Const(_) | ANode::Var(_) | ANode::Placeholder(_) => id,
+        }
+    }
+
+    /// The rule for application `id` of `op_id`, whose rewritten children
+    /// are `kids[mark..]`.
+    fn app(&mut self, id: TermId, op_id: OpId, mark: usize) -> TermId {
+        let arena: &TermArena = self.arena;
+        let op = arena.op(op_id);
+        self.op_hits.mark(op_id, OpHits::REWRITE);
+        let args = &self.kids[mark..];
+        // Rule 1: constant folding.
+        if !matches!(op, Op::Uf(_))
+            && !args.is_empty()
+            && args
+                .iter()
+                .all(|&a| matches!(arena.node(a), ANode::Const(_)))
+        {
+            self.values.clear();
+            self.values
+                .extend(args.iter().map(|&a| match arena.node(a) {
+                    ANode::Const(v) => arena.value(v).clone(),
+                    _ => unreachable!("checked above"),
+                }));
+            if let Ok(v) = o4a_smtlib::eval::apply_op(op, self.values) {
+                self.op_hits.mark(op_id, OpHits::FOLDED);
+                self.folded = true;
+                return self.arena.mk_const(v);
+            }
+        }
+        // Rule 2: structural simplifications.
+        match (op, args) {
+            (Op::Not, &[a]) => {
+                if let ANode::App(inner, start, 1) = arena.node(a) {
+                    if *arena.op(inner) == Op::Not {
+                        self.op_hits.mark(op_id, OpHits::REWRITE_DEEP);
+                        return arena.args(start, 1)[0];
+                    }
+                }
+            }
+            (Op::Eq, &[a, b]) if arena.same_term(a, b) => {
+                self.op_hits.mark(op_id, OpHits::REWRITE_DEEP);
+                return self.arena.mk_const(Value::Bool(true));
+            }
+            (Op::And | Op::Or, _) if args.iter().any(|&a| is_app_of(arena, a, op)) => {
+                self.op_hits.mark(op_id, OpHits::REWRITE_DEEP);
+                self.flattened = true;
+                return self.flatten(op_id, mark);
+            }
+            _ => {}
+        }
+        // Evaluation-arm coverage: which branch fires depends on formula
+        // content, so input diversity grows line coverage like real basic
+        // blocks do.
+        self.op_hits.mark(op_id, OpHits::EVAL);
+        let ANode::App(_, start, len) = arena.node(id) else {
+            unreachable!("an application node")
+        };
+        if *arena.args(start, len) == self.kids[mark..] {
+            id
+        } else {
+            self.arena.mk_app(op_id, &self.kids[mark..])
+        }
+    }
+
+    /// `op_id` over `kids[mark..]`, each child that applies the same
+    /// operator replaced by its children.
+    fn flatten(&mut self, op_id: OpId, mark: usize) -> TermId {
+        let end = self.kids.len();
+        for k in mark..end {
+            let a = self.kids[k];
+            match self.arena.node(a) {
+                ANode::App(o, start, len) if self.arena.op(o) == self.arena.op(op_id) => {
+                    for j in 0..len as usize {
+                        let inner = self.arena.args(start, len)[j];
+                        self.kids.push(inner);
+                    }
+                }
+                _ => self.kids.push(a),
+            }
+        }
+        let out = self.arena.mk_app(op_id, &self.kids[end..]);
+        self.kids.truncate(end);
+        out
+    }
+}
+
+/// Whether the term at `id` applies `op`.
+fn is_app_of(arena: &TermArena, id: TermId, op: &Op) -> bool {
+    matches!(arena.node(id), ANode::App(o, _, _) if arena.op(o) == op)
+}
+
+/// Whether the term at `id` is the literal `false`.
+fn is_false(arena: &TermArena, id: TermId) -> bool {
+    matches!(arena.node(id), ANode::Const(v) if *arena.value(v) == Value::Bool(false))
+}
+
+/// The per-operator coverage a rewrite earns, collected as bits per
+/// [`OpId`] and recorded once per operator by [`OpHits::record`]. Hits are
+/// idempotent, so the map ends up as if every node had recorded its own.
+#[derive(Debug, Default)]
+pub(crate) struct OpHits(Vec<u8>);
+
+impl OpHits {
+    /// Branch 0 of the operator's rewrite point.
+    pub(crate) const REWRITE: u8 = 1;
+    /// Branch 1 of the rewrite point: a structural rule, or a wide node.
+    pub(crate) const REWRITE_DEEP: u8 = 2;
+    /// Branch 2 of the rewrite point: constant folding.
+    pub(crate) const FOLDED: u8 = 4;
+    /// The evaluation arms.
+    pub(crate) const EVAL: u8 = 8;
+
+    pub(crate) fn mark(&mut self, op: OpId, bits: u8) {
+        let k = op.index();
+        if k >= self.0.len() {
+            self.0.resize(k + 1, 0);
+        }
+        self.0[k] |= bits;
+    }
+
+    /// Records the collected hits of `arena`'s operators. Which deep
+    /// evaluation arm an operator takes is a roll of `features_hash`
+    /// against the operator's name: deep arms correspond to rare value
+    /// shapes, so only ~4% of formulas take each one and line coverage
+    /// keeps growing for hours like real gcov curves.
+    pub(crate) fn record(
+        &self,
+        arena: &TermArena,
+        universe: &Universe,
+        coverage: &mut CoverageMap,
+        features_hash: u64,
+    ) {
+        for (op, &bits) in arena.ops().iter().zip(&self.0) {
+            // Pre-resolved per-family point row; `None` (Uf, unsupported
+            // theories) makes every hit a no-op, just as the name lookup
+            // would.
+            let Some(r) = universe.op_row(op) else {
+                continue;
+            };
+            for (bit, point, branch) in [
+                (Self::REWRITE, r.rewrite, 0),
+                (Self::REWRITE_DEEP, r.rewrite, 1),
+                (Self::FOLDED, r.rewrite, 2),
+                (Self::EVAL, r.eval, 0),
+            ] {
+                if bits & bit != 0 {
+                    coverage.hit_idx(universe, point, branch);
+                }
+            }
+            let roll = (features_hash ^ r.name_fnv) % 53;
+            if bits & Self::EVAL != 0 && roll < 2 {
+                coverage.hit_idx(universe, r.eval, 1 + (roll % 2) as usize);
+            }
+        }
     }
 }
 
@@ -301,39 +470,66 @@ impl Default for OxiZ {
     }
 }
 
-/// The search space both engines enumerate: one dimension per declared
-/// constant, then one per n-ary declared function (interpreted as a
-/// constant function), each with its candidate domain — computed once per
-/// distinct sort. The flag is true when every domain is complete and there
-/// is no function, whose space no constant interpretation exhausts.
-pub(crate) fn search_space(
-    analyzed: &Analyzed,
-    cfg: &DomainConfig,
-) -> (Vec<Dim>, Vec<Candidates>, bool) {
-    let consts = analyzed
-        .consts
-        .iter()
-        .map(|(name, sort)| (Dim::Const(name.clone()), sort));
-    let funs = analyzed
-        .funs
-        .iter()
-        .map(|(name, params, ret)| (Dim::Fun(name.clone(), params.clone()), ret));
-    let mut dims = Vec::new();
-    let mut domains: Vec<Candidates> = Vec::new();
-    let mut first_of: Vec<(&Sort, usize)> = Vec::new();
-    for (dim, sort) in consts.chain(funs) {
-        let domain = match first_of.iter().find(|(s, _)| *s == sort) {
-            Some(&(_, k)) => domains[k].clone(),
-            None => {
-                first_of.push((sort, domains.len()));
-                candidates(sort, cfg)
-            }
-        };
-        dims.push(dim);
-        domains.push(domain);
+/// The search space both engines enumerate, computed once per case
+/// ([`Analyzed`] caches it): one dimension per declared constant, then one
+/// per n-ary declared function (interpreted as a constant function), the
+/// domain configuration, and one candidate domain per distinct sort —
+/// declared or quantified, so the compiled quantifiers share the table.
+#[derive(Clone, Debug)]
+pub(crate) struct SearchSpace {
+    pub(crate) cfg: DomainConfig,
+    pub(crate) dims: Vec<Dim>,
+    /// Per dimension, the index of its domain in `domains`.
+    dim_domains: Vec<usize>,
+    domains: Domains,
+    /// True when every dimension's domain is complete and there is no
+    /// function, whose space no constant interpretation exhausts.
+    pub(crate) complete: bool,
+}
+
+impl SearchSpace {
+    pub(crate) fn new(analyzed: &Analyzed) -> SearchSpace {
+        let cfg = domain_config(analyzed);
+        let consts = analyzed
+            .consts
+            .iter()
+            .map(|(name, sort)| (Dim::Const(name.clone()), sort));
+        let funs = analyzed
+            .funs
+            .iter()
+            .map(|(name, params, ret)| (Dim::Fun(name.clone(), params.clone()), ret));
+        let (dims, sorts): (Vec<Dim>, Vec<_>) = consts.chain(funs).unzip();
+        // The case's arena interns exactly the sorts its quantifiers bind.
+        let domains = Domains::new(sorts.iter().copied().chain(analyzed.arena().sorts()), &cfg);
+        let dim_domains: Vec<usize> = sorts
+            .iter()
+            .map(|s| domains.index(s).expect("every declared sort has a domain"))
+            .collect();
+        let complete =
+            analyzed.funs.is_empty() && dim_domains.iter().all(|&d| domains.get(d).complete);
+        SearchSpace {
+            cfg,
+            dims,
+            dim_domains,
+            domains,
+            complete,
+        }
     }
-    let complete = analyzed.funs.is_empty() && domains.iter().all(|d| d.complete);
-    (dims, domains, complete)
+
+    /// The candidate domain of dimension `dim`.
+    pub(crate) fn domain(&self, dim: usize) -> &Candidates {
+        self.domains.get(self.dim_domains[dim])
+    }
+
+    /// Compiles `roots` on `arena` over this space.
+    pub(crate) fn compile<'a>(
+        &'a self,
+        arena: &'a TermArena,
+        roots: &[TermId],
+        defs: &'a o4a_smtlib::eval::FunDefs,
+    ) -> IncrementalEval<'a> {
+        IncrementalEval::compile(arena, roots, &self.dims, defs, &self.cfg, &self.domains)
+    }
 }
 
 /// The golden check every `sat` model passes before it is returned: the
@@ -360,12 +556,14 @@ pub(crate) fn verified(
 pub fn domain_config(analyzed: &Analyzed) -> DomainConfig {
     let mut cfg = DomainConfig::default();
     let mut extras = Vec::new();
-    for t in analyzed.script.assertions() {
-        t.visit(&mut |n| {
-            if let Term::Const(Value::Int(i)) = n {
+    let arena = analyzed.arena();
+    for t in analyzed.assertions() {
+        arena.visit(t, |n| {
+            let ANode::Const(v) = n else { return };
+            if let Value::Int(i) = *arena.value(v) {
                 // Checked: a literal at the edge of i128 has no neighbour
                 // past it (wrapping would add the other edge).
-                for v in [Some(*i), i.checked_sub(1), i.checked_add(1)]
+                for v in [Some(i), i.checked_sub(1), i.checked_add(1)]
                     .into_iter()
                     .flatten()
                 {
@@ -408,25 +606,55 @@ impl SmtSolver for OxiZ {
             Ok(a) => a,
             Err(msg) => return SolverResponse::error(msg),
         };
-        let fh = analyzed.features.hash;
         let timer = o4a_obs::metrics::start_timer();
-        let assertions: Vec<Term> = analyzed
-            .script
-            .assertions()
-            .map(|t| self.simplify(t, fh))
-            .collect();
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.load(analyzed);
+        let Scratch {
+            arena,
+            roots,
+            op_hits,
+            kids,
+            binds,
+            values,
+            ..
+        } = &mut scratch;
+        let mut simplify = Simplify {
+            arena,
+            kids,
+            binds,
+            values,
+            op_hits,
+            folded: false,
+            flattened: false,
+            quantified: false,
+        };
+        roots.extend(analyzed.assertions().map(|t| simplify.term(t)));
+        let universe = self.universe;
+        for (name, hit) in [
+            ("core::simplify_pass", !roots.is_empty()),
+            ("core::const_fold", simplify.folded),
+            ("core::flatten", simplify.flattened),
+            ("quant::binder_scope", simplify.quantified),
+        ] {
+            if hit {
+                self.coverage.hit(universe, name, 0);
+            }
+        }
+        op_hits.record(arena, universe, &mut self.coverage, analyzed.features.hash);
         o4a_obs::metrics::record_elapsed("solver.rewrite", timer);
 
         // Fast path: a literally-false assertion after simplification.
-        let (mut outcome, mut model, mut stats) = if assertions.iter().any(|a| *a == Term::fls()) {
-            self.coverage.hit(self.universe, "core::prune", 2);
-            (Outcome::Unsat, None, SolveStats::default())
-        } else {
-            let timer = o4a_obs::metrics::start_timer();
-            let searched = self.search(analyzed, &assertions);
-            o4a_obs::metrics::record_elapsed("solver.search", timer);
-            searched
-        };
+        let (mut outcome, mut model, mut stats) =
+            if scratch.roots.iter().any(|&a| is_false(&scratch.arena, a)) {
+                self.coverage.hit(self.universe, "core::prune", 2);
+                (Outcome::Unsat, None, SolveStats::default())
+            } else {
+                let arena = &scratch.arena;
+                let sizes = scratch.roots.iter().map(|&a| arena.term_size(a) as u64);
+                scratch.sizes.extend(sizes);
+                self.search(analyzed, &scratch)
+            };
+        self.scratch = scratch;
 
         stats.virtual_micros = virtual_cost(analyzed.input_bytes, &stats);
         if stats.virtual_micros > self.config.timeout_micros {

@@ -2306,6 +2306,150 @@ mod tests {
         assert_eq!(solver.respawns(), 1);
     }
 
+    /// Canonical session replies: a verdict line, then the model slot —
+    /// a `(model …)` with a negative value, a `)` and a `""` inside a
+    /// string, an empty model, and an error line that ends the reply.
+    const SESSION_REPLIES: [&str; 4] = [
+        "sat\n(model\n  (define-fun x () Int (- 3))\n  \
+         (define-fun s () String \"a)\"\"b\")\n)\n",
+        "unsat\n(model\n)\n",
+        "unknown\n(model\n  (define-fun p () Bool true)\n)\n",
+        "(error \"oops (here)\")\n",
+    ];
+
+    /// What one read of a session reply can give, the way a lane reads
+    /// it: wait for more bytes, an error line, a verdict with its model
+    /// slot, or the documented retirement (a model slot that can never
+    /// open, or more than [`MAX_REPLY_BYTES`] unconsumed).
+    #[derive(Debug, PartialEq)]
+    enum Read {
+        Waiting,
+        Error(String),
+        Answered(String, String),
+        Retire,
+    }
+
+    fn read_reply(parser: &mut ReplyParser, verdict: &mut Option<String>) -> Read {
+        if verdict.is_none() {
+            *verdict = parser.take_line();
+        }
+        let Some(line) = verdict.as_deref() else {
+            return if parser.overflowed() {
+                Read::Retire
+            } else {
+                Read::Waiting
+            };
+        };
+        if line.starts_with("(error") {
+            return Read::Error(error_message(line));
+        }
+        match parser.take_sexp() {
+            Some(sexp) => Read::Answered(verdict.take().expect("read above"), sexp),
+            None if parser.overflowed() || parser.sexp_impossible() => Read::Retire,
+            None => Read::Waiting,
+        }
+    }
+
+    /// A splitmix64 stream: the sweeps' seeded source of flips and splits.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn hostile_replies_truncated_at_every_offset_wait() {
+        for reply in SESSION_REPLIES {
+            let bytes = reply.as_bytes();
+            let mut parser = ReplyParser::new();
+            parser.feed(bytes);
+            let expected = read_reply(&mut parser, &mut None);
+            assert!(matches!(expected, Read::Answered(..) | Read::Error(_)));
+            // A cut before the reply completes — a line at its newline, a
+            // model slot at its closing paren — waits: a valid prefix is
+            // never retired and never releases a unit early.
+            let last = if expected == Read::Error(error_message(reply)) {
+                bytes.len()
+            } else {
+                reply.trim_end().len()
+            };
+            for cut in 0..bytes.len() {
+                let mut parser = ReplyParser::new();
+                parser.feed(&bytes[..cut]);
+                let got = read_reply(&mut parser, &mut None);
+                if cut < last {
+                    assert_eq!(got, Read::Waiting, "{reply:?} cut at {cut}");
+                } else {
+                    assert_eq!(got, expected, "{reply:?} cut at {cut}");
+                }
+                assert!(parser.buffered() <= cut);
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_replies_with_seeded_bit_flips_degrade_as_documented() {
+        let mut state = 0x0f11_9b17;
+        let (mut answered, mut retired) = (0, 0);
+        for round in 0..4000 {
+            let mut bytes = SESSION_REPLIES[round % SESSION_REPLIES.len()]
+                .as_bytes()
+                .to_vec();
+            for _ in 0..1 + splitmix(&mut state) % 3 {
+                let at = (splitmix(&mut state) % bytes.len() as u64) as usize;
+                bytes[at] ^= 1 << (splitmix(&mut state) % 8);
+            }
+            let mut parser = ReplyParser::new();
+            let mut verdict = None;
+            let mut fed = 0;
+            for chunk in bytes.chunks(1 + (splitmix(&mut state) % 9) as usize) {
+                parser.feed(chunk);
+                fed += chunk.len();
+                assert!(parser.buffered() <= fed);
+                match read_reply(&mut parser, &mut verdict) {
+                    Read::Waiting => continue,
+                    Read::Error(_) => {}
+                    Read::Answered(line, sexp) => {
+                        answered += 1;
+                        assert!(!line.is_empty() && !line.contains('\n'));
+                        assert!(sexp.starts_with('(') && sexp.ends_with(')'), "{sexp:?}");
+                    }
+                    Read::Retire => retired += 1,
+                }
+                break;
+            }
+        }
+        assert!(
+            answered > 0 && retired > 0,
+            "{answered} answered, {retired} retired"
+        );
+    }
+
+    #[test]
+    fn hostile_replies_one_byte_past_the_cap_retire() {
+        // An unterminated verdict line and an unclosed model slot, each
+        // one byte past the cap: the buffer stops there and the read
+        // retires; at the cap it still waits.
+        for (verdict, filler) in [(None, b'a'), (Some("sat".to_string()), b'(')] {
+            for len in [MAX_REPLY_BYTES, MAX_REPLY_BYTES + 1] {
+                let mut parser = ReplyParser::new();
+                let flood = io::Read::take(io::repeat(filler), len as u64);
+                assert_eq!(parser.fill(flood).unwrap(), Some(len));
+                let mut verdict = verdict.clone();
+                let read = read_reply(&mut parser, &mut verdict);
+                let want = if len > MAX_REPLY_BYTES {
+                    Read::Retire
+                } else {
+                    Read::Waiting
+                };
+                assert_eq!(read, want, "{len} bytes of {:?}", filler as char);
+                assert!(parser.buffered() <= MAX_REPLY_BYTES + 1);
+            }
+        }
+    }
+
     #[test]
     fn fill_stops_one_byte_past_the_reply_cap() {
         let mut parser = ReplyParser::new();

@@ -84,7 +84,7 @@ fn assert_model_verifies(text: &str, analyzed: &Analyzed, model: &Model) -> bool
     let cfg = domain_config(analyzed);
     let ev = Evaluator::new(model, &analyzed.defs, &cfg, CHECK_BUDGET);
     let mut decided = true;
-    for a in analyzed.script.assertions() {
+    for a in analyzed.script().assertions() {
         match ev.eval(a) {
             Ok(Value::Bool(true)) => {}
             Err(e) if e != EvalError::BudgetExhausted => decided = false,
@@ -132,7 +132,7 @@ fn assert_unsat_survives(text: &str, analyzed: &Analyzed) {
     loop {
         let model = model_of(&dims, idx.iter().enumerate().map(|(k, &i)| &domains[k][i]));
         let ev = Evaluator::new(&model, &analyzed.defs, &cfg, CHECK_BUDGET);
-        let results: Vec<_> = analyzed.script.assertions().map(|a| ev.eval(a)).collect();
+        let results: Vec<_> = analyzed.script().assertions().map(|a| ev.eval(a)).collect();
         assert!(
             results.contains(&Ok(Value::Bool(false))),
             "unsat, but no assertion is false under {model}: {results:?} on:\n{text}"
@@ -310,6 +310,10 @@ fn overflow_on_the_satisfying_branch_is_unknown_on_both_engines() {
         [&Value::Bool(true)],
     );
     let ev = Evaluator::new(&model, &analyzed.defs, &cfg, CHECK_BUDGET);
-    let a = analyzed.script.assertions().next().expect("one assertion");
+    let a = analyzed
+        .script()
+        .assertions()
+        .next()
+        .expect("one assertion");
     assert_eq!(ev.eval(a), Err(EvalError::Overflow));
 }
