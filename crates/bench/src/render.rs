@@ -215,19 +215,24 @@ pub fn render_stats(result: &CampaignResult) -> String {
             s.leases_granted, s.leases_reissued
         );
     }
-    // Generation stages, engine rewrite, compile, search and shard merge
-    // times are
-    // process metrics, recorded only while metrics are on (`O4A_METRICS`);
-    // a metrics-off run prints none of these lines.
+    // Generation stages, the lazy frontend analysis, engine rewrite,
+    // compile and search, judge and apply, the piped worker's poll(2)
+    // wait and shard merge times are process metrics, recorded only while
+    // metrics are on (`O4A_METRICS`); a metrics-off run prints none of
+    // these lines.
     if o4a_obs::metrics_enabled() {
         let histograms = o4a_obs::metrics::snapshot().histograms;
         for (name, label) in [
             ("fuzzer.derive", "fuzzer.derive µs/call    "),
             ("fuzzer.fill", "fuzzer.fill µs/call      "),
             ("frontend.pass", "frontend.pass µs/call    "),
+            ("frontend.analyze", "frontend.analyze µs/call "),
             ("solver.rewrite", "solver.rewrite µs/call   "),
             ("solver.compile", "solver.compile µs/call   "),
             ("solver.search", "solver.search µs/call    "),
+            ("case.judge", "case.judge µs/call       "),
+            ("case.apply", "case.apply µs/call       "),
+            ("exec.poll_idle", "exec.poll_idle µs/call   "),
             ("exec.merge_micros", "exec.merge µs/campaign   "),
         ] {
             if let Some(h) = histograms.get(name) {
@@ -545,6 +550,10 @@ mod tests {
         o4a_obs::metrics::histogram("solver.compile").record(20);
         o4a_obs::metrics::histogram("solver.search").record(40);
         o4a_obs::metrics::histogram("exec.merge_micros").record(900);
+        o4a_obs::metrics::histogram("frontend.analyze").record(60);
+        o4a_obs::metrics::histogram("case.judge").record(5);
+        o4a_obs::metrics::histogram("case.apply").record(12);
+        o4a_obs::metrics::histogram("exec.poll_idle").record(200);
         let s = render_stats(&result);
         assert!(s.contains("fuzzer.derive µs/call    : n="), "{s}");
         assert!(s.contains("fuzzer.fill µs/call      : n="), "{s}");
@@ -553,6 +562,10 @@ mod tests {
         assert!(s.contains("solver.compile µs/call   : n="), "{s}");
         assert!(s.contains("solver.search µs/call    : n="), "{s}");
         assert!(s.contains("exec.merge µs/campaign   : n="), "{s}");
+        assert!(s.contains("frontend.analyze µs/call : n="), "{s}");
+        assert!(s.contains("case.judge µs/call       : n="), "{s}");
+        assert!(s.contains("case.apply µs/call       : n="), "{s}");
+        assert!(s.contains("exec.poll_idle µs/call   : n="), "{s}");
     }
 
     #[test]

@@ -313,7 +313,8 @@ fn killed_overlapped_campaign_resumes_to_serial_issue_set() {
 
 /// Observability non-interference at K = 8: the overlapped loop with
 /// tracing and metrics recording armed is bit-identical to the unarmed
-/// run, and each in-flight case leaves its `case.execute` span. Nothing
+/// run, each in-flight case leaves its `case.execute` span, and the
+/// after-generation stage histograms record. Nothing
 /// drains to disk (`dir: None`): the obs gates are process-global, and
 /// files would pick up the campaigns of concurrently running tests.
 #[test]
@@ -330,6 +331,7 @@ fn traced_k8_campaign_is_bit_identical_to_untraced() {
     });
     let traced = piped_shard(&config, 8, &backend);
     let (events, _dropped) = o4a_obs::trace::drain_events();
+    let histograms = o4a_obs::metrics::snapshot().histograms;
     o4a_obs::uninstall();
 
     assert_eq!(
@@ -342,6 +344,82 @@ fn traced_k8_campaign_is_bit_identical_to_untraced() {
         spans as u64 >= traced.stats.cases,
         "{spans} case.execute spans for {} applied cases",
         traced.stats.cases
+    );
+    // The stage ledger after generation: applying and judging each case,
+    // the worker's poll(2) wait, and the lazy frontend walk that the
+    // findings' features force.
+    for name in [
+        "case.apply",
+        "case.judge",
+        "exec.poll_idle",
+        "frontend.analyze",
+    ] {
+        assert!(
+            histograms.get(name).is_some_and(|h| h.count > 0),
+            "no {name} samples in a metrics-on piped campaign"
+        );
+    }
+    assert!(histograms["case.apply"].count >= traced.stats.cases);
+}
+
+/// A solver lane for the rendezvous probe: lane 1 marks the arrival of
+/// its `n`-th frame with the file `n` in the directory given as `$2`, and
+/// lane 0 answers its own `n`-th frame only once that file exists.
+const RENDEZVOUS_LANE: &str = r#"n=0
+while read -r line; do
+    case "$line" in
+        "(check-sat)")
+            n=$((n + 1))
+            if [ "$1" = 0 ]; then
+                while [ ! -e "$2/$n" ]; do sleep 0.01; done
+            else
+                : > "$2/$n"
+            fi
+            echo unknown;;
+        "(get-model)") echo "(model )";;
+    esac
+done
+"#;
+
+/// A case's frame reaches every lane before any reply is awaited: lane 0
+/// cannot answer a case until lane 1 has read that case's frame, so a
+/// worker that waited for lane 0's reply before writing to lane 1 would
+/// wedge lane 0 on every case. With one case in flight, every query is
+/// answered and no process is retired.
+#[test]
+fn a_cases_frame_reaches_every_lane_before_any_reply_is_awaited() {
+    let dir = cache_dir("rendezvous");
+    let script = dir.join("lane.sh");
+    std::fs::write(&script, RENDEZVOUS_LANE).expect("write the lane script");
+    let marks = dir.join("marks");
+    std::fs::create_dir_all(&marks).expect("create the mark dir");
+    let backend = PipeBackend::new(format!(
+        "sh {} {{lane}} {}",
+        script.display(),
+        marks.display()
+    ))
+    .with_timeout(Duration::from_secs(5));
+    let config = CampaignConfig {
+        time_scale: 1,
+        max_cases: 8,
+        ..quick_config()
+    };
+    let result = piped_shard(&config, 1, &backend);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    assert_eq!(result.stats.cases, 8);
+    assert_eq!(
+        (
+            result.stats.processes_spawned,
+            result.stats.process_respawns
+        ),
+        (2, 0),
+        "a lane was retired: its frame was not sent before a reply was awaited"
+    );
+    assert!(
+        result.findings.is_empty(),
+        "every query answers `unknown`: {:?}",
+        result.findings
     );
 }
 

@@ -443,6 +443,7 @@ impl CampaignStepper {
             self.fill_trailing_snapshots();
             return StepOutcome::Exhausted;
         }
+        let apply_timer = o4a_obs::metrics::start_timer();
         let CaseExecution { case, runs, parsed } = execution;
         let text = case.text;
         if o4a_obs::metrics_enabled() {
@@ -485,10 +486,12 @@ impl CampaignStepper {
         let vhour = self.clock_micros as f64 / 3_600_000_000.0;
 
         let mut recorded_finding = false;
+        let judge_timer = o4a_obs::metrics::start_timer();
         let verdict = match &parsed {
             Some(p) => judge_parsed(p, &responses),
             None => judge(&text, &responses),
         };
+        o4a_obs::metrics::record_elapsed("case.judge", judge_timer);
         if verdict.is_bug() {
             self.stats.bug_triggering += 1;
             let features = match &parsed {
@@ -522,6 +525,7 @@ impl CampaignStepper {
         {
             self.push_snapshot();
         }
+        o4a_obs::metrics::record_elapsed("case.apply", apply_timer);
         StepOutcome::Ran { recorded_finding }
     }
 

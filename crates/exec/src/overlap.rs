@@ -9,9 +9,10 @@
 //! 1. **Generate** — test cases are drawn from the fuzzer in case-index
 //!    order (the RNG stream is untouched by overlap);
 //! 2. **Execute** — up to `K` cases are in flight at once on an
-//!    [`InFlightPool`] of [`PipeSolver::check_async`] futures, completing
-//!    in reply order, not submission order, while the worker blocks in
-//!    the fd reactor's `poll(2)`;
+//!    [`InFlightPool`], completing in reply order, not submission order,
+//!    while the worker blocks in the fd reactor's `poll(2)`. Each case
+//!    queries all of its solver lanes together: its frame goes to every
+//!    lane before any reply is awaited;
 //! 3. **Re-sequence** — completions pass through a [`Sequencer`] and are
 //!    applied to the [`CampaignStepper`] strictly in case-index order.
 //!
@@ -40,7 +41,7 @@ use o4a_core::{
     CampaignConfig, CampaignResult, CampaignStepper, CaseExecution, Fuzzer, SolverRun, StepOutcome,
     TestCase,
 };
-use o4a_executor::{FdReactor, InFlightPool, Sequencer};
+use o4a_executor::{join_all, FdReactor, InFlightPool, Sequencer};
 use o4a_solvers::{CoverageMap, PipeCommand, PipeSolver, SmtSolver, SolverMode, VerdictCache};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -145,25 +146,31 @@ impl PipeBackend {
     }
 }
 
-/// One case's in-flight work: every solver lane queried in campaign
-/// order, with each lane's pipe round-trip awaited before its result is
-/// available. The fuzzer's frontend pass, if it handed one over, travels
-/// with the execution for the judge.
+/// One case's in-flight work: the case's frame goes to every solver lane
+/// at once ([`join_all`] polls each lane's query to its first wait before
+/// awaiting any), and the replies are awaited together. `runs` stays in
+/// campaign lane order, and each lane's reply depends only on the script,
+/// so the result is the one lane-after-lane querying gives. The fuzzer's
+/// frontend pass, if it handed one over, travels with the execution for
+/// the judge.
 async fn case_future(solvers: &[PipeSolver], mut case: TestCase) -> CaseExecution {
     // The span covers the whole in-flight life of the case, queue waits
     // included — the overlapped counterpart of the serial stepper's
     // `case.execute` span. Held across awaits: the executor is
     // single-threaded, so the guard drops on the recording thread.
     let _span = o4a_obs::trace::span("core", "case.execute").arg("bytes", case.text.len() as u64);
-    let mut runs = Vec::with_capacity(solvers.len());
-    for solver in solvers {
-        runs.push(SolverRun {
+    let text = case.text.as_str();
+    let responses = join_all(solvers.iter().map(|solver| solver.check_async(text))).await;
+    let runs = solvers
+        .iter()
+        .zip(responses)
+        .map(|(solver, response)| SolverRun {
             solver: solver.id(),
-            response: solver.check_async(&case.text).await,
+            response,
             // External processes report no coverage.
             coverage: CoverageMap::new(),
-        });
-    }
+        })
+        .collect();
     CaseExecution {
         parsed: case.parsed.take(),
         case,
@@ -250,9 +257,11 @@ fn run_shard_on(
     let mut sequencer: Sequencer<CaseExecution> = Sequencer::new();
     let mut next_case: u64 = 0;
     let mut idle = || {
+        let timer = o4a_obs::metrics::start_timer();
         reactor
             .poll_io(None)
             .expect("fd reactor poll(2) failed while queries were in flight");
+        o4a_obs::metrics::record_elapsed("exec.poll_idle", timer);
     };
 
     loop {

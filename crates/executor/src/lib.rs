@@ -13,6 +13,9 @@
 //!   round-robin in submission order, one poll per runnable task per
 //!   round, so futures that need a fixed number of polls complete in a
 //!   deterministic order;
+//! * [`join_all`], which drives one task's futures together (the piped
+//!   engine's one case on every solver lane at once) and hands their
+//!   outputs back in input order;
 //! * [`Sequencer`], the re-ordering buffer that turns out-of-order
 //!   completions back into index order — the determinism keystone of the
 //!   overlapped campaign engine in `o4a-exec`;
@@ -57,10 +60,12 @@
 
 #![warn(missing_docs)]
 
+mod join;
 mod pool;
 mod reactor;
 mod waker;
 
+pub use join::{join_all, JoinAll};
 pub use pool::{InFlightPool, Sequencer};
 pub use reactor::{
     flush_outbuf, read_available, readable, set_nonblocking, writable, write_available, FdReactor,

@@ -9,6 +9,13 @@
 //! integers are kept distinct from floats so 64-bit counters and seeds
 //! round-trip losslessly (an `f64` number type would silently truncate
 //! above 2^53).
+//!
+//! [`parse`] reads untrusted lines (peers, journals), so it refuses what
+//! it cannot represent instead of guessing: nesting past [`MAX_DEPTH`],
+//! and a number past the `f64` range (`1e999`), which would otherwise
+//! parse to an infinity the writer turns into `null`. An integer past the
+//! `u64` range parses as the nearest `F64`. A `\u` surrogate pair decodes
+//! to its character; a lone surrogate decodes to U+FFFD.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -325,22 +332,43 @@ impl Parser<'_> {
                 b't' => out.push('\t'),
                 b'b' => out.push('\u{8}'),
                 b'f' => out.push('\u{c}'),
-                b'u' => {
-                    let mut code = 0u32;
-                    for _ in 0..4 {
-                        let Some(h) = self.peek().and_then(|c| char::from(c).to_digit(16)) else {
-                            return Err("bad \\u escape".into());
-                        };
-                        self.i += 1;
-                        code = code * 16 + h;
-                    }
-                    // Surrogate pairs are not emitted by this writer; map
-                    // lone surrogates to U+FFFD.
-                    out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                }
+                b'u' => out.push(self.unicode_escape()?),
                 other => return Err(format!("bad escape '\\{}'", char::from(other))),
             }
         }
+    }
+
+    /// Four hex digits of a `\u` escape.
+    fn hex4(&mut self) -> Result<u32, String> {
+        let mut code = 0u32;
+        for _ in 0..4 {
+            let Some(h) = self.peek().and_then(|c| char::from(c).to_digit(16)) else {
+                return Err("bad \\u escape".into());
+            };
+            self.i += 1;
+            code = code * 16 + h;
+        }
+        Ok(code)
+    }
+
+    /// The character of a `\u` escape whose `\u` was just read. A high
+    /// surrogate directly followed by a `\u` escape of a low surrogate is
+    /// one character (`"\ud83d\ude00"` is U+1F600); a lone surrogate
+    /// decodes to U+FFFD, and an escape after a lone high surrogate is
+    /// read on its own.
+    fn unicode_escape(&mut self) -> Result<char, String> {
+        let code = self.hex4()?;
+        if (0xd800..0xdc00).contains(&code) && self.c[self.i..].starts_with(b"\\u") {
+            let resume = self.i;
+            self.i += 2;
+            let low = self.hex4()?;
+            if (0xdc00..0xe000).contains(&low) {
+                let pair = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+                return Ok(char::from_u32(pair).expect("a surrogate pair is a scalar value"));
+            }
+            self.i = resume;
+        }
+        Ok(char::from_u32(code).unwrap_or('\u{fffd}'))
     }
 
     fn number(&mut self) -> Result<Json, String> {
@@ -366,9 +394,13 @@ impl Parser<'_> {
                 return Ok(Json::U64(n));
             }
         }
-        text.parse::<f64>()
-            .map(Json::F64)
-            .map_err(|e| format!("bad number '{text}': {e}"))
+        match text.parse::<f64>() {
+            Ok(x) if x.is_finite() => Ok(Json::F64(x)),
+            // The writer writes a non-finite float as `null`, so one
+            // parsed here could not round-trip.
+            Ok(_) => Err(format!("number out of range '{text}'")),
+            Err(e) => Err(format!("bad number '{text}': {e}")),
+        }
     }
 }
 
@@ -438,6 +470,31 @@ mod tests {
         assert!(parse(&objects).unwrap_err().contains("nesting"));
         // A megabyte of openers: an error, not a stack overflow.
         assert!(parse(&"[".repeat(1_000_000)).is_err());
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_and_lone_surrogates_become_replacements() {
+        assert_eq!(
+            parse(r#""\ud83d\ude00""#),
+            Ok(Json::Str("\u{1F600}".into()))
+        );
+        assert_eq!(
+            parse(r#""\uD83D\uDE00x""#),
+            Ok(Json::Str("\u{1F600}x".into()))
+        );
+        // A lone high surrogate, a lone low one, and a high one followed
+        // by an escape that is not a low surrogate (read on its own).
+        assert_eq!(parse(r#""\ud83d""#), Ok(Json::Str("\u{fffd}".into())));
+        assert_eq!(parse(r#""\ude00a""#), Ok(Json::Str("\u{fffd}a".into())));
+        assert_eq!(
+            parse(r#""\ud83d\u0041""#),
+            Ok(Json::Str("\u{fffd}A".into()))
+        );
+        assert_eq!(
+            parse(r#""\ud83d\ud83d\ude00""#),
+            Ok(Json::Str("\u{fffd}\u{1F600}".into()))
+        );
+        assert!(parse(r#""\ud83d\u00""#).is_err(), "a cut second escape");
     }
 
     #[test]

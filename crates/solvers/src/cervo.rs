@@ -139,7 +139,7 @@ impl Cervo {
         if atom_count > 4 {
             self.coverage.hit(self.universe, "core::atom_abstract", 1);
         }
-        if analyzed.features.has_quantifier {
+        if analyzed.features().has_quantifier {
             self.coverage.hit(self.universe, "quant::exists_witness", 0);
         }
 
@@ -149,14 +149,14 @@ impl Cervo {
         let mut domains: Vec<Vec<Value>> = (0..dims.len())
             .map(|k| space.domain(k).values.clone())
             .collect();
-        for ((name, _), values) in analyzed.consts.iter().zip(&mut domains) {
+        for ((name, _), values) in analyzed.consts().iter().zip(&mut domains) {
             cervo_order(
                 values,
-                analyzed.features.hash ^ fnv1a(name.as_str().as_bytes()),
+                analyzed.features().hash ^ fnv1a(name.as_str().as_bytes()),
             );
         }
 
-        let mut ev = space.compile(arena, roots, &analyzed.defs);
+        let mut ev = space.compile(arena, roots, analyzed.defs());
         for (k, d) in domains.iter().enumerate() {
             ev.set(k, d[0].clone());
         }
@@ -252,7 +252,7 @@ impl Cervo {
             // evaluator on the boxed rewrites.
             self.coverage.hit(self.universe, "core::model_build", 0);
             self.coverage.hit(self.universe, "core::model_check", 0);
-            let plain = Evaluator::new(&model, &analyzed.defs, &space.cfg, budget);
+            let plain = Evaluator::new(&model, analyzed.defs(), &space.cfg, budget);
             let roots: &[_] = boxed.get_or_insert_with(|| scratch.boxed_roots());
             if tally(sizes, stats, |i| plain.eval(&roots[i])) == Ok(assertions) {
                 return (Outcome::Sat, Some(model));
@@ -549,7 +549,7 @@ impl SmtSolver for Cervo {
         if quantified {
             self.coverage.hit(self.universe, "quant::binder_scope", 0);
         }
-        let hash = analyzed.features.hash;
+        let hash = analyzed.features().hash;
         let (arena, universe) = (&scratch.arena, self.universe);
         scratch
             .op_hits
@@ -572,7 +572,7 @@ impl SmtSolver for Cervo {
             return response;
         }
         let (response, _bug) =
-            apply_bug_effects(SolverId::Cervo, self.commit, &analyzed.features, response);
+            apply_bug_effects(SolverId::Cervo, self.commit, analyzed.features(), response);
         response
     }
 

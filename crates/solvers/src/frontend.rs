@@ -8,27 +8,29 @@
 //! per case and hands to every solver through [`Frontend::analyze_parsed`].
 //! [`Parsed::new`] parses text onto a [`TermArena`]; a case that was built
 //! on an arena (Once4All, HistFuzz) skips the parse through
-//! [`Parsed::from_arena`], which reads the fuzzer's own arena. Either way
-//! each assertion is walked once; that walk yields both solvers'
-//! theory-gate verdicts, the [`FormulaFeatures`], and solver-independent
-//! coverage facts, which `analyze_parsed` replays through the solver's
-//! [`Universe`]. The sort checker runs on the same arena.
+//! [`Parsed::from_arena`], which reads the fuzzer's own arena.
 //!
 //! A [`Parsed`] keeps the case in arena form: an owned, compact copy of
 //! the terms its commands reach ([`TermArena::compact`]), which survives
-//! the fuzzer's arena reset and crosses threads. The engines rewrite and
-//! search on [`TermId`]s; the boxed [`Script`] is built at most once, on
-//! demand, for the golden evaluator and the oracle's model check.
+//! the fuzzer's arena reset and crosses threads. Its analysis runs lazily
+//! on that copy, once: a walk over each assertion yields both solvers'
+//! theory-gate verdicts, the [`FormulaFeatures`], and solver-independent
+//! coverage facts, which `analyze_parsed` replays through the solver's
+//! [`Universe`]; the sort check and the declaration tables follow on the
+//! first `analyze_parsed`. The engines rewrite and search on [`TermId`]s;
+//! the boxed [`Script`] is built at most once, on demand, for the golden
+//! evaluator and the oracle's model check.
 
 use crate::coverage::{supported_theories, CoverageMap, Universe};
 use crate::features::{fnv1a, FormulaFeatures};
 use crate::oxiz::SearchSpace;
 use crate::SolverId;
+use o4a_smtlib::eval::FunDefs;
 use o4a_smtlib::{
     parse_script_arena, typeck, ANode, ArenaCommand, ArenaScript, Op, OpId, Script, Sort, Symbol,
-    Term, TermArena, TermId, Theory,
+    TermArena, TermId, Theory,
 };
-use std::cell::{OnceCell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -39,6 +41,9 @@ thread_local! {
     static FRONTEND_ARENA: RefCell<TermArena> = RefCell::new(TermArena::new());
     /// The printed script behind [`FormulaFeatures::hash`], reused per case.
     static PRINT_BUFFER: RefCell<String> = const { RefCell::new(String::new()) };
+    /// Walks and sort checks run on this thread: the probe behind
+    /// [`Parsed::analyses_on_this_thread`].
+    static ANALYSES: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
 }
 
 /// A case's script in arena form: an owned, compact copy of its terms
@@ -81,38 +86,92 @@ impl fmt::Debug for CaseScript {
     }
 }
 
-/// The result of frontend analysis: everything an engine needs to solve.
+/// A parsed case and its frontend analysis, which runs lazily on the
+/// compact copy, once: the walk (features, theory gates, coverage facts)
+/// on the first [`Analyzed::features`] or [`Frontend::analyze_parsed`],
+/// the sort check and the declaration tables on the first
+/// `analyze_parsed`. Only a case that sort-checked is handed out by
+/// `analyze_parsed` and [`Frontend::analyze`], so the tables of every
+/// `Analyzed` a caller holds exist.
 #[derive(Clone)]
 pub struct Analyzed {
     case: CaseScript,
-    /// Declared 0-ary symbols and their sorts.
-    pub consts: Vec<(Symbol, Sort)>,
-    /// Declared n-ary (n ≥ 1) uninterpreted functions.
-    pub funs: Vec<(Symbol, Vec<Sort>, Sort)>,
-    /// Defined functions (`define-fun`), boxed for evaluator expansion.
-    pub defs: BTreeMap<Symbol, (Vec<(Symbol, Sort)>, Term)>,
-    /// Structural features (trigger matching, coverage, statistics).
-    pub features: FormulaFeatures,
     /// Input length in bytes (virtual cost model input).
     pub input_bytes: usize,
+    /// FNV-1a hash of the script's print ([`FormulaFeatures::hash`]).
+    hash: u64,
+    walk: OnceCell<Walked>,
+    check: OnceCell<Result<Tables, String>>,
     /// The search space, computed for the first engine that searches.
     space: OnceCell<SearchSpace>,
 }
 
-impl Analyzed {
-    /// Collects the declaration tables of a sort-checked script.
-    fn of(case: CaseScript, features: FormulaFeatures, input_bytes: usize) -> Analyzed {
-        let mut consts = Vec::new();
-        let mut funs = Vec::new();
-        let mut defs = BTreeMap::new();
+/// What the walk over a case learns.
+#[derive(Clone, Debug, PartialEq)]
+struct Walked {
+    features: FormulaFeatures,
+    /// The theory gate's verdict for each solver, in [`SolverId::ALL`]
+    /// order.
+    gates: [Result<(), String>; 2],
+    coverage: CoverageFacts,
+}
+
+impl Walked {
+    fn new(case: &CaseScript, hash: u64) -> Walked {
+        let timer = o4a_obs::metrics::start_timer();
+        ANALYSES.with(|n| n.set((n.get().0 + 1, n.get().1)));
+        let Walk {
+            mut features,
+            coverage,
+            unsupported,
+        } = Walk::new(&case.script, &case.arena);
+        features.hash = hash;
+        let walked = Walked {
+            features,
+            gates: SolverId::ALL.map(|id| gate_verdict(id, unsupported[id as usize], &case.script)),
+            coverage,
+        };
+        o4a_obs::metrics::record_elapsed("frontend.analyze", timer);
+        walked
+    }
+}
+
+/// The declaration tables of a script that sort-checked.
+#[derive(Clone, Debug, PartialEq)]
+struct Tables {
+    consts: Vec<(Symbol, Sort)>,
+    funs: Vec<(Symbol, Vec<Sort>, Sort)>,
+    defs: FunDefs,
+}
+
+impl Tables {
+    /// Sort-checks `case`, collecting its declaration tables when the
+    /// check succeeds.
+    fn check(case: &CaseScript) -> Result<Tables, String> {
+        let timer = o4a_obs::metrics::start_timer();
+        ANALYSES.with(|n| n.set((n.get().0, n.get().1 + 1)));
+        let checked = Tables::collect(case);
+        o4a_obs::metrics::record_elapsed("frontend.analyze", timer);
+        checked
+    }
+
+    fn collect(case: &CaseScript) -> Result<Tables, String> {
+        typeck::check_script_arena(&case.script, &case.arena).map_err(|e| format!("{e}"))?;
+        let mut tables = Tables {
+            consts: Vec::new(),
+            funs: Vec::new(),
+            defs: BTreeMap::new(),
+        };
         for cmd in &case.script.commands {
             match cmd {
-                ArenaCommand::DeclareConst(name, sort) => consts.push((name.clone(), sort.clone())),
+                ArenaCommand::DeclareConst(name, sort) => {
+                    tables.consts.push((name.clone(), sort.clone()))
+                }
                 ArenaCommand::DeclareFun(name, args, ret) => {
-                    funs.push((name.clone(), args.clone(), ret.clone()))
+                    tables.funs.push((name.clone(), args.clone(), ret.clone()))
                 }
                 ArenaCommand::DefineFun(name, params, _, body) => {
-                    defs.insert(
+                    tables.defs.insert(
                         name.clone(),
                         (params.clone(), case.arena.extract_term(*body)),
                     );
@@ -120,15 +179,45 @@ impl Analyzed {
                 _ => {}
             }
         }
-        Analyzed {
-            case,
-            consts,
-            funs,
-            defs,
-            features,
-            input_bytes,
-            space: OnceCell::new(),
-        }
+        Ok(tables)
+    }
+}
+
+impl Analyzed {
+    /// The walk, run on the first call.
+    fn walked(&self) -> &Walked {
+        self.walk.get_or_init(|| Walked::new(&self.case, self.hash))
+    }
+
+    /// The sort check and the tables, run on the first call.
+    fn checked(&self) -> &Result<Tables, String> {
+        self.check.get_or_init(|| Tables::check(&self.case))
+    }
+
+    fn tables(&self) -> &Tables {
+        self.checked()
+            .as_ref()
+            .expect("an Analyzed handed out has sort-checked")
+    }
+
+    /// Declared 0-ary symbols and their sorts.
+    pub fn consts(&self) -> &[(Symbol, Sort)] {
+        &self.tables().consts
+    }
+
+    /// Declared n-ary (n ≥ 1) uninterpreted functions.
+    pub fn funs(&self) -> &[(Symbol, Vec<Sort>, Sort)] {
+        &self.tables().funs
+    }
+
+    /// Defined functions (`define-fun`), boxed for evaluator expansion.
+    pub fn defs(&self) -> &FunDefs {
+        &self.tables().defs
+    }
+
+    /// Structural features (trigger matching, coverage, statistics).
+    pub fn features(&self) -> &FormulaFeatures {
+        &self.walked().features
     }
 
     /// The boxed script, built on the first call.
@@ -152,74 +241,71 @@ impl Analyzed {
     }
 }
 
-/// Equality ignores the cached box and search space.
+/// Equality compares the analysed results (running the analysis on both
+/// sides) and ignores the cached box and search space.
 impl PartialEq for Analyzed {
     fn eq(&self, other: &Analyzed) -> bool {
         self.case == other.case
-            && self.consts == other.consts
-            && self.funs == other.funs
-            && self.defs == other.defs
-            && self.features == other.features
             && self.input_bytes == other.input_bytes
+            && self.walked() == other.walked()
+            && self.checked() == other.checked()
     }
 }
 
-/// The layout of the boxed form: the script first, then the tables.
+/// The layout of the boxed form: the script first, then the tables (or
+/// the sort error).
 impl fmt::Debug for Analyzed {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Analyzed")
-            .field("script", self.script())
-            .field("consts", &self.consts)
-            .field("funs", &self.funs)
-            .field("defs", &self.defs)
-            .field("features", &self.features)
+        let mut s = f.debug_struct("Analyzed");
+        s.field("script", self.script());
+        match self.checked() {
+            Ok(t) => s
+                .field("consts", &t.consts)
+                .field("funs", &t.funs)
+                .field("defs", &t.defs),
+            Err(msg) => s.field("sort_error", msg),
+        };
+        s.field("features", self.features())
             .field("input_bytes", &self.input_bytes)
             .finish()
     }
 }
 
-/// The frontend work on one case, done once and shared by every
-/// in-process solver and the oracle: parse, each solver's theory-gate
-/// verdict, sort check, the declaration tables, the [`FormulaFeatures`]
-/// and the solver-independent coverage facts. Only replaying those facts
-/// through a solver's universe is left to [`Frontend::analyze_parsed`].
+/// A case's frontend pass, shared by every in-process solver and the
+/// oracle. Building one parses the text (or reads the fuzzer's arena) and
+/// keeps the compact copy of the case with its length and hash; the rest
+/// runs lazily on that copy, once, when something reads it (see
+/// [`Analyzed`]): each solver's theory-gate verdict, the
+/// [`FormulaFeatures`] and the solver-independent coverage facts come
+/// from one walk, then the sort check and the declaration tables. Only
+/// replaying the coverage facts through a solver's universe is left to
+/// each [`Frontend::analyze_parsed`] call.
 ///
 /// Both constructors agree: `Parsed::from_arena(s, a, t) == Parsed::new(t)`
-/// whenever `t` is the printer's output for `s` on `a`.
+/// whenever `t` is the printer's output for `s` on `a`; equality compares
+/// the analysed results.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Parsed {
-    stage: Stage,
-    /// The theory gate's verdict for each solver, in [`SolverId::ALL`]
-    /// order (both `Ok` when the text did not parse).
-    gates: [Result<(), String>; 2],
-    coverage: CoverageFacts,
-}
-
-#[derive(Clone, Debug, PartialEq)]
-enum Stage {
-    /// The parser's message.
-    ParseError(String),
-    /// The script parsed but failed the sort check (with its message).
-    TypeError(Box<CaseScript>, String, FormulaFeatures),
-    /// The script parsed and sort-checked.
-    Checked(Box<Analyzed>),
+    /// The parsed case, or the parser's message.
+    stage: Result<Box<Analyzed>, String>,
 }
 
 impl Parsed {
-    /// Parses `text` on the frontend's thread-local arena, walks its
-    /// assertions once (theory gates, features, coverage facts) and
-    /// sort-checks it, collecting declarations when the check succeeds.
-    /// The script stays in arena form.
+    /// Parses `text` on the frontend's thread-local arena and keeps the
+    /// compact copy of the script; the analysis runs on first use.
     pub fn new(text: &str) -> Parsed {
         FRONTEND_ARENA.with(|cell| {
             let arena = &mut *cell.borrow_mut();
             arena.reset();
-            match parse_script_arena(text, arena) {
-                Ok(script) => Parsed::of(&script, arena, text.len(), print_hash(&script, arena)),
-                Err(e) => Parsed {
-                    stage: Stage::ParseError(format!("{e}")),
-                    gates: [Ok(()), Ok(())],
-                    coverage: CoverageFacts::default(),
+            Parsed {
+                stage: match parse_script_arena(text, arena) {
+                    Ok(script) => Ok(Parsed::of(
+                        &script,
+                        arena,
+                        text.len(),
+                        print_hash(&script, arena),
+                    )),
+                    Err(e) => Err(format!("{e}")),
                 },
             }
         })
@@ -227,80 +313,77 @@ impl Parsed {
 
     /// [`Parsed::new`] of `text` for a case that already exists as
     /// `script` on `arena`, with `text` the printer's output for it
-    /// ([`ArenaScript::print_into`]): the same walk, gates, sort check and
-    /// compact copy, without parsing `text` or printing the script again. The
-    /// printed text is its own re-print, so the feature hash is the hash
-    /// of `text`; debug builds check that `text` is the script's print and
-    /// that it parses and re-prints to itself.
+    /// ([`ArenaScript::print_into`]): the same compact copy, without
+    /// parsing `text` or printing the script again. The printed text is
+    /// its own re-print, so the feature hash is the hash of `text`; debug
+    /// builds check that `text` is the script's print and that it parses
+    /// and re-prints to itself.
     pub fn from_arena(script: &ArenaScript, arena: &TermArena, text: &str) -> Parsed {
         debug_assert!(
             is_print_fixpoint(script, arena, text),
             "not the re-printable print of its script: {text}"
         );
-        Parsed::of(script, arena, text.len(), fnv1a(text.as_bytes()))
+        Parsed {
+            stage: Ok(Parsed::of(
+                script,
+                arena,
+                text.len(),
+                fnv1a(text.as_bytes()),
+            )),
+        }
     }
 
-    /// The body both constructors share: one walk over `script` (theory
-    /// gates, features, coverage facts), the sort check, and the compact
-    /// copy of the script with its declaration tables. `input_bytes` is the length of
-    /// the script's text and `hash` the FNV-1a hash of its print.
-    fn of(script: &ArenaScript, arena: &TermArena, input_bytes: usize, hash: u64) -> Parsed {
-        let Walk {
-            mut features,
-            coverage,
-            unsupported,
-        } = Walk::new(script, arena);
-        features.hash = hash;
-        let gates = SolverId::ALL.map(|id| gate_verdict(id, unsupported[id as usize], script));
-        let checked = typeck::check_script_arena(script, arena);
-        let case = CaseScript::new(script, arena);
-        let stage = match checked {
-            Ok(_) => Stage::Checked(Box::new(Analyzed::of(case, features, input_bytes))),
-            Err(e) => Stage::TypeError(Box::new(case), format!("{e}"), features),
-        };
-        Parsed {
-            stage,
-            gates,
-            coverage,
-        }
+    /// The body both constructors share: the compact copy of `script`,
+    /// with `input_bytes` the length of its text and `hash` the FNV-1a
+    /// hash of its print.
+    fn of(script: &ArenaScript, arena: &TermArena, input_bytes: usize, hash: u64) -> Box<Analyzed> {
+        Box::new(Analyzed {
+            case: CaseScript::new(script, arena),
+            input_bytes,
+            hash,
+            walk: OnceCell::new(),
+            check: OnceCell::new(),
+            space: OnceCell::new(),
+        })
     }
 
     /// Whether the text parsed.
     pub fn parses(&self) -> bool {
-        !matches!(self.stage, Stage::ParseError(_))
+        self.stage.is_ok()
     }
 
     /// The parsed script, or `None` when the text did not parse. The
     /// script is boxed on the first call.
     pub fn script(&self) -> Option<&Script> {
-        self.case().map(CaseScript::boxed)
+        self.stage.as_ref().ok().map(|a| a.script())
     }
 
     /// Whether the boxed script has been built: a probe for tests that
     /// pin when boxing happens.
     #[doc(hidden)]
     pub fn is_boxed(&self) -> bool {
-        self.case().is_some_and(|c| c.boxed.get().is_some())
+        self.stage
+            .as_ref()
+            .is_ok_and(|a| a.case.boxed.get().is_some())
     }
 
-    fn case(&self) -> Option<&CaseScript> {
-        match &self.stage {
-            Stage::ParseError(_) => None,
-            Stage::TypeError(case, _, _) => Some(case),
-            Stage::Checked(a) => Some(&a.case),
-        }
+    /// How many case walks and how many sort checks the lazy analysis
+    /// has run on the calling thread: a probe for tests that pin which
+    /// campaigns analyse their cases.
+    #[doc(hidden)]
+    pub fn analyses_on_this_thread() -> (u64, u64) {
+        ANALYSES.with(Cell::get)
     }
 
-    /// The script's features; an unparsable script has the features of
-    /// the empty script.
+    /// The script's features, walking the case on the first call; an
+    /// unparsable script has the features of the empty script.
     pub fn features(&self) -> &FormulaFeatures {
         match &self.stage {
-            Stage::ParseError(_) => {
+            Err(_) => {
                 static EMPTY: FormulaFeatures = FormulaFeatures::EMPTY;
                 &EMPTY
             }
-            Stage::TypeError(_, _, features) => features,
-            Stage::Checked(a) => &a.features,
+            Ok(a) => a.features(),
         }
     }
 }
@@ -653,21 +736,24 @@ impl Frontend {
         cov: &mut CoverageMap,
     ) -> Result<&'p Analyzed, String> {
         cov.hit_idx(universe, universe.error_reporting, 0);
-        let checked = match &parsed.stage {
-            Stage::ParseError(msg) => {
+        let analyzed = match &parsed.stage {
+            Err(msg) => {
                 cov.hit_idx(universe, universe.error_reporting, 1);
                 return Err(msg.clone());
             }
-            Stage::TypeError(_, msg, _) => Err(msg),
-            Stage::Checked(a) => Ok(&**a),
+            Ok(a) => a,
         };
-        parsed.coverage.replay(universe, cov);
+        let (walked, checked) = (analyzed.walked(), analyzed.checked());
+        walked.coverage.replay(universe, cov);
         // `SolverId::ALL` lists the solvers in declaration order.
-        parsed.gates[self.solver as usize].clone()?;
-        checked.map_err(|msg| {
-            cov.hit_idx(universe, universe.error_reporting, 1);
-            msg.clone()
-        })
+        walked.gates[self.solver as usize].clone()?;
+        match checked {
+            Ok(_) => Ok(analyzed),
+            Err(msg) => {
+                cov.hit_idx(universe, universe.error_reporting, 1);
+                Err(msg.clone())
+            }
+        }
     }
 
     /// Parses, gates theories, and sort-checks a script without boxing an
@@ -727,7 +813,7 @@ mod tests {
     use super::*;
     use crate::coverage::universe;
     use o4a_core::{Fuzzer, Once4AllConfig, Once4AllFuzzer};
-    use o4a_smtlib::Command;
+    use o4a_smtlib::{Command, Term};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::collections::BTreeSet;
@@ -744,8 +830,8 @@ mod tests {
                 &mut cov,
             )
             .unwrap();
-        assert_eq!(a.consts.len(), 1);
-        assert!(a.features.has_op(">"));
+        assert_eq!(a.consts().len(), 1);
+        assert!(a.features().has_op(">"));
         assert!(cov.functions_hit() > 3);
     }
 
@@ -1194,6 +1280,6 @@ mod tests {
                 &mut cov,
             )
             .unwrap();
-        assert_eq!(a.defs.len(), 1);
+        assert_eq!(a.defs().len(), 1);
     }
 }

@@ -132,13 +132,13 @@ impl OxiZ {
         let mut stats = SolveStats::default();
         let space = analyzed.space();
         self.coverage.hit(self.universe, "core::domain_build", 0);
-        if !analyzed.funs.is_empty() {
+        if !analyzed.funs().is_empty() {
             self.coverage.hit(self.universe, "core::uf_assign", 0);
         }
         if !space.complete {
             self.coverage.hit(self.universe, "core::domain_build", 1);
         }
-        let has_quant = analyzed.features.has_quantifier;
+        let has_quant = analyzed.features().has_quantifier;
         if has_quant {
             self.coverage.hit(self.universe, "quant::forall_inst", 0);
             self.coverage.hit(self.universe, "core::quant_expand", 0);
@@ -147,7 +147,7 @@ impl OxiZ {
         // Every assignment charges each evaluated assertion's full size.
         let arena = &scratch.arena;
         let sizes = &scratch.sizes;
-        let mut ev = space.compile(arena, &scratch.roots, &analyzed.defs);
+        let mut ev = space.compile(arena, &scratch.roots, analyzed.defs());
         let dims = &space.dims;
         for k in 0..dims.len() {
             ev.set(k, space.domain(k).values[0].clone());
@@ -491,11 +491,11 @@ impl SearchSpace {
     pub(crate) fn new(analyzed: &Analyzed) -> SearchSpace {
         let cfg = domain_config(analyzed);
         let consts = analyzed
-            .consts
+            .consts()
             .iter()
             .map(|(name, sort)| (Dim::Const(name.clone()), sort));
         let funs = analyzed
-            .funs
+            .funs()
             .iter()
             .map(|(name, params, ret)| (Dim::Fun(name.clone(), params.clone()), ret));
         let (dims, sorts): (Vec<Dim>, Vec<_>) = consts.chain(funs).unzip();
@@ -506,7 +506,7 @@ impl SearchSpace {
             .map(|s| domains.index(s).expect("every declared sort has a domain"))
             .collect();
         let complete =
-            analyzed.funs.is_empty() && dim_domains.iter().all(|&d| domains.get(d).complete);
+            analyzed.funs().is_empty() && dim_domains.iter().all(|&d| domains.get(d).complete);
         SearchSpace {
             cfg,
             dims,
@@ -543,7 +543,7 @@ pub(crate) fn verified(
     cfg: &DomainConfig,
     budget: u64,
 ) -> bool {
-    let ev = Evaluator::new(model, &analyzed.defs, cfg, budget);
+    let ev = Evaluator::new(model, analyzed.defs(), cfg, budget);
     let ok = assertions
         .iter()
         .all(|a| ev.eval(a) == Ok(Value::Bool(true)));
@@ -640,7 +640,12 @@ impl SmtSolver for OxiZ {
                 self.coverage.hit(universe, name, 0);
             }
         }
-        op_hits.record(arena, universe, &mut self.coverage, analyzed.features.hash);
+        op_hits.record(
+            arena,
+            universe,
+            &mut self.coverage,
+            analyzed.features().hash,
+        );
         o4a_obs::metrics::record_elapsed("solver.rewrite", timer);
 
         // Fast path: a literally-false assertion after simplification.
@@ -671,7 +676,7 @@ impl SmtSolver for OxiZ {
             return response;
         }
         let (response, _bug) =
-            apply_bug_effects(SolverId::OxiZ, self.commit, &analyzed.features, response);
+            apply_bug_effects(SolverId::OxiZ, self.commit, analyzed.features(), response);
         response
     }
 

@@ -2,6 +2,10 @@
 //! Cervo's `check_parsed` on one shared `Parsed` must stay under a pinned
 //! allocation budget over warm cases.
 //!
+//! The case's frontend analysis is forced before each count: it runs
+//! lazily, in the first check that reads it, and was counted under the
+//! fuzzer's frontend pass when this budget was set.
+//!
 //! Each engine loads the case's compact arena copy into its own scratch
 //! arena, rewrites and compiles `TermId`s there, and boxes only the
 //! rewritten roots of a `sat` model for the golden re-check. A regression
@@ -9,7 +13,8 @@
 //! compiler.
 
 use o4a_core::{Fuzzer, Once4AllConfig, Once4AllFuzzer};
-use o4a_solvers::{Cervo, EngineConfig, OxiZ, SmtSolver};
+use o4a_solvers::coverage::universe;
+use o4a_solvers::{Cervo, CoverageMap, EngineConfig, Frontend, OxiZ, SmtSolver, SolverId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -76,6 +81,14 @@ fn check_parsed_allocations_stay_under_budget() {
     let (mut checks, mut allocs) = (0u64, 0u64);
     for case in cases {
         let parsed = case.parsed.as_ref().expect("handed over");
+        // The case's lazy frontend analysis (walk, sort check, tables)
+        // runs in the first check that reads it; run it here, outside the
+        // count, so the budget measures the engines' own work.
+        let _ = Frontend::new(SolverId::OxiZ).analyze_parsed(
+            parsed,
+            universe(SolverId::OxiZ),
+            &mut CoverageMap::new(),
+        );
         for solver in &mut solvers {
             let before = ALLOCS.load(Ordering::Relaxed);
             let response = solver.check_parsed(&case.text, parsed);

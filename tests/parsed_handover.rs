@@ -15,9 +15,16 @@
 //! once, on demand: the box equals `parse_script` of the text, equality
 //! ignores whether either side has boxed, and a case the oracle judges
 //! without a `sat` model is never boxed.
+//!
+//! Its analysis is lazy too: building a `Parsed` walks and sort-checks
+//! nothing; the walk runs on the first `features()` or `analyze_parsed`,
+//! the sort check on the first `analyze_parsed`, in either order with the
+//! same results. An unanalysed case judges like an analysed one, and a
+//! piped campaign never sort-checks.
 
 use once4all::baselines::HistFuzz;
-use once4all::core::{judge_parsed, Fuzzer, Once4AllConfig, Once4AllFuzzer};
+use once4all::core::{judge_parsed, CampaignConfig, Fuzzer, Once4AllConfig, Once4AllFuzzer};
+use once4all::exec::{run_shard_piped, PipeBackend};
 use once4all::smtlib::parse_script;
 use once4all::solvers::coverage::universe;
 use once4all::solvers::{
@@ -48,12 +55,17 @@ fn handed_over_parse_equals_parsing_the_text() {
         for seed in SEEDS {
             let mut rng = StdRng::seed_from_u64(seed);
             for _ in 0..CASES_PER_SEED {
-                let case = fuzzer.next_case(&mut rng);
+                let ((case, parsed), ran) = analyses_during(|| {
+                    let case = fuzzer.next_case(&mut rng);
+                    let parsed = Parsed::new(&case.text);
+                    (case, parsed)
+                });
+                assert_eq!(ran, (0, 0), "building a Parsed analysed it");
                 let handed = case
                     .parsed
                     .as_ref()
                     .unwrap_or_else(|| panic!("{} handed over no parse", fuzzer.name()));
-                let parsed = Parsed::new(&case.text);
+                assert_walk_and_check_commute(handed);
                 assert!(
                     *handed == parsed,
                     "{} seed {seed}: handed-over parse differs on {}\nhanded over: {handed:?}\nparsed: {parsed:?}",
@@ -87,8 +99,91 @@ fn handed_over_parse_equals_parsing_the_text() {
     assert!(gate_failures > 0, "the sweep met no theory-gate failure");
 }
 
+/// Forcing the lazy analysis through `features()` first (the walk alone,
+/// as a piped finding does) or through `analyze_parsed` first (walk and
+/// sort check, as an in-process engine does) gives identical features,
+/// verdicts and coverage. Works on clones, so `parsed` stays unanalysed.
+fn assert_walk_and_check_commute(parsed: &Parsed) {
+    let (walk_first, check_first) = (parsed.clone(), parsed.clone());
+    let (features, ran) = analyses_during(|| walk_first.features().clone());
+    assert_eq!(ran, (1, 0), "features() runs the walk alone");
+    let analyze_all = |p| {
+        SolverId::ALL.map(|id| {
+            let mut cov = CoverageMap::new();
+            let verdict = format!(
+                "{:?}",
+                Frontend::new(id).analyze_parsed(p, universe(id), &mut cov)
+            );
+            (verdict, cov.export(universe(id)))
+        })
+    };
+    let (after_walk, ran) = analyses_during(|| analyze_all(&walk_first));
+    assert_eq!(ran, (0, 1), "analyze_parsed reran the walk");
+    let (first, ran) = analyses_during(|| analyze_all(&check_first));
+    assert_eq!(ran, (1, 1), "analyze_parsed runs both, once");
+    assert_eq!(after_walk, first);
+    assert_eq!(*check_first.features(), features);
+    assert!(walk_first == check_first);
+}
+
+/// `f`'s result, and how many case walks and sort checks it ran.
+fn analyses_during<T>(f: impl FnOnce() -> T) -> (T, (u64, u64)) {
+    let (walks, checks) = Parsed::analyses_on_this_thread();
+    let out = f();
+    let (w, c) = Parsed::analyses_on_this_thread();
+    (out, (w - walks, c - checks))
+}
+
 fn assert_send<T: Send>(_: &T) {}
 
+/// A lane script for [`a_piped_campaign_never_sort_checks`]: lane 0
+/// answers `sat` (with an empty model) and lane 1 `unsat`, so the oracle
+/// flags every case both accept.
+const DISAGREEING_LANE: &str = r#"while read -r line; do
+    case "$line" in
+        "(check-sat)") if [ "$1" = 0 ]; then echo sat; else echo unsat; fi;;
+        "(get-model)") echo "(model )";;
+    esac
+done
+"#;
+
+/// Against external solvers nothing sort-checks a case, and only the
+/// cases whose verdict is a bug are walked, for their finding's features.
+#[test]
+fn a_piped_campaign_never_sort_checks() {
+    let dir = std::env::temp_dir().join(format!("o4a-handover-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create the script dir");
+    let script = dir.join("lane.sh");
+    std::fs::write(&script, DISAGREEING_LANE).expect("write the lane script");
+    let backend = PipeBackend::new(format!("sh {} {{lane}}", script.display()));
+    let config = CampaignConfig {
+        virtual_hours: 1,
+        time_scale: 1,
+        max_cases: 60,
+        ..CampaignConfig::default()
+    };
+    let (result, (walks, checks)) = analyses_during(|| {
+        run_shard_piped(
+            &mut Once4AllFuzzer::with_defaults(),
+            &config,
+            0,
+            None,
+            4,
+            &backend,
+        )
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+
+    assert_eq!(result.stats.cases, 60);
+    assert_eq!(checks, 0, "a piped campaign sort-checked");
+    assert!(result.stats.bug_triggering > 0, "the probe is vacuous");
+    assert_eq!(walks, result.stats.bug_triggering);
+}
+
+/// Solving never boxes a case and judging boxes it exactly when some
+/// non-crash response is `sat` with a model. A twin the solvers never
+/// analysed (the piped path) judges to the same verdict and boxes alike,
+/// and judging runs no analysis.
 #[test]
 fn only_a_sat_model_boxes_the_judged_case() {
     let config = EngineConfig {
@@ -108,12 +203,25 @@ fn only_a_sat_model_boxes_the_judged_case() {
         let case = fuzzer.next_case(&mut rng);
         let parsed = case.parsed.expect("Once4All hands its parse over");
         assert_send(&parsed);
-        let responses: Vec<_> = solvers
-            .iter_mut()
-            .map(|s| (s.id(), s.check_parsed(&case.text, &parsed)))
-            .collect();
+        // The piped path's twin: no in-process engine analyses it.
+        let unanalysed = parsed.clone();
+        let (responses, ran) = analyses_during(|| {
+            solvers
+                .iter_mut()
+                .map(|s| (s.id(), s.check_parsed(&case.text, &parsed)))
+                .collect::<Vec<_>>()
+        });
+        assert_eq!(ran, (1, 1), "solving analyses once: {}", case.text);
         assert!(!parsed.is_boxed(), "solving boxed the case: {}", case.text);
-        judge_parsed(&parsed, &responses);
+        let (verdicts, ran) = analyses_during(|| {
+            (
+                judge_parsed(&parsed, &responses),
+                judge_parsed(&unanalysed, &responses),
+            )
+        });
+        assert_eq!(ran, (0, 0), "judging analysed: {}", case.text);
+        assert_eq!(verdicts.0, verdicts.1, "{}", case.text);
+        assert_eq!(unanalysed.is_boxed(), parsed.is_boxed(), "{}", case.text);
         let crashed = responses
             .iter()
             .any(|(_, r)| matches!(r.outcome, Outcome::Crash(_)));

@@ -82,7 +82,7 @@ fn analyze(text: &str) -> Option<Analyzed> {
 /// or an overflow under a non-short-circuiting operator — may still hold.
 fn assert_model_verifies(text: &str, analyzed: &Analyzed, model: &Model) -> bool {
     let cfg = domain_config(analyzed);
-    let ev = Evaluator::new(model, &analyzed.defs, &cfg, CHECK_BUDGET);
+    let ev = Evaluator::new(model, analyzed.defs(), &cfg, CHECK_BUDGET);
     let mut decided = true;
     for a in analyzed.script().assertions() {
         match ev.eval(a) {
@@ -107,12 +107,12 @@ fn assert_unsat_survives(text: &str, analyzed: &Analyzed) {
     let mut dims = Vec::new();
     let mut domains = Vec::new();
     let declared = analyzed
-        .consts
+        .consts()
         .iter()
         .map(|(name, sort)| (Dim::Const(name.clone()), sort))
         .chain(
             analyzed
-                .funs
+                .funs()
                 .iter()
                 .map(|(name, params, ret)| (Dim::Fun(name.clone(), params.clone()), ret)),
         );
@@ -131,7 +131,7 @@ fn assert_unsat_survives(text: &str, analyzed: &Analyzed) {
     let mut idx = vec![0usize; dims.len()];
     loop {
         let model = model_of(&dims, idx.iter().enumerate().map(|(k, &i)| &domains[k][i]));
-        let ev = Evaluator::new(&model, &analyzed.defs, &cfg, CHECK_BUDGET);
+        let ev = Evaluator::new(&model, analyzed.defs(), &cfg, CHECK_BUDGET);
         let results: Vec<_> = analyzed.script().assertions().map(|a| ev.eval(a)).collect();
         assert!(
             results.contains(&Ok(Value::Bool(false))),
@@ -306,10 +306,10 @@ fn overflow_on_the_satisfying_branch_is_unknown_on_both_engines() {
     let analyzed = analyze(text).expect("sort-checks");
     let cfg = domain_config(&analyzed);
     let model = model_of(
-        &[Dim::Const(analyzed.consts[0].0.clone())],
+        &[Dim::Const(analyzed.consts()[0].0.clone())],
         [&Value::Bool(true)],
     );
-    let ev = Evaluator::new(&model, &analyzed.defs, &cfg, CHECK_BUDGET);
+    let ev = Evaluator::new(&model, analyzed.defs(), &cfg, CHECK_BUDGET);
     let a = analyzed
         .script()
         .assertions()
