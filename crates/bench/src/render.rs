@@ -217,7 +217,8 @@ pub fn render_stats(result: &CampaignResult) -> String {
     }
     // Generation stages, the lazy frontend analysis, engine rewrite,
     // compile and search, judge and apply, the piped worker's poll(2)
-    // wait and shard merge times are process metrics, recorded only while
+    // wait, the sharded pool's idle tail and shard merge times are
+    // process metrics, recorded only while
     // metrics are on (`O4A_METRICS`); a metrics-off run prints none of
     // these lines.
     if o4a_obs::metrics_enabled() {
@@ -225,6 +226,8 @@ pub fn render_stats(result: &CampaignResult) -> String {
         for (name, label) in [
             ("fuzzer.derive", "fuzzer.derive µs/call    "),
             ("fuzzer.fill", "fuzzer.fill µs/call      "),
+            ("fuzzer.mutate", "fuzzer.mutate µs/case    "),
+            ("fuzzer.print", "fuzzer.print µs/case     "),
             ("frontend.pass", "frontend.pass µs/call    "),
             ("frontend.analyze", "frontend.analyze µs/call "),
             ("solver.rewrite", "solver.rewrite µs/call   "),
@@ -233,6 +236,7 @@ pub fn render_stats(result: &CampaignResult) -> String {
             ("case.judge", "case.judge µs/call       "),
             ("case.apply", "case.apply µs/call       "),
             ("exec.poll_idle", "exec.poll_idle µs/call   "),
+            ("exec.pool_idle", "exec.pool_idle µs/worker "),
             ("exec.merge_micros", "exec.merge µs/campaign   "),
         ] {
             if let Some(h) = histograms.get(name) {
@@ -545,6 +549,8 @@ mod tests {
         });
         o4a_obs::metrics::histogram("fuzzer.derive").record(15);
         o4a_obs::metrics::histogram("fuzzer.fill").record(45);
+        o4a_obs::metrics::histogram("fuzzer.mutate").record(70);
+        o4a_obs::metrics::histogram("fuzzer.print").record(8);
         o4a_obs::metrics::histogram("frontend.pass").record(100);
         o4a_obs::metrics::histogram("solver.rewrite").record(30);
         o4a_obs::metrics::histogram("solver.compile").record(20);
@@ -554,9 +560,12 @@ mod tests {
         o4a_obs::metrics::histogram("case.judge").record(5);
         o4a_obs::metrics::histogram("case.apply").record(12);
         o4a_obs::metrics::histogram("exec.poll_idle").record(200);
+        o4a_obs::metrics::histogram("exec.pool_idle").record(3_000);
         let s = render_stats(&result);
         assert!(s.contains("fuzzer.derive µs/call    : n="), "{s}");
         assert!(s.contains("fuzzer.fill µs/call      : n="), "{s}");
+        assert!(s.contains("fuzzer.mutate µs/case    : n="), "{s}");
+        assert!(s.contains("fuzzer.print µs/case     : n="), "{s}");
         assert!(s.contains("frontend.pass µs/call    : n="), "{s}");
         assert!(s.contains("solver.rewrite µs/call   : n="), "{s}");
         assert!(s.contains("solver.compile µs/call   : n="), "{s}");
@@ -566,6 +575,7 @@ mod tests {
         assert!(s.contains("case.judge µs/call       : n="), "{s}");
         assert!(s.contains("case.apply µs/call       : n="), "{s}");
         assert!(s.contains("exec.poll_idle µs/call   : n="), "{s}");
+        assert!(s.contains("exec.pool_idle µs/worker : n="), "{s}");
     }
 
     #[test]

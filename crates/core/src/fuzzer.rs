@@ -193,9 +193,11 @@ impl Once4AllFuzzer {
     /// Prints `script` as the next case, with its frontend pass read off
     /// the fuzzer's arena.
     fn emit(&mut self, script: &ArenaScript) -> TestCase {
+        let timer = o4a_obs::metrics::start_timer();
         self.print_buf.clear();
         script.print_into(&self.arena, &mut self.print_buf);
         let text = self.print_buf.clone();
+        o4a_obs::metrics::record_elapsed("fuzzer.print", timer);
         let timer = o4a_obs::metrics::start_timer();
         let parsed = Parsed::from_arena(script, &self.arena, &text);
         o4a_obs::metrics::record_elapsed("frontend.pass", timer);
@@ -310,8 +312,12 @@ impl Fuzzer for Once4AllFuzzer {
         }
         self.iterations_left -= 1;
         let seed = self.current.clone().expect("seed selected above");
+        // `fuzzer.mutate` times skeletonize, adapt and synthesize in laps,
+        // leaving out the derive and fill laps `draw_fill_from` records.
+        let timer = o4a_obs::metrics::start_timer();
         let skeleton: ArenaSkeleton =
             skeletonize_arena(&seed, &mut self.arena, self.config.skeleton, rng);
+        let mut mutate = o4a_obs::metrics::lap(timer);
         let n_fills = rng.gen_range(1..=self.config.max_fills.max(1));
         let focus = if self.generators.is_empty() {
             None
@@ -321,16 +327,22 @@ impl Fuzzer for Once4AllFuzzer {
         let mut fills = Vec::new();
         for _ in 0..n_fills {
             if let Ok(f) = self.draw_fill_from(focus, rng) {
+                let timer = o4a_obs::metrics::start_timer();
                 fills.push(adapt_fill_arena(&f, &skeleton, &mut self.arena, rng));
+                mutate += o4a_obs::metrics::lap(timer);
             }
         }
         if fills.is_empty() {
+            o4a_obs::metrics::record_duration("fuzzer.mutate", mutate);
             // All samples invalid this round: fall back to a generator-only
             // case so throughput is preserved.
             let script = self.generator_only_case(rng);
             return self.emit(&script);
         }
+        let timer = o4a_obs::metrics::start_timer();
         let out = synthesize_arena(&skeleton, &fills, &mut self.arena);
+        mutate += o4a_obs::metrics::lap(timer);
+        o4a_obs::metrics::record_duration("fuzzer.mutate", mutate);
         let case = self.emit(&out);
         // The mutant becomes the next iteration's seed (the paper mutates f
         // in place across the repeat loop) — unless it outgrew the size

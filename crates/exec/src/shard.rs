@@ -207,6 +207,10 @@ pub trait FindingSink: Sync {
 
 /// Runs `f(0..jobs)` on `workers` scoped threads, returning results in job
 /// order. Panics in a job propagate to the caller.
+///
+/// With metrics on, each worker records into `exec.pool_idle` the time
+/// from the end of its last job to the end of the last worker's: the
+/// pool's tail, where finished workers wait on a straggler.
 pub fn parallel_map<T, F>(jobs: usize, workers: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -221,18 +225,30 @@ where
     }
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<T>>> = (0..jobs).map(|_| Mutex::new(None)).collect();
+    let ends = Mutex::new(Vec::with_capacity(workers));
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= jobs {
-                    break;
+            scope.spawn(|| {
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= jobs {
+                        break;
+                    }
+                    let result = f(i);
+                    *slots[i].lock().expect("result slot poisoned") = Some(result);
                 }
-                let result = f(i);
-                *slots[i].lock().expect("result slot poisoned") = Some(result);
+                if let Some(end) = o4a_obs::metrics::start_timer() {
+                    ends.lock().expect("end times poisoned").push(end);
+                }
             });
         }
     });
+    let ends = ends.into_inner().expect("end times poisoned");
+    if let Some(&last) = ends.iter().max() {
+        for &end in &ends {
+            o4a_obs::metrics::record_duration("exec.pool_idle", last - end);
+        }
+    }
     slots
         .into_iter()
         .map(|slot| {

@@ -136,6 +136,19 @@ fn traced_campaign_is_bit_identical_to_untraced() {
         Some(untraced.stats.cases),
         "metrics case counter diverged from the campaign's own count"
     );
+    // The generation ledger: one print per generated case, one mutate
+    // lap total per skeleton case, both on `/metrics` under their
+    // Prometheus names.
+    let print = &merged.histograms["fuzzer.print"];
+    assert!(print.count >= untraced.stats.cases, "{print:?}");
+    let mutate = &merged.histograms["fuzzer.mutate"];
+    assert!(
+        mutate.count > 0 && mutate.count <= print.count,
+        "{mutate:?}"
+    );
+    let text = o4a_obs::serve::render_prometheus(&merged, &[]);
+    assert!(text.contains("# TYPE o4a_fuzzer_print histogram\n"));
+    assert!(text.contains("# TYPE o4a_fuzzer_mutate histogram\n"));
 
     let chrome = o4a_obs::trace::export_chrome_trace(&traces).expect("chrome export");
     assert!(chrome.contains("\"traceEvents\""));
@@ -166,4 +179,36 @@ fn each_knob_alone_is_bit_identical() {
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// `exec.pool_idle` records one tail per pool worker: the time from the
+/// end of its last job to the end of the slowest worker's. A lone worker
+/// runs inline and has no tail.
+#[test]
+fn pool_idle_records_each_workers_tail() {
+    let _guard = obs_lock();
+    o4a_obs::install(ObsConfig {
+        metrics: true,
+        ..ObsConfig::default()
+    });
+    let count = || {
+        o4a_obs::metrics::snapshot()
+            .histograms
+            .get("exec.pool_idle")
+            .map_or(0, |h| h.count)
+    };
+    let slow = |i: usize| std::thread::sleep(std::time::Duration::from_millis(5 * i as u64));
+    assert_eq!(o4a_exec::parallel_map(3, 2, slow).len(), 3);
+    assert_eq!(count(), 2);
+    let idle = o4a_obs::metrics::snapshot().histograms["exec.pool_idle"].clone();
+    // One worker ends last and records zero; the other waited on it.
+    assert!(
+        idle.buckets.first().is_some_and(|&(b, n)| b == 0 && n >= 1),
+        "{idle:?}"
+    );
+    o4a_exec::parallel_map(3, 1, slow);
+    assert_eq!(count(), 2, "a serial pool has no tail");
+    let text = o4a_obs::serve::render_prometheus(&o4a_obs::metrics::snapshot(), &[]);
+    assert!(text.contains("# TYPE o4a_exec_pool_idle histogram\n"));
+    o4a_obs::uninstall();
 }

@@ -100,6 +100,21 @@ pub fn record_elapsed(name: &'static str, timer: Option<std::time::Instant>) {
     }
 }
 
+/// The elapsed time of a timer from [`start_timer`], zero for a `None`
+/// timer: one lap of a stage that is timed in pieces and recorded once
+/// with [`record_duration`].
+pub fn lap(timer: Option<std::time::Instant>) -> std::time::Duration {
+    timer.map_or(std::time::Duration::ZERO, |t0| t0.elapsed())
+}
+
+/// Records `d` into the named histogram, rounded to the nearest
+/// microsecond, when metrics are enabled.
+pub fn record_duration(name: &'static str, d: std::time::Duration) {
+    if crate::metrics_enabled() {
+        histogram(name).record(rounded_micros(d));
+    }
+}
+
 /// `d` in whole microseconds, rounded to nearest: truncating would read
 /// every sample up to 1 µs low, a bias that matters for stages averaging
 /// ten-odd microseconds.
