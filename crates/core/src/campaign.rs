@@ -620,7 +620,7 @@ fn snapshot(
         // land past it when one case jumps several virtual hours). This is
         // the same rule the shard merge applies, which keeps a 1-shard
         // engine run bit-identical to the serial campaign.
-        issues: crate::triage::dedup_refs(findings.iter().filter(|f| f.vhour <= hour as f64)).len(),
+        issues: crate::triage::issue_count(findings.iter().filter(|f| f.vhour <= hour as f64)),
     }
 }
 

@@ -153,39 +153,20 @@ fn replace_atoms_arena(
         return id;
     }
     match arena.node(id) {
-        ANode::App(op, start, len) if arena.op(op).is_connective() => {
-            let kids = arena.args(start, len).to_vec();
-            let new: Vec<TermId> = kids
-                .iter()
-                .map(|&k| replace_atoms_arena(arena, k, cfg, rng, counter, seen, force_index))
-                .collect();
-            if new == kids {
-                id
-            } else {
-                arena.mk_app(op, &new)
-            }
-        }
-        ANode::Quant(q, start, len, body) => {
+        ANode::App(op, _, _) if arena.op(op).is_connective() => arena.map_args(id, |arena, k| {
+            replace_atoms_arena(arena, k, cfg, rng, counter, seen, force_index)
+        }),
+        ANode::Quant(_, _, _, body) => {
             let new_body = replace_atoms_arena(arena, body, cfg, rng, counter, seen, force_index);
-            if new_body == body {
-                id
-            } else {
-                let vars = arena.quant_vars(start, len).to_vec();
-                arena.mk_quant(q, &vars, new_body)
-            }
+            arena.with_body(id, new_body)
         }
         ANode::Let(start, len, body) => {
             // Binder values keep their atoms (counted but never replaced).
-            for &(_, v) in &arena.let_binds(start, len).to_vec() {
-                *seen += count_atoms_arena(arena, v);
+            for i in 0..len as usize {
+                *seen += count_atoms_arena(arena, arena.let_binds(start, len)[i].1);
             }
             let new_body = replace_atoms_arena(arena, body, cfg, rng, counter, seen, force_index);
-            if new_body == body {
-                id
-            } else {
-                let binds = arena.let_binds(start, len).to_vec();
-                arena.mk_let(&binds, new_body)
-            }
+            arena.with_body(id, new_body)
         }
         _ => id,
     }

@@ -8,7 +8,8 @@ use crate::oracle::Verdict;
 use o4a_smtlib::Theory;
 use o4a_solvers::bugs::{registry, BugKind, BugSpec, DevStatus};
 use o4a_solvers::{CommitIdx, FormulaFeatures, SolverId};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 
 /// The observable class of a finding.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
@@ -136,35 +137,61 @@ pub struct Issue {
     pub first_vhour: f64,
 }
 
-/// Deduplicates findings into issues: crashes by signature, other kinds by
-/// (solver, kind, most-specific theory).
-pub fn dedup(findings: &[Finding]) -> Vec<Issue> {
-    dedup_refs(findings)
+/// What [`dedup`] groups findings by. Its `Display` is the issue's
+/// [`Issue::key`], and distinct keys display distinctly (the first
+/// segment tells crash keys from the rest, and solver, kind and theory
+/// names are fixed and `::`-free), so counting keys counts issues.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+pub enum IssueKey<'a> {
+    /// A crash with a signature: clustered by solver and signature.
+    Crash(SolverId, &'a str),
+    /// Any other finding: grouped by kind, solver and theory.
+    Group(FoundKind, SolverId, Theory),
 }
 
-/// [`dedup`] over borrowed findings — lets the campaign engine compute
-/// filtered issue counts (e.g. per snapshot hour) without cloning the
-/// finding texts.
-pub fn dedup_refs<'a>(findings: impl IntoIterator<Item = &'a Finding>) -> Vec<Issue> {
-    let mut map: BTreeMap<String, Issue> = BTreeMap::new();
-    for f in findings {
-        let key = match (&f.kind, &f.signature) {
-            (FoundKind::Crash, Some(sig)) => format!("crash::{}::{sig}", f.solver),
+impl fmt::Display for IssueKey<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            IssueKey::Crash(solver, sig) => write!(f, "crash::{solver}::{sig}"),
+            IssueKey::Group(kind, solver, theory) => write!(f, "{kind:?}::{solver}::{theory}"),
+        }
+    }
+}
+
+impl Finding {
+    /// The issue this finding deduplicates into: crashes by signature,
+    /// other kinds by (solver, kind, most-specific theory).
+    pub fn issue_key(&self) -> IssueKey<'_> {
+        match (&self.kind, &self.signature) {
+            (FoundKind::Crash, Some(sig)) => IssueKey::Crash(self.solver, sig),
             _ => {
                 // Soundness/invalid-model findings group by the theory the
                 // defect lives in. Manual inspection of one representative
                 // per group identifies that theory in the paper's workflow;
                 // here the attribution stands in for the inspecting human.
                 // Unattributed findings fall back to formula features.
-                let theory = f
+                let theory = self
                     .attributed
                     .map(|spec| spec.theory)
-                    .or_else(|| f.theories.iter().find(|t| t.is_extended()).copied())
-                    .or_else(|| f.theories.first().copied())
+                    .or_else(|| self.theories.iter().find(|t| t.is_extended()).copied())
+                    .or_else(|| self.theories.first().copied())
                     .unwrap_or(Theory::Core);
-                format!("{:?}::{}::{}", f.kind, f.solver, theory)
+                IssueKey::Group(self.kind, self.solver, theory)
             }
-        };
+        }
+    }
+}
+
+/// Deduplicates findings into issues by [`Finding::issue_key`].
+pub fn dedup(findings: &[Finding]) -> Vec<Issue> {
+    dedup_refs(findings)
+}
+
+/// [`dedup`] over borrowed findings.
+pub fn dedup_refs<'a>(findings: impl IntoIterator<Item = &'a Finding>) -> Vec<Issue> {
+    let mut map: BTreeMap<String, Issue> = BTreeMap::new();
+    for f in findings {
+        let key = f.issue_key().to_string();
         match map.get_mut(&key) {
             Some(issue) => {
                 issue.occurrences += 1;
@@ -189,6 +216,17 @@ pub fn dedup_refs<'a>(findings: impl IntoIterator<Item = &'a Finding>) -> Vec<Is
         }
     }
     map.into_values().collect()
+}
+
+/// `dedup_refs(findings).len()` without building the issues: the
+/// number of distinct [`IssueKey`]s. The campaign engine counts each
+/// hourly snapshot's issues this way.
+pub fn issue_count<'a>(findings: impl IntoIterator<Item = &'a Finding>) -> usize {
+    findings
+        .into_iter()
+        .map(Finding::issue_key)
+        .collect::<BTreeSet<_>>()
+        .len()
 }
 
 /// Table 1 row values for one solver.
@@ -365,6 +403,57 @@ mod tests {
             ),
         ];
         assert_eq!(dedup(&findings).len(), 2);
+    }
+
+    /// Counting keys counts issues: every kind of key, with findings of
+    /// equal and of different keys, crashes with and without signatures.
+    #[test]
+    fn issue_count_is_the_number_of_issues() {
+        let mut findings = Vec::new();
+        for solver in SolverId::ALL {
+            for theory in [Theory::Ints, Theory::Sequences, Theory::Core] {
+                for (kind, sig) in [
+                    (FoundKind::Crash, Some("a:1")),
+                    (FoundKind::Crash, Some("b:2")),
+                    (FoundKind::Crash, None),
+                    (FoundKind::Soundness, None),
+                    (FoundKind::InvalidModel, None),
+                ] {
+                    findings.push(finding(solver, kind, sig, theory, None));
+                    let n = findings.len();
+                    assert_eq!(issue_count(&findings), dedup(&findings).len());
+                    assert_eq!(
+                        issue_count(&findings[n / 2..]),
+                        dedup(&findings[n / 2..]).len()
+                    );
+                }
+            }
+        }
+        assert_eq!(issue_count(&findings), 2 * (2 + 3 * 3));
+        assert_eq!(issue_count(&[]), 0);
+    }
+
+    /// Distinct group keys display as distinct issue keys, over every
+    /// kind, solver and theory.
+    #[test]
+    fn group_keys_display_distinctly() {
+        let mut shown = BTreeSet::new();
+        let mut keys = 0;
+        for solver in SolverId::ALL {
+            shown.insert(IssueKey::Crash(solver, "sig").to_string());
+            keys += 1;
+            for kind in [
+                FoundKind::Crash,
+                FoundKind::Soundness,
+                FoundKind::InvalidModel,
+            ] {
+                for theory in Theory::ALL {
+                    shown.insert(IssueKey::Group(kind, solver, theory).to_string());
+                    keys += 1;
+                }
+            }
+        }
+        assert_eq!(shown.len(), keys);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //!   bound.
 
 use o4a_core::{
-    dedup_refs, CampaignConfig, CampaignResult, CampaignStats, CampaignStepper, CoveragePoint,
+    issue_count, CampaignConfig, CampaignResult, CampaignStats, CampaignStepper, CoveragePoint,
     Finding, Fuzzer, HourlySnapshot, StepOutcome,
 };
 use o4a_solvers::coverage::universe;
@@ -474,7 +474,7 @@ pub fn merge_shard_results(
             cases,
             // Same rule as the serial stepper's snapshots: issues known by
             // the hour boundary, recomputed (issue counts do not sum).
-            issues: dedup_refs(findings.iter().filter(|f| f.vhour <= hour as f64)).len(),
+            issues: issue_count(findings.iter().filter(|f| f.vhour <= hour as f64)),
         });
     }
 

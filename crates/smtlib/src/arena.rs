@@ -424,8 +424,104 @@ impl TermArena {
         n
     }
 
-    // ---- mutation (rebuild-if-changed: untouched subtrees keep their ids,
-    // so mutation chains share structure instead of deep-cloning) ----
+    // ---- mutation (copy-on-change: untouched subtrees keep their ids,
+    // so mutation chains share structure instead of deep-cloning, and a
+    // rewrite that changes nothing allocates nothing) ----
+
+    /// Maps `len` items through `f` in order, copy-on-change. `item`
+    /// reads item `i` from the arena before its call (the tables grow
+    /// while `f` runs, so no slice of them is held). Returns `None`, with
+    /// nothing allocated, when every item comes back unchanged; otherwise
+    /// the mapped items, in a vector allocated at the first changed one.
+    fn map_span<T: Copy + PartialEq>(
+        &mut self,
+        len: u32,
+        item: impl Fn(&TermArena, u32) -> T,
+        mut f: impl FnMut(&mut TermArena, T) -> T,
+    ) -> Option<Vec<T>> {
+        let mut changed: Option<Vec<T>> = None;
+        for i in 0..len {
+            let old = item(self, i);
+            let new = f(self, old);
+            match &mut changed {
+                Some(items) => items.push(new),
+                None if new != old => {
+                    let mut items = Vec::with_capacity(len as usize);
+                    items.extend((0..i).map(|j| item(self, j)));
+                    items.push(new);
+                    changed = Some(items);
+                }
+                None => {}
+            }
+        }
+        changed
+    }
+
+    /// The application node `id` with each argument mapped through `f`,
+    /// left to right, copy-on-change: `id` itself, with nothing
+    /// allocated, when every argument comes back unchanged; otherwise a
+    /// new node, built after the last call.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `id` is not an application node.
+    pub fn map_args(
+        &mut self,
+        id: TermId,
+        f: impl FnMut(&mut TermArena, TermId) -> TermId,
+    ) -> TermId {
+        let ANode::App(op, start, len) = self.node(id) else {
+            panic!("map_args of a non-application node");
+        };
+        match self.map_span(len, |a, i| a.children[(start + i) as usize], f) {
+            None => id,
+            Some(args) => self.mk_app(op, &args),
+        }
+    }
+
+    /// Maps the bound values of `let` node `id` through `f`, left to
+    /// right, copy-on-change: `None` when none changed.
+    fn map_let_values(
+        &mut self,
+        id: TermId,
+        mut f: impl FnMut(&mut TermArena, TermId) -> TermId,
+    ) -> Option<Vec<(SymbolId, TermId)>> {
+        let ANode::Let(start, len, _) = self.node(id) else {
+            unreachable!("map_let_values of a non-let node");
+        };
+        self.map_span(
+            len,
+            |a, i| a.binds[(start + i) as usize],
+            |a, (s, v)| (s, f(a, v)),
+        )
+    }
+
+    /// The `let` or quantifier node `id` with its body replaced by
+    /// `body`: `id` itself when `body` is its body; otherwise a new node
+    /// over a copy of its binders, as `mk_let`/`mk_quant` of them would
+    /// build.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `id` is neither a `let` nor a quantifier node.
+    pub fn with_body(&mut self, id: TermId, body: TermId) -> TermId {
+        match self.node(id) {
+            ANode::Let(_, _, old) | ANode::Quant(_, _, _, old) if old == body => id,
+            ANode::Let(start, len, _) => {
+                let copy = self.binds.len() as u32;
+                let span = start as usize..(start + len) as usize;
+                self.binds.extend_from_within(span);
+                self.push(ANode::Let(copy, len, body))
+            }
+            ANode::Quant(q, start, len, _) => {
+                let copy = self.qvars.len() as u32;
+                let span = start as usize..(start + len) as usize;
+                self.qvars.extend_from_within(span);
+                self.push(ANode::Quant(q, copy, len, body))
+            }
+            _ => panic!("with_body of a node without a body"),
+        }
+    }
 
     /// Substitutes free occurrences of `from` with `to`, matching
     /// [`Term::rename_free_var`] exactly (capture-naive, bound occurrences
@@ -433,59 +529,29 @@ impl TermArena {
     pub fn rename_free_var(&mut self, id: TermId, from: &Symbol, to: &Symbol) -> TermId {
         let from = self.sym_of(from);
         let to = self.sym_of(to);
-        let mut bound = Vec::new();
-        self.rename_rec(id, from, to, &mut bound)
+        self.rename_rec(id, from, to, false)
     }
 
-    fn rename_rec(
-        &mut self,
-        id: TermId,
-        from: SymbolId,
-        to: SymbolId,
-        bound: &mut Vec<SymbolId>,
-    ) -> TermId {
+    /// [`TermArena::rename_free_var`] below binders; `shadowed` is true
+    /// inside a binder of `from`.
+    fn rename_rec(&mut self, id: TermId, from: SymbolId, to: SymbolId, shadowed: bool) -> TermId {
         match self.node(id) {
-            ANode::Var(s) if s == from && !bound.contains(&from) => self.mk_var(to),
+            ANode::Var(s) if s == from && !shadowed => self.mk_var(to),
             ANode::Var(_) | ANode::Const(_) | ANode::Placeholder(_) => id,
-            ANode::App(op, start, len) => {
-                let kids = self.args(start, len).to_vec();
-                let new: Vec<TermId> = kids
-                    .iter()
-                    .map(|&k| self.rename_rec(k, from, to, bound))
-                    .collect();
-                if new == kids {
-                    id
-                } else {
-                    self.mk_app(op, &new)
-                }
-            }
+            ANode::App(..) => self.map_args(id, |a, k| a.rename_rec(k, from, to, shadowed)),
             ANode::Let(start, len, body) => {
-                let binds = self.let_binds(start, len).to_vec();
-                let new_binds: Vec<(SymbolId, TermId)> = binds
-                    .iter()
-                    .map(|&(s, v)| (s, self.rename_rec(v, from, to, bound)))
-                    .collect();
-                let n = bound.len();
-                bound.extend(binds.iter().map(|&(s, _)| s));
-                let new_body = self.rename_rec(body, from, to, bound);
-                bound.truncate(n);
-                if new_body == body && new_binds == binds {
-                    id
-                } else {
-                    self.mk_let(&new_binds, new_body)
+                let new_binds = self.map_let_values(id, |a, v| a.rename_rec(v, from, to, shadowed));
+                let inner = shadowed || self.let_binds(start, len).iter().any(|&(s, _)| s == from);
+                let new_body = self.rename_rec(body, from, to, inner);
+                match new_binds {
+                    None => self.with_body(id, new_body),
+                    Some(binds) => self.mk_let(&binds, new_body),
                 }
             }
-            ANode::Quant(q, start, len, body) => {
-                let vars = self.quant_vars(start, len).to_vec();
-                let n = bound.len();
-                bound.extend(vars.iter().map(|&(s, _)| s));
-                let new_body = self.rename_rec(body, from, to, bound);
-                bound.truncate(n);
-                if new_body == body {
-                    id
-                } else {
-                    self.mk_quant(q, &vars, new_body)
-                }
+            ANode::Quant(_, start, len, body) => {
+                let inner = shadowed || self.quant_vars(start, len).iter().any(|&(s, _)| s == from);
+                let new_body = self.rename_rec(body, from, to, inner);
+                self.with_body(id, new_body)
             }
         }
     }
@@ -507,39 +573,18 @@ impl TermArena {
                 }
             }
             ANode::Var(_) | ANode::Const(_) => id,
-            ANode::App(op, start, len) => {
-                let kids = self.args(start, len).to_vec();
-                let new: Vec<TermId> = kids
-                    .iter()
-                    .map(|&k| self.fill_placeholders(k, fills, next))
-                    .collect();
-                if new == kids {
-                    id
-                } else {
-                    self.mk_app(op, &new)
+            ANode::App(..) => self.map_args(id, |a, k| a.fill_placeholders(k, fills, next)),
+            ANode::Let(_, _, body) => {
+                let new_binds = self.map_let_values(id, |a, v| a.fill_placeholders(v, fills, next));
+                let new_body = self.fill_placeholders(body, fills, next);
+                match new_binds {
+                    None => self.with_body(id, new_body),
+                    Some(binds) => self.mk_let(&binds, new_body),
                 }
             }
-            ANode::Let(start, len, body) => {
-                let binds = self.let_binds(start, len).to_vec();
-                let new_binds: Vec<(SymbolId, TermId)> = binds
-                    .iter()
-                    .map(|&(s, v)| (s, self.fill_placeholders(v, fills, next)))
-                    .collect();
+            ANode::Quant(_, _, _, body) => {
                 let new_body = self.fill_placeholders(body, fills, next);
-                if new_body == body && new_binds == binds {
-                    id
-                } else {
-                    self.mk_let(&new_binds, new_body)
-                }
-            }
-            ANode::Quant(q, start, len, body) => {
-                let new_body = self.fill_placeholders(body, fills, next);
-                if new_body == body {
-                    id
-                } else {
-                    let vars = self.quant_vars(start, len).to_vec();
-                    self.mk_quant(q, &vars, new_body)
-                }
+                self.with_body(id, new_body)
             }
         }
     }
@@ -1326,5 +1371,89 @@ mod tests {
         let mut buf = String::new();
         arena.print_term_into(trued, &mut buf);
         assert_eq!(buf, "(and true (or true true))");
+    }
+
+    /// The rebuild-everything rename the copy-on-change walk replaced:
+    /// copy each child span, map it, compare, rebuild on a difference.
+    fn rename_by_full_rebuild(
+        a: &mut TermArena,
+        id: TermId,
+        from: SymbolId,
+        to: SymbolId,
+        bound: &mut Vec<SymbolId>,
+    ) -> TermId {
+        match a.node(id) {
+            ANode::Var(s) if s == from && !bound.contains(&from) => a.mk_var(to),
+            ANode::Var(_) | ANode::Const(_) | ANode::Placeholder(_) => id,
+            ANode::App(op, start, len) => {
+                let kids = a.args(start, len).to_vec();
+                let new: Vec<TermId> = kids
+                    .iter()
+                    .map(|&k| rename_by_full_rebuild(a, k, from, to, bound))
+                    .collect();
+                if new == kids {
+                    id
+                } else {
+                    a.mk_app(op, &new)
+                }
+            }
+            ANode::Let(start, len, body) => {
+                let binds = a.let_binds(start, len).to_vec();
+                let new_binds: Vec<(SymbolId, TermId)> = binds
+                    .iter()
+                    .map(|&(s, v)| (s, rename_by_full_rebuild(a, v, from, to, bound)))
+                    .collect();
+                let n = bound.len();
+                bound.extend(binds.iter().map(|&(s, _)| s));
+                let new_body = rename_by_full_rebuild(a, body, from, to, bound);
+                bound.truncate(n);
+                if new_body == body && new_binds == binds {
+                    id
+                } else {
+                    a.mk_let(&new_binds, new_body)
+                }
+            }
+            ANode::Quant(q, start, len, body) => {
+                let vars = a.quant_vars(start, len).to_vec();
+                let n = bound.len();
+                bound.extend(vars.iter().map(|&(s, _)| s));
+                let new_body = rename_by_full_rebuild(a, body, from, to, bound);
+                bound.truncate(n);
+                if new_body == body {
+                    id
+                } else {
+                    a.mk_quant(q, &vars, new_body)
+                }
+            }
+        }
+    }
+
+    /// Copy-on-change builds the very nodes, spans and ids the full
+    /// rebuild built, in the same order: the two arenas stay equal table
+    /// for table after every rename, changed or not.
+    #[test]
+    fn copy_on_change_rename_builds_what_a_full_rebuild_builds() {
+        let terms = [
+            "(or (= x 0) (< x 1) (> y x))",
+            "(let ((x (+ x 1)) (y x)) (and (= x 2) (= y z)))",
+            "(let ((w (+ x 1))) (and (= w 2) (= x z)))",
+            "(forall ((x Int)) (=> (> x y) (exists ((y Int)) (= x y))))",
+            "(and (exists ((z Int)) (> z x)) (let ((q 1)) (= q y)) (< x y))",
+        ];
+        for text in terms {
+            for (from, to) in [("x", "v"), ("y", "x"), ("z", "y"), ("absent", "v")] {
+                let mut cow = TermArena::new();
+                let root = parse_term_arena(text, &mut cow).expect("term parses");
+                let (from_id, to_id) = (cow.sym(from), cow.sym(to));
+                let mut full = cow.clone();
+                let got = cow.rename_free_var(root, &Symbol::new(from), &Symbol::new(to));
+                let want = rename_by_full_rebuild(&mut full, root, from_id, to_id, &mut Vec::new());
+                assert_eq!(got, want, "{text}: {from} -> {to}");
+                assert!(cow == full, "{text}: {from} -> {to}: tables differ");
+                if from == "absent" {
+                    assert_eq!(got, root, "{text}: a no-op rename keeps the id");
+                }
+            }
+        }
     }
 }

@@ -585,7 +585,7 @@ impl SmtSolver for Cervo {
     }
 
     fn reset_coverage(&mut self) {
-        self.coverage = CoverageMap::new();
+        self.coverage.clear();
     }
 }
 

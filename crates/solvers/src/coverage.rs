@@ -91,6 +91,7 @@ impl FunctionInfo {
 pub struct Universe {
     solver: SolverId,
     functions: Vec<FunctionInfo>,
+    total_lines: u64,
     index: BTreeMap<String, usize>,
     /// `frontend::cmd_*` indices, slot-for-slot with [`CMD_POINTS`].
     pub(crate) frontend_cmd: [usize; 12],
@@ -117,7 +118,7 @@ impl Universe {
 
     /// Total line count (gcov "lines" denominator).
     pub fn total_lines(&self) -> u64 {
-        self.functions.iter().map(|f| f.total_lines() as u64).sum()
+        self.total_lines
     }
 
     /// Looks up a function index by name.
@@ -311,6 +312,7 @@ fn build_universe(solver: SolverId) -> Universe {
 
     Universe {
         solver,
+        total_lines: functions.iter().map(|f| f.total_lines() as u64).sum(),
         functions,
         index,
         frontend_cmd,
@@ -365,10 +367,32 @@ pub fn op_slug(op: &Op) -> String {
 }
 
 /// A set of hit branches, accumulated across a fuzzing campaign.
-#[derive(Clone, Debug, Default)]
+///
+/// Dense: `masks[idx]` is the bitmask of hit branches of the function at
+/// universe index `idx`, grown on demand up to the highest index hit. A
+/// hit is one OR, [`CoverageMap::merge`] an element-wise OR and `clone`
+/// a copy of at most one word per universe function (767 for OxiZ, 702
+/// for Cervo). `Debug` prints the `{idx: mask}` map of the hit functions
+/// only, in index order.
+#[derive(Clone, Default)]
 pub struct CoverageMap {
-    /// function index → bitmask of hit branches.
-    hits: BTreeMap<usize, u32>,
+    masks: Vec<u32>,
+    /// Number of non-zero entries of `masks`.
+    functions_hit: usize,
+}
+
+impl std::fmt::Debug for CoverageMap {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        struct Hits<'a>(&'a CoverageMap);
+        impl std::fmt::Debug for Hits<'_> {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                f.debug_map().entries(self.0.hits()).finish()
+            }
+        }
+        f.debug_struct("CoverageMap")
+            .field("hits", &Hits(self))
+            .finish()
+    }
 }
 
 impl CoverageMap {
@@ -377,15 +401,37 @@ impl CoverageMap {
         CoverageMap::default()
     }
 
+    /// Forgets every hit, keeping the buffer for the next case.
+    pub fn clear(&mut self) {
+        self.masks.clear();
+        self.functions_hit = 0;
+    }
+
+    /// The hit functions' `(index, mask)` pairs, in index order.
+    fn hits(&self) -> impl Iterator<Item = (usize, u32)> + '_ {
+        self.masks
+            .iter()
+            .enumerate()
+            .filter(|&(_, &mask)| mask != 0)
+            .map(|(idx, &mask)| (idx, mask))
+    }
+
+    /// ORs a non-zero `bits` into the function at `idx`.
+    fn or(&mut self, idx: usize, bits: u32) {
+        if idx >= self.masks.len() {
+            self.masks.resize(idx + 1, 0);
+        }
+        let mask = &mut self.masks[idx];
+        self.functions_hit += usize::from(*mask == 0);
+        *mask |= bits;
+    }
+
     /// Records a hit of `branch` in function `name`. Unknown names and
     /// out-of-range branches are ignored (they indicate instrumentation
     /// drift, not solver behaviour).
     pub fn hit(&mut self, universe: &Universe, name: &str, branch: usize) {
         if let Some(idx) = universe.function_index(name) {
-            let n = universe.functions()[idx].branch_lines.len();
-            if branch < n && universe.functions()[idx].reachable {
-                *self.hits.entry(idx).or_insert(0) |= 1 << branch;
-            }
+            self.hit_idx(universe, idx, branch);
         }
     }
 
@@ -397,7 +443,7 @@ impl CoverageMap {
     pub fn hit_idx(&mut self, universe: &Universe, idx: usize, branch: usize) {
         if let Some(f) = universe.functions().get(idx) {
             if branch < f.branch_lines.len() && f.reachable {
-                *self.hits.entry(idx).or_insert(0) |= 1 << branch;
+                self.or(idx, 1 << branch);
             }
         }
     }
@@ -405,21 +451,27 @@ impl CoverageMap {
     /// Merges another map into this one (used to accumulate per-testcase
     /// coverage into campaign totals).
     pub fn merge(&mut self, other: &CoverageMap) {
-        for (idx, mask) in &other.hits {
-            *self.hits.entry(*idx).or_insert(0) |= mask;
+        if other.masks.len() > self.masks.len() {
+            self.masks.resize(other.masks.len(), 0);
         }
+        let mut newly_hit = 0;
+        for (mask, &bits) in self.masks.iter_mut().zip(&other.masks) {
+            newly_hit += usize::from(*mask == 0 && bits != 0);
+            *mask |= bits;
+        }
+        self.functions_hit += newly_hit;
     }
 
     /// Number of functions with at least one hit branch.
     pub fn functions_hit(&self) -> usize {
-        self.hits.len()
+        self.functions_hit
     }
 
     /// Total line weight of hit branches.
     pub fn lines_hit(&self, universe: &Universe) -> u64 {
         let mut total = 0u64;
-        for (idx, mask) in &self.hits {
-            let f = &universe.functions()[*idx];
+        for (idx, mask) in self.hits() {
+            let f = &universe.functions()[idx];
             for (b, lines) in f.branch_lines.iter().enumerate() {
                 if mask & (1 << b) != 0 {
                     total += *lines as u64;
@@ -442,15 +494,14 @@ impl CoverageMap {
     /// Names of covered functions (for the paper's "which directories did
     /// only Once4All reach" analysis).
     pub fn covered_function_names<'u>(&self, universe: &'u Universe) -> Vec<&'u str> {
-        self.hits
-            .keys()
-            .map(|&i| universe.functions()[i].name.as_str())
+        self.hits()
+            .map(|(i, _)| universe.functions()[i].name.as_str())
             .collect()
     }
 
     /// True when no branch has been hit.
     pub fn is_empty(&self) -> bool {
-        self.hits.is_empty()
+        self.functions_hit == 0
     }
 
     /// Exports the map as `(function name, branch bitmask)` pairs in
@@ -458,9 +509,8 @@ impl CoverageMap {
     /// campaign findings store (names survive universe relayouts that
     /// indices would not).
     pub fn export(&self, universe: &Universe) -> Vec<(String, u32)> {
-        self.hits
-            .iter()
-            .map(|(&idx, &mask)| (universe.functions()[idx].name.clone(), mask))
+        self.hits()
+            .map(|(idx, mask)| (universe.functions()[idx].name.clone(), mask))
             .collect()
     }
 
@@ -478,7 +528,7 @@ impl CoverageMap {
             };
             let clipped = mask & valid;
             if clipped != 0 && f.reachable {
-                *self.hits.entry(idx).or_insert(0) |= clipped;
+                self.or(idx, clipped);
             }
         }
     }
@@ -712,6 +762,207 @@ mod tests {
         }
         by_idx.hit_idx(u, usize::MAX, 0); // unknown index: ignored
         assert_eq!(by_name.export(u), by_idx.export(u));
+    }
+
+    /// The map's semantics kept as the sparse `BTreeMap` it once was,
+    /// with the derived `Debug` the findings store and fleet frames
+    /// printed.
+    #[derive(Clone, Debug, Default)]
+    struct CoverageMapModel {
+        hits: BTreeMap<usize, u32>,
+    }
+
+    impl CoverageMapModel {
+        fn hit_idx(&mut self, u: &Universe, idx: usize, branch: usize) {
+            if let Some(f) = u.functions().get(idx) {
+                if branch < f.branch_lines.len() && f.reachable {
+                    *self.hits.entry(idx).or_insert(0) |= 1 << branch;
+                }
+            }
+        }
+
+        fn absorb_mask(&mut self, u: &Universe, name: &str, mask: u32) {
+            if let Some(idx) = u.function_index(name) {
+                let f = &u.functions()[idx];
+                let clipped = mask & ((1u32 << f.branch_lines.len()) - 1);
+                if clipped != 0 && f.reachable {
+                    *self.hits.entry(idx).or_insert(0) |= clipped;
+                }
+            }
+        }
+
+        fn merge(&mut self, other: &CoverageMapModel) {
+            for (&idx, &mask) in &other.hits {
+                *self.hits.entry(idx).or_insert(0) |= mask;
+            }
+        }
+
+        fn lines_hit(&self, u: &Universe) -> u64 {
+            let mut total = 0;
+            for (&idx, &mask) in &self.hits {
+                for (b, &lines) in u.functions()[idx].branch_lines.iter().enumerate() {
+                    if mask & (1 << b) != 0 {
+                        total += u64::from(lines);
+                    }
+                }
+            }
+            total
+        }
+    }
+
+    /// Everything the map reports, as `model` would report it.
+    fn assert_agrees(map: &CoverageMap, model: &CoverageMapModel, u: &Universe, step: &str) {
+        let export: Vec<(String, u32)> = model
+            .hits
+            .iter()
+            .map(|(&i, &m)| (u.functions()[i].name.clone(), m))
+            .collect();
+        assert_eq!(map.export(u), export, "{step}");
+        assert_eq!(map.functions_hit(), model.hits.len(), "{step}");
+        assert_eq!(map.lines_hit(u), model.lines_hit(u), "{step}");
+        assert_eq!(map.is_empty(), model.hits.is_empty(), "{step}");
+        let names: Vec<&str> = model
+            .hits
+            .keys()
+            .map(|&i| u.functions()[i].name.as_str())
+            .collect();
+        assert_eq!(map.covered_function_names(u), names, "{step}");
+        let model_debug = format!("{model:?}").replacen("CoverageMapModel", "CoverageMap", 1);
+        assert_eq!(format!("{map:?}"), model_debug, "{step}");
+        let model_pretty = format!("{model:#?}").replacen("CoverageMapModel", "CoverageMap", 1);
+        assert_eq!(format!("{map:#?}"), model_pretty, "{step}");
+    }
+
+    /// Seeded random sequences of every mutation, each followed by a
+    /// full comparison against the sparse model: unknown names, branches
+    /// past 4, dark functions, masks that need clipping, and merges of
+    /// maps grown to different lengths.
+    #[test]
+    fn dense_map_matches_the_sparse_model() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for solver in SolverId::ALL {
+            let u = universe(solver);
+            let n = u.total_functions();
+            let mut rng = StdRng::seed_from_u64(0xc0de + solver as u64);
+            let random_map = |rng: &mut StdRng| {
+                // A short map (low indices only) or one grown to the end.
+                let top = if rng.gen_bool(0.5) { n / 8 } else { n };
+                let mut map = CoverageMap::new();
+                let mut model = CoverageMapModel::default();
+                for _ in 0..rng.gen_range(0..40) {
+                    let (idx, branch) = (rng.gen_range(0..top), rng.gen_range(0..6));
+                    map.hit_idx(u, idx, branch);
+                    model.hit_idx(u, idx, branch);
+                }
+                (map, model)
+            };
+            for run in 0..20 {
+                let mut map = CoverageMap::new();
+                let mut model = CoverageMapModel::default();
+                for step in 0..150 {
+                    let what = rng.gen_range(0..6);
+                    let step = format!("{solver} run {run} step {step} op {what}");
+                    match what {
+                        0 => {
+                            let idx = rng.gen_range(0..n + 3);
+                            let name = match u.functions().get(idx) {
+                                Some(f) => f.name.clone(),
+                                None => format!("no::such::fn_{idx}"),
+                            };
+                            let branch = rng.gen_range(0..6);
+                            map.hit(u, &name, branch);
+                            if let Some(i) = u.function_index(&name) {
+                                model.hit_idx(u, i, branch);
+                            }
+                        }
+                        1 => {
+                            let idx = match rng.gen_range(0..10) {
+                                0 => usize::MAX,
+                                _ => rng.gen_range(0..n + 3),
+                            };
+                            let branch = rng.gen_range(0..6);
+                            map.hit_idx(u, idx, branch);
+                            model.hit_idx(u, idx, branch);
+                        }
+                        2 => {
+                            let idx = rng.gen_range(0..n + 3);
+                            let name = u
+                                .functions()
+                                .get(idx)
+                                .map_or("no::such::function".to_string(), |f| f.name.clone());
+                            let mask = match rng.gen_range(0..3) {
+                                0 => 0,
+                                1 => rng.gen_range(0..16),
+                                _ => rng.gen::<u32>(),
+                            };
+                            map.absorb_mask(u, &name, mask);
+                            model.absorb_mask(u, &name, mask);
+                        }
+                        3 | 4 => {
+                            let (other, other_model) = random_map(&mut rng);
+                            if what == 3 {
+                                map.merge(&other);
+                                model.merge(&other_model);
+                            } else {
+                                // The other way round: the longer map
+                                // merges into the shorter one.
+                                let mut other = other;
+                                let mut other_model = other_model;
+                                other.merge(&map);
+                                other_model.merge(&model);
+                                map = other;
+                                model = other_model;
+                            }
+                        }
+                        _ => {
+                            if rng.gen_bool(0.3) {
+                                map.clear();
+                                model = CoverageMapModel::default();
+                            }
+                        }
+                    }
+                    assert_agrees(&map, &model, u, &step);
+                    let copy = map.clone();
+                    assert_agrees(&copy, &model, u, &step);
+                }
+            }
+        }
+    }
+
+    /// `reset_coverage` clears in place: a second case's coverage on a
+    /// reused engine is exactly that case's coverage on a fresh one.
+    #[test]
+    fn reset_engine_reports_what_a_fresh_engine_reports() {
+        use crate::{solver_at, TRUNK_COMMIT};
+        let cases = [
+            "(declare-const x Int)(declare-const s String)\
+             (assert (and (> x 3) (= (str.len s) x)))(check-sat)",
+            "(declare-const a (_ BitVec 8))(assert (bvult a #x10))(check-sat)",
+            "(declare-const p Bool)(assert (forall ((y Int)) (or p (> y 0))))(check-sat)",
+            "(assert (= 1 2))(check-sat)",
+        ];
+        for solver in SolverId::ALL {
+            let u = universe(solver);
+            let mut reused = solver_at(solver, TRUNK_COMMIT);
+            for (k, case) in cases.iter().enumerate() {
+                reused.reset_coverage();
+                reused.check(case);
+                let mut fresh = solver_at(solver, TRUNK_COMMIT);
+                fresh.check(case);
+                assert!(!fresh.coverage().is_empty(), "{solver} case {k}");
+                assert_eq!(
+                    reused.coverage().export(u),
+                    fresh.coverage().export(u),
+                    "{solver} case {k}"
+                );
+                assert_eq!(
+                    format!("{:?}", reused.coverage()),
+                    format!("{:?}", fresh.coverage()),
+                    "{solver} case {k}"
+                );
+            }
+        }
     }
 
     #[test]

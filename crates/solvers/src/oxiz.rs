@@ -689,7 +689,7 @@ impl SmtSolver for OxiZ {
     }
 
     fn reset_coverage(&mut self) {
-        self.coverage = CoverageMap::new();
+        self.coverage.clear();
     }
 }
 
