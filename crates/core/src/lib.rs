@@ -39,6 +39,6 @@ pub use oracle::{judge, judge_parsed, model_satisfies, Verdict};
 pub use seeds::{parsed_seeds, SEED_TEXTS};
 pub use skeleton::{skeletonize_arena, ArenaSkeleton, SkeletonConfig};
 pub use triage::{
-    attribute, dedup, dedup_refs, extended_theory_count, issue_count, status_table, type_table,
-    Finding, FoundKind, Issue, IssueKey, StatusCounts,
+    attribute, dedup, extended_theory_count, issue_count, status_table, type_table, Finding,
+    FoundKind, Issue, IssueKey, StatusCounts,
 };

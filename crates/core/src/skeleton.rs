@@ -162,9 +162,11 @@ fn replace_atoms_arena(
         }
         ANode::Let(start, len, body) => {
             // Binder values keep their atoms (counted but never replaced).
-            for i in 0..len as usize {
-                *seen += count_atoms_arena(arena, arena.let_binds(start, len)[i].1);
-            }
+            let binds = arena.let_binds(start, len);
+            *seen += binds
+                .iter()
+                .map(|&(_, v)| count_atoms_arena(arena, v))
+                .sum::<usize>();
             let new_body = replace_atoms_arena(arena, body, cfg, rng, counter, seen, force_index);
             arena.with_body(id, new_body)
         }

@@ -184,11 +184,6 @@ impl Finding {
 
 /// Deduplicates findings into issues by [`Finding::issue_key`].
 pub fn dedup(findings: &[Finding]) -> Vec<Issue> {
-    dedup_refs(findings)
-}
-
-/// [`dedup`] over borrowed findings.
-pub fn dedup_refs<'a>(findings: impl IntoIterator<Item = &'a Finding>) -> Vec<Issue> {
     let mut map: BTreeMap<String, Issue> = BTreeMap::new();
     for f in findings {
         let key = f.issue_key().to_string();
@@ -218,7 +213,7 @@ pub fn dedup_refs<'a>(findings: impl IntoIterator<Item = &'a Finding>) -> Vec<Is
     map.into_values().collect()
 }
 
-/// `dedup_refs(findings).len()` without building the issues: the
+/// `dedup(findings).len()` without building the issues: the
 /// number of distinct [`IssueKey`]s. The campaign engine counts each
 /// hourly snapshot's issues this way.
 pub fn issue_count<'a>(findings: impl IntoIterator<Item = &'a Finding>) -> usize {

@@ -377,21 +377,12 @@ pub fn op_slug(op: &Op) -> String {
 #[derive(Clone, Default)]
 pub struct CoverageMap {
     masks: Vec<u32>,
-    /// Number of non-zero entries of `masks`.
-    functions_hit: usize,
 }
 
 impl std::fmt::Debug for CoverageMap {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        struct Hits<'a>(&'a CoverageMap);
-        impl std::fmt::Debug for Hits<'_> {
-            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-                f.debug_map().entries(self.0.hits()).finish()
-            }
-        }
-        f.debug_struct("CoverageMap")
-            .field("hits", &Hits(self))
-            .finish()
+        let hits: BTreeMap<usize, u32> = self.hits().collect();
+        f.debug_struct("CoverageMap").field("hits", &hits).finish()
     }
 }
 
@@ -404,7 +395,6 @@ impl CoverageMap {
     /// Forgets every hit, keeping the buffer for the next case.
     pub fn clear(&mut self) {
         self.masks.clear();
-        self.functions_hit = 0;
     }
 
     /// The hit functions' `(index, mask)` pairs, in index order.
@@ -416,14 +406,12 @@ impl CoverageMap {
             .map(|(idx, &mask)| (idx, mask))
     }
 
-    /// ORs a non-zero `bits` into the function at `idx`.
+    /// ORs `bits` into the function at `idx`.
     fn or(&mut self, idx: usize, bits: u32) {
         if idx >= self.masks.len() {
             self.masks.resize(idx + 1, 0);
         }
-        let mask = &mut self.masks[idx];
-        self.functions_hit += usize::from(*mask == 0);
-        *mask |= bits;
+        self.masks[idx] |= bits;
     }
 
     /// Records a hit of `branch` in function `name`. Unknown names and
@@ -454,17 +442,14 @@ impl CoverageMap {
         if other.masks.len() > self.masks.len() {
             self.masks.resize(other.masks.len(), 0);
         }
-        let mut newly_hit = 0;
         for (mask, &bits) in self.masks.iter_mut().zip(&other.masks) {
-            newly_hit += usize::from(*mask == 0 && bits != 0);
             *mask |= bits;
         }
-        self.functions_hit += newly_hit;
     }
 
     /// Number of functions with at least one hit branch.
     pub fn functions_hit(&self) -> usize {
-        self.functions_hit
+        self.hits().count()
     }
 
     /// Total line weight of hit branches.
@@ -501,7 +486,7 @@ impl CoverageMap {
 
     /// True when no branch has been hit.
     pub fn is_empty(&self) -> bool {
-        self.functions_hit == 0
+        self.hits().next().is_none()
     }
 
     /// Exports the map as `(function name, branch bitmask)` pairs in
