@@ -5,34 +5,30 @@
 //!
 //! ```text
 //! dist_worker --connect HOST:PORT --journal PATH --worker N \
-//!     [--reconnect-ms MS] [--slow-ms MS] [--leave-after-leases K] \
-//!     [--crash-shard S --crash-token PATH [--crash-after CASES]]
+//!     [--slow-ms MS] [--crash-shard S --crash-token PATH [--crash-after CASES]]
 //! ```
 //!
-//! The worker joins the coordinator listening at `--connect` — the
-//! coordinator that spawned it, or any other — retrying the dial for
-//! `--reconnect-ms` (default 10000) so it can outlive a coordinator
-//! restart. A spawning coordinator hands its children the fleet secret
-//! in `O4A_DIST_SECRET`, which the `hello` echoes. The crash flags are
-//! the recovery gauntlet's fault injection: die abruptly mid-way through
-//! shard `S`, once per campaign (whoever wins the atomic creation of the
-//! token file crashes; every later holder of the lease runs it to
-//! completion). `--slow-ms` drags wall-clock per case (the heterogeneous
-//! fleet's slow machine) and `--leave-after-leases` makes the worker say
-//! goodbye mid-campaign (elastic scale-in). See `crates/dist/README.md`
-//! for the control protocol and the worker CLI contract.
+//! The coordinator spawns it with `--connect`, `--journal` and
+//! `--worker` appended to its worker command, and hands it the fleet
+//! secret in `O4A_DIST_SECRET`, which the `hello` echoes. It exits 0 on
+//! the coordinator's `goodbye` and 1 when the connection closes without
+//! one. The crash flags are the recovery gauntlet's fault injection: die
+//! abruptly mid-way through shard `S`, once per campaign (whoever wins
+//! the atomic creation of the token file crashes; every later holder of
+//! the lease runs it to completion). `--slow-ms` drags wall-clock per
+//! case, keeping leases long enough to crash or observe mid-way. See
+//! `crates/dist/README.md` for the control protocol and the worker CLI
+//! contract.
 
 use o4a_core::{Fuzzer, Once4AllFuzzer};
 use o4a_dist::{run_worker, CrashInjection, WorkerConfig};
 use std::path::PathBuf;
-use std::time::Duration;
 
 fn usage(msg: &str) -> ! {
     eprintln!("dist_worker: {msg}");
     eprintln!(
         "usage: dist_worker --connect HOST:PORT --journal PATH --worker N \
-         [--reconnect-ms MS] [--slow-ms MS] [--leave-after-leases K] \
-         [--crash-shard S --crash-token PATH [--crash-after CASES]]"
+         [--slow-ms MS] [--crash-shard S --crash-token PATH [--crash-after CASES]]"
     );
     std::process::exit(2);
 }
@@ -41,9 +37,7 @@ fn main() {
     let mut journal: Option<PathBuf> = None;
     let mut worker_id: u32 = 0;
     let mut connect: Option<String> = None;
-    let mut reconnect_ms: u64 = 10_000;
     let mut slow_ms: u64 = 0;
-    let mut leave_after: Option<u32> = None;
     let mut crash_shard: Option<u32> = None;
     let mut crash_token: Option<PathBuf> = None;
     let mut crash_after: u64 = 5;
@@ -62,11 +56,7 @@ fn main() {
             "--journal" => journal = Some(PathBuf::from(value())),
             "--worker" => worker_id = int("--worker", value()) as u32,
             "--connect" => connect = Some(value()),
-            "--reconnect-ms" => reconnect_ms = int("--reconnect-ms", value()),
             "--slow-ms" => slow_ms = int("--slow-ms", value()),
-            "--leave-after-leases" => {
-                leave_after = Some(int("--leave-after-leases", value()) as u32)
-            }
             "--crash-shard" => crash_shard = Some(int("--crash-shard", value()) as u32),
             "--crash-token" => crash_token = Some(PathBuf::from(value())),
             "--crash-after" => crash_after = int("--crash-after", value()),
@@ -92,9 +82,8 @@ fn main() {
     let mut config = WorkerConfig::new(journal, worker_id);
     config.crash = crash;
     config.slow_case_ms = slow_ms;
-    config.leave_after_leases = leave_after;
     let factory = |_shard: u32| Box::new(Once4AllFuzzer::with_defaults()) as Box<dyn Fuzzer>;
-    let served = run_worker(factory, &config, &addr, Duration::from_millis(reconnect_ms));
+    let served = run_worker(factory, &config, &addr);
     if let Err(e) = served {
         eprintln!("dist_worker: {e}");
         std::process::exit(1);

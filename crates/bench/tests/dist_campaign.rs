@@ -17,14 +17,13 @@
 //!   deadline and the campaign fails bounded-ly instead of hanging;
 //! * the spawned fleet's loopback listener admits only the
 //!   coordinator's own children: a `hello` without the per-run secret
-//!   gets `goodbye`, no lease, and its journal is never merged;
+//!   gets `goodbye`, no lease, and its journal is never merged, and a
+//!   peer whose first frame is not a well-formed `hello` is closed
+//!   without a word;
 //! * the fleet summary renders per-worker throughput and lease churn.
 
 use o4a_core::{CampaignConfig, CampaignResult, Fuzzer, Once4AllFuzzer};
-use o4a_dist::{
-    connect_with_retry, run_distributed, CampaignPlan, CheckpointStore, DistConfig, DistReport,
-    Frame,
-};
+use o4a_dist::{connect_with_retry, run_distributed, DistConfig, DistReport, Frame};
 use o4a_exec::{run_campaign_sharded, ExecConfig, FindingSink, FindingsStore, Parallelism};
 use o4a_solvers::coverage::universe;
 use o4a_solvers::SolverId;
@@ -398,13 +397,14 @@ fn fleet_summary_renders() {
 }
 
 /// The spawned fleet's listener is loopback TCP like any other, but it
-/// admits only the coordinator's own children. Two rogues connect to a
-/// running campaign impersonating the children's ids — one with no
+/// admits only the coordinator's own children. Rogues connect to a
+/// running campaign. Two impersonate the children's ids — one with no
 /// secret, one with a wrong one — and name a journal full of forged
-/// `shard_done` records. Each gets `goodbye` and nothing else, the
-/// forged journal never enters the merge (the checkpoint records every
-/// journal the coordinator merges), and the result is the in-process
-/// one.
+/// `shard_done` records; each gets `goodbye` and nothing else. Three
+/// send one frame before any `hello` — a stray `done`, a line of
+/// 1,000,000 `[`, and a `hello` that is not UTF-8 — and each is closed
+/// with no frame sent back. No worker's journal is the forged one, and
+/// the result is the in-process one.
 #[test]
 fn rogue_hellos_are_refused_by_a_spawned_fleet() {
     let reference = in_process_reference();
@@ -421,68 +421,80 @@ fn rogue_hellos_are_refused_by_a_spawned_fleet() {
             session.on_shard_complete(shard, &fake);
         }
     }
-    let rogues: Vec<_> = [None, Some("0".repeat(32))]
-        .into_iter()
-        .enumerate()
-        .map(|(id, secret)| {
-            let addr = addr.clone();
-            let journal = forged.display().to_string();
-            std::thread::spawn(move || {
-                let stream =
-                    connect_with_retry(&addr, Duration::from_secs(30)).expect("rogue connect");
-                let hello = Frame::Hello {
-                    worker: id as u32,
-                    journal,
-                    secret,
-                };
-                let mut out = stream.try_clone().expect("clone stream");
-                writeln!(out, "{}", hello.to_line()).expect("send hello");
-                BufReader::new(stream)
-                    .lines()
-                    .map_while(Result::ok)
-                    .collect::<Vec<String>>()
-            })
+    let journal = forged.display().to_string();
+    let hello = |worker: u32, secret: Option<String>| {
+        Frame::Hello {
+            worker,
+            journal: journal.clone(),
+            secret,
+        }
+        .to_line()
+        .into_bytes()
+    };
+    let mut latin1_hello = format!("{{\"journal\":\"{journal}").into_bytes();
+    latin1_hello.extend_from_slice(b"\xe9\",\"t\":\"hello\",\"worker\":1}");
+    // (first frame, answered with a refusal)
+    let rogues: Vec<_> = [
+        (hello(0, None), true),
+        (hello(1, Some("0".repeat(32))), true),
+        (
+            b"{\"cases\":1,\"findings\":0,\"shard\":0,\"t\":\"done\"}".to_vec(),
+            false,
+        ),
+        (vec![b'['; 1_000_000], false),
+        (latin1_hello, false),
+    ]
+    .into_iter()
+    .map(|(mut frame, refused)| {
+        let addr = addr.clone();
+        std::thread::spawn(move || {
+            let stream = connect_with_retry(&addr, Duration::from_secs(30)).expect("rogue connect");
+            let mut out = stream.try_clone().expect("clone stream");
+            frame.push(b'\n');
+            out.write_all(&frame).expect("send frame");
+            let frames = BufReader::new(stream)
+                .lines()
+                .map_while(Result::ok)
+                .collect::<Vec<String>>();
+            (frames, refused)
         })
-        .collect();
+    })
+    .collect();
 
-    let checkpoint = dir.join("checkpoint.jsonl");
     // The per-case delay keeps the campaign running while the rogues
     // knock; results are invariant to it.
     let command = vec![WORKER.to_string(), "--slow-ms".into(), "40".into()];
     let dist = DistConfig::new(command, dir.join("journals"))
         .with_workers(2)
         .with_listen(addr.clone())
-        .with_checkpoint(&checkpoint)
         .with_heartbeat_timeout(Duration::from_secs(30));
     let report = run_distributed(&quick_config(), SHARDS, &dist).expect("spawned fleet");
 
     for rogue in rogues {
-        let frames = rogue.join().expect("rogue thread");
-        assert_eq!(
-            frames.len(),
-            1,
-            "a rogue got more than a refusal: {frames:?}"
-        );
-        assert!(
-            matches!(Frame::from_line(&frames[0]), Ok(Frame::Goodbye { .. })),
-            "a rogue was not refused: {frames:?}"
-        );
+        let (frames, refused) = rogue.join().expect("rogue thread");
+        if refused {
+            assert_eq!(
+                frames.len(),
+                1,
+                "a rogue got more than a refusal: {frames:?}"
+            );
+            assert!(
+                matches!(Frame::from_line(&frames[0]), Ok(Frame::Goodbye { .. })),
+                "a rogue was not refused: {frames:?}"
+            );
+        } else {
+            assert!(
+                frames.is_empty(),
+                "a malformed first frame was answered: {frames:?}"
+            );
+        }
     }
-    let plan = CampaignPlan {
-        config: quick_config(),
-        shards: SHARDS,
-    };
-    let (_session, replayed) = CheckpointStore::new(&checkpoint)
-        .resume_or_create(&plan)
-        .expect("replay checkpoint");
     assert!(
-        !replayed.journals.contains(&forged),
+        report.stats.per_worker.iter().all(|w| w.journal != forged),
         "the forged journal was merged: {:?}",
-        replayed.journals
+        report.stats.per_worker
     );
-    assert_eq!(replayed.journals.len(), 2, "{:?}", replayed.journals);
     assert_eq!(report.stats.workers_spawned, 2);
-    assert_eq!(report.stats.workers_joined, 0, "a refused hello is no join");
     assert_eq!(
         fingerprint(&report.result),
         fingerprint(&reference),

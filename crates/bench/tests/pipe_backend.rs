@@ -220,7 +220,6 @@ fn sharded_engine_over_pipes_is_deterministic() {
         solver_cmd: Some(mock_cmd("--latency-ms 2")),
         solver_timeout_ms: None,
         cache_dir: None,
-        checkpoint: None,
     };
     let factory = |_shard: u32| Box::new(Once4AllFuzzer::with_defaults()) as Box<dyn Fuzzer>;
     let a = run_campaign_sharded(factory, &config, &exec);

@@ -1,7 +1,6 @@
-//! The coordinator: owns the shard plan, drives a fleet of workers over
-//! its TCP listener (spawning them itself over loopback when it has a
-//! worker command), journals lease state to an optional checkpoint, and
-//! merges worker journals.
+//! The coordinator: owns the shard plan, spawns a fleet of workers that
+//! connect back to its loopback TCP listener, hands them shard leases,
+//! and merges the journals it assigned them.
 //!
 //! ## Lease scheduling
 //!
@@ -14,10 +13,7 @@
 //! is a pure function of `(config, shards, shard)`
 //! ([`o4a_exec::run_shard_lease`]), *which* worker runs a shard — and
 //! how many times a lease bounces between dying workers — cannot show
-//! up in the merged result. ([`DistConfig::static_split`] turns the
-//! stealing off, pinning shard `s` to fleet slot `s % workers` — a
-//! benchmarking knob that exists to measure exactly what stealing buys
-//! on a heterogeneous fleet.)
+//! up in the merged result.
 //!
 //! ## Failure handling
 //!
@@ -25,51 +21,33 @@
 //! every outstanding lease carries a **deadline**: a worker that neither
 //! heartbeats nor completes within [`DistConfig::heartbeat_timeout`] is
 //! killed like a crashed one. Either way the lease goes back to the
-//! front of the queue (a re-issue), a spawning coordinator tops its
-//! fleet back up to strength, and the dead worker's journal is kept for
-//! the final merge — shards it *completed* are scavenged from it; the
-//! shard it died inside has no completion record and is therefore
-//! re-derived from scratch by the re-issued lease (`FindingsStore`'s
-//! dedup-on-load law guarantees the half-journaled findings of the dead
-//! attempt cannot leak in).
+//! front of the queue (a re-issue), the coordinator tops its fleet back
+//! up to strength, and the dead worker's journal is kept for the final
+//! merge — shards it *completed* are scavenged from it; the shard it
+//! died inside has no completion record and is therefore re-derived
+//! from scratch by the re-issued lease (`FindingsStore`'s dedup-on-load
+//! law guarantees the half-journaled findings of the dead attempt cannot
+//! leak in).
 //!
 //! ## Membership
 //!
-//! Every worker joins the same way: it connects to the listener and
-//! says `hello`, and is granted nothing before. With an empty
-//! [`DistConfig::worker_command`] the fleet is whoever connects, at any
-//! point of the campaign. Otherwise the coordinator spawns `<cmd>
-//! --connect <addr> --journal <path> --worker <id>` children, keeps
-//! [`DistConfig::workers`] of them alive (a child counts from its spawn;
-//! one that exits or stays silent before its `hello` is killed at the
-//! heartbeat deadline and charged to [`DistConfig::max_respawns`]), and
-//! admits only them: each gets a per-run secret in its environment and
-//! must echo it in its `hello`. Any other `hello` is answered with
-//! `goodbye` (counted as `dist.rejected_hellos`).
-//!
-//! ## Coordinator death
-//!
-//! With a [`DistConfig::checkpoint`] configured, every grant is made
-//! durable *before* its lease frame is sent and every completion
-//! *after* its `done` arrives — so a coordinator killed mid-campaign
-//! restarts from the checkpoint, re-binds the recorded port, re-adopts
-//! reconnecting workers (their `re-adopt` frames credit leases completed
-//! during the outage), re-issues orphaned grants, and merges a result
-//! bit-identical to an uninterrupted run. The determinism argument is
-//! the same one workers-dying rests on: the worst a lost frame or
-//! record can cause is a *redundant* lease, and redundant executions of
-//! a deterministic shard merge to the same bytes. (The children of a
-//! killed *spawning* coordinator hold the old secret: its successor
-//! answers them with `goodbye` and they exit.)
+//! The coordinator spawns `<cmd> --connect <addr> --journal <path>
+//! --worker <id>` children and keeps [`DistConfig::workers`] of them
+//! alive (a child counts from its spawn; one that exits or stays silent
+//! before its `hello` is killed at the heartbeat deadline and charged to
+//! [`DistConfig::max_respawns`]). Each child gets a per-run secret in its
+//! environment and must echo it in its `hello`, naming a child still
+//! waiting to join; any other `hello` is answered with `goodbye`
+//! (counted as `dist.rejected_hellos`). Nothing is granted before a
+//! `hello`, and the journals merged at the end are the paths assigned at
+//! spawn — never a path a peer announces.
 
-use crate::checkpoint::{CheckpointSession, CheckpointStore};
 use crate::protocol::{
     CacheCounters, CampaignPlan, Frame, TraceBatch, FLEET_SECRET_ENV, MAX_FRAME_BYTES,
 };
 use crate::scope::{ScopeServer, ScopeStatus, ScopeWorker};
 use crate::transport::{Link, Listener};
 use o4a_core::{CampaignConfig, CampaignResult};
-use o4a_exec::json::{obj, Json};
 use o4a_exec::{merge_shard_results, FindingsStore};
 use o4a_executor::{FdReactor, Interest, WakeFlag};
 use o4a_obs::metrics::MetricsSnapshot;
@@ -78,6 +56,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io::{self, Read};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
+use std::string::FromUtf8Error;
 use std::time::{Duration, Instant};
 
 fn bad(msg: impl Into<String>) -> io::Error {
@@ -87,24 +66,19 @@ fn bad(msg: impl Into<String>) -> io::Error {
 /// Fleet configuration for one distributed campaign.
 #[derive(Clone, Debug)]
 pub struct DistConfig {
-    /// Fleet strength: how many worker processes a spawning coordinator
-    /// keeps running, and the nominal fleet size a [static split]
-    /// distributes over (without a worker command membership is
-    /// elastic — whoever has connected).
-    ///
-    /// [static split]: DistConfig::static_split
+    /// Fleet strength: how many worker processes the coordinator keeps
+    /// running while unassigned work remains.
     pub workers: u32,
-    /// The worker command line (program + args). Non-empty: the
-    /// coordinator spawns its fleet, appending `--connect <addr>
-    /// --journal <path> --worker <id>` to each spawn, so any binary
-    /// honouring that contract (the reference one is
-    /// `crates/bench/src/bin/dist_worker.rs`) can serve leases. Empty:
-    /// it spawns nobody and workers join on their own.
+    /// The worker command line (program + args). The coordinator spawns
+    /// its fleet from it, appending `--connect <addr> --journal <path>
+    /// --worker <id>` to each spawn, so any binary honouring that
+    /// contract (the reference one is
+    /// `crates/bench/src/bin/dist_worker.rs`) can serve leases. Must not
+    /// be empty.
     pub worker_command: Vec<String>,
-    /// Directory for the findings journals of spawned workers
-    /// (`worker-<n>.jsonl`, one per process). Created if absent; should
-    /// be fresh per campaign. Joining workers choose their own journal
-    /// paths and announce them in `hello`.
+    /// Directory for the workers' findings journals (`worker-<n>.jsonl`,
+    /// one per process). Created if absent; should be fresh per
+    /// campaign.
     pub journal_dir: PathBuf,
     /// A leased worker that neither heartbeats nor completes within this
     /// window is presumed wedged: killed, lease re-issued. Must comfortably
@@ -113,54 +87,29 @@ pub struct DistConfig {
     /// patience for a connection or spawned child that never says
     /// `hello`.
     pub heartbeat_timeout: Duration,
-    /// Replacement-spawn budget past the initial fleet (spawning
-    /// coordinators only). When worker deaths exhaust it with shards
-    /// still unfinished, the campaign fails instead of thrashing
-    /// forever.
+    /// Replacement-spawn budget past the initial fleet. When worker
+    /// deaths exhaust it with shards still unfinished, the campaign
+    /// fails instead of thrashing forever.
     pub max_respawns: u32,
     /// Extra environment variables for every spawned worker (e.g.
     /// `O4A_TRACE`/`O4A_METRICS` to turn observability on fleet-wide
     /// without mutating the coordinator's own environment).
     pub envs: Vec<(String, String)>,
-    /// The listen address every worker connects to (`host:port`; the
-    /// default `127.0.0.1:0` picks a free loopback port, which
-    /// [`run_distributed`] records in the checkpoint so a resumed
-    /// coordinator reuses it).
+    /// The listen address the workers connect to (`host:port`; the
+    /// default `127.0.0.1:0` picks a free loopback port).
     pub listen: String,
-    /// Checkpoint path for coordinator resumability. `None` (default)
-    /// runs without one — a killed coordinator then loses the campaign,
-    /// exactly the pre-checkpoint behavior.
-    pub checkpoint: Option<PathBuf>,
-    /// Disables work stealing: shard `s` may only be granted to fleet
-    /// slot `s % workers` (slots follow join order). A benchmarking
-    /// knob — the heterogeneous-fleet gauntlet measures stealing against
-    /// exactly this.
-    pub static_split: bool,
-    /// How long the coordinator waits with **zero** workers (connected
-    /// or spawned) and work remaining before declaring the campaign
-    /// stranded. Elastic fleets may legitimately dip to zero briefly
-    /// (everyone churning at once); this bounds "forever".
-    pub accept_timeout: Duration,
-    /// Fault injection for the recovery gauntlet: the coordinator
-    /// `exit(9)`s — no unwinding, mid-campaign — right after recording
-    /// this many shard completions. The checkpoint is durable at that
-    /// point, which is precisely what the restarted coordinator resumes
-    /// from. `None` (default) never fires.
-    pub exit_after_completions: Option<u64>,
     /// `host:port` for the o4a-scope observatory ([`crate::scope`]):
-    /// `GET /status`, `GET /metrics`, and an SSE `GET /events` served
-    /// off the coordinator's own reactor. `None` (default) runs dark —
-    /// no listener, no extra wakeups. Read-only either way: the
-    /// scope-on ≡ scope-off gauntlet pins that watching a campaign
-    /// cannot change its merged result.
+    /// `GET /status` and `GET /metrics` served off the coordinator's own
+    /// reactor. `None` (default) runs dark — no listener, no extra
+    /// wakeups. Read-only either way: the scope-on ≡ scope-off gauntlet
+    /// pins that watching a campaign cannot change its merged result.
     pub scope: Option<String>,
 }
 
 impl DistConfig {
-    /// A fleet of 4 workers running `worker_command` (none spawned when
-    /// it is empty), listening on `127.0.0.1:0`, journaling under
-    /// `journal_dir`, with a 30 s heartbeat deadline and 8 respawns. No
-    /// checkpoint, dynamic leases.
+    /// A fleet of 4 workers running `worker_command`, listening on
+    /// `127.0.0.1:0`, journaling under `journal_dir`, with a 30 s
+    /// heartbeat deadline and 8 respawns.
     pub fn new(worker_command: Vec<String>, journal_dir: impl Into<PathBuf>) -> DistConfig {
         DistConfig {
             workers: 4,
@@ -170,10 +119,6 @@ impl DistConfig {
             max_respawns: 8,
             envs: Vec::new(),
             listen: "127.0.0.1:0".to_string(),
-            checkpoint: None,
-            static_split: false,
-            accept_timeout: Duration::from_secs(60),
-            exit_after_completions: None,
             scope: None,
         }
     }
@@ -209,32 +154,6 @@ impl DistConfig {
         self
     }
 
-    /// Enables coordinator checkpointing at `path`.
-    pub fn with_checkpoint(mut self, path: impl Into<PathBuf>) -> DistConfig {
-        self.checkpoint = Some(path.into());
-        self
-    }
-
-    /// Disables work stealing (see [`DistConfig::static_split`]).
-    pub fn with_static_split(mut self, static_split: bool) -> DistConfig {
-        self.static_split = static_split;
-        self
-    }
-
-    /// Replaces the zero-worker patience (see
-    /// [`DistConfig::accept_timeout`]).
-    pub fn with_accept_timeout(mut self, timeout: Duration) -> DistConfig {
-        self.accept_timeout = timeout;
-        self
-    }
-
-    /// Arms the die-after-N-completions fault injection (see
-    /// [`DistConfig::exit_after_completions`]).
-    pub fn with_exit_after_completions(mut self, completions: u64) -> DistConfig {
-        self.exit_after_completions = Some(completions);
-        self
-    }
-
     /// Opens the o4a-scope observatory at `addr` (see
     /// [`DistConfig::scope`]; port 0 picks a free one).
     pub fn with_scope(mut self, addr: impl Into<String>) -> DistConfig {
@@ -250,7 +169,6 @@ impl DistConfig {
     /// * `O4A_DIST_HEARTBEAT_MS` — heartbeat deadline, milliseconds (≥ 1)
     /// * `O4A_DIST_MAX_RESPAWNS` — respawn budget
     /// * `O4A_DIST_LISTEN` — the listen address
-    /// * `O4A_CHECKPOINT` — coordinator checkpoint path
     /// * `O4A_SCOPE` — serve the o4a-scope observatory on this
     ///   `host:port`
     pub fn with_env_overrides(mut self) -> DistConfig {
@@ -272,11 +190,6 @@ impl DistConfig {
                 self.listen = listen.trim().to_string();
             }
         }
-        if let Ok(path) = std::env::var("O4A_CHECKPOINT") {
-            if !path.trim().is_empty() {
-                self.checkpoint = Some(PathBuf::from(path.trim()));
-            }
-        }
         if let Ok(addr) = std::env::var("O4A_SCOPE") {
             if !addr.trim().is_empty() {
                 self.scope = Some(addr.trim().to_string());
@@ -294,20 +207,18 @@ fn parse_env_u64(key: &str) -> Option<u64> {
 /// What one worker process did, for the fleet summary.
 #[derive(Clone, Debug)]
 pub struct WorkerSummary {
-    /// Spawn-sequence id of a spawned worker (also its journal file's
-    /// number), or the self-reported id of a joined one.
+    /// Spawn-sequence id of the worker (also its journal file's number).
     pub worker: u32,
-    /// The worker's findings journal.
+    /// The findings journal assigned to the worker at spawn.
     pub journal: PathBuf,
     /// Leases this worker ran to completion.
     pub leases_completed: u32,
     /// Cases executed across its completed leases.
     pub cases: u64,
-    /// Wall-clock lifetime: of the process for a spawned worker, of the
-    /// connection for a joined one.
+    /// Wall-clock lifetime of the process, from its spawn.
     pub wall: Duration,
     /// False when the worker died (or was killed as wedged) instead of
-    /// exiting on shutdown / leaving with a `goodbye`.
+    /// exiting on shutdown.
     pub clean_exit: bool,
     /// Last in-flight throughput the worker reported (cases/sec from
     /// its latest `progress` or `done` frame; 0 before the first one).
@@ -345,23 +256,8 @@ pub struct DistStats {
     pub worker_deaths: u32,
     /// Lease frames sent (re-issues included).
     pub leases_granted: u64,
-    /// Leases re-issued after their holder died, left, or — on a
-    /// coordinator resume — was orphaned by the previous incarnation.
+    /// Leases re-issued after their holder died.
     pub leases_reissued: u64,
-    /// Workers that joined the fleet on their own (`hello` handshakes
-    /// from processes this coordinator did not spawn; a reconnect counts
-    /// again).
-    pub workers_joined: u64,
-    /// `re-adopt` handshakes honoured (reconnecting workers whose
-    /// completed-lease lists were replayed).
-    pub workers_readopted: u64,
-    /// Workers that left with a voluntary `goodbye`.
-    pub workers_left: u64,
-    /// Shard completions credited from `re-adopt` frames rather than
-    /// live `done` frames.
-    pub shards_readopted: u64,
-    /// True when this campaign resumed from an existing checkpoint.
-    pub resumed: bool,
     /// Per-worker summaries, in worker-id order.
     pub per_worker: Vec<WorkerSummary>,
     /// Fleet-wide metrics: every worker's final snapshot merged
@@ -398,22 +294,16 @@ pub struct DistReport {
 }
 
 /// One live connection: a worker-to-be until its `hello`, then a fleet
-/// member — backed by a child process when this coordinator spawned it.
+/// member backed by the child process it proved to be.
 struct Worker {
     id: u32,
-    /// The spawned process behind this connection; `None` for a worker
-    /// that joined on its own (its process belongs to someone else).
+    /// The spawned process behind this connection, claimed by an
+    /// accepted `hello`; `None` before it — nothing is granted until then.
     child: Option<Child>,
     link: Link,
     buf: Vec<u8>,
-    /// Announced by `hello`.
-    journal: Option<PathBuf>,
-    /// Earned with an accepted `hello`; nothing is granted before.
-    greeted: bool,
-    /// Received a voluntary `goodbye` — retire cleanly.
-    left: bool,
-    /// Fleet slot for [`DistConfig::static_split`]: join order.
-    slot: u32,
+    /// The journal assigned to the child at spawn.
+    journal: PathBuf,
     lease: Option<u32>,
     /// Cases executed across *completed* leases (what the summary
     /// reports); heartbeat progress of the in-flight lease accumulates
@@ -425,12 +315,6 @@ struct Worker {
     /// passthrough; the coordinator never schedules on either).
     live_rate: f64,
     latest_metrics: Option<MetricsSnapshot>,
-    /// Smoothed throughput (EWMA over `progress`/`done` reports) — what
-    /// the straggler sweep compares across the fleet. Observation only.
-    ewma_rate: f64,
-    /// Currently flagged by the straggler sweep; edge transitions emit
-    /// the SSE `straggler` event.
-    straggler: bool,
     last_heard: Instant,
     spawned_at: Instant,
     eof: bool,
@@ -445,22 +329,22 @@ impl Worker {
             child: None,
             link,
             buf: Vec::new(),
-            journal: None,
-            greeted: false,
-            left: false,
-            slot: 0,
+            journal: PathBuf::new(),
             lease: None,
             cases: 0,
             lease_cases: 0,
             leases_completed: 0,
             live_rate: 0.0,
             latest_metrics: None,
-            ewma_rate: 0.0,
-            straggler: false,
             last_heard: now,
             spawned_at: now,
             eof: false,
         }
+    }
+
+    /// Said an accepted `hello`: a fleet member.
+    fn greeted(&self) -> bool {
+        self.child.is_some()
     }
 
     fn fd(&self) -> std::os::unix::io::RawFd {
@@ -478,8 +362,7 @@ impl Worker {
 
     fn into_summary(mut self, clean_exit: bool) -> WorkerSummary {
         // Reap unconditionally; kill first so a child that stopped
-        // talking but kept running cannot block the coordinator. Joined
-        // workers have no child — dropping the link closes the socket.
+        // talking but kept running cannot block the coordinator.
         if let Some(child) = self.child.as_mut() {
             if !clean_exit {
                 let _ = child.kill();
@@ -488,7 +371,7 @@ impl Worker {
         }
         WorkerSummary {
             worker: self.id,
-            journal: self.journal.unwrap_or_default(),
+            journal: self.journal,
             leases_completed: self.leases_completed,
             cases: self.cases,
             wall: self.spawned_at.elapsed(),
@@ -515,19 +398,25 @@ impl Spawned {
     }
 }
 
+/// The journal the coordinator assigns to worker `id`.
+fn journal_path(dist: &DistConfig, id: u32) -> PathBuf {
+    dist.journal_dir.join(format!("worker-{id}.jsonl"))
+}
+
 /// Spawns worker `id` against the coordinator's listener at `addr`,
 /// handing it `secret` through its environment.
 fn spawn_worker(dist: &DistConfig, id: u32, addr: &str, secret: &str) -> io::Result<Spawned> {
-    let journal = dist.journal_dir.join(format!("worker-{id}.jsonl"));
+    let journal = journal_path(dist, id);
     // The coordinator owns the journal dir: a stale file under an
     // assigned name would resume a previous campaign (or refuse a
-    // different one), so clear it. (A resumed coordinator never reuses
-    // a previous incarnation's ids — the checkpoint advances them.)
+    // different one), so clear it.
     let _ = std::fs::remove_file(&journal);
-    let (program, args) = dist
-        .worker_command
-        .split_first()
-        .ok_or_else(|| bad("empty worker command"))?;
+    let (program, args) = dist.worker_command.split_first().ok_or_else(|| {
+        io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "empty worker command: the coordinator spawns every worker",
+        )
+    })?;
     let child = Command::new(program)
         .args(args)
         .arg("--connect")
@@ -572,15 +461,19 @@ enum Drained {
     Oversized,
 }
 
+/// One frame line off the wire; `Err` for a line that is not UTF-8 — a
+/// malformed frame.
+type FrameLine = Result<String, FromUtf8Error>;
+
 /// Reads what a peer has sent and pops its complete frame lines. Reading
 /// stops once `buf` holds one byte more than [`MAX_FRAME_BYTES`], so a
 /// peer flooding bytes cannot grow it further before its frames are split
 /// off and its torn tail is checked against the cap.
 ///
 /// A read error loses this one peer, never the campaign: a worker that
-/// sends `done` and `goodbye` and exits with a lease still unread resets
-/// its connection, and its last frames must still count.
-fn drain_frames(link: &mut Link, buf: &mut Vec<u8>) -> (Vec<String>, Drained) {
+/// sends its last frames and exits with a lease still unread resets its
+/// connection, and those frames must still count.
+fn drain_frames(link: &mut Link, buf: &mut Vec<u8>) -> (Vec<FrameLine>, Drained) {
     let mut drained = Drained::Open;
     loop {
         let room = (MAX_FRAME_BYTES + 1).saturating_sub(buf.len());
@@ -606,14 +499,15 @@ fn drain_frames(link: &mut Link, buf: &mut Vec<u8>) -> (Vec<String>, Drained) {
 
 /// Pops complete lines off the front of `buf`, leaving a partial
 /// trailing line in place. One pass over the complete lines and a single
-/// `drain`, so a burst of frames costs linear time.
-fn take_lines(buf: &mut Vec<u8>) -> Vec<String> {
+/// `drain`, so a burst of frames costs linear time. A line that is not
+/// UTF-8 comes out as `Err`, never repaired into a frame that parses.
+fn take_lines(buf: &mut Vec<u8>) -> Vec<FrameLine> {
     let Some(last) = buf.iter().rposition(|&b| b == b'\n') else {
         return Vec::new();
     };
     let lines = buf[..last]
         .split(|&b| b == b'\n')
-        .map(|line| String::from_utf8_lossy(line).into_owned())
+        .map(|line| String::from_utf8(line.to_vec()))
         .collect();
     buf.drain(..=last);
     lines
@@ -624,47 +518,11 @@ fn take_lines(buf: &mut Vec<u8>) -> Vec<String> {
 struct FleetState {
     pending: VecDeque<u32>,
     done: BTreeSet<u32>,
-    journals: Vec<PathBuf>,
-    /// The secret a `hello` must echo — set only when this coordinator
-    /// spawns its fleet.
-    secret: Option<String>,
+    /// The secret a `hello` must echo.
+    secret: String,
     /// Spawned children that have not said `hello` yet.
     unjoined: Vec<Spawned>,
-    /// Next spawn id; a resumed coordinator starts past every id its
-    /// checkpoint ever recorded.
-    next_id: u64,
-    /// Join-order counter assigning fleet slots.
-    joins: u32,
-    /// Completions recorded by *this incarnation* — what
-    /// [`DistConfig::exit_after_completions`] counts.
-    completions_recorded: u64,
 }
-
-impl FleetState {
-    fn track_journal(
-        &mut self,
-        worker: u32,
-        journal: PathBuf,
-        checkpoint: Option<&CheckpointSession>,
-    ) {
-        if !self.journals.contains(&journal) {
-            if let Some(cp) = checkpoint {
-                cp.record_journal(worker, &journal);
-            }
-            self.journals.push(journal);
-        }
-    }
-}
-
-/// EWMA smoothing for per-worker throughput: ~⅓ of each new report,
-/// so a straggler shows within a few heartbeats without one noisy
-/// sample flapping the flag.
-const EWMA_ALPHA: f64 = 0.3;
-
-/// A leased worker whose smoothed throughput drops below this fraction
-/// of the fleet median (with at least two leased peers reporting) is
-/// flagged as a straggler.
-const STRAGGLER_RATE_FRACTION: f64 = 0.25;
 
 /// One worker process's accumulated trace-ring batches, keyed by pid in
 /// [`ScopeCtx::parts`] — becomes one lane of the fleet-merged Chrome
@@ -677,9 +535,8 @@ struct TracePart {
 }
 
 /// Everything the scope plane adds to the lease loop: the optional
-/// HTTP/SSE server, the fleet-trace piggyback switch, and the per-pid
-/// trace accumulation. All observation — nothing in here feeds
-/// scheduling.
+/// HTTP server, the fleet-trace piggyback switch, and the per-pid trace
+/// accumulation. All observation — nothing in here feeds scheduling.
 struct ScopeCtx {
     server: Option<ScopeServer>,
     /// Leases ask workers to piggyback their trace rings (set when the
@@ -698,82 +555,6 @@ impl ScopeCtx {
         part.dropped += batch.dropped;
         part.events.extend(batch.events);
     }
-
-    /// Broadcasts one SSE event to `/events` subscribers, if any.
-    fn emit(&mut self, event: &str, fields: Vec<(&str, Json)>) {
-        if let Some(server) = self.server.as_mut() {
-            server.broadcast(event, &obj(fields));
-        }
-    }
-}
-
-/// One EWMA step (the first report seeds the average).
-fn ewma(prev: f64, sample: f64) -> f64 {
-    if prev == 0.0 {
-        sample
-    } else {
-        EWMA_ALPHA * sample + (1.0 - EWMA_ALPHA) * prev
-    }
-}
-
-/// The straggler sweep: flags leased workers that went silent for half
-/// the heartbeat deadline, or whose smoothed throughput sits far below
-/// the fleet median. Flag transitions emit the SSE `straggler` event
-/// and a trace span; the flags themselves surface as `/status`
-/// warnings. Observation only — scheduling never reads them.
-fn sweep_stragglers(dist: &DistConfig, live: &mut [Worker], scope: &mut ScopeCtx) {
-    let now = Instant::now();
-    let mut rates: Vec<f64> = live
-        .iter()
-        .filter(|w| w.greeted && w.lease.is_some() && !w.eof && w.ewma_rate > 0.0)
-        .map(|w| w.ewma_rate)
-        .collect();
-    rates.sort_by(f64::total_cmp);
-    let median = (!rates.is_empty()).then(|| rates[rates.len() / 2]);
-    for worker in live.iter_mut() {
-        let leased = worker.greeted && worker.lease.is_some() && !worker.eof && !worker.left;
-        let gap = now.duration_since(worker.last_heard);
-        let silent = leased && gap > dist.heartbeat_timeout / 2;
-        let slow = leased
-            && rates.len() >= 2
-            && worker.ewma_rate > 0.0
-            && median.is_some_and(|m| worker.ewma_rate < m * STRAGGLER_RATE_FRACTION);
-        let straggling = silent || slow;
-        if straggling && !worker.straggler {
-            o4a_obs::trace::event(
-                "dist",
-                "worker.straggle",
-                &[("worker", u64::from(worker.id))],
-            );
-            if o4a_obs::metrics_enabled() {
-                o4a_obs::metrics::counter("dist.stragglers_flagged").inc();
-            }
-            scope.emit(
-                "straggler",
-                vec![
-                    ("worker", Json::U64(u64::from(worker.id))),
-                    (
-                        "shard",
-                        worker.lease.map_or(Json::Null, |s| Json::U64(u64::from(s))),
-                    ),
-                    ("silent_ms", Json::U64(gap.as_millis() as u64)),
-                    ("ewma_cases_per_sec", Json::F64(worker.ewma_rate)),
-                    (
-                        "reason",
-                        Json::Str(
-                            if silent {
-                                "heartbeat gap"
-                            } else {
-                                "throughput far below fleet median"
-                            }
-                            .to_string(),
-                        ),
-                    ),
-                ],
-            );
-        }
-        worker.straggler = straggling;
-    }
 }
 
 /// Renders the `GET /status` snapshot from the loop's live state.
@@ -786,7 +567,7 @@ fn build_status(
     let now = Instant::now();
     let mut fleet: Vec<ScopeWorker> = live
         .iter()
-        .filter(|w| w.greeted)
+        .filter(|w| w.greeted())
         .map(|w| ScopeWorker {
             worker: w.id,
             lease: w.lease,
@@ -794,26 +575,11 @@ fn build_status(
             lease_cases: w.lease_cases,
             leases_completed: w.leases_completed,
             cases_per_sec: w.live_rate,
-            ewma_cases_per_sec: w.ewma_rate,
             last_heard_ms: now.duration_since(w.last_heard).as_millis() as u64,
             wall_ms: now.duration_since(w.spawned_at).as_millis() as u64,
-            straggler: w.straggler,
         })
         .collect();
     fleet.sort_by_key(|w| w.worker);
-    let warnings = live
-        .iter()
-        .filter(|w| w.greeted && w.straggler)
-        .map(|w| {
-            format!(
-                "worker {} straggling{}: {:.1}s since last frame, ewma {:.1} cases/sec",
-                w.id,
-                w.lease.map_or(String::new(), |s| format!(" on shard {s}")),
-                now.duration_since(w.last_heard).as_secs_f64(),
-                w.ewma_rate,
-            )
-        })
-        .collect();
     ScopeStatus {
         shards: stats.shards,
         workers: stats.workers,
@@ -823,15 +589,9 @@ fn build_status(
         worker_deaths: stats.worker_deaths,
         leases_granted: stats.leases_granted,
         leases_reissued: stats.leases_reissued,
-        workers_joined: stats.workers_joined,
-        workers_readopted: stats.workers_readopted,
-        workers_left: stats.workers_left,
-        shards_readopted: stats.shards_readopted,
-        resumed: stats.resumed,
         cache: stats.cache,
         coverage: stats.coverage.clone(),
         fleet,
-        warnings,
         elapsed_ms: started.elapsed().as_millis() as u64,
     }
 }
@@ -855,7 +615,7 @@ fn build_metrics(stats: &DistStats, live: &[Worker], state: &FleetState) -> Stri
     let mut gauges: Vec<(String, f64)> = vec![
         (
             "fleet_workers_live".into(),
-            live.iter().filter(|w| w.greeted && !w.eof).count() as f64,
+            live.iter().filter(|w| w.greeted() && !w.eof).count() as f64,
         ),
         ("fleet_shards_total".into(), f64::from(stats.shards)),
         ("fleet_shards_done".into(), state.done.len() as f64),
@@ -863,10 +623,6 @@ fn build_metrics(stats: &DistStats, live: &[Worker], state: &FleetState) -> Stri
         ("fleet_leases_granted".into(), stats.leases_granted as f64),
         ("fleet_leases_reissued".into(), stats.leases_reissued as f64),
         ("fleet_worker_deaths".into(), f64::from(stats.worker_deaths)),
-        (
-            "fleet_stragglers".into(),
-            live.iter().filter(|w| w.straggler).count() as f64,
-        ),
     ];
     for (solver, pct) in &stats.coverage {
         gauges.push((format!("coverage_line_pct_{solver}"), *pct));
@@ -875,27 +631,25 @@ fn build_metrics(stats: &DistStats, live: &[Worker], state: &FleetState) -> Stri
 }
 
 /// Runs `config`, split into `shards` deterministic shards, across a
-/// fleet of workers, and merges their journals into one campaign
+/// spawned fleet of workers, and merges their journals into one campaign
 /// result.
 ///
 /// The merged result is **bit-identical** to the same plan executed by
 /// a single process ([`o4a_exec::run_campaign_sharded`] with
 /// `exec.shards = shards`) in findings, final coverage maps, hourly
 /// snapshot series, and statistics modulo the transport counters —
-/// regardless of fleet size, transport, lease scheduling, workers
-/// joining or dying mid-campaign (their leases re-issue and re-derive
-/// the shard deterministically), or the coordinator itself being killed
-/// and restarted over a checkpoint. The coordinator folds its own fleet
-/// churn into the merged stats' transport counters: worker processes
-/// into `processes_spawned`/`process_respawns`, lease churn into
+/// regardless of fleet size, lease scheduling, or workers dying
+/// mid-campaign (their leases re-issue and re-derive the shard
+/// deterministically). The coordinator folds its own fleet churn into
+/// the merged stats' transport counters: worker processes into
+/// `processes_spawned`/`process_respawns`, lease churn into
 /// `leases_granted`/`leases_reissued`.
 ///
 /// # Errors
 ///
-/// Listener, worker-spawn and journal I/O errors, checkpoint corruption,
-/// a spawned fleet that keeps dying until [`DistConfig::max_respawns`]
-/// is exhausted, and a fleet empty for longer than
-/// [`DistConfig::accept_timeout`] with shards unfinished.
+/// `InvalidInput` for an empty [`DistConfig::worker_command`]; listener,
+/// worker-spawn and journal I/O errors; and a fleet that keeps dying
+/// until [`DistConfig::max_respawns`] is exhausted.
 pub fn run_distributed(
     config: &CampaignConfig,
     shards: u32,
@@ -918,60 +672,12 @@ pub fn run_distributed(
     let mut state = FleetState {
         pending: (0..shards).collect(),
         done: BTreeSet::new(),
-        journals: Vec::new(),
-        secret: if dist.worker_command.is_empty() {
-            None
-        } else {
-            Some(mint_secret()?)
-        },
+        secret: mint_secret()?,
         unjoined: Vec::new(),
-        next_id: 0,
-        joins: 0,
-        completions_recorded: 0,
     };
 
-    // Checkpoint replay: completed shards stay done, orphaned grants go
-    // to the queue front (they are the oldest work), everything the
-    // previous incarnation never granted follows in shard order.
-    let mut checkpoint: Option<CheckpointSession> = None;
-    let mut recorded_listen: Option<String> = None;
-    if let Some(path) = &dist.checkpoint {
-        let (session, replayed) = CheckpointStore::new(path).resume_or_create(&plan)?;
-        if replayed.resumed {
-            stats.resumed = true;
-            o4a_obs::trace::event("dist", "coordinator.resume", &[]);
-            if o4a_obs::metrics_enabled() {
-                o4a_obs::metrics::counter("dist.coordinator_resumes").inc();
-            }
-            state.done = replayed.completed.keys().copied().collect();
-            let mut pending: VecDeque<u32> = replayed.granted.keys().copied().collect();
-            for shard in 0..shards {
-                if !replayed.completed.contains_key(&shard)
-                    && !replayed.granted.contains_key(&shard)
-                {
-                    pending.push_back(shard);
-                }
-            }
-            state.pending = pending;
-            stats.leases_reissued += replayed.granted.len() as u64;
-            state.journals = replayed.journals;
-            state.next_id = replayed.next_worker_id;
-            recorded_listen = replayed.listen;
-        }
-        checkpoint = Some(session);
-    }
-
-    // Bind the listener — on resume, the *recorded* address, so a fleet
-    // configured with port 0 still finds the restarted coordinator on
-    // the port it has been knocking on.
-    let addr = recorded_listen.as_deref().unwrap_or(&dist.listen);
-    let listener = Listener::bind(addr)
-        .map_err(|e| io::Error::new(e.kind(), format!("cannot listen on {addr}: {e}")))?;
-    if let Some(cp) = &checkpoint {
-        if recorded_listen.as_deref() != Some(listener.local_addr()) {
-            cp.record_listen(listener.local_addr());
-        }
-    }
+    let listener = Listener::bind(&dist.listen)
+        .map_err(|e| io::Error::new(e.kind(), format!("cannot listen on {}: {e}", dist.listen)))?;
 
     // The scope plane: bound before the first lease so an observer can
     // watch the whole campaign. Failing to bind *is* an error (the user
@@ -1004,7 +710,6 @@ pub fn run_distributed(
         &mut stats,
         &mut live,
         &mut state,
-        checkpoint.as_ref(),
         &listener,
         &mut scope_ctx,
     ) {
@@ -1014,29 +719,28 @@ pub fn run_distributed(
             spawned.kill();
         }
         for worker in live.drain(..) {
-            if worker.greeted {
+            if worker.greeted() {
                 stats.per_worker.push(worker.into_summary(false));
             }
         }
         return Err(e);
     }
 
-    // Shutdown: an explicit goodbye to every member, so its reconnect
-    // loop knows the campaign is over rather than the coordinator dead,
-    // and our own children exit on it. A child still starting up has
-    // nothing to say goodbye to, and a connection that never introduced
-    // itself is just closed.
+    // Shutdown: an explicit goodbye to every member, so it exits knowing
+    // the campaign is over. A child still starting up has nothing to say
+    // goodbye to, and a connection that never introduced itself is just
+    // closed.
     for mut spawned in state.unjoined.drain(..) {
         spawned.kill();
     }
-    for mut worker in live.into_iter().filter(|w| w.greeted) {
+    for mut worker in live.into_iter().filter(Worker::greeted) {
         let farewell = Frame::Goodbye { worker: worker.id };
         let deadline = Instant::now() + Duration::from_secs(10);
         let clean = worker.link.send_line(&farewell.to_line()).is_ok()
             && worker
                 .child
                 .as_mut()
-                .is_none_or(|child| exits_by(child, deadline));
+                .is_some_and(|child| exits_by(child, deadline));
         stats.per_worker.push(worker.into_summary(clean));
     }
     stats.per_worker.sort_by_key(|w| w.worker);
@@ -1046,11 +750,13 @@ pub fn run_distributed(
         }
     }
 
-    // Merge every journal the fleet ever touched — completed shards of
-    // dead workers are scavenged, their half-run shard re-derived by the
-    // re-issued lease. On a resumed coordinator the checkpoint supplied
-    // the previous incarnations' journal paths too.
-    let completed = FindingsStore::merge_from(config, shards, &state.journals)?;
+    // Merge the journal of every worker ever spawned — completed shards
+    // of dead workers are scavenged, their half-run shard re-derived by
+    // the re-issued lease.
+    let journals: Vec<PathBuf> = (0..stats.workers_spawned)
+        .map(|id| journal_path(dist, id))
+        .collect();
+    let completed = FindingsStore::merge_from(config, shards, &journals)?;
     for shard in 0..shards {
         if !completed.contains_key(&shard) {
             return Err(bad(format!(
@@ -1060,7 +766,7 @@ pub fn run_distributed(
     }
     let ordered: Vec<CampaignResult> = completed.into_values().collect();
     let mut result = merge_shard_results(config, &ordered);
-    result.stats.processes_spawned += stats.workers_spawned as u64 + stats.workers_joined;
+    result.stats.processes_spawned += stats.workers_spawned as u64;
     result.stats.process_respawns += stats.worker_deaths as u64;
     result.stats.leases_granted += stats.leases_granted;
     result.stats.leases_reissued += stats.leases_reissued;
@@ -1115,11 +821,11 @@ pub fn run_distributed(
     Ok(DistReport { result, stats })
 }
 
-/// Counts one worker death — `kind` is `eof`, `wedged` or `no-hello` —
-/// in the stats, the trace, the metrics and the SSE stream.
-fn note_death(stats: &mut DistStats, scope: &mut ScopeCtx, worker: u32, kind: &str) {
+/// Counts one worker death — `wedged` for a worker killed at its
+/// deadline — in the stats, the trace and the metrics.
+fn note_death(stats: &mut DistStats, worker: u32, wedged: bool) {
     stats.worker_deaths += 1;
-    let name = if kind == "wedged" {
+    let name = if wedged {
         "worker.wedged"
     } else {
         "worker.death"
@@ -1128,13 +834,6 @@ fn note_death(stats: &mut DistStats, scope: &mut ScopeCtx, worker: u32, kind: &s
     if o4a_obs::metrics_enabled() {
         o4a_obs::metrics::counter("dist.worker_deaths").inc();
     }
-    scope.emit(
-        "death",
-        vec![
-            ("worker", Json::U64(u64::from(worker))),
-            ("kind", Json::Str(kind.to_string())),
-        ],
-    );
 }
 
 /// Waits until `deadline` for `child` to exit; true for a successful
@@ -1150,87 +849,67 @@ fn exits_by(child: &mut Child, deadline: Instant) -> bool {
     }
 }
 
-/// How often the loop wakes with nothing but the listener registered —
-/// bounds how stale the zero-worker [`DistConfig::accept_timeout`]
-/// bookkeeping can get.
-const ACCEPT_TICK: Duration = Duration::from_millis(250);
+/// The longest the loop sleeps with no frame arriving, so what no frame
+/// announces — a child exiting before its `hello`, a lease send that
+/// failed — is handled promptly rather than at the next deadline.
+const TICK: Duration = Duration::from_millis(250);
 
 /// The lease loop: runs until every shard is done, or errors with the
 /// fleet in whatever state it reached — the caller owns `live` and
 /// `state.unjoined` and must retire (kill + reap) whatever is left on
 /// either path.
-#[allow(clippy::too_many_arguments)]
 fn drive_fleet(
     dist: &DistConfig,
     plan: &CampaignPlan,
     stats: &mut DistStats,
     live: &mut Vec<Worker>,
     state: &mut FleetState,
-    checkpoint: Option<&CheckpointSession>,
     listener: &Listener,
     scope: &mut ScopeCtx,
 ) -> io::Result<()> {
     let reactor = FdReactor::new();
     let waker = WakeFlag::new().waker();
     let shards = plan.shards;
-    let mut fleet_nonempty_at = Instant::now();
 
     loop {
-        // Retire leavers (clean), the dead, and wedged workers (no frame
-        // within the deadline while holding a lease), re-queueing their
-        // leases. Connections that never said hello within the same
-        // deadline are dropped without ceremony.
+        // Retire the dead and wedged workers (no frame within the
+        // deadline while holding a lease), re-queueing their leases.
+        // Connections that never said hello within the same deadline are
+        // dropped without ceremony.
         let now = Instant::now();
         let mut i = 0;
         while i < live.len() {
             let stale = now.duration_since(live[i].last_heard) > dist.heartbeat_timeout;
-            let left = live[i].left;
             let dead = live[i].eof;
             let wedged = live[i].lease.is_some() && stale;
-            let ghost = !live[i].greeted && stale;
-            if !(left || dead || wedged || ghost) {
+            let ghost = !live[i].greeted() && stale;
+            if !(dead || wedged || ghost) {
                 i += 1;
                 continue;
             }
             let mut worker = live.swap_remove(i);
-            if !worker.greeted {
+            if !worker.greeted() {
                 // Never joined: nothing to re-queue, nothing to report.
                 continue;
             }
-            if left {
-                stats.workers_left += 1;
-                o4a_obs::trace::event(
-                    "dist",
-                    "worker.goodbye",
-                    &[("worker", u64::from(worker.id))],
+            if wedged && !dead {
+                // The wedge-kill is the one retirement an operator will
+                // want to post-mortem: enumerate what the coordinator
+                // knew when it pulled the trigger.
+                eprintln!(
+                    "o4a-dist: killing wedged worker {}: {:.1}s since last frame \
+                     (deadline {:.1}s), holding shard {}, {} cases into the lease, \
+                     last rate {:.1} cases/sec",
+                    worker.id,
+                    now.duration_since(worker.last_heard).as_secs_f64(),
+                    dist.heartbeat_timeout.as_secs_f64(),
+                    worker.lease.map_or(-1_i64, i64::from),
+                    worker.lease_cases,
+                    worker.live_rate,
                 );
-                if o4a_obs::metrics_enabled() {
-                    o4a_obs::metrics::counter("dist.workers_left").inc();
-                }
-                scope.emit("goodbye", vec![("worker", Json::U64(u64::from(worker.id)))]);
-            } else {
-                if wedged && !dead {
-                    // The wedge-kill is the one retirement an operator
-                    // will want to post-mortem: enumerate what the
-                    // coordinator knew when it pulled the trigger.
-                    eprintln!(
-                        "o4a-dist: killing wedged worker {}: {:.1}s since last frame \
-                         (deadline {:.1}s), holding shard {}, {} cases into the lease, \
-                         last rate {:.1} cases/sec, ewma {:.1}",
-                        worker.id,
-                        now.duration_since(worker.last_heard).as_secs_f64(),
-                        dist.heartbeat_timeout.as_secs_f64(),
-                        worker.lease.map_or(-1_i64, i64::from),
-                        worker.lease_cases,
-                        worker.live_rate,
-                        worker.ewma_rate,
-                    );
-                }
-                note_death(stats, scope, worker.id, if dead { "eof" } else { "wedged" });
             }
-            // A lease whose shard a re-adopt already credited is
-            // redundant — completed work is never re-queued.
-            if let Some(shard) = worker.lease.take().filter(|s| !state.done.contains(s)) {
+            note_death(stats, worker.id, !dead);
+            if let Some(shard) = worker.lease.take() {
                 state.pending.push_front(shard);
                 stats.leases_reissued += 1;
                 o4a_obs::trace::event(
@@ -1244,15 +923,8 @@ fn drive_fleet(
                 if o4a_obs::metrics_enabled() {
                     o4a_obs::metrics::counter("dist.leases_reissued").inc();
                 }
-                scope.emit(
-                    "reissue",
-                    vec![
-                        ("shard", Json::U64(u64::from(shard))),
-                        ("worker", Json::U64(u64::from(worker.id))),
-                    ],
-                );
             }
-            stats.per_worker.push(worker.into_summary(left));
+            stats.per_worker.push(worker.into_summary(false));
         }
 
         // Spawned children that exited, or stayed silent past the
@@ -1268,93 +940,55 @@ fn drive_fleet(
                 child.id,
                 if exited { "exited" } else { "stayed silent" }
             );
-            note_death(stats, scope, child.id, "no-hello");
+            note_death(stats, child.id, false);
             child.kill();
             false
         });
 
-        // Exit only once every live worker is idle too: a worker can
-        // hold a lease whose shard a `re-adopt` completed out from under
-        // it (redundant, deterministic). Waiting for its `done` lets the
-        // shutdown goodbye land on a worker that is actually listening,
-        // instead of stranding it mid-serve with a dead socket.
-        if state.done.len() == shards as usize && live.iter().all(|w| w.lease.is_none()) {
+        if state.done.len() == shards as usize {
             return Ok(());
         }
 
-        // A spawning coordinator tops its fleet back up while unassigned
-        // work remains. Children count from their spawn, joined or not.
-        if let Some(secret) = state.secret.clone() {
-            loop {
-                let joined = live.iter().filter(|w| w.child.is_some());
-                let idle = joined.clone().filter(|w| w.lease.is_none()).count();
-                let strength = joined.count() + state.unjoined.len();
-                if idle + state.unjoined.len() >= state.pending.len()
-                    || strength >= dist.workers as usize
-                {
-                    break;
-                }
-                if stats.workers_spawned >= dist.workers + dist.max_respawns {
-                    return Err(io::Error::other(format!(
-                        "worker fleet keeps dying: {} spawns exhausted with {} of {} shards unfinished",
-                        stats.workers_spawned,
-                        shards as usize - state.done.len(),
-                        shards
-                    )));
-                }
-                let id = u32::try_from(state.next_id)
-                    .map_err(|_| io::Error::other("worker ids exhausted"))?;
-                let child = spawn_worker(dist, id, listener.local_addr(), &secret)?;
-                state.track_journal(id, child.journal.clone(), checkpoint);
-                state.next_id += 1;
-                stats.workers_spawned += 1;
-                state.unjoined.push(child);
+        // Top the fleet back up while unassigned work remains. Children
+        // count from their spawn, joined or not.
+        loop {
+            let joined = live.iter().filter(|w| w.greeted());
+            let idle = joined.clone().filter(|w| w.lease.is_none()).count();
+            let strength = joined.count() + state.unjoined.len();
+            if idle + state.unjoined.len() >= state.pending.len()
+                || strength >= dist.workers as usize
+            {
+                break;
             }
-        }
-        // A fleet that stays *empty* with work remaining is stranded.
-        if live.is_empty() && state.unjoined.is_empty() {
-            if fleet_nonempty_at.elapsed() > dist.accept_timeout {
+            if stats.workers_spawned >= dist.workers + dist.max_respawns {
                 return Err(io::Error::other(format!(
-                    "no workers connected for {:?} with {} of {} shards unfinished",
-                    dist.accept_timeout,
+                    "worker fleet keeps dying: {} spawns exhausted with {} of {} shards unfinished",
+                    stats.workers_spawned,
                     shards as usize - state.done.len(),
                     shards
                 )));
             }
-        } else {
-            fleet_nonempty_at = Instant::now();
+            let child = spawn_worker(
+                dist,
+                stats.workers_spawned,
+                listener.local_addr(),
+                &state.secret,
+            )?;
+            stats.workers_spawned += 1;
+            state.unjoined.push(child);
         }
 
-        // Grant: idle workers pull the queue front (work stealing), or —
-        // under a static split — the first queued shard pinned to their
-        // slot.
+        // Grant: idle workers pull the queue front (work stealing).
         for worker in live.iter_mut() {
-            if worker.lease.is_some() || worker.eof || worker.left || !worker.greeted {
+            if worker.lease.is_some() || worker.eof || !worker.greeted() {
                 continue;
             }
-            let picked = if dist.static_split {
-                let divisor = dist.workers.max(1);
-                state
-                    .pending
-                    .iter()
-                    .position(|&s| s % divisor == worker.slot % divisor)
-            } else if state.pending.is_empty() {
-                None
-            } else {
-                Some(0)
+            let Some(&shard) = state.pending.front() else {
+                break;
             };
-            let Some(idx) = picked else { continue };
-            let shard = state.pending[idx];
-            // Grant durability precedes the grant itself: a coordinator
-            // killed between the two records an orphaned lease, which a
-            // resume re-issues — never a granted shard the checkpoint
-            // has no memory of.
-            if let Some(cp) = checkpoint {
-                cp.record_grant(shard, worker.id);
-            }
             match worker.send_lease(shard, plan, scope.trace) {
                 Ok(()) => {
-                    state.pending.remove(idx);
+                    state.pending.pop_front();
                     worker.lease = Some(shard);
                     worker.last_heard = Instant::now();
                     stats.leases_granted += 1;
@@ -1369,13 +1003,6 @@ fn drive_fleet(
                     if o4a_obs::metrics_enabled() {
                         o4a_obs::metrics::counter("dist.leases_granted").inc();
                     }
-                    scope.emit(
-                        "lease",
-                        vec![
-                            ("shard", Json::U64(u64::from(shard))),
-                            ("worker", Json::U64(u64::from(worker.id))),
-                        ],
-                    );
                 }
                 // A broken pipe is a death notice; the retire pass picks
                 // the worker up next iteration and the shard stays queued.
@@ -1386,12 +1013,12 @@ fn drive_fleet(
         // Wait for frames: every worker socket rides the poll(2) reactor —
         // leased workers with their heartbeat deadline attached, pre-hello
         // connections with their cull deadline — and so does the accept
-        // socket (whose POLLIN means a worker is joining), with a short
+        // socket (whose POLLIN means a child is connecting), with a short
         // tick that also covers the deadlines of children still starting
         // up, so the bookkeeping above stays fresh.
         let mut tokens = Vec::with_capacity(live.len() + 1);
         for worker in live.iter().filter(|w| !w.eof) {
-            let deadline = (worker.lease.is_some() || !worker.greeted)
+            let deadline = (worker.lease.is_some() || !worker.greeted())
                 .then(|| worker.last_heard + dist.heartbeat_timeout);
             tokens.push(reactor.register(worker.fd(), Interest::Read, waker.clone(), deadline));
         }
@@ -1399,33 +1026,31 @@ fn drive_fleet(
             .unjoined
             .iter()
             .map(|child| child.at + dist.heartbeat_timeout)
-            .fold(Instant::now() + ACCEPT_TICK, Instant::min);
+            .fold(Instant::now() + TICK, Instant::min);
         tokens.push(reactor.register(listener.fd(), Interest::Read, waker.clone(), Some(tick)));
-        // The scope plane rides the same poll: its listener gets the
-        // accept tick (which also keeps SSE flushes and straggler
-        // sweeps timely), its clients their read/write readiness.
+        // The scope plane rides the same poll: its listener and clients
+        // with their read/write readiness.
         if let Some(server) = scope.server.as_ref() {
-            server.register(&reactor, &waker, ACCEPT_TICK, &mut tokens);
+            server.register(&reactor, &waker, &mut tokens);
         }
         reactor.poll_io(None)?;
         for token in tokens {
             reactor.deregister(token);
         }
 
-        // Accept joiners (every queued connect, not just one per wake).
+        // Accept connecting children (every queued connect, not just one
+        // per wake).
         while let Some(stream) = listener.accept()? {
-            // A connection dead between accept and fcntl is dropped; the
-            // joiner will retry.
+            // A connection dead between accept and fcntl is dropped; its
+            // child dies or stays silent and is culled above.
             if let Ok(link) = Link::new(stream) {
                 live.push(Worker::accepted(link));
             }
         }
 
-        // Observe the fleet: sweep for stragglers, then answer whatever
-        // the observatory's clients asked. Both are read-only over the
-        // campaign state, and the payload closures run at most once per
-        // pass — only when a matching request actually arrived.
-        sweep_stragglers(dist, live, scope);
+        // Answer whatever the observatory's clients asked: read-only over
+        // the campaign state, and the payload closures run at most once
+        // per pass — only when a matching request actually arrived.
         if let Some(server) = scope.server.as_mut() {
             let started = scope.started;
             server.service(
@@ -1462,99 +1087,42 @@ fn drive_fleet(
             }
             for line in lines {
                 worker.last_heard = Instant::now();
-                match Frame::from_line(&line) {
+                let frame = match &line {
+                    Ok(text) => Frame::from_line(text),
+                    Err(e) => Err(bad(format!("frame is not UTF-8: {e}"))),
+                };
+                match frame {
                     Ok(Frame::Hello {
                         worker: wid,
-                        journal: path,
                         secret,
-                    }) => {
-                        if !worker.greeted {
-                            if let Some(expected) = &state.secret {
-                                // A spawning coordinator admits its own
-                                // children only: the right secret, naming
-                                // a child still waiting to join.
-                                let child = state
-                                    .unjoined
-                                    .iter()
-                                    .position(|c| c.id == wid)
-                                    .filter(|_| secret.as_ref() == Some(expected));
-                                let Some(idx) = child else {
-                                    eprintln!(
-                                        "o4a-dist: refusing hello from worker {wid}: \
-                                         not a child of this coordinator"
-                                    );
-                                    if o4a_obs::metrics_enabled() {
-                                        o4a_obs::metrics::counter("dist.rejected_hellos").inc();
-                                    }
-                                    let refusal = Frame::Goodbye { worker: wid };
-                                    let _ = worker.link.send_line(&refusal.to_line());
-                                    worker.eof = true;
-                                    break;
-                                };
-                                let child = state.unjoined.swap_remove(idx);
-                                worker.child = Some(child.child);
-                                worker.spawned_at = child.at;
-                            } else {
-                                stats.workers_joined += 1;
-                                o4a_obs::trace::event(
-                                    "dist",
-                                    "worker.join",
-                                    &[("worker", u64::from(wid))],
-                                );
-                                if o4a_obs::metrics_enabled() {
-                                    o4a_obs::metrics::counter("dist.workers_joined").inc();
-                                }
+                        ..
+                    }) if !worker.greeted() => {
+                        // Only the coordinator's own children are
+                        // admitted: the right secret, naming a child
+                        // still waiting to join.
+                        let child = state
+                            .unjoined
+                            .iter()
+                            .position(|c| c.id == wid)
+                            .filter(|_| secret.as_deref() == Some(state.secret.as_str()));
+                        let Some(idx) = child else {
+                            eprintln!(
+                                "o4a-dist: refusing hello from worker {wid}: \
+                                 not a child of this coordinator"
+                            );
+                            if o4a_obs::metrics_enabled() {
+                                o4a_obs::metrics::counter("dist.rejected_hellos").inc();
                             }
-                            worker.id = wid;
-                            worker.greeted = true;
-                            worker.slot = state.joins;
-                            state.joins = state.joins.wrapping_add(1);
-                            scope.emit("hello", vec![("worker", Json::U64(u64::from(wid)))]);
-                        }
-                        let announced = PathBuf::from(path);
-                        if worker.journal.as_ref() != Some(&announced) {
-                            state.track_journal(worker.id, announced.clone(), checkpoint);
-                            worker.journal = Some(announced);
-                        }
-                    }
-                    Ok(Frame::ReAdopt {
-                        worker: wid,
-                        completed,
-                    }) => {
-                        if !worker.greeted {
+                            let refusal = Frame::Goodbye { worker: wid };
+                            let _ = worker.link.send_line(&refusal.to_line());
                             worker.eof = true;
                             break;
-                        }
-                        stats.workers_readopted += 1;
-                        o4a_obs::trace::event(
-                            "dist",
-                            "worker.readopt",
-                            &[
-                                ("worker", u64::from(wid)),
-                                ("completed", completed.len() as u64),
-                            ],
-                        );
-                        if o4a_obs::metrics_enabled() {
-                            o4a_obs::metrics::counter("dist.workers_readopted").inc();
-                        }
-                        for lease in completed {
-                            if !state.done.insert(lease.shard) {
-                                continue; // already credited — idempotent
-                            }
-                            state.pending.retain(|&s| s != lease.shard);
-                            stats.shards_readopted += 1;
-                            worker.leases_completed += 1;
-                            worker.cases += lease.cases;
-                            if let Some(cp) = checkpoint {
-                                cp.record_complete(lease.shard, wid, lease.cases, lease.findings);
-                            }
-                            state.completions_recorded += 1;
-                        }
-                        exit_if_armed(dist, state);
-                    }
-                    Ok(Frame::Goodbye { .. }) => {
-                        worker.left = true;
-                        break;
+                        };
+                        let child = state.unjoined.swap_remove(idx);
+                        worker.id = wid;
+                        worker.child = Some(child.child);
+                        worker.journal = child.journal;
+                        worker.spawned_at = child.at;
                     }
                     Ok(Frame::Progress {
                         shard,
@@ -1563,65 +1131,44 @@ fn drive_fleet(
                         metrics,
                         trace,
                         ..
-                    }) => {
+                    }) if worker.greeted() => {
                         if worker.lease == Some(shard) {
                             worker.lease_cases = cases;
                             worker.live_rate = cases_per_sec;
-                            worker.ewma_rate = ewma(worker.ewma_rate, cases_per_sec);
                             if metrics.is_some() {
                                 worker.latest_metrics = metrics;
                             }
                             scope.absorb(trace);
                         }
                     }
-                    // A redundant lease from an older coordinator
-                    // incarnation finishing late: deterministic, already
-                    // merged — ignore.
-                    Ok(Frame::Done { shard, .. })
-                        if worker.lease != Some(shard) && state.done.contains(&shard) => {}
                     Ok(Frame::Done {
                         shard,
                         cases,
-                        findings,
                         cases_per_sec,
                         metrics,
                         cache,
                         trace,
                         coverage,
+                        ..
                     }) if worker.lease == Some(shard) => {
                         worker.lease = None;
                         worker.lease_cases = 0;
                         worker.leases_completed += 1;
                         worker.cases += cases;
                         worker.live_rate = cases_per_sec;
-                        worker.ewma_rate = ewma(worker.ewma_rate, cases_per_sec);
                         if metrics.is_some() {
                             worker.latest_metrics = metrics;
                         }
                         scope.absorb(trace);
                         // Coverage converges upward as shards complete:
-                        // keep the running maximum per solver, and tell
-                        // the observatory when it moves.
+                        // keep the running maximum per solver.
                         for (solver, pct) in coverage {
-                            let best = stats.coverage.entry(solver.clone()).or_insert(0.0);
-                            if pct > *best {
-                                *best = pct;
-                                scope.emit(
-                                    "coverage",
-                                    vec![
-                                        ("solver", Json::Str(solver)),
-                                        ("line_pct", Json::F64(pct)),
-                                    ],
-                                );
-                            }
+                            let best = stats.coverage.entry(solver).or_insert(0.0);
+                            *best = best.max(pct);
                         }
                         stats.cache.hits += cache.hits;
                         stats.cache.misses += cache.misses;
                         state.done.insert(shard);
-                        if let Some(cp) = checkpoint {
-                            cp.record_complete(shard, worker.id, cases, findings);
-                        }
-                        state.completions_recorded += 1;
                         o4a_obs::trace::event(
                             "dist",
                             "lease.done",
@@ -1631,35 +1178,23 @@ fn drive_fleet(
                                 ("cases", cases),
                             ],
                         );
-                        scope.emit(
-                            "done",
-                            vec![
-                                ("shard", Json::U64(u64::from(shard))),
-                                ("worker", Json::U64(u64::from(worker.id))),
-                                ("cases", Json::U64(cases)),
-                            ],
-                        );
-                        if findings > 0 {
-                            scope.emit(
-                                "findings",
-                                vec![
-                                    ("shard", Json::U64(u64::from(shard))),
-                                    ("worker", Json::U64(u64::from(worker.id))),
-                                    ("count", Json::U64(findings)),
-                                ],
-                            );
-                        }
-                        exit_if_armed(dist, state);
                     }
-                    // A worker speaking garbage, echoing frames only the
-                    // coordinator may send, or completing a shard it does
-                    // not hold is as trustworthy as a dead one: retire it
-                    // and re-issue its lease.
-                    Ok(Frame::Lease { .. }) | Ok(Frame::Done { .. }) | Err(_) => {
+                    // A peer speaking garbage or non-UTF-8, sending any
+                    // frame but `hello` first, a second `hello`, a frame
+                    // only the coordinator may send, or completing a
+                    // shard it does not hold is as trustworthy as a dead
+                    // one: retire it and re-issue its lease.
+                    _ => {
+                        let shown = match &line {
+                            Ok(text) => text.chars().take(120).collect::<String>(),
+                            Err(e) => String::from_utf8_lossy(e.as_bytes())
+                                .chars()
+                                .take(120)
+                                .collect(),
+                        };
                         eprintln!(
-                            "o4a-dist: dropping worker {}: rejected frame {}",
-                            worker.id,
-                            line.chars().take(120).collect::<String>()
+                            "o4a-dist: dropping worker {}: rejected frame {shown}",
+                            worker.id
                         );
                         if o4a_obs::metrics_enabled() {
                             o4a_obs::metrics::counter("dist.rejected_frames").inc();
@@ -1669,20 +1204,6 @@ fn drive_fleet(
                     }
                 }
             }
-        }
-    }
-}
-
-/// The coordinator-kill fault injection: dies like a segfault right
-/// after the checkpoint made the Nth completion durable.
-fn exit_if_armed(dist: &DistConfig, state: &FleetState) {
-    if let Some(after) = dist.exit_after_completions {
-        if state.completions_recorded >= after {
-            eprintln!(
-                "o4a-dist: injected coordinator death after {} completions",
-                state.completions_recorded
-            );
-            std::process::exit(9);
         }
     }
 }
@@ -1708,6 +1229,7 @@ mod tests {
             buf.push(b'\n');
         }
         buf.extend_from_slice(b"{\"type\":\"do");
+        let frames: Vec<FrameLine> = frames.into_iter().map(Ok).collect();
         assert_eq!(take_lines(&mut buf), frames);
         assert_eq!(buf, b"{\"type\":\"do");
         assert!(
@@ -1718,8 +1240,26 @@ mod tests {
         buf.extend_from_slice(b"ne\"}\n");
         assert_eq!(
             take_lines(&mut buf),
-            vec!["{\"type\":\"done\"}".to_string()]
+            vec![Ok("{\"type\":\"done\"}".to_string())]
         );
+        assert!(buf.is_empty());
+    }
+
+    /// A line with bytes that are not UTF-8 inside a JSON string is a
+    /// malformed frame: it comes out as `Err`, not as a frame that parses
+    /// with U+FFFD in place of the bytes, and the lines around it are
+    /// untouched.
+    #[test]
+    fn take_lines_refuses_a_non_utf8_line() {
+        let mut buf = b"{\"journal\":\"caf\xe9\",\"t\":\"hello\",\"worker\":0}\n{\"t\":\"goodbye\",\"worker\":0}\n"
+            .to_vec();
+        let lines = take_lines(&mut buf);
+        assert_eq!(lines.len(), 2);
+        let err = lines[0]
+            .as_ref()
+            .expect_err("a non-UTF-8 line is malformed");
+        assert!(err.as_bytes().ends_with(b"\"worker\":0}"));
+        assert_eq!(lines[1].as_deref(), Ok("{\"t\":\"goodbye\",\"worker\":0}"));
         assert!(buf.is_empty());
     }
 
@@ -1762,15 +1302,15 @@ mod tests {
                 Drained::Closed => panic!("flooding peer hung up"),
             }
         }
-        assert_eq!(lines, vec!["{\"t\":\"hello\"}".to_string()]);
+        assert_eq!(lines, vec![Ok("{\"t\":\"hello\"}".to_string())]);
         assert_eq!(buf.capacity(), 0, "the oversized tail is freed");
         drop(link);
         flood.join().unwrap();
     }
 
-    /// A worker that says `goodbye` and exits with a lease still unread
-    /// resets its connection. Its `goodbye` is read, and the reset closes
-    /// this one peer instead of failing the campaign.
+    /// A peer that sends its last frame and exits with a lease still
+    /// unread resets its connection. The frame is read, and the reset
+    /// closes this one peer instead of failing the campaign.
     #[test]
     fn reset_after_goodbye_keeps_the_goodbye() {
         use crate::transport::{connect_with_retry, Listener};
@@ -1810,7 +1350,24 @@ mod tests {
                 Drained::Oversized => panic!("a one-frame peer is not oversized"),
             }
         }
-        assert_eq!(lines, vec!["{\"t\":\"goodbye\",\"worker\":0}".to_string()]);
+        assert_eq!(
+            lines,
+            vec![Ok("{\"t\":\"goodbye\",\"worker\":0}".to_string())]
+        );
+    }
+
+    /// There is no fleet without a worker command: an empty one is refused
+    /// up front, not waited on.
+    #[test]
+    fn empty_worker_command_is_invalid_input() {
+        let dir = std::env::temp_dir().join(format!("o4a-empty-cmd-{}", std::process::id()));
+        let dist = DistConfig::new(Vec::new(), dir.join("journals"));
+        let started = Instant::now();
+        let err = run_distributed(&CampaignConfig::default(), 1, &dist)
+            .expect_err("an empty worker command cannot run a campaign");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        assert!(started.elapsed() < Duration::from_secs(5));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     fn base() -> DistConfig {
@@ -1826,7 +1383,6 @@ mod tests {
             "O4A_DIST_HEARTBEAT_MS",
             "O4A_DIST_MAX_RESPAWNS",
             "O4A_DIST_LISTEN",
-            "O4A_CHECKPOINT",
             "O4A_SCOPE",
         ];
         for key in keys {
@@ -1842,7 +1398,6 @@ mod tests {
         assert_eq!(cfg.heartbeat_timeout, Duration::from_millis(1234));
         assert_eq!(cfg.max_respawns, 8);
         assert_eq!(cfg.listen, "127.0.0.1:0");
-        assert!(cfg.checkpoint.is_none());
         assert!(cfg.scope.is_none());
 
         // Invalid values: ignored, not errors — a campaign must not die
@@ -1851,7 +1406,6 @@ mod tests {
         std::env::set_var("O4A_DIST_HEARTBEAT_MS", "-5");
         std::env::set_var("O4A_DIST_MAX_RESPAWNS", "8.5");
         std::env::set_var("O4A_DIST_LISTEN", "   ");
-        std::env::set_var("O4A_CHECKPOINT", "");
         std::env::set_var("O4A_SCOPE", "  ");
         let cfg = base().with_workers(3).with_env_overrides();
         assert_eq!(cfg.workers, 3);
@@ -1861,7 +1415,6 @@ mod tests {
             cfg.listen, "127.0.0.1:0",
             "blank O4A_DIST_LISTEN is ignored"
         );
-        assert!(cfg.checkpoint.is_none());
         assert!(cfg.scope.is_none(), "blank O4A_SCOPE stays dark");
 
         // Zero workers is invalid too (a fleet needs one).
@@ -1873,7 +1426,6 @@ mod tests {
         std::env::set_var("O4A_DIST_HEARTBEAT_MS", "250");
         std::env::set_var("O4A_DIST_MAX_RESPAWNS", "0");
         std::env::set_var("O4A_DIST_LISTEN", " 127.0.0.1:4747 ");
-        std::env::set_var("O4A_CHECKPOINT", "/tmp/cp.jsonl");
         std::env::set_var("O4A_SCOPE", " 127.0.0.1:9090 ");
         let cfg = base().with_env_overrides();
         assert_eq!(cfg.scope.as_deref(), Some("127.0.0.1:9090"));
@@ -1884,10 +1436,6 @@ mod tests {
             "an explicit zero respawn budget is valid"
         );
         assert_eq!(cfg.listen, "127.0.0.1:4747");
-        assert_eq!(
-            cfg.checkpoint.as_deref(),
-            Some(std::path::Path::new("/tmp/cp.jsonl"))
-        );
 
         for key in keys {
             std::env::remove_var(key);

@@ -4,15 +4,13 @@
 //! per line — the same framing the findings journal uses, so a torn
 //! line is always the *last* one.
 //!
-//! * `hello` (worker → coordinator) — the first frame on **every**
-//!   connection: the worker's identity, its journal path, and — for a
-//!   worker the coordinator spawned — the per-run fleet secret it was
-//!   handed in [`FLEET_SECRET_ENV`]. A worker may connect at any point
-//!   of a running campaign — that is elastic scale-out.
+//! * `hello` (worker → coordinator) — the first frame on the
+//!   connection: the worker's id, its journal path, and the per-run
+//!   fleet secret the coordinator handed it in [`FLEET_SECRET_ENV`].
 //! * `lease` (coordinator → worker) — grants shard `shard` of an
 //!   `N`-way campaign plan. The full plan rides in every frame
-//!   ([`CampaignPlan`]), so frames are stateless and a worker joining
-//!   mid-campaign needs no handshake beyond its `hello`.
+//!   ([`CampaignPlan`]), so frames are stateless and a replacement
+//!   worker needs no handshake beyond its `hello`.
 //! * `progress` (worker → coordinator) — heartbeat while a lease runs:
 //!   cases generated so far, live throughput, and (when `O4A_METRICS`
 //!   is on in the worker) a cumulative metrics snapshot. Its absence
@@ -22,17 +20,9 @@
 //!   strictly **after** the shard's `shard_done` record is fsync'd into
 //!   the worker's journal — the ordering that lets the coordinator
 //!   treat a `done` frame as proof the merge will find the shard.
-//! * `re-adopt` (worker → coordinator) — sent right after `hello` on a
-//!   *re*-connection: the leases this worker process completed whose
-//!   `done` frames may have been lost with the previous connection
-//!   (e.g. a coordinator that died and restarted). The list is
-//!   cumulative for the process and idempotent to replay — a
-//!   completion the coordinator already knows is a no-op.
-//! * `goodbye` — worker → coordinator: the worker is leaving the fleet
-//!   voluntarily (elastic scale-in; a held lease goes back to the
-//!   queue). Coordinator → worker: the campaign is complete, or this
-//!   connection is refused — exit instead of treating the connection
-//!   loss as a coordinator death and reconnecting.
+//! * `goodbye` (coordinator → worker) — the campaign is complete, or
+//!   this connection is refused: exit cleanly. A connection that closes
+//!   without one is an error on the worker's side.
 
 use o4a_core::CampaignConfig;
 use o4a_exec::json::{obj, parse, Json};
@@ -232,52 +222,24 @@ pub enum Frame {
         /// scope-off frames stay byte-identical.
         coverage: BTreeMap<String, f64>,
     },
-    /// Worker → coordinator: the first frame on every connection —
+    /// Worker → coordinator: the first frame on the connection —
     /// identity plus journal location.
     Hello {
         /// The worker's id (as passed on its command line).
         worker: u32,
-        /// Absolute or coordinator-relative journal path.
+        /// The worker's journal path. Informational: the coordinator
+        /// merges the path it assigned at spawn, never this one.
         journal: String,
-        /// The fleet secret from [`FLEET_SECRET_ENV`], present only for
-        /// a worker whose coordinator spawned it. Absent on the wire
-        /// when unset, so joiners' frames stay byte-identical.
+        /// The fleet secret from [`FLEET_SECRET_ENV`]. Absent on the wire
+        /// when unset — a `hello` the coordinator refuses.
         secret: Option<String>,
     },
-    /// Worker → coordinator, after `hello` on a re-connection: every
-    /// lease this worker process has completed (fsync'd `shard_done` in
-    /// its journal), in case the `done` frames died with the previous
-    /// connection. Idempotent — completions the coordinator already
-    /// credited are no-ops.
-    ReAdopt {
-        /// The worker's id.
-        worker: u32,
-        /// All leases completed by this process so far.
-        completed: Vec<CompletedLease>,
-    },
-    /// Either direction: a deliberate farewell. From a worker it means
-    /// "leaving the fleet" (elastic scale-in); from the coordinator it
-    /// means "campaign complete, exit" — so the worker's reconnect loop
-    /// can tell completion from a coordinator death.
+    /// Coordinator → worker: "campaign complete, exit" (or "refused") —
+    /// so the worker can tell completion from a lost coordinator.
     Goodbye {
-        /// The departing worker's id (coordinator → worker frames echo
-        /// the recipient's id).
+        /// The recipient worker's id.
         worker: u32,
     },
-}
-
-/// One durable lease completion as carried by a [`Frame::ReAdopt`]:
-/// enough for the coordinator to credit the shard without the original
-/// `done` frame (cache/metrics detail is reconstructed by the journal
-/// merge either way).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CompletedLease {
-    /// The completed shard.
-    pub shard: u32,
-    /// Cases the shard executed.
-    pub cases: u64,
-    /// Findings the shard recorded.
-    pub findings: u64,
 }
 
 /// The verdict-cache counter pair that rides `progress` and `done`
@@ -464,25 +426,6 @@ impl Frame {
                 }
                 obj(fields)
             }
-            Frame::ReAdopt { worker, completed } => obj(vec![
-                ("t", Json::Str("re-adopt".into())),
-                ("worker", Json::U64(*worker as u64)),
-                (
-                    "completed",
-                    Json::Arr(
-                        completed
-                            .iter()
-                            .map(|c| {
-                                Json::Arr(vec![
-                                    Json::U64(c.shard as u64),
-                                    Json::U64(c.cases),
-                                    Json::U64(c.findings),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
             Frame::Goodbye { worker } => obj(vec![
                 ("t", Json::Str("goodbye".into())),
                 ("worker", Json::U64(*worker as u64)),
@@ -541,34 +484,6 @@ impl Frame {
                     Some(v) => Some(v.as_str().ok_or_else(|| bad("bad secret"))?.to_string()),
                 },
             }),
-            "re-adopt" => {
-                let mut completed = Vec::new();
-                for entry in json
-                    .get("completed")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| bad("missing completed"))?
-                {
-                    let triple = entry.as_arr().ok_or_else(|| bad("bad completed entry"))?;
-                    if triple.len() != 3 {
-                        return Err(bad("completed entry needs [shard, cases, findings]"));
-                    }
-                    let field = |i: usize, what: &str| {
-                        triple[i]
-                            .as_u64()
-                            .ok_or_else(|| bad(format!("bad completed {what}")))
-                    };
-                    completed.push(CompletedLease {
-                        shard: u32::try_from(field(0, "shard")?)
-                            .map_err(|_| bad("completed shard out of range"))?,
-                        cases: field(1, "cases")?,
-                        findings: field(2, "findings")?,
-                    });
-                }
-                Ok(Frame::ReAdopt {
-                    worker: u32_field(&json, "worker")?,
-                    completed,
-                })
-            }
             "goodbye" => Ok(Frame::Goodbye {
                 worker: u32_field(&json, "worker")?,
             }),
@@ -760,25 +675,6 @@ mod tests {
                 journal: "/tmp/worker-2.jsonl".into(),
                 secret: Some("00ff".repeat(8)),
             },
-            Frame::ReAdopt {
-                worker: 7,
-                completed: vec![],
-            },
-            Frame::ReAdopt {
-                worker: 7,
-                completed: vec![
-                    CompletedLease {
-                        shard: 1,
-                        cases: 30,
-                        findings: 2,
-                    },
-                    CompletedLease {
-                        shard: 4,
-                        cases: 28,
-                        findings: 0,
-                    },
-                ],
-            },
             Frame::Goodbye { worker: 7 },
         ]
     }
@@ -855,12 +751,11 @@ mod tests {
         assert!(Frame::from_line("not json").is_err());
         assert!(Frame::from_line("{\"t\":\"warp\"}").is_err());
         assert!(Frame::from_line("{\"shard\":1}").is_err());
-        // Elastic frames with missing or malformed fields.
+        // Membership frames with missing or malformed fields.
         assert!(Frame::from_line("{\"t\":\"hello\",\"worker\":1}").is_err());
-        assert!(Frame::from_line("{\"t\":\"re-adopt\",\"worker\":1}").is_err());
         assert!(
-            Frame::from_line("{\"completed\":[[1,2]],\"t\":\"re-adopt\",\"worker\":1}").is_err(),
-            "completed entries must be [shard, cases, findings] triples"
+            Frame::from_line("{\"completed\":[],\"t\":\"re-adopt\",\"worker\":1}").is_err(),
+            "re-adopt is not a frame"
         );
         assert!(Frame::from_line("{\"t\":\"goodbye\"}").is_err());
         assert!(
@@ -870,8 +765,7 @@ mod tests {
         );
     }
 
-    /// A joiner's `hello` carries no `secret` key at all, so its bytes
-    /// are exactly what they were before spawned workers had one.
+    /// A `hello` without a secret encodes no `secret` key at all.
     #[test]
     fn hello_without_a_secret_keeps_its_old_bytes() {
         let hello = Frame::Hello {
@@ -902,7 +796,6 @@ mod tests {
             "{\"t\":\"goodbye\",\"worker\":4294967296}",
             "{\"cases\":1,\"shard\":4294967296,\"t\":\"progress\"}",
             "{\"cases\":1,\"findings\":0,\"shard\":4294967296,\"t\":\"done\"}",
-            "{\"completed\":[[4294967296,1,0]],\"t\":\"re-adopt\",\"worker\":1}",
         ] {
             assert!(Frame::from_line(line).is_err(), "accepted {line}");
         }

@@ -1,14 +1,12 @@
 //! The one wire between the coordinator and its workers: TCP.
 //!
 //! The control protocol ([`crate::protocol`]) is JSONL; this module
-//! carries it over sockets. The coordinator always binds a listener and
-//! every worker *joins* by connecting (`dist_worker --connect
-//! host:port`) — the ones it spawned itself over loopback, and any it
-//! did not. Membership is elastic: a worker may connect mid-campaign
-//! and immediately pull the next lease, or leave and have its lease
-//! re-issued. Shutdown is an explicit `goodbye` frame, because a closed
-//! socket alone cannot tell "campaign complete" from "coordinator
-//! died".
+//! carries it over sockets. The coordinator binds a listener before it
+//! spawns its fleet, and every child connects back to it (`dist_worker
+//! --connect host:port`). A worker that dies has its lease re-issued
+//! and is replaced by a fresh spawn. Shutdown is an explicit `goodbye`
+//! frame, because a closed socket alone cannot tell "campaign complete"
+//! from "coordinator died".
 //!
 //! Each worker is one `Link` on the coordinator: a non-blocking socket
 //! whose fd rides the `o4a-executor` `poll(2)` reactor plus a
@@ -126,9 +124,8 @@ impl Listener {
     }
 }
 
-/// Worker-side connect with retry: the coordinator may not be up yet
-/// (or may be *restarting* — the whole point of the checkpoint), so the
-/// worker keeps knocking every 100 ms until `window` elapses.
+/// Worker-side connect with retry: the peer may not be listening yet,
+/// so the caller keeps knocking every 100 ms until `window` elapses.
 ///
 /// The returned stream is left **blocking**: the worker is a
 /// synchronous lease-serving loop, not a reactor.

@@ -2,9 +2,9 @@
 //! around [`o4a_exec::run_shard_lease`], over one TCP connection to the
 //! coordinator.
 //!
-//! A worker process *connects* to the coordinator, introduces itself
-//! with `hello` (its id, its findings journal, and the fleet secret if
-//! the coordinator spawned it), then serves leases until told to stop:
+//! A worker process *connects* to the coordinator that spawned it,
+//! introduces itself with `hello` (its id, its findings journal, and the
+//! fleet secret it was handed), then serves leases until told to stop:
 //! each `lease` frame names one shard of the campaign plan, the worker
 //! runs it with the repo's standard shard engine (every finding fsync'd
 //! into the worker's own journal the moment it is recorded), and the
@@ -13,11 +13,9 @@
 //! the coordinator's per-worker deadline can tell a slow worker from a
 //! wedged one.
 //!
-//! A dropped connection is a coordinator outage: the worker finishes
-//! any lease in flight (heartbeat writes fail silently — by design),
-//! then reconnects and replays its completed-lease list in a `re-adopt`
-//! frame so a **restarted** coordinator can credit work finished during
-//! the outage. Only an explicit `goodbye` ends the loop.
+//! Only an explicit `goodbye` ends the loop cleanly. A connection the
+//! coordinator closes without one ends it with an error: the coordinator
+//! is gone, and with it the campaign this worker served.
 //!
 //! Crash injection (for the recovery gauntlet) lives here too: a worker
 //! configured with [`CrashInjection`] dies abruptly — mid-lease, after
@@ -27,9 +25,7 @@
 //! finds the token and runs to completion, which is exactly the
 //! kill-mid-lease scenario the merge must absorb losslessly.
 
-use crate::protocol::{
-    CacheCounters, CompletedLease, Frame, TraceBatch, FLEET_SECRET_ENV, MAX_FRAME_BYTES,
-};
+use crate::protocol::{CacheCounters, Frame, TraceBatch, FLEET_SECRET_ENV, MAX_FRAME_BYTES};
 use crate::transport::connect_with_retry;
 use o4a_core::{Fuzzer, TestCase};
 use o4a_exec::json::Json;
@@ -45,6 +41,11 @@ use std::time::{Duration, Instant};
 
 /// Cases between `progress` heartbeats.
 pub const DEFAULT_PROGRESS_EVERY: u64 = 16;
+
+/// How long a worker keeps dialing the coordinator. Its coordinator
+/// binds the listener before spawning it, so the first dial normally
+/// lands.
+const CONNECT_WINDOW: Duration = Duration::from_secs(10);
 
 /// Most trace events one `progress` heartbeat carries; the remainder
 /// stays queued for later frames (and the `done` frame flushes the
@@ -77,8 +78,7 @@ pub struct WorkerConfig {
     /// The findings journal this worker appends to. Unique per worker
     /// *process* — a respawned worker gets a fresh journal, so a crashed
     /// predecessor's torn tail can never sit in the middle of a live
-    /// file. (One worker keeps one journal across reconnects: same
-    /// process, same `StoreSession`.)
+    /// file.
     pub journal: PathBuf,
     /// Worker id, echoed in the `hello` frame.
     pub worker_id: u32,
@@ -87,14 +87,11 @@ pub struct WorkerConfig {
     /// Optional die-mid-lease injection.
     pub crash: Option<CrashInjection>,
     /// Artificial per-case latency in milliseconds — the "slow machine"
-    /// knob for the heterogeneous-fleet gauntlet. Pure wall-clock drag
-    /// on the instrumentation wrapper: the engine's virtual time and RNG
-    /// never see it, so a slow worker's shard results stay bit-identical
-    /// to a fast worker's.
+    /// knob that keeps a lease running long enough to crash or observe
+    /// mid-way. Pure wall-clock drag on the instrumentation wrapper: the
+    /// engine's virtual time and RNG never see it, so a slow worker's
+    /// shard results stay bit-identical to a fast worker's.
     pub slow_case_ms: u64,
-    /// Elastic scale-in injection: after completing this many leases the
-    /// worker sends `goodbye` and exits cleanly, mid-campaign.
-    pub leave_after_leases: Option<u32>,
 }
 
 impl WorkerConfig {
@@ -107,7 +104,6 @@ impl WorkerConfig {
             progress_every: DEFAULT_PROGRESS_EVERY,
             crash: None,
             slow_case_ms: 0,
-            leave_after_leases: None,
         }
     }
 }
@@ -216,7 +212,7 @@ impl<W: Write> Fuzzer for Instrumented<'_, W> {
         self.cases += 1;
         if self.cases.is_multiple_of(self.every) {
             // Heartbeat only; a failed write means the coordinator is
-            // gone — the worker finishes the lease and reconnects.
+            // gone — the next read of the connection says so.
             // The lease's cache counters live in the shard stats, which
             // only exist once the lease completes — heartbeats carry the
             // zero pair (omitted on the wire), the `done` frame the real
@@ -251,15 +247,12 @@ fn latch(crash: &CrashInjection) -> bool {
 }
 
 /// The transport-agnostic lease engine: owns the journal session (one
-/// per process, shared across reconnects) and the cumulative
-/// completed-lease list that `re-adopt` frames replay.
+/// per process) and the trace spill between frames.
 struct LeaseServer<'f, F> {
     factory: &'f F,
     cfg: &'f WorkerConfig,
     store: FindingsStore,
     session: Option<(Json, StoreSession)>,
-    /// Every lease this process completed, in completion order.
-    completed: Vec<CompletedLease>,
     /// Drained-but-unsent trace events (see [`trace_attachment`]).
     trace_spill: VecDeque<TraceEvent>,
     /// Ring drops not yet reported in a batch.
@@ -270,9 +263,8 @@ impl<F> LeaseServer<'_, F>
 where
     F: Fn(u32) -> Box<dyn Fuzzer>,
 {
-    /// Serves one lease to completion and returns its `done` frame
-    /// (already recorded in [`Self::completed`]); the caller owns
-    /// sending it.
+    /// Serves one lease to completion and returns its `done` frame; the
+    /// caller owns sending it.
     ///
     /// # Errors
     ///
@@ -330,12 +322,7 @@ where
         };
         // `run_shard_lease` journaled `shard_done` (fsync'd) through the
         // sink before returning — only now may the coordinator learn the
-        // lease is complete, and only now may `re-adopt` replay it.
-        self.completed.push(CompletedLease {
-            shard,
-            cases: result.stats.cases,
-            findings: result.findings.len() as u64,
-        });
+        // lease is complete.
         // The done frame flushes the trace spill (the lease span just
         // closed, so its events are in the ring now), shedding whatever
         // exceeds `DONE_TRACE_EVENTS`, and carries the shard's final
@@ -374,39 +361,22 @@ where
             coverage,
         })
     }
-
-    /// True once the leave-after-N-leases injection should fire.
-    fn leave_due(&self) -> bool {
-        self.cfg
-            .leave_after_leases
-            .is_some_and(|n| self.completed.len() as u32 >= n)
-    }
 }
 
-/// Runs the worker loop: connect to the coordinator at `addr`
-/// (retrying for `reconnect_window` — it may not be up *yet*, or may be
-/// restarting), introduce this worker with `hello`, serve leases, and
-/// on any connection loss reconnect and `re-adopt`. Returns when the
-/// coordinator says `goodbye`, when the leave-after-leases injection
-/// fires, or with an error once the coordinator stays unreachable past
-/// `reconnect_window`.
+/// Runs the worker loop: connect to the coordinator at `addr`,
+/// introduce this worker with `hello`, and serve leases. Returns `Ok`
+/// when the coordinator says `goodbye`.
 ///
-/// The window bounds *continuous* unreachability: it rearms after every
-/// successful connect. `factory(shard)` builds the fuzzer for each
-/// lease — it must be the same factory every worker of the campaign
-/// uses, or shard results stop being a pure function of the plan. The
-/// fleet secret, if any, comes from [`FLEET_SECRET_ENV`].
+/// `factory(shard)` builds the fuzzer for each lease — it must be the
+/// same factory every worker of the campaign uses, or shard results stop
+/// being a pure function of the plan. The fleet secret comes from
+/// [`FLEET_SECRET_ENV`].
 ///
 /// # Errors
 ///
-/// Protocol violations, journal I/O errors, and a coordinator
-/// unreachable for longer than `reconnect_window`.
-pub fn run_worker<F>(
-    factory: F,
-    cfg: &WorkerConfig,
-    addr: &str,
-    reconnect_window: Duration,
-) -> io::Result<()>
+/// A coordinator that cannot be reached or closes the connection without
+/// `goodbye`, protocol violations, and journal I/O errors.
+pub fn run_worker<F>(factory: F, cfg: &WorkerConfig, addr: &str) -> io::Result<()>
 where
     F: Fn(u32) -> Box<dyn Fuzzer>,
 {
@@ -415,7 +385,7 @@ where
     // environment decides.
     o4a_obs::init_from_env();
     // Flushes this process's trace ring and metrics registry on every
-    // return path — goodbye, leave injection, protocol error, or a
+    // return path — goodbye, lost coordinator, protocol error, or a
     // panicking lease. Only a hard crash (the injected `exit(9)`) loses
     // the ring, and that is best-effort by design.
     let _drain = o4a_obs::DrainGuard::new();
@@ -427,105 +397,48 @@ where
         cfg,
         store: FindingsStore::new(&cfg.journal),
         session: None,
-        completed: Vec::new(),
         trace_spill: VecDeque::new(),
         trace_shed: 0,
     };
-    let mut connections = 0u64;
-    loop {
-        let stream = connect_with_retry(addr, reconnect_window)?;
-        connections += 1;
-        let mut out = stream.try_clone()?;
+    let stream = connect_with_retry(addr, CONNECT_WINDOW)?;
+    let mut out = stream.try_clone()?;
+    let hello = Frame::Hello {
+        worker: cfg.worker_id,
+        journal: cfg.journal.display().to_string(),
+        secret,
+    };
+    writeln!(out, "{}", hello.to_line())?;
+    out.flush()?;
+    o4a_obs::trace::event(
+        "dist",
+        "worker.connect",
+        &[("worker", u64::from(cfg.worker_id))],
+    );
 
-        // hello — and, past the first connection, the cumulative
-        // re-adopt list (one write, so they land in one coordinator
-        // drain). On a *re*connect the previous coordinator may have
-        // died before reading any number of our done frames; replaying
-        // every completion is idempotent on the other end.
-        let mut greeting = Frame::Hello {
-            worker: cfg.worker_id,
-            journal: cfg.journal.display().to_string(),
-            secret: secret.clone(),
+    let mut reader = BufReader::new(stream);
+    while let Some(line) = read_frame(&mut reader).map_err(rejected)? {
+        if line.trim().is_empty() {
+            continue;
         }
-        .to_line();
-        greeting.push('\n');
-        if connections > 1 {
-            greeting.push_str(
-                &Frame::ReAdopt {
-                    worker: cfg.worker_id,
-                    completed: server.completed.clone(),
-                }
-                .to_line(),
-            );
-            greeting.push('\n');
-        }
-        if out
-            .write_all(greeting.as_bytes())
-            .and_then(|()| out.flush())
-            .is_err()
-        {
-            continue; // died mid-handshake; reconnect
-        }
-        o4a_obs::trace::event(
-            "dist",
-            if connections > 1 {
-                "worker.reconnect"
-            } else {
-                "worker.connect"
-            },
-            &[("worker", u64::from(cfg.worker_id))],
-        );
-
-        let mut reader = BufReader::new(stream);
-        // `None` is a lost connection: reconnect.
-        while let Some(line) = read_frame(&mut reader).map_err(rejected)? {
-            if line.trim().is_empty() {
-                continue;
+        match Frame::from_line(&line).map_err(rejected)? {
+            Frame::Lease { shard, plan, trace } => {
+                let done = server.serve(shard, &plan, trace, &mut out)?;
+                writeln!(out, "{}", done.to_line())?;
+                out.flush()?;
             }
-            match Frame::from_line(&line).map_err(rejected)? {
-                Frame::Lease { shard, plan, trace } => {
-                    let done = server.serve(shard, &plan, trace, &mut out)?;
-                    let mut reply = done.to_line();
-                    reply.push('\n');
-                    let leaving = server.leave_due();
-                    if leaving {
-                        // One write, so the goodbye lands with the `done`:
-                        // a coordinator that read the `done` alone could end
-                        // the campaign on it, or lease this worker again.
-                        reply.push_str(
-                            &Frame::Goodbye {
-                                worker: cfg.worker_id,
-                            }
-                            .to_line(),
-                        );
-                        reply.push('\n');
-                    }
-                    let sent = out
-                        .write_all(reply.as_bytes())
-                        .and_then(|()| out.flush())
-                        .is_ok();
-                    if leaving {
-                        return Ok(());
-                    }
-                    if !sent {
-                        break; // done frame lost → reconnect + re-adopt
-                    }
-                }
-                Frame::Goodbye { .. } => {
-                    return Ok(());
-                }
-                _ => {
-                    return Err(rejected(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "worker expects only lease/goodbye frames from the coordinator",
-                    )));
-                }
+            Frame::Goodbye { .. } => return Ok(()),
+            _ => {
+                return Err(rejected(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "worker expects only lease/goodbye frames from the coordinator",
+                )));
             }
         }
-        // EOF without goodbye: the coordinator died — reconnect and
-        // re-adopt (the checkpoint will have it back, or the campaign is
-        // truly gone and the window expires above).
     }
+    Err(io::Error::new(
+        io::ErrorKind::UnexpectedEof,
+        "the coordinator closed the connection without goodbye",
+    ))
 }
 
 /// Reads one frame line from the coordinator, at most
@@ -536,7 +449,7 @@ where
 /// # Errors
 ///
 /// `InvalidData` for a frame over the cap or not UTF-8 — a malformed
-/// frame, which reconnecting to the same peer would only read again.
+/// frame.
 fn read_frame(reader: &mut impl BufRead) -> io::Result<Option<String>> {
     let mut buf = Vec::new();
     let limit = MAX_FRAME_BYTES as u64 + 1;
@@ -618,44 +531,47 @@ mod tests {
         );
     }
 
-    /// A non-UTF-8 frame ends the worker with `InvalidData` instead of
-    /// sending it back to reconnect to the same peer: the fake coordinator
-    /// says `goodbye` to a second connection, which must never come.
+    /// A non-UTF-8 frame, or a connection closed right after `hello`
+    /// with no `goodbye`, ends the worker with an error after its one
+    /// connection: the fake coordinator says `goodbye` to a second
+    /// connection, which must never come.
     #[test]
     fn malformed_frame_is_refused_not_reconnected() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let server = std::thread::spawn(move || {
-            let mut hellos = 0;
-            for stream in listener.incoming() {
-                let mut stream = stream.unwrap();
-                let mut hello = String::new();
-                if BufReader::new(&stream).read_line(&mut hello).is_err() || hello.is_empty() {
-                    break; // the test's unblocking connect
+        let inputs: [(&[u8], io::ErrorKind); 2] = [
+            (b"\xff\xfe\n", io::ErrorKind::InvalidData),
+            (b"", io::ErrorKind::UnexpectedEof),
+        ];
+        for (first_reply, kind) in inputs {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap().to_string();
+            let server = std::thread::spawn(move || {
+                let mut hellos = 0;
+                for stream in listener.incoming() {
+                    let mut stream = stream.unwrap();
+                    let mut hello = String::new();
+                    if BufReader::new(&stream).read_line(&mut hello).is_err() || hello.is_empty() {
+                        break; // the test's unblocking connect
+                    }
+                    hellos += 1;
+                    let reply = if hellos == 1 {
+                        first_reply.to_vec()
+                    } else {
+                        format!("{}\n", Frame::Goodbye { worker: 0 }.to_line()).into_bytes()
+                    };
+                    stream.write_all(&reply).unwrap();
+                    // Dropping the stream closes the connection.
                 }
-                hellos += 1;
-                let reply = if hellos == 1 {
-                    b"\xff\xfe\n".to_vec()
-                } else {
-                    format!("{}\n", Frame::Goodbye { worker: 0 }.to_line()).into_bytes()
-                };
-                stream.write_all(&reply).unwrap();
-            }
-            hellos
-        });
-        let journal =
-            std::env::temp_dir().join(format!("o4a-worker-malformed-{}.jsonl", std::process::id()));
-        let factory = |_shard: u32| -> Box<dyn Fuzzer> { unreachable!("no lease is sent") };
-        let result = run_worker(
-            factory,
-            &WorkerConfig::new(&journal, 0),
-            &addr,
-            Duration::from_secs(5),
-        );
-        drop(TcpStream::connect(&addr));
-        assert_eq!(server.join().unwrap(), 1, "the worker reconnected");
-        let err = result.expect_err("a malformed frame must end the worker");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        let _ = std::fs::remove_file(&journal);
+                hellos
+            });
+            let journal = std::env::temp_dir()
+                .join(format!("o4a-worker-malformed-{}.jsonl", std::process::id()));
+            let factory = |_shard: u32| -> Box<dyn Fuzzer> { unreachable!("no lease is sent") };
+            let result = run_worker(factory, &WorkerConfig::new(&journal, 0), &addr);
+            drop(TcpStream::connect(&addr));
+            assert_eq!(server.join().unwrap(), 1, "the worker reconnected");
+            let err = result.expect_err("the worker must end with an error");
+            assert_eq!(err.kind(), kind, "{err}");
+            let _ = std::fs::remove_file(&journal);
+        }
     }
 }

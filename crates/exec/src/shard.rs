@@ -92,13 +92,6 @@ pub struct ExecConfig {
     /// (the default) is a no-op. Ignored without
     /// [`ExecConfig::solver_cmd`].
     pub cache_dir: Option<std::path::PathBuf>,
-    /// Coordinator checkpoint path (the `O4A_CHECKPOINT` knob).
-    /// Consumed by the distributed layer (`o4a-dist`): when set, the
-    /// coordinator journals lease state there fsync-per-record and a
-    /// killed coordinator resumes the campaign from it. The in-process
-    /// engines ignore it — a single process already has the
-    /// [`crate::FindingsStore`] journal for kill/resume.
-    pub checkpoint: Option<std::path::PathBuf>,
 }
 
 impl Default for ExecConfig {
@@ -110,7 +103,6 @@ impl Default for ExecConfig {
             solver_cmd: None,
             solver_timeout_ms: None,
             cache_dir: None,
-            checkpoint: None,
         }
     }
 }
@@ -123,10 +115,8 @@ impl ExecConfig {
     /// worker over the pipe backend, default 1), `O4A_SOLVER_CMD`
     /// (external solver command; unset or blank keeps the in-process
     /// engines), `O4A_SOLVER_TIMEOUT_MS` (per-query deadline),
-    /// `O4A_CACHE` (verdict-cache directory; unset or blank means no
-    /// cache), and `O4A_CHECKPOINT` (coordinator checkpoint path,
-    /// consumed by `o4a-dist`; unset or blank means no checkpoint).
-    /// Invalid or zero values fall back to defaults.
+    /// and `O4A_CACHE` (verdict-cache directory; unset or blank means no
+    /// cache). Invalid or zero values fall back to defaults.
     pub fn from_env() -> ExecConfig {
         fn parse<T: std::str::FromStr + PartialOrd + From<u8>>(name: &str) -> Option<T> {
             std::env::var(name)
@@ -149,11 +139,6 @@ impl ExecConfig {
                 .filter(|v| !v.is_empty()),
             solver_timeout_ms: parse::<u64>("O4A_SOLVER_TIMEOUT_MS"),
             cache_dir: std::env::var("O4A_CACHE")
-                .ok()
-                .map(|v| v.trim().to_string())
-                .filter(|v| !v.is_empty())
-                .map(std::path::PathBuf::from),
-            checkpoint: std::env::var("O4A_CHECKPOINT")
                 .ok()
                 .map(|v| v.trim().to_string())
                 .filter(|v| !v.is_empty())

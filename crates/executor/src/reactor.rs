@@ -31,10 +31,10 @@
 //!
 //! Nothing here is pipe-specific: any pollable fd rides the same loop.
 //! The distributed coordinator (`o4a-dist`) registers a non-blocking TCP
-//! *listener* fd (readable ⇒ a worker is waiting in `accept(2)`) and its
-//! accepted *stream* fds (readable ⇒ a worker frame arrived) alongside
-//! its heartbeat deadlines — elastic scale-out through the very same
-//! `poll(2)` call that drives solver pipes.
+//! *listener* fd (readable ⇒ a spawned worker is waiting in `accept(2)`)
+//! and its accepted *stream* fds (readable ⇒ a worker frame arrived)
+//! alongside its heartbeat deadlines — the whole fleet through the very
+//! same `poll(2)` call that drives solver pipes.
 
 use std::cell::RefCell;
 use std::io::{self, Read};

@@ -1,7 +1,7 @@
 //! The workspace's one durable JSONL journal: a header line, then one
 //! [`Json`] record per line, each fsync'd as it is appended. The findings
-//! store, the verdict cache and the dist coordinator's checkpoint keep
-//! their state in one and own only their record codecs and folds.
+//! store and the verdict cache keep their state in one and own only
+//! their record codecs and folds.
 //!
 //! The rules — the header check, a record committed once its newline is
 //! on disk, the torn tail that [`open`] cuts (counting it in

@@ -21,8 +21,8 @@
 //!   by the findings store and the dist wire protocol; re-exported by
 //!   `o4a-exec` for compatibility).
 //! - [`journal`] — the durable JSONL journal framing (header check,
-//!   fsync'd appends, torn-tail replay) under the findings store, the
-//!   verdict cache and the coordinator checkpoint.
+//!   fsync'd appends, torn-tail replay) under the findings store and the
+//!   verdict cache.
 //!
 //! Both tracing and metrics are off by default; when off, every entry
 //! point is one relaxed atomic load. Enable programmatically with

@@ -1,7 +1,6 @@
 //! Socket-free building blocks for the o4a-scope status plane: a
-//! minimal HTTP/1.1 request parser, response and Server-Sent-Events
-//! formatting, and a Prometheus text-exposition renderer over
-//! [`MetricsSnapshot`].
+//! minimal HTTP/1.1 request parser, response formatting, and a
+//! Prometheus text-exposition renderer over [`MetricsSnapshot`].
 //!
 //! This module owns no sockets and never blocks — it turns byte buffers
 //! into requests and values into byte buffers, so the caller (the
@@ -92,25 +91,6 @@ pub fn http_response(status: u16, reason: &str, content_type: &str, body: &str) 
         body.len()
     )
     .into_bytes()
-}
-
-/// The response head that upgrades a connection to a Server-Sent-Events
-/// stream: headers, then a `retry:` hint. Events follow via
-/// [`sse_event`]; the connection stays open until either side closes.
-pub fn sse_preamble() -> Vec<u8> {
-    b"HTTP/1.1 200 OK\r\n\
-      Content-Type: text/event-stream\r\n\
-      Cache-Control: no-cache\r\n\
-      Connection: keep-alive\r\n\
-      \r\n\
-      retry: 2000\n\n"
-        .to_vec()
-}
-
-/// Formats one SSE frame: `event: <name>` + `data: <data>` + blank
-/// line. `data` must be a single line (the scope plane sends line-JSON).
-pub fn sse_event(name: &str, data: &str) -> Vec<u8> {
-    format!("event: {name}\ndata: {data}\n\n").into_bytes()
 }
 
 /// Maps a metric name onto the Prometheus charset: `[a-zA-Z0-9_:]`,
@@ -303,15 +283,6 @@ mod tests {
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Length: 11\r\n"));
         assert!(text.ends_with("\r\n\r\n{\"ok\":true}"));
-    }
-
-    #[test]
-    fn sse_frames_end_with_a_blank_line() {
-        let frame = String::from_utf8(sse_event("finding", "{\"shard\":2}")).unwrap();
-        assert_eq!(frame, "event: finding\ndata: {\"shard\":2}\n\n");
-        let preamble = String::from_utf8(sse_preamble()).unwrap();
-        assert!(preamble.contains("text/event-stream"));
-        assert!(preamble.ends_with("retry: 2000\n\n"));
     }
 
     #[test]
