@@ -422,14 +422,11 @@ fn rogue_hellos_are_refused_by_a_spawned_fleet() {
         }
     }
     let journal = forged.display().to_string();
+    // A `hello` names no journal; each rogue's still offers the forged
+    // one under the key older workers sent.
     let hello = |worker: u32, secret: Option<String>| {
-        Frame::Hello {
-            worker,
-            journal: journal.clone(),
-            secret,
-        }
-        .to_line()
-        .into_bytes()
+        let line = Frame::Hello { worker, secret }.to_line();
+        format!("{{\"journal\":\"{journal}\",{}", &line[1..]).into_bytes()
     };
     let mut latin1_hello = format!("{{\"journal\":\"{journal}").into_bytes();
     latin1_hello.extend_from_slice(b"\xe9\",\"t\":\"hello\",\"worker\":1}");

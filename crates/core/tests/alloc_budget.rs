@@ -62,9 +62,10 @@ fn allocations<R>(f: impl FnOnce() -> R) -> (R, u64) {
 /// eval scopes) but must not scale with term-tree size the way boxed
 /// `Term` cloning did. Measured 83/case at introduction and 110/case in
 /// a debug build (87 in release) once the arena rewrites became
-/// copy-on-change; the pin is that debug count plus about 25% headroom
-/// for legitimate drift.
-const PER_CASE_BUDGET: u64 = 135;
+/// copy-on-change, then 101/case in debug (78 in release) once the
+/// sort check stopped allocating; the pin is that debug count plus about
+/// 25% headroom for legitimate drift.
+const PER_CASE_BUDGET: u64 = 126;
 
 fn one_case(
     seed: &Script,
@@ -224,4 +225,40 @@ fn a_skeleton_pass_that_replaces_nothing_allocates_nothing_per_node() {
     // What is left is the script copy and the variable list, the same
     // for a first assertion eight times larger.
     assert_eq!(cost[0], cost[1], "allocations grew with the tree: {cost:?}");
+}
+
+/// Well-sorted scripts over every theory and binder the checker knows.
+const CHECKED_SCRIPTS: &[&str] = &[
+    "(declare-fun T () Int)(declare-const b Bool)(declare-const r Real)\
+     (assert (or (= T 0) (and b (< T 10) (> r (/ T 2)))))\
+     (assert (exists ((f Int)) (> f T)))(check-sat)",
+    "(declare-const a (_ BitVec 8))(declare-const p (_ FiniteField 5))\
+     (assert (and (bvult a ((_ zero_extend 4) ((_ extract 3 0) a))) \
+     (= (concat a a) ((_ repeat 2) a)) (= (ff.add p p) (ff.neg p))))",
+    "(declare-const s (Seq Int))(declare-const t String)\
+     (assert (let ((u (seq.++ s (seq.unit 1)))) (and (= (seq.len u) (str.len t)) \
+     (= (seq.nth u 0) 3) (str.contains t \"ab\"))))",
+    "(declare-fun r1 () (Relation Int Bool))(declare-fun r2 () (Relation Bool String))\
+     (declare-const m (Bag Int))(declare-const q (Set Int))\
+     (assert (and (= (rel.join r1 r2) (rel.join r1 r2)) (set.member 1 (set.insert 2 q)) \
+     (= (bag.count 1 m) 0) (= ((_ tuple.select 0) (tuple 1 true)) 1)))",
+    "(declare-fun f (Int Bool) Int)(declare-const arr (Array Int Int))\
+     (define-fun inc ((x Int)) Int (+ x 1))\
+     (assert (forall ((x Int)) (= (select (store arr x (f x true)) x) (inc x))))",
+];
+
+#[test]
+fn a_warm_sort_check_allocates_nothing() {
+    let mut arena = TermArena::new();
+    let scripts: Vec<ArenaScript> = CHECKED_SCRIPTS
+        .iter()
+        .map(|text| o4a_smtlib::parse_script_arena(text, &mut arena).expect("parses"))
+        .collect();
+    for script in &scripts {
+        // The first check meets the script's sorts and symbols.
+        o4a_smtlib::typeck::check_script_arena(script, &arena).expect("well-sorted");
+        let (checked, n) = allocations(|| o4a_smtlib::typeck::check_script_arena(script, &arena));
+        assert!(checked.is_ok());
+        assert_eq!(n, 0, "a warm check allocated");
+    }
 }

@@ -297,6 +297,9 @@ pub struct DistReport {
 /// member backed by the child process it proved to be.
 struct Worker {
     id: u32,
+    /// The connection's number, in accept order: what the log calls a
+    /// peer that has not said `hello`.
+    conn: u64,
     /// The spawned process behind this connection, claimed by an
     /// accepted `hello`; `None` before it — nothing is granted until then.
     child: Option<Child>,
@@ -322,10 +325,11 @@ struct Worker {
 
 impl Worker {
     /// A freshly accepted connection.
-    fn accepted(link: Link) -> Worker {
+    fn accepted(link: Link, conn: u64) -> Worker {
         let now = Instant::now();
         Worker {
             id: u32::MAX,
+            conn,
             child: None,
             link,
             buf: Vec::new(),
@@ -345,6 +349,11 @@ impl Worker {
     /// Said an accepted `hello`: a fleet member.
     fn greeted(&self) -> bool {
         self.child.is_some()
+    }
+
+    /// How the log names this peer.
+    fn label(&self) -> String {
+        peer_label(self.greeted().then_some(self.id), self.conn)
     }
 
     fn fd(&self) -> std::os::unix::io::RawFd {
@@ -522,6 +531,17 @@ struct FleetState {
     secret: String,
     /// Spawned children that have not said `hello` yet.
     unjoined: Vec<Spawned>,
+    /// Connections accepted so far.
+    connections: u64,
+}
+
+/// A peer's name in the log: its worker id once its `hello` was
+/// accepted, else its connection number.
+fn peer_label(worker: Option<u32>, conn: u64) -> String {
+    match worker {
+        Some(id) => format!("worker {id}"),
+        None => format!("connection {conn} (no hello yet)"),
+    }
 }
 
 /// One worker process's accumulated trace-ring batches, keyed by pid in
@@ -674,6 +694,7 @@ pub fn run_distributed(
         done: BTreeSet::new(),
         secret: mint_secret()?,
         unjoined: Vec::new(),
+        connections: 0,
     };
 
     let listener = Listener::bind(&dist.listen)
@@ -1043,8 +1064,9 @@ fn drive_fleet(
         while let Some(stream) = listener.accept()? {
             // A connection dead between accept and fcntl is dropped; its
             // child dies or stays silent and is culled above.
+            state.connections += 1;
             if let Ok(link) = Link::new(stream) {
-                live.push(Worker::accepted(link));
+                live.push(Worker::accepted(link, state.connections));
             }
         }
 
@@ -1076,8 +1098,8 @@ fn drive_fleet(
                     // Past any legitimate frame: drop the peer through the
                     // death path, which re-issues its lease.
                     eprintln!(
-                        "o4a-dist: dropping worker {}: frame longer than {MAX_FRAME_BYTES} bytes",
-                        worker.id
+                        "o4a-dist: dropping {}: frame longer than {MAX_FRAME_BYTES} bytes",
+                        worker.label()
                     );
                     if o4a_obs::metrics_enabled() {
                         o4a_obs::metrics::counter("dist.rejected_frames").inc();
@@ -1193,8 +1215,8 @@ fn drive_fleet(
                                 .collect(),
                         };
                         eprintln!(
-                            "o4a-dist: dropping worker {}: rejected frame {shown}",
-                            worker.id
+                            "o4a-dist: dropping {}: rejected frame {shown}",
+                            worker.label()
                         );
                         if o4a_obs::metrics_enabled() {
                             o4a_obs::metrics::counter("dist.rejected_frames").inc();
@@ -1261,6 +1283,14 @@ mod tests {
         assert!(err.as_bytes().ends_with(b"\"worker\":0}"));
         assert_eq!(lines[1].as_deref(), Ok("{\"t\":\"goodbye\",\"worker\":0}"));
         assert!(buf.is_empty());
+    }
+
+    /// A peer dropped before its `hello` is named by its connection, not
+    /// by the placeholder id it holds until then.
+    #[test]
+    fn peers_without_a_hello_are_named_by_connection() {
+        assert_eq!(peer_label(Some(3), 9), "worker 3");
+        assert_eq!(peer_label(None, 4), "connection 4 (no hello yet)");
     }
 
     #[test]

@@ -5,8 +5,10 @@
 //! line is always the *last* one.
 //!
 //! * `hello` (worker → coordinator) — the first frame on the
-//!   connection: the worker's id, its journal path, and the per-run
-//!   fleet secret the coordinator handed it in [`FLEET_SECRET_ENV`].
+//!   connection: the worker's id and the per-run fleet secret the
+//!   coordinator handed it in [`FLEET_SECRET_ENV`]. The coordinator
+//!   merges the journal paths it assigned at spawn, so a `hello` names
+//!   none.
 //! * `lease` (coordinator → worker) — grants shard `shard` of an
 //!   `N`-way campaign plan. The full plan rides in every frame
 //!   ([`CampaignPlan`]), so frames are stateless and a replacement
@@ -222,14 +224,11 @@ pub enum Frame {
         /// scope-off frames stay byte-identical.
         coverage: BTreeMap<String, f64>,
     },
-    /// Worker → coordinator: the first frame on the connection —
-    /// identity plus journal location.
+    /// Worker → coordinator: the first frame on the connection — the
+    /// worker's identity.
     Hello {
         /// The worker's id (as passed on its command line).
         worker: u32,
-        /// The worker's journal path. Informational: the coordinator
-        /// merges the path it assigned at spawn, never this one.
-        journal: String,
         /// The fleet secret from [`FLEET_SECRET_ENV`]. Absent on the wire
         /// when unset — a `hello` the coordinator refuses.
         secret: Option<String>,
@@ -411,15 +410,10 @@ impl Frame {
                 }
                 obj(fields)
             }
-            Frame::Hello {
-                worker,
-                journal,
-                secret,
-            } => {
+            Frame::Hello { worker, secret } => {
                 let mut fields = vec![
                     ("t", Json::Str("hello".into())),
                     ("worker", Json::U64(*worker as u64)),
-                    ("journal", Json::Str(journal.clone())),
                 ];
                 if let Some(secret) = secret {
                     fields.push(("secret", Json::Str(secret.clone())));
@@ -474,11 +468,6 @@ impl Frame {
             }),
             "hello" => Ok(Frame::Hello {
                 worker: u32_field(&json, "worker")?,
-                journal: json
-                    .get("journal")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| bad("missing journal"))?
-                    .to_string(),
                 secret: match json.get("secret") {
                     None | Some(Json::Null) => None,
                     Some(v) => Some(v.as_str().ok_or_else(|| bad("bad secret"))?.to_string()),
@@ -667,12 +656,10 @@ mod tests {
             },
             Frame::Hello {
                 worker: 7,
-                journal: "/tmp/worker-7.jsonl".into(),
                 secret: None,
             },
             Frame::Hello {
                 worker: 2,
-                journal: "/tmp/worker-2.jsonl".into(),
                 secret: Some("00ff".repeat(8)),
             },
             Frame::Goodbye { worker: 7 },
@@ -752,15 +739,14 @@ mod tests {
         assert!(Frame::from_line("{\"t\":\"warp\"}").is_err());
         assert!(Frame::from_line("{\"shard\":1}").is_err());
         // Membership frames with missing or malformed fields.
-        assert!(Frame::from_line("{\"t\":\"hello\",\"worker\":1}").is_err());
+        assert!(Frame::from_line("{\"t\":\"hello\"}").is_err());
         assert!(
             Frame::from_line("{\"completed\":[],\"t\":\"re-adopt\",\"worker\":1}").is_err(),
             "re-adopt is not a frame"
         );
         assert!(Frame::from_line("{\"t\":\"goodbye\"}").is_err());
         assert!(
-            Frame::from_line("{\"journal\":\"j\",\"secret\":7,\"t\":\"hello\",\"worker\":1}")
-                .is_err(),
+            Frame::from_line("{\"secret\":7,\"t\":\"hello\",\"worker\":1}").is_err(),
             "a present secret must be a string"
         );
     }
@@ -770,20 +756,16 @@ mod tests {
     fn hello_without_a_secret_keeps_its_old_bytes() {
         let hello = Frame::Hello {
             worker: 3,
-            journal: "/tmp/w3.jsonl".into(),
             secret: None,
         };
-        assert_eq!(
-            hello.to_line(),
-            "{\"journal\":\"/tmp/w3.jsonl\",\"t\":\"hello\",\"worker\":3}"
-        );
+        assert_eq!(hello.to_line(), "{\"t\":\"hello\",\"worker\":3}");
     }
 
     /// Ids and shard indices above `u32::MAX` are malformed frames, not
     /// silently truncated onto a different worker or shard.
     #[test]
     fn out_of_range_ids_are_refused() {
-        let max = "{\"journal\":\"j\",\"t\":\"hello\",\"worker\":4294967295}";
+        let max = "{\"t\":\"hello\",\"worker\":4294967295}";
         assert!(matches!(
             Frame::from_line(max).unwrap(),
             Frame::Hello {
@@ -792,7 +774,7 @@ mod tests {
             }
         ));
         for line in [
-            "{\"journal\":\"j\",\"t\":\"hello\",\"worker\":4294967296}",
+            "{\"t\":\"hello\",\"worker\":4294967296}",
             "{\"t\":\"goodbye\",\"worker\":4294967296}",
             "{\"cases\":1,\"shard\":4294967296,\"t\":\"progress\"}",
             "{\"cases\":1,\"findings\":0,\"shard\":4294967296,\"t\":\"done\"}",

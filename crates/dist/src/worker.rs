@@ -3,8 +3,8 @@
 //! coordinator.
 //!
 //! A worker process *connects* to the coordinator that spawned it,
-//! introduces itself with `hello` (its id, its findings journal, and the
-//! fleet secret it was handed), then serves leases until told to stop:
+//! introduces itself with `hello` (its id and the fleet secret it was
+//! handed), then serves leases until told to stop:
 //! each `lease` frame names one shard of the campaign plan, the worker
 //! runs it with the repo's standard shard engine (every finding fsync'd
 //! into the worker's own journal the moment it is recorded), and the
@@ -404,7 +404,6 @@ where
     let mut out = stream.try_clone()?;
     let hello = Frame::Hello {
         worker: cfg.worker_id,
-        journal: cfg.journal.display().to_string(),
         secret,
     };
     writeln!(out, "{}", hello.to_line())?;

@@ -18,6 +18,7 @@
 //! exactly the text it saw before the arena existed.
 
 use crate::{Command, Op, Quantifier, Script, Sort, Symbol, Term, Value};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
@@ -35,6 +36,13 @@ impl TermId {
 /// Index of an interned [`Symbol`] in a [`TermArena`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct SymbolId(u32);
+
+impl SymbolId {
+    /// The raw index.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
 
 /// Index of an interned [`Sort`] in a [`TermArena`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -692,33 +700,32 @@ impl TermArena {
     /// equal arenas. The copy is built without interner maps; interning
     /// into it builds them first.
     pub fn compact(&self, script: &ArenaScript) -> (TermArena, ArenaScript) {
-        let mut c = Compactor {
-            src: self,
-            out: TermArena::new(),
-            symbols: vec![UNMAPPED; self.symbols.len()],
-            sorts: vec![UNMAPPED; self.sorts.len()],
-            ops: vec![UNMAPPED; self.ops.len()],
-            kids: Vec::new(),
-            binds: Vec::new(),
-            vars: Vec::new(),
-        };
-        let commands = script
-            .commands
-            .iter()
-            .map(|cmd| match cmd {
-                ArenaCommand::DefineFun(s, params, ret, body) => {
-                    ArenaCommand::DefineFun(s.clone(), params.clone(), ret.clone(), c.term(*body))
-                }
-                ArenaCommand::Assert(t) => ArenaCommand::Assert(c.term(*t)),
-                ArenaCommand::GetValue(ts) => {
-                    ArenaCommand::GetValue(ts.iter().map(|&t| c.term(t)).collect())
-                }
-                other => other.clone(),
-            })
-            .collect();
-        let mut out = c.out;
-        out.maps_stale = true;
-        (out, ArenaScript { commands })
+        COMPACT.with(|cell| {
+            let scratch = &mut *cell.borrow_mut();
+            scratch.clear(self);
+            let mut c = Compactor {
+                src: self,
+                out: scratch,
+            };
+            let commands = script
+                .commands
+                .iter()
+                .map(|cmd| match cmd {
+                    ArenaCommand::DefineFun(s, params, ret, body) => ArenaCommand::DefineFun(
+                        s.clone(),
+                        params.clone(),
+                        ret.clone(),
+                        c.term(*body),
+                    ),
+                    ArenaCommand::Assert(t) => ArenaCommand::Assert(c.term(*t)),
+                    ArenaCommand::GetValue(ts) => {
+                        ArenaCommand::GetValue(ts.iter().map(|&t| c.term(t)).collect())
+                    }
+                    other => other.clone(),
+                })
+                .collect();
+            (scratch.copy(self), ArenaScript { commands })
+        })
     }
 
     /// Replaces this arena's nodes and tables with copies of `other`'s,
@@ -812,19 +819,91 @@ impl TermArena {
 /// A source id [`TermArena::compact`] has not mapped yet.
 const UNMAPPED: u32 = u32::MAX;
 
-/// The state of one [`TermArena::compact`]: the source, the copy, and
-/// per interned table of the source, each id's index in the copy (or
-/// [`UNMAPPED`]).
-struct Compactor<'a> {
-    src: &'a TermArena,
-    out: TermArena,
+thread_local! {
+    /// The buffers of [`TermArena::compact`], reused by every copy made on
+    /// the thread.
+    static COMPACT: RefCell<CompactScratch> = RefCell::new(CompactScratch::default());
+}
+
+/// A copy under construction, in buffers that keep their capacity from
+/// copy to copy. Nodes and spans are the copy's own; its value, symbol,
+/// sort and operator tables are source indices, cloned from the source
+/// once, into exactly sized tables, by [`CompactScratch::copy`].
+#[derive(Default)]
+struct CompactScratch {
+    nodes: Vec<ANode>,
+    children: Vec<TermId>,
+    binds: Vec<(SymbolId, TermId)>,
+    qvars: Vec<(SymbolId, SortId)>,
+    values: Vec<u32>,
     symbols: Vec<u32>,
     sorts: Vec<u32>,
     ops: Vec<u32>,
-    /// Scratch stacks for child lists under construction.
+    /// Per interned table of the source, each id's index in the copy, or
+    /// [`UNMAPPED`]; only the entries of the ids in `symbols`, `sorts` and
+    /// `ops` are ever set.
+    symbol_map: Vec<u32>,
+    sort_map: Vec<u32>,
+    op_map: Vec<u32>,
+    /// Stacks for child lists under construction.
     kids: Vec<TermId>,
-    binds: Vec<(SymbolId, TermId)>,
-    vars: Vec<(SymbolId, SortId)>,
+    bind_stack: Vec<(SymbolId, TermId)>,
+    var_stack: Vec<(SymbolId, SortId)>,
+}
+
+impl CompactScratch {
+    /// Forgets the previous copy and sizes the maps for `src`.
+    fn clear(&mut self, src: &TermArena) {
+        for (map, ids, len) in [
+            (&mut self.symbol_map, &mut self.symbols, src.symbols.len()),
+            (&mut self.sort_map, &mut self.sorts, src.sorts.len()),
+            (&mut self.op_map, &mut self.ops, src.ops.len()),
+        ] {
+            for &id in ids.iter() {
+                map[id as usize] = UNMAPPED;
+            }
+            ids.clear();
+            if map.len() < len {
+                map.resize(len, UNMAPPED);
+            }
+        }
+        self.nodes.clear();
+        self.children.clear();
+        self.binds.clear();
+        self.qvars.clear();
+        self.values.clear();
+    }
+
+    fn push(&mut self, n: ANode) -> TermId {
+        let id = TermId(self.nodes.len() as u32);
+        self.nodes.push(n);
+        id
+    }
+
+    /// The copy as an arena without interner maps.
+    fn copy(&self, src: &TermArena) -> TermArena {
+        fn pick<T: Clone>(table: &[T], ids: &[u32]) -> Vec<T> {
+            ids.iter().map(|&i| table[i as usize].clone()).collect()
+        }
+        TermArena {
+            nodes: self.nodes.clone(),
+            children: self.children.clone(),
+            binds: self.binds.clone(),
+            qvars: self.qvars.clone(),
+            values: pick(&src.values, &self.values),
+            symbols: pick(&src.symbols, &self.symbols),
+            sorts: pick(&src.sorts, &self.sorts),
+            ops: pick(&src.ops, &self.ops),
+            maps_stale: true,
+            ..TermArena::default()
+        }
+    }
+}
+
+/// One [`TermArena::compact`]: the source and the copy's buffers.
+struct Compactor<'a> {
+    src: &'a TermArena,
+    out: &'a mut CompactScratch,
 }
 
 impl Compactor<'_> {
@@ -832,82 +911,74 @@ impl Compactor<'_> {
     fn term(&mut self, id: TermId) -> TermId {
         let src = self.src;
         match src.node(id) {
-            ANode::Const(vi) => self.out.mk_const(src.value(vi).clone()),
+            ANode::Const(vi) => {
+                let copied = self.out.values.len() as u32;
+                self.out.values.push(vi);
+                self.out.push(ANode::Const(copied))
+            }
             ANode::Var(s) => {
                 let s = self.symbol(s);
-                self.out.mk_var(s)
+                self.out.push(ANode::Var(s))
             }
-            ANode::Placeholder(i) => self.out.mk_placeholder(i),
+            ANode::Placeholder(i) => self.out.push(ANode::Placeholder(i)),
             ANode::App(op, start, len) => {
-                let op = self.op(op);
-                let mark = self.kids.len();
+                let op = OpId(remap(&mut self.out.op_map, &mut self.out.ops, op.0));
+                let mark = self.out.kids.len();
                 for &a in src.args(start, len) {
                     let a = self.term(a);
-                    self.kids.push(a);
+                    self.out.kids.push(a);
                 }
-                let id = self.out.mk_app(op, &self.kids[mark..]);
-                self.kids.truncate(mark);
-                id
+                let out = &mut *self.out;
+                let start = out.children.len() as u32;
+                out.children.extend_from_slice(&out.kids[mark..]);
+                out.kids.truncate(mark);
+                out.push(ANode::App(op, start, len))
             }
             ANode::Let(start, len, body) => {
-                let mark = self.binds.len();
+                let mark = self.out.bind_stack.len();
                 for &(s, t) in src.let_binds(start, len) {
                     let t = self.term(t);
                     let s = self.symbol(s);
-                    self.binds.push((s, t));
+                    self.out.bind_stack.push((s, t));
                 }
                 let body = self.term(body);
-                let id = self.out.mk_let(&self.binds[mark..], body);
-                self.binds.truncate(mark);
-                id
+                let out = &mut *self.out;
+                let start = out.binds.len() as u32;
+                out.binds.extend_from_slice(&out.bind_stack[mark..]);
+                out.bind_stack.truncate(mark);
+                out.push(ANode::Let(start, len, body))
             }
             ANode::Quant(q, start, len, body) => {
-                let mark = self.vars.len();
+                let mark = self.out.var_stack.len();
                 for &(s, sort) in src.quant_vars(start, len) {
                     let s = self.symbol(s);
-                    let sort = self.sort(sort);
-                    self.vars.push((s, sort));
+                    let sort = SortId(remap(&mut self.out.sort_map, &mut self.out.sorts, sort.0));
+                    self.out.var_stack.push((s, sort));
                 }
                 let body = self.term(body);
-                let id = self.out.mk_quant(q, &self.vars[mark..], body);
-                self.vars.truncate(mark);
-                id
+                let out = &mut *self.out;
+                let start = out.qvars.len() as u32;
+                out.qvars.extend_from_slice(&out.var_stack[mark..]);
+                out.var_stack.truncate(mark);
+                out.push(ANode::Quant(q, start, len, body))
             }
         }
     }
 
     fn symbol(&mut self, s: SymbolId) -> SymbolId {
-        let item = self.src.symbol(s);
-        SymbolId(remap(
-            &mut self.symbols[s.0 as usize],
-            &mut self.out.symbols,
-            item,
-        ))
-    }
-
-    fn sort(&mut self, s: SortId) -> SortId {
-        let item = self.src.sort(s);
-        SortId(remap(
-            &mut self.sorts[s.0 as usize],
-            &mut self.out.sorts,
-            item,
-        ))
-    }
-
-    fn op(&mut self, op: OpId) -> OpId {
-        let item = self.src.op(op);
-        OpId(remap(&mut self.ops[op.0 as usize], &mut self.out.ops, item))
+        SymbolId(remap(&mut self.out.symbol_map, &mut self.out.symbols, s.0))
     }
 }
 
-/// The index in `table` of `item`, whose source id maps to `*mapped`,
-/// appending it on first use. Interning keeps one id per symbol, sort and
-/// operator in every arena, so the copy's tables have no duplicates
-/// either.
-fn remap<T: Clone>(mapped: &mut u32, table: &mut Vec<T>, item: &T) -> u32 {
+/// The copy's index of source id `id`, whose entry in `map` says where it
+/// went, appending it to the copy's table `ids` on first use. Interning
+/// keeps one id per symbol, sort and operator in every arena, so the
+/// copy's tables have no duplicates either.
+fn remap(map: &mut [u32], ids: &mut Vec<u32>, id: u32) -> u32 {
+    let mapped = &mut map[id as usize];
     if *mapped == UNMAPPED {
-        table.push(item.clone());
-        *mapped = table.len() as u32 - 1;
+        *mapped = ids.len() as u32;
+        ids.push(id);
     }
     *mapped
 }

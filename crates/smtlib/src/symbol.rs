@@ -59,6 +59,12 @@ impl Symbol {
         &self.0
     }
 
+    /// The address of the interned text: equal symbols share it, so it
+    /// identifies a name within the process.
+    pub(crate) fn addr(&self) -> usize {
+        Arc::as_ptr(&self.0).cast::<u8>() as usize
+    }
+
     /// Returns a derived symbol with a numeric suffix, used when renaming
     /// clashing declarations during formula synthesis.
     ///

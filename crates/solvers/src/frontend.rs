@@ -447,9 +447,10 @@ impl<'a> Walk<'a> {
         let mut features = FormulaFeatures::EMPTY;
         let mut coverage = CoverageFacts::default();
         let mut unsupported = [None, None];
-        // The distinct applied operators, each with whether some
-        // application of it has more than two arguments.
-        let mut ops: Vec<(OpId, bool)> = Vec::new();
+        // The distinct applied operators in first-application order, and
+        // per `OpId` its place in that list plus one (0: not applied yet).
+        let mut ops: Vec<AppliedOp> = Vec::new();
+        let mut place = vec![0u32; arena.ops().len()];
         let mut stack = Vec::new();
         for t in script.assertions() {
             features.assert_count += 1;
@@ -463,14 +464,24 @@ impl<'a> Walk<'a> {
                     ANode::Const(_) => (0, false),
                     ANode::Var(_) => (1, false),
                     ANode::App(id, _, len) => {
-                        let op = arena.op(id);
-                        for (s, theories) in smallest.iter_mut().zip(&supported) {
-                            note_unsupported(s, op, theories);
-                        }
                         let wide = len > 2;
-                        match ops.iter_mut().find(|(seen, _)| *seen == id) {
-                            Some((_, w)) => *w |= wide,
-                            None => ops.push((id, wide)),
+                        let at = &mut place[id.index()];
+                        if *at == 0 {
+                            let theory = arena.op(id).theory();
+                            ops.push(AppliedOp {
+                                id,
+                                wide: false,
+                                unsupported: supported.each_ref().map(|s| !s.contains(&theory)),
+                            });
+                            *at = ops.len() as u32;
+                        }
+                        let applied = &mut ops[*at as usize - 1];
+                        applied.wide |= wide;
+                        let op = arena.op(id);
+                        for (s, bad) in smallest.iter_mut().zip(applied.unsupported) {
+                            if bad && s.is_none_or(|u| op < u) {
+                                *s = Some(op);
+                            }
                         }
                         (2, wide)
                     }
@@ -490,7 +501,7 @@ impl<'a> Walk<'a> {
                 *first = first.or(s);
             }
         }
-        for (id, wide) in ops {
+        for AppliedOp { id, wide, .. } in ops {
             let op = arena.op(id);
             features.op_names.insert(op.smt_name().to_string());
             features.theories.insert(op.theory());
@@ -518,8 +529,10 @@ impl<'a> Walk<'a> {
         }
         for (args, ret) in declared_sorts(script) {
             for s in args.iter().chain(std::iter::once(ret)) {
-                features.theories.extend(deep_theories(s));
-                mark_sort(s, &mut coverage.sorts);
+                for_each_sort(s, &mut |s| {
+                    features.theories.insert(s.theory());
+                    mark_sort(s, &mut coverage.sorts);
+                });
             }
         }
         features.theories.remove(&Theory::Core);
@@ -529,6 +542,15 @@ impl<'a> Walk<'a> {
             unsupported,
         }
     }
+}
+
+/// An operator a walk met: its id, whether some application of it has
+/// more than two arguments, and per solver whether it lies outside the
+/// solver's theories.
+struct AppliedOp {
+    id: OpId,
+    wide: bool,
+    unsupported: [bool; 2],
 }
 
 /// Calls `f` on every node of the term at `root` with its depth (the root
@@ -591,13 +613,15 @@ fn gate_verdict(
     let supported = supported_theories(solver);
     for (args, ret) in declared_sorts(script) {
         for s in args.iter().chain(std::iter::once(ret)) {
-            for t in deep_theories(s) {
-                if !supported.contains(&t) {
-                    return Err(format!(
-                        "unknown sort '{s}' (theory '{t}' is not supported by {})",
-                        solver.name(),
-                    ));
-                }
+            let mut first = None;
+            for_each_sort(s, &mut |c| {
+                first = first.or(Some(c.theory()).filter(|t| !supported.contains(t)));
+            });
+            if let Some(t) = first {
+                return Err(format!(
+                    "unknown sort '{s}' (theory '{t}' is not supported by {})",
+                    solver.name(),
+                ));
             }
         }
     }
@@ -667,26 +691,37 @@ impl CoverageFacts {
     }
 }
 
-/// Marks a sort and its components in a `SORT_POINTS` table; nested
-/// sorts take the deep branch.
+/// Marks one sort (not its components) in a `SORT_POINTS` table; a
+/// sort with components takes the deep branch.
 fn mark_sort(sort: &Sort, bits: &mut u32) {
-    let slot = match sort {
-        Sort::Bool => 0,
-        Sort::Int => 1,
-        Sort::Real => 2,
-        Sort::String => 3,
-        Sort::BitVec(_) => 4,
-        Sort::FiniteField(_) => 5,
-        Sort::Seq(_) => 6,
-        Sort::Set(_) => 7,
-        Sort::Bag(_) => 8,
-        Sort::Array(_, _) => 9,
-        Sort::Tuple(_) => 10,
-        Sort::Uninterpreted(_) => 11,
+    let (slot, nested) = match sort {
+        Sort::Bool => (0, false),
+        Sort::Int => (1, false),
+        Sort::Real => (2, false),
+        Sort::String => (3, false),
+        Sort::BitVec(_) => (4, false),
+        Sort::FiniteField(_) => (5, false),
+        Sort::Seq(_) => (6, true),
+        Sort::Set(_) => (7, true),
+        Sort::Bag(_) => (8, true),
+        Sort::Array(_, _) => (9, true),
+        Sort::Tuple(elems) => (10, !elems.is_empty()),
+        Sort::Uninterpreted(_) => (11, false),
     };
-    mark(bits, slot, sort.depth() > 1);
-    for c in sort.children() {
-        mark_sort(c, bits);
+    mark(bits, slot, nested);
+}
+
+/// Calls `f` on `sort` and then on each of its components, depth first.
+fn for_each_sort(sort: &Sort, f: &mut impl FnMut(&Sort)) {
+    f(sort);
+    match sort {
+        Sort::Seq(e) | Sort::Set(e) | Sort::Bag(e) => for_each_sort(e, f),
+        Sort::Array(k, v) => {
+            for_each_sort(k, f);
+            for_each_sort(v, f);
+        }
+        Sort::Tuple(elems) => elems.iter().for_each(|e| for_each_sort(e, f)),
+        _ => {}
     }
 }
 
@@ -800,17 +835,15 @@ impl Frontend {
     }
 }
 
-fn deep_theories(s: &Sort) -> Vec<Theory> {
-    let mut out = vec![s.theory()];
-    for c in s.children() {
-        out.extend(deep_theories(c));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn deep_theories(s: &Sort) -> Vec<Theory> {
+        let mut out = Vec::new();
+        for_each_sort(s, &mut |c| out.push(c.theory()));
+        out
+    }
     use crate::coverage::universe;
     use o4a_core::{Fuzzer, Once4AllConfig, Once4AllFuzzer};
     use o4a_smtlib::{Command, Term};
