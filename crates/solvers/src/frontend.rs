@@ -838,18 +838,22 @@ impl Frontend {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn deep_theories(s: &Sort) -> Vec<Theory> {
-        let mut out = Vec::new();
-        for_each_sort(s, &mut |c| out.push(c.theory()));
-        out
-    }
     use crate::coverage::universe;
     use o4a_core::{Fuzzer, Once4AllConfig, Once4AllFuzzer};
     use o4a_smtlib::{Command, Term};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::collections::BTreeSet;
+
+    /// The theories of a sort and its components, depth first, built
+    /// independently of `for_each_sort` for the reference walks below.
+    fn deep_theories(s: &Sort) -> Vec<Theory> {
+        let mut out = vec![s.theory()];
+        for c in s.children() {
+            out.extend(deep_theories(c));
+        }
+        out
+    }
 
     #[test]
     fn analyze_accepts_supported_script() {
